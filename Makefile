@@ -2,6 +2,7 @@
 #
 #   make ci              # the full gate: gofmt, go vet, build, tests with -race
 #   make test            # fast test run (no race detector)
+#   make plane-race      # the plane's generation invariant, -race -count=20
 #   make bench           # multi-workload enforcement benchmarks
 #   make json            # machine-readable throughput results -> BENCH_throughput.json
 #   make latency-json    # engine latency baseline -> BENCH_latency.json
@@ -72,7 +73,7 @@ MAX_TELEMETRY_OVERHEAD ?= 0.05
 # coverage grows, never lower it to make a PR pass.
 COVERAGE_BASELINE ?= 84.0
 
-.PHONY: all ci fmt-check vet build test race bench json latency-json \
+.PHONY: all ci fmt-check vet build test race plane-race bench json latency-json \
 	e2e-json fuzz-smoke robustness-json learning-json scenarios-json \
 	plane-json telemetry-json bench-gate coverage-gate staticcheck
 
@@ -97,6 +98,13 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The chaos and interleaving tests assert "no stale-generation verdict,
+# no silent allow" across swap, kill, restart and shard moves; one pass
+# proves little about a race, twenty under the detector is the gate
+# (about 20 s on 2 cores).
+plane-race:
+	$(GO) test -race -count=20 ./internal/plane
 
 bench:
 	$(GO) test -run NONE -bench 'MultiWorkload|RegistryResolve' -benchmem .

@@ -43,11 +43,15 @@ func TestChaosKillRestartMidSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// phase is the generation traffic must judge against: even => v1
-	// (false benign), odd => v2 (true benign). It is advanced only
-	// AFTER the corresponding Swap has returned, so a reader that
-	// observes phase N is guaranteed the swap to N's policy completed
-	// before its request started.
+	// phase is a seqlock around the swapper's publishes: it is advanced
+	// immediately BEFORE and AFTER every Swap, so an odd value means a
+	// publish is in flight and an even value 2k means exactly k swaps
+	// have completed and none has started since. The policy in force at
+	// an even phase is therefore (phase/2)%2: 0 => v1 (false benign),
+	// 1 => v2 (true benign). Both bumps are needed for the oracle to be
+	// sound: with only the trailing one, a request that starts during or
+	// just after a publish sees the new policy while the counter still
+	// reads the old value, and a correct tier is reported stale.
 	var phase atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -69,11 +73,13 @@ func TestChaosKillRestartMidSwap(t *testing.T) {
 			if i%2 == 1 {
 				next = v1
 			}
-			if err := pl.Swap("wl", next); err != nil {
+			phase.Add(1)
+			err := pl.Swap("wl", next)
+			phase.Add(1)
+			if err != nil {
 				t.Errorf("Swap: %v", err)
 				return
 			}
-			phase.Add(1)
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
@@ -103,13 +109,13 @@ func TestChaosKillRestartMidSwap(t *testing.T) {
 		}
 	}()
 
-	// Traffic: every request snapshots the phase BEFORE it starts, so
-	// the snapshot is a lower bound on the published generation. If the
-	// phase did not advance while the request was in flight, the
-	// verdict must be exactly the snapshot generation's; if it did, any
-	// of the concurrently-published generations' verdicts is legal
-	// (bounded mixed window) — but forwarding a body BOTH generations
-	// deny is fail-open and always fatal.
+	// Traffic: every request snapshots the phase before it starts and
+	// again after it returns. If both snapshots are the same EVEN value,
+	// no publish overlapped the request and the verdict must be exactly
+	// that phase's policy's; otherwise a publish was in flight at some
+	// point and either of the two generations' verdicts is legal
+	// (bounded mixed window), so the probe is not judged — but any
+	// status other than a verdict or a fail-closed shed is always fatal.
 	const workers = 4
 	var served, shed atomic.Uint64
 	for w := 0; w < workers; w++ {
@@ -124,7 +130,7 @@ func TestChaosKillRestartMidSwap(t *testing.T) {
 				}
 				before := phase.Load()
 				wantAllow, wantDeny := bodyFalse, bodyTrue
-				if before%2 == 1 {
+				if (before/2)%2 == 1 {
 					wantAllow, wantDeny = bodyTrue, bodyFalse
 				}
 				for _, probe := range []struct {
@@ -139,7 +145,7 @@ func TestChaosKillRestartMidSwap(t *testing.T) {
 					switch rec.Code {
 					case http.StatusOK, http.StatusForbidden:
 						served.Add(1)
-						stable := before == after
+						stable := before == after && before%2 == 0
 						if stable && probe.allow && rec.Code != http.StatusOK {
 							t.Errorf("phase %d: allowed body denied (stale generation served): %s", before, rec.Body)
 						}
@@ -164,7 +170,7 @@ func TestChaosKillRestartMidSwap(t *testing.T) {
 		t.Fatal("chaos run served zero requests — invariants never exercised")
 	}
 	t.Logf("chaos: %d served, %d shed, %d swaps, %d resyncs",
-		served.Load(), shed.Load(), phase.Load(), pl.Metrics().Resyncs)
+		served.Load(), shed.Load(), phase.Load()/2, pl.Metrics().Resyncs)
 
 	// Quiesce: after the chaos stops and every replica is restored, the
 	// tier must converge to the final generation everywhere.
@@ -177,7 +183,7 @@ func TestChaosKillRestartMidSwap(t *testing.T) {
 	}
 	final := phase.Load()
 	wantAllow, wantDeny := bodyFalse, bodyTrue
-	if final%2 == 1 {
+	if (final/2)%2 == 1 {
 		wantAllow, wantDeny = bodyTrue, bodyFalse
 	}
 	for i := 0; i < 50; i++ {
@@ -249,11 +255,13 @@ func TestChaosRebalanceMidSwap(t *testing.T) {
 			if i%2 == 1 {
 				next = v1
 			}
-			if err := pl.Swap("wl", next); err != nil {
+			phase.Add(1)
+			err := pl.Swap("wl", next)
+			phase.Add(1)
+			if err != nil {
 				t.Errorf("Swap: %v", err)
 				return
 			}
-			phase.Add(1)
 			time.Sleep(200 * time.Microsecond)
 		}
 	}()
@@ -315,11 +323,11 @@ func TestChaosRebalanceMidSwap(t *testing.T) {
 					}
 				}
 
-				// The swapped workload: phase snapshot bounds the legal
-				// generations exactly as in TestChaosKillRestartMidSwap.
+				// The swapped workload: judged only between two equal even
+				// phase snapshots, exactly as in TestChaosKillRestartMidSwap.
 				before := phase.Load()
 				wantAllow, wantDeny := bodyFalse, bodyTrue
-				if before%2 == 1 {
+				if (before/2)%2 == 1 {
 					wantAllow, wantDeny = bodyTrue, bodyFalse
 				}
 				for _, probe := range []struct {
@@ -334,7 +342,7 @@ func TestChaosRebalanceMidSwap(t *testing.T) {
 					switch rec.Code {
 					case http.StatusOK, http.StatusForbidden:
 						served.Add(1)
-						stable := before == after
+						stable := before == after && before%2 == 0
 						if stable && probe.allow && rec.Code != http.StatusOK {
 							t.Errorf("phase %d: allowed body denied mid-rebalance (stale generation): %s", before, rec.Body)
 						}
@@ -367,12 +375,12 @@ func TestChaosRebalanceMidSwap(t *testing.T) {
 			tm.PublishesStarted, tm.PublishesCompleted)
 	}
 	t.Logf("rebalance chaos: %d served, %d shed, %d swaps, %d rebalances, %d migrations, %d handoff entries",
-		served.Load(), shed.Load(), phase.Load(), tm.Rebalances, tm.ShardMigrations, tm.HandoffEntries)
+		served.Load(), shed.Load(), phase.Load()/2, tm.Rebalances, tm.ShardMigrations, tm.HandoffEntries)
 
 	// Quiesce: the tier converges to the final generation everywhere.
 	final := phase.Load()
 	wantAllow, wantDeny := bodyFalse, bodyTrue
-	if final%2 == 1 {
+	if (final/2)%2 == 1 {
 		wantAllow, wantDeny = bodyTrue, bodyFalse
 	}
 	for i := 0; i < 50; i++ {

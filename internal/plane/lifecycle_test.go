@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/object"
+	"repro/internal/proxy"
 	"repro/internal/registry"
 )
 
@@ -127,32 +128,9 @@ func TestPlaneStateAndStateString(t *testing.T) {
 	}
 }
 
-func TestBodyFormatClassification(t *testing.T) {
-	tests := []struct {
-		contentType string
-		want        bodyFormatKind
-		ok          bool
-	}{
-		{"", formatJSON, true},
-		{"application/json", formatJSON, true},
-		{"text/json; charset=utf-8", formatJSON, true},
-		{"application/yaml", formatYAML, true},
-		{"text/yaml", formatYAML, true},
-		{"application/x-yaml", formatYAML, true},
-		{"application/xml", 0, false},
-		{"not a media type ;;;", 0, false},
-	}
-	for _, tt := range tests {
-		got, ok := bodyFormat(tt.contentType)
-		if ok != tt.ok || (ok && got != tt.want) {
-			t.Errorf("bodyFormat(%q) = %v, %v; want %v, %v", tt.contentType, got, ok, tt.want, tt.ok)
-		}
-	}
-}
-
 func TestRouteKeyDerivation(t *testing.T) {
-	mkReq := func(method, path, contentType string) *http.Request {
-		req := httptest.NewRequest(method, path, nil)
+	mkReq := func(method, path, contentType, body string) *http.Request {
+		req := httptest.NewRequest(method, path, strings.NewReader(body))
 		if contentType != "" {
 			req.Header.Set("Content-Type", contentType)
 		}
@@ -216,25 +194,13 @@ func TestRouteKeyDerivation(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			req := mkReq(tt.method, tt.path, tt.contentType)
-			if got := routeKey(req, []byte(tt.body)); got != tt.want {
-				t.Errorf("routeKey = %q, want %q", got, tt.want)
+			req := mkReq(tt.method, tt.path, tt.contentType, tt.body)
+			q := proxy.ReadRequest(req)
+			defer q.Release()
+			if got := shardKey(&q, req.URL.Path); got != tt.want {
+				t.Errorf("shardKey = %q, want %q", got, tt.want)
 			}
 		})
-	}
-}
-
-func TestDecodeObjectFormats(t *testing.T) {
-	o, err := decodeObject([]byte(`{"kind":"Pod","metadata":{"name":"p"}}`), formatJSON)
-	if err != nil || o.Kind() != "Pod" {
-		t.Fatalf("decodeObject json = %v, %v", o, err)
-	}
-	o, err = decodeObject([]byte("kind: Pod\nmetadata:\n  name: p\n"), formatYAML)
-	if err != nil || o.Kind() != "Pod" {
-		t.Fatalf("decodeObject yaml = %v, %v", o, err)
-	}
-	if _, err := decodeObject([]byte("{broken"), formatJSON); err == nil {
-		t.Error("decodeObject on broken JSON should fail")
 	}
 }
 

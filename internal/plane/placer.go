@@ -1,7 +1,6 @@
 package plane
 
 import (
-	"fmt"
 	"sort"
 	"time"
 
@@ -140,20 +139,12 @@ func epochScore(st loadState, reqs, costNs uint64, alpha float64) (float64, load
 // records them (decision count and total decision time), the registry's
 // request and validation-time counters otherwise. Caller holds pl.mu.
 func (pl *Plane) observeLocked(w string) (reqs, costNs uint64) {
-	for _, rep := range pl.replicas {
-		if ReplicaState(rep.state.Load()) == ReplicaDown {
-			continue
-		}
-		if _, holds := rep.installed[w]; !holds {
-			continue
-		}
+	for _, rep := range pl.holders(w) {
 		if rep.hub != nil {
 			c, s := rep.hub.Load(w)
 			reqs += c
 			costNs += s
-			continue
-		}
-		if e, ok := rep.reg.Entry(w); ok {
+		} else if e, ok := rep.reg.Entry(w); ok {
 			m := e.Metrics()
 			reqs += m.Requests
 			costNs += uint64(m.ValidationTime)
@@ -369,8 +360,9 @@ type RebalanceReport struct {
 
 // Rebalance advances the load scores one epoch and, on a weighted-
 // placement tier, migrates shard assignments when the load imbalance
-// exceeds the hysteresis threshold. A migration follows the publish
-// discipline: the destination replica is installed at the current
+// exceeds the hysteresis threshold. A migration is a publish like any
+// other: the plan's assignment is adopted as desired state and the tier
+// reconciled, so the destination replica is installed at the current
 // generation and its decision cache primed from the source BEFORE the
 // route table flips, inside a PublishesStarted/Completed window — a
 // mid-migration request lands either on the old owner (a live holder,
@@ -379,62 +371,44 @@ type RebalanceReport struct {
 func (pl *Plane) Rebalance() (RebalanceReport, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	return pl.rebalanceWeightedLocked()
-}
-
-func (pl *Plane) rebalanceWeightedLocked() (RebalanceReport, error) {
 	pl.rebalances.Add(1)
 	scores := pl.loadScoresLocked(true)
-	report := RebalanceReport{Placement: pl.placement()}
-	active := pl.activeIndices()
-	keys := pl.keyLoadsLocked(scores)
-	rt := pl.routes.Load()
-	plan := planWeighted(keys, active, pl.assign, rt.ring, pl.threshold())
-	report.ImbalanceBefore = plan.imbalanceBefore
+	plan := planWeighted(pl.keyLoadsLocked(scores), pl.activeIndices(), pl.assign, pl.routes.Load().ring, pl.threshold())
+	report := RebalanceReport{
+		Placement:       pl.placement(),
+		ImbalanceBefore: plan.imbalanceBefore,
+		ImbalanceAfter:  plan.imbalanceBefore,
+	}
 	if pl.placement() != PlacementWeighted {
-		report.ImbalanceAfter = plan.imbalanceBefore
 		return report, nil
 	}
 	report.ImbalanceAfter = plan.imbalanceAfter
-	if len(plan.moves) == 0 {
-		// Adopt the seeded assignment anyway: keys stick to their current
-		// homes across future topology changes instead of following ring
-		// churn, which preserves cache locality.
-		pl.assign = plan.assign
-		pl.publishRoutesLocked()
-		return report, nil
+	// Adopt the assignment even when nothing moved: keys stick to their
+	// current homes across future topology changes instead of following
+	// ring churn, which preserves cache locality.
+	before := make(map[string][]int, len(pl.workloads))
+	for w, ws := range pl.workloads {
+		before[w] = ws.owners
 	}
+	pl.assign = plan.assign
+	primed, err := pl.reconcileLocked(pl.workloads, false)
 
-	pl.publishesStarted.Add(1)
-	defer pl.publishesCompleted.Add(1)
-	var firstErr error
+	// The report is the owner diff: a move lists the workloads its key
+	// addresses that the destination gained, and the cached decisions
+	// that travelled with them.
 	for _, mv := range plan.moves {
 		ms := ShardMove{Key: mv.key, From: mv.from, To: mv.to, Score: mv.score}
-		dst := pl.replicas[mv.to]
 		for _, w := range pl.workloadsOnKeyLocked(mv.key) {
-			ws := pl.workloads[w]
-			if gen, holds := dst.installed[w]; !holds || gen != ws.gen {
-				if err := pl.installLocked(dst, w, ws, ws.gen); err != nil {
-					if firstErr == nil {
-						firstErr = fmt.Errorf("plane: replica %d: %w", dst.index, err)
-					}
-					continue
-				}
+			if containsInt(pl.workloads[w].owners, mv.to) && !containsInt(before[w], mv.to) {
+				ms.Workloads = append(ms.Workloads, w)
+				ms.HandoffEntries += primed[w]
 			}
-			ms.Workloads = append(ms.Workloads, w)
-			ms.HandoffEntries += pl.handoffLocked(mv.from, dst, w, ws)
 		}
 		pl.migrations.Add(1)
 		report.HandoffEntries += ms.HandoffEntries
 		report.Moves = append(report.Moves, ms)
 	}
-	pl.handoffTotal.Add(uint64(report.HandoffEntries))
-	pl.assign = plan.assign
-	pl.publishRoutesLocked()
-	for _, ws := range pl.workloads {
-		ws.owners = pl.ownersLocked(ws)
-	}
-	return report, firstErr
+	return report, err
 }
 
 // workloadsOnKeyLocked lists the non-pinned workloads a shard key
@@ -465,7 +439,7 @@ func (pl *Plane) workloadsOnKeyLocked(key string) []string {
 // a wrong verdict. Returns the number of decisions that travelled.
 // Caller holds pl.mu.
 func (pl *Plane) handoffLocked(from int, dst *replica, w string, ws *workloadState) int {
-	if pl.cfg.CacheSize <= 0 || from < 0 || from >= len(pl.replicas) {
+	if pl.cfg.CacheSize <= 0 {
 		return 0
 	}
 	src := pl.replicas[from]
@@ -520,10 +494,11 @@ func (pl *Plane) Close() error {
 func (pl *Plane) ReplicaWorkloadMetrics(replicaIndex int, workload string) (registry.Metrics, bool) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if replicaIndex < 0 || replicaIndex >= len(pl.replicas) {
+	rep, err := pl.replicaAt(replicaIndex)
+	if err != nil {
 		return registry.Metrics{}, false
 	}
-	e, ok := pl.replicas[replicaIndex].reg.Entry(workload)
+	e, ok := rep.reg.Entry(workload)
 	if !ok {
 		return registry.Metrics{}, false
 	}

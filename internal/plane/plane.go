@@ -16,17 +16,28 @@
 // selector that could match it — per-replica resolution then applies
 // the registry's usual specificity rules unchanged.
 //
-// Policy distribution. Register/Swap/Promote/Demote/SetMode are
-// serialized under one control-plane lock and published to every owning
-// replica before they return, reusing the registry's generation-pinned
-// immutable snapshots: each replica-local Swap is atomic, and a replica
-// that was down during a publish re-enters the ring only after a full
-// resync (Restart), so a replica never serves policy state the control
-// plane has not finished publishing. While a multi-replica publish is
-// in flight, different owners of a broadcast workload may briefly serve
-// different generations; that mixed-generation window is bounded by the
-// publish completing and observable via TierMetrics.PublishesStarted vs
-// PublishesCompleted.
+// Policy distribution. Every control-plane call is serialized under one
+// lock and is "mutate desired state, then reconcile": Register/Swap
+// change a workload's policy, Drain/Kill/Restart flip a replica's state,
+// Rebalance adopts a new shard assignment — and one primitive
+// (reconcileLocked) makes replicas and routing match, in the only safe
+// order: build the next route table; take each workload's owners from
+// that table; bring every owner, and every live replica still HOLDING a
+// copy from an earlier topology, to the target generation (holders are
+// kept current rather than deregistered, so a request routed an instant
+// before a shard moved still resolves to the same generation on the old
+// replica); prime replicas that gained a workload from a live previous
+// owner's decision cache; and only then publish the table. A request is
+// therefore never routed to a replica that does not yet hold the current
+// copy of every policy that can match it, and a replica that was down
+// during a publish re-enters the ring only after a full resync
+// (Restart). Replica-local installs reuse the registry's
+// generation-pinned immutable snapshots, so each is atomic; while a
+// multi-replica publish is in flight, different owners of a broadcast
+// workload may briefly serve different generations. That
+// mixed-generation window is bounded by the reconcile completing and
+// observable via TierMetrics.PublishesStarted vs PublishesCompleted,
+// for policy publishes, topology changes and shard moves alike.
 //
 // Fail-closed shedding. Per-replica backpressure (MaxInFlight +
 // QueueTimeout) sheds overload with 429 and routes to dead replicas
@@ -35,20 +46,17 @@
 package plane
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
-	"mime"
 	"net/http"
-	"strings"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/compile"
-	"repro/internal/object"
 	"repro/internal/proxy"
 	"repro/internal/registry"
 	"repro/internal/telemetry"
@@ -189,8 +197,8 @@ type replica struct {
 }
 
 // routeTable is the immutable routing snapshot the data path reads —
-// rebuilt and atomically published by every topology or pin change so
-// requests never take the control-plane lock.
+// rebuilt and atomically published by every reconcile so requests never
+// take the control-plane lock.
 type routeTable struct {
 	ring *ring
 	pins map[string]int
@@ -229,10 +237,16 @@ type Plane struct {
 	gens      atomic.Uint64
 
 	// assign and loads are the weighted placer's state: the committed
-	// shard-key assignment and the per-workload EWMA bookkeeping. Both
-	// under mu.
+	// shard-key assignment (shared with the published route table, so
+	// replaced wholesale, never written in place) and the per-workload
+	// EWMA bookkeeping. Both under mu.
 	assign map[string]int
 	loads  map[string]loadState
+
+	// stepHook, when a test sets it, is called at every step of
+	// reconcileLocked with pl.mu held: it may drive the data path (which
+	// takes no control-plane lock) but make no control-plane call.
+	stepHook func(step string)
 
 	requests           atomic.Uint64
 	shedTotal          atomic.Uint64
@@ -291,7 +305,7 @@ func New(cfg Config) (*Plane, error) {
 		}
 		pl.replicas = append(pl.replicas, rep)
 	}
-	pl.publishRoutesLocked()
+	pl.routes.Store(pl.nextRoutesLocked())
 	if pl.placement() == PlacementWeighted && cfg.RebalanceInterval > 0 {
 		pl.rebalanceStop = make(chan struct{})
 		go pl.rebalanceLoop(cfg.RebalanceInterval)
@@ -331,38 +345,47 @@ func (pl *Plane) activeIndices() []int {
 	return out
 }
 
-// publishRoutesLocked rebuilds the routing snapshot from the current
-// ring membership, pins, and weighted assignments, and publishes it to
-// the data path. Pins and assignments whose target replica is not
-// active are omitted — routing falls back to the ring exactly like
-// ownership does, so a pinned or weighted-placed workload keeps
-// receiving (correctly re-homed) traffic while its replica is out.
-// Caller holds pl.mu (or is inside New, before the plane escapes).
-func (pl *Plane) publishRoutesLocked() {
-	pins := make(map[string]int, len(pl.pins))
-	for k, v := range pl.pins {
+// activeOnly copies the entries of a placement map whose replica is
+// active. Pins and weighted assignments only bind while their replica
+// is active; otherwise the shard falls back to hashed placement, so a
+// pinned or weighted-placed workload keeps receiving (correctly
+// re-homed) traffic while its replica is out.
+func (pl *Plane) activeOnly(m map[string]int) map[string]int {
+	out := make(map[string]int, len(m))
+	for k, v := range m {
 		if ReplicaState(pl.replicas[v].state.Load()) == ReplicaActive {
-			pins[k] = v
+			out[k] = v
 		}
 	}
-	assign := make(map[string]int, len(pl.assign))
-	for k, v := range pl.assign {
-		if ReplicaState(pl.replicas[v].state.Load()) == ReplicaActive {
-			assign[k] = v
-		}
+	return out
+}
+
+// nextRoutesLocked builds the routing snapshot for the current replica
+// states, pins, and weighted assignments. The ring is a function of the
+// active set alone, so the published one is reused until that set
+// changes — a publish that changes no topology (Register, Swap, a shard
+// move) never rebuilds it. Weighted assignments whose replica left the
+// active set are dropped for good (hashed placement until the next
+// weighted rebalance re-places them by load), which makes the committed
+// assignment and the table's one map: replaced here, never written in
+// place. Caller holds pl.mu (or is inside New).
+func (pl *Plane) nextRoutesLocked() *routeTable {
+	active := pl.activeIndices()
+	var rg *ring
+	if prev := pl.routes.Load(); prev != nil && slices.Equal(prev.ring.members, active) {
+		rg = prev.ring
+	} else {
+		rg = buildRing(active, pl.cfg.VirtualNodes)
 	}
-	pl.routes.Store(&routeTable{
-		ring:   buildRing(pl.activeIndices(), pl.cfg.VirtualNodes),
-		pins:   pins,
-		assign: assign,
-	})
+	pl.assign = pl.activeOnly(pl.assign)
+	return &routeTable{ring: rg, pins: pl.activeOnly(pl.pins), assign: pl.assign}
 }
 
 // Shard keys. Requests and selectors are addressed by the same key
 // space so routing and ownership can never disagree: namespaced traffic
 // by "ns/<namespace>", cluster-scoped traffic by "kind/<kind>", and
-// unscannable bodies by a deterministic path fallback (any replica will
-// fail closed on them identically).
+// requests with neither by a deterministic path fallback (any replica
+// will serve or fail closed on them identically).
 func nsKey(namespace string) string { return "ns/" + namespace }
 func kindKey(kind string) string    { return "kind/" + kind }
 
@@ -380,13 +403,22 @@ func shardKeys(sel registry.Selector) []string {
 	return keys
 }
 
-// ownersLocked computes the replica set a workload must be published
-// to under the current ring, pins, and weighted assignments.
-func (pl *Plane) ownersLocked(ws *workloadState) []int {
-	rt := pl.routes.Load()
-	return ownersOn(rt.ring, pl.pins, pl.assign, ws, func(i int) ReplicaState {
-		return ReplicaState(pl.replicas[i].state.Load())
-	})
+// owners lists the replicas a workload must be published to under this
+// table: the owner of each of its shard keys — resolved exactly as the
+// data path resolves a request's — or every active replica for a
+// broadcast selector.
+func (rt *routeTable) owners(ws *workloadState) []int {
+	keys := shardKeys(ws.selector)
+	if keys == nil {
+		return rt.ring.members
+	}
+	var owners []int
+	for _, key := range keys {
+		if idx, ok := rt.owner(key); ok && !containsInt(owners, idx) {
+			owners = append(owners, idx)
+		}
+	}
+	return owners
 }
 
 func containsInt(s []int, v int) bool {
@@ -396,6 +428,24 @@ func containsInt(s []int, v int) bool {
 		}
 	}
 	return false
+}
+
+// lookupLocked finds a workload's desired state, or the registry's
+// typed sentinel for one the tier has never seen. Caller holds pl.mu.
+func (pl *Plane) lookupLocked(workload string) (*workloadState, error) {
+	ws, ok := pl.workloads[workload]
+	if !ok {
+		return nil, fmt.Errorf("%w: %s is not registered with the plane", registry.ErrUnknownWorkload, workload)
+	}
+	return ws, nil
+}
+
+// replicaAt bounds-checks a replica index.
+func (pl *Plane) replicaAt(replicaIndex int) (*replica, error) {
+	if replicaIndex < 0 || replicaIndex >= len(pl.replicas) {
+		return nil, fmt.Errorf("plane: no replica %d", replicaIndex)
+	}
+	return pl.replicas[replicaIndex], nil
 }
 
 // Register adds a workload policy to the tier and publishes it to its
@@ -417,52 +467,25 @@ func (pl *Plane) RegisterPinned(workload string, sel registry.Selector, v *valid
 	return pl.register(workload, sel, v, replicaIndex)
 }
 
-func (pl *Plane) register(workload string, sel registry.Selector, v *validator.Validator, pin int) error {
+// checkPolicy compiles a policy before any replica is touched: one
+// that does not compile must leave the whole tier untouched.
+func checkPolicy(workload string, v *validator.Validator) error {
 	if v == nil {
 		return fmt.Errorf("plane: validator is required for workload %s", workload)
 	}
-	// Compile before touching any replica: a policy that does not
-	// compile must leave the whole tier untouched.
 	if _, err := compile.Compile(v); err != nil {
 		return fmt.Errorf("plane: workload %s: %w", workload, err)
 	}
+	return nil
+}
+
+func (pl *Plane) register(workload string, sel registry.Selector, v *validator.Validator, pin int) error {
+	if err := checkPolicy(workload, v); err != nil {
+		return err
+	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	if _, dup := pl.workloads[workload]; dup {
-		return fmt.Errorf("plane: workload %s is already registered", workload)
-	}
-	if pin >= len(pl.replicas) {
-		return fmt.Errorf("plane: workload %s: no replica %d (tier has %d)", workload, pin, len(pl.replicas))
-	}
-	// Cluster-scoped claims must be tier-unique for the same reason they
-	// are registry-unique: no namespace disambiguates tenants. Checked
-	// here because two workloads on different replicas would never meet
-	// inside one registry.
-	for _, kind := range sel.ClusterKinds {
-		for w, ws := range pl.workloads {
-			for _, claimed := range ws.selector.ClusterKinds {
-				if kind == claimed {
-					return fmt.Errorf("plane: cluster-scoped kind %s already claimed by workload %s", kind, w)
-				}
-			}
-		}
-	}
-	if pin >= 0 {
-		for _, key := range shardKeys(sel) {
-			if other, ok := pl.pins[key]; ok && other != pin {
-				return fmt.Errorf("plane: shard %s already pinned to replica %d", key, other)
-			}
-		}
-	}
-	ws := &workloadState{selector: sel, validator: v, mode: registry.ModeEnforce, pin: pin}
-	pl.workloads[workload] = ws
-	if pin >= 0 {
-		for _, key := range shardKeys(sel) {
-			pl.pins[key] = pin
-		}
-		pl.publishRoutesLocked()
-	}
-	return pl.publishLocked(workload, ws)
+	return pl.addLocked(workload, &workloadState{selector: sel, validator: v, mode: registry.ModeEnforce, pin: pin})
 }
 
 // RegisterLearning adds a workload with no policy in ModeLearn: its
@@ -470,12 +493,70 @@ func (pl *Plane) register(workload string, sel registry.Selector, v *validator.V
 func (pl *Plane) RegisterLearning(workload string, sel registry.Selector, obs registry.Observer) error {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
+	return pl.addLocked(workload, &workloadState{selector: sel, mode: registry.ModeLearn, observer: obs, pin: -1})
+}
+
+// addLocked admits a new workload into desired state and publishes it.
+// The preconditions are checked against the whole tier before anything
+// changes; a first publish that still fails is rolled back, so a failed
+// registration leaves no trace and a corrected retry succeeds. Caller
+// holds pl.mu.
+func (pl *Plane) addLocked(workload string, ws *workloadState) error {
 	if _, dup := pl.workloads[workload]; dup {
 		return fmt.Errorf("plane: workload %s is already registered", workload)
 	}
-	ws := &workloadState{selector: sel, mode: registry.ModeLearn, observer: obs, pin: -1}
+	if ws.pin >= len(pl.replicas) {
+		return fmt.Errorf("plane: workload %s: no replica %d (tier has %d)", workload, ws.pin, len(pl.replicas))
+	}
+	// Cluster-scoped claims must be tier-unique for the same reason they
+	// are registry-unique: no namespace disambiguates tenants. Checked
+	// here because two workloads on different replicas would never meet
+	// inside one registry.
+	for _, kind := range ws.selector.ClusterKinds {
+		for w, other := range pl.workloads {
+			if slices.Contains(other.selector.ClusterKinds, kind) {
+				return fmt.Errorf("plane: cluster-scoped kind %s already claimed by workload %s", kind, w)
+			}
+		}
+	}
+	if ws.pin >= 0 {
+		for _, key := range shardKeys(ws.selector) {
+			if other, ok := pl.pins[key]; ok && other != ws.pin {
+				return fmt.Errorf("plane: shard %s already pinned to replica %d", key, other)
+			}
+		}
+		for _, key := range shardKeys(ws.selector) {
+			pl.pins[key] = ws.pin
+		}
+	}
 	pl.workloads[workload] = ws
-	return pl.publishLocked(workload, ws)
+	if _, err := pl.reconcileLocked(map[string]*workloadState{workload: ws}, true); err != nil {
+		pl.removeLocked(workload, ws)
+		return err
+	}
+	return nil
+}
+
+// removeLocked takes a workload out of desired state, its pins, and
+// every replica it reached. Releasing a pin re-homes the shard, so the
+// tier is reconciled: whatever else the shard addresses is installed on
+// its new owner before the routing follows. Caller holds pl.mu.
+func (pl *Plane) removeLocked(workload string, ws *workloadState) {
+	for _, rep := range pl.replicas {
+		if _, had := rep.installed[workload]; had {
+			rep.reg.Deregister(workload)
+			delete(rep.installed, workload)
+		}
+	}
+	delete(pl.workloads, workload)
+	if ws.pin >= 0 {
+		for _, key := range shardKeys(ws.selector) {
+			delete(pl.pins, key)
+		}
+		// Deregister has no error to return; a replica the re-homing
+		// could not reach is retried by the next reconcile.
+		_, _ = pl.reconcileLocked(pl.workloads, false)
+	}
 }
 
 // Swap atomically replaces a workload's policy tier-wide: compiled
@@ -485,54 +566,91 @@ func (pl *Plane) RegisterLearning(workload string, sel registry.Selector, obs re
 // Returns registry.ErrUnknownWorkload for a workload the tier has
 // never seen.
 func (pl *Plane) Swap(workload string, v *validator.Validator) error {
-	if v == nil {
-		return fmt.Errorf("plane: validator is required for workload %s", workload)
-	}
-	if _, err := compile.Compile(v); err != nil {
-		return fmt.Errorf("plane: workload %s: %w", workload, err)
+	if err := checkPolicy(workload, v); err != nil {
+		return err
 	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	ws, ok := pl.workloads[workload]
-	if !ok {
-		return fmt.Errorf("%w: %s is not registered with the plane", registry.ErrUnknownWorkload, workload)
+	ws, err := pl.lookupLocked(workload)
+	if err != nil {
+		return err
 	}
 	ws.validator = v
-	return pl.publishLocked(workload, ws)
+	_, err = pl.reconcileLocked(map[string]*workloadState{workload: ws}, true)
+	return err
 }
 
-// publishLocked pushes a workload's desired state to its distribution
-// set: the current owners (who receive traffic) plus every live
-// replica still HOLDING a copy from an earlier topology. Holders are
-// kept current rather than deregistered — a request routed an instant
-// before a shard moved must still resolve to the same generation on
-// the old replica, so live copies are only ever dropped by a process
-// restart (which resyncs from scratch) or an explicit Deregister. A
-// down replica takes no publishes; Restart resyncs it from desired
-// state before it serves again. Caller holds pl.mu.
-func (pl *Plane) publishLocked(workload string, ws *workloadState) error {
+// reconcileLocked is the one publish primitive (see the package
+// comment for the order and why it is the safe one): it makes the
+// replicas and the routing match the desired state of the workloads in
+// scope — the one a Register or Swap changed, or pl.workloads for
+// topology changes and shard moves, which can re-home any workload —
+// inside one PublishesStarted/PublishesCompleted window. The target generation is a fresh one when bumpGeneration
+// (Register, Swap) and the workload's published one otherwise:
+// topology changes and shard moves re-place policy, they do not change
+// it. Replicas already at the target generation are skipped, so an
+// unchanged shard costs nothing; a down replica takes no publishes
+// (Restart resyncs it before it serves again); a killed previous owner
+// has no cache left to hand off. Returns the number of cached decisions
+// each workload's new owners were primed with. Caller holds pl.mu.
+func (pl *Plane) reconcileLocked(scope map[string]*workloadState, bumpGeneration bool) (primed map[string]int, firstErr error) {
 	pl.publishesStarted.Add(1)
 	defer pl.publishesCompleted.Add(1)
-	gen := pl.gens.Add(1)
-	owners := pl.ownersLocked(ws)
-	var firstErr error
-	for _, rep := range pl.replicas {
-		if ReplicaState(rep.state.Load()) == ReplicaDown {
+	next := pl.nextRoutesLocked()
+	for w, ws := range scope {
+		gen := ws.gen
+		if bumpGeneration {
+			gen = pl.gens.Add(1)
+		}
+		owners, prev, failed := next.owners(ws), ws.owners, false
+		for _, rep := range pl.replicas {
+			if ReplicaState(rep.state.Load()) == ReplicaDown {
+				continue
+			}
+			have, holds := rep.installed[w]
+			if holds && have == gen || !holds && !containsInt(owners, rep.index) {
+				continue
+			}
+			if err := pl.installLocked(rep, w, ws, gen); err != nil {
+				failed = true
+				if firstErr == nil {
+					firstErr = fmt.Errorf("plane: replica %d: %w", rep.index, err)
+				}
+			}
+			pl.at("install")
+		}
+		if failed {
 			continue
 		}
-		_, holds := rep.installed[workload]
-		if !holds && !containsInt(owners, rep.index) {
-			continue
-		}
-		if err := pl.installLocked(rep, workload, ws, gen); err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("plane: replica %d: %w", rep.index, err)
+		ws.gen, ws.owners = gen, owners
+		for _, idx := range owners {
+			if containsInt(prev, idx) {
+				continue
+			}
+			for _, old := range prev {
+				if n := pl.handoffLocked(old, pl.replicas[idx], w, ws); n > 0 {
+					if primed == nil {
+						primed = map[string]int{}
+					}
+					primed[w] += n
+					pl.handoffTotal.Add(uint64(n))
+					pl.at("handoff")
+					break
+				}
+			}
 		}
 	}
-	if firstErr == nil {
-		ws.gen = gen
-		ws.owners = owners
+	pl.at("before-route-flip")
+	pl.routes.Store(next)
+	pl.at("after-route-flip")
+	return primed, firstErr
+}
+
+// at reports a step of the publish primitive to the test hook.
+func (pl *Plane) at(step string) {
+	if pl.stepHook != nil {
+		pl.stepHook(step)
 	}
-	return firstErr
 }
 
 // installLocked makes one replica's registry match the desired state of
@@ -541,37 +659,31 @@ func (pl *Plane) publishLocked(workload string, ws *workloadState) error {
 // (restarted process) and the install falls back to Register; any other
 // error is reported to the caller. Caller holds pl.mu.
 func (pl *Plane) installLocked(rep *replica, workload string, ws *workloadState, gen uint64) error {
-	if ws.validator == nil {
-		// Learn-mode workload: no policy to swap, just ensure presence.
-		if _, had := rep.installed[workload]; !had {
-			if _, err := rep.reg.RegisterLearning(workload, ws.selector, ws.observer); err != nil {
-				return err
-			}
-		}
-	} else if _, had := rep.installed[workload]; had {
-		if err := rep.reg.Swap(workload, ws.validator); err != nil {
-			if !errors.Is(err, registry.ErrUnknownWorkload) {
-				return err
-			}
-			if _, err := rep.reg.Register(workload, ws.selector, ws.validator); err != nil {
-				return err
-			}
-		}
-	} else {
-		if _, err := rep.reg.Register(workload, ws.selector, ws.validator); err != nil {
-			return err
+	_, had := rep.installed[workload]
+	var err error
+	if had && ws.validator != nil {
+		if err = rep.reg.Swap(workload, ws.validator); errors.Is(err, registry.ErrUnknownWorkload) {
+			had = false
 		}
 	}
-	if err := rep.reg.SetMode(workload, ws.mode); err != nil {
-		return err
-	}
-	if ws.observer != nil {
-		if err := rep.reg.SetObserver(workload, ws.observer); err != nil {
-			return err
+	if !had {
+		if ws.validator == nil {
+			// Learn-mode workload: no policy to swap, just ensure presence.
+			_, err = rep.reg.RegisterLearning(workload, ws.selector, ws.observer)
+		} else {
+			_, err = rep.reg.Register(workload, ws.selector, ws.validator)
 		}
 	}
-	rep.installed[workload] = gen
-	return nil
+	if err == nil {
+		err = rep.reg.SetMode(workload, ws.mode)
+	}
+	if err == nil && ws.observer != nil {
+		err = rep.reg.SetObserver(workload, ws.observer)
+	}
+	if err == nil {
+		rep.installed[workload] = gen
+	}
+	return err
 }
 
 // SetMode sets a workload's enforcement mode on every owning replica —
@@ -579,9 +691,9 @@ func (pl *Plane) installLocked(rep *replica, workload string, ws *workloadState,
 func (pl *Plane) SetMode(workload string, m registry.Mode) error {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	ws, ok := pl.workloads[workload]
-	if !ok {
-		return fmt.Errorf("%w: %s is not registered with the plane", registry.ErrUnknownWorkload, workload)
+	ws, err := pl.lookupLocked(workload)
+	if err != nil {
+		return err
 	}
 	ws.mode = m
 	var firstErr error
@@ -595,7 +707,7 @@ func (pl *Plane) SetMode(workload string, m registry.Mode) error {
 
 // holders lists the live replicas that hold a copy of a workload — the
 // set mode transitions and promotions must reach (a superset of the
-// routing owners; see publishLocked). Caller holds pl.mu.
+// routing owners; see reconcileLocked). Caller holds pl.mu.
 func (pl *Plane) holders(workload string) []*replica {
 	var out []*replica
 	for _, rep := range pl.replicas {
@@ -618,9 +730,9 @@ func (pl *Plane) holders(workload string) []*replica {
 func (pl *Plane) Promote(workload string, gen uint64) error {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	ws, ok := pl.workloads[workload]
-	if !ok {
-		return fmt.Errorf("%w: %s is not registered with the plane", registry.ErrUnknownWorkload, workload)
+	ws, err := pl.lookupLocked(workload)
+	if err != nil {
+		return err
 	}
 	if ws.mode != registry.ModeShadow {
 		return fmt.Errorf("%w (workload %s: mode %s)", registry.ErrNotShadowing, workload, ws.mode)
@@ -657,23 +769,10 @@ func (pl *Plane) Deregister(workload string) bool {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	ws, ok := pl.workloads[workload]
-	if !ok {
-		return false
+	if ok {
+		pl.removeLocked(workload, ws)
 	}
-	for _, rep := range pl.replicas {
-		if _, had := rep.installed[workload]; had {
-			rep.reg.Deregister(workload)
-			delete(rep.installed, workload)
-		}
-	}
-	if ws.pin >= 0 {
-		for _, key := range shardKeys(ws.selector) {
-			delete(pl.pins, key)
-		}
-		pl.publishRoutesLocked()
-	}
-	delete(pl.workloads, workload)
-	return true
+	return ok
 }
 
 // Generation reports the plane generation of a workload's last
@@ -681,9 +780,9 @@ func (pl *Plane) Deregister(workload string) bool {
 func (pl *Plane) Generation(workload string) (uint64, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	ws, ok := pl.workloads[workload]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s is not registered with the plane", registry.ErrUnknownWorkload, workload)
+	ws, err := pl.lookupLocked(workload)
+	if err != nil {
+		return 0, err
 	}
 	return ws.gen, nil
 }
@@ -692,9 +791,9 @@ func (pl *Plane) Generation(workload string) (uint64, error) {
 func (pl *Plane) Mode(workload string) (registry.Mode, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	ws, ok := pl.workloads[workload]
-	if !ok {
-		return 0, fmt.Errorf("%w: %s is not registered with the plane", registry.ErrUnknownWorkload, workload)
+	ws, err := pl.lookupLocked(workload)
+	if err != nil {
+		return 0, err
 	}
 	return ws.mode, nil
 }
@@ -703,14 +802,14 @@ func (pl *Plane) Mode(workload string) (registry.Mode, error) {
 func (pl *Plane) Owners(workload string) ([]int, error) {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	ws, ok := pl.workloads[workload]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s is not registered with the plane", registry.ErrUnknownWorkload, workload)
+	ws, err := pl.lookupLocked(workload)
+	if err != nil {
+		return nil, err
 	}
 	return append([]int(nil), ws.owners...), nil
 }
 
-// Workloads lists the tier's registered workloads.
+// Workloads lists the tier's registered workloads, sorted.
 func (pl *Plane) Workloads() []string {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -718,6 +817,7 @@ func (pl *Plane) Workloads() []string {
 	for w := range pl.workloads {
 		out = append(out, w)
 	}
+	sort.Strings(out)
 	return out
 }
 
@@ -726,71 +826,26 @@ func (pl *Plane) Replicas() int { return len(pl.replicas) }
 
 // State reports one replica's lifecycle state.
 func (pl *Plane) State(replicaIndex int) (ReplicaState, error) {
-	if replicaIndex < 0 || replicaIndex >= len(pl.replicas) {
-		return 0, fmt.Errorf("plane: no replica %d", replicaIndex)
+	rep, err := pl.replicaAt(replicaIndex)
+	if err != nil {
+		return 0, err
 	}
-	return ReplicaState(pl.replicas[replicaIndex].state.Load()), nil
+	return ReplicaState(rep.state.Load()), nil
 }
 
-// rebalanceLocked reconciles the whole tier with the CURRENT replica
-// states after a topology change: ownership is recomputed on the
-// future ring, every owner and live holder is brought to the current
-// generation, and only then is the new route table published — a
-// request can never be routed to a replica that does not yet hold the
-// current copy of every policy that can match it. Replicas already at
-// the workload's published generation are skipped, so an unchanged
-// shard costs nothing. Caller holds pl.mu.
-func (pl *Plane) rebalanceLocked() error {
-	// Weighted assignments whose replica left the active set fall back
-	// to hashed placement until the next weighted rebalance re-places
-	// them by load.
-	for key, idx := range pl.assign {
-		if ReplicaState(pl.replicas[idx].state.Load()) != ReplicaActive {
-			delete(pl.assign, key)
-		}
+// transition applies a lifecycle change to one replica and reconciles
+// the whole tier with the new topology.
+func (pl *Plane) transition(replicaIndex int, apply func(*replica) error) error {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	rep, err := pl.replicaAt(replicaIndex)
+	if err == nil {
+		err = apply(rep)
 	}
-	future := buildRing(pl.activeIndices(), pl.cfg.VirtualNodes)
-	stateOf := func(i int) ReplicaState {
-		return ReplicaState(pl.replicas[i].state.Load())
+	if err == nil {
+		_, err = pl.reconcileLocked(pl.workloads, false)
 	}
-	var firstErr error
-	for w, ws := range pl.workloads {
-		owners := ownersOn(future, pl.pins, pl.assign, ws, stateOf)
-		prev := ws.owners
-		for _, rep := range pl.replicas {
-			if ReplicaState(rep.state.Load()) == ReplicaDown {
-				continue
-			}
-			gen, holds := rep.installed[w]
-			if holds && gen == ws.gen {
-				continue // already serving exactly the published state
-			}
-			if !holds && !containsInt(owners, rep.index) {
-				continue
-			}
-			if err := pl.installLocked(rep, w, ws, ws.gen); err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("plane: replica %d: %w", rep.index, err)
-			}
-		}
-		// A replica gaining this workload inherits the hot decision set
-		// from a live previous owner (drain handoff; a killed source has
-		// nothing left to export) — installed above, primed here, and
-		// only then routed to by the table published below.
-		for _, idx := range owners {
-			if containsInt(prev, idx) {
-				continue
-			}
-			for _, old := range prev {
-				if n := pl.handoffLocked(old, pl.replicas[idx], w, ws); n > 0 {
-					pl.handoffTotal.Add(uint64(n))
-					break
-				}
-			}
-		}
-		ws.owners = owners
-	}
-	pl.publishRoutesLocked()
-	return firstErr
+	return err
 }
 
 // Drain gracefully removes a replica from the ring: its shards are
@@ -798,13 +853,10 @@ func (pl *Plane) rebalanceLocked() error {
 // the routing flips), and requests routed just before the flip keep
 // resolving against its retained — and still swap-updated — copies.
 func (pl *Plane) Drain(replicaIndex int) error {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if replicaIndex < 0 || replicaIndex >= len(pl.replicas) {
-		return fmt.Errorf("plane: no replica %d", replicaIndex)
-	}
-	pl.replicas[replicaIndex].state.Store(int32(ReplicaDraining))
-	return pl.rebalanceLocked()
+	return pl.transition(replicaIndex, func(rep *replica) error {
+		rep.state.Store(int32(ReplicaDraining))
+		return nil
+	})
 }
 
 // Kill marks a replica dead — the abrupt path (crash, health-check
@@ -813,15 +865,11 @@ func (pl *Plane) Drain(replicaIndex int) error {
 // considered lost (a restart resyncs from the control plane's desired
 // state, it does not trust the corpse).
 func (pl *Plane) Kill(replicaIndex int) error {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if replicaIndex < 0 || replicaIndex >= len(pl.replicas) {
-		return fmt.Errorf("plane: no replica %d", replicaIndex)
-	}
-	rep := pl.replicas[replicaIndex]
-	rep.state.Store(int32(ReplicaDown))
-	rep.installed = map[string]uint64{}
-	return pl.rebalanceLocked()
+	return pl.transition(replicaIndex, func(rep *replica) error {
+		rep.state.Store(int32(ReplicaDown))
+		rep.installed = map[string]uint64{}
+		return nil
+	})
 }
 
 // Restart brings a drained or dead replica back: it boots a FRESH
@@ -829,89 +877,38 @@ func (pl *Plane) Kill(replicaIndex int) error {
 // resyncs from the control plane's desired state before the route
 // table includes it — a rejoining replica can never serve a request
 // before it holds the current generation of every policy it owns. The
-// old route table keeps routing around the replica (and its state is
-// Down) until the resync completes, so mid-resync requests shed
-// rather than hit a partially-populated registry.
+// old route table keeps routing around the replica until the resync
+// completes; a replica restarted while still active is taken out of the
+// routing first (Kill), or that table would route to its empty registry.
 func (pl *Plane) Restart(replicaIndex int) error {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	if replicaIndex < 0 || replicaIndex >= len(pl.replicas) {
-		return fmt.Errorf("plane: no replica %d", replicaIndex)
-	}
-	rep := pl.replicas[replicaIndex]
-	// Kill semantics (shed everything) hold while the fresh registry is
-	// repopulated by the rebalance below.
-	rep.state.Store(int32(ReplicaDown))
-	if err := pl.bootReplica(rep); err != nil {
-		return err
-	}
-	pl.resyncs.Add(1)
-	rep.state.Store(int32(ReplicaActive))
-	return pl.rebalanceLocked()
-}
-
-// ownersOn is the ownership function over an explicit ring and state
-// view, shared by live publishes (ownersLocked) and the future-topology
-// computation during resync. Pins and weighted assignments only bind
-// while their replica is active; otherwise the shard falls back to
-// hashed placement, matching publishRoutesLocked's filtered routing.
-// Resolution order is the data path's: pin, then assignment, then ring.
-func ownersOn(rg *ring, pins, assign map[string]int, ws *workloadState, stateOf func(int) ReplicaState) []int {
-	if ws.pin >= 0 && stateOf(ws.pin) == ReplicaActive {
-		return []int{ws.pin}
-	}
-	keys := shardKeys(ws.selector)
-	if keys == nil {
-		// Broadcast: every replica the ring knows about. Derive the
-		// active set from the ring's points.
-		var owners []int
-		for _, p := range rg.points {
-			if !containsInt(owners, p.replica) {
-				owners = append(owners, p.replica)
-			}
-		}
-		return owners
-	}
-	var owners []int
-	for _, key := range keys {
-		idx, ok := rg.lookup(key)
-		if !ok {
-			continue
-		}
-		if assigned, ok := assign[key]; ok && stateOf(assigned) == ReplicaActive {
-			idx = assigned
-		}
-		if pinned, ok := pins[key]; ok && stateOf(pinned) == ReplicaActive {
-			idx = pinned
-		}
-		if !containsInt(owners, idx) {
-			owners = append(owners, idx)
+	if st, err := pl.State(replicaIndex); err == nil && st == ReplicaActive {
+		if err := pl.Kill(replicaIndex); err != nil {
+			return err
 		}
 	}
-	return owners
+	return pl.transition(replicaIndex, func(rep *replica) error {
+		// Kill semantics (shed everything) hold while the process is
+		// replaced; the reconcile repopulates the fresh registry.
+		rep.state.Store(int32(ReplicaDown))
+		if err := pl.bootReplica(rep); err != nil {
+			return err
+		}
+		pl.resyncs.Add(1)
+		rep.state.Store(int32(ReplicaActive))
+		return nil
+	})
 }
 
 // --- data path ---------------------------------------------------------
 
-// maxInspectBytes mirrors the proxy's inspection bound; the front door
-// must not buffer more than a replica would accept.
-const maxInspectBytes = 4 << 20
-
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-const maxPooledBody = 256 << 10
-
-func putBody(buf *bytes.Buffer) {
-	if buf != nil && buf.Cap() <= maxPooledBody {
-		bodyPool.Put(buf)
-	}
-}
-
-// ServeHTTP is the tier's front door: derive the shard key, pick the
-// owning replica, apply its backpressure bound, and hand the request to
-// its proxy. Every failure mode is an explicit denial-shaped response —
-// unreadable body 400, saturated replica 429, dead or missing replica
-// 503 — never a silent allow.
+// ServeHTTP is the tier's front door: build the request's front end
+// (the one read, scan and decode fallback it will ever get), derive the
+// shard key from it, pick the owning replica, apply its backpressure
+// bound, and hand the same value to that replica's proxy. Every failure
+// mode is an explicit denial-shaped response — saturated replica 429,
+// dead or missing replica 503, and the replica proxy's own fail-closed
+// outcomes (unreadable body 400, oversized 413, unsupported type 415) —
+// never a silent allow.
 func (pl *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Observability endpoints ride the front door so replica state is
 	// visible without linking the Go API; they are answered before the
@@ -932,42 +929,21 @@ func (pl *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		start = time.Now()
 	}
 
-	var body []byte
-	var buf *bytes.Buffer
-	if r.Body != nil {
-		buf = bodyPool.Get().(*bytes.Buffer)
-		buf.Reset()
-		if _, err := buf.ReadFrom(io.LimitReader(r.Body, maxInspectBytes+1)); err != nil {
-			putBody(buf)
-			pl.writeStatus(w, http.StatusBadRequest, "KubeFenceRequestRejected",
-				"request body could not be read: "+err.Error())
-			return
-		}
-		r.Body.Close()
-		body = buf.Bytes()
-	}
-	defer putBody(buf)
+	q := proxy.ReadRequest(r)
+	// A no-op once a replica's proxy has consumed the request; returns
+	// the body buffer on every path that sheds instead.
+	defer q.Release()
 
-	key := routeKey(r, body)
-	rt := pl.routes.Load()
-	idx, ok := rt.owner(key)
+	idx, ok := pl.routes.Load().owner(shardKey(&q, r.URL.Path))
 	if !ok {
-		pl.unavailableTotal.Add(1)
-		pl.recordFront(telemetry.VerdictUnavailable, start)
-		pl.writeStatus(w, http.StatusServiceUnavailable, "KubeFenceReplicaUnavailable",
-			"no active admission replica for this request")
+		pl.unavailable(w, nil, start, "no active admission replica for this request")
 		return
 	}
 	rep := pl.replicas[idx]
 	if ReplicaState(rep.state.Load()) == ReplicaDown {
-		rep.unavailable.Add(1)
-		pl.unavailableTotal.Add(1)
-		pl.recordFront(telemetry.VerdictUnavailable, start)
-		pl.writeStatus(w, http.StatusServiceUnavailable, "KubeFenceReplicaUnavailable",
-			fmt.Sprintf("admission replica %d is down", idx))
+		pl.unavailable(w, rep, start, fmt.Sprintf("admission replica %d is down", idx))
 		return
 	}
-
 	if rep.inflight != nil {
 		if !rep.acquire(pl.cfg.QueueTimeout) {
 			rep.shed.Add(1)
@@ -979,24 +955,22 @@ func (pl *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		defer rep.release()
 	}
-
-	px := rep.proxy.Load()
-	if px == nil {
-		rep.unavailable.Add(1)
-		pl.unavailableTotal.Add(1)
-		pl.recordFront(telemetry.VerdictUnavailable, start)
-		pl.writeStatus(w, http.StatusServiceUnavailable, "KubeFenceReplicaUnavailable",
-			fmt.Sprintf("admission replica %d is restarting", idx))
-		return
-	}
 	rep.routed.Add(1)
-	// The front-door record covers routing overhead only; the replica's
-	// own hub times the admission decision itself.
+	// The front-door record covers routing overhead only (read, scan,
+	// route); the replica's own hub times the admission decision itself.
 	pl.recordFront(telemetry.VerdictRouted, start)
-	if body != nil {
-		r.Body = io.NopCloser(bytes.NewReader(body))
+	rep.proxy.Load().Serve(w, r, &q)
+}
+
+// unavailable sheds a request no live replica can take (503), charged
+// to the replica it was routed to when there is one.
+func (pl *Plane) unavailable(w http.ResponseWriter, rep *replica, start time.Time, message string) {
+	if rep != nil {
+		rep.unavailable.Add(1)
 	}
-	px.ServeHTTP(w, r)
+	pl.unavailableTotal.Add(1)
+	pl.recordFront(telemetry.VerdictUnavailable, start)
+	pl.writeStatus(w, http.StatusServiceUnavailable, "KubeFenceReplicaUnavailable", message)
 }
 
 // FrontDoorWorkload is the telemetry workload label the front door
@@ -1069,45 +1043,23 @@ func (rep *replica) acquire(timeout time.Duration) bool {
 
 func (rep *replica) release() { <-rep.inflight }
 
-// routeKey derives the shard key of a request, preferring the body's
-// own namespace (the field per-replica resolution will use) over the
-// URL path's, then the body kind for cluster-scoped objects. Bodies the
-// streaming scanners cannot read fall back to a full decode — the same
-// fallback the replica's resolution takes, so routing and resolution
-// always see the same (namespace, kind). Truly undecodable bodies get
-// a deterministic path key; every replica fails closed on those
+// shardKey derives the shard key of a request from the (namespace, kind)
+// its front end reports — the very pair the owning replica's proxy will
+// resolve policy on, so routing and resolution cannot disagree: the
+// namespace (the body's own, then the URL path's) when there is one,
+// then the body kind for cluster-scoped objects. Requests with neither
+// (reads outside a namespace, bodies nothing can decode) get a
+// deterministic path key; every replica serves or fails closed on those
 // identically, the key only needs to be stable.
-func routeKey(r *http.Request, body []byte) string {
-	if inspectable(r.Method) && len(body) > 0 {
-		if format, ok := bodyFormat(r.Header.Get("Content-Type")); ok {
-			var meta compile.RawMeta
-			var scanned bool
-			if format == formatYAML {
-				meta, scanned = compile.ScanRawYAMLMeta(body)
-			} else {
-				meta, scanned = compile.ScanRawMeta(body)
-			}
-			namespace, kind := string(meta.Namespace), string(meta.Kind)
-			if !scanned {
-				if obj, err := decodeObject(body, format); err == nil {
-					namespace, kind = obj.Namespace(), obj.Kind()
-				}
-			}
-			if namespace != "" {
-				return nsKey(namespace)
-			}
-			if ns := requestNamespace(r.URL.Path); ns != "" {
-				return nsKey(ns)
-			}
-			if kind != "" {
-				return kindKey(kind)
-			}
-		}
+func shardKey(q *proxy.Request, path string) string {
+	namespace, kind := q.Target()
+	switch {
+	case namespace != "":
+		return nsKey(namespace)
+	case kind != "":
+		return kindKey(kind)
 	}
-	if ns := requestNamespace(r.URL.Path); ns != "" {
-		return nsKey(ns)
-	}
-	return "path/" + r.URL.Path
+	return "path/" + path
 }
 
 // writeStatus writes a Kubernetes Status-shaped failure so shed
@@ -1118,214 +1070,4 @@ func (pl *Plane) writeStatus(w http.ResponseWriter, code int, reason, message st
 	w.WriteHeader(code)
 	fmt.Fprintf(w, `{"kind":"Status","apiVersion":"v1","status":"Failure","message":%q,"reason":%q,"code":%d}`+"\n",
 		message, reason, code)
-}
-
-// requestNamespace mirrors the proxy's path-namespace extraction
-// ("/api/v1/namespaces/{ns}/..."), so the front door and the replica
-// resolve the same namespace for the same request.
-func requestNamespace(path string) string {
-	const tok = "/namespaces/"
-	i := strings.Index(path, tok)
-	if i < 0 {
-		return ""
-	}
-	ns := path[i+len(tok):]
-	if j := strings.IndexByte(ns, '/'); j >= 0 {
-		ns = ns[:j]
-	}
-	return ns
-}
-
-func inspectable(method string) bool {
-	switch method {
-	case http.MethodPost, http.MethodPut, http.MethodPatch:
-		return true
-	}
-	return false
-}
-
-type bodyFormatKind int
-
-const (
-	formatJSON bodyFormatKind = iota
-	formatYAML
-)
-
-// bodyFormat is the proxy's classification, applied here only to pick
-// which scanner to try for ROUTING; the replica re-classifies (and
-// fail-closes on unsupported types) itself.
-func bodyFormat(contentType string) (bodyFormatKind, bool) {
-	if contentType == "" {
-		return formatJSON, true
-	}
-	mediaType, _, err := mime.ParseMediaType(contentType)
-	if err != nil {
-		return 0, false
-	}
-	switch mediaType {
-	case "application/json", "text/json":
-		return formatJSON, true
-	case "application/yaml", "text/yaml", "application/x-yaml":
-		return formatYAML, true
-	}
-	return 0, false
-}
-
-// decodeObject mirrors the replica's decode fallback for routing.
-func decodeObject(body []byte, format bodyFormatKind) (object.Object, error) {
-	if format == formatYAML {
-		return object.ParseManifest(body)
-	}
-	return object.ParseJSON(body)
-}
-
-// --- metrics -----------------------------------------------------------
-
-// ReplicaMetrics is one replica's rollup.
-type ReplicaMetrics struct {
-	Index int    `json:"index"`
-	State string `json:"state"`
-	// Routed counts requests handed to this replica's proxy; Shed and
-	// Unavailable count requests refused at the front door on its
-	// behalf (429 and 503 respectively).
-	Routed      uint64 `json:"routed"`
-	Shed        uint64 `json:"shed"`
-	Unavailable uint64 `json:"unavailable"`
-	// Workloads is the number of policies currently installed.
-	Workloads int `json:"workloads"`
-	// AssignedShards and LoadScore describe placement: how many shard
-	// keys currently route to this replica and the EWMA load score they
-	// carry (pinned shards are placed by fiat and not scored).
-	AssignedShards int           `json:"assigned_shards"`
-	LoadScore      float64       `json:"load_score"`
-	Proxy          proxy.Metrics `json:"proxy"`
-}
-
-// TierMetrics is the tier-level rollup: front-door accounting,
-// per-replica detail, and the summed proxy counters.
-type TierMetrics struct {
-	Requests    uint64 `json:"requests"`
-	Shed        uint64 `json:"shed"`
-	Unavailable uint64 `json:"unavailable"`
-	// PublishesStarted / PublishesCompleted bound the mixed-generation
-	// window: equal values mean every replica serves the generation its
-	// last completed publish installed.
-	PublishesStarted   uint64 `json:"publishes_started"`
-	PublishesCompleted uint64 `json:"publishes_completed"`
-	Resyncs            uint64 `json:"resyncs"`
-	// Generations maps each workload to the plane generation of its
-	// last completed publish.
-	Generations map[string]uint64 `json:"generations"`
-	// Placement names the shard placement policy; Rebalances counts
-	// rebalance epochs, ShardMigrations the shard keys they moved, and
-	// HandoffEntries the cached decisions that travelled with migrating
-	// shards (rebalances and drains both).
-	Placement       string           `json:"placement"`
-	Rebalances      uint64           `json:"rebalances"`
-	ShardMigrations uint64           `json:"shard_migrations"`
-	HandoffEntries  uint64           `json:"handoff_entries"`
-	Replicas        []ReplicaMetrics `json:"replicas"`
-	// Proxy sums the per-replica proxy counters.
-	Proxy proxy.Metrics `json:"proxy"`
-}
-
-// Metrics snapshots the tier.
-func (pl *Plane) Metrics() TierMetrics {
-	pl.mu.Lock()
-	defer pl.mu.Unlock()
-	tm := TierMetrics{
-		Requests:           pl.requests.Load(),
-		Shed:               pl.shedTotal.Load(),
-		Unavailable:        pl.unavailableTotal.Load(),
-		PublishesStarted:   pl.publishesStarted.Load(),
-		PublishesCompleted: pl.publishesCompleted.Load(),
-		Resyncs:            pl.resyncs.Load(),
-		Generations:        make(map[string]uint64, len(pl.workloads)),
-		Placement:          string(pl.placement()),
-		Rebalances:         pl.rebalances.Load(),
-		ShardMigrations:    pl.migrations.Load(),
-		HandoffEntries:     pl.handoffTotal.Load(),
-	}
-	for w, ws := range pl.workloads {
-		tm.Generations[w] = ws.gen
-	}
-	// Per-replica placement detail: fold a read-only score preview onto
-	// shard keys and resolve each key against the live route table.
-	scores := pl.loadScoresLocked(false)
-	rt := pl.routes.Load()
-	shardsBy := make(map[int]int, len(pl.replicas))
-	loadBy := make(map[int]float64, len(pl.replicas))
-	for _, kl := range pl.keyLoadsLocked(scores) {
-		idx, ok := rt.owner(kl.key)
-		if !ok {
-			continue
-		}
-		shardsBy[idx]++
-		loadBy[idx] += kl.score
-	}
-	for _, rep := range pl.replicas {
-		rm := ReplicaMetrics{
-			Index:          rep.index,
-			State:          ReplicaState(rep.state.Load()).String(),
-			Routed:         rep.routed.Load(),
-			Shed:           rep.shed.Load(),
-			Unavailable:    rep.unavailable.Load(),
-			Workloads:      len(rep.installed),
-			AssignedShards: shardsBy[rep.index],
-			LoadScore:      loadBy[rep.index],
-		}
-		if px := rep.proxy.Load(); px != nil {
-			rm.Proxy = px.Metrics()
-		}
-		tm.Replicas = append(tm.Replicas, rm)
-		tm.Proxy.Requests += rm.Proxy.Requests
-		tm.Proxy.Inspected += rm.Proxy.Inspected
-		tm.Proxy.Denied += rm.Proxy.Denied
-		tm.Proxy.Shadowed += rm.Proxy.Shadowed
-		tm.Proxy.RawAllowed += rm.Proxy.RawAllowed
-		tm.Proxy.RawDenied += rm.Proxy.RawDenied
-		tm.Proxy.ValidationTime += rm.Proxy.ValidationTime
-	}
-	return tm
-}
-
-// Telemetry merges the front-door hub and every replica hub into one
-// tier snapshot: each (workload, verdict, path) cell's counters and
-// histogram buckets are the sums across replicas (telemetry.Merge), so
-// tier-level quantiles derive from the same bucket math as a single
-// proxy's. Zero-valued when the tier runs without telemetry.
-func (pl *Plane) Telemetry() telemetry.Snapshot {
-	if pl.front == nil {
-		return telemetry.Snapshot{}
-	}
-	snaps := make([]telemetry.Snapshot, 0, len(pl.replicas)+1)
-	snaps = append(snaps, pl.front.Snapshot())
-	for _, rep := range pl.replicas {
-		snaps = append(snaps, rep.hub.Snapshot())
-	}
-	return telemetry.Merge(snaps...)
-}
-
-// ReplicaTelemetry returns replica i's telemetry hub (nil when out of
-// range or when the tier runs without telemetry) — per-replica
-// snapshots let an operator see which replica a tier-level anomaly
-// lives on.
-func (pl *Plane) ReplicaTelemetry(i int) *telemetry.Hub {
-	if i < 0 || i >= len(pl.replicas) {
-		return nil
-	}
-	return pl.replicas[i].hub
-}
-
-// Traces returns the sampled decision traces across the tier: every
-// replica's ring followed by the front door's routing records.
-func (pl *Plane) Traces() []telemetry.Trace {
-	var out []telemetry.Trace
-	for _, rep := range pl.replicas {
-		out = append(out, rep.hub.Traces()...)
-	}
-	if pl.front != nil {
-		out = append(out, pl.front.Traces()...)
-	}
-	return out
 }

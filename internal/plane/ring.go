@@ -7,7 +7,7 @@ import (
 )
 
 // ring is a consistent-hash ring over the plane's active replicas.
-// Shard keys (namespace or cluster-scoped kind, see routeKey) hash onto
+// Shard keys (namespace or cluster-scoped kind, see shardKey) hash onto
 // the ring and walk clockwise to the first virtual node; each replica
 // contributes VirtualNodes points so removing a replica moves only the
 // keys it owned, spread roughly evenly across the survivors — the
@@ -16,6 +16,9 @@ import (
 // lock and publishes it atomically to the data path.
 type ring struct {
 	points []ringPoint // sorted by hash
+	// members are the replicas on the ring, ascending — the owners of a
+	// broadcast workload.
+	members []int
 }
 
 type ringPoint struct {
@@ -29,7 +32,7 @@ func buildRing(replicas []int, vnodes int) *ring {
 	if vnodes <= 0 {
 		vnodes = defaultVirtualNodes
 	}
-	rg := &ring{points: make([]ringPoint, 0, len(replicas)*vnodes)}
+	rg := &ring{points: make([]ringPoint, 0, len(replicas)*vnodes), members: replicas}
 	for _, idx := range replicas {
 		for v := 0; v < vnodes; v++ {
 			rg.points = append(rg.points, ringPoint{

@@ -175,6 +175,7 @@ func TestContentTypeRouting(t *testing.T) {
 		{"json with charset", "application/json; charset=utf-8", jsonBody, http.StatusOK},
 		{"json uppercase type", "Application/JSON", jsonBody, http.StatusOK},
 		{"text json", "text/json", jsonBody, http.StatusOK},
+		{"text json with charset", "text/json; charset=utf-8", jsonBody, http.StatusOK},
 		{"yaml bare", "application/yaml", yamlBody, http.StatusOK},
 		{"yaml with charset", "application/yaml; charset=utf-8", yamlBody, http.StatusOK},
 		{"text yaml", "text/yaml", yamlBody, http.StatusOK},
@@ -184,6 +185,7 @@ func TestContentTypeRouting(t *testing.T) {
 		{"substring yaml smuggle", "text/yamlish", yamlBody, http.StatusUnsupportedMediaType},
 		{"protobuf", "application/vnd.kubernetes.protobuf", jsonBody, http.StatusUnsupportedMediaType},
 		{"malformed parameters", "application/json; charset", jsonBody, http.StatusUnsupportedMediaType},
+		{"not a media type", "not a media type ;;;", jsonBody, http.StatusUnsupportedMediaType},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

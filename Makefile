@@ -3,7 +3,7 @@
 #   make ci              # the full gate: gofmt, go vet, build, tests with -race
 #   make test            # fast test run (no race detector)
 #   make plane-race      # the plane's generation invariant, -race -count=20
-#   make bench           # multi-workload enforcement benchmarks
+#   make bench           # multi-workload enforcement + JSON decode benchmarks
 #   make json            # machine-readable throughput results -> BENCH_throughput.json
 #   make latency-json    # engine latency baseline -> BENCH_latency.json
 #   make e2e-json        # end-to-end admission-path baseline -> BENCH_e2e.json
@@ -31,7 +31,11 @@ MIN_SPEEDUP ?= 2.0
 # e2e floors are same-machine ratios, machine-independent like
 # MIN_SPEEDUP: the streaming fast path must beat the decode-first
 # baseline by this factor on the cold path and eliminate at least this
-# fraction of per-request allocations.
+# fraction of per-request allocations. Status since the byte-level JSON
+# decoder (PR 14) made the decode-first baseline ~6x cheaper: the JSON
+# cold cell measures 1.3-1.6x on the recording box, so this leg fails
+# more often than not. The floor is deliberately unchanged; ROADMAP item
+# 2 says what has to give (the scan + match double walk, or the floor).
 MIN_E2E_SPEEDUP     ?= 1.5
 MIN_ALLOC_REDUCTION ?= 0.5
 GATE_FLAGS  ?=
@@ -108,6 +112,7 @@ plane-race:
 
 bench:
 	$(GO) test -run NONE -bench 'MultiWorkload|RegistryResolve' -benchmem .
+	$(GO) test -run NONE -bench ParseJSON -benchmem ./internal/object
 
 json:
 	$(GO) run ./cmd/kfbench -experiment throughput -counts 1,5,10 \
@@ -127,6 +132,7 @@ e2e-json:
 fuzz-smoke:
 	$(GO) test -fuzz=FuzzDecode -fuzztime=10s -run '^$$' ./internal/yaml
 	$(GO) test -fuzz=FuzzValidate -fuzztime=10s -run '^$$' ./internal/validator
+	$(GO) test -fuzz=FuzzDecodeJSONEquivalence -fuzztime=10s -run '^$$' ./internal/object
 	$(GO) test -fuzz=FuzzCompiledEquivalence -fuzztime=10s -run '^$$' ./internal/compile
 	$(GO) test -fuzz=FuzzRawEquivalence -fuzztime=10s -run '^$$' ./internal/compile
 	$(GO) test -fuzz=FuzzRawYAMLEquivalence -fuzztime=10s -run '^$$' ./internal/compile

@@ -589,17 +589,34 @@ func (p *Proxy) deny(w http.ResponseWriter, r *http.Request, user string,
 	if code != http.StatusForbidden {
 		reason, message = "KubeFenceRequestRejected", "request rejected by KubeFence enforcement point: "
 	}
-	body := map[string]any{
-		"kind":    "Status",
-		"status":  "Failure",
-		"reason":  reason,
-		"message": message + strings.Join(msgs, "; "),
-		"code":    code,
-		"details": map[string]any{"violations": msgs},
+	body := denyStatus{
+		Code:    code,
+		Details: denyDetails{Violations: msgs},
+		Kind:    "Status",
+		Message: message + strings.Join(msgs, "; "),
+		Reason:  reason,
+		Status:  "Failure",
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(body)
+	_ = json.NewEncoder(w).Encode(&body)
+}
+
+// denyStatus is the Kubernetes Status body of a denial. The fields are
+// declared in sorted key order: the wire bytes are those of the
+// map[string]any it replaced (clients and golden files see no change),
+// without building two maps and sorting their keys per denial.
+type denyStatus struct {
+	Code    int         `json:"code"`
+	Details denyDetails `json:"details"`
+	Kind    string      `json:"kind"`
+	Message string      `json:"message"`
+	Reason  string      `json:"reason"`
+	Status  string      `json:"status"`
+}
+
+type denyDetails struct {
+	Violations []string `json:"violations"`
 }
 
 // forward relays the request upstream, asserting the original caller via

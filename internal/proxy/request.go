@@ -78,11 +78,12 @@ func ReadRequest(r *http.Request) Request {
 	if r.Body != nil {
 		q.buf = bodyPool.Get().(*bytes.Buffer)
 		q.buf.Reset()
-		if _, err := q.buf.ReadFrom(io.LimitReader(r.Body, maxInspectBytes+1)); err != nil {
+		_, err := q.buf.ReadFrom(io.LimitReader(r.Body, maxInspectBytes+1))
+		r.Body.Close()
+		if err != nil {
 			q.failCode, q.failReason = http.StatusBadRequest, "request body could not be read: "+err.Error()
 			return q
 		}
-		r.Body.Close()
 		q.body = q.buf.Bytes()
 	}
 	// Oversized bodies are denied for every method, before the
@@ -129,6 +130,8 @@ func (q *Request) scan() bool {
 // precision-preserving decoder (object.ParseJSON): numbers normalize to
 // int64 when exact, so large integers survive to the validators instead
 // of being rounded to the nearest float64 before the policy sees them.
+// Its errors quote a bounded excerpt of the body, which is what lets
+// decide copy them into the 403 and the retained denial record.
 func (q *Request) decode() (object.Object, error) {
 	if !q.decodeDone {
 		q.decodeDone = true

@@ -3,7 +3,7 @@
 #   make ci              # the full gate: gofmt, go vet, build, tests with -race
 #   make test            # fast test run (no race detector)
 #   make plane-race      # the plane's generation invariant, -race -count=20
-#   make bench           # multi-workload enforcement + JSON decode benchmarks
+#   make bench           # multi-workload enforcement, JSON decode, and proxy hit/cold-path benchmarks
 #   make json            # machine-readable throughput results -> BENCH_throughput.json
 #   make latency-json    # engine latency baseline -> BENCH_latency.json
 #   make e2e-json        # end-to-end admission-path baseline -> BENCH_e2e.json
@@ -113,6 +113,7 @@ plane-race:
 bench:
 	$(GO) test -run NONE -bench 'MultiWorkload|RegistryResolve' -benchmem .
 	$(GO) test -run NONE -bench ParseJSON -benchmem ./internal/object
+	$(GO) test -run NONE -bench 'ServeReapply|ServeUnique' -benchmem ./internal/proxy
 
 json:
 	$(GO) run ./cmd/kfbench -experiment throughput -counts 1,5,10 \
@@ -137,6 +138,7 @@ fuzz-smoke:
 	$(GO) test -fuzz=FuzzRawEquivalence -fuzztime=10s -run '^$$' ./internal/compile
 	$(GO) test -fuzz=FuzzRawYAMLEquivalence -fuzztime=10s -run '^$$' ./internal/compile
 	$(GO) test -fuzz=FuzzSynthSelfConsistency -fuzztime=10s -run '^$$' ./internal/synth
+	$(GO) test -fuzz=FuzzScanMemoEquivalence -fuzztime=10s -run '^$$' ./internal/proxy
 
 robustness-json:
 	$(GO) run ./cmd/kfbench -experiment robustness -concurrency 8 \

@@ -92,6 +92,13 @@ func TestPlaneTelemetryMergedEqualsReplicaSum(t *testing.T) {
 		}
 	}
 
+	// The front door scans a request to route it and the replica that
+	// serves it counts, once, how the scan memo answered: the tier sent
+	// two distinct bodies, so at most two scans ever ran.
+	if sm := merged.ScanMemo; sm.Hits+sm.Misses != uint64(admitted) || sm.Misses > 2 {
+		t.Errorf("merged scan memo counters = %+v, want %d scans, at most 2 of them misses", sm, admitted)
+	}
+
 	// Sampling at 1/1 traces every replica decision; the tier view
 	// surfaces them.
 	if replicaTraced != uint64(admitted) {

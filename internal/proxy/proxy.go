@@ -12,22 +12,26 @@
 // The admission data path is two steps. ReadRequest builds the front
 // end, everything learned from the wire before policy is consulted: the
 // body read once into a pooled buffer, its content type classified,
-// and, on first use, routing metadata (kind, namespace, name) scanned
-// straight off the wire bytes (compile.ScanRawMeta /
-// compile.ScanRawYAMLMeta) with at most one decode as the fallback.
-// Serve then decides: for enforce-mode workloads the policy is resolved
-// through the registry's match trie without materializing strings
-// (ResolveRaw), the workload's decision-cache shard is consulted on the
-// body hash, and the compiled program's streaming fast pass walks the
-// raw bytes — so an ALLOWED request is never decoded into a document at
-// all, and its buffer returns to the pool when the upstream round trip
-// completes. Only deny verdicts, cache-missed shadow/learn traffic,
-// tap-equipped proxies, and constructs the scanners cannot vouch for
-// take the classic decode + diagnostic path, whose verdicts and
-// violation lists the raw path reproduces exactly (registry.ValidateRaw
-// contract). ServeHTTP is the two steps back to back; a tier fronting
-// several proxies (internal/plane) builds the Request itself, routes on
-// it, and hands it to the owning replica's Serve.
+// and, on first use, its SHA-256 and its routing metadata (kind,
+// namespace, name). The hash comes first and keys everything
+// repeatable: a process-wide scan memo answers the metadata scan of any
+// body scanned before (scanmemo.go), so only a body's first appearance
+// is walked (compile.ScanRawMeta / compile.ScanRawYAMLMeta), with at
+// most one decode as the fallback. Serve then decides: for enforce-mode
+// workloads the policy is resolved through the registry's match trie
+// without materializing strings (ResolveRaw), the workload's
+// decision-cache shard is probed with the same hash, and on a miss the
+// compiled program's streaming fast pass walks the raw bytes — so a
+// re-applied manifest costs a read, a hash and three table probes, an
+// ALLOWED request is never decoded into a document at all, and its
+// buffer returns to the pool when the upstream round trip completes.
+// Only deny verdicts, cache-missed shadow/learn traffic, tap-equipped
+// proxies, and constructs the scanners cannot vouch for take the classic
+// decode + diagnostic path, whose verdicts and violation lists the raw
+// path reproduces exactly (registry.ValidateRaw contract). ServeHTTP is
+// the two steps back to back; a tier fronting several proxies
+// (internal/plane) builds the Request itself, routes on it, and hands it
+// to the owning replica's Serve.
 //
 // Identity is propagated upstream via the front-proxy headers
 // (X-Forwarded-User/-Group) over an mTLS channel only the proxy can open,
@@ -57,6 +61,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -144,7 +149,7 @@ type Config struct {
 
 // Proxy is the enforcement handler.
 type Proxy struct {
-	upstream  string
+	upstream  *url.URL
 	transport http.RoundTripper
 	proxyUser string
 	registry  *registry.Registry
@@ -187,8 +192,12 @@ func New(cfg Config) (*Proxy, error) {
 	if cfg.Upstream == "" {
 		return nil, fmt.Errorf("proxy: Config.Upstream is required")
 	}
+	upstream, err := url.Parse(strings.TrimSuffix(cfg.Upstream, "/"))
+	if err != nil {
+		return nil, fmt.Errorf("proxy: Config.Upstream: %w", err)
+	}
 	p := &Proxy{
-		upstream:   strings.TrimSuffix(cfg.Upstream, "/"),
+		upstream:   upstream,
 		transport:  cfg.Transport,
 		proxyUser:  cfg.ProxyUser,
 		registry:   cfg.Registry,
@@ -346,6 +355,7 @@ func (p *Proxy) Serve(w http.ResponseWriter, r *http.Request, q *Request) {
 			workload = d.entry.Workload()
 		}
 		p.telemetry.RecordDecision(workload, d.verdict, d.path, el)
+		p.telemetry.RecordScan(q.memoed)
 		denied := d.verdict == telemetry.VerdictDenied || d.verdict == telemetry.VerdictRejected
 		// Guarded: ident's string conversions must not run (allocate) on
 		// the unsampled fast path.
@@ -404,7 +414,11 @@ func rejected(path telemetry.Path, reason string) decision {
 // after resolving (learn feeds the miner, shadow records diagnostics,
 // an uncached denial lists its violations).
 func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.TraceCtx) decision {
-	raw := !p.disableRaw && p.tap == nil && q.scan()
+	raw := !p.disableRaw && p.tap == nil
+	if raw {
+		raw = q.scan()
+		tc.Stage("scan")
+	}
 	path := telemetry.PathRaw
 	if !raw {
 		path = telemetry.PathDecoded
@@ -430,13 +444,7 @@ func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.T
 
 	if raw {
 		if entry.Mode() == registry.ModeEnforce {
-			var vs []validator.Violation
-			var decided bool
-			if q.format == formatYAML {
-				vs, decided = p.registry.ValidateRawYAMLScanned(entry, q.body, q.meta)
-			} else {
-				vs, decided = p.registry.ValidateRawScanned(entry, q.body, q.meta)
-			}
+			vs, decided := p.registry.ValidateRawHashed(entry, q.body, q.sum(), q.meta, q.format == formatYAML)
 			if decided {
 				tc.Stage("raw-match")
 				if len(vs) > 0 {
@@ -471,11 +479,11 @@ func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.T
 	case registry.ModeShadow:
 		// A clean shadow validation is an allowed decision; only a
 		// would-deny records as shadowed.
-		if d.violations, _ = p.registry.ShadowValidate(entry, q.body, obj); len(d.violations) > 0 {
+		if d.violations, _ = p.registry.ShadowValidateHashed(entry, q.body, q.sum(), obj); len(d.violations) > 0 {
 			d.verdict = telemetry.VerdictShadowed
 		}
 	default: // registry.ModeEnforce
-		if d.violations = p.registry.Validate(entry, q.body, obj); len(d.violations) > 0 {
+		if d.violations = p.registry.ValidateHashed(entry, q.body, q.sum(), obj); len(d.violations) > 0 {
 			d.verdict = telemetry.VerdictDenied
 		}
 	}
@@ -620,21 +628,31 @@ type denyDetails struct {
 }
 
 // forward relays the request upstream, asserting the original caller via
-// front-proxy headers. Ownership of the pooled body buffer transfers to
-// the upstream request: the transport's Body.Close returns it to the
-// pool.
+// front-proxy headers. The upstream URL is the configured base with the
+// inbound path and query copied onto it field by field — escaped form
+// included, so upstream is asked for exactly the resource the client
+// named ("n%3Fwatch=1" stays a name, not a query). Ownership of the
+// pooled body buffer transfers to the upstream request: the transport's
+// Body.Close returns it to the pool.
 func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, user string,
 	groups []string, q *Request) {
-	url := p.upstream + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
+	u := *p.upstream
+	u.Path = p.upstream.Path + r.URL.Path
+	if r.URL.RawPath != "" || p.upstream.RawPath != "" {
+		u.RawPath = p.upstream.EscapedPath() + r.URL.EscapedPath()
 	}
-	req, err := http.NewRequestWithContext(r.Context(), r.Method, url, nil)
-	if err != nil {
-		q.Release()
-		http.Error(w, "building upstream request: "+err.Error(), http.StatusBadGateway)
-		return
-	}
+	u.RawQuery = r.URL.RawQuery
+	// The literal stays on the stack; WithContext makes the one copy
+	// that goes upstream.
+	req := (&http.Request{
+		Method:     r.Method,
+		URL:        &u,
+		Proto:      "HTTP/1.1",
+		ProtoMajor: 1,
+		ProtoMinor: 1,
+		Header:     make(http.Header),
+		Host:       u.Host,
+	}).WithContext(r.Context())
 	if len(q.body) > 0 {
 		body := &pooledBody{}
 		body.Reset(q.body)

@@ -240,6 +240,44 @@ func TestIdentitySmugglingStripped(t *testing.T) {
 	}
 }
 
+// Upstream must be asked for the resource the client named and the
+// proxy inspected: an escaped '?', '#' or '/' in a path segment stays
+// part of the name, and the query stays the query.
+func TestForwardKeepsEscapedRequestURI(t *testing.T) {
+	var got string
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got = r.RequestURI
+	}))
+	t.Cleanup(upstream.Close)
+	for _, base := range []string{upstream.URL, upstream.URL + "/", upstream.URL + "/base", upstream.URL + "/b%2Fase"} {
+		p, err := New(Config{Upstream: base, Validator: testPolicy(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(p)
+		t.Cleanup(ts.Close)
+		prefix := strings.TrimSuffix(strings.TrimPrefix(base, upstream.URL), "/")
+		for _, uri := range []string{
+			"/api/v1/namespaces/default/configmaps/plain",
+			"/api/v1/namespaces/default/configmaps?watch=1&labelSelector=a%3Db",
+			"/api/v1/namespaces/default/configmaps/n%3Fwatch=1",
+			"/api/v1/namespaces/default/configmaps/n%3Fwatch=1?watch=0",
+			"/api/v1/namespaces/default/configmaps/n%23frag",
+			"/api/v1/namespaces/default/configmaps/a%2Fb",
+		} {
+			got = ""
+			resp, err := http.Get(ts.URL + uri)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if got != prefix+uri {
+				t.Errorf("upstream %s: inbound %s reached upstream as %s", base, uri, got)
+			}
+		}
+	}
+}
+
 func TestMalformedBodyRejected(t *testing.T) {
 	f := newHTTPFixture(t)
 	req, err := http.NewRequest(http.MethodPost,

@@ -2,6 +2,7 @@ package proxy
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"io"
 	"mime"
@@ -12,15 +13,19 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/object"
+	"repro/internal/telemetry"
 )
 
 // Request is the enforcement point's front end: everything it learns
-// from the wire before it consults policy. The routing-metadata scan and
-// the decode fallback run on first use and are remembered, so however
-// many layers look at a request — a tier's front door deriving a shard
-// key, then the owning replica's proxy resolving and validating — its
-// body is read once, scanned once and decoded at most once, and every
-// layer sees the same (namespace, kind). A Request owns a pooled buffer:
+// from the wire before it consults policy. The body hash, the
+// routing-metadata scan and the decode fallback run on first use and are
+// remembered, so however many layers look at a request — a tier's front
+// door deriving a shard key, then the owning replica's proxy resolving
+// and validating — its body is read once, hashed once, scanned at most
+// once and decoded at most once, and every layer sees the same
+// (namespace, kind). The hash comes first: it keys the scan memo (a body
+// scanned before, by any request, is not walked again) and then the
+// registry's decision cache. A Request owns a pooled buffer:
 // its builder hands it to Proxy.Serve or calls Release, and must not use
 // it after its handler returns.
 type Request struct {
@@ -40,6 +45,13 @@ type Request struct {
 	inspect bool
 	format  bodyFormatKind
 
+	hashed bool
+	hash   [sha256.Size]byte
+
+	// memo answers the scan of a body seen before; memoed is how it
+	// answered this one, for the telemetry hub of whoever serves it.
+	memo              *scanMemo
+	memoed            telemetry.ScanOutcome
 	scanDone, scanned bool
 	meta              compile.RawMeta
 	decodeDone        bool
@@ -74,7 +86,7 @@ func putBody(buf *bytes.Buffer) {
 // unsupported content type is recorded on the Request as its own
 // fail-closed outcome, which Proxy.Serve turns into a denial record.
 func ReadRequest(r *http.Request) Request {
-	q := Request{path: r.URL.Path}
+	q := Request{path: r.URL.Path, memo: processScanMemo}
 	if r.Body != nil {
 		q.buf = bodyPool.Get().(*bytes.Buffer)
 		q.buf.Reset()
@@ -111,17 +123,39 @@ func (q *Request) Release() {
 	q.buf, q.body = nil, nil
 }
 
+// sum is the body's SHA-256, computed once.
+func (q *Request) sum() *[sha256.Size]byte {
+	if !q.hashed {
+		q.hashed = true
+		q.hash = sha256.Sum256(q.body)
+	}
+	return &q.hash
+}
+
 // scan extracts the routing metadata (kind, namespace, name) straight
-// off the wire bytes, once. A successful scan guarantees the body
-// decodes and that the extracted fields equal the decoded accessors.
+// off the wire bytes, once — and once per distinct body: the memo is
+// asked first, and told the result of a scan it could not answer. A
+// successful scan guarantees the body decodes and that the extracted
+// fields equal the decoded accessors.
 func (q *Request) scan() bool {
-	if !q.scanDone {
-		q.scanDone = true
-		if q.format == formatYAML {
-			q.meta, q.scanned = compile.ScanRawYAMLMeta(q.body)
-		} else {
-			q.meta, q.scanned = compile.ScanRawMeta(q.body)
-		}
+	if q.scanDone {
+		return q.scanned
+	}
+	q.scanDone = true
+	key := newMemoKey(q.sum())
+	var hit bool
+	if q.meta, q.scanned, hit = q.memo.get(&key, q.format, q.body); hit {
+		q.memoed = telemetry.ScanMemoHit
+		return q.scanned
+	}
+	if q.format == formatYAML {
+		q.meta, q.scanned = compile.ScanRawYAMLMeta(q.body)
+	} else {
+		q.meta, q.scanned = compile.ScanRawMeta(q.body)
+	}
+	q.memoed = telemetry.ScanMemoMiss
+	if q.memo.put(&key, q.format, q.body, q.meta, q.scanned) {
+		q.memoed = telemetry.ScanMemoEvict
 	}
 	return q.scanned
 }
@@ -236,10 +270,15 @@ const (
 // cannot afford. Unknown base types stay fail-closed (415): a body the
 // proxy would misparse is a body it must not vouch for. An empty
 // content type defaults to JSON (kubectl and client-go always set one;
-// bare tooling often doesn't).
+// bare tooling often doesn't). The two spellings kubectl and client-go
+// send are matched before the parser runs, which is what nearly every
+// request pays for.
 func bodyFormat(contentType string) (bodyFormatKind, bool) {
-	if contentType == "" {
+	switch contentType {
+	case "", "application/json":
 		return formatJSON, true
+	case "application/yaml":
+		return formatYAML, true
 	}
 	mediaType, _, err := mime.ParseMediaType(contentType)
 	if err != nil {

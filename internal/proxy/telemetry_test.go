@@ -119,14 +119,18 @@ func TestProxyRecordsVerdictTelemetry(t *testing.T) {
 		t.Errorf("total decisions %d, want 5", got)
 	}
 
-	// Sampling 1/1: every decision landed a trace, and decided requests
-	// carry the resolve stage.
+	// Sampling 1/1: every decision landed a trace, every one of them
+	// scanned first (its own stage, not folded into resolve), and decided
+	// requests carry the resolve stage.
 	traces := hub.Traces()
 	if len(traces) != 5 {
 		t.Fatalf("traces sampled %d, want 5", len(traces))
 	}
 	sawResolve := false
 	for _, tr := range traces {
+		if tr.NumStages == 0 || tr.Stages[0].Name != "scan" {
+			t.Errorf("trace %s/%s does not open with a scan stage: %+v", tr.Workload, tr.Verdict, tr.StageList())
+		}
 		for i := 0; i < tr.NumStages; i++ {
 			if tr.Stages[i].Name == "resolve" {
 				sawResolve = true
@@ -135,6 +139,46 @@ func TestProxyRecordsVerdictTelemetry(t *testing.T) {
 	}
 	if !sawResolve {
 		t.Error("no sampled trace carries a resolve stage")
+	}
+}
+
+// The hub of the proxy that serves a request counts how the scan memo
+// answered it, and the counters reach the snapshot and /metrics.
+func TestProxyRecordsScanMemoTelemetry(t *testing.T) {
+	p, _, hub := telemetryFixture(t, "alpha")
+	// A body no other test sends, so the process-wide memo has not seen it.
+	o := tenantConfigMap("alpha", "alpha")
+	o["metadata"].(map[string]any)["resourceVersion"] = "scan-memo-telemetry"
+	for i := 0; i < 3; i++ {
+		if rec := postTenant(t, p, "alpha", o); rec.Code != http.StatusOK {
+			t.Fatalf("request %d: code %d, body %s", i, rec.Code, rec.Body)
+		}
+	}
+	// Reads are not inspected: nothing is scanned, nothing is counted.
+	p.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/api/v1/namespaces/alpha/configmaps", nil))
+
+	snap := hub.Snapshot()
+	if got, want := snap.ScanMemo, (telemetry.ScanMemoSnapshot{Hits: 2, Misses: 1}); got != want {
+		t.Errorf("scan memo counters = %+v, want %+v", got, want)
+	}
+	if merged := telemetry.Merge(snap, snap).ScanMemo; merged.Hits != 4 || merged.Misses != 2 {
+		t.Errorf("merged scan memo counters = %+v, want the sum", merged)
+	}
+	var out bytes.Buffer
+	if err := telemetry.WriteMetrics(&out, snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := telemetry.ValidateExposition(out.Bytes()); err != nil {
+		t.Errorf("exposition with scan memo counters: %v", err)
+	}
+	for _, line := range []string{
+		`kubefence_scan_memo_total{outcome="hit"} 2`,
+		`kubefence_scan_memo_total{outcome="miss"} 1`,
+		`kubefence_scan_memo_evictions_total 0`,
+	} {
+		if !bytes.Contains(out.Bytes(), []byte(line+"\n")) {
+			t.Errorf("/metrics lacks %q", line)
+		}
 	}
 }
 

@@ -23,6 +23,7 @@
 package registry
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sync"
 
@@ -178,7 +179,7 @@ func (s ShadowStats) WindowDenyRate() float64 {
 	return float64(s.WindowDenied) / float64(s.WindowSize)
 }
 
-func (w *shadowWindow) snapshot(cumReq, cumDenied uint64) ShadowStats {
+func (w *shadowWindow) snapshot() ShadowStats {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return ShadowStats{
@@ -187,8 +188,6 @@ func (w *shadowWindow) snapshot(cumReq, cumDenied uint64) ShadowStats {
 		GenDenied:    w.genDenied,
 		WindowSize:   w.filled,
 		WindowDenied: w.denied,
-		Requests:     cumReq,
-		Denied:       cumDenied,
 	}
 }
 
@@ -219,7 +218,11 @@ func (e *Entry) Learned() uint64 { return e.learned.Load() }
 
 // ShadowStats snapshots the entry's shadow verdict state.
 func (e *Entry) ShadowStats() ShadowStats {
-	return e.shadow.snapshot(e.shadowReqs.Load(), e.shadowDenied.Load())
+	// The window first: a verdict bumps the cumulative counters before
+	// it enters the window, so counters read after the window cover it.
+	st := e.shadow.snapshot()
+	st.Requests, st.Denied = e.shadowReqs.Load(), e.shadowDenied.Load()
+	return st
 }
 
 // RecordShadowViolation appends a would-deny record to the entry's
@@ -364,9 +367,15 @@ func (r *Registry) Demote(workload string) (Mode, error) {
 // window. It returns the violations (for the caller's record log) and
 // the policy generation the verdict was made under.
 func (r *Registry) ShadowValidate(e *Entry, body []byte, obj object.Object) ([]validator.Violation, uint64) {
+	return r.ShadowValidateHashed(e, body, nil, obj)
+}
+
+// ShadowValidateHashed is ShadowValidate for a caller that has hashed
+// the body; see ValidateHashed.
+func (r *Registry) ShadowValidateHashed(e *Entry, body []byte, sum *[sha256.Size]byte, obj object.Object) ([]validator.Violation, uint64) {
 	e.requests.Add(1)
 	ver := e.version.Load()
-	vs := r.validateVersion(e, ver, body, obj)
+	vs := r.validateVersion(e, ver, body, sum, obj)
 	deny := len(vs) > 0
 	e.shadowReqs.Add(1)
 	if deny {

@@ -1,9 +1,11 @@
 package registry
 
 import (
+	"crypto/sha256"
 	"reflect"
 	"testing"
 
+	"repro/internal/compile"
 	"repro/internal/object"
 	"repro/internal/validator"
 )
@@ -149,5 +151,48 @@ func TestValidateRawLearningEntryFailsClosed(t *testing.T) {
 	}
 	if want := reg.Validate(e, nil, o); !reflect.DeepEqual(vs, want) {
 		t.Fatalf("fail-closed verdicts differ:\nraw:    %v\ndecode: %v", vs, want)
+	}
+}
+
+// The sum-carrying forms and the forms that hash for themselves are one
+// code path over one cache: a decision either kind caches, the other
+// kind finds, for allows, denials and shadow verdicts alike.
+func TestHashedFormsShareTheDecisionCache(t *testing.T) {
+	reg := New(Config{CacheSize: 16})
+	e, err := reg.Register("web", Selector{}, rawTestPolicy(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hits := func() uint64 { return e.Metrics().CacheHits }
+
+	benignSum := sha256.Sum256(rawBenignBody)
+	meta, ok := compile.ScanRawMeta(rawBenignBody)
+	if !ok {
+		t.Fatal("scan of the benign body failed")
+	}
+	if vs, decided := reg.ValidateRawHashed(e, rawBenignBody, &benignSum, meta, false); !decided || vs != nil {
+		t.Fatalf("hashed raw pass: decided=%v vs=%v", decided, vs)
+	}
+	if vs, decided := reg.ValidateRawScanned(e, rawBenignBody, meta); !decided || vs != nil || hits() != 1 {
+		t.Fatalf("self-hashing raw pass after the hashed one: decided=%v vs=%v hits=%d", decided, vs, hits())
+	}
+
+	attack, err := object.ParseJSON(rawAttackBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	attackSum := sha256.Sum256(rawAttackBody)
+	denied := reg.Validate(e, rawAttackBody, attack)
+	if len(denied) == 0 {
+		t.Fatal("attack body validated clean")
+	}
+	if vs := reg.ValidateHashed(e, rawAttackBody, &attackSum, attack); !reflect.DeepEqual(vs, denied) || hits() != 2 {
+		t.Fatalf("hashed validate after the self-hashing one: vs=%v hits=%d", vs, hits())
+	}
+	if vs, _ := reg.ShadowValidateHashed(e, rawAttackBody, &attackSum, attack); !reflect.DeepEqual(vs, denied) || hits() != 3 {
+		t.Fatalf("hashed shadow validate: vs=%v hits=%d", vs, hits())
+	}
+	if vs, decided := reg.ValidateRawHashed(e, rawAttackBody, &attackSum, meta, false); !decided || !reflect.DeepEqual(vs, denied) || hits() != 4 {
+		t.Fatalf("hashed raw pass on a cached denial: decided=%v vs=%v hits=%d", decided, vs, hits())
 	}
 }

@@ -764,6 +764,15 @@ type cacheKey struct {
 	bodyHash [sha256.Size]byte
 }
 
+// newCacheKey keys a decision on body's hash: sum when the caller
+// carries it, else taken here.
+func newCacheKey(gen uint64, body []byte, sum *[sha256.Size]byte) cacheKey {
+	if sum != nil {
+		return cacheKey{gen: gen, bodyHash: *sum}
+	}
+	return cacheKey{gen: gen, bodyHash: sha256.Sum256(body)}
+}
+
 // ValidateRaw attempts to decide a request from its raw wire bytes,
 // without decoding: the entry's decision-cache shard is consulted on the
 // body hash first (operators re-apply identical manifests every
@@ -779,7 +788,7 @@ type cacheKey struct {
 // cache short-circuit.
 func (r *Registry) ValidateRaw(e *Entry, body []byte) (vs []validator.Violation, decided bool) {
 	meta, ok := compile.ScanRawMeta(body)
-	return r.validateRaw(e, body, meta, ok, false)
+	return r.validateRaw(e, body, nil, meta, ok, false)
 }
 
 // ValidateRawScanned is ValidateRaw for a caller that already ran
@@ -787,7 +796,7 @@ func (r *Registry) ValidateRaw(e *Entry, body []byte) (vs []validator.Violation,
 // routing): the streaming pass reuses the scan instead of re-tokenizing
 // the body for metadata. meta MUST be the successful scan of body.
 func (r *Registry) ValidateRawScanned(e *Entry, body []byte, meta compile.RawMeta) (vs []validator.Violation, decided bool) {
-	return r.validateRaw(e, body, meta, true, false)
+	return r.validateRaw(e, body, nil, meta, true, false)
 }
 
 // ValidateRawYAMLScanned is ValidateRawScanned for YAML wire bytes:
@@ -796,10 +805,21 @@ func (r *Registry) ValidateRawScanned(e *Entry, body []byte, meta compile.RawMet
 // program. The cache short-circuit and all gating rules are shared with
 // the JSON path.
 func (r *Registry) ValidateRawYAMLScanned(e *Entry, body []byte, meta compile.RawMeta) (vs []validator.Violation, decided bool) {
-	return r.validateRaw(e, body, meta, true, true)
+	return r.validateRaw(e, body, nil, meta, true, true)
 }
 
-func (r *Registry) validateRaw(e *Entry, body []byte, meta compile.RawMeta, scanOK, yamlBody bool) (vs []validator.Violation, decided bool) {
+// ValidateRawHashed is ValidateRawScanned (ValidateRawYAMLScanned when
+// yamlBody) for a caller that has also hashed the body: a non-nil sum
+// MUST be the SHA-256 of body, and keys the decision cache in place of a
+// hash taken here. The enforcement point's front end hashes every inspected body
+// once, before it scans it.
+func (r *Registry) ValidateRawHashed(e *Entry, body []byte, sum *[sha256.Size]byte, meta compile.RawMeta, yamlBody bool) (vs []validator.Violation, decided bool) {
+	return r.validateRaw(e, body, sum, meta, true, yamlBody)
+}
+
+// validateRaw is every ValidateRaw form. A nil sum is taken here, and
+// only when the entry has a cache to key with it.
+func (r *Registry) validateRaw(e *Entry, body []byte, sum *[sha256.Size]byte, meta compile.RawMeta, scanOK, yamlBody bool) (vs []validator.Violation, decided bool) {
 	ver := e.version.Load()
 	if ver.program == nil && ver.policy == nil {
 		e.requests.Add(1)
@@ -809,11 +829,7 @@ func (r *Registry) validateRaw(e *Entry, body []byte, meta compile.RawMeta, scan
 	var key cacheKey
 	cached := e.cache != nil && len(body) > 0
 	if cached {
-		// An undecided return costs one redundant body hash (Validate
-		// recomputes it on the fallback) — acceptable on what is by
-		// construction the slow path: the decode + diagnostic pass that
-		// follows dwarfs a hash.
-		key = cacheKey{gen: ver.gen, bodyHash: sha256.Sum256(body)}
+		key = newCacheKey(ver.gen, body, sum)
 		if vs, ok := e.cache.get(key); ok {
 			e.requests.Add(1)
 			e.cacheHits.Add(1)
@@ -855,16 +871,23 @@ func (r *Registry) validateRaw(e *Entry, body []byte, meta compile.RawMeta, scan
 // the exact wire bytes the object was decoded from; callers without
 // access to the raw body pass nil to validate uncached.
 func (r *Registry) Validate(e *Entry, body []byte, obj object.Object) []validator.Violation {
+	return r.ValidateHashed(e, body, nil, obj)
+}
+
+// ValidateHashed is Validate for a caller that has hashed the body: a
+// non-nil sum MUST be the SHA-256 of body, and keys the decision cache
+// in place of a hash taken here.
+func (r *Registry) ValidateHashed(e *Entry, body []byte, sum *[sha256.Size]byte, obj object.Object) []validator.Violation {
 	e.requests.Add(1)
 	// One snapshot load: the generation keyed into the cache always
 	// matches the engine state that (on a miss) computes the decision.
-	return r.validateVersion(e, e.version.Load(), body, obj)
+	return r.validateVersion(e, e.version.Load(), body, sum, obj)
 }
 
 // validateVersion validates against one loaded policy snapshot,
 // consulting the entry's decision-cache shard. A snapshot with no policy
 // (a learning entry whose candidate was never swapped in) fails closed.
-func (r *Registry) validateVersion(e *Entry, ver *policyVersion, body []byte, obj object.Object) []validator.Violation {
+func (r *Registry) validateVersion(e *Entry, ver *policyVersion, body []byte, sum *[sha256.Size]byte, obj object.Object) []validator.Violation {
 	if ver.program == nil && ver.policy == nil {
 		return []validator.Violation{{Reason: fmt.Sprintf(
 			"workload %s has no learned policy yet", e.workload)}}
@@ -872,7 +895,7 @@ func (r *Registry) validateVersion(e *Entry, ver *policyVersion, body []byte, ob
 	var key cacheKey
 	cached := e.cache != nil && len(body) > 0
 	if cached {
-		key = cacheKey{gen: ver.gen, bodyHash: sha256.Sum256(body)}
+		key = newCacheKey(ver.gen, body, sum)
 		if vs, ok := e.cache.get(key); ok {
 			e.cacheHits.Add(1)
 			return vs

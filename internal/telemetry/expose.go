@@ -19,13 +19,16 @@ const (
 	metricDecisions       = "kubefence_decisions_total"
 	metricDecisionSeconds = "kubefence_decision_seconds"
 	metricTracesSampled   = "kubefence_traces_sampled_total"
+	metricScanMemo        = "kubefence_scan_memo_total"
+	metricScanMemoEvicted = "kubefence_scan_memo_evictions_total"
 )
 
 // WriteMetrics writes a snapshot in the Prometheus text exposition
 // format (text/plain; version=0.0.4): one counter family for decision
-// counts, one histogram family for decision latency, and the sampled
-// trace counter. Output is deterministic (workloads and label cells in
-// sorted order) and passes ValidateExposition.
+// counts, one histogram family for decision latency, the sampled trace
+// counter, and the scan-memo counters. Output is deterministic
+// (workloads and label cells in sorted order) and passes
+// ValidateExposition.
 func WriteMetrics(w io.Writer, s Snapshot) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# HELP %s Admission decisions by workload, verdict, and pipeline path.\n", metricDecisions)
@@ -60,6 +63,13 @@ func WriteMetrics(w io.Writer, s Snapshot) error {
 	fmt.Fprintf(bw, "# HELP %s Decisions sampled onto the trace ring.\n", metricTracesSampled)
 	fmt.Fprintf(bw, "# TYPE %s counter\n", metricTracesSampled)
 	fmt.Fprintf(bw, "%s %d\n", metricTracesSampled, s.Sampled)
+	fmt.Fprintf(bw, "# HELP %s Routing-metadata scans by how the scan memo answered them.\n", metricScanMemo)
+	fmt.Fprintf(bw, "# TYPE %s counter\n", metricScanMemo)
+	fmt.Fprintf(bw, "%s{outcome=\"hit\"} %d\n", metricScanMemo, s.ScanMemo.Hits)
+	fmt.Fprintf(bw, "%s{outcome=\"miss\"} %d\n", metricScanMemo, s.ScanMemo.Misses)
+	fmt.Fprintf(bw, "# HELP %s Scan-memo misses whose entry replaced a live one.\n", metricScanMemoEvicted)
+	fmt.Fprintf(bw, "# TYPE %s counter\n", metricScanMemoEvicted)
+	fmt.Fprintf(bw, "%s %d\n", metricScanMemoEvicted, s.ScanMemo.Evictions)
 	return bw.Flush()
 }
 

@@ -96,6 +96,22 @@ func (p Path) String() string {
 	return "decoded"
 }
 
+// ScanOutcome is how the scan memo answered a request's routing-metadata
+// scan (internal/proxy): the front end hashes a body and asks the memo
+// before it walks the bytes.
+type ScanOutcome uint8
+
+const (
+	// ScanNone is a request whose body was never scanned.
+	ScanNone ScanOutcome = iota
+	// ScanMemoHit is a scan the memo answered: the body was not walked.
+	ScanMemoHit
+	// ScanMemoMiss is a scan that ran and was memoised.
+	ScanMemoMiss
+	// ScanMemoEvict is a miss whose entry replaced a live one.
+	ScanMemoEvict
+)
+
 // Histogram bucket layout: power-of-two bounds in nanoseconds, from
 // 2^bucketShift up, with the last bucket catching everything larger
 // (+Inf). Bucket i counts durations d with bound(i-1) < d <= bound(i),
@@ -182,6 +198,12 @@ type Hub struct {
 	sampled     atomic.Uint64
 	ring        *traceRing
 	ctxPool     sync.Pool
+
+	// How the scan memo answered the scans of the requests this hub
+	// recorded (RecordScan).
+	scanHits      atomic.Uint64
+	scanMisses    atomic.Uint64
+	scanEvictions atomic.Uint64
 }
 
 // New builds a Hub.
@@ -276,6 +298,23 @@ func (h *Hub) RecordDecision(workload string, v Verdict, p Path, d time.Duration
 	sh.bucket[ci][bucketIndex(d)].Add(1)
 }
 
+// RecordScan counts how the scan memo answered one request's scan.
+// Lock-free and allocation-free; ScanNone and a nil hub record nothing.
+func (h *Hub) RecordScan(o ScanOutcome) {
+	if h == nil {
+		return
+	}
+	switch o {
+	case ScanMemoHit:
+		h.scanHits.Add(1)
+	case ScanMemoEvict:
+		h.scanEvictions.Add(1)
+		fallthrough
+	case ScanMemoMiss:
+		h.scanMisses.Add(1)
+	}
+}
+
 // Load sums one workload's decision cells — decisions recorded and
 // total decision nanoseconds across every (verdict, path) cell —
 // without building a snapshot. This is the load-cell read path: the
@@ -362,7 +401,18 @@ func (w *WorkloadSnapshot) Cell(verdict, path string) *CellSnapshot {
 type Snapshot struct {
 	SampleEvery int                `json:"sample_every,omitempty"`
 	Sampled     uint64             `json:"sampled,omitempty"`
+	ScanMemo    ScanMemoSnapshot   `json:"scan_memo"`
 	Workloads   []WorkloadSnapshot `json:"workloads"`
+}
+
+// ScanMemoSnapshot counts the scans of the requests a hub recorded:
+// answered by the scan memo (Hits) or run and memoised (Misses), and the
+// misses whose entry replaced a live one (Evictions) — the sign of a
+// working set larger than the memo.
+type ScanMemoSnapshot struct {
+	Hits      uint64 `json:"hits"`
+	Misses    uint64 `json:"misses"`
+	Evictions uint64 `json:"evictions"`
 }
 
 // Workload returns the named workload's snapshot, or nil.
@@ -401,7 +451,12 @@ func (h *Hub) Snapshot() Snapshot {
 	snap := Snapshot{
 		SampleEvery: int(h.sampleEvery),
 		Sampled:     h.sampled.Load(),
-		Workloads:   make([]WorkloadSnapshot, 0, len(names)),
+		ScanMemo: ScanMemoSnapshot{
+			Hits:      h.scanHits.Load(),
+			Misses:    h.scanMisses.Load(),
+			Evictions: h.scanEvictions.Load(),
+		},
+		Workloads: make([]WorkloadSnapshot, 0, len(names)),
 	}
 	for _, name := range names {
 		wt := m[name]
@@ -448,6 +503,9 @@ func Merge(snaps ...Snapshot) Snapshot {
 			out.SampleEvery = s.SampleEvery
 		}
 		out.Sampled += s.Sampled
+		out.ScanMemo.Hits += s.ScanMemo.Hits
+		out.ScanMemo.Misses += s.ScanMemo.Misses
+		out.ScanMemo.Evictions += s.ScanMemo.Evictions
 		for i := range s.Workloads {
 			ws := &s.Workloads[i]
 			if !seen[ws.Workload] {

@@ -7,8 +7,8 @@ import (
 )
 
 // MaxTraceStages bounds the stage timeline one trace record carries;
-// the admission pipeline has at most four stages (resolve, cache/raw
-// probe, decode, validate) before the verdict.
+// the admission pipeline marks at most four stages before the verdict
+// (scan, resolve, then raw-match, or decode and validate).
 const MaxTraceStages = 4
 
 // TraceStage is one timed stage of a sampled decision.
@@ -20,11 +20,13 @@ type TraceStage struct {
 // Trace is one sampled decision record: what was decided, through
 // which pipeline, and where the time went — so a slow or denied
 // decision can be explained after the fact. Stage semantics on the
-// proxy: "resolve" covers the streaming metadata scan plus registry
-// resolution, "raw-match" covers the decision-cache probe plus the
-// compiled program's raw-byte pass, "decode" is body decoding on the
-// fallback path, and "validate" is the decoded validation (enforce,
-// shadow, or learn observation).
+// proxy: "scan" is the body hash plus the routing-metadata scan or the
+// scan-memo hit that stood in for it (near zero behind a tier's front
+// door, which scanned to route), "resolve" is registry resolution,
+// "raw-match" covers the decision-cache probe plus the compiled
+// program's raw-byte pass, "decode" is body decoding on the fallback
+// path, and "validate" is the decoded validation (enforce, shadow, or
+// learn observation).
 type Trace struct {
 	Time     time.Time `json:"time"`
 	Workload string    `json:"workload"`

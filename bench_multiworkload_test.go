@@ -1,12 +1,13 @@
 // Multi-workload enforcement benchmarks: one proxy, N concurrent
-// workload policies, parallel clients (b.RunParallel). These are the
-// perf-trajectory benches for the production-scale serving goal; the
-// kfbench throughput experiment emits the same measurements as JSON.
+// workload policies, parallel clients (b.RunParallel). In-package
+// micro-benchmarks for a quick look; the numbers a PR quotes come from
+// bench/ (bash bench/run.sh).
 //
 // Run:  go test -bench=MultiWorkload -benchmem
 package kubefence_test
 
 import (
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -14,6 +15,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/chart"
 	"repro/internal/charts"
 	"repro/internal/experiments"
 	"repro/internal/proxy"
@@ -25,25 +27,51 @@ type benchRequest struct {
 	body []byte
 }
 
-// benchMultiWorkload builds a registry of n workload policies, a proxy
-// over a null upstream, and each workload's legitimate request corpus —
-// the same fleet the kfbench throughput experiment measures, so bench
-// numbers and BENCH_*.json stay comparable.
-func benchMultiWorkload(b *testing.B, n, cacheSize int) (*proxy.Proxy, []benchRequest) {
+// benchFleet registers n workload policies, cycling the builtin charts
+// under suffixed names past the first five, each selected by a
+// namespace of its own name. chartOf[i] is the chart names[i] was cut
+// from.
+func benchFleet(b *testing.B, cacheSize, n int) (reg *registry.Registry, names, chartOf []string) {
 	b.Helper()
 	pols, err := experiments.Policies()
 	if err != nil {
 		b.Fatal(err)
 	}
-	reg, fleet, err := experiments.BuildFleet(n, cacheSize, pols)
-	if err != nil {
-		b.Fatal(err)
+	base := charts.Names()
+	reg = registry.New(registry.Config{CacheSize: cacheSize})
+	for i := 0; i < n; i++ {
+		chartName := base[i%len(base)]
+		name := chartName
+		if i >= len(base) {
+			name = fmt.Sprintf("%s-%d", chartName, i/len(base)+1)
+		}
+		if _, err := reg.Register(name, registry.Selector{Namespace: name}, pols[chartName]); err != nil {
+			b.Fatal(err)
+		}
+		names, chartOf = append(names, name), append(chartOf, chartName)
 	}
+	return reg, names, chartOf
+}
+
+// benchMultiWorkload builds a registry of n workload policies, a proxy
+// over a null upstream, and each workload's legitimate request corpus
+// rendered into its own namespace.
+func benchMultiWorkload(b *testing.B, n, cacheSize int) (*proxy.Proxy, []benchRequest) {
+	b.Helper()
+	reg, names, chartOf := benchFleet(b, cacheSize, n)
 	var reqs []benchRequest
-	for _, wl := range fleet {
-		for _, body := range wl.Bodies {
+	for i, name := range names {
+		files, err := charts.MustLoad(chartOf[i]).Render(nil, chart.ReleaseOptions{Name: "rel", Namespace: name})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, o := range chart.Objects(files) {
+			body, err := json.Marshal(o)
+			if err != nil {
+				b.Fatal(err)
+			}
 			reqs = append(reqs, benchRequest{
-				path: "/api/v1/namespaces/" + wl.Namespace + "/resources",
+				path: "/api/v1/namespaces/" + name + "/resources",
 				body: body,
 			})
 		}
@@ -100,23 +128,7 @@ func BenchmarkMultiWorkloadEnforceCached10(b *testing.B) { benchEnforce(b, 10, 4
 func BenchmarkRegistryResolve(b *testing.B) {
 	for _, n := range []int{1, 5, 25} {
 		b.Run(fmt.Sprintf("workloads=%d", n), func(b *testing.B) {
-			pols, err := experiments.Policies()
-			if err != nil {
-				b.Fatal(err)
-			}
-			base := charts.Names()
-			reg := registry.New(registry.Config{})
-			namespaces := make([]string, n)
-			for i := 0; i < n; i++ {
-				name := base[i%len(base)]
-				if i >= len(base) {
-					name = fmt.Sprintf("%s-%d", name, i/len(base)+1)
-				}
-				namespaces[i] = name
-				if _, err := reg.Register(name, registry.Selector{Namespace: name}, pols[base[i%len(base)]]); err != nil {
-					b.Fatal(err)
-				}
-			}
+			reg, namespaces, _ := benchFleet(b, 0, n)
 			var next atomic.Uint64
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {

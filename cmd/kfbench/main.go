@@ -1,108 +1,40 @@
-// Command kfbench regenerates the paper's tables and figures (§VI):
+// Command kfbench regenerates the paper's tables and figures (§VI) and
+// replays the verdict matrices that grew beside them:
 //
 //	kfbench -experiment fig5       # motivation: e2e coverage vs CVEs
 //	kfbench -experiment fig9       # API usage matrix
+//	kfbench -experiment fig11      # audit2rbac policy inference
 //	kfbench -experiment table1     # attack-surface reduction
 //	kfbench -experiment table2     # malicious-spec catalog
 //	kfbench -experiment table3     # mitigation, RBAC vs KubeFence
 //	kfbench -experiment table4     # deployment latency (-reps N)
 //	kfbench -experiment resources  # proxy CPU/memory overhead
-//	kfbench -experiment all
+//	kfbench -experiment robustness # mutated attacks + benign trace, 0 FN / 0 FP
+//	kfbench -experiment learning   # learn → shadow → enforce, mined policies vs the matrix
+//	kfbench -experiment scenarios  # synthetic corpus through raw / compiled / interpreted
+//	kfbench -experiment plane      # matrix + cache handoff through a rebalanced tier
+//	kfbench -experiment all        # every row above, in that order
 //
-// Beyond the paper, the throughput experiment measures multi-workload
-// enforcement (one proxy, many concurrent workload policies) and, with
-// -json, emits machine-readable results suitable for BENCH_*.json
-// perf-trajectory tracking:
+// The four verdict experiments exit non-zero unless their report is
+// clean (no false negative, false positive or replay error; verified
+// pairs; every chart converged and promoted), in both output modes:
 //
-//	kfbench -experiment throughput -counts 1,5,10 -requests 2000 \
-//	        -concurrency 8 -cache 4096 -json > BENCH_throughput.json
-//
-// The robustness experiment replays the adversarial mutation matrix
-// (internal/mutate) interleaved with benign chart traces through the
-// proxy+registry stack and scores false negatives/positives per chart
-// and mutation class:
-//
-//	kfbench -experiment robustness -concurrency 8 -cache 4096 \
-//	        -seed 1 -json > BENCH_robustness.json
-//	kfbench -experiment robustness -charts nginx,mlflow -max-per-class 2
+//	kfbench -experiment robustness -concurrency 8 -cache 4096 -seed 1 -json
 //	kfbench -experiment robustness -engine interpreted   # differential run
-//
-// The learning experiment mines policies from benign chart traffic
-// through the learn → shadow → enforce rollout lifecycle, measures
-// requests-to-convergence per chart, and replays the full adversarial
-// mutation matrix against the MINED policies to score residual false
-// negatives — the committed BENCH_learning.json baseline:
-//
-//	kfbench -experiment learning -concurrency 8 -cache 4096 \
-//	        -seed 1 -json > BENCH_learning.json
+//	kfbench -experiment robustness -wire yaml -synth 100
 //	kfbench -experiment learning -charts nginx -max-per-class 2
+//	kfbench -experiment scenarios -synth 25 -max-per-class 2
+//	kfbench -experiment plane -replicas 2 -synth 8 -cache 1024
 //
-// The latency experiment measures single-decision validation cost —
-// interpreted tree walk vs compiled rule program, cold (cache off) and
-// hot (per-workload decision shards on) — and is the source of the
-// committed BENCH_latency.json baseline the CI bench gate compares
-// against:
-//
-//	kfbench -experiment latency -counts 1,5,10 -iterations 5000 \
-//	        -cache 4096 -json > BENCH_latency.json
-//
-// The e2e experiment measures the decode-inclusive end-to-end admission
-// path through the full proxy handler for allowed requests — streaming
-// raw-bytes pipeline vs decode-first baseline, cold and hot decision
-// caches — and is the source of the committed BENCH_e2e.json baseline:
-//
-//	kfbench -experiment e2e -counts 1,5 -requests 3000 \
-//	        -cache 4096 -json > BENCH_e2e.json
-//
-// The scenarios experiment generates a seeded synthetic workload corpus
-// (internal/synth), verifies every (policy, trace) pair, and replays the
-// benign + adversarial matrix at increasing registered-workload counts
-// under all three validation paths (raw fast path, compiled decode path,
-// interpreted tree walk) — the committed BENCH_scenarios.json baseline,
-// gated by cmd/benchgate -kind scenarios:
-//
-//	kfbench -experiment scenarios -synth 100 -seed 1 -json > BENCH_scenarios.json
-//	kfbench -experiment scenarios -synth 25 -max-per-class 2   # CI smoke
-//
-// The telemetry experiment prices the observability layer: the allowed
-// fast path measured with the telemetry hub off, on, and on under a
-// concurrent /metrics scraper — the committed BENCH_telemetry.json
-// baseline, gated by cmd/benchgate -kind telemetry (overhead ≤ 5%, no
-// allocations added on the fast path):
-//
-//	kfbench -experiment telemetry -counts 1,5 -requests 3000 \
-//	        -sample-every 128 -json > BENCH_telemetry.json
-//
-// The plane experiment measures the distributed admission tier
-// (internal/plane): benign-traffic scaling efficiency across -replicas
-// tier sizes against capacity-bounded replicas for every -placements x
-// -skews cell family (hash vs load-aware weighted placement, uniform vs
-// zipf -zipf-s traffic), the post-rebalance decision-cache retention of
-// migrated workloads, plus one full benign + adversarial correctness
-// matrix through the rebalanced tier — the committed BENCH_plane.json
-// baseline, gated by cmd/benchgate -kind plane:
-//
-//	kfbench -experiment plane -replicas 1,2,4,8 -synth 32 -seed 1 \
-//	        -cache 4096 -json > BENCH_plane.json
-//	kfbench -experiment plane -replicas 1,2 -skews zipf \
-//	        -max-per-class 2 -cache 1024                       # CI smoke
-//
-// The robustness and learning experiments also accept -synth N to extend
-// their matrices with generated workloads:
-//
-//	kfbench -experiment robustness -synth 100
-//	kfbench -experiment learning -synth 10 -max-per-class 2
-//
-// Every experiment implements the experiments.Experiment interface; the
-// command is a thin table dispatch over that surface, and reports whose
-// contract fails (experiments.Gated) exit non-zero in both output modes.
+// Performance is not measured here: bench/ (bash bench/run.sh) is the
+// one harness a throughput, latency or allocation number comes from.
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/audit"
@@ -116,29 +48,168 @@ func main() {
 	}
 }
 
+// options carries every flag-derived knob the experiments read.
+type options struct {
+	reps        int
+	concurrency int
+	cacheSize   int
+	seed        int64
+	charts      []string
+	maxPerClass int
+	interpreted bool
+	yamlWire    bool
+	maxEpochs   int
+	synth       int
+	replicas    int
+}
+
+// report is what one experiment produced: the human rendering, the
+// -json payload, and whether the run held its own contract.
+type report struct {
+	text  string
+	data  any
+	clean bool
+}
+
+// experiment is one row of the dispatch table. The -experiment usage
+// string, "all" and the unknown-name error are all derived from the
+// table, so a row added here is reachable everywhere.
+type experiment struct {
+	name string
+	run  func(o options) (report, error)
+}
+
+// textReport is the -json form of a rendered figure or table.
+type textReport struct {
+	Name string `json:"name"`
+	Text string `json:"text"`
+}
+
+// text adapts a render-only producer (the paper figures and tables).
+func text(name string, render func(o options) (string, error)) experiment {
+	return experiment{name, func(o options) (report, error) {
+		s, err := render(o)
+		return report{text: s, data: textReport{name, s}, clean: true}, err
+	}}
+}
+
+var table = []experiment{
+	text("fig5", func(options) (string, error) { return experiments.Fig5(), nil }),
+	text("fig9", func(options) (string, error) { return experiments.Fig9() }),
+	text("fig11", func(options) (string, error) {
+		return audit.RenderFig11(audit.Event{
+			User: "operator:mlflow", Verb: "create", APIGroup: "apps",
+			Resource: "deployments", Namespace: "default", Name: "mlflow",
+		})
+	}),
+	text("table1", func(options) (string, error) { return experiments.TableI() }),
+	text("table2", func(options) (string, error) { return experiments.TableII(), nil }),
+	text("table3", func(options) (string, error) {
+		rows, err := experiments.TableIII()
+		if err != nil {
+			return "", err
+		}
+		return experiments.RenderTableIII(rows), nil
+	}),
+	text("table4", func(o options) (string, error) {
+		rows, err := experiments.TableIV(o.reps)
+		if err != nil {
+			return "", err
+		}
+		return experiments.RenderTableIV(rows), nil
+	}),
+	text("resources", func(options) (string, error) {
+		usage, err := experiments.Resources()
+		if err != nil {
+			return "", err
+		}
+		return experiments.RenderResources(usage), nil
+	}),
+	{"robustness", func(o options) (report, error) {
+		res, err := experiments.Robustness(experiments.RobustnessOptions{
+			Charts:            o.charts,
+			Concurrency:       o.concurrency,
+			Seed:              o.seed,
+			MaxPerAttackClass: o.maxPerClass,
+			CacheSize:         o.cacheSize,
+			Interpreted:       o.interpreted,
+			Synth:             o.synth,
+			YAMLWire:          o.yamlWire,
+		})
+		if err != nil {
+			return report{}, err
+		}
+		return report{experiments.RenderRobustness(res), res, res.Clean()}, nil
+	}},
+	{"learning", func(o options) (report, error) {
+		res, err := experiments.Learning(experiments.LearningOptions{
+			Charts:            o.charts,
+			Concurrency:       o.concurrency,
+			Seed:              o.seed,
+			MaxPerAttackClass: o.maxPerClass,
+			CacheSize:         o.cacheSize,
+			MaxEpochs:         o.maxEpochs,
+			Synth:             o.synth,
+		})
+		if err != nil {
+			return report{}, err
+		}
+		return report{experiments.RenderLearning(res), res, res.Clean()}, nil
+	}},
+	{"scenarios", func(o options) (report, error) {
+		res, err := experiments.Scenarios(experiments.ScenariosOptions{
+			Synth:             o.synth,
+			Seed:              o.seed,
+			Concurrency:       o.concurrency,
+			CacheSize:         o.cacheSize,
+			MaxPerAttackClass: o.maxPerClass,
+		})
+		if err != nil {
+			return report{}, err
+		}
+		return report{experiments.RenderScenarios(res), res, res.Clean()}, nil
+	}},
+	{"plane", func(o options) (report, error) {
+		res, err := experiments.Plane(experiments.PlaneOptions{
+			Replicas:          o.replicas,
+			Synth:             o.synth,
+			Seed:              o.seed,
+			CacheSize:         o.cacheSize,
+			MaxPerAttackClass: o.maxPerClass,
+			Concurrency:       o.concurrency,
+		})
+		if err != nil {
+			return report{}, err
+		}
+		return report{experiments.RenderPlane(res), res, res.Clean()}, nil
+	}},
+}
+
+// experimentNames lists the table's names in table order.
+func experimentNames() []string {
+	names := make([]string, len(table))
+	for i, e := range table {
+		names[i] = e.name
+	}
+	return names
+}
+
 func run(args []string) error {
+	names := strings.Join(experimentNames(), " | ")
 	fs := flag.NewFlagSet("kfbench", flag.ExitOnError)
-	experiment := fs.String("experiment", "all", "fig5 | fig9 | fig11 | table1 | table2 | table3 | table4 | resources | throughput | robustness | latency | learning | e2e | scenarios | plane | telemetry | all")
+	name := fs.String("experiment", "all", names+" | all")
 	reps := fs.Int("reps", 10, "repetitions for table4 (paper: 10)")
-	counts := fs.String("counts", "1,5,10", "workload counts for throughput (comma-separated)")
-	requests := fs.Int("requests", 2000, "proxied requests per throughput measurement (per replica for plane)")
-	concurrency := fs.Int("concurrency", 8, "client goroutines for throughput and robustness")
-	cacheSize := fs.Int("cache", 0, "decision-cache size for throughput and robustness (0 disables)")
-	jsonOut := fs.Bool("json", false, "emit machine-readable JSON (throughput, robustness)")
-	seed := fs.Int64("seed", 1, "trace-interleaving seed for robustness")
-	chartList := fs.String("charts", "", "charts for robustness (comma-separated, default all)")
-	maxPerClass := fs.Int("max-per-class", 0, "cap mutation variants per (attack, class) for robustness (0 = full matrix)")
-	iterations := fs.Int("iterations", 5000, "validations per latency measurement")
-	repeats := fs.Int("repeats", 1, "best-of-N repeats for throughput and latency measurements")
+	concurrency := fs.Int("concurrency", 8, "replaying client goroutines for the verdict experiments")
+	cacheSize := fs.Int("cache", 0, "decision-cache size for the verdict experiments (0 disables)")
+	jsonOut := fs.Bool("json", false, "emit machine-readable JSON")
+	seed := fs.Int64("seed", 1, "corpus-generation and trace-interleaving seed")
+	chartList := fs.String("charts", "", "charts for robustness and learning (comma-separated, default all)")
+	maxPerClass := fs.Int("max-per-class", 0, "cap mutation variants per (attack, class) (0 = full matrix)")
 	engine := fs.String("engine", "compiled", "validation engine for robustness: compiled | interpreted")
 	wire := fs.String("wire", "json", "body encoding for robustness replay: json | yaml (yaml drives the YAML raw pipeline)")
 	maxEpochs := fs.Int("max-epochs", 8, "benign-replay epochs allowed for learning convergence")
 	synthCount := fs.Int("synth", 0, "generated synthetic workloads: corpus size for scenarios and plane (0 = default), extra workloads for robustness and learning (0 = none)")
-	replicas := fs.String("replicas", "1,2,4,8", "tier sizes for the plane experiment (comma-separated)")
-	placements := fs.String("placements", "hash,weighted", "shard-placement policies for the plane experiment (comma-separated)")
-	skews := fs.String("skews", "uniform,zipf", "traffic shapes for the plane experiment (comma-separated: uniform, zipf)")
-	zipfS := fs.Float64("zipf-s", 0.6, "zipf exponent for the plane experiment's skewed cells")
-	sampleEvery := fs.Int("sample-every", 128, "trace sampling rate for the telemetry experiment (1/N decisions)")
+	replicas := fs.Int("replicas", 8, "tier size for the plane experiment")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -148,246 +219,71 @@ func run(args []string) error {
 	if *wire != "json" && *wire != "yaml" {
 		return fmt.Errorf("-wire: %q is not json or yaml", *wire)
 	}
-	workloadCounts, err := parseCounts("-counts", *counts)
-	if err != nil {
-		return err
+	if *replicas <= 0 {
+		return fmt.Errorf("-replicas: %d is not a positive tier size", *replicas)
 	}
-	replicaCounts, err := parseCounts("-replicas", *replicas)
-	if err != nil {
-		return err
+	o := options{
+		reps:        *reps,
+		concurrency: *concurrency,
+		cacheSize:   *cacheSize,
+		seed:        *seed,
+		charts:      splitCharts(*chartList),
+		maxPerClass: *maxPerClass,
+		interpreted: *engine == "interpreted",
+		yamlWire:    *wire == "yaml",
+		maxEpochs:   *maxEpochs,
+		synth:       *synthCount,
+		replicas:    *replicas,
 	}
-	// The plane experiment sizes its request volume per replica with its
-	// own default; only an explicit -requests overrides it, because the
-	// shared flag's default is tuned for the single-proxy throughput
-	// experiment.
-	planeRequests := 0
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "requests" {
-			planeRequests = *requests
-		}
-	})
 
-	table := experimentTable(tableOptions{
-		reps:           *reps,
-		workloadCounts: workloadCounts,
-		replicaCounts:  replicaCounts,
-		placements:     splitList(*placements),
-		skews:          splitList(*skews),
-		zipfS:          *zipfS,
-		requests:       *requests,
-		planeRequests:  planeRequests,
-		concurrency:    *concurrency,
-		cacheSize:      *cacheSize,
-		seed:           *seed,
-		charts:         splitCharts(*chartList),
-		maxPerClass:    *maxPerClass,
-		iterations:     *iterations,
-		repeats:        *repeats,
-		interpreted:    *engine == "interpreted",
-		yamlWire:       *wire == "yaml",
-		maxEpochs:      *maxEpochs,
-		synth:          *synthCount,
-		sampleEvery:    *sampleEvery,
-	})
-
-	if *experiment == "all" {
-		for _, name := range []string{"fig5", "fig9", "fig11", "table1", "table2", "table3", "table4", "resources", "throughput", "latency", "e2e", "robustness", "learning"} {
-			fmt.Printf("================ %s ================\n", name)
-			if err := runExperiment(table[name], *jsonOut); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
+	if *name == "all" {
+		for _, e := range table {
+			fmt.Printf("================ %s ================\n", e.name)
+			if err := runExperiment(e, o, *jsonOut); err != nil {
+				return err
 			}
 		}
 		return nil
 	}
-	e, ok := table[*experiment]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q", *experiment)
+	for _, e := range table {
+		if e.name == *name {
+			return runExperiment(e, o, *jsonOut)
+		}
 	}
-	return runExperiment(e, *jsonOut)
+	return fmt.Errorf("unknown experiment %q (have %s | all)", *name, names)
 }
 
 // runExperiment is the single dispatch path every experiment goes
-// through: run, emit the report in the requested mode, then enforce the
-// report's own pass/fail contract if it carries one.
-func runExperiment(e experiments.Experiment, jsonOut bool) error {
-	rep, err := e.Run()
+// through: run, emit the report in the requested mode, then fail a run
+// that is not clean — in BOTH output modes, so a CI step that redirects
+// the JSON still goes red, with the human report on stderr saying why.
+func runExperiment(e experiment, o options, jsonOut bool) error {
+	rep, err := e.run(o)
 	if err != nil {
-		return err
+		return fmt.Errorf("%s: %w", e.name, err)
 	}
 	if jsonOut {
-		data, err := rep.JSON()
+		data, err := json.MarshalIndent(rep.data, "", "  ")
 		if err != nil {
 			return err
 		}
-		if _, err := os.Stdout.Write(data); err != nil {
+		if _, err := os.Stdout.Write(append(data, '\n')); err != nil {
 			return err
 		}
 	} else {
-		fmt.Println(rep.Render())
-		// Every baselined report footers its committed JSON path, regen
-		// command, and gate, so regenerating a baseline is copy-paste in
-		// every experiment, not just the ones that happened to print it.
-		if b, ok := rep.(experiments.Baselined); ok {
-			info := b.BaselineInfo()
-			fmt.Printf("\nbaseline: %s\n  regen:  %s\n  gate:   %s\n",
-				info.Path, info.Regen, info.GateCommand)
-		}
+		fmt.Println(rep.text)
 	}
-	// Non-zero exit on a dirty run in BOTH output modes: CI smoke steps
-	// and the make *-json targets consume the JSON path, and a baseline
-	// with false negatives must never land silently.
-	if g, ok := rep.(experiments.Gated); ok {
-		return g.Gate()
+	if !rep.clean {
+		if jsonOut {
+			fmt.Fprintln(os.Stderr, rep.text)
+		}
+		return fmt.Errorf("%s: run not clean", e.name)
 	}
 	return nil
 }
 
-// tableOptions carries every flag-derived knob the experiment table
-// needs.
-type tableOptions struct {
-	reps           int
-	workloadCounts []int
-	replicaCounts  []int
-	placements     []string
-	skews          []string
-	zipfS          float64
-	requests       int
-	planeRequests  int
-	concurrency    int
-	cacheSize      int
-	seed           int64
-	charts         []string
-	maxPerClass    int
-	iterations     int
-	repeats        int
-	interpreted    bool
-	yamlWire       bool
-	maxEpochs      int
-	synth          int
-	sampleEvery    int
-}
-
-// experimentTable builds the name -> Experiment dispatch table: the
-// seven measurement experiments behind their options structs, plus the
-// paper figures and tables as text experiments.
-func experimentTable(o tableOptions) map[string]experiments.Experiment {
-	list := []experiments.Experiment{
-		experiments.NewTextExperiment("fig5", func() (string, error) {
-			return experiments.Fig5(), nil
-		}),
-		experiments.NewTextExperiment("fig9", experiments.Fig9),
-		experiments.NewTextExperiment("fig11", func() (string, error) {
-			return audit.RenderFig11(audit.Event{
-				User: "operator:mlflow", Verb: "create", APIGroup: "apps",
-				Resource: "deployments", Namespace: "default", Name: "mlflow",
-			})
-		}),
-		experiments.NewTextExperiment("table1", experiments.TableI),
-		experiments.NewTextExperiment("table2", func() (string, error) {
-			return experiments.TableII(), nil
-		}),
-		experiments.NewTextExperiment("table3", func() (string, error) {
-			rows, err := experiments.TableIII()
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderTableIII(rows), nil
-		}),
-		experiments.NewTextExperiment("table4", func() (string, error) {
-			rows, err := experiments.TableIV(o.reps)
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderTableIV(rows), nil
-		}),
-		experiments.NewTextExperiment("resources", func() (string, error) {
-			usage, err := experiments.Resources()
-			if err != nil {
-				return "", err
-			}
-			return experiments.RenderResources(usage), nil
-		}),
-		experiments.NewThroughputExperiment(experiments.ThroughputOptions{
-			WorkloadCounts: o.workloadCounts,
-			Requests:       o.requests,
-			Concurrency:    o.concurrency,
-			CacheSize:      o.cacheSize,
-			Repeats:        o.repeats,
-		}),
-		experiments.NewLatencyExperiment(experiments.LatencyOptions{
-			WorkloadCounts: o.workloadCounts,
-			Iterations:     o.iterations,
-			CacheSize:      o.cacheSize,
-			Repeats:        o.repeats,
-		}),
-		experiments.NewE2EExperiment(experiments.E2EOptions{
-			WorkloadCounts: o.workloadCounts,
-			Requests:       o.requests,
-			CacheSize:      o.cacheSize,
-			Repeats:        o.repeats,
-		}),
-		experiments.NewRobustnessExperiment(experiments.RobustnessOptions{
-			Charts:            o.charts,
-			Concurrency:       o.concurrency,
-			Seed:              o.seed,
-			MaxPerAttackClass: o.maxPerClass,
-			CacheSize:         o.cacheSize,
-			Interpreted:       o.interpreted,
-			Synth:             o.synth,
-			YAMLWire:          o.yamlWire,
-		}),
-		experiments.NewLearningExperiment(experiments.LearningOptions{
-			Charts:            o.charts,
-			Concurrency:       o.concurrency,
-			Seed:              o.seed,
-			MaxPerAttackClass: o.maxPerClass,
-			CacheSize:         o.cacheSize,
-			MaxEpochs:         o.maxEpochs,
-			Synth:             o.synth,
-		}),
-		experiments.NewScenariosExperiment(experiments.ScenariosOptions{
-			Synth:             o.synth,
-			Seed:              o.seed,
-			Concurrency:       o.concurrency,
-			CacheSize:         o.cacheSize,
-			MaxPerAttackClass: o.maxPerClass,
-		}),
-		experiments.NewPlaneExperiment(experiments.PlaneOptions{
-			ReplicaCounts:      o.replicaCounts,
-			Placements:         o.placements,
-			Skews:              o.skews,
-			ZipfExponent:       o.zipfS,
-			Synth:              o.synth,
-			Seed:               o.seed,
-			RequestsPerReplica: o.planeRequests,
-			CacheSize:          o.cacheSize,
-			MaxPerAttackClass:  o.maxPerClass,
-			Repeats:            o.repeats,
-			Concurrency:        o.concurrency,
-		}),
-		experiments.NewTelemetryExperiment(experiments.TelemetryOptions{
-			WorkloadCounts: o.workloadCounts,
-			Requests:       o.requests,
-			CacheSize:      o.cacheSize,
-			SampleEvery:    o.sampleEvery,
-			Repeats:        o.repeats,
-		}),
-	}
-	table := make(map[string]experiments.Experiment, len(list))
-	for _, e := range list {
-		table[e.Name()] = e
-	}
-	return table
-}
-
 // splitCharts parses the -charts flag; empty means every builtin chart.
 func splitCharts(s string) []string {
-	return splitList(s)
-}
-
-// splitList parses a comma-separated string flag into its trimmed,
-// non-empty parts.
-func splitList(s string) []string {
 	var out []string
 	for _, part := range strings.Split(s, ",") {
 		if p := strings.TrimSpace(part); p != "" {
@@ -395,24 +291,4 @@ func splitList(s string) []string {
 		}
 	}
 	return out
-}
-
-// parseCounts parses a comma-separated count flag ("1,5,10").
-func parseCounts(flagName, s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
-		n, err := strconv.Atoi(part)
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("%s: %q is not a positive integer", flagName, part)
-		}
-		out = append(out, n)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("%s: no counts given", flagName)
-	}
-	return out, nil
 }

@@ -31,8 +31,8 @@ import (
 
 // Names lists the corpus workloads in the paper's Fig. 9 row order.
 // The multi-service store scenario (ScenarioNames) is intentionally not
-// part of this set: the committed robustness and learning baselines are
-// pinned to the paper's five-chart corpus.
+// part of this set: the robustness and learning matrices are pinned to
+// the paper's five-chart corpus.
 func Names() []string {
 	return []string{"nginx", "mlflow", "postgresql", "rabbitmq", "sonarqube"}
 }

@@ -12,9 +12,9 @@ import "repro/internal/chart"
 // ownership labels stamped on each Secret.
 //
 // The chart is intentionally NOT part of Names(): the five-chart corpus
-// is the paper's Fig. 9 evaluation set and its committed baselines
-// (BENCH_robustness.json, BENCH_learning.json) depend on it. The store
-// scenario rides the scenarios experiment (internal/experiments) and the
+// is the paper's Fig. 9 evaluation set and the robustness and learning
+// matrices' pinned scenario counts depend on it. The store scenario
+// rides the scenarios experiment (internal/experiments) and the
 // examples/multi-service walkthrough instead.
 func storeChart() chart.Fileset {
 	return chart.Fileset{

@@ -23,7 +23,7 @@ func renderStore(t *testing.T) []object.Object {
 // surface: three components with their Services and ServiceAccounts,
 // per-component credential Secrets, RBAC for the processor, and the DB
 // NetworkPolicy — and checks it stays OUT of the five-chart corpus the
-// committed baselines are pinned to.
+// robustness and learning matrices are pinned to.
 func TestStoreScenarioFootprint(t *testing.T) {
 	for _, name := range Names() {
 		if name == "store" {

@@ -129,8 +129,8 @@ func TestCompiledEquivalenceOnRobustnessMatrix(t *testing.T) {
 			}
 		}
 	}
-	// The committed BENCH_robustness.json baseline replays 1555 attack
-	// scenarios; the matrix only ever grows.
+	// The full five-chart robustness matrix is 1555 attack scenarios;
+	// the matrix only ever grows.
 	if scenarios < 1555 {
 		t.Errorf("robustness matrix shrank: %d scenarios, want >= 1555", scenarios)
 	}

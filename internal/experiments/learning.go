@@ -10,7 +10,6 @@ import (
 	"repro/internal/chart"
 	"repro/internal/charts"
 	"repro/internal/learn"
-	"repro/internal/mutate"
 	"repro/internal/object"
 	"repro/internal/proxy"
 	"repro/internal/registry"
@@ -55,7 +54,7 @@ type LearningChartResult struct {
 	// Converged marks the first fully-shadowed epoch with zero would-
 	// deny verdicts; ConvergenceRequests counts the benign requests the
 	// chart consumed through that epoch — the experiment's headline
-	// number, gated by cmd/benchgate against the committed baseline.
+	// number, deterministic at two passes over the benign trace.
 	Converged           bool  `json:"converged"`
 	ConvergenceEpoch    int   `json:"convergence_epoch,omitempty"`
 	ConvergenceRequests int   `json:"convergence_requests,omitempty"`
@@ -80,8 +79,7 @@ type LearningChartResult struct {
 	EnforceFalsePositives int `json:"enforce_false_positives"`
 }
 
-// LearningResult is the machine-readable outcome committed as
-// BENCH_learning.json.
+// LearningResult is the machine-readable outcome.
 type LearningResult struct {
 	Charts            []string `json:"charts"`
 	SynthWorkloads    int      `json:"synth_workloads,omitempty"`
@@ -131,7 +129,7 @@ func (r *LearningResult) Chart(name string) *LearningChartResult {
 // headline numbers: requests-to-convergence per chart (how much traffic
 // buys a deployable policy) and residual false negatives of the mined
 // policies (what spec-less learning gives up against the chart-derived
-// ground truth — the committed baseline holds this at zero).
+// ground truth — the tests hold this at zero).
 func Learning(opts LearningOptions) (*LearningResult, error) {
 	names := opts.Charts
 	if len(names) == 0 {
@@ -161,25 +159,9 @@ func Learning(opts LearningOptions) (*LearningResult, error) {
 	var benignAll []replay.Event
 	addWorkload := func(name string, objs []object.Object) error {
 		wr := &workloadRun{objs: objs, res: &LearningChartResult{Chart: name}}
-		for _, o := range objs {
-			for _, method := range []string{"POST", "PUT"} {
-				ev, err := replay.BenignEvent(name, o, method)
-				if err != nil {
-					return err
-				}
-				wr.benign = append(wr.benign, ev)
-			}
-		}
-		scs, err := mutate.ForCatalog(objs, mutate.Options{MaxPerAttackClass: opts.MaxPerAttackClass})
-		if err != nil {
+		var err error
+		if wr.benign, wr.attacks, err = workloadTrace(name, objs, opts.MaxPerAttackClass, false); err != nil {
 			return err
-		}
-		for _, sc := range scs {
-			ev, err := replay.AttackEvent(name, sc)
-			if err != nil {
-				return err
-			}
-			wr.attacks = append(wr.attacks, ev)
 		}
 		wr.res.BenignPerEpoch = len(wr.benign)
 		wr.res.AttackScenarios = len(wr.attacks)

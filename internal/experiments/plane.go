@@ -7,117 +7,58 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"sort"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/mutate"
 	"repro/internal/plane"
 	"repro/internal/registry"
 	"repro/internal/replay"
 	"repro/internal/synth"
 )
 
-// Traffic-skew shapes for the plane experiment's measurement cells.
+// The tier the plane experiment builds is fixed, not tunable: the run
+// exists to score verdicts through a rebalanced weighted tier, and these
+// are the values that make the rebalance move shards on a small corpus.
 const (
-	// SkewUniform offers every workload the same request share.
-	SkewUniform = "uniform"
-	// SkewZipf offers workload shares proportional to 1/rank^s — the
-	// hot-set shape real admission traffic has, and the one that
-	// punishes blind placement: whichever replica hash-owns the hot
-	// workloads becomes the tier bottleneck.
-	SkewZipf = "zipf"
+	// planeZipfExponent skews the warm traffic (share 1/rank^s). At the
+	// default 32-workload corpus the hottest workload's share is ~12.3%.
+	planeZipfExponent = 0.6
+	// planeRebalanceThreshold is the weighted placer's hysteresis band —
+	// tighter than the plane's own 0.2 default, so the warm phase's
+	// imbalance reliably triggers a migration.
+	planeRebalanceThreshold = 0.05
+	// planeVirtualNodes is the consistent-hash virtual-node count per
+	// replica, raised so the small namespace corpus shards evenly.
+	planeVirtualNodes = 512
+	// planeWarmPasses is the zipf warm phase in corpus-lengths: enough
+	// skewed traffic for the load scores the rebalance consumes.
+	planeWarmPasses = 4
 )
 
 // PlaneOptions configure the distributed-admission-tier experiment.
 type PlaneOptions struct {
-	// ReplicaCounts lists the tier sizes to measure (default 1, 2, 4, 8).
-	// The count 1 (or the smallest count given) is the scaling baseline.
-	ReplicaCounts []int
-	// Placements lists the shard-placement policies to measure (default
-	// "hash", "weighted"). Each (placement, skew) pair is an independent
-	// scaling-curve family with its own efficiency baseline.
-	Placements []string
-	// Skews lists the traffic shapes to measure (default "uniform",
-	// "zipf").
-	Skews []string
-	// ZipfExponent is the skew exponent s for zipf cells (default 0.6).
-	// At the default 32-workload corpus the hottest workload's share is
-	// ~12.3% — deliberately just under one replica's 1/8 capacity share,
-	// so a balanced placement can still scale to 8 replicas while an
-	// unlucky hash placement cannot.
-	ZipfExponent float64
-	// RebalanceThreshold is the weighted placer's hysteresis band for
-	// this experiment (default 0.05 — tighter than the plane's own 0.2
-	// default, because the cells exist to measure how balanced the
-	// placer can get, not to damp production churn).
-	RebalanceThreshold float64
+	// Replicas is the tier size (default 8).
+	Replicas int
 	// Synth is the generated workload-corpus size — one namespace-scoped
 	// shard key per workload (default 32).
 	Synth int
 	// Seed drives corpus generation, trace interleaving, and the zipf
 	// rank shuffle (default 1).
 	Seed int64
-	// RequestsPerReplica is the benign-request volume per replica in the
-	// throughput phase (default 2000); the total at tier size N is
-	// N * RequestsPerReplica, so every cell runs the same wall-clock
-	// shape and a perfectly-scaling tier finishes every cell in the same
-	// time. A quarter of that volume again is spent as an untimed warm
-	// phase (cache fill + load observation) before the clock starts.
-	RequestsPerReplica int
-	// MaxInFlight bounds each replica's concurrent admissions in the
-	// throughput phase (default 8). Together with UpstreamLatency it
-	// fixes a per-replica capacity ceiling of MaxInFlight/UpstreamLatency
-	// ops/sec, so scaling efficiency measures the tier's routing and
-	// distribution overhead rather than how the host divides CPU among
-	// replicas — the bottleneck is the simulated API server, as deployed.
-	MaxInFlight int
-	// QueueTimeout is how long a request may wait for a replica slot
-	// before the tier sheds it with 429 (default 250ms — generous, so
-	// steady-state queueing from imperfect shard balance is absorbed and
-	// shed counts measure genuine overload).
-	QueueTimeout time.Duration
-	// UpstreamLatency is the simulated API-server round-trip injected by
-	// the throughput phase's transport (default 10ms — large enough
-	// that timer-wakeup jitter is noise and that the tier's own CPU
-	// work stays well under one core even at the largest tier size, so
-	// constrained runners measure placement, not host scheduling).
-	UpstreamLatency time.Duration
 	// CacheSize bounds each replica's per-workload decision cache
 	// (0 disables, which also skips the cache-retention cell).
 	CacheSize int
 	// MaxPerAttackClass caps mutation variants per (attack, class) pair
-	// in the correctness phase (0 = full matrix).
+	// in the correctness matrix (0 = full matrix).
 	MaxPerAttackClass int
-	// Repeats measures each cell this many times, keeping the best
-	// run (default 2) — same best-of-N rationale as ThroughputOptions.
-	Repeats int
-	// Concurrency is the replaying-client count for the correctness
-	// phase (default 8).
+	// Concurrency is the replaying-client count (default 8).
 	Concurrency int
-	// VirtualNodes is the consistent-hash virtual-node count per replica
-	// (default 128 here — doubled from the plane's own default so the
-	// small namespace corpus shards evenly enough for the efficiency
-	// contract to measure overhead, not hash luck).
-	VirtualNodes int
 }
 
 func (o *PlaneOptions) defaults() {
-	if len(o.ReplicaCounts) == 0 {
-		o.ReplicaCounts = []int{1, 2, 4, 8}
-	}
-	if len(o.Placements) == 0 {
-		o.Placements = []string{string(plane.PlacementHash), string(plane.PlacementWeighted)}
-	}
-	if len(o.Skews) == 0 {
-		o.Skews = []string{SkewUniform, SkewZipf}
-	}
-	if o.ZipfExponent <= 0 {
-		o.ZipfExponent = 0.6
-	}
-	if o.RebalanceThreshold <= 0 {
-		o.RebalanceThreshold = 0.05
+	if o.Replicas <= 0 {
+		o.Replicas = 8
 	}
 	if o.Synth <= 0 {
 		o.Synth = 32
@@ -125,69 +66,9 @@ func (o *PlaneOptions) defaults() {
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
-	if o.RequestsPerReplica <= 0 {
-		o.RequestsPerReplica = 2000
-	}
-	if o.MaxInFlight <= 0 {
-		o.MaxInFlight = 8
-	}
-	if o.QueueTimeout <= 0 {
-		o.QueueTimeout = 250 * time.Millisecond
-	}
-	if o.UpstreamLatency <= 0 {
-		o.UpstreamLatency = 10 * time.Millisecond
-	}
-	if o.Repeats <= 0 {
-		o.Repeats = 2
-	}
 	if o.Concurrency <= 0 {
 		o.Concurrency = 8
 	}
-	if o.VirtualNodes <= 0 {
-		o.VirtualNodes = 512
-	}
-}
-
-// PlaneCell is one (placement, skew, tier-size) throughput measurement.
-type PlaneCell struct {
-	// Placement is the shard-placement policy the cell ran under
-	// ("hash" or "weighted"); Skew is the offered traffic shape
-	// ("uniform" or "zipf").
-	Placement string `json:"placement"`
-	Skew      string `json:"skew"`
-	// Replicas is the tier size; Clients is Replicas * MaxInFlight, so
-	// offered concurrency tracks tier capacity.
-	Replicas int `json:"replicas"`
-	Clients  int `json:"clients"`
-	// WarmRequests is the untimed warm-phase volume (cache fill and, for
-	// weighted cells, load observation feeding the pre-measurement
-	// rebalance).
-	WarmRequests int `json:"warm_requests"`
-	// Requests counts benign admissions that completed with 200; Shed
-	// counts fail-closed 429s under the bounded replicas.
-	Requests  int     `json:"requests"`
-	Shed      uint64  `json:"shed"`
-	ElapsedNs int64   `json:"elapsed_ns"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	P50Ns     int64   `json:"p50_ns"`
-	P99Ns     int64   `json:"p99_ns"`
-	// Efficiency is OpsPerSec / (Replicas * the skew's per-replica
-	// baseline rate) — 1.0 is perfect linear scaling. The baseline rate
-	// is the fastest smallest-tier cell among the skew's placements: at
-	// the smallest tier every key lands on the same replica whatever
-	// the placement, so the placements share one capacity and a single
-	// noisy baseline cell cannot skew its placement's curve. Skews keep
-	// separate baselines (a skewed mix has its own per-request cost).
-	Efficiency float64 `json:"efficiency"`
-	// RebalanceMoves / ImbalanceBefore / ImbalanceAfter describe the
-	// pre-measurement rebalance of a weighted cell (zero-valued for
-	// hash cells, which never move shards).
-	RebalanceMoves  int     `json:"rebalance_moves,omitempty"`
-	ImbalanceBefore float64 `json:"imbalance_before,omitempty"`
-	ImbalanceAfter  float64 `json:"imbalance_after,omitempty"`
-	// RoutedPerReplica proves the shard map spread traffic: index i is
-	// how many requests replica i admitted (timed phase plus warm).
-	RoutedPerReplica []uint64 `json:"routed_per_replica"`
 }
 
 // PlaneRebalanceCell measures hot-set cache handoff: a weighted tier is
@@ -197,8 +78,6 @@ type PlaneCell struct {
 // answered from the migrated decision cache — without handoff it would
 // be 0 (every probe a cold re-validation).
 type PlaneRebalanceCell struct {
-	Replicas        int     `json:"replicas"`
-	Skew            string  `json:"skew"`
 	WarmRequests    int     `json:"warm_requests"`
 	Moves           int     `json:"moves"`
 	MovedWorkloads  int     `json:"moved_workloads"`
@@ -213,45 +92,28 @@ type PlaneRebalanceCell struct {
 	Retention    float64 `json:"retention"`
 }
 
-// PlaneResult is the machine-readable outcome committed as
-// BENCH_plane.json: one scaling curve per (placement, skew) family, the
-// post-rebalance cache-retention cell, and one full benign + adversarial
-// correctness matrix replayed through the largest rebalanced tier.
+// PlaneResult is the machine-readable outcome: the post-rebalance
+// cache-retention cell and one full benign + adversarial correctness
+// matrix replayed through the rebalanced weighted tier.
 type PlaneResult struct {
-	ReplicaCounts      []int         `json:"replica_counts"`
-	Placements         []string      `json:"placements"`
-	Skews              []string      `json:"skews"`
-	ZipfExponent       float64       `json:"zipf_exponent"`
-	RebalanceThreshold float64       `json:"rebalance_threshold"`
-	Synth              int           `json:"synth_workloads"`
-	Seed               int64         `json:"seed"`
-	CacheSize          int           `json:"cache_size"`
-	MaxInFlight        int           `json:"max_in_flight"`
-	QueueTimeoutNs     int64         `json:"queue_timeout_ns"`
-	UpstreamLatencyNs  int64         `json:"upstream_latency_ns"`
-	RequestsPerReplica int           `json:"requests_per_replica"`
-	Repeats            int           `json:"repeats"`
-	VirtualNodes       int           `json:"virtual_nodes"`
-	MaxPerAttackClass  int           `json:"max_per_attack_class,omitempty"`
-	Generator          synth.Options `json:"generator"`
+	Replicas          int           `json:"replicas"`
+	Synth             int           `json:"synth_workloads"`
+	Seed              int64         `json:"seed"`
+	CacheSize         int           `json:"cache_size"`
+	MaxPerAttackClass int           `json:"max_per_attack_class,omitempty"`
+	Generator         synth.Options `json:"generator"`
 	// VerifiedPairs records that every generated (policy, trace) pair
-	// passed synth.Verify before any cell ran.
+	// passed synth.Verify before anything ran.
 	VerifiedPairs bool `json:"verified_pairs"`
 
-	Cells []PlaneCell `json:"cells"`
-
-	// Rebalance is the cache-handoff retention measurement at the
-	// largest tier size (nil when the weighted placement or the
+	// Rebalance is the cache-handoff retention measurement (nil when the
 	// decision cache is disabled).
 	Rebalance *PlaneRebalanceCell `json:"rebalance,omitempty"`
 
-	// MatrixReplicas is the tier size the correctness matrix ran at
-	// (the largest count); MatrixPlacement is the placement it ran
-	// under — "weighted" (after a live rebalance) when measured, so the
+	// Matrix is the full replay scorecard; MatrixRebalanceMoves counts
+	// the shard moves the live rebalance made before it ran, so the
 	// zero-FN/zero-FP contract covers migrated shards, not just the
-	// static hash layout. Matrix is the full replay scorecard.
-	MatrixReplicas       int           `json:"matrix_replicas"`
-	MatrixPlacement      string        `json:"matrix_placement"`
+	// static hash layout.
 	MatrixRebalanceMoves int           `json:"matrix_rebalance_moves"`
 	Matrix               replay.Result `json:"matrix"`
 
@@ -268,30 +130,6 @@ func (r *PlaneResult) Clean() bool {
 		r.TotalFalsePositives == 0 && r.Errors == 0
 }
 
-// CellFor returns the measurement for a (placement, skew, tier size)
-// triple, or nil.
-func (r *PlaneResult) CellFor(placement, skew string, replicas int) *PlaneCell {
-	for i := range r.Cells {
-		c := &r.Cells[i]
-		if c.Placement == placement && c.Skew == skew && c.Replicas == replicas {
-			return c
-		}
-	}
-	return nil
-}
-
-// latencyTransport injects a fixed upstream round-trip time before
-// completing in memory — the bounded-capacity API-server stand-in the
-// throughput phase measures against.
-type latencyTransport struct {
-	d time.Duration
-}
-
-func (t latencyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	time.Sleep(t.d)
-	return NullTransport{}.RoundTrip(r)
-}
-
 // planeRequest is one precomputed benign admission (path + JSON body).
 type planeRequest struct {
 	path string
@@ -299,7 +137,7 @@ type planeRequest struct {
 }
 
 // planeCorpus is the precomputed benign admission set, grouped by
-// workload so schedules can weight workloads independently.
+// workload so the warm schedule can weight workloads independently.
 type planeCorpus struct {
 	ws []synth.Workload
 	// byWorkload[i] holds workload i's benign requests (one per object).
@@ -327,9 +165,7 @@ func newPlaneCorpus(ws []synth.Workload) (*planeCorpus, error) {
 }
 
 // fullPass returns one request per corpus object — a coverage pass that
-// guarantees every decision is validated (and cached) once before any
-// timed measurement, so cold-validation CPU spikes never land inside a
-// measured window regardless of how skewed the schedule is.
+// validates (and caches) every decision once.
 func (c *planeCorpus) fullPass() []planeRequest {
 	out := make([]planeRequest, 0, c.total)
 	for _, reqs := range c.byWorkload {
@@ -338,35 +174,22 @@ func (c *planeCorpus) fullPass() []planeRequest {
 	return out
 }
 
-// weightsFor returns per-workload request shares for a skew. Uniform is
-// all-equal. Zipf assigns share 1/(rank+1)^s with ranks dealt by a
-// seeded shuffle, so the hot set is decorrelated from generation order
-// (and therefore from hash placement) but identical across runs with
-// the same seed.
-func (c *planeCorpus) weightsFor(skew string, s float64, seed int64) ([]float64, error) {
+// zipfWeights returns per-workload request shares 1/(rank+1)^s with
+// ranks dealt by a seeded shuffle, so the hot set is decorrelated from
+// generation order (and therefore from hash placement) but identical
+// across runs with the same seed.
+func (c *planeCorpus) zipfWeights(seed int64) []float64 {
 	w := make([]float64, len(c.ws))
-	switch skew {
-	case SkewUniform:
-		for i := range w {
-			w[i] = 1
-		}
-	case SkewZipf:
-		perm := rand.New(rand.NewSource(seed)).Perm(len(c.ws))
-		for rank, i := range perm {
-			w[i] = 1 / math.Pow(float64(rank+1), s)
-		}
-	default:
-		return nil, fmt.Errorf("experiments: plane: unknown skew %q (want %q or %q)",
-			skew, SkewUniform, SkewZipf)
+	for rank, i := range rand.New(rand.NewSource(seed)).Perm(len(c.ws)) {
+		w[i] = 1 / math.Pow(float64(rank+1), planeZipfExponent)
 	}
-	return w, nil
+	return w
 }
 
 // schedule builds a deterministic request sequence of the given length:
 // smooth weighted round-robin across workloads (each workload's
 // instantaneous share tracks its weight — no bursts), each pick cycling
-// that workload's own benign objects. Workers consume contiguous chunks
-// of the result, so every chunk carries the family's offered mix.
+// that workload's own benign objects.
 func (c *planeCorpus) schedule(weights []float64, total int) []planeRequest {
 	n := len(c.byWorkload)
 	cur := make([]float64, n)
@@ -394,28 +217,13 @@ func (c *planeCorpus) schedule(weights []float64, total int) []planeRequest {
 	return out
 }
 
-// Plane measures the distributed admission tier: benign-traffic scaling
-// efficiency across ReplicaCounts tier sizes for every (placement, skew)
-// family, the post-rebalance cache-retention cell, and one full benign +
-// adversarial correctness matrix through the largest (rebalanced) tier.
-// The corpus is the same seeded synthetic workload set the scenarios
-// experiment uses, one namespace shard key per workload.
+// Plane scores the distributed admission tier: the post-rebalance
+// cache-retention cell, then one full benign + adversarial correctness
+// matrix through a warmed, rebalanced weighted tier. The corpus is the
+// same seeded synthetic workload set the scenarios experiment uses, one
+// namespace shard key per workload.
 func Plane(opts PlaneOptions) (*PlaneResult, error) {
 	opts.defaults()
-	counts := append([]int(nil), opts.ReplicaCounts...)
-	sort.Ints(counts)
-	counts = dedupCounts(counts, 1<<20)
-	if len(counts) == 0 {
-		return nil, fmt.Errorf("experiments: plane: no valid replica counts")
-	}
-	for _, p := range opts.Placements {
-		switch plane.PlacementPolicy(p) {
-		case plane.PlacementHash, plane.PlacementWeighted:
-		default:
-			return nil, fmt.Errorf("experiments: plane: unknown placement %q", p)
-		}
-	}
-
 	genOpts := synth.Options{Seed: opts.Seed, Count: opts.Synth}
 	ws, err := synth.Generate(genOpts)
 	if err != nil {
@@ -432,124 +240,26 @@ func Plane(opts PlaneOptions) (*PlaneResult, error) {
 	}
 
 	out := &PlaneResult{
-		ReplicaCounts:      counts,
-		Placements:         append([]string(nil), opts.Placements...),
-		Skews:              append([]string(nil), opts.Skews...),
-		ZipfExponent:       opts.ZipfExponent,
-		RebalanceThreshold: opts.RebalanceThreshold,
-		Synth:              opts.Synth,
-		Seed:               opts.Seed,
-		CacheSize:          opts.CacheSize,
-		MaxInFlight:        opts.MaxInFlight,
-		QueueTimeoutNs:     opts.QueueTimeout.Nanoseconds(),
-		UpstreamLatencyNs:  opts.UpstreamLatency.Nanoseconds(),
-		RequestsPerReplica: opts.RequestsPerReplica,
-		Repeats:            opts.Repeats,
-		VirtualNodes:       opts.VirtualNodes,
-		MaxPerAttackClass:  opts.MaxPerAttackClass,
-		Generator:          genOpts.Resolved(),
-		VerifiedPairs:      true,
+		Replicas:          opts.Replicas,
+		Synth:             opts.Synth,
+		Seed:              opts.Seed,
+		CacheSize:         opts.CacheSize,
+		MaxPerAttackClass: opts.MaxPerAttackClass,
+		Generator:         genOpts.Resolved(),
+		VerifiedPairs:     true,
 	}
 	start := time.Now()
 
-	// Placements are interleaved inside every (skew, tier size, repeat)
-	// so the cells the gate compares head to head (weighted vs hash at
-	// the same fleet size) are measured back to back under the same
-	// machine conditions — a mid-run CPU throttle then shifts both
-	// numbers, not the ratio between them.
-	type cellKey struct {
-		placement, skew string
-		replicas        int
-	}
-	best := make(map[cellKey]*PlaneCell)
-	for _, skew := range opts.Skews {
-		weights, err := corpus.weightsFor(skew, opts.ZipfExponent, opts.Seed)
-		if err != nil {
+	// Cache-retention cell: only meaningful with a live decision cache.
+	if opts.CacheSize > 0 {
+		if out.Rebalance, err = measurePlaneRebalance(corpus, opts); err != nil {
 			return nil, err
 		}
-		for _, n := range counts {
-			for rep := 0; rep < opts.Repeats; rep++ {
-				for _, placement := range opts.Placements {
-					cell, err := measurePlaneCell(n, placement, skew, corpus, weights, opts)
-					if err != nil {
-						return nil, fmt.Errorf("placement=%s skew=%s replicas=%d: %w",
-							placement, skew, n, err)
-					}
-					k := cellKey{placement, skew, n}
-					if prev, ok := best[k]; !ok || cell.OpsPerSec > prev.OpsPerSec {
-						best[k] = cell
-					}
-				}
-			}
-		}
-	}
-	// Families sharing a skew are normalized against one per-replica
-	// baseline: the fastest smallest-tier cell among that skew's
-	// placements. At the smallest tier every key lands on the same
-	// replica whatever the placement, so the placements' baselines
-	// measure the same capacity and differ only by scheduling noise —
-	// taking the max is the same best-of-N reasoning the repeats use,
-	// and it keeps one slow baseline cell from inflating its
-	// placement's curve. Skews keep separate baselines because a skewed
-	// request mix has its own genuine per-request cost profile.
-	for _, skew := range opts.Skews {
-		perReplica := 0.0
-		for _, placement := range opts.Placements {
-			base := best[cellKey{placement, skew, counts[0]}]
-			if r := base.OpsPerSec / float64(base.Replicas); r > perReplica {
-				perReplica = r
-			}
-		}
-		for _, placement := range opts.Placements {
-			for _, n := range counts {
-				c := *best[cellKey{placement, skew, n}]
-				if perReplica > 0 {
-					c.Efficiency = c.OpsPerSec / (float64(c.Replicas) * perReplica)
-				}
-				best[cellKey{placement, skew, n}] = &c
-			}
-		}
-	}
-	for _, placement := range opts.Placements {
-		for _, skew := range opts.Skews {
-			for _, n := range counts {
-				out.Cells = append(out.Cells, *best[cellKey{placement, skew, n}])
-			}
-		}
 	}
 
-	matrixN := counts[len(counts)-1]
-	weighted := false
-	for _, p := range opts.Placements {
-		if plane.PlacementPolicy(p) == plane.PlacementWeighted {
-			weighted = true
-		}
-	}
-
-	// Cache-retention cell: only meaningful with the weighted placer and
-	// a live decision cache.
-	if weighted && opts.CacheSize > 0 {
-		rc, err := measurePlaneRebalance(matrixN, corpus, opts)
-		if err != nil {
-			return nil, err
-		}
-		out.Rebalance = rc
-	}
-
-	// Correctness matrix: full benign + adversarial replay through the
-	// largest tier, unbounded (MaxInFlight 0) and with the in-memory
-	// transport, so replay.Run's zero-error contract holds — any shed or
-	// misroute shows up as a scored error, never a silent pass. When the
-	// weighted placer is under test the tier is warmed and rebalanced
-	// first, so the matrix scores the migrated layout.
-	matrix, moves, err := runPlaneMatrix(matrixN, weighted, corpus, opts)
+	matrix, moves, err := runPlaneMatrix(corpus, opts)
 	if err != nil {
 		return nil, err
-	}
-	out.MatrixReplicas = matrixN
-	out.MatrixPlacement = string(plane.PlacementHash)
-	if weighted {
-		out.MatrixPlacement = string(plane.PlacementWeighted)
 	}
 	out.MatrixRebalanceMoves = moves
 	out.Matrix = *matrix
@@ -561,196 +271,96 @@ func Plane(opts PlaneOptions) (*PlaneResult, error) {
 	return out, nil
 }
 
-// newCorpusPlane builds a tier with every corpus workload registered
-// under its namespace selector.
-func newCorpusPlane(cfg plane.Config, ws []synth.Workload) (*plane.Plane, error) {
-	pl, err := plane.New(cfg)
-	if err != nil {
-		return nil, err
+// servePlaneRequest admits one benign request through the tier; anything
+// but 200 is an error (the tier is unbounded, so nothing is shed).
+func servePlaneRequest(pl *plane.Plane, pr planeRequest) error {
+	req := httptest.NewRequest(http.MethodPost, pr.path, bytes.NewReader(pr.body))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Remote-User", "operator:plane")
+	rec := httptest.NewRecorder()
+	pl.ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		return fmt.Errorf("experiments: plane: benign admission %s: status %d: %s",
+			pr.path, rec.Code, rec.Body.String())
 	}
-	for i := range ws {
-		if err := pl.Register(ws[i].Name, registry.Selector{Namespace: ws[i].Name}, ws[i].Policy); err != nil {
-			return nil, err
-		}
-	}
-	return pl, nil
+	return nil
 }
 
 // runPlaneSchedule drives a request schedule through the tier with the
-// given client count, each client owning a contiguous chunk. When timed,
-// it returns sorted completed-admission latencies; sheds (429) are
-// counted either way, any other status is an error.
-func runPlaneSchedule(pl *plane.Plane, schedule []planeRequest, clients int, timed bool) (latencies []time.Duration, shed uint64, elapsed time.Duration, err error) {
-	perClient := make([][]time.Duration, clients)
-	sheds := make([]uint64, clients)
+// given client count, each client owning a contiguous chunk.
+func runPlaneSchedule(pl *plane.Plane, schedule []planeRequest, clients int) error {
 	errs := make([]error, clients)
 	var wg sync.WaitGroup
-	start := time.Now()
 	for w := 0; w < clients; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			lo := w * len(schedule) / clients
 			hi := (w + 1) * len(schedule) / clients
-			var samples []time.Duration
-			if timed {
-				samples = make([]time.Duration, 0, hi-lo)
-			}
 			for _, pr := range schedule[lo:hi] {
-				req := httptest.NewRequest(http.MethodPost, pr.path, bytes.NewReader(pr.body))
-				req.Header.Set("Content-Type", "application/json")
-				req.Header.Set("X-Remote-User", "operator:plane")
-				rec := httptest.NewRecorder()
-				t0 := time.Now()
-				pl.ServeHTTP(rec, req)
-				switch rec.Code {
-				case http.StatusOK:
-					if timed {
-						samples = append(samples, time.Since(t0))
-					}
-				case http.StatusTooManyRequests:
-					// Fail-closed shed under saturation: recorded, not an
-					// error — the efficiency number only counts completed
-					// admissions.
-					sheds[w]++
-				default:
-					errs[w] = fmt.Errorf("benign admission: unexpected status %d: %s",
-						rec.Code, rec.Body.String())
+				if errs[w] = servePlaneRequest(pl, pr); errs[w] != nil {
 					return
 				}
 			}
-			perClient[w] = samples
 		}(w)
 	}
 	wg.Wait()
-	elapsed = time.Since(start)
 	for _, e := range errs {
 		if e != nil {
-			return nil, 0, 0, e
+			return e
 		}
 	}
-	for i, s := range perClient {
-		latencies = append(latencies, s...)
-		shed += sheds[i]
-	}
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	return latencies, shed, elapsed, nil
+	return nil
 }
 
-func measurePlaneCell(n int, placement, skew string, corpus *planeCorpus, weights []float64, opts PlaneOptions) (*PlaneCell, error) {
-	pl, err := newCorpusPlane(plane.Config{
-		Replicas:           n,
-		Upstream:           "http://upstream.invalid",
-		Transport:          latencyTransport{d: opts.UpstreamLatency},
-		CacheSize:          opts.CacheSize,
-		MaxInFlight:        opts.MaxInFlight,
-		QueueTimeout:       opts.QueueTimeout,
-		VirtualNodes:       opts.VirtualNodes,
-		ProxyUser:          "kubefence-proxy",
-		Placement:          plane.PlacementPolicy(placement),
-		RebalanceThreshold: opts.RebalanceThreshold,
-	}, corpus.ws)
-	if err != nil {
-		return nil, err
-	}
-
-	clients := n * opts.MaxInFlight
-	total := opts.RequestsPerReplica * n
-	if total < clients {
-		total = clients
-	}
-	warm := total / 4
-	if warm < corpus.total {
-		warm = corpus.total
-	}
-	schedule := corpus.schedule(weights, warm+total)
-
-	cell := &PlaneCell{
-		Placement:    placement,
-		Skew:         skew,
-		Replicas:     n,
-		Clients:      clients,
-		WarmRequests: warm + corpus.total,
-	}
-
-	// Warm phase (untimed): a full coverage pass validates and caches
-	// every object once, then a prefix of the skewed schedule fills the
-	// hot set and, for the weighted placer, feeds the load scores the
-	// pre-measurement rebalance consumes. Hash cells get the identical
-	// warm so the families differ only in placement.
-	if _, _, _, err := runPlaneSchedule(pl, corpus.fullPass(), clients, false); err != nil {
-		return nil, err
-	}
-	if _, _, _, err := runPlaneSchedule(pl, schedule[:warm], clients, false); err != nil {
-		return nil, err
-	}
-	if plane.PlacementPolicy(placement) == plane.PlacementWeighted {
-		report, err := pl.Rebalance()
-		if err != nil {
-			return nil, err
-		}
-		cell.RebalanceMoves = len(report.Moves)
-		cell.ImbalanceBefore = report.ImbalanceBefore
-		cell.ImbalanceAfter = report.ImbalanceAfter
-	}
-
-	all, shed, elapsed, err := runPlaneSchedule(pl, schedule[warm:], clients, true)
-	if err != nil {
-		return nil, err
-	}
-
-	cell.Requests = total - int(shed)
-	cell.Shed = shed
-	cell.ElapsedNs = elapsed.Nanoseconds()
-	cell.OpsPerSec = float64(len(all)) / elapsed.Seconds()
-	cell.P50Ns = percentile(all, 0.50).Nanoseconds()
-	cell.P99Ns = percentile(all, 0.99).Nanoseconds()
-	tm := pl.Metrics()
-	for _, rm := range tm.Replicas {
-		cell.RoutedPerReplica = append(cell.RoutedPerReplica, rm.Routed)
-	}
-	return cell, nil
-}
-
-// measurePlaneRebalance measures hot-set cache handoff on a fresh
-// weighted tier: warm under zipf traffic (in-memory transport — this
-// cell is about cache state, not throughput), rebalance, then probe
-// every moved workload's benign objects once each on their new owner
-// and count how many the migrated cache answered.
-func measurePlaneRebalance(n int, corpus *planeCorpus, opts PlaneOptions) (*PlaneRebalanceCell, error) {
-	pl, err := newCorpusPlane(plane.Config{
-		Replicas:           n,
+// rebalancedPlane builds a weighted tier with every corpus workload
+// registered under its namespace selector, warms it — a full coverage
+// pass, then planeWarmPasses corpus-lengths of zipf traffic — and
+// rebalances it, so what follows runs over migrated shard
+// ownership and handed-off caches. The in-memory transport and unbounded
+// replicas keep replay.Run's zero-error contract honest: any shed or
+// misroute shows up as a scored error, never a silent pass.
+func rebalancedPlane(corpus *planeCorpus, opts PlaneOptions) (*plane.Plane, plane.RebalanceReport, error) {
+	pl, err := plane.New(plane.Config{
+		Replicas:           opts.Replicas,
 		Upstream:           "http://upstream.invalid",
 		Transport:          NullTransport{},
 		CacheSize:          opts.CacheSize,
-		VirtualNodes:       opts.VirtualNodes,
+		VirtualNodes:       planeVirtualNodes,
 		ProxyUser:          "kubefence-proxy",
 		Placement:          plane.PlacementWeighted,
-		RebalanceThreshold: opts.RebalanceThreshold,
-	}, corpus.ws)
+		RebalanceThreshold: planeRebalanceThreshold,
+	})
 	if err != nil {
-		return nil, err
+		return nil, plane.RebalanceReport{}, err
 	}
-	weights, err := corpus.weightsFor(SkewZipf, opts.ZipfExponent, opts.Seed)
-	if err != nil {
-		return nil, err
+	for i := range corpus.ws {
+		w := &corpus.ws[i]
+		if err := pl.Register(w.Name, registry.Selector{Namespace: w.Name}, w.Policy); err != nil {
+			return nil, plane.RebalanceReport{}, err
+		}
 	}
-	warm := 4 * corpus.total
-	if _, _, _, err := runPlaneSchedule(pl, corpus.fullPass(), opts.Concurrency, false); err != nil {
-		return nil, err
+	if err := runPlaneSchedule(pl, corpus.fullPass(), opts.Concurrency); err != nil {
+		return nil, plane.RebalanceReport{}, err
 	}
-	if _, _, _, err := runPlaneSchedule(pl, corpus.schedule(weights, warm), opts.Concurrency, false); err != nil {
-		return nil, err
+	warm := corpus.schedule(corpus.zipfWeights(opts.Seed), planeWarmPasses*corpus.total)
+	if err := runPlaneSchedule(pl, warm, opts.Concurrency); err != nil {
+		return nil, plane.RebalanceReport{}, err
 	}
-
 	report, err := pl.Rebalance()
+	return pl, report, err
+}
+
+// measurePlaneRebalance measures hot-set cache handoff on a fresh
+// rebalanced tier: probe every moved workload's benign objects once each
+// on their new owner and count how many the migrated cache answered.
+func measurePlaneRebalance(corpus *planeCorpus, opts PlaneOptions) (*PlaneRebalanceCell, error) {
+	pl, report, err := rebalancedPlane(corpus, opts)
 	if err != nil {
 		return nil, err
 	}
 	cell := &PlaneRebalanceCell{
-		Replicas:        n,
-		Skew:            SkewZipf,
-		WarmRequests:    warm,
+		WarmRequests:    planeWarmPasses * corpus.total,
 		Moves:           len(report.Moves),
 		HandoffEntries:  report.HandoffEntries,
 		ImbalanceBefore: report.ImbalanceBefore,
@@ -775,14 +385,8 @@ func measurePlaneRebalance(n int, corpus *planeCorpus, opts PlaneOptions) (*Plan
 			}
 			before, _ := pl.ReplicaWorkloadMetrics(mv.To, wname)
 			for _, pr := range corpus.byWorkload[wi] {
-				req := httptest.NewRequest(http.MethodPost, pr.path, bytes.NewReader(pr.body))
-				req.Header.Set("Content-Type", "application/json")
-				req.Header.Set("X-Remote-User", "operator:plane")
-				rec := httptest.NewRecorder()
-				pl.ServeHTTP(rec, req)
-				if rec.Code != http.StatusOK {
-					return nil, fmt.Errorf("experiments: plane: post-rebalance probe of %s: status %d: %s",
-						wname, rec.Code, rec.Body.String())
+				if err := servePlaneRequest(pl, pr); err != nil {
+					return nil, err
 				}
 				cell.Probes++
 			}
@@ -797,69 +401,21 @@ func measurePlaneRebalance(n int, corpus *planeCorpus, opts PlaneOptions) (*Plan
 }
 
 // runPlaneMatrix replays the corpus's full benign + mutation event set
-// through an httptest server fronting the tier. With the weighted placer
-// under test, the tier is first warmed (zipf) and rebalanced so the
-// matrix exercises migrated shard ownership and handed-off caches.
-func runPlaneMatrix(n int, weighted bool, corpus *planeCorpus, opts PlaneOptions) (*replay.Result, int, error) {
-	cfg := plane.Config{
-		Replicas:     n,
-		Upstream:     "http://upstream.invalid",
-		Transport:    NullTransport{},
-		CacheSize:    opts.CacheSize,
-		VirtualNodes: opts.VirtualNodes,
-		ProxyUser:    "kubefence-proxy",
-	}
-	if weighted {
-		cfg.Placement = plane.PlacementWeighted
-		cfg.RebalanceThreshold = opts.RebalanceThreshold
-	}
-	pl, err := newCorpusPlane(cfg, corpus.ws)
+// through an httptest server fronting a fresh rebalanced tier.
+func runPlaneMatrix(corpus *planeCorpus, opts PlaneOptions) (*replay.Result, int, error) {
+	pl, report, err := rebalancedPlane(corpus, opts)
 	if err != nil {
 		return nil, 0, err
 	}
-	moves := 0
-	if weighted {
-		weights, err := corpus.weightsFor(SkewZipf, opts.ZipfExponent, opts.Seed)
-		if err != nil {
-			return nil, 0, err
-		}
-		if _, _, _, err := runPlaneSchedule(pl, corpus.fullPass(), opts.Concurrency, false); err != nil {
-			return nil, 0, err
-		}
-		if _, _, _, err := runPlaneSchedule(pl, corpus.schedule(weights, 4*corpus.total), opts.Concurrency, false); err != nil {
-			return nil, 0, err
-		}
-		report, err := pl.Rebalance()
-		if err != nil {
-			return nil, 0, err
-		}
-		moves = len(report.Moves)
-	}
 
-	ws := corpus.ws
 	var events []replay.Event
-	for i := range ws {
-		w := &ws[i]
-		for _, o := range w.Objects {
-			for _, method := range []string{"POST", "PUT"} {
-				ev, err := replay.BenignEvent(w.Name, o, method)
-				if err != nil {
-					return nil, 0, err
-				}
-				events = append(events, ev)
-			}
-		}
-		scs, err := mutate.ForCatalog(w.Objects, mutate.Options{MaxPerAttackClass: opts.MaxPerAttackClass})
+	for i := range corpus.ws {
+		w := &corpus.ws[i]
+		benign, attacks, err := workloadTrace(w.Name, w.Objects, opts.MaxPerAttackClass, false)
 		if err != nil {
 			return nil, 0, err
 		}
-		for _, sc := range scs {
-			ev, err := replay.AttackEvent(w.Name, sc)
-			if err != nil {
-				return nil, 0, err
-			}
-			events = append(events, ev)
-		}
+		events = append(append(events, benign...), attacks...)
 	}
 
 	ts := httptest.NewServer(pl)
@@ -871,38 +427,23 @@ func runPlaneMatrix(n int, weighted bool, corpus *planeCorpus, opts PlaneOptions
 	if err != nil {
 		return nil, 0, err
 	}
-	return res, moves, nil
+	return res, len(report.Moves), nil
 }
 
 // RenderPlane renders the result for humans.
 func RenderPlane(r *PlaneResult) string {
 	var b strings.Builder
-	b.WriteString("Distributed admission plane: scaling efficiency + correctness matrix\n\n")
-	fmt.Fprintf(&b, "corpus: %d workloads (seed %d)   verified pairs: %v   cache: %d   zipf s: %.2f\n",
-		r.Synth, r.Seed, r.VerifiedPairs, r.CacheSize, r.ZipfExponent)
-	fmt.Fprintf(&b, "per-replica capacity: %d in flight x %s upstream latency   queue timeout: %s   repeats: %d\n",
-		r.MaxInFlight, time.Duration(r.UpstreamLatencyNs), time.Duration(r.QueueTimeoutNs), r.Repeats)
-	fmt.Fprintf(&b, "\n%-10s %-8s %-9s %-10s %-6s %-12s %-10s %-10s %-11s %-6s %s\n",
-		"placement", "skew", "replicas", "requests", "shed", "ops/sec", "p50", "p99", "efficiency", "moves", "routed/replica")
-	for _, c := range r.Cells {
-		routed := make([]string, len(c.RoutedPerReplica))
-		for i, v := range c.RoutedPerReplica {
-			routed[i] = fmt.Sprintf("%d", v)
-		}
-		fmt.Fprintf(&b, "%-10s %-8s %-9d %-10d %-6d %-12.0f %-10s %-10s %-11.2f %-6d %s\n",
-			c.Placement, c.Skew, c.Replicas, c.Requests, c.Shed, c.OpsPerSec,
-			time.Duration(c.P50Ns), time.Duration(c.P99Ns), c.Efficiency,
-			c.RebalanceMoves, strings.Join(routed, " "))
-	}
+	b.WriteString("Distributed admission plane: cache handoff + correctness matrix through a rebalanced tier\n\n")
+	fmt.Fprintf(&b, "corpus: %d workloads (seed %d)   verified pairs: %v   replicas: %d   cache: %d\n",
+		r.Synth, r.Seed, r.VerifiedPairs, r.Replicas, r.CacheSize)
 	if rc := r.Rebalance; rc != nil {
-		fmt.Fprintf(&b, "\ncache handoff at %d replicas (%s warm): %d move(s), %d workload(s), %d handed-off entrie(s)\n",
-			rc.Replicas, rc.Skew, rc.Moves, rc.MovedWorkloads, rc.HandoffEntries)
+		fmt.Fprintf(&b, "\ncache handoff (zipf warm): %d move(s), %d workload(s), %d handed-off entrie(s)\n",
+			rc.Moves, rc.MovedWorkloads, rc.HandoffEntries)
 		fmt.Fprintf(&b, "imbalance %.2f -> %.2f   retention: %d/%d probes answered warm (%.2f)\n",
 			rc.ImbalanceBefore, rc.ImbalanceAfter, rc.RetainedHits, rc.Probes, rc.Retention)
 	}
-	fmt.Fprintf(&b, "\ncorrectness matrix at %d replicas (%s placement, %d rebalance move(s)): %d events (%d benign, %d attacks)\n",
-		r.MatrixReplicas, r.MatrixPlacement, r.MatrixRebalanceMoves,
-		r.Matrix.Events, r.Matrix.BenignEvents, r.Matrix.AttackEvents)
+	fmt.Fprintf(&b, "\ncorrectness matrix (weighted placement, %d rebalance move(s)): %d events (%d benign, %d attacks)\n",
+		r.MatrixRebalanceMoves, r.Matrix.Events, r.Matrix.BenignEvents, r.Matrix.AttackEvents)
 	fmt.Fprintf(&b, "false negatives: %d   false positives: %d   errors: %d   clean: %v\n",
 		r.TotalFalseNegatives, r.TotalFalsePositives, r.Errors, r.Clean())
 	return b.String()

@@ -1,22 +1,16 @@
 package experiments
 
-import (
-	"testing"
-	"time"
-)
+import "testing"
 
-// TestPlaneExperimentSmoke runs a reduced tier matrix end to end: every
-// (placement, skew) family must complete shed-free with its own
-// efficiency baseline, and the correctness matrix must hold the
-// zero-FN / zero-FP line through the rebalanced sharded tier.
+// TestPlaneExperimentSmoke runs a reduced tier end to end: the
+// correctness matrix must hold the zero-FN / zero-FP line through the
+// rebalanced sharded tier, and the cache-retention cell stays off while
+// the decision cache is.
 func TestPlaneExperimentSmoke(t *testing.T) {
 	res, err := Plane(PlaneOptions{
-		ReplicaCounts:      []int{1, 2},
-		Synth:              8,
-		RequestsPerReplica: 400,
-		UpstreamLatency:    200 * time.Microsecond,
-		MaxPerAttackClass:  1,
-		Repeats:            1,
+		Replicas:          2,
+		Synth:             8,
+		MaxPerAttackClass: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -25,51 +19,8 @@ func TestPlaneExperimentSmoke(t *testing.T) {
 		t.Fatalf("plane run not clean: FN=%d FP=%d err=%d verified=%v",
 			res.TotalFalseNegatives, res.TotalFalsePositives, res.Errors, res.VerifiedPairs)
 	}
-	// 2 placements x 2 skews x 2 tier sizes.
-	if len(res.Cells) != 8 {
-		t.Fatalf("cells: got %d, want 8", len(res.Cells))
-	}
-	bestBase := 0.0
-	for _, placement := range res.Placements {
-		for _, skew := range res.Skews {
-			base := res.CellFor(placement, skew, 1)
-			if base == nil || base.Efficiency <= 0 || base.Efficiency > 1.0 {
-				t.Fatalf("placement=%s skew=%s baseline cell efficiency = %+v, want (0, 1]",
-					placement, skew, base)
-			}
-			if base.Efficiency > bestBase {
-				bestBase = base.Efficiency
-			}
-			two := res.CellFor(placement, skew, 2)
-			if two == nil {
-				t.Fatalf("placement=%s skew=%s: missing 2-replica cell", placement, skew)
-			}
-			if two.Efficiency <= 0 {
-				t.Fatalf("placement=%s skew=%s 2-replica efficiency = %f, want > 0",
-					placement, skew, two.Efficiency)
-			}
-			if len(two.RoutedPerReplica) != 2 {
-				t.Fatalf("routed per replica: %v", two.RoutedPerReplica)
-			}
-			for i, routed := range two.RoutedPerReplica {
-				if routed == 0 {
-					t.Errorf("placement=%s skew=%s replica %d admitted no traffic: %v",
-						placement, skew, i, two.RoutedPerReplica)
-				}
-			}
-			if placement == "hash" && two.RebalanceMoves != 0 {
-				t.Fatalf("hash cell reports %d rebalance moves", two.RebalanceMoves)
-			}
-		}
-	}
-	if bestBase != 1.0 {
-		t.Fatalf("fastest family baseline efficiency = %f, want exactly 1.0", bestBase)
-	}
-	if res.MatrixReplicas != 2 {
-		t.Fatalf("matrix replicas = %d, want 2", res.MatrixReplicas)
-	}
-	if res.MatrixPlacement != "weighted" {
-		t.Fatalf("matrix placement = %q, want weighted", res.MatrixPlacement)
+	if res.Replicas != 2 {
+		t.Fatalf("matrix replicas = %d, want 2", res.Replicas)
 	}
 	if res.Matrix.AttackEvents == 0 || res.Matrix.BenignEvents == 0 {
 		t.Fatalf("matrix replayed nothing: %+v", res.Matrix)
@@ -77,22 +28,26 @@ func TestPlaneExperimentSmoke(t *testing.T) {
 	if res.Rebalance != nil {
 		t.Fatalf("rebalance cell measured with the cache disabled: %+v", res.Rebalance)
 	}
+	// A dirty matrix must read as dirty: kfbench's exit code hangs on it.
+	res.TotalFalsePositives = 2
+	if res.Clean() {
+		t.Error("a run with false positives reports clean")
+	}
 }
 
 // TestPlaneExperimentRebalanceCell enables the decision cache so the
-// hot-set handoff cell runs: any migrated workload must be answered warm
-// at its destination (the probes replay objects validated moments
-// earlier, so anything below full retention means the handoff dropped
-// entries).
+// hot-set handoff cell runs. Sixteen zipf-loaded workloads hashed over
+// four replicas sit several times past the placer's threshold, so the
+// rebalance must move shards, and every migrated workload must be
+// answered warm at its destination (the probes replay objects validated
+// moments earlier, so anything below full retention means the handoff
+// dropped entries). The matrix then scores that migrated layout.
 func TestPlaneExperimentRebalanceCell(t *testing.T) {
 	res, err := Plane(PlaneOptions{
-		ReplicaCounts:      []int{1, 2},
-		Synth:              8,
-		RequestsPerReplica: 200,
-		UpstreamLatency:    200 * time.Microsecond,
-		CacheSize:          256,
-		MaxPerAttackClass:  1,
-		Repeats:            1,
+		Replicas:          4,
+		Synth:             16,
+		CacheSize:         256,
+		MaxPerAttackClass: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -101,23 +56,21 @@ func TestPlaneExperimentRebalanceCell(t *testing.T) {
 		t.Fatalf("plane run not clean: FN=%d FP=%d err=%d",
 			res.TotalFalseNegatives, res.TotalFalsePositives, res.Errors)
 	}
+	if res.MatrixRebalanceMoves == 0 {
+		t.Error("correctness matrix ran over an unmigrated tier")
+	}
 	rc := res.Rebalance
 	if rc == nil {
-		t.Fatal("no rebalance cell despite weighted placement and a live cache")
+		t.Fatal("no rebalance cell despite a live cache")
 	}
-	if rc.Replicas != 2 || rc.Skew != SkewZipf {
-		t.Fatalf("rebalance cell ran at %d replicas under %q", rc.Replicas, rc.Skew)
+	if rc.Moves == 0 || rc.Probes == 0 {
+		t.Fatalf("imbalance %.2f moved nothing: %+v", rc.ImbalanceBefore, rc)
 	}
-	if rc.RetainedHits > rc.Probes {
-		t.Fatalf("retained %d of %d probes", rc.RetainedHits, rc.Probes)
+	if rc.HandoffEntries == 0 {
+		t.Fatalf("shards moved (%d moves) but no cache entries handed off", rc.Moves)
 	}
-	if rc.Probes > 0 {
-		if rc.HandoffEntries == 0 {
-			t.Fatalf("shards moved (%d moves) but no cache entries handed off", rc.Moves)
-		}
-		if rc.Retention < 0.5 {
-			t.Fatalf("retention %.2f (%d/%d) below 0.5 right after warmup",
-				rc.Retention, rc.RetainedHits, rc.Probes)
-		}
+	if rc.RetainedHits > rc.Probes || rc.Retention < 0.5 {
+		t.Fatalf("retention %.2f (%d/%d) outside [0.5, 1] right after warmup",
+			rc.Retention, rc.RetainedHits, rc.Probes)
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 	"repro/internal/chart"
 	"repro/internal/charts"
-	"repro/internal/mutate"
+	"repro/internal/object"
 	"repro/internal/proxy"
 	"repro/internal/registry"
 	"repro/internal/replay"
@@ -79,11 +79,12 @@ func Robustness(opts RobustnessOptions) (*RobustnessResult, error) {
 		CacheSize:   opts.CacheSize,
 		Interpreted: opts.Interpreted,
 	})
-	benignEvent, attackEvent := replay.BenignEvent, replay.AttackEvent
-	if opts.YAMLWire {
-		benignEvent, attackEvent = replay.BenignEventYAML, replay.AttackEventYAML
-	}
 	var events []replay.Event
+	addTrace := func(name string, objs []object.Object) error {
+		benign, attacks, err := workloadTrace(name, objs, opts.MaxPerAttackClass, opts.YAMLWire)
+		events = append(append(events, benign...), attacks...)
+		return err
+	}
 	for _, name := range names {
 		pol, ok := pols[name]
 		if !ok {
@@ -104,28 +105,8 @@ func Robustness(opts RobustnessOptions) (*RobustnessResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		objs := chart.Objects(files)
-		// Benign trace: the operator's create sequence plus the
-		// reconcile-loop re-apply (update) of every object.
-		for _, o := range objs {
-			for _, method := range []string{"POST", "PUT"} {
-				ev, err := benignEvent(name, o, method)
-				if err != nil {
-					return nil, err
-				}
-				events = append(events, ev)
-			}
-		}
-		scs, err := mutate.ForCatalog(objs, mutate.Options{MaxPerAttackClass: opts.MaxPerAttackClass})
-		if err != nil {
+		if err := addTrace(name, chart.Objects(files)); err != nil {
 			return nil, err
-		}
-		for _, sc := range scs {
-			ev, err := attackEvent(name, sc)
-			if err != nil {
-				return nil, err
-			}
-			events = append(events, ev)
 		}
 	}
 
@@ -142,25 +123,8 @@ func Robustness(opts RobustnessOptions) (*RobustnessResult, error) {
 			if _, err := reg.Register(w.Name, registry.Selector{Namespace: w.Name}, w.Policy); err != nil {
 				return nil, err
 			}
-			for _, o := range w.Objects {
-				for _, method := range []string{"POST", "PUT"} {
-					ev, err := benignEvent(w.Name, o, method)
-					if err != nil {
-						return nil, err
-					}
-					events = append(events, ev)
-				}
-			}
-			scs, err := mutate.ForCatalog(w.Objects, mutate.Options{MaxPerAttackClass: opts.MaxPerAttackClass})
-			if err != nil {
+			if err := addTrace(w.Name, w.Objects); err != nil {
 				return nil, err
-			}
-			for _, sc := range scs {
-				ev, err := attackEvent(w.Name, sc)
-				if err != nil {
-					return nil, err
-				}
-				events = append(events, ev)
 			}
 		}
 	}

@@ -9,42 +9,65 @@ import (
 )
 
 // TestRobustnessReducedMatrix is the CI-sized smoke: two workloads,
-// capped variants, caching enabled so cached decisions are also scored.
+// capped variants, caching enabled so cached decisions are also scored,
+// replayed through both engines on both wires — the interpreted rows are
+// the differential run that proves the tree walk and the compiled
+// program hold the same 0 FN / 0 FP line end to end, the YAML rows drive
+// the proxy's YAML raw pipeline (streaming scan + match with decode
+// fallback).
 func TestRobustnessReducedMatrix(t *testing.T) {
-	res, err := Robustness(RobustnessOptions{
-		Charts:            []string{"nginx", "mlflow"},
-		Concurrency:       4,
-		Seed:              7,
-		MaxPerAttackClass: 2,
-		CacheSize:         1024,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Clean() {
-		t.Errorf("reduced run not clean: FN=%d FP=%d errors=%d mismatches=%v",
-			res.FalseNegatives, res.FalsePositives, res.Errors, res.Mismatches)
-	}
-	if res.AttackEvents == 0 || res.BenignEvents == 0 {
-		t.Errorf("trace not interleaved: %d attacks, %d benign", res.AttackEvents, res.BenignEvents)
-	}
-	if len(res.PerWorkload) != 2 {
-		t.Errorf("per-workload scores for %d workloads, want 2", len(res.PerWorkload))
-	}
-	out := RenderRobustness(res)
-	for _, want := range []string{"mutation class", "nginx", "mlflow", "clean: true"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("rendered output missing %q:\n%s", want, out)
-		}
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{`"per_class"`, `"false_negatives"`, `"events_per_sec"`} {
-		if !strings.Contains(string(data), want) {
-			t.Errorf("JSON missing %s", want)
-		}
+	for _, tc := range []struct {
+		name        string
+		interpreted bool
+		yamlWire    bool
+	}{
+		{name: "compiled-json"},
+		{name: "compiled-yaml", yamlWire: true},
+		{name: "interpreted-json", interpreted: true},
+		{name: "interpreted-yaml", interpreted: true, yamlWire: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Robustness(RobustnessOptions{
+				Charts:            []string{"nginx", "mlflow"},
+				Concurrency:       4,
+				Seed:              7,
+				MaxPerAttackClass: 2,
+				CacheSize:         1024,
+				Interpreted:       tc.interpreted,
+				YAMLWire:          tc.yamlWire,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Clean() {
+				t.Errorf("reduced run not clean: FN=%d FP=%d errors=%d mismatches=%v",
+					res.FalseNegatives, res.FalsePositives, res.Errors, res.Mismatches)
+			}
+			if got := res.Engine + "-" + res.Wire; got != tc.name {
+				t.Errorf("result engine-wire = %q, want %q", got, tc.name)
+			}
+			if res.AttackEvents == 0 || res.BenignEvents == 0 {
+				t.Errorf("trace not interleaved: %d attacks, %d benign", res.AttackEvents, res.BenignEvents)
+			}
+			if len(res.PerWorkload) != 2 {
+				t.Errorf("per-workload scores for %d workloads, want 2", len(res.PerWorkload))
+			}
+			out := RenderRobustness(res)
+			for _, want := range []string{"mutation class", "nginx", "mlflow", "clean: true"} {
+				if !strings.Contains(out, want) {
+					t.Errorf("rendered output missing %q:\n%s", want, out)
+				}
+			}
+			data, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{`"per_class"`, `"false_negatives"`, `"events_per_sec"`} {
+				if !strings.Contains(string(data), want) {
+					t.Errorf("JSON missing %s", want)
+				}
+			}
+		})
 	}
 }
 
@@ -68,30 +91,6 @@ func TestRobustnessFullMatrix(t *testing.T) {
 	}
 	if want := len(mutate.AllClasses()); len(res.PerClass) != want {
 		t.Errorf("scored %d mutation classes, want %d", len(res.PerClass), want)
-	}
-}
-
-// TestRobustnessYAMLWireReducedMatrix replays the CI-sized matrix with
-// every body on the YAML wire, exercising the proxy's YAML raw pipeline
-// (streaming scan + match with decode fallback) end to end.
-func TestRobustnessYAMLWireReducedMatrix(t *testing.T) {
-	res, err := Robustness(RobustnessOptions{
-		Charts:            []string{"nginx", "mlflow"},
-		Concurrency:       4,
-		Seed:              7,
-		MaxPerAttackClass: 2,
-		CacheSize:         1024,
-		YAMLWire:          true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Clean() {
-		t.Errorf("YAML-wire reduced run not clean: FN=%d FP=%d errors=%d mismatches=%v",
-			res.FalseNegatives, res.FalsePositives, res.Errors, res.Mismatches)
-	}
-	if res.Wire != "yaml" {
-		t.Errorf("result wire = %q, want yaml", res.Wire)
 	}
 }
 

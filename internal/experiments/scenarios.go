@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/mutate"
 	"repro/internal/proxy"
 	"repro/internal/registry"
 	"repro/internal/replay"
@@ -45,24 +44,7 @@ type ScenarioCell struct {
 	replay.Result
 }
 
-// FlatnessSummary is the same-machine scaling ratio for one engine:
-// events/sec at the largest workload count over events/sec at the
-// smallest multi-workload count. Per-request cost must not grow with
-// registered-workload count (O(1) namespace resolve), so the ratio is a
-// machine-independent gate the way the latency speedup is. The
-// single-workload cell is excluded from the denominator when larger
-// counts exist: its trace is a few hundred events, too short to
-// amortize connection setup and cache warmup, so it measures startup
-// cost rather than per-request scaling.
-type FlatnessSummary struct {
-	Engine       string  `json:"engine"`
-	MinWorkloads int     `json:"min_workloads"`
-	MaxWorkloads int     `json:"max_workloads"`
-	Ratio        float64 `json:"ratio"`
-}
-
-// ScenariosResult is the machine-readable outcome committed as
-// BENCH_scenarios.json.
+// ScenariosResult is the machine-readable outcome.
 type ScenariosResult struct {
 	Synth             int           `json:"synth_workloads"`
 	Seed              int64         `json:"seed"`
@@ -76,8 +58,7 @@ type ScenariosResult struct {
 	VerifiedPairs bool  `json:"verified_pairs"`
 	Counts        []int `json:"counts"`
 
-	Cells    []ScenarioCell    `json:"cells"`
-	Flatness []FlatnessSummary `json:"flatness"`
+	Cells []ScenarioCell `json:"cells"`
 
 	TotalFalseNegatives int   `json:"total_false_negatives"`
 	TotalFalsePositives int   `json:"total_false_positives"`
@@ -146,27 +127,11 @@ func Scenarios(opts ScenariosOptions) (*ScenariosResult, error) {
 	// Per-workload event slices, built once and shared across cells.
 	perWorkload := make([][]replay.Event, len(ws))
 	for i := range ws {
-		w := &ws[i]
-		for _, o := range w.Objects {
-			for _, method := range []string{"POST", "PUT"} {
-				ev, err := replay.BenignEvent(w.Name, o, method)
-				if err != nil {
-					return nil, err
-				}
-				perWorkload[i] = append(perWorkload[i], ev)
-			}
-		}
-		scs, err := mutate.ForCatalog(w.Objects, mutate.Options{MaxPerAttackClass: opts.MaxPerAttackClass})
+		benign, attacks, err := workloadTrace(ws[i].Name, ws[i].Objects, opts.MaxPerAttackClass, false)
 		if err != nil {
 			return nil, err
 		}
-		for _, sc := range scs {
-			ev, err := replay.AttackEvent(w.Name, sc)
-			if err != nil {
-				return nil, err
-			}
-			perWorkload[i] = append(perWorkload[i], ev)
-		}
+		perWorkload[i] = append(benign, attacks...)
 	}
 
 	out := &ScenariosResult{
@@ -191,22 +156,6 @@ func Scenarios(opts ScenariosOptions) (*ScenariosResult, error) {
 			out.TotalFalsePositives += cell.FalsePositives
 			out.Errors += cell.Errors
 		}
-		loIdx := 0
-		if len(counts) >= 3 {
-			loIdx = 1
-		}
-		lo := out.Cell(counts[loIdx], engine)
-		hi := out.Cell(counts[len(counts)-1], engine)
-		ratio := 1.0
-		if lo.EventsPerSec > 0 {
-			ratio = hi.EventsPerSec / lo.EventsPerSec
-		}
-		out.Flatness = append(out.Flatness, FlatnessSummary{
-			Engine:       engine,
-			MinWorkloads: lo.Workloads,
-			MaxWorkloads: hi.Workloads,
-			Ratio:        ratio,
-		})
 	}
 	out.ElapsedNs = time.Since(start).Nanoseconds()
 	return out, nil
@@ -279,10 +228,6 @@ func RenderScenarios(r *ScenariosResult) string {
 		fmt.Fprintf(&b, "%-10d %-12s %10d %10d %10d %6d %6d %6d %12.0f\n",
 			c.Workloads, c.Engine, c.Events, c.BenignEvents, c.AttackEvents,
 			c.FalseNegatives, c.FalsePositives, c.Errors, c.EventsPerSec)
-	}
-	b.WriteString("\nscaling flatness (events/sec at max count / min count, same machine):\n")
-	for _, f := range r.Flatness {
-		fmt.Fprintf(&b, "  %-12s %d -> %d workloads: %.2fx\n", f.Engine, f.MinWorkloads, f.MaxWorkloads, f.Ratio)
 	}
 	fmt.Fprintf(&b, "\nfalse negatives: %d   false positives: %d   errors: %d   clean: %v\n",
 		r.TotalFalseNegatives, r.TotalFalsePositives, r.Errors, r.Clean())

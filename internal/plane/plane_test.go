@@ -42,6 +42,17 @@ func (t slowTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 	return okTransport{}.RoundTrip(r)
 }
 
+// heldTransport announces a round trip on entered and holds it until
+// release is closed — a slot a test keeps occupied for as long as it
+// needs, instead of for a sleep it hopes is long enough.
+type heldTransport struct{ entered, release chan struct{} }
+
+func (t heldTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	t.entered <- struct{}{}
+	<-t.release
+	return okTransport{}.RoundTrip(r)
+}
+
 // policyFor builds a workload policy from one pod manifest.
 func policyFor(t *testing.T, workload string, hostNetwork bool, image string) *validator.Validator {
 	t.Helper()
@@ -283,7 +294,10 @@ func TestPlaneShedsFailClosed(t *testing.T) {
 		t.Errorf("metrics shed %d, observed %d", tm.Shed, shed)
 	}
 	// A shed response is an explicit Status failure, not a silent allow.
-	pl2 := newTestPlane(t, 1, Config{Transport: slowTransport{d: 50 * time.Millisecond}, MaxInFlight: 1})
+	// The benign request holds the only slot inside the upstream round
+	// trip until the attack has been answered.
+	held := heldTransport{entered: make(chan struct{}), release: make(chan struct{})}
+	pl2 := newTestPlane(t, 1, Config{Transport: held, MaxInFlight: 1})
 	if err := pl2.Register("wl", registry.Selector{Namespace: "prod"}, policyFor(t, "wl", false, img)); err != nil {
 		t.Fatal(err)
 	}
@@ -292,8 +306,9 @@ func TestPlaneShedsFailClosed(t *testing.T) {
 		defer close(done)
 		post(t, pl2, "/api/v1/namespaces/prod/pods", podBody(false, img))
 	}()
-	time.Sleep(10 * time.Millisecond) // let the slot fill
+	<-held.entered
 	w := post(t, pl2, "/api/v1/namespaces/prod/pods", podBody(true, img))
+	close(held.release)
 	<-done
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("attack under saturation: code %d, want 429", w.Code)

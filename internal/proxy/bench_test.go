@@ -107,32 +107,33 @@ func newSynthFleet(tb testing.TB, count int) *synthFleet {
 	return f
 }
 
-// benchServe drives ServeHTTP over the fleet's JSON bodies round-robin;
-// unique stamps a fresh counter into every body so neither the scan memo
-// nor the decision cache ever hits.
-func benchServe(b *testing.B, unique bool) {
-	f := newSynthFleet(b, 60)
-	reqs := make([]*http.Request, len(f.json))
-	bodies := make([]*resettableBody, len(f.json))
-	stamps := make([]int, len(f.json))
-	for i, fb := range f.json {
+// serveLoop returns a closure that serves request n of an endless
+// round-robin over bodies; unique stamps a fresh counter into every body
+// so neither the scan memo nor the decision cache ever hits. One pass has
+// already filled the decision cache (and everything lazily built).
+func serveLoop(tb testing.TB, f *synthFleet, corpus []fleetBody, contentType string, unique bool) func(n int) {
+	tb.Helper()
+	reqs := make([]*http.Request, len(corpus))
+	bodies := make([]*resettableBody, len(corpus))
+	stamps := make([]int, len(corpus))
+	for i, fb := range corpus {
 		bodies[i] = &resettableBody{}
 		r, err := http.NewRequest(http.MethodPost, "http://kubefence.invalid"+fb.path, nil)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		r.Header.Set("Content-Type", "application/json")
+		r.Header.Set("Content-Type", contentType)
 		r.Header.Set("X-Remote-User", "operator")
 		r.Body, r.ContentLength = bodies[i], int64(len(fb.body))
 		reqs[i] = r
 		if stamps[i] = bytes.Index(fb.body, []byte(benchStamp)); stamps[i] < 0 {
-			b.Fatalf("body %d carries no resourceVersion stamp", i)
+			tb.Fatalf("body %d carries no resourceVersion stamp", i)
 		}
 	}
 	w := &nullWriter{header: http.Header{}}
 	serve := func(n int) {
 		i := n % len(reqs)
-		body := f.json[i].body
+		body := corpus[i].body
 		if unique {
 			digits := body[stamps[i] : stamps[i]+len(benchStamp)]
 			copy(digits, "0000000000000000")
@@ -143,15 +144,21 @@ func benchServe(b *testing.B, unique bool) {
 		clear(w.header)
 		f.proxy.ServeHTTP(w, reqs[i])
 	}
-	// One pass fills the decision cache (and everything lazily built).
 	for n := range reqs {
 		serve(n)
 	}
+	return serve
+}
+
+// benchServe drives ServeHTTP over the fleet's JSON bodies round-robin.
+func benchServe(b *testing.B, unique bool) {
+	f := newSynthFleet(b, 60)
+	serve := serveLoop(b, f, f.json, "application/json", unique)
 	before := f.proxy.Metrics()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		serve(len(reqs) + n)
+		serve(len(f.json) + n)
 	}
 	b.StopTimer()
 	after := f.proxy.Metrics()
@@ -170,3 +177,47 @@ func BenchmarkServeReapply(b *testing.B) { benchServe(b, false) }
 // BenchmarkServeUnique is the cold path: every body is new, so the memo
 // and the decision cache miss and the scanner and matcher do the work.
 func BenchmarkServeUnique(b *testing.B) { benchServe(b, true) }
+
+// TestServeAllocationCeiling pins what an allowed request may allocate
+// through the whole handler, on the traffic the two benchmarks above
+// time: a re-applied body and a never-seen one, on both wires. The
+// ceilings are the values measured when the test was written
+// (AllocsPerRun floors the corpus mean: 10.03, 13.81, 31.05, 33.05 — the
+// YAML rows carry the ~10 % of bodies that fall to the decoder); a change
+// that raises one has started allocating on the allowed fast path. They
+// were measured on go1.24 only and are unverified on the go1.22 / go1.23
+// toolchains CI also runs: if a row is red there with the product
+// untouched, re-pin it to the maximum over the matrix.
+func TestServeAllocationCeiling(t *testing.T) {
+	f := newSynthFleet(t, 60)
+	for _, tc := range []struct {
+		name        string
+		corpus      []fleetBody
+		contentType string
+		unique      bool
+		ceiling     float64
+	}{
+		{"reapply-json", f.json, "application/json", false, 10},
+		{"unique-json", f.json, "application/json", true, 13},
+		{"reapply-yaml", f.yaml, "application/yaml", false, 31},
+		{"unique-yaml", f.yaml, "application/yaml", true, 33},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			serve := serveLoop(t, f, tc.corpus, tc.contentType, tc.unique)
+			n := len(tc.corpus)
+			before := f.proxy.Metrics()
+			allocs := testing.AllocsPerRun(4*len(tc.corpus), func() {
+				serve(n)
+				n++
+			})
+			after := f.proxy.Metrics()
+			if after.Denied != 0 || after.RawAllowed == before.RawAllowed {
+				t.Fatalf("denied %d, raw-allowed %d: the corpus left the allowed fast path",
+					after.Denied, after.RawAllowed-before.RawAllowed)
+			}
+			if allocs > tc.ceiling+raceAllocSlack {
+				t.Errorf("%.0f allocs/request, ceiling %.0f", allocs, tc.ceiling+raceAllocSlack)
+			}
+		})
+	}
+}

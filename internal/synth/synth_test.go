@@ -21,7 +21,7 @@ func traceBytes(t *testing.T, w *Workload) []byte {
 
 // TestOptionsResolved: Resolved applies the documented defaults without
 // mutating the receiver, and preserves explicit knobs — the form the
-// scenarios baseline records so a run is reproducible from its JSON.
+// scenarios report records so a run is reproducible from its JSON.
 func TestOptionsResolved(t *testing.T) {
 	var zero Options
 	r := zero.Resolved()
@@ -63,8 +63,8 @@ func TestCorpusDeterministic(t *testing.T) {
 }
 
 // TestCorpusPrefixStable: workload i depends only on (seed, i), so a
-// small corpus is a prefix of a larger one — the contract that keeps
-// CI's reduced matrix comparable to the committed full-corpus baseline.
+// small corpus is a prefix of a larger one — the contract that makes a
+// reduced matrix a strict subset of the full-corpus one.
 func TestCorpusPrefixStable(t *testing.T) {
 	small, err := Generate(Options{Seed: 3, Count: 5})
 	if err != nil {

@@ -356,7 +356,7 @@ type ProxyConfig struct {
 	// DisableRawFastPath forces every inspected request through the
 	// classic decode-first path instead of the streaming raw-bytes
 	// pipeline. Verdicts are identical either way; this is the ablation
-	// knob behind the e2e experiment's decode baseline.
+	// knob behind the scenarios experiment's "compiled" engine column.
 	DisableRawFastPath bool
 	// SinkBuffer, when > 0, moves the OnViolation / OnShadowViolation /
 	// Tap callbacks off the request goroutine onto a bounded async ring
@@ -614,28 +614,6 @@ type TelemetryMuxConfig = telemetry.MuxConfig
 // enforcement path (see cmd/kubefence's -telemetry-addr).
 func NewTelemetryMux(cfg TelemetryMuxConfig) *http.ServeMux { return telemetry.Mux(cfg) }
 
-// TelemetryOptions configure RunTelemetry: fleet sizes, requests per
-// cell, cache size, trace sampling rate, and repeats.
-type TelemetryOptions = experiments.TelemetryOptions
-
-// TelemetryReport is the measured outcome: the cost of an allowed
-// request with telemetry off, on, and on-under-scrape, with overhead
-// and allocs-added summaries per fleet size. Committed as
-// BENCH_telemetry.json and enforced by the CI bench gate
-// (benchgate -kind telemetry).
-type TelemetryReport = experiments.TelemetryReport
-
-// RunTelemetry measures the observability layer's own cost on the
-// allowed fast path, including under a concurrent Prometheus scraper.
-func RunTelemetry(opts TelemetryOptions) (*TelemetryReport, error) {
-	return experiments.Telemetry(opts)
-}
-
-// RenderTelemetryReport renders a telemetry report for humans.
-func RenderTelemetryReport(r *TelemetryReport) string {
-	return experiments.RenderTelemetry(r)
-}
-
 // ---------------------------------------------------------------------
 // Traffic-driven policy learning & the shadow → enforce rollout
 // ---------------------------------------------------------------------
@@ -767,8 +745,9 @@ type LearningOptions = experiments.LearningOptions
 // LearningReport is the measured outcome: per-chart
 // requests-to-convergence, rollout lifecycle counters, mined-vs-chart
 // policy diffs, and the residual false negatives of the mined policies
-// against the adversarial mutation matrix. Committed as
-// BENCH_learning.json and enforced by the CI bench gate.
+// against the adversarial mutation matrix. Clean() is the contract:
+// every chart converged and promoted, no false negative, no enforcement
+// false positive.
 type LearningReport = experiments.LearningResult
 
 // RunLearning mines a policy for every workload from its own benign
@@ -813,8 +792,7 @@ type RobustnessReport = experiments.RobustnessResult
 // sibling-field smuggling, verb routing, benign camouflage) and replays
 // them, interleaved with the workloads' legitimate traces, through a
 // real proxy+registry enforcement point over HTTP. A clean report
-// (no false negatives, no false positives) is the robustness benchmark
-// committed as BENCH_robustness.json.
+// (no false negatives, no false positives) is the robustness contract.
 func RunRobustness(opts RobustnessOptions) (*RobustnessReport, error) {
 	return experiments.Robustness(opts)
 }
@@ -822,52 +800,6 @@ func RunRobustness(opts RobustnessOptions) (*RobustnessReport, error) {
 // RenderRobustnessReport renders a report for humans.
 func RenderRobustnessReport(r *RobustnessReport) string {
 	return experiments.RenderRobustness(r)
-}
-
-// LatencyOptions configure a validation-latency measurement: fleet
-// sizes, iterations per cell, and the per-workload decision-cache
-// shard size for the hot-path mode.
-type LatencyOptions = experiments.LatencyOptions
-
-// LatencyReport is the measured outcome: ns/op, allocs/op, and bytes/op
-// per (fleet size, engine, cache mode) cell plus compiled-vs-interpreted
-// speedup summaries. Committed as BENCH_latency.json and enforced by
-// the CI bench gate (cmd/benchgate).
-type LatencyReport = experiments.LatencyReport
-
-// RunLatency measures single-decision validation latency of the
-// interpreted tree walk and the compiled rule program, cold (decision
-// cache off) and hot (per-workload shards on).
-func RunLatency(opts LatencyOptions) (*LatencyReport, error) {
-	return experiments.Latency(opts)
-}
-
-// RenderLatencyReport renders a latency report for humans.
-func RenderLatencyReport(r *LatencyReport) string {
-	return experiments.RenderLatency(r)
-}
-
-// E2EOptions configure an end-to-end admission-path measurement: fleet
-// sizes, requests per cell, and the hot-mode decision-cache size.
-type E2EOptions = experiments.E2EOptions
-
-// E2EReport is the measured outcome: the decode-inclusive cost of an
-// allowed request through the full proxy handler — streaming raw-bytes
-// pipeline vs decode-first baseline, cold and hot caches — with
-// fast-path speedup and allocation-reduction summaries. Committed as
-// BENCH_e2e.json and enforced by the CI bench gate (benchgate -kind e2e).
-type E2EReport = experiments.E2EReport
-
-// RunE2E measures the end-to-end admission path for allowed requests
-// (body read, routing, cache, validation, in-memory upstream round
-// trip), with and without the decode-free streaming fast path.
-func RunE2E(opts E2EOptions) (*E2EReport, error) {
-	return experiments.E2E(opts)
-}
-
-// RenderE2EReport renders an e2e report for humans.
-func RenderE2EReport(r *E2EReport) string {
-	return experiments.RenderE2E(r)
 }
 
 // SynthOptions configure the synthetic workload generator: the corpus
@@ -901,11 +833,11 @@ func VerifyWorkload(w *SynthWorkload) error { return synth.Verify(w) }
 // registered-workload counts to measure at.
 type ScenariosOptions = experiments.ScenariosOptions
 
-// ScenariosReport is the measured outcome: one replay cell per
-// (workload count, engine) over the generated corpus, per-engine
-// scaling-flatness ratios, and the corpus configuration (seed and
-// generator knobs) that reproduces it. Committed as BENCH_scenarios.json
-// and enforced by the CI bench gate (benchgate -kind scenarios).
+// ScenariosReport is the scored outcome: one replay cell per
+// (workload count, engine) over the generated corpus and the corpus
+// configuration (seed and generator knobs) that reproduces it. Event
+// counts are a function of the seed alone, so two runs with one seed
+// agree cell for cell.
 type ScenariosReport = experiments.ScenariosResult
 
 // RunScenarios generates the synthetic corpus, verifies every pair, and
@@ -921,22 +853,20 @@ func RenderScenariosReport(r *ScenariosReport) string {
 	return experiments.RenderScenarios(r)
 }
 
-// PlaneOptions configure RunPlane: the replica counts to measure, the
-// synthetic corpus (size, seed), per-cell request volume, the
-// backpressure knobs, and the attack-variant cap for the correctness
-// matrix.
+// PlaneOptions configure RunPlane: the tier size, the synthetic corpus
+// (size, seed), the decision-cache size, and the attack-variant cap for
+// the correctness matrix.
 type PlaneOptions = experiments.PlaneOptions
 
-// PlaneReport is the measured outcome: one throughput cell per replica
-// count with scaling efficiency relative to the single-replica
-// baseline, plus the full adversarial mutation matrix replayed through
-// the largest tier. Committed as BENCH_plane.json and enforced by the
-// CI bench gate (benchgate -kind plane).
+// PlaneReport is the scored outcome: the post-rebalance cache-retention
+// cell plus the full adversarial mutation matrix replayed through the
+// rebalanced weighted tier.
 type PlaneReport = experiments.PlaneResult
 
-// RunPlane measures the distributed admission tier: capacity-bounded
-// replicas at increasing counts over the synthetic corpus, then the
-// correctness matrix (0 FN / 0 FP required) through the largest tier.
+// RunPlane scores the distributed admission tier over the synthetic
+// corpus: a weighted tier is warmed under zipf traffic and rebalanced,
+// the migrated workloads are probed for decision-cache retention, and
+// the correctness matrix (0 FN / 0 FP required) is replayed through it.
 func RunPlane(opts PlaneOptions) (*PlaneReport, error) {
 	return experiments.Plane(opts)
 }

@@ -3,7 +3,7 @@
 #   make ci              # the full gate: gofmt, go vet, build, tests with -race
 #   make test            # fast test run (no race detector)
 #   make plane-race      # the plane's generation invariant, -race -count=20
-#   make bench           # in-package micro-benchmarks (multi-workload enforcement, JSON decode, proxy hit/cold path)
+#   make bench           # in-package micro-benchmarks (multi-workload enforcement, JSON decode, raw scan/match, proxy hit/cold path)
 #   make fuzz-smoke      # 10s per native fuzz target
 #   make fuzz-nightly    # 2m per native fuzz target
 #   make coverage-gate   # coverage profile; fails below COVERAGE_BASELINE
@@ -54,6 +54,7 @@ plane-race:
 bench:
 	$(GO) test -run NONE -bench 'MultiWorkload|RegistryResolve' -benchmem .
 	$(GO) test -run NONE -bench ParseJSON -benchmem ./internal/object
+	$(GO) test -run NONE -bench 'RawScan|RawMatch' -benchmem ./internal/compile
 	$(GO) test -run NONE -bench 'ServeReapply|ServeUnique' -benchmem ./internal/proxy
 
 # Every native fuzz target, as package:target — the one list both the

@@ -49,6 +49,11 @@ const (
 	opList                 // homogeneous item schema
 	opScalar               // precompiled domain matchers
 	opAllow                // unknown interpreted node kind: allowed (parity)
+	// opCapture is used by the built-in routing-metadata program of the
+	// raw path only (match.go); Compile never emits it. A clean string is
+	// stored into the RawMeta field item names, an unclean one fails the
+	// walk, and every non-string is admitted as the accessor's "".
+	opCapture
 )
 
 // Node flags.
@@ -62,6 +67,10 @@ const (
 	// flagReqMany marks a map node with more than 64 required children;
 	// presence is then checked by direct lookups instead of the bitset.
 	flagReqMany
+	// flagOpen marks a map node of the built-in routing-metadata program
+	// (Compile never sets it): unlisted keys are walked structurally and
+	// a non-mapping value is admitted.
+	flagOpen
 )
 
 // node is one compiled policy node. Children are index ranges into the
@@ -74,7 +83,7 @@ type node struct {
 	fieldsOff, fieldsEnd int32 // opMap: [off,end) into Program.fields
 	reqOff, reqEnd       int32 // opMap: [off,end) into Program.reqs
 	reqBits              uint64
-	item                 int32 // opList: item node index
+	item                 int32 // opList: item node index; opCapture: RawMeta field
 	scalar               int32 // opScalar: index into Program.scalars
 }
 

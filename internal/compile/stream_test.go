@@ -53,7 +53,15 @@ func TestScanRawMeta(t *testing.T) {
 		{name: "duplicate metadata is undecodable", body: `{"metadata":{"namespace":"a"},"metadata":{"name":"n"}}`},
 		{name: "duplicate nested metadata key is undecodable", body: `{"metadata":{"name":"a","name":"b"}}`},
 		{name: "duplicate key in skipped subtree is undecodable", body: `{"kind":"Pod","spec":{"a":1,"a":2}}`},
+		// Shape rows, the same on both wires (TestScanRawYAMLMeta).
 		{name: "non-object metadata", body: `{"kind":"Pod","metadata":7}`, ok: true, kind: "Pod"},
+		{name: "sequence metadata", body: `{"kind":"Pod","metadata":[{"name":"p"}]}`, ok: true, kind: "Pod"},
+		{name: "mapping-valued kind", body: `{"kind":{"kind":"Pod"},"metadata":{"name":"p"}}`, ok: true, objName: "p"},
+		{
+			name: "non-string name",
+			body: `{"kind":"Pod","metadata":{"name":{"a":"b"},"namespace":"ns"}}`,
+			ok:   true, kind: "Pod", namespace: "ns",
+		},
 		{name: "array root", body: `[1]`},
 		{name: "scalar root", body: `"x"`},
 		{name: "malformed", body: `{"kind":`},

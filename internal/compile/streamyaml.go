@@ -1,38 +1,28 @@
 package compile
 
-import (
-	"bytes"
-	"math/bits"
+import "bytes"
 
-	"repro/internal/schema"
-	"repro/internal/validator"
-)
-
-// This file extends the decode-free fast path to YAML request bodies: a
-// streaming matcher fused on the grammar of the hand-rolled internal/yaml
-// decoder, walking raw manifest bytes directly against the compiled node
-// table so an ALLOWED YAML request never materializes lines, strings, or
-// a decoded document.
+// This file is the block-YAML grammar of the decode-free fast path,
+// fused on the grammar of the hand-rolled internal/yaml decoder: a
+// cursor-based line reader and one recursive walker skeleton over raw
+// manifest bytes, so an ALLOWED YAML request never materializes lines,
+// strings, or a decoded document. What a key, a scalar or a collection
+// means against the compiled program — and the one-sided contract every
+// zero return carries — is match.go's, shared with the JSON wire.
 //
-// The contract is the same one-sided contract MatchRaw has for JSON:
-// MatchRawYAML returns true only when the body PROVABLY decodes via
-// object.ParseManifest (exactly one mapping document, no constructs the
-// scanner cannot mirror byte-for-byte) and the decoded object would pass
-// both validation engines. Everything else — anchors, aliases, tags,
-// flow collections (beyond the encoder's empty {} / [] literals), block
-// scalars, quoted keys, multi-document streams, duplicate keys, scalars
-// whose decoded type is ambiguous — returns false and the caller falls
-// back to the full decode + diagnostic pass, keeping verdicts and
-// violations bit-identical. Equivalence is pinned by the differential
-// fuzz target (FuzzRawYAMLEquivalence) and by replaying the adversarial
-// robustness matrix through the YAML raw pipeline.
+// What the grammar owes that contract is "accepted ⇒ object.ParseManifest
+// accepts it too" (exactly one mapping document, nothing the scanner
+// cannot mirror byte-for-byte). Anchors, aliases, tags, flow collections
+// (beyond the encoder's empty {} / [] literals), block scalars, quoted
+// keys, multi-document streams, duplicate keys and scalars whose decoded
+// type is ambiguous are all refused.
 //
 // The scanner mirrors decodeStream / parseMapping / parseSequence /
-// parseValueAfterKey structurally: a cursor-based line reader computes
-// {indent, comment-stripped content span} on demand (no line slice), and
-// every construct the decoder would reject — indentation jumps inside a
+// parseValueAfterKey structurally: the line reader computes {indent,
+// comment-stripped content span} on demand (no line slice), and every
+// construct the decoder would reject — indentation jumps inside a
 // mapping, non-entry lines, duplicate keys — makes the scan fall back,
-// so a true verdict still implies the body decodes cleanly.
+// so a successful walk still implies the body decodes cleanly.
 
 // yLine is one logical line: its indentation and the content span after
 // indent stripping, comment stripping, and right-trimming. start == end
@@ -49,29 +39,9 @@ const (
 	entryQuoted        // quoted-key mapping entry — decode-path territory
 )
 
-// Shapes of a walked value, for the required-field emptiness check.
-const (
-	yShapeScalar = iota
-	yShapeNull
-	yShapeMap
-	yShapeList
-)
-
-// yVal describes the value a walk consumed: its shape and, for
-// collections, the member count (eff counts mapping keys surviving the
-// server-owned-metadata scrub, mirroring requiredEmpty's flagMeta case;
-// it is only computed when the caller asks).
-type yVal struct {
-	shape   int
-	members int
-	eff     int
-}
-
-// yamlScan is a single pass over raw YAML bytes. As in rawScan, every
-// ok=false means "fall back to the decode path" — malformed, denied, or
-// merely undecidable without decoding are all the same outcome.
+// yamlScan is a single pass over raw YAML bytes.
 type yamlScan struct {
-	p    *Program
+	rawMatch
 	data []byte
 	pos  int // byte offset of the start of the current line
 
@@ -87,12 +57,6 @@ type yamlScan struct {
 	ovActive bool
 	ovAt     int
 	ov       yLine
-
-	// Duplicate-key hash stack, same mechanism as rawScan: the decoder
-	// rejects duplicate mapping keys, so the scanner must fall back on
-	// them to keep "raw allow implies body decodes" true.
-	nkeys int
-	khash [rawKeyStack]uint32
 }
 
 // ScanRawYAMLMeta extracts RawMeta from a raw YAML body. ok is false
@@ -103,65 +67,17 @@ type yamlScan struct {
 // accessors (zero-copy sub-slices of body; a non-string value comes
 // back nil the same way the accessors return "").
 func ScanRawYAMLMeta(body []byte) (RawMeta, bool) {
-	s := yamlScan{data: body}
-	var m RawMeta
+	s := yamlScan{rawMatch: rawMatch{p: metaProgram}, data: body}
 	l, ok := s.openDocument()
-	if !ok {
-		return m, false
-	}
-	indent := l.indent
-	if s.dashLine(l) || s.entryKind(l) != entryPlain {
+	if !ok || s.dashLine(l) || s.entryKind(l) != entryPlain {
 		// Non-mapping root (sequence, scalar, quoted key): ParseManifest
 		// rejects or the scanner cannot vouch — decode path decides.
-		return m, false
+		return RawMeta{}, false
 	}
-	for {
-		s.skipBlank()
-		l, lok := s.cur()
-		if !lok || s.sep(l) || l.indent < indent {
-			break
-		}
-		if l.indent > indent {
-			return m, false // decoder: unexpected indentation
-		}
-		ks, ke, rs, re, ek := s.splitKey(l)
-		if ek != entryPlain {
-			return m, false
-		}
-		key := s.data[ks:ke]
-		if !s.noteKey(0, key) {
-			return m, false
-		}
-		s.advance()
-		switch string(key) {
-		case "kind":
-			seg, sok := s.metaScalar(rs, re, indent)
-			if !sok {
-				return m, false
-			}
-			m.Kind = seg
-		case "apiVersion":
-			seg, sok := s.metaScalar(rs, re, indent)
-			if !sok {
-				return m, false
-			}
-			m.APIVersion = seg
-		case "metadata":
-			ns, name, sok := s.metaBlock(rs, re, indent)
-			if !sok {
-				return m, false
-			}
-			m.Namespace, m.Name = ns, name
-		default:
-			if _, sok := s.valueAfterKey(rs, re, indent, -1, false, 1); !sok {
-				return m, false
-			}
-		}
+	if s.mapping(l.indent, metaRoot, 0) == 0 || !s.closeDocument() {
+		return RawMeta{}, false
 	}
-	if !s.closeDocument() {
-		return m, false
-	}
-	return m, true
+	return s.meta, true
 }
 
 // MatchRawYAML reports whether the raw YAML body is definitively allowed
@@ -178,23 +94,13 @@ func (p *Program) MatchRawYAML(body []byte) bool {
 // ScanRawYAMLMeta on this exact body (the enforcement point scans once
 // for routing). meta MUST be the successful scan of body.
 func (p *Program) MatchRawYAMLScanned(meta RawMeta, body []byte) bool {
-	kp, ok := p.kinds[string(meta.Kind)]
+	root, ok := p.rawRoot(meta)
 	if !ok {
-		return false // unknown (or absent) kind: decode path denies it
-	}
-	if len(kp.apiVersions) > 0 && len(meta.APIVersion) > 0 &&
-		!kp.apiVersions[string(meta.APIVersion)] {
 		return false
 	}
-	s := yamlScan{p: p, data: body}
-	l, lok := s.openDocument()
-	if !lok {
-		return false
-	}
-	if _, wok := s.node(l, kp.root, false, 0); !wok {
-		return false
-	}
-	return s.closeDocument()
+	s := yamlScan{rawMatch: rawMatch{p: p}, data: body}
+	l, ok := s.openDocument()
+	return ok && s.node(l, root, 0) != 0 && s.closeDocument()
 }
 
 // ---------------------------------------------------------------------
@@ -355,8 +261,7 @@ func (s *yamlScan) closeDocument() bool {
 }
 
 // ---------------------------------------------------------------------
-// Grammar walk (structural when idx < 0, matched against the node
-// otherwise)
+// Grammar walk (against node idx; structural when idx < 0)
 // ---------------------------------------------------------------------
 
 // dashLine mirrors the decoder's sequence-start test: "-" alone or "- ".
@@ -434,50 +339,18 @@ func (s *yamlScan) splitKey(l yLine) (ks, ke, rs, re, kind int) {
 	return 0, 0, 0, 0, entryNone
 }
 
-func (s *yamlScan) noteKey(base int, key []byte) bool {
-	h := hashKey(key)
-	for _, k := range s.khash[base:s.nkeys] {
-		if k == h {
-			return false
-		}
-	}
-	if s.nkeys >= rawKeyStack {
-		return false // window full: decode path's turn
-	}
-	s.khash[s.nkeys] = h
-	s.nkeys++
-	return true
-}
-
-func (s *yamlScan) field(n *node, key []byte) *fieldRef {
-	lo, hi := n.fieldsOff, n.fieldsEnd
-	for lo < hi {
-		mid := (lo + hi) / 2
-		f := &s.p.fields[mid]
-		switch c := compareBytesString(key, f.name); {
-		case c == 0:
-			return f
-		case c > 0:
-			lo = mid + 1
-		default:
-			hi = mid
-		}
-	}
-	return nil
-}
-
 // node parses one node starting at the current (peeked) line l,
 // mirroring parseNode's dispatch: sequence, mapping, or a bare scalar
 // line.
-func (s *yamlScan) node(l yLine, idx int32, needEff bool, depth int) (yVal, bool) {
+func (s *yamlScan) node(l yLine, idx int32, depth int) val {
 	if s.dashLine(l) {
-		return s.seqValue(l.indent, idx, depth)
+		return s.sequence(l.indent, idx, depth)
 	}
 	switch s.entryKind(l) {
 	case entryPlain:
-		return s.mapValue(l.indent, idx, needEff, depth)
+		return s.mapping(l.indent, idx, depth)
 	case entryQuoted:
-		return yVal{}, false
+		return 0
 	}
 	s.advance()
 	return s.scalarSpan(l.start, l.end, idx)
@@ -486,98 +359,42 @@ func (s *yamlScan) node(l yLine, idx int32, needEff bool, depth int) (yVal, bool
 // valueAfterKey parses the value of a mapping entry, mirroring
 // parseValueAfterKey: an inline rest, or a nested block at deeper
 // indent (or a sequence at the key's own indent), or null.
-func (s *yamlScan) valueAfterKey(rs, re, keyIndent int, idx int32, needEff bool, depth int) (yVal, bool) {
+func (s *yamlScan) valueAfterKey(rs, re, keyIndent int, idx int32, depth int) val {
 	if depth > maxRawDepth {
-		return yVal{}, false
+		return 0
 	}
 	if rs == re {
 		m := s.mark()
 		s.skipBlank()
 		if l, ok := s.cur(); ok && !s.sep(l) {
 			if l.indent > keyIndent {
-				return s.node(l, idx, needEff, depth)
+				return s.node(l, idx, depth)
 			}
 			if l.indent == keyIndent && s.dashLine(l) {
-				return s.seqValue(keyIndent, idx, depth)
+				return s.sequence(keyIndent, idx, depth)
 			}
 		}
 		s.reset(m)
-		return yVal{shape: yShapeNull}, s.matchNull(idx)
+		return s.admits(idx, token{kind: tokNull})
 	}
 	if c := s.data[rs]; c == '|' || c == '>' {
-		return yVal{}, false // block scalars: decode-path territory
+		return 0 // block scalars: decode-path territory
 	}
 	return s.scalarSpan(rs, re, idx)
 }
 
-// mapValue pairs a block mapping with the expected node before walking
-// it: only opMap walks matched; a type-string/dict scalar or wildcard
-// walks structurally; every other pairing is a decoded deny → fallback.
-func (s *yamlScan) mapValue(indent int, idx int32, needEff bool, depth int) (yVal, bool) {
-	mi := int32(-1)
-	if idx >= 0 {
-		n := &s.p.nodes[idx]
-		switch n.op {
-		case opDeny:
-			return yVal{}, false
-		case opAny, opAllow:
-			// structural
-		case opScalar:
-			sc := &s.p.scalars[n.scalar]
-			if sc.typ != schema.TokDict || sc.locked {
-				return yVal{}, false
-			}
-		case opList:
-			return yVal{}, false
-		default: // opMap
-			mi = idx
-		}
-	}
-	return s.mapping(indent, mi, needEff, depth)
-}
-
-// seqValue pairs a block sequence with the expected node, as mapValue.
-func (s *yamlScan) seqValue(indent int, idx int32, depth int) (yVal, bool) {
-	item := int32(-1)
-	if idx >= 0 {
-		n := &s.p.nodes[idx]
-		switch n.op {
-		case opDeny:
-			return yVal{}, false
-		case opAny, opAllow:
-			// structural
-		case opScalar:
-			sc := &s.p.scalars[n.scalar]
-			if sc.typ != schema.TokList || sc.locked {
-				return yVal{}, false
-			}
-		case opList:
-			item = n.item
-		default: // opMap
-			return yVal{}, false
-		}
-	}
-	return s.sequence(indent, item, depth)
-}
-
 // mapping walks a block mapping whose keys sit at exactly indent,
 // mirroring parseMapping (including its rejection of deeper indents and
-// duplicate keys). idx >= 0 must be an opMap node; its fields, scrub
-// flags, and required bits are enforced like walkMap does for JSON.
-func (s *yamlScan) mapping(indent int, idx int32, needEff bool, depth int) (yVal, bool) {
+// duplicate keys).
+func (s *yamlScan) mapping(indent int, idx int32, depth int) val {
 	if depth > maxRawDepth {
-		return yVal{}, false
+		return 0
 	}
-	var n *node
-	var seen uint64
-	if idx >= 0 {
-		n = &s.p.nodes[idx]
-		if n.flags&flagReqMany != 0 {
-			return yVal{}, false // >64 required children: decode path
-		}
+	mi, ok := s.mapNode(idx)
+	if !ok {
+		return 0
 	}
-	base := s.nkeys
-	v := yVal{shape: yShapeMap}
+	w := s.openMap(mi)
 	for {
 		s.skipBlank()
 		l, ok := s.cur()
@@ -585,64 +402,36 @@ func (s *yamlScan) mapping(indent int, idx int32, needEff bool, depth int) (yVal
 			break
 		}
 		if l.indent > indent {
-			return yVal{}, false // decoder: unexpected indentation
+			return 0 // decoder: unexpected indentation
 		}
 		ks, ke, rs, re, ek := s.splitKey(l)
 		if ek != entryPlain {
-			return yVal{}, false
+			return 0
 		}
-		key := s.data[ks:ke]
-		if !s.noteKey(base, key) {
-			return yVal{}, false
-		}
-		v.members++
-		if needEff && !validator.ScrubMetaKey(string(key)) {
-			v.eff++
+		child, ok := w.member(s.data[ks:ke])
+		if !ok {
+			return 0
 		}
 		s.advance()
-		child := int32(-1)
-		childEff := false
-		var req *reqRef
-		if n != nil {
-			if n.flags&(flagRoot|flagMeta) != 0 && skip(n.flags, string(key)) {
-				// Server-owned key: invisible to validation, walk it
-				// structurally.
-			} else {
-				f := s.field(n, key)
-				if f == nil {
-					return yVal{}, false
-				}
-				child = f.node
-				if f.reqBit != 0 {
-					seen |= f.reqBit
-					req = &s.p.reqs[n.reqOff+int32(bits.TrailingZeros64(f.reqBit))]
-					childEff = req.flags&flagMeta != 0
-				}
-			}
-		}
-		cv, cok := s.valueAfterKey(rs, re, indent, child, childEff, depth+1)
-		if !cok {
-			return yVal{}, false
-		}
-		if req != nil && yRequiredEmpty(req, cv) {
-			return yVal{}, false // empty {} / [] stand-in defeats the requirement
+		if !w.filled(s.valueAfterKey(rs, re, indent, child, depth+1)) {
+			return 0
 		}
 	}
-	s.nkeys = base
-	if n != nil && seen != n.reqBits {
-		return yVal{}, false
-	}
-	return v, true
+	return w.close()
 }
 
 // sequence walks a block sequence whose dashes sit at exactly indent,
 // mirroring parseSequence (including the dash-stripping rewrite for
-// inline items). item < 0 walks structurally.
-func (s *yamlScan) sequence(indent int, item int32, depth int) (yVal, bool) {
+// inline items).
+func (s *yamlScan) sequence(indent int, idx int32, depth int) val {
 	if depth > maxRawDepth {
-		return yVal{}, false
+		return 0
 	}
-	v := yVal{shape: yShapeList}
+	item, ok := s.listItem(idx)
+	if !ok {
+		return 0
+	}
+	v := valOK | valList
 	for {
 		s.skipBlank()
 		l, ok := s.cur()
@@ -651,21 +440,20 @@ func (s *yamlScan) sequence(indent int, item int32, depth int) (yVal, bool) {
 		}
 		if l.indent != indent || !s.dashLine(l) {
 			if l.indent > indent && s.entryKind(l) == entryNone && !s.dashLine(l) {
-				return yVal{}, false // decoder: unexpected indentation in sequence
+				return 0 // decoder: unexpected indentation in sequence
 			}
 			break
 		}
-		c := s.data[l.start:l.end]
-		var iok bool
-		if len(c) == 1 { // bare "-": item on following lines, or null
+		var iv val
+		if l.end-l.start == 1 { // bare "-": item on following lines, or null
 			s.advance()
 			m := s.mark()
 			s.skipBlank()
 			if l2, ok2 := s.cur(); ok2 && !s.sep(l2) && l2.indent > indent {
-				_, iok = s.node(l2, item, false, depth+1)
+				iv = s.node(l2, item, depth+1)
 			} else {
 				s.reset(m)
-				iok = s.matchNull(item)
+				iv = s.admits(item, token{kind: tokNull})
 			}
 		} else {
 			j := l.start + 2
@@ -674,81 +462,62 @@ func (s *yamlScan) sequence(indent int, item int32, depth int) (yVal, bool) {
 			}
 			if j == l.end {
 				s.advance()
-				iok = s.matchNull(item)
+				iv = s.admits(item, token{kind: tokNull})
 			} else {
 				// Rewrite "- inner" to inner at the deeper indent and
 				// re-parse it, exactly as the decoder mutates the line.
 				inner := yLine{indent: l.indent + (j - l.start), start: j, end: l.end}
 				s.setOverride(inner)
-				_, iok = s.node(inner, item, false, depth+1)
+				iv = s.node(inner, item, depth+1)
 			}
 		}
-		if !iok {
-			return yVal{}, false
+		if iv == 0 {
+			return 0
 		}
-		v.members++
+		v |= valMember
 	}
-	return v, true
-}
-
-// yRequiredEmpty mirrors requiredEmpty on the shape a walk consumed.
-func yRequiredEmpty(r *reqRef, v yVal) bool {
-	switch r.kind {
-	case validator.KindMap:
-		if v.shape != yShapeMap {
-			return false
-		}
-		if r.flags&flagMeta != 0 {
-			return v.eff == 0
-		}
-		return v.members == 0
-	case validator.KindList:
-		return v.shape == yShapeList && v.members == 0
-	}
-	return false
+	return v
 }
 
 // ---------------------------------------------------------------------
 // Scalars
 // ---------------------------------------------------------------------
 
-// scalarSpan matches one inline value span, mirroring parseScalar's
-// dispatch: flow (only the encoder's empty literals are vouched for),
-// quoted, anchors/aliases/tags (decode errors), or a plain scalar.
-func (s *yamlScan) scalarSpan(start, end int, idx int32) (yVal, bool) {
+// scalarSpan lexes one inline value span, mirroring parseScalar's
+// dispatch: flow (only the encoder's empty literals are vouched for —
+// collections that meet no member), quoted, anchors/aliases/tags
+// (decode errors), or a plain scalar.
+func (s *yamlScan) scalarSpan(start, end int, idx int32) val {
 	c := s.data[start:end]
+	t := token{kind: tokString, seg: c, clean: true}
+	ok := true
 	switch c[0] {
 	case '[', '{':
 		if string(c) == "{}" {
-			return s.emptyMap(idx)
+			if mi, paired := s.mapNode(idx); paired {
+				w := s.openMap(mi)
+				return w.close()
+			}
+		} else if string(c) == "[]" {
+			if _, paired := s.listItem(idx); paired {
+				return valOK | valList
+			}
 		}
-		if string(c) == "[]" {
-			return s.emptyList(idx)
-		}
-		return yVal{}, false // general flow syntax: decode path
+		return 0 // general flow syntax: decode path
 	case '&', '*', '!':
-		return yVal{}, false // decoder rejects anchors, aliases, tags
+		return 0 // decoder rejects anchors, aliases, tags
 	case '"', '\'':
-		seg, clean, ok := unquoteSpan(c)
-		if !ok {
-			return yVal{}, false
-		}
-		return yVal{shape: yShapeScalar}, s.matchString(idx, seg, clean)
+		t.seg, t.clean, ok = unquoteSpan(c)
+	default:
+		// !ok: an ambiguous literal, let the decode path type it.
+		t.kind, ok = classifyPlain(c)
 	}
-	cls, bv := classifyPlain(c)
-	switch cls {
-	case yClassNull:
-		return yVal{shape: yShapeNull}, s.matchNull(idx)
-	case yClassBool:
-		return yVal{shape: yShapeScalar}, s.matchBool(idx, bv)
-	case yClassInt:
-		return yVal{shape: yShapeScalar}, s.matchNum(idx, c, true)
-	case yClassFloat:
-		return yVal{shape: yShapeScalar}, s.matchNum(idx, c, false)
-	case yClassString:
-		return yVal{shape: yShapeScalar}, s.matchString(idx, c, true)
+	if !ok {
+		return 0
 	}
-	return yVal{}, false // ambiguous literal: let the decode path type it
+	// Unlike JSON, YAML passes raw scalar bytes through with no UTF-8
+	// coercion, so clean strings stay clean even non-ASCII.
+	return s.admits(idx, t)
 }
 
 // unquoteSpan vouches for a quoted scalar: ok means the whole span is
@@ -775,46 +544,37 @@ func unquoteSpan(c []byte) (seg []byte, clean, ok bool) {
 	return body, true, true
 }
 
-// Plain-scalar classification, mirroring plainScalar's resolution
-// order. yClassAmbiguous covers every literal whose decoded type the
-// raw bytes do not prove (exponents, hex, leading '+', inf/nan,
-// underscore digit groups, >18-digit numbers): those fall back.
-const (
-	yClassString = iota
-	yClassNull
-	yClassBool
-	yClassInt
-	yClassFloat
-	yClassAmbiguous
-)
-
-func classifyPlain(c []byte) (cls int, boolVal bool) {
+// classifyPlain types a plain scalar, mirroring plainScalar's resolution
+// order. ok is false for every literal whose decoded type the raw bytes
+// do not prove (exponents, hex, leading '+', inf/nan, underscore digit
+// groups, >18-digit numbers): those fall back.
+func classifyPlain(c []byte) (kind tokKind, ok bool) {
 	switch string(c) {
 	case "~", "null", "Null", "NULL":
-		return yClassNull, false
+		return tokNull, true
 	case "true", "True", "TRUE":
-		return yClassBool, true
+		return tokTrue, true
 	case "false", "False", "FALSE":
-		return yClassBool, false
+		return tokFalse, true
 	}
 	if isStrictInt(c) {
-		return yClassInt, false
+		return tokInt, true
 	}
 	if isStrictFloat(c) {
-		return yClassFloat, false
+		return tokFloat, true
 	}
 	d := c
 	if d[0] == '+' || d[0] == '-' {
 		d = d[1:]
 	}
 	if len(d) == 0 {
-		return yClassString, false // a bare sign parses as neither number
+		return tokString, true // a bare sign parses as neither number
 	}
 	if len(d) >= 2 && d[0] == '0' && (d[1] == 'x' || d[1] == 'X') {
-		return yClassAmbiguous, false // hex int / hex float territory
+		return 0, false // hex int / hex float territory
 	}
 	if parseFloatWord(d) {
-		return yClassAmbiguous, false // inf / infinity / nan
+		return 0, false // inf / infinity / nan
 	}
 	for _, b := range d {
 		switch {
@@ -824,10 +584,10 @@ func classifyPlain(c []byte) (cls int, boolVal bool) {
 			// A byte no non-hex, non-word numeric literal can contain:
 			// definitely the string the raw bytes spell (the decoder
 			// passes plain scalar bytes through untouched).
-			return yClassString, false
+			return tokString, true
 		}
 	}
-	return yClassAmbiguous, false
+	return 0, false
 }
 
 // parseFloatWord reports the word forms strconv.ParseFloat accepts
@@ -883,261 +643,4 @@ func isStrictFloat(c []byte) bool {
 	}
 	digits := i + (frac - i - 1)
 	return frac == len(c) && frac > i+1 && digits <= maxRawNumberDigits
-}
-
-// numericAlphabet reports bytes that can appear in SOME literal
-// strconv.ParseInt/ParseFloat accepts (decimal, exponent, hex, hex
-// float, inf/nan, underscore groups). A plain scalar containing any
-// byte outside this set decodes to a string, provably.
-func numericAlphabet(b byte) bool {
-	if b >= '0' && b <= '9' {
-		return true
-	}
-	switch b {
-	case '+', '-', '.', '_':
-		return true
-	}
-	switch b | 0x20 {
-	case 'a', 'b', 'c', 'd', 'e', 'f', 'x', 'p', 'i', 'n':
-		return true
-	}
-	return false
-}
-
-// ---------------------------------------------------------------------
-// Scalar-vs-node matchers (idx < 0 = structural, always fine)
-// ---------------------------------------------------------------------
-
-func (s *yamlScan) matchNull(idx int32) bool {
-	if idx < 0 {
-		return true
-	}
-	n := &s.p.nodes[idx]
-	switch n.op {
-	case opDeny:
-		return false
-	case opAny, opAllow:
-		return true
-	case opScalar:
-		return rawNullOK(&s.p.scalars[n.scalar])
-	}
-	return false // a null where a map/list is validated: decode path denies
-}
-
-func (s *yamlScan) matchBool(idx int32, b bool) bool {
-	if idx < 0 {
-		return true
-	}
-	n := &s.p.nodes[idx]
-	switch n.op {
-	case opDeny:
-		return false
-	case opAny, opAllow:
-		return true
-	case opScalar:
-		return rawBoolOK(&s.p.scalars[n.scalar], b)
-	}
-	return false
-}
-
-func (s *yamlScan) matchNum(idx int32, seg []byte, isInt bool) bool {
-	if idx < 0 {
-		return true
-	}
-	n := &s.p.nodes[idx]
-	switch n.op {
-	case opDeny:
-		return false
-	case opAny, opAllow:
-		return true
-	case opScalar:
-		return rawNumberOK(&s.p.scalars[n.scalar], seg, isInt)
-	}
-	return false
-}
-
-func (s *yamlScan) matchString(idx int32, seg []byte, clean bool) bool {
-	if idx < 0 {
-		return true
-	}
-	n := &s.p.nodes[idx]
-	switch n.op {
-	case opDeny:
-		return false
-	case opAny, opAllow:
-		return true
-	case opScalar:
-		// Unlike JSON, YAML passes raw scalar bytes through with no
-		// UTF-8 coercion, so clean strings stay clean even non-ASCII.
-		return rawStringOK(&s.p.scalars[n.scalar], seg, clean)
-	}
-	return false
-}
-
-func (s *yamlScan) emptyMap(idx int32) (yVal, bool) {
-	v := yVal{shape: yShapeMap}
-	if idx < 0 {
-		return v, true
-	}
-	n := &s.p.nodes[idx]
-	switch n.op {
-	case opAny, opAllow:
-		return v, true
-	case opScalar:
-		sc := &s.p.scalars[n.scalar]
-		return v, sc.typ == schema.TokDict && !sc.locked
-	case opDeny, opList:
-		return v, false
-	}
-	// opMap: {} passes only when nothing is required of it.
-	return v, n.flags&flagReqMany == 0 && n.reqBits == 0
-}
-
-func (s *yamlScan) emptyList(idx int32) (yVal, bool) {
-	v := yVal{shape: yShapeList}
-	if idx < 0 {
-		return v, true
-	}
-	n := &s.p.nodes[idx]
-	switch n.op {
-	case opAny, opAllow, opList:
-		return v, true
-	case opScalar:
-		sc := &s.p.scalars[n.scalar]
-		return v, sc.typ == schema.TokList && !sc.locked
-	}
-	return v, false
-}
-
-// ---------------------------------------------------------------------
-// Metadata extraction (structural walks that remember two strings)
-// ---------------------------------------------------------------------
-
-// metaScalar consumes one mapping value that should be a plain string,
-// with decoded-accessor parity: a clean string returns its bytes; a
-// provably non-string value (null, bool, number, nested collection)
-// returns nil, the way the accessors return ""; anything the scanner
-// cannot type fails the scan.
-func (s *yamlScan) metaScalar(rs, re, keyIndent int) ([]byte, bool) {
-	if rs == re {
-		m := s.mark()
-		s.skipBlank()
-		if l, ok := s.cur(); ok && !s.sep(l) {
-			if l.indent > keyIndent {
-				_, wok := s.node(l, -1, false, 1)
-				return nil, wok
-			}
-			if l.indent == keyIndent && s.dashLine(l) {
-				_, wok := s.sequence(keyIndent, -1, 1)
-				return nil, wok
-			}
-		}
-		s.reset(m)
-		return nil, true // null: the accessor reads ""
-	}
-	c := s.data[rs:re]
-	switch c[0] {
-	case '|', '>', '&', '*', '!':
-		return nil, false
-	case '[', '{':
-		if string(c) == "{}" || string(c) == "[]" {
-			return nil, true
-		}
-		return nil, false
-	case '"', '\'':
-		seg, clean, ok := unquoteSpan(c)
-		if !ok || !clean {
-			return nil, false
-		}
-		return seg, true
-	}
-	switch cls, _ := classifyPlain(c); cls {
-	case yClassString:
-		return c, true
-	case yClassAmbiguous:
-		return nil, false
-	}
-	return nil, true // null/bool/int/float: the accessor reads ""
-}
-
-// metaBlock consumes the metadata value, extracting namespace and name
-// when it is a block mapping; any other decodable shape yields nil
-// fields (the accessors read "" off a non-map metadata).
-func (s *yamlScan) metaBlock(rs, re, keyIndent int) (ns, name []byte, ok bool) {
-	if rs != re {
-		c := s.data[rs:re]
-		if c[0] == '|' || c[0] == '>' {
-			return nil, nil, false
-		}
-		_, sok := s.scalarSpan(rs, re, -1)
-		return nil, nil, sok
-	}
-	m := s.mark()
-	s.skipBlank()
-	l, lok := s.cur()
-	if !lok || s.sep(l) {
-		s.reset(m)
-		return nil, nil, true
-	}
-	if l.indent == keyIndent && s.dashLine(l) {
-		_, sok := s.sequence(keyIndent, -1, 2)
-		return nil, nil, sok
-	}
-	if l.indent <= keyIndent {
-		s.reset(m)
-		return nil, nil, true
-	}
-	if s.dashLine(l) {
-		_, sok := s.sequence(l.indent, -1, 2)
-		return nil, nil, sok
-	}
-	switch s.entryKind(l) {
-	case entryQuoted:
-		return nil, nil, false
-	case entryNone:
-		s.advance()
-		_, sok := s.scalarSpan(l.start, l.end, -1)
-		return nil, nil, sok
-	}
-	indent := l.indent
-	base := s.nkeys
-	for {
-		s.skipBlank()
-		l, lok := s.cur()
-		if !lok || s.sep(l) || l.indent < indent {
-			break
-		}
-		if l.indent > indent {
-			return nil, nil, false
-		}
-		ks, ke, vrs, vre, ek := s.splitKey(l)
-		if ek != entryPlain {
-			return nil, nil, false
-		}
-		key := s.data[ks:ke]
-		if !s.noteKey(base, key) {
-			return nil, nil, false
-		}
-		s.advance()
-		switch string(key) {
-		case "namespace":
-			seg, sok := s.metaScalar(vrs, vre, indent)
-			if !sok {
-				return nil, nil, false
-			}
-			ns = seg
-		case "name":
-			seg, sok := s.metaScalar(vrs, vre, indent)
-			if !sok {
-				return nil, nil, false
-			}
-			name = seg
-		default:
-			if _, sok := s.valueAfterKey(vrs, vre, indent, -1, false, 2); !sok {
-				return nil, nil, false
-			}
-		}
-	}
-	s.nkeys = base
-	return ns, name, true
 }

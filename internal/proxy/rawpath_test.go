@@ -8,10 +8,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/object"
+	"repro/internal/registry"
 	"repro/internal/validator"
 )
 
@@ -147,6 +149,57 @@ func TestRawFastPathNoPolicyRejectMatchesClassic(t *testing.T) {
 	if raw.Code != classic.Code || raw.Body.String() != classic.Body.String() {
 		t.Errorf("unmatched-kind rejections diverge:\nraw:     %d %s\nclassic: %d %s",
 			raw.Code, raw.Body.String(), classic.Code, classic.Body.String())
+	}
+}
+
+// TestRawFastPathTenantResolutionMatchesClassic: a YAML body whose
+// metadata.namespace value sits on an indented continuation line names
+// tenant b whatever the URL says. The raw path must resolve, judge and
+// charge the same tenant the decode path does — a scan that read the
+// field as absent fell back to the URL's tenant a, whose policy allows
+// the body.
+func TestRawFastPathTenantResolutionMatchesClassic(t *testing.T) {
+	const body = "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n" +
+		"  namespace:\n    b\ndata:\n  mode: lenient\n"
+	serve := func(disable bool) (int, map[string]uint64) {
+		reg := registry.New(registry.Config{})
+		for tenant, mode := range map[string]string{"a": "lenient", "b": "strict"} {
+			v, err := buildPolicy(object.Object{
+				"apiVersion": "v1",
+				"kind":       "ConfigMap",
+				"metadata":   map[string]any{"name": "cm", "namespace": tenant},
+				"data":       map[string]any{"mode": mode},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := reg.Register(tenant, registry.Selector{Namespace: tenant}, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p := newRawPathProxy(t, func(c *Config) {
+			c.Validator, c.Registry, c.DisableRawFastPath = nil, reg, disable
+		})
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/namespaces/a/configmaps",
+			strings.NewReader(body))
+		req.Header.Set("Content-Type", "application/yaml")
+		rec := httptest.NewRecorder()
+		p.ServeHTTP(rec, req)
+		charged := map[string]uint64{}
+		for workload, m := range p.Registry().Metrics() {
+			charged[workload] = m.Requests
+		}
+		return rec.Code, charged
+	}
+	rawCode, rawCharged := serve(false)
+	classicCode, classicCharged := serve(true)
+	if rawCode != classicCode || !reflect.DeepEqual(rawCharged, classicCharged) {
+		t.Errorf("raw path: %d charged %v; decode path: %d charged %v",
+			rawCode, rawCharged, classicCode, classicCharged)
+	}
+	if want := map[string]uint64{"a": 0, "b": 1}; classicCode != http.StatusForbidden ||
+		!reflect.DeepEqual(classicCharged, want) {
+		t.Errorf("decode path: %d charged %v, want 403 charged %v", classicCode, classicCharged, want)
 	}
 }
 

@@ -23,6 +23,7 @@ import (
 	"repro/internal/object"
 	"repro/internal/operator"
 	"repro/internal/proxy"
+	"repro/internal/registry"
 	"repro/internal/schema"
 	"repro/internal/store"
 	"repro/internal/surface"
@@ -184,8 +185,12 @@ func benchCluster(b *testing.B, workload string, fenced bool) (string, func()) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	reg := registry.New(registry.Config{})
+	if _, err := reg.Register(res.Workload, registry.Selector{}, res.Validator); err != nil {
+		b.Fatal(err)
+	}
 	p, err := proxy.New(proxy.Config{
-		Upstream: apiTS.URL, Validator: res.Validator, ProxyUser: "kubefence-proxy",
+		Upstream: apiTS.URL, Registry: reg, ProxyUser: "kubefence-proxy",
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -11,7 +11,7 @@
 //	kfbench -experiment resources  # proxy CPU/memory overhead
 //	kfbench -experiment robustness # mutated attacks + benign trace, 0 FN / 0 FP
 //	kfbench -experiment learning   # learn → shadow → enforce, mined policies vs the matrix
-//	kfbench -experiment scenarios  # synthetic corpus through raw / compiled / interpreted
+//	kfbench -experiment scenarios  # synthetic corpus through the raw and decode paths
 //	kfbench -experiment plane      # matrix + cache handoff through a rebalanced tier
 //	kfbench -experiment all        # every row above, in that order
 //
@@ -20,7 +20,6 @@
 // pairs; every chart converged and promoted), in both output modes:
 //
 //	kfbench -experiment robustness -concurrency 8 -cache 4096 -seed 1 -json
-//	kfbench -experiment robustness -engine interpreted   # differential run
 //	kfbench -experiment robustness -wire yaml -synth 100
 //	kfbench -experiment learning -charts nginx -max-per-class 2
 //	kfbench -experiment scenarios -synth 25 -max-per-class 2
@@ -56,7 +55,6 @@ type options struct {
 	seed        int64
 	charts      []string
 	maxPerClass int
-	interpreted bool
 	yamlWire    bool
 	maxEpochs   int
 	synth       int
@@ -132,7 +130,6 @@ var table = []experiment{
 			Seed:              o.seed,
 			MaxPerAttackClass: o.maxPerClass,
 			CacheSize:         o.cacheSize,
-			Interpreted:       o.interpreted,
 			Synth:             o.synth,
 			YAMLWire:          o.yamlWire,
 		})
@@ -205,16 +202,12 @@ func run(args []string) error {
 	seed := fs.Int64("seed", 1, "corpus-generation and trace-interleaving seed")
 	chartList := fs.String("charts", "", "charts for robustness and learning (comma-separated, default all)")
 	maxPerClass := fs.Int("max-per-class", 0, "cap mutation variants per (attack, class) (0 = full matrix)")
-	engine := fs.String("engine", "compiled", "validation engine for robustness: compiled | interpreted")
 	wire := fs.String("wire", "json", "body encoding for robustness replay: json | yaml (yaml drives the YAML raw pipeline)")
 	maxEpochs := fs.Int("max-epochs", 8, "benign-replay epochs allowed for learning convergence")
 	synthCount := fs.Int("synth", 0, "generated synthetic workloads: corpus size for scenarios and plane (0 = default), extra workloads for robustness and learning (0 = none)")
 	replicas := fs.Int("replicas", 8, "tier size for the plane experiment")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *engine != "compiled" && *engine != "interpreted" {
-		return fmt.Errorf("-engine: %q is not compiled or interpreted", *engine)
 	}
 	if *wire != "json" && *wire != "yaml" {
 		return fmt.Errorf("-wire: %q is not json or yaml", *wire)
@@ -229,7 +222,6 @@ func run(args []string) error {
 		seed:        *seed,
 		charts:      splitCharts(*chartList),
 		maxPerClass: *maxPerClass,
-		interpreted: *engine == "interpreted",
 		yamlWire:    *wire == "yaml",
 		maxEpochs:   *maxEpochs,
 		synth:       *synthCount,

@@ -278,7 +278,6 @@ func runProxy(args []string) error {
 	cfg := proxy.Config{
 		Upstream:    *upstream,
 		ProxyUser:   *proxyUser,
-		CacheSize:   *cacheSize,
 		OnViolation: onViolation,
 	}
 	var hub *telemetry.Hub
@@ -385,7 +384,13 @@ func runProxy(args []string) error {
 		if err != nil {
 			return err
 		}
-		cfg.Validator = res.Validator
+		// The paper's single-workload enforcement point: a one-entry
+		// registry whose zero Selector scopes the policy to every request.
+		reg := registry.New(registry.Config{CacheSize: *cacheSize})
+		if _, err := reg.Register(res.Workload, registry.Selector{}, res.Validator); err != nil {
+			return err
+		}
+		cfg.Registry = reg
 		enforcing = res.Workload + " policy"
 	}
 	p, err := proxy.New(cfg)

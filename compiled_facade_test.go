@@ -67,24 +67,21 @@ func TestCompiledPolicyMatchesInterpretedFacade(t *testing.T) {
 	}
 }
 
-// TestRegistryEngineSelection checks that Interpreted registries still
-// enforce, and that both engine configurations agree through the
-// registry Validate path.
+// TestRegistryEngineSelection checks that a registry runs the compiled
+// engine: every registered entry carries its compiled program.
 func TestRegistryEngineSelection(t *testing.T) {
-	for _, interpreted := range []bool{false, true} {
-		r, err := GenerateRegistry(RegistryConfig{CacheSize: 64, Interpreted: interpreted}, "nginx")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := r.Workloads(); len(got) != 1 || got[0] != "nginx" {
-			t.Fatalf("workloads = %v", got)
-		}
-		e, ok := r.Entry("nginx")
-		if !ok {
-			t.Fatal("nginx entry missing")
-		}
-		if e.Program() == nil {
-			t.Fatal("registered entry has no compiled program")
-		}
+	r, err := GenerateRegistry(RegistryConfig{CacheSize: 64}, "nginx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Workloads(); len(got) != 1 || got[0] != "nginx" {
+		t.Fatalf("workloads = %v", got)
+	}
+	e, ok := r.Entry("nginx")
+	if !ok {
+		t.Fatal("nginx entry missing")
+	}
+	if e.Program() == nil {
+		t.Fatal("registered entry has no compiled program")
 	}
 }

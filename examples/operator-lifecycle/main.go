@@ -80,9 +80,15 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// A one-entry registry: the zero Selector scopes the policy to every
+	// request.
+	reg := kubefence.NewRegistry(kubefence.RegistryConfig{})
+	if err := policy.Register(reg, kubefence.Selector{}); err != nil {
+		return err
+	}
 	proxy, err := kubefence.NewProxy(kubefence.ProxyConfig{
 		Upstream: apiTS.URL,
-		Policy:   policy,
+		Registry: reg,
 		Transport: &http.Transport{
 			TLSClientConfig: certs.ClientTLSConfig(clusterCA, proxyClientCert),
 		},

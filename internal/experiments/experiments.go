@@ -30,6 +30,7 @@ import (
 	"repro/internal/operator"
 	"repro/internal/proxy"
 	"repro/internal/rbac"
+	"repro/internal/registry"
 	"repro/internal/store"
 	"repro/internal/surface"
 	"repro/internal/validator"
@@ -177,11 +178,7 @@ func mitigationForWorkload(name string) (MitigationRow, error) {
 	if err != nil {
 		return row, err
 	}
-	p, err := proxy.New(proxy.Config{
-		Upstream:  apiTS.URL,
-		Validator: res.Validator,
-		ProxyUser: "kubefence-proxy",
-	})
+	p, err := enforcingProxy(apiTS.URL, res.Validator)
 	if err != nil {
 		return row, err
 	}
@@ -212,9 +209,7 @@ func mitigationForWorkload(name string) (MitigationRow, error) {
 	}
 	apiTS2 := httptest.NewServer(api2)
 	defer apiTS2.Close()
-	p2, err := proxy.New(proxy.Config{
-		Upstream: apiTS2.URL, Validator: res.Validator, ProxyUser: "kubefence-proxy",
-	})
+	p2, err := enforcingProxy(apiTS2.URL, res.Validator)
 	if err != nil {
 		return row, err
 	}
@@ -393,9 +388,7 @@ func timeDeploy(name, user string, through bool) (time.Duration, int, error) {
 		if err != nil {
 			return 0, 0, err
 		}
-		p, err := proxy.New(proxy.Config{
-			Upstream: apiTS.URL, Validator: res.Validator, ProxyUser: "kubefence-proxy",
-		})
+		p, err := enforcingProxy(apiTS.URL, res.Validator)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -505,9 +498,7 @@ func Resources() (ResourceUsage, error) {
 			return usage, err
 		}
 		apiTS := httptest.NewServer(api)
-		p, err := proxy.New(proxy.Config{
-			Upstream: apiTS.URL, Validator: pols[name], ProxyUser: "kubefence-proxy",
-		})
+		p, err := enforcingProxy(apiTS.URL, pols[name])
 		if err != nil {
 			apiTS.Close()
 			return usage, err
@@ -546,4 +537,15 @@ func RenderResources(u ResourceUsage) string {
 		100*u.ValidationCPUFraction)
 	fmt.Fprintf(&b, "requests body-inspected:    %d\n", u.InspectedRequests)
 	return b.String()
+}
+
+// enforcingProxy fronts upstream with the paper's single-workload
+// enforcement point: a one-entry registry whose zero Selector scopes v
+// to every request.
+func enforcingProxy(upstream string, v *validator.Validator) (*proxy.Proxy, error) {
+	reg := registry.New(registry.Config{})
+	if _, err := reg.Register(v.Workload, registry.Selector{}, v); err != nil {
+		return nil, err
+	}
+	return proxy.New(proxy.Config{Upstream: upstream, Registry: reg, ProxyUser: "kubefence-proxy"})
 }

@@ -30,10 +30,6 @@ type RobustnessOptions struct {
 	// disables), so the adversarial trace also exercises cached-decision
 	// correctness.
 	CacheSize int
-	// Interpreted replays through the interpreted tree-walk engine
-	// instead of the compiled rule program — the differential mode that
-	// proves both engines hold the same 0 FN / 0 FP line end to end.
-	Interpreted bool
 	// Synth adds that many generated workloads (internal/synth, seeded by
 	// Seed) to the chart corpus, scaling the matrix past the five
 	// hand-written charts.
@@ -54,7 +50,6 @@ type RobustnessResult struct {
 	MaxPerAttackClass int      `json:"max_per_attack_class,omitempty"`
 	CacheSize         int      `json:"cache_size"`
 	CacheHits         uint64   `json:"cache_hits"`
-	Engine            string   `json:"engine"`
 	// Wire is the body encoding the trace traveled as: "json" or "yaml".
 	Wire string `json:"wire"`
 
@@ -75,10 +70,7 @@ func Robustness(opts RobustnessOptions) (*RobustnessResult, error) {
 		return nil, err
 	}
 
-	reg := registry.New(registry.Config{
-		CacheSize:   opts.CacheSize,
-		Interpreted: opts.Interpreted,
-	})
+	reg := registry.New(registry.Config{CacheSize: opts.CacheSize})
 	var events []replay.Event
 	addTrace := func(name string, objs []object.Object) error {
 		benign, attacks, err := workloadTrace(name, objs, opts.MaxPerAttackClass, opts.YAMLWire)
@@ -148,10 +140,6 @@ func Robustness(opts RobustnessOptions) (*RobustnessResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	engine := "compiled"
-	if opts.Interpreted {
-		engine = "interpreted"
-	}
 	wire := "json"
 	if opts.YAMLWire {
 		wire = "yaml"
@@ -161,7 +149,6 @@ func Robustness(opts RobustnessOptions) (*RobustnessResult, error) {
 		SynthWorkloads:    opts.Synth,
 		MaxPerAttackClass: opts.MaxPerAttackClass,
 		CacheSize:         opts.CacheSize,
-		Engine:            engine,
 		Wire:              wire,
 		Result:            *res,
 	}
@@ -179,8 +166,8 @@ func RenderRobustness(r *RobustnessResult) string {
 	if wire == "" {
 		wire = "json"
 	}
-	fmt.Fprintf(&b, "charts: %s   engine: %s   wire: %s   concurrency: %d   seed: %d   cache: %d (hits %d)\n",
-		strings.Join(r.Charts, ","), r.Engine, wire, r.Concurrency, r.Seed, r.CacheSize, r.CacheHits)
+	fmt.Fprintf(&b, "charts: %s   wire: %s   concurrency: %d   seed: %d   cache: %d (hits %d)\n",
+		strings.Join(r.Charts, ","), wire, r.Concurrency, r.Seed, r.CacheSize, r.CacheHits)
 	if r.SynthWorkloads > 0 {
 		fmt.Fprintf(&b, "synthetic corpus: %d generated workloads (internal/synth, seed %d)\n",
 			r.SynthWorkloads, r.Seed)

@@ -10,21 +10,17 @@ import (
 
 // TestRobustnessReducedMatrix is the CI-sized smoke: two workloads,
 // capped variants, caching enabled so cached decisions are also scored,
-// replayed through both engines on both wires — the interpreted rows are
-// the differential run that proves the tree walk and the compiled
-// program hold the same 0 FN / 0 FP line end to end, the YAML rows drive
-// the proxy's YAML raw pipeline (streaming scan + match with decode
-// fallback).
+// replayed on both wires — the YAML row drives the proxy's YAML raw
+// pipeline (streaming scan + match with decode fallback). The tree walk
+// meets the same matrix in internal/compile's
+// TestCompiledEquivalenceOnRobustnessMatrix.
 func TestRobustnessReducedMatrix(t *testing.T) {
 	for _, tc := range []struct {
-		name        string
-		interpreted bool
-		yamlWire    bool
+		name     string
+		yamlWire bool
 	}{
 		{name: "compiled-json"},
 		{name: "compiled-yaml", yamlWire: true},
-		{name: "interpreted-json", interpreted: true},
-		{name: "interpreted-yaml", interpreted: true, yamlWire: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			res, err := Robustness(RobustnessOptions{
@@ -33,7 +29,6 @@ func TestRobustnessReducedMatrix(t *testing.T) {
 				Seed:              7,
 				MaxPerAttackClass: 2,
 				CacheSize:         1024,
-				Interpreted:       tc.interpreted,
 				YAMLWire:          tc.yamlWire,
 			})
 			if err != nil {
@@ -43,8 +38,8 @@ func TestRobustnessReducedMatrix(t *testing.T) {
 				t.Errorf("reduced run not clean: FN=%d FP=%d errors=%d mismatches=%v",
 					res.FalseNegatives, res.FalsePositives, res.Errors, res.Mismatches)
 			}
-			if got := res.Engine + "-" + res.Wire; got != tc.name {
-				t.Errorf("result engine-wire = %q, want %q", got, tc.name)
+			if got := "compiled-" + res.Wire; got != tc.name {
+				t.Errorf("result wire = %q, want %q", res.Wire, tc.name)
 			}
 			if res.AttackEvents == 0 || res.BenignEvents == 0 {
 				t.Errorf("trace not interleaved: %d attacks, %d benign", res.AttackEvents, res.BenignEvents)

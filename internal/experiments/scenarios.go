@@ -37,8 +37,8 @@ type ScenarioCell struct {
 	// Workloads is how many corpus workloads were registered and replayed.
 	Workloads int `json:"workloads"`
 	// Engine is the validation path: "raw" (compiled program with the
-	// decode-free fast path), "compiled" (decode-first compiled program),
-	// or "interpreted" (tree walk).
+	// decode-free fast path) or "compiled" (decode-first compiled
+	// program).
 	Engine string `json:"engine"`
 
 	replay.Result
@@ -84,14 +84,14 @@ func (r *ScenariosResult) Cell(workloads int, engine string) *ScenarioCell {
 }
 
 // scenarioEngines lists the validation paths every count is measured
-// under, matching the acceptance bar: both engines plus the raw fast
-// path must hold the 0 FN / 0 FP line on the generated corpus.
-func scenarioEngines() []string { return []string{"raw", "compiled", "interpreted"} }
+// under: the raw fast path and the decode path must both hold the
+// 0 FN / 0 FP line on the generated corpus.
+func scenarioEngines() []string { return []string{"raw", "compiled"} }
 
 // Scenarios generates the synthetic workload corpus, verifies every
 // (policy, trace) pair, and replays the interleaved benign + adversarial
-// trace at increasing registered-workload counts under all three
-// validation paths. Events are grouped per workload, so a smaller count
+// trace at increasing registered-workload counts under both validation
+// paths. Events are grouped per workload, so a smaller count
 // replays an exact prefix of the larger count's corpus.
 func Scenarios(opts ScenariosOptions) (*ScenariosResult, error) {
 	if opts.Synth <= 0 {
@@ -162,10 +162,7 @@ func Scenarios(opts ScenariosOptions) (*ScenariosResult, error) {
 }
 
 func runScenarioCell(ws []synth.Workload, perWorkload [][]replay.Event, engine string, opts ScenariosOptions) (*ScenarioCell, error) {
-	reg := registry.New(registry.Config{
-		CacheSize:   opts.CacheSize,
-		Interpreted: engine == "interpreted",
-	})
+	reg := registry.New(registry.Config{CacheSize: opts.CacheSize})
 	for i := range ws {
 		if _, err := reg.Register(ws[i].Name, registry.Selector{Namespace: ws[i].Name}, ws[i].Policy); err != nil {
 			return nil, err

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -226,30 +227,41 @@ func TestSecretOwnershipEdges(t *testing.T) {
 	}
 }
 
-// TestEnginesAgreeOnInvariants: the compiled, interpreted, and shadow
-// paths all evaluate invariants through registry.validateVersion, so
-// their verdicts on the same object must be identical.
+// TestEnginesAgreeOnInvariants: the enforce and shadow paths both
+// evaluate invariants through registry.validateVersion on the compiled
+// program, so their violation lists on the same object must be
+// identical — and identical to the interpreted oracle plus the rule.
 func TestEnginesAgreeOnInvariants(t *testing.T) {
 	objs, pol, rule := storeFixture(t)
-	for _, interpreted := range []bool{false, true} {
-		reg := registry.New(registry.Config{CacheSize: 64, Interpreted: interpreted})
-		e, err := reg.Register("store", registry.Selector{Namespace: "store"}, pol.Validator)
-		if err != nil {
-			t.Fatal(err)
+	reg := registry.New(registry.Config{CacheSize: 64})
+	e, err := reg.Register("store", registry.Selector{Namespace: "store"}, pol.Validator)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.SetInvariants("store", []registry.Invariant{rule}); err != nil {
+		t.Fatal(err)
+	}
+	check := func(o object.Object, wantDeny bool) {
+		t.Helper()
+		oracle := pol.Validator.Validate(o)
+		if len(oracle) == 0 {
+			oracle = rule.Check(o)
 		}
-		if err := reg.SetInvariants("store", []registry.Invariant{rule}); err != nil {
-			t.Fatal(err)
+		enforced := reg.Validate(e, nil, o)
+		shadowed, _ := reg.ShadowValidate(e, nil, o)
+		if !reflect.DeepEqual(enforced, oracle) || !reflect.DeepEqual(shadowed, oracle) {
+			t.Errorf("%s/%s: paths diverge:\nenforce: %v\nshadow:  %v\noracle:  %v",
+				o.Kind(), o.Name(), enforced, shadowed, oracle)
 		}
-		for _, o := range objs {
-			if vs := reg.Validate(e, nil, o); len(vs) != 0 {
-				t.Errorf("interpreted=%v: benign %s/%s denied: %v", interpreted, o.Kind(), o.Name(), vs)
-			}
+		if (len(enforced) > 0) != wantDeny {
+			t.Errorf("%s/%s: denied=%v, want %v (%v)", o.Kind(), o.Name(), len(enforced) > 0, wantDeny, enforced)
 		}
-		for _, o := range violatingAdmissions(t, objs) {
-			if vs := reg.Validate(e, nil, o); len(vs) == 0 {
-				t.Errorf("interpreted=%v: cross-mount %s forwarded", interpreted, o.Name())
-			}
-		}
+	}
+	for _, o := range objs {
+		check(o, false)
+	}
+	for _, o := range violatingAdmissions(t, objs) {
+		check(o, true)
 	}
 }
 

@@ -220,7 +220,6 @@ func TestChaosRebalanceMidSwap(t *testing.T) {
 		CacheSize:          128,
 		Placement:          PlacementWeighted,
 		RebalanceThreshold: 0.05,
-		LoadSmoothing:      0.9,
 	})
 	v1 := policyFor(t, "wl", false, img)
 	v2 := policyFor(t, "wl", true, img)

@@ -47,9 +47,10 @@ const (
 	// Config.RebalanceThreshold is zero: rebalance only while the
 	// most loaded replica exceeds the mean by 20%.
 	defaultRebalanceThreshold = 0.2
-	// defaultLoadSmoothing is the EWMA coefficient when
-	// Config.LoadSmoothing is zero.
-	defaultLoadSmoothing = 0.5
+	// loadSmoothing is the EWMA coefficient of per-workload load
+	// scores: each epoch's observation and the running score weigh
+	// equally.
+	loadSmoothing = 0.5
 )
 
 func (pl *Plane) placement() PlacementPolicy {
@@ -57,13 +58,6 @@ func (pl *Plane) placement() PlacementPolicy {
 		return PlacementHash
 	}
 	return pl.cfg.Placement
-}
-
-func (pl *Plane) alpha() float64 {
-	if pl.cfg.LoadSmoothing <= 0 || pl.cfg.LoadSmoothing > 1 {
-		return defaultLoadSmoothing
-	}
-	return pl.cfg.LoadSmoothing
 }
 
 func (pl *Plane) threshold() float64 {
@@ -106,11 +100,11 @@ const minMeanCostNs = 1000
 const maxMeanCostNs = 2 * minMeanCostNs
 
 // epochScore folds one epoch's cumulative observation into a workload's
-// EWMA score: score = alpha * (delta requests x mean cost) +
-// (1-alpha) * previous. Mean cost is clamped to the
+// EWMA score: score = a * (delta requests x mean cost) + (1-a) *
+// previous, with a = loadSmoothing. Mean cost is clamped to the
 // [minMeanCostNs, maxMeanCostNs] band, and deltas clamp when the
 // cumulative counters shrank (a replica restart reset them).
-func epochScore(st loadState, reqs, costNs uint64, alpha float64) (float64, loadState) {
+func epochScore(st loadState, reqs, costNs uint64) (float64, loadState) {
 	dReq := reqs - st.lastRequests
 	if reqs < st.lastRequests {
 		dReq = reqs
@@ -130,7 +124,7 @@ func epochScore(st loadState, reqs, costNs uint64, alpha float64) (float64, load
 		}
 		epoch = float64(dReq) * meanCost
 	}
-	score := alpha*epoch + (1-alpha)*st.score
+	score := loadSmoothing*epoch + (1-loadSmoothing)*st.score
 	return score, loadState{score: score, lastRequests: reqs, lastCostNs: costNs}
 }
 
@@ -160,7 +154,7 @@ func (pl *Plane) loadScoresLocked(advance bool) map[string]float64 {
 	out := make(map[string]float64, len(pl.workloads))
 	for w := range pl.workloads {
 		reqs, costNs := pl.observeLocked(w)
-		score, next := epochScore(pl.loads[w], reqs, costNs, pl.alpha())
+		score, next := epochScore(pl.loads[w], reqs, costNs)
 		out[w] = score
 		if advance {
 			pl.loads[w] = next

@@ -92,34 +92,34 @@ func TestEpochScoreEWMA(t *testing.T) {
 	// First epoch from zero state: 10 requests at mean cost 1500ns
 	// (inside the clamp band) is an epoch load of 15000, halved by
 	// alpha=0.5.
-	score, st := epochScore(loadState{}, 10, 15000, 0.5)
+	score, st := epochScore(loadState{}, 10, 15000)
 	if score != 7500 {
 		t.Fatalf("first epoch score = %v, want 7500", score)
 	}
 	// A quiet second epoch decays, not zeroes.
-	score, st = epochScore(st, 10, 15000, 0.5)
+	score, st = epochScore(st, 10, 15000)
 	if score != 3750 {
 		t.Fatalf("quiet epoch score = %v, want 3750", score)
 	}
 	// A counter reset (replica restart) clamps the delta to the new
 	// cumulative value instead of wrapping negative.
-	score, _ = epochScore(st, 4, 6000, 0.5)
+	score, _ = epochScore(st, 4, 6000)
 	if score != 4875 { // 0.5*(4*1500) + 0.5*3750
 		t.Fatalf("post-reset score = %v, want 4875", score)
 	}
 	// Mean cost floors at minMeanCostNs: cache-hot requests that record
 	// no validation time still carry their per-request weight.
-	if score, _ := epochScore(loadState{}, 8, 0, 0.5); score != 4*minMeanCostNs {
+	if score, _ := epochScore(loadState{}, 8, 0); score != 4*minMeanCostNs {
 		t.Fatalf("zero-cost epoch score = %v, want %v", score, 4*minMeanCostNs)
 	}
 	// Mean cost caps at maxMeanCostNs: a one-time cold-validation spike
 	// (2 requests carrying 2ms of cost) must not outscore a sustained
 	// cache-hot stream, or cold tails would look hotter than the hot set.
-	spike, _ := epochScore(loadState{}, 2, 2_000_000, 0.5)
+	spike, _ := epochScore(loadState{}, 2, 2_000_000)
 	if spike != 0.5*2*maxMeanCostNs {
 		t.Fatalf("cold-spike epoch score = %v, want %v", spike, 0.5*2*maxMeanCostNs)
 	}
-	hot, _ := epochScore(loadState{}, 1000, 0, 0.5)
+	hot, _ := epochScore(loadState{}, 1000, 0)
 	if hot <= spike {
 		t.Fatalf("hot stream score %v did not dominate cold spike %v", hot, spike)
 	}

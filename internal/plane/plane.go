@@ -39,10 +39,10 @@
 // observable via TierMetrics.PublishesStarted vs PublishesCompleted,
 // for policy publishes, topology changes and shard moves alike.
 //
-// Fail-closed shedding. Per-replica backpressure (MaxInFlight +
-// QueueTimeout) sheds overload with 429 and routes to dead replicas
-// with 503 — a shed request is always an explicit denial-shaped
-// response, never a silent allow.
+// Fail-closed shedding. Per-replica backpressure (MaxInFlight) sheds
+// overload with 429 at once and routes to dead replicas with 503 — a
+// shed request is always an explicit denial-shaped response, never a
+// silent allow.
 package plane
 
 import (
@@ -108,22 +108,15 @@ type Config struct {
 	// cache. Zero disables caching.
 	CacheSize int
 	// MaxInFlight bounds the requests concurrently admitted into one
-	// replica; excess requests wait up to QueueTimeout for a slot and
-	// are then shed with 429. Zero means unbounded.
+	// replica; a request arriving at a saturated replica is shed with
+	// 429 at once, without queueing. Zero means unbounded.
 	MaxInFlight int
-	// QueueTimeout is how long a request may wait for a replica slot
-	// before being shed. Zero sheds immediately when the replica is
-	// saturated.
-	QueueTimeout time.Duration
 	// VirtualNodes is the consistent-hash virtual-node count per
 	// replica (default 64).
 	VirtualNodes int
 	// ProxyUser is forwarded to every replica proxy (header-auth
 	// identity asserted upstream).
 	ProxyUser string
-	// DisableRawFastPath forces every replica through the decode-first
-	// path (ablation/debugging).
-	DisableRawFastPath bool
 	// Telemetry, when non-nil, equips every replica proxy with its own
 	// telemetry hub plus a front-door hub for routing outcomes
 	// (routed/shed/unavailable). Hubs are created once and survive
@@ -143,10 +136,6 @@ type Config struct {
 	// RebalanceInterval, when > 0 on a weighted-placement tier, runs
 	// Rebalance on a background ticker until Close.
 	RebalanceInterval time.Duration
-	// LoadSmoothing is the EWMA coefficient for per-workload load
-	// scores (0 < alpha <= 1, default 0.5); higher weights the latest
-	// epoch more.
-	LoadSmoothing float64
 }
 
 // workloadState is the control plane's desired state for one workload —
@@ -318,12 +307,11 @@ func New(cfg Config) (*Plane, error) {
 func (pl *Plane) bootReplica(rep *replica) error {
 	reg := registry.New(registry.Config{CacheSize: pl.cfg.CacheSize})
 	px, err := proxy.New(proxy.Config{
-		Upstream:           pl.cfg.Upstream,
-		Transport:          pl.cfg.Transport,
-		Registry:           reg,
-		ProxyUser:          pl.cfg.ProxyUser,
-		DisableRawFastPath: pl.cfg.DisableRawFastPath,
-		Telemetry:          rep.hub,
+		Upstream:  pl.cfg.Upstream,
+		Transport: pl.cfg.Transport,
+		Registry:  reg,
+		ProxyUser: pl.cfg.ProxyUser,
+		Telemetry: rep.hub,
 	})
 	if err != nil {
 		return err
@@ -945,7 +933,7 @@ func (pl *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if rep.inflight != nil {
-		if !rep.acquire(pl.cfg.QueueTimeout) {
+		if !rep.acquire() {
 			rep.shed.Add(1)
 			pl.shedTotal.Add(1)
 			pl.recordFront(telemetry.VerdictShed, start)
@@ -1021,22 +1009,12 @@ func (pl *Plane) serveVarz(w http.ResponseWriter) {
 	_ = enc.Encode(out)
 }
 
-// acquire takes a backpressure slot, waiting up to timeout.
-func (rep *replica) acquire(timeout time.Duration) bool {
+// acquire takes a backpressure slot if one is free.
+func (rep *replica) acquire() bool {
 	select {
 	case rep.inflight <- struct{}{}:
 		return true
 	default:
-	}
-	if timeout <= 0 {
-		return false
-	}
-	t := time.NewTimer(timeout)
-	defer t.Stop()
-	select {
-	case rep.inflight <- struct{}{}:
-		return true
-	case <-t.C:
 		return false
 	}
 }

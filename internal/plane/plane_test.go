@@ -287,7 +287,7 @@ func TestPlaneShedsFailClosed(t *testing.T) {
 		}
 	}
 	if shed == 0 {
-		t.Errorf("16 concurrent requests against MaxInFlight=2 with zero queue timeout shed nothing")
+		t.Errorf("16 concurrent requests against MaxInFlight=2 (no queueing) shed nothing")
 	}
 	tm := pl.Metrics()
 	if tm.Shed != uint64(shed) {

@@ -22,10 +22,7 @@ func failFixture(t *testing.T) (*Proxy, *httptest.Server, *int) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	t.Cleanup(upstream.Close)
-	p, err := New(Config{Upstream: upstream.URL, Validator: testPolicy(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newProxy(t, Config{Upstream: upstream.URL}, testPolicy(t), 0)
 	ts := httptest.NewServer(p)
 	t.Cleanup(ts.Close)
 	return p, ts, &forwarded

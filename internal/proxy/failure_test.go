@@ -13,18 +13,12 @@ import (
 // TestUpstreamUnreachable injects an upstream failure: the proxy must turn
 // connection errors into 502 responses, never hang or crash.
 func TestUpstreamUnreachable(t *testing.T) {
-	p, err := New(Config{
-		Upstream:  "http://127.0.0.1:1", // nothing listens on port 1
-		Validator: testPolicy(t),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(p)
+	// Nothing listens on port 1.
+	ts := httptest.NewServer(newProxy(t, Config{Upstream: "http://127.0.0.1:1"}, testPolicy(t), 0))
 	defer ts.Close()
 
 	c := client.New(ts.URL, client.WithUser("op"))
-	_, err = c.Create(goodDeployment())
+	_, err := c.Create(goodDeployment())
 	ae, ok := err.(*client.APIError)
 	if !ok || ae.Code != http.StatusBadGateway {
 		t.Errorf("err = %v, want 502", err)
@@ -52,15 +46,11 @@ func TestUpstreamDropsMidResponse(t *testing.T) {
 	}))
 	defer broken.Close()
 
-	p, err := New(Config{Upstream: broken.URL, Validator: testPolicy(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(p)
+	ts := httptest.NewServer(newProxy(t, Config{Upstream: broken.URL}, testPolicy(t), 0))
 	defer ts.Close()
 
 	c := client.New(ts.URL, client.WithUser("op"))
-	_, err = c.Create(goodDeployment())
+	_, err := c.Create(goodDeployment())
 	if err == nil {
 		t.Fatal("expected error from dropped upstream")
 	}
@@ -77,10 +67,7 @@ func TestConcurrentMixedTraffic(t *testing.T) {
 		_, _ = w.Write([]byte(`{"kind":"Deployment","metadata":{"name":"x","resourceVersion":"1"}}`))
 	}))
 	defer upstream.Close()
-	p, err := New(Config{Upstream: upstream.URL, Validator: testPolicy(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newProxy(t, Config{Upstream: upstream.URL}, testPolicy(t), 0)
 	ts := httptest.NewServer(p)
 	defer ts.Close()
 
@@ -124,10 +111,7 @@ func TestHugeBodyCapped(t *testing.T) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	defer upstream.Close()
-	p, err := New(Config{Upstream: upstream.URL, Validator: testPolicy(t)})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newProxy(t, Config{Upstream: upstream.URL}, testPolicy(t), 0)
 	ts := httptest.NewServer(p)
 	defer ts.Close()
 

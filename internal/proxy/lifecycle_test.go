@@ -67,19 +67,14 @@ func (b *brokenReader) Read(p []byte) (int, error) {
 // ring and a slow consumer so overflow drops exercise the sink-flush
 // failure path at the same time.
 func TestBodyBufferLifecycleUnderRace(t *testing.T) {
-	pol := testPolicy(t)
-	p, err := New(Config{
+	p := newProxy(t, Config{
 		Upstream:   "http://upstream.invalid",
 		Transport:  slowEchoTransport{},
-		Validator:  pol,
 		SinkBuffer: 2,
 		OnViolation: func(ViolationRecord) {
 			time.Sleep(50 * time.Microsecond) // force ring overflow under load
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, testPolicy(t), 0)
 
 	goodJSON, err := json.Marshal(goodDeployment())
 	if err != nil {

@@ -192,10 +192,13 @@ func TestHotSwapUnderLoad(t *testing.T) {
 				return
 			default:
 			}
-			if i%2 == 0 {
-				f.proxy.SetValidator(allowA)
-			} else {
-				f.proxy.SetValidator(allowB)
+			next := allowA
+			if i%2 == 1 {
+				next = allowB
+			}
+			if err := f.proxy.Registry().Swap("test", next); err != nil {
+				t.Error(err)
+				return
 			}
 			runtime.Gosched()
 		}
@@ -237,7 +240,9 @@ func TestHotSwapUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.proxy.SetValidator(deny)
+	if err := f.proxy.Registry().Swap("test", deny); err != nil {
+		t.Fatal(err)
+	}
 	c := client.New(f.proxyTS.URL, client.WithUser("operator"))
 	if _, err := c.Create(goodDeployment()); !client.IsForbidden(err) {
 		t.Fatalf("swapped-in policy not enforced: %v", err)
@@ -286,31 +291,5 @@ func TestProxyViolationLogIsBounded(t *testing.T) {
 	}
 	if m := f.proxy.Metrics(); m.Denied != registry.MaxRecords+25 {
 		t.Errorf("denied counter = %d, want %d", m.Denied, registry.MaxRecords+25)
-	}
-}
-
-// TestSetValidatorNilIsIgnored guards the no-op contract: a nil swap
-// must never clear the enforced policy.
-func TestSetValidatorNilIsIgnored(t *testing.T) {
-	f := newHTTPFixture(t)
-	f.proxy.SetValidator(nil)
-	c := client.New(f.proxyTS.URL, client.WithUser("operator"))
-	if _, err := c.Create(goodDeployment()); err != nil {
-		t.Fatalf("policy lost after SetValidator(nil): %v", err)
-	}
-}
-
-// TestSetValidatorNoOpOnRegistryProxy guards the fail-closed guarantee:
-// the legacy SetValidator must not install a cluster-wide wildcard
-// policy on a registry-backed (multi-tenant) proxy.
-func TestSetValidatorNoOpOnRegistryProxy(t *testing.T) {
-	f := newMultiFixture(t, 0, "alpha")
-	f.proxy.SetValidator(tenantPolicy(t, "wildcard"))
-	c := client.New(f.proxyTS.URL, client.WithUser("operator"))
-	if _, err := c.Create(tenantConfigMap("wildcard", "unclaimed")); !client.IsForbidden(err) {
-		t.Fatalf("SetValidator opened a wildcard hole in a fail-closed proxy: %v", err)
-	}
-	if got := f.reg.Workloads(); len(got) != 1 || got[0] != "alpha" {
-		t.Fatalf("registry workloads = %v, want [alpha]", got)
 	}
 }

@@ -38,12 +38,12 @@
 // preserving Complete Mediation: the API server refuses direct client
 // connections because only the proxy holds a client certificate.
 //
-// A proxy enforces one policy registry. The single-workload configuration
-// (Config.Validator) remains supported and registers the validator as a
-// cluster-wide wildcard policy; the multi-workload configuration
-// (Config.Registry) resolves, per request, the most specific workload
-// policy for the object's namespace and kind, and fails closed when no
-// registered policy governs the request.
+// A proxy enforces one policy registry (Config.Registry): it resolves,
+// per request, the most specific workload policy for the object's
+// namespace and kind, and fails closed when no registered policy governs
+// the request. The paper's single-workload enforcement point is a
+// one-entry registry whose policy is registered with a zero Selector,
+// which matches every request.
 //
 // Each workload carries a rollout mode (registry modes, learn →
 // shadow → enforce): learn-mode requests are forwarded unvalidated and
@@ -102,25 +102,19 @@ type Config struct {
 	// Transport carries requests upstream (holds the mTLS client config).
 	// Defaults to http.DefaultTransport.
 	Transport http.RoundTripper
-	// Validator is a single cluster-wide workload policy. Exactly one of
-	// Validator or Registry is required.
-	Validator *validator.Validator
-	// Registry supplies per-workload policies resolved per request; the
-	// proxy denies requests no registered policy governs (fail closed).
+	// Registry supplies per-workload policies resolved per request
+	// (required); the proxy denies requests no registered policy governs
+	// (fail closed). Its Config sizes the decision cache.
 	Registry *registry.Registry
-	// CacheSize bounds the decision cache of the registry the proxy
-	// builds for a single Validator (0 disables caching). Ignored when
-	// Registry is set — configure the cache on the registry instead.
-	CacheSize int
 	// ProxyUser is the identity the proxy asserts to the upstream API
 	// server when the channel is not mTLS (header authentication). It
 	// must be listed in the API server's FrontProxyUsers. With mTLS the
 	// proxy's client certificate CN carries the identity instead.
 	ProxyUser string
 	// DisableRawFastPath forces every inspected request through the
-	// classic decode-first path. For ablation benchmarks (the e2e
-	// experiment's decode baseline) and debugging; verdicts are
-	// identical either way.
+	// classic decode-first path: the reference side of the raw-vs-classic
+	// equivalence tests, and a debugging aid. Verdicts are identical
+	// either way.
 	DisableRawFastPath bool
 	// SinkBuffer, when > 0, moves the OnViolation / OnShadowViolation /
 	// Tap callbacks off the request goroutine onto a bounded async ring
@@ -149,13 +143,10 @@ type Config struct {
 
 // Proxy is the enforcement handler.
 type Proxy struct {
-	upstream  *url.URL
-	transport http.RoundTripper
-	proxyUser string
-	registry  *registry.Registry
-	// single names the implicit wildcard entry of a proxy built from
-	// Config.Validator; SetValidator swaps that entry's policy.
-	single     string
+	upstream   *url.URL
+	transport  http.RoundTripper
+	proxyUser  string
+	registry   *registry.Registry
 	disableRaw bool
 	onViolate  func(ViolationRecord)
 	onShadow   func(ViolationRecord)
@@ -173,21 +164,10 @@ type Proxy struct {
 	valNanos   atomic.Int64
 }
 
-// workloadName names the implicit registry entry for a bare validator.
-func workloadName(v *validator.Validator) string {
-	if v != nil && v.Workload != "" {
-		return v.Workload
-	}
-	return "default"
-}
-
 // New builds a Proxy.
 func New(cfg Config) (*Proxy, error) {
-	if cfg.Validator == nil && cfg.Registry == nil {
-		return nil, fmt.Errorf("proxy: one of Config.Validator or Config.Registry is required")
-	}
-	if cfg.Validator != nil && cfg.Registry != nil {
-		return nil, fmt.Errorf("proxy: Config.Validator and Config.Registry are mutually exclusive")
+	if cfg.Registry == nil {
+		return nil, fmt.Errorf("proxy: Config.Registry is required")
 	}
 	if cfg.Upstream == "" {
 		return nil, fmt.Errorf("proxy: Config.Upstream is required")
@@ -211,42 +191,10 @@ func New(cfg Config) (*Proxy, error) {
 	if p.transport == nil {
 		p.transport = http.DefaultTransport
 	}
-	if cfg.Validator != nil {
-		p.registry = registry.New(registry.Config{CacheSize: cfg.CacheSize})
-		p.single = workloadName(cfg.Validator)
-		if _, err := p.registry.Register(p.single, registry.Selector{}, cfg.Validator); err != nil {
-			return nil, err
-		}
-	}
 	if cfg.SinkBuffer > 0 {
 		p.sink = newAsyncSink(cfg.SinkBuffer, cfg.OnViolation, cfg.OnShadowViolation, cfg.Tap)
 	}
 	return p, nil
-}
-
-// SetValidator swaps the enforced policy atomically (policy updates
-// without proxy restarts) on a proxy built from Config.Validator,
-// replacing the implicit cluster-wide policy. A nil validator is
-// ignored. On a registry-backed proxy it is a no-op: silently
-// registering a cluster-wide wildcard would convert the documented
-// fail-closed behavior into allow-by-one-policy — manage per-workload
-// policies through Registry().Swap instead. The swap-or-register loop
-// retries so a lost race against a concurrent SetValidator cannot
-// silently drop the update.
-func (p *Proxy) SetValidator(v *validator.Validator) {
-	if v == nil || p.single == "" {
-		return
-	}
-	for {
-		if err := p.registry.Swap(p.single, v); err == nil {
-			return
-		}
-		if _, err := p.registry.Register(p.single, registry.Selector{}, v); err == nil {
-			return
-		}
-		// Another goroutine registered the entry between our Swap and
-		// Register; the next Swap succeeds against it.
-	}
 }
 
 // Registry exposes the proxy's policy registry for per-workload metrics,

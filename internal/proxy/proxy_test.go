@@ -12,9 +12,26 @@ import (
 	"repro/internal/certs"
 	"repro/internal/client"
 	"repro/internal/object"
+	"repro/internal/registry"
 	"repro/internal/store"
 	"repro/internal/validator"
 )
+
+// newProxy builds a proxy enforcing v as the one cluster-wide policy
+// (zero Selector) of a fresh registry whose decision cache holds
+// cacheSize entries (0 disables it); cfg supplies everything else.
+func newProxy(t testing.TB, cfg Config, v *validator.Validator, cacheSize int) *Proxy {
+	t.Helper()
+	cfg.Registry = registry.New(registry.Config{CacheSize: cacheSize})
+	if _, err := cfg.Registry.Register(v.Workload, registry.Selector{}, v); err != nil {
+		t.Fatal(err)
+	}
+	p, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
 
 // testPolicy builds a minimal workload policy allowing Deployments shaped
 // like deployment() below plus ConfigMaps.
@@ -115,16 +132,8 @@ func newHTTPFixture(t *testing.T) *httpFixture {
 	f.apiTS = httptest.NewServer(api)
 	t.Cleanup(f.apiTS.Close)
 
-	p, err := New(Config{
-		Upstream:  f.apiTS.URL,
-		Validator: testPolicy(t),
-		ProxyUser: "kubefence-proxy",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f.proxy = p
-	f.proxyTS = httptest.NewServer(p)
+	f.proxy = newProxy(t, Config{Upstream: f.apiTS.URL, ProxyUser: "kubefence-proxy"}, testPolicy(t), 0)
+	f.proxyTS = httptest.NewServer(f.proxy)
 	t.Cleanup(f.proxyTS.Close)
 	return f
 }
@@ -250,11 +259,7 @@ func TestForwardKeepsEscapedRequestURI(t *testing.T) {
 	}))
 	t.Cleanup(upstream.Close)
 	for _, base := range []string{upstream.URL, upstream.URL + "/", upstream.URL + "/base", upstream.URL + "/b%2Fase"} {
-		p, err := New(Config{Upstream: base, Validator: testPolicy(t)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ts := httptest.NewServer(p)
+		ts := httptest.NewServer(newProxy(t, Config{Upstream: base}, testPolicy(t), 0))
 		t.Cleanup(ts.Close)
 		prefix := strings.TrimSuffix(strings.TrimPrefix(base, upstream.URL), "/")
 		for _, uri := range []string{
@@ -317,7 +322,9 @@ metadata:
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.proxy.SetValidator(v2)
+	if err := f.proxy.Registry().Swap("test", v2); err != nil {
+		t.Fatal(err)
+	}
 	cm2 := cm.DeepCopy()
 	_ = object.Set(cm2, "metadata.name", "cm2")
 	if _, err := c.Create(cm2); !client.IsForbidden(err) {
@@ -327,9 +334,9 @@ metadata:
 
 func TestValidatorRequired(t *testing.T) {
 	if _, err := New(Config{Upstream: "http://x"}); err == nil {
-		t.Error("missing validator should error")
+		t.Error("missing registry should error")
 	}
-	if _, err := New(Config{Validator: &validator.Validator{}}); err == nil {
+	if _, err := New(Config{Registry: registry.New(registry.Config{})}); err == nil {
 		t.Error("missing upstream should error")
 	}
 }
@@ -372,16 +379,12 @@ func TestCompleteMediationMTLS(t *testing.T) {
 	apiTS.StartTLS()
 	t.Cleanup(apiTS.Close)
 
-	p, err := New(Config{
-		Upstream:  apiTS.URL,
-		Validator: testPolicy(t),
+	p := newProxy(t, Config{
+		Upstream: apiTS.URL,
 		Transport: &http.Transport{
 			TLSClientConfig: certs.ClientTLSConfig(clusterCA, proxyClientCert),
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}, testPolicy(t), 0)
 	proxyTS := httptest.NewUnstartedServer(p)
 	proxyTS.TLS = &tls.Config{
 		Certificates: []tls.Certificate{proxyServerCert.TLSCertificate()},

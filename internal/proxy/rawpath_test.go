@@ -39,19 +39,11 @@ func (echoTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 
 func newRawPathProxy(t *testing.T, mutate func(*Config)) *Proxy {
 	t.Helper()
-	cfg := Config{
-		Upstream:  "http://upstream.invalid",
-		Transport: echoTransport{},
-		Validator: testPolicy(t),
-	}
+	cfg := Config{Upstream: "http://upstream.invalid", Transport: echoTransport{}}
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	p, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return newProxy(t, cfg, testPolicy(t), 0)
 }
 
 func postJSON(t *testing.T, p *Proxy, o object.Object) *httptest.ResponseRecorder {
@@ -117,7 +109,7 @@ func TestRawFastPathFallbackParityOnDenial(t *testing.T) {
 }
 
 func TestRawFastPathCachedDenialSkipsDecode(t *testing.T) {
-	p := newRawPathProxy(t, func(c *Config) { c.CacheSize = 64 })
+	p := newProxy(t, Config{Upstream: "http://upstream.invalid", Transport: echoTransport{}}, testPolicy(t), 64)
 	first := postJSON(t, p, badDeployment())
 	second := postJSON(t, p, badDeployment())
 	if first.Code != http.StatusForbidden || second.Code != http.StatusForbidden {
@@ -177,9 +169,11 @@ func TestRawFastPathTenantResolutionMatchesClassic(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		p := newRawPathProxy(t, func(c *Config) {
-			c.Validator, c.Registry, c.DisableRawFastPath = nil, reg, disable
-		})
+		p, err := New(Config{Upstream: "http://upstream.invalid", Transport: echoTransport{},
+			Registry: reg, DisableRawFastPath: disable})
+		if err != nil {
+			t.Fatal(err)
+		}
 		req := httptest.NewRequest(http.MethodPost, "/api/v1/namespaces/a/configmaps",
 			strings.NewReader(body))
 		req.Header.Set("Content-Type", "application/yaml")
@@ -366,14 +360,7 @@ spec:
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := New(Config{
-		Upstream:  "http://upstream.invalid",
-		Transport: echoTransport{},
-		Validator: pol,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := newProxy(t, Config{Upstream: "http://upstream.invalid", Transport: echoTransport{}}, pol, 0)
 	exact := []byte(`{"apiVersion":"v1","kind":"Pod","metadata":{"name":"p","namespace":"default"},"spec":{"securityContext":{"runAsUser":9007199254740993}}}`)
 	neighbor := bytes.Replace(exact, []byte("9007199254740993"), []byte("9007199254740992"), 1)
 

@@ -96,29 +96,6 @@ func TestValidateRawFallbackAndCachedDenial(t *testing.T) {
 	}
 }
 
-func TestValidateRawInterpretedSkipsStreaming(t *testing.T) {
-	reg := New(Config{CacheSize: 16, Interpreted: true})
-	e, err := reg.Register("web", Selector{}, rawTestPolicy(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, decided := reg.ValidateRaw(e, rawBenignBody); decided {
-		t.Fatal("interpreted entry decided a fresh body raw")
-	}
-	o, err := object.ParseJSON(rawBenignBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if vs := reg.Validate(e, rawBenignBody, o); len(vs) != 0 {
-		t.Fatalf("benign body denied: %v", vs)
-	}
-	// Cache short-circuit still applies to interpreted entries.
-	vs, decided := reg.ValidateRaw(e, rawBenignBody)
-	if !decided || vs != nil {
-		t.Fatalf("interpreted cache hit: decided=%v vs=%v", decided, vs)
-	}
-}
-
 func TestValidateRawNoCache(t *testing.T) {
 	reg := New(Config{})
 	e, err := reg.Register("web", Selector{}, rawTestPolicy(t))

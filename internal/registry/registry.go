@@ -17,9 +17,9 @@
 // Policies are compiled at Register/Swap time (internal/compile) into
 // flat, immutable rule programs; the request hot path executes the
 // compiled program, and a swap publishes the whole new program
-// atomically with a generation bump. The interpreted tree walk remains
-// available behind Config.Interpreted for ablation and differential
-// testing.
+// atomically with a generation bump. The interpreted tree walk
+// (internal/validator) is not on the request path; it is the oracle the
+// compiled program is differentially tested against.
 //
 // An optional bounded LRU decision cache memoizes validation outcomes
 // keyed by (policy generation, request-body hash): operators re-apply
@@ -204,8 +204,7 @@ type Entry struct {
 	version atomic.Pointer[policyVersion]
 
 	// cache is this workload's decision-cache shard (nil = disabled).
-	cache       *lruCache
-	interpreted bool
+	cache *lruCache
 
 	// mode is the rollout lifecycle mode (see mode.go); zero value is
 	// ModeEnforce. modeMu serializes mode transitions against policy
@@ -329,10 +328,6 @@ type Config struct {
 	// CacheSize bounds each workload's decision-cache shard (number of
 	// cached decisions per registered workload). Zero disables caching.
 	CacheSize int
-	// Interpreted forces the tree-walk validation engine instead of the
-	// compiled rule program — for ablation benchmarks and differential
-	// (compiled-vs-interpreted) equivalence runs.
-	Interpreted bool
 	// ShadowWindow sizes each workload's sliding window of shadow
 	// verdicts (see mode.go); zero means DefaultShadowWindow.
 	ShadowWindow int
@@ -434,7 +429,6 @@ type Registry struct {
 	gens atomic.Uint64
 
 	cacheSize    int
-	interpreted  bool
 	shadowWindow int
 }
 
@@ -443,7 +437,6 @@ func New(cfg Config) *Registry {
 	return &Registry{
 		entries:      map[string]*Entry{},
 		cacheSize:    cfg.CacheSize,
-		interpreted:  cfg.Interpreted,
 		shadowWindow: cfg.ShadowWindow,
 	}
 }
@@ -500,10 +493,9 @@ func (r *Registry) register(workload string, sel Selector, v *validator.Validato
 		}
 	}
 	e := &Entry{workload: workload, selector: sel, order: r.nextOrder,
-		interpreted: r.interpreted,
-		shadow:      newShadowWindow(r.shadowWindow),
-		violations:  NewBoundedLog(MaxRecords),
-		shadowLog:   NewBoundedLog(MaxRecords)}
+		shadow:     newShadowWindow(r.shadowWindow),
+		violations: NewBoundedLog(MaxRecords),
+		shadowLog:  NewBoundedLog(MaxRecords)}
 	if r.cacheSize > 0 {
 		e.cache = newLRUCache(r.cacheSize)
 	}
@@ -782,9 +774,8 @@ func newCacheKey(gen uint64, body []byte, sum *[sha256.Size]byte) cacheKey {
 // decided=true returns the authoritative violation list (nil = allowed;
 // cached denials come back verbatim). decided=false means the raw view
 // could not rule — the caller must decode the body and call Validate,
-// which produces the exact diagnostic violation list. Entries running
-// the interpreted engine (Config.Interpreted) and entries with no
-// policy snapshot program skip the streaming pass but still honor the
+// which produces the exact diagnostic violation list. Entries carrying
+// cross-resource invariants skip the streaming pass but still honor the
 // cache short-circuit.
 func (r *Registry) ValidateRaw(e *Entry, body []byte) (vs []validator.Violation, decided bool) {
 	meta, ok := compile.ScanRawMeta(body)
@@ -841,7 +832,7 @@ func (r *Registry) validateRaw(e *Entry, body []byte, sum *[sha256.Size]byte, me
 	// an invariant needs the decoded object. The cache short-circuit
 	// above is still sound — cached verdicts were computed by the decode
 	// path WITH the invariants, under the same generation.
-	if !scanOK || e.interpreted || ver.program == nil || len(ver.invariants) > 0 {
+	if !scanOK || len(ver.invariants) > 0 {
 		return nil, false
 	}
 	start := time.Now()
@@ -865,9 +856,8 @@ func (r *Registry) validateRaw(e *Entry, body []byte, sum *[sha256.Size]byte, me
 }
 
 // Validate checks a decoded object against an entry's policy, executing
-// the compiled rule program (or the interpreted tree walk when the
-// registry was configured Interpreted) and consulting the entry's
-// decision-cache shard when a request body is supplied. The body must be
+// the compiled rule program and consulting the entry's decision-cache
+// shard when a request body is supplied. The body must be
 // the exact wire bytes the object was decoded from; callers without
 // access to the raw body pass nil to validate uncached.
 func (r *Registry) Validate(e *Entry, body []byte, obj object.Object) []validator.Violation {
@@ -902,17 +892,11 @@ func (r *Registry) validateVersion(e *Entry, ver *policyVersion, body []byte, su
 		}
 	}
 	start := time.Now()
-	var vs []validator.Violation
-	if e.interpreted {
-		vs = ver.policy.Validate(obj)
-	} else {
-		vs = ver.program.Validate(obj)
-	}
+	vs := ver.program.Validate(obj)
 	// Cross-resource invariants judge only schema-clean objects: a
 	// schema violation already denies the request, and running the rules
-	// on top would blur which layer caught it. Both engines and the
-	// shadow path share this function, so verdicts stay identical across
-	// compiled, interpreted, and shadow validation.
+	// on top would blur which layer caught it. Enforce and shadow
+	// validation share this function, so their verdicts stay identical.
 	if len(vs) == 0 {
 		for _, inv := range ver.invariants {
 			vs = append(vs, inv.Check(obj)...)

@@ -34,8 +34,8 @@
 //
 // Determinism contract: workload i depends only on (Options.Seed, i) —
 // never on Count — so a 25-workload corpus is a prefix of the
-// 100-workload corpus for the same seed, and CI's reduced matrix stays
-// comparable to the committed full-corpus baseline.
+// 100-workload corpus for the same seed, and a reduced matrix replays
+// an exact subset of the full-corpus one.
 package synth
 
 import (
@@ -74,8 +74,8 @@ type Options struct {
 }
 
 // Resolved returns the options with defaults applied — the exact knob
-// values a Generate call with these options uses, for recording in
-// benchmark baselines.
+// values a Generate call with these options uses, recorded in reports
+// so a run can be reproduced from its output.
 func (o Options) Resolved() Options {
 	o.defaults()
 	return o

@@ -2,8 +2,10 @@ package synth
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
+	"repro/internal/compile"
 	"repro/internal/mutate"
 	"repro/internal/replay"
 )
@@ -135,7 +137,9 @@ func TestCorpusDiversity(t *testing.T) {
 
 // TestCorpusFeedsMutationMatrix: generated workloads plug into the
 // mutation matrix like the hand-written charts do — scenarios generate,
-// and both benign and attack events resolve to REST paths.
+// both benign and attack events resolve to REST paths, and the tree walk
+// and the compiled program return identical violation lists on every
+// scenario (the differential for synthetic policies under attack).
 func TestCorpusFeedsMutationMatrix(t *testing.T) {
 	ws, err := Generate(Options{Seed: 2, Count: 4})
 	if err != nil {
@@ -150,6 +154,10 @@ func TestCorpusFeedsMutationMatrix(t *testing.T) {
 		if len(scs) == 0 {
 			t.Fatalf("%s: mutation matrix produced no scenarios", w.Name)
 		}
+		prog, err := compile.Compile(w.Policy)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
 		for _, o := range w.Objects {
 			if _, err := replay.BenignEvent(w.Name, o, "POST"); err != nil {
 				t.Fatalf("%s: %v", w.Name, err)
@@ -158,6 +166,9 @@ func TestCorpusFeedsMutationMatrix(t *testing.T) {
 		for _, sc := range scs {
 			if _, err := replay.AttackEvent(w.Name, sc); err != nil {
 				t.Fatalf("%s: %v", w.Name, err)
+			}
+			if want, got := w.Policy.Validate(sc.Object), prog.Validate(sc.Object); !reflect.DeepEqual(want, got) {
+				t.Errorf("%s: engines diverge on scenario %s:\ninterpreted: %v\ncompiled:    %v", w.Name, sc.ID, want, got)
 			}
 		}
 	}

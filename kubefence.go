@@ -12,32 +12,30 @@
 //	violations, _ := policy.ValidateManifest(requestBody)
 //	if len(violations) > 0 { /* deny */ }
 //
-// For runtime enforcement, NewProxy returns an http.Handler that
-// intercepts API traffic, validates request bodies against the policy,
-// and forwards conforming requests upstream — the paper's proxy-based
-// enforcement (§V-B). Complete mediation (clients cannot bypass the
-// proxy) is obtained by fronting the API server with mutual TLS; see
-// internal/certs and the attack-blocking example.
+// For runtime enforcement, register the policy in a Registry (a zero
+// Selector scopes it to every request) and hand the registry to NewProxy,
+// which returns an http.Handler that intercepts API traffic, validates
+// request bodies against the governing policy, and forwards conforming
+// requests upstream — the paper's proxy-based enforcement (§V-B).
+// Complete mediation (clients cannot bypass the proxy) is obtained by
+// fronting the API server with mutual TLS; see internal/certs and the
+// operator-lifecycle example.
 package kubefence
 
 import (
 	"fmt"
 	"net/http"
-	"time"
 
 	"repro/internal/chart"
 	"repro/internal/charts"
 	"repro/internal/compile"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/learn"
-	"repro/internal/mutate"
 	"repro/internal/object"
 	"repro/internal/plane"
 	"repro/internal/proxy"
 	"repro/internal/registry"
 	"repro/internal/schema"
-	"repro/internal/synth"
 	"repro/internal/telemetry"
 	"repro/internal/validator"
 )
@@ -257,10 +255,6 @@ type RegistryConfig struct {
 	// Mode selects lock enforcement for policies GenerateRegistry
 	// generates (default LockIfPresent).
 	Mode LockMode
-	// Interpreted forces the tree-walk validation engine instead of the
-	// compiled rule program the registry builds at Register/Swap — for
-	// ablation benchmarks and differential equivalence runs.
-	Interpreted bool
 	// ShadowWindow sizes each workload's sliding window of shadow-mode
 	// would-deny verdicts, the basis of the rollout promotion gate. Size
 	// it to cover the traffic burst you want a candidate judged over
@@ -272,7 +266,6 @@ type RegistryConfig struct {
 func NewRegistry(cfg RegistryConfig) *Registry {
 	return registry.New(registry.Config{
 		CacheSize:    cfg.CacheSize,
-		Interpreted:  cfg.Interpreted,
 		ShadowWindow: cfg.ShadowWindow,
 	})
 }
@@ -325,26 +318,12 @@ func GenerateRegistry(cfg RegistryConfig, names ...string) (*Registry, error) {
 type ProxyConfig struct {
 	// Upstream is the API server base URL ("https://host:6443").
 	Upstream string
-	// Policy is a single cluster-wide enforced policy. The proxy wraps
-	// it in a one-entry registry internally, so single-policy and
-	// registry-backed proxies share one enforcement path and one set of
-	// counters. Exactly one of Policy or Registry may be set.
-	//
-	// Deprecated: build the one-entry registry explicitly — NewRegistry
-	// plus Policy.Register with a zero Selector — and set Registry.
-	// Policy keeps working and produces identical verdicts; it is the
-	// legacy spelling of the same construction.
-	Policy *Policy
-	// Registry supplies per-workload policies resolved per request; the
-	// proxy denies requests no registered policy governs (fail closed).
+	// Registry supplies per-workload policies resolved per request
+	// (required); the proxy denies requests no registered policy governs
+	// (fail closed). One policy registered with a zero Selector is the
+	// single-workload enforcement point; RegistryConfig.CacheSize sizes
+	// the decision cache.
 	Registry *Registry
-	// CacheSize bounds the decision cache built for a single Policy;
-	// ignored when Registry is set (configure its cache instead).
-	//
-	// Deprecated: this duplicates RegistryConfig.CacheSize and is only
-	// honored alongside the deprecated Policy field. Size the registry's
-	// cache instead.
-	CacheSize int
 	// Transport carries requests upstream; holds the mTLS client config
 	// in complete-mediation deployments. Defaults to
 	// http.DefaultTransport.
@@ -355,8 +334,8 @@ type ProxyConfig struct {
 	ProxyUser string
 	// DisableRawFastPath forces every inspected request through the
 	// classic decode-first path instead of the streaming raw-bytes
-	// pipeline. Verdicts are identical either way; this is the ablation
-	// knob behind the scenarios experiment's "compiled" engine column.
+	// pipeline. Verdicts are identical either way; it is the reference
+	// side of the raw-vs-classic equivalence checks.
 	DisableRawFastPath bool
 	// SinkBuffer, when > 0, moves the OnViolation / OnShadowViolation /
 	// Tap callbacks off the request goroutine onto a bounded async ring
@@ -392,17 +371,13 @@ type SinkStats = proxy.SinkStats
 
 // NewProxy builds the KubeFence enforcement proxy.
 func NewProxy(cfg ProxyConfig) (*Proxy, error) {
-	if cfg.Policy == nil && cfg.Registry == nil {
-		return nil, fmt.Errorf("kubefence: one of ProxyConfig.Policy or ProxyConfig.Registry is required")
-	}
-	if cfg.Policy != nil && cfg.Registry != nil {
-		return nil, fmt.Errorf("kubefence: ProxyConfig.Policy and ProxyConfig.Registry are mutually exclusive")
+	if cfg.Registry == nil {
+		return nil, fmt.Errorf("kubefence: ProxyConfig.Registry is required")
 	}
 	pc := proxy.Config{
 		Upstream:           cfg.Upstream,
 		Transport:          cfg.Transport,
 		Registry:           cfg.Registry,
-		CacheSize:          cfg.CacheSize,
 		ProxyUser:          cfg.ProxyUser,
 		DisableRawFastPath: cfg.DisableRawFastPath,
 		SinkBuffer:         cfg.SinkBuffer,
@@ -415,9 +390,6 @@ func NewProxy(cfg ProxyConfig) (*Proxy, error) {
 		pc.Tap = func(workload, user, method, path string, obj object.Object) {
 			tap(workload, user, method, path, obj)
 		}
-	}
-	if cfg.Policy != nil {
-		pc.Validator = cfg.Policy.validator
 	}
 	return proxy.New(pc)
 }
@@ -435,59 +407,10 @@ func NewProxy(cfg ProxyConfig) (*Proxy, error) {
 // Drain/Kill/Restart for operational control.
 type Plane = plane.Plane
 
-// PlaneConfig configures a distributed admission plane.
-type PlaneConfig struct {
-	// Replicas is the number of proxy replicas (required, >= 1).
-	Replicas int
-	// Upstream is the API server base URL shared by every replica.
-	Upstream string
-	// Transport carries requests upstream; holds the mTLS client config
-	// in complete-mediation deployments. Defaults to
-	// http.DefaultTransport.
-	Transport http.RoundTripper
-	// CacheSize bounds each replica registry's per-workload decision
-	// cache. Zero disables caching.
-	CacheSize int
-	// MaxInFlight bounds the requests concurrently admitted into one
-	// replica; excess requests wait up to QueueTimeout for a slot and
-	// are then shed with 429. Zero means unbounded.
-	MaxInFlight int
-	// QueueTimeout is how long a request may wait for a replica slot
-	// before being shed. Zero sheds immediately when the replica is
-	// saturated.
-	QueueTimeout time.Duration
-	// VirtualNodes is the consistent-hash virtual-node count per
-	// replica (default 64); raise it to smooth shard balance for small
-	// workload corpora.
-	VirtualNodes int
-	// ProxyUser is the identity each replica asserts upstream over
-	// header-authenticated channels.
-	ProxyUser string
-	// DisableRawFastPath forces every replica through the decode-first
-	// path (ablation/debugging).
-	DisableRawFastPath bool
-	// Telemetry, when non-nil, gives the front door and every replica a
-	// decision hub with this configuration. Hubs survive replica
-	// restarts; read the tier-wide rollup with Plane.Telemetry and the
-	// operational endpoints /healthz and /varz on the front door.
-	Telemetry *TelemetryConfig
-	// Placement selects the shard-placement policy: PlacementHash
-	// (default) routes purely by consistent hash; PlacementWeighted
-	// overlays load-aware shard assignments rebalanced by
-	// Plane.Rebalance, moving each shard's hot decision-cache entries
-	// with it.
-	Placement PlacementPolicy
-	// RebalanceThreshold is the weighted placer's hysteresis band: a
-	// rebalance only moves shards while the most loaded replica exceeds
-	// the tier mean by this fraction (default 0.2).
-	RebalanceThreshold float64
-	// RebalanceInterval, when positive with PlacementWeighted, runs
-	// Plane.Rebalance on this period until Plane.Close.
-	RebalanceInterval time.Duration
-	// LoadSmoothing is the EWMA factor for per-workload load scores in
-	// (0, 1]; higher weights recent traffic more (default 0.5).
-	LoadSmoothing float64
-}
+// PlaneConfig configures a distributed admission plane: replica count,
+// upstream, per-replica cache and backpressure bounds, telemetry, and
+// shard placement.
+type PlaneConfig = plane.Config
 
 // PlacementPolicy selects how the plane maps shard keys to replicas.
 type PlacementPolicy = plane.PlacementPolicy
@@ -525,24 +448,7 @@ type PlaneReplicaMetrics = plane.ReplicaMetrics
 // Policy.RegisterOn, propagate regenerated ones with Policy.SwapOn, and
 // serve the returned Plane as the cluster's single enforcement front
 // door.
-func NewPlane(cfg PlaneConfig) (*Plane, error) {
-	return plane.New(plane.Config{
-		Replicas:           cfg.Replicas,
-		Upstream:           cfg.Upstream,
-		Transport:          cfg.Transport,
-		CacheSize:          cfg.CacheSize,
-		MaxInFlight:        cfg.MaxInFlight,
-		QueueTimeout:       cfg.QueueTimeout,
-		VirtualNodes:       cfg.VirtualNodes,
-		ProxyUser:          cfg.ProxyUser,
-		DisableRawFastPath: cfg.DisableRawFastPath,
-		Telemetry:          cfg.Telemetry,
-		Placement:          cfg.Placement,
-		RebalanceThreshold: cfg.RebalanceThreshold,
-		RebalanceInterval:  cfg.RebalanceInterval,
-		LoadSmoothing:      cfg.LoadSmoothing,
-	})
-}
+func NewPlane(cfg PlaneConfig) (*Plane, error) { return plane.New(cfg) }
 
 // RegisterOn adds the policy to a plane under the given selector,
 // installing it atomically on every replica that owns a shard of the
@@ -736,144 +642,6 @@ type RolloutController = learn.Controller
 // NewRolloutController builds a lifecycle controller over a registry.
 func NewRolloutController(r *Registry, gates RolloutGates) *RolloutController {
 	return learn.NewController(r, gates)
-}
-
-// LearningOptions configure RunLearning: charts, replay concurrency and
-// seed, the attack-variant cap, and the convergence epoch budget.
-type LearningOptions = experiments.LearningOptions
-
-// LearningReport is the measured outcome: per-chart
-// requests-to-convergence, rollout lifecycle counters, mined-vs-chart
-// policy diffs, and the residual false negatives of the mined policies
-// against the adversarial mutation matrix. Clean() is the contract:
-// every chart converged and promoted, no false negative, no enforcement
-// false positive.
-type LearningReport = experiments.LearningResult
-
-// RunLearning mines a policy for every workload from its own benign
-// traffic through a real proxy — no chart spec consulted — drives the
-// learn → shadow → enforce lifecycle to promotion, and then replays the
-// full adversarial mutation matrix against the mined policies.
-func RunLearning(opts LearningOptions) (*LearningReport, error) {
-	return experiments.Learning(opts)
-}
-
-// RenderLearningReport renders a report for humans.
-func RenderLearningReport(r *LearningReport) string {
-	return experiments.RenderLearning(r)
-}
-
-// MutationClasses lists the adversarial mutation classes the robustness
-// harness derives from the Table II attack catalog (kind permutation,
-// value obfuscation, sibling smuggling, verb routing, camouflage,
-// cron/daemon re-homing, operator-CRD embedding).
-func MutationClasses() []string {
-	classes := mutate.AllClasses()
-	out := make([]string, len(classes))
-	for i, cl := range classes {
-		out[i] = string(cl)
-	}
-	return out
-}
-
-// RobustnessOptions configure an adversarial robustness run: which
-// builtin charts to attack, the replay concurrency and interleaving
-// seed, the per-(attack, class) variant cap (0 = full matrix), and the
-// registry decision-cache size.
-type RobustnessOptions = experiments.RobustnessOptions
-
-// RobustnessReport is the scored outcome of a robustness run: generated
-// scenario counts, false negatives and false positives per workload and
-// per mutation class, and retained mismatch details.
-type RobustnessReport = experiments.RobustnessResult
-
-// RunRobustness derives adversarial variants of the Table II attack
-// catalog for each workload (field-path permutations, value obfuscation,
-// sibling-field smuggling, verb routing, benign camouflage) and replays
-// them, interleaved with the workloads' legitimate traces, through a
-// real proxy+registry enforcement point over HTTP. A clean report
-// (no false negatives, no false positives) is the robustness contract.
-func RunRobustness(opts RobustnessOptions) (*RobustnessReport, error) {
-	return experiments.Robustness(opts)
-}
-
-// RenderRobustnessReport renders a report for humans.
-func RenderRobustnessReport(r *RobustnessReport) string {
-	return experiments.RenderRobustness(r)
-}
-
-// SynthOptions configure the synthetic workload generator: the corpus
-// seed and size plus the perturbation-probability knobs (cross-chart
-// grafting, value resampling, field subset/superset).
-type SynthOptions = synth.Options
-
-// SynthWorkload is one generated (policy, benign trace) pair: namespaced
-// objects derived from the builtin charts by seeded recombination, and
-// the policy built from them.
-type SynthWorkload = synth.Workload
-
-// GenerateWorkloads derives a deterministic corpus of chart-like
-// workloads from the builtin charts. The corpus is prefix-stable:
-// workload i depends only on (seed, i), so growing the corpus never
-// changes the workloads already generated. Every pair is
-// self-consistent by construction — the policy is built from the
-// perturbed objects — and can be fed to the mutation matrix exactly
-// like a chart workload.
-func GenerateWorkloads(opts SynthOptions) ([]SynthWorkload, error) {
-	return synth.Generate(opts)
-}
-
-// VerifyWorkload independently re-checks one generated pair: the policy
-// compiles, and both engines plus the compiled program agree the benign
-// trace is violation-free.
-func VerifyWorkload(w *SynthWorkload) error { return synth.Verify(w) }
-
-// ScenariosOptions configure RunScenarios: corpus size, seed, replay
-// concurrency, cache size, the attack-variant cap, and the
-// registered-workload counts to measure at.
-type ScenariosOptions = experiments.ScenariosOptions
-
-// ScenariosReport is the scored outcome: one replay cell per
-// (workload count, engine) over the generated corpus and the corpus
-// configuration (seed and generator knobs) that reproduces it. Event
-// counts are a function of the seed alone, so two runs with one seed
-// agree cell for cell.
-type ScenariosReport = experiments.ScenariosResult
-
-// RunScenarios generates the synthetic corpus, verifies every pair, and
-// replays each prefix's interleaved benign + adversarial trace through
-// the raw fast path, the compiled engine, and the interpreted engine at
-// increasing registered-workload counts.
-func RunScenarios(opts ScenariosOptions) (*ScenariosReport, error) {
-	return experiments.Scenarios(opts)
-}
-
-// RenderScenariosReport renders a scenarios report for humans.
-func RenderScenariosReport(r *ScenariosReport) string {
-	return experiments.RenderScenarios(r)
-}
-
-// PlaneOptions configure RunPlane: the tier size, the synthetic corpus
-// (size, seed), the decision-cache size, and the attack-variant cap for
-// the correctness matrix.
-type PlaneOptions = experiments.PlaneOptions
-
-// PlaneReport is the scored outcome: the post-rebalance cache-retention
-// cell plus the full adversarial mutation matrix replayed through the
-// rebalanced weighted tier.
-type PlaneReport = experiments.PlaneResult
-
-// RunPlane scores the distributed admission tier over the synthetic
-// corpus: a weighted tier is warmed under zipf traffic and rebalanced,
-// the migrated workloads are probed for decision-cache retention, and
-// the correctness matrix (0 FN / 0 FP required) is replayed through it.
-func RunPlane(opts PlaneOptions) (*PlaneReport, error) {
-	return experiments.Plane(opts)
-}
-
-// RenderPlaneReport renders a plane report for humans.
-func RenderPlaneReport(r *PlaneReport) string {
-	return experiments.RenderPlane(r)
 }
 
 // RenderChart renders a chart with user value overrides into manifests,

@@ -163,10 +163,14 @@ func TestNewProxyEndToEnd(t *testing.T) {
 	apiTS := httptest.NewServer(api)
 	defer apiTS.Close()
 
+	reg := NewRegistry(RegistryConfig{})
+	if err := nginxPolicy(t).Register(reg, Selector{}); err != nil {
+		t.Fatal(err)
+	}
 	var denied []ViolationRecord
 	p, err := NewProxy(ProxyConfig{
 		Upstream:    apiTS.URL,
-		Policy:      nginxPolicy(t),
+		Registry:    reg,
 		ProxyUser:   "kubefence-proxy",
 		OnViolation: func(r ViolationRecord) { denied = append(denied, r) },
 	})
@@ -226,7 +230,7 @@ func TestNewProxyEndToEnd(t *testing.T) {
 
 func TestNewProxyRequiresPolicy(t *testing.T) {
 	if _, err := NewProxy(ProxyConfig{Upstream: "http://x"}); err == nil {
-		t.Error("missing policy should error")
+		t.Error("missing registry should error")
 	}
 }
 
@@ -258,8 +262,12 @@ func TestUnionPoliciesMultiWorkloadCluster(t *testing.T) {
 	}
 	apiTS := httptest.NewServer(api)
 	defer apiTS.Close()
+	reg := NewRegistry(RegistryConfig{})
+	if err := cluster.Register(reg, Selector{}); err != nil {
+		t.Fatal(err)
+	}
 	p, err := NewProxy(ProxyConfig{
-		Upstream: apiTS.URL, Policy: cluster, ProxyUser: "kubefence-proxy",
+		Upstream: apiTS.URL, Registry: reg, ProxyUser: "kubefence-proxy",
 	})
 	if err != nil {
 		t.Fatal(err)

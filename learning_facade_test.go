@@ -113,22 +113,3 @@ func TestRolloutFacade(t *testing.T) {
 		t.Fatal("SetMode override ignored")
 	}
 }
-
-// TestRunLearningFacade smoke-runs the experiment through the facade on
-// the reduced matrix.
-func TestRunLearningFacade(t *testing.T) {
-	rep, err := RunLearning(LearningOptions{
-		Charts:            []string{"mlflow"},
-		Concurrency:       4,
-		MaxPerAttackClass: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Clean() {
-		t.Fatalf("learning run not clean:\n%s", RenderLearningReport(rep))
-	}
-	if !strings.Contains(RenderLearningReport(rep), "mlflow") {
-		t.Error("render lost the chart")
-	}
-}

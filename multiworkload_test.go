@@ -215,13 +215,8 @@ func TestGenerateRegistryFacade(t *testing.T) {
 		t.Error("generation unchanged after swap")
 	}
 
-	// NewProxy rejects ambiguous and empty configurations.
+	// NewProxy rejects a configuration with no registry.
 	if _, err := kubefence.NewProxy(kubefence.ProxyConfig{Upstream: "http://x"}); err == nil {
-		t.Error("NewProxy with neither Policy nor Registry should fail")
-	}
-	if _, err := kubefence.NewProxy(kubefence.ProxyConfig{
-		Upstream: "http://x", Policy: strict, Registry: reg,
-	}); err == nil {
-		t.Error("NewProxy with both Policy and Registry should fail")
+		t.Error("NewProxy without a Registry should fail")
 	}
 }

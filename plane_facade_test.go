@@ -94,66 +94,6 @@ func roundTrip(t *testing.T, h http.Handler, ev replay.Event) (int, []byte) {
 	return res.StatusCode, body
 }
 
-// TestDeprecatedProxyConstructionEquivalence pins the deprecation
-// contract of ProxyConfig.Policy and ProxyConfig.CacheSize: for each
-// builtin chart, a proxy built the legacy way (single Policy plus the
-// proxy-level cache knob) and one built the recommended way (a
-// one-entry registry carrying the same policy and cache size) must
-// produce byte-identical responses — status and body — for the
-// workload's entire benign trace and its full adversarial mutation
-// matrix.
-func TestDeprecatedProxyConstructionEquivalence(t *testing.T) {
-	for _, name := range kubefence.BuiltinCharts() {
-		name := name
-		t.Run(name, func(t *testing.T) {
-			t.Parallel()
-			c, err := kubefence.LoadBuiltinChart(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			policy, err := kubefence.GeneratePolicy(c, kubefence.Options{Workload: name})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Legacy construction: single Policy + proxy-level CacheSize.
-			oldProxy, err := kubefence.NewProxy(kubefence.ProxyConfig{
-				Upstream:  "http://upstream.invalid",
-				Policy:    policy,
-				CacheSize: 256,
-				Transport: echoTransport{},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			// Recommended construction: explicit one-entry registry with
-			// the cache configured at the registry.
-			reg := kubefence.NewRegistry(kubefence.RegistryConfig{CacheSize: 256})
-			if err := policy.Register(reg, kubefence.Selector{}); err != nil {
-				t.Fatal(err)
-			}
-			newProxy, err := kubefence.NewProxy(kubefence.ProxyConfig{
-				Upstream:  "http://upstream.invalid",
-				Registry:  reg,
-				Transport: echoTransport{},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			for i, ev := range chartEvents(t, name, c, 2) {
-				oldStatus, oldBody := roundTrip(t, oldProxy, ev)
-				newStatus, newBody := roundTrip(t, newProxy, ev)
-				if oldStatus != newStatus || !bytes.Equal(oldBody, newBody) {
-					t.Fatalf("event %d (%s %s): deprecated path %d %q, registry path %d %q",
-						i, ev.Method, ev.Path, oldStatus, oldBody, newStatus, newBody)
-				}
-			}
-		})
-	}
-}
-
 // TestNewPlaneFacade exercises the facade plane surface end to end:
 // construction, RegisterOn/SwapOn propagation, generation visibility,
 // fail-closed enforcement of the mutation matrix, and the tier metrics

@@ -17,9 +17,13 @@ func TestProxySinkKnobsFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	reg := kubefence.NewRegistry(kubefence.RegistryConfig{})
+	if err := pol.Register(reg, kubefence.Selector{}); err != nil {
+		t.Fatal(err)
+	}
 	p, err := kubefence.NewProxy(kubefence.ProxyConfig{
 		Upstream:           "http://127.0.0.1:1",
-		Policy:             pol,
+		Registry:           reg,
 		DisableRawFastPath: true,
 		SinkBuffer:         8,
 		OnViolation:        func(kubefence.ViolationRecord) {},

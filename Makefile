@@ -67,7 +67,8 @@ FUZZ_TARGETS := \
 	internal/compile:FuzzRawEquivalence \
 	internal/compile:FuzzRawYAMLEquivalence \
 	internal/synth:FuzzSynthSelfConsistency \
-	internal/proxy:FuzzScanMemoEquivalence
+	internal/proxy:FuzzScanMemoEquivalence \
+	internal/proxy:FuzzRawPathMatchesClassic
 
 # $(call fuzz-all,DURATION) fuzzes each target in turn for DURATION.
 define fuzz-all

@@ -71,6 +71,10 @@ const (
 	// (Compile never sets it): unlisted keys are walked structurally and
 	// a non-mapping value is admitted.
 	flagOpen
+	// flagPrologue marks the built-in routing-metadata program's root
+	// (Compile never sets it): a walk may stop once every one of its
+	// listed members has been walked (mapWalk.done).
+	flagPrologue
 )
 
 // node is one compiled policy node. Children are index ranges into the

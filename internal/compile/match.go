@@ -31,9 +31,9 @@ import (
 // RawMeta is the routing metadata extracted from raw JSON bytes: what
 // the enforcement point needs to resolve a workload policy before — or
 // instead of — decoding the body. Fields are sub-slices of the scanned
-// body (zero-copy) and mirror the decoded accessors exactly: a field
-// whose value is not a plain string comes back nil, the same way
-// object.Object's accessors return "".
+// body (zero-copy) and, for a body that decodes, mirror the decoded
+// accessors exactly: a field whose value is not a plain string comes
+// back nil, the same way object.Object's accessors return "".
 type RawMeta struct {
 	Kind       []byte
 	APIVersion []byte
@@ -50,11 +50,12 @@ type RawMeta struct {
 type val uint8
 
 const (
-	valOK     val = 1 << iota
-	valMap        // the value was a mapping
-	valList       // the value was a sequence
-	valMember     // ... with at least one member / item
-	valEff        // ... with a member that survives the server-owned-key scrub
+	valOK       val = 1 << iota
+	valMap          // the value was a mapping
+	valList         // the value was a sequence
+	valMember       // ... with at least one member / item
+	valEff          // ... with a member that survives the server-owned-key scrub
+	valPrologue     // the walk stopped at the end of the prologue (mapWalk.done)
 )
 
 // tokKind classifies a lexed scalar by the type the decoder gives it.
@@ -156,6 +157,9 @@ type mapWalk struct {
 	seen uint64
 	req  *reqRef // required check awaiting the value of the last member
 	got  val
+	// walked marks the listed members of a flagPrologue node met so far,
+	// by their offset in its field segment.
+	walked uint8
 }
 
 // openMap starts the walk of a mapping against mapNode's answer.
@@ -198,6 +202,9 @@ func (w *mapWalk) member(key []byte) (int32, bool) {
 				w.seen |= f.reqBit
 				w.req = &w.m.p.reqs[n.reqOff+int32(bits.TrailingZeros64(f.reqBit))]
 			}
+			if n.flags&flagPrologue != 0 {
+				w.walked |= 1 << (mid - n.fieldsOff)
+			}
 			return f.node, true
 		}
 	}
@@ -225,6 +232,15 @@ func (w *mapWalk) filled(v val) bool {
 	}
 	return true
 }
+
+// done reports whether the walk may stop after the member just filled:
+// the mapping is metaProgram's root and apiVersion, kind and metadata
+// have each been walked. Routing needs nothing past them, and whether the
+// rest of the body decodes is the match's to vouch for. The wires ask
+// after every member and, on yes, return close() | valPrologue; every
+// other walk, and a prologue missing any of the three, goes to the end.
+// Only a flagPrologue node ever sets walked, so one compare decides.
+func (w *mapWalk) done() bool { return w.walked == prologueWalked }
 
 // close ends the mapping: every required field must have been seen.
 func (w *mapWalk) close() val {
@@ -292,10 +308,16 @@ func (m *rawMatch) capture(slot int32, t token) bool {
 }
 
 // ---------------------------------------------------------------------
-// The routing-metadata scan is a walk against this built-in program, so
-// a successful scan promises what a successful match promises — the body
-// decodes — and its captures equal the decoded accessors. Compile never
-// emits opCapture or flagOpen.
+// The routing-metadata scan is a walk against this built-in program over
+// the body's prologue: the root's members up to the one that completes
+// apiVersion, kind and metadata (flagPrologue, mapWalk.done), or the
+// whole body when one of them is absent. A successful scan promises that
+// the prologue is well formed and that, IF the body decodes, the captures
+// equal the decoded accessors — both decoders reject duplicate keys and
+// a second YAML document, so a decodable body cannot contradict its own
+// prologue. That the body decodes is promised by the match alone, which
+// walks every byte. Compile never emits opCapture, flagOpen or
+// flagPrologue.
 // ---------------------------------------------------------------------
 
 // metaProgram's node indices. The first four are capture nodes and
@@ -309,6 +331,10 @@ const (
 	metaRoot
 )
 
+// prologueWalked is mapWalk.walked once each of the three members
+// metaRoot lists has been walked.
+const prologueWalked = 1<<3 - 1
+
 var metaProgram = &Program{
 	nodes: []node{
 		metaAPIVersion: {op: opCapture, item: metaAPIVersion},
@@ -316,7 +342,7 @@ var metaProgram = &Program{
 		metaName:       {op: opCapture, item: metaName},
 		metaNamespace:  {op: opCapture, item: metaNamespace},
 		metaMetadata:   {op: opMap, flags: flagOpen, fieldsOff: 0, fieldsEnd: 2},
-		metaRoot:       {op: opMap, flags: flagOpen, fieldsOff: 2, fieldsEnd: 5},
+		metaRoot:       {op: opMap, flags: flagOpen | flagPrologue, fieldsOff: 2, fieldsEnd: 5},
 	},
 	fields: []fieldRef{ // each node's segment sorted by name, as member searches it
 		{name: "name", node: metaName}, {name: "namespace", node: metaNamespace},

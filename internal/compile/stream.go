@@ -27,20 +27,23 @@ const maxRawDepth = 1000
 // normalization succeeds".
 const maxRawNumberDigits = 18
 
-// ScanRawMeta extracts RawMeta from a raw JSON body. ok is false when
-// the body is not an object the scanner can fully vouch for (malformed
-// JSON, non-object root, escaped or non-ASCII keys, numbers the decode
-// path could reject) — the caller must fall back to decoding. When ok,
-// the body is guaranteed to decode successfully via object.ParseJSON
-// and the returned fields equal the decoded object's Kind/APIVersion/
-// Namespace/Name accessors.
+// ScanRawMeta extracts RawMeta from a raw JSON body's prologue: the walk
+// stops when the root member that completes apiVersion, kind and
+// metadata closes (to the end of the body when one is absent). ok is
+// false when the walked bytes are not an object the scanner can vouch
+// for (malformed JSON, non-object root, escaped or non-ASCII keys,
+// numbers the decode path could reject, a duplicate key) — the caller
+// must fall back to decoding. When ok, the returned fields equal the
+// decoded object's Kind/APIVersion/Namespace/Name accessors IF the body
+// decodes via object.ParseJSON; whether it does is MatchRaw's to vouch
+// for, not the scan's.
 func ScanRawMeta(body []byte) (RawMeta, bool) {
 	s := rawScan{rawMatch: rawMatch{p: metaProgram}, data: body}
 	s.skipWS()
 	if !s.have('{') {
 		return RawMeta{}, false
 	}
-	if s.value(metaRoot, 0) == 0 || !s.atEnd() {
+	if v := s.value(metaRoot, 0); v == 0 || v&valPrologue == 0 && !s.atEnd() {
 		return RawMeta{}, false
 	}
 	return s.meta, true
@@ -396,6 +399,9 @@ func (s *rawScan) value(idx int32, depth int) val {
 			child, ok := w.member(key)
 			if !ok || !w.filled(s.value(child, depth+1)) {
 				return 0
+			}
+			if w.done() {
+				return w.close() | valPrologue
 			}
 			s.skipWS()
 			if s.eat(',') {

@@ -24,12 +24,38 @@ func buildProgram(t *testing.T, docs ...object.Object) (*validator.Validator, *P
 	return pol, prog
 }
 
+// prologueBody is a body whose prologue (apiVersion, kind, metadata)
+// comes first; the scan stops after it. prologuePolicy allows it, so a
+// MatchRaw refusal of a mangled copy is the mangling's doing.
+const (
+	prologueJSON = `{"apiVersion":"v1","kind":"Pod","metadata":{"name":"p","namespace":"ns"}`
+	prologueBody = prologueJSON + `,"spec":{"a":1}}`
+)
+
+func prologuePolicy(t *testing.T) *Program {
+	t.Helper()
+	_, prog := buildProgram(t, object.Object{
+		"apiVersion": "v1",
+		"kind":       "Pod",
+		"metadata":   map[string]any{"name": "p", "namespace": "ns"},
+		"spec":       map[string]any{"a": int64(1)},
+	})
+	return prog
+}
+
 func TestScanRawMeta(t *testing.T) {
+	prog := prologuePolicy(t)
+	if !prog.MatchRaw([]byte(prologueBody)) {
+		t.Fatalf("MatchRaw refused the clean prologue body %s", prologueBody)
+	}
 	for _, tc := range []struct {
 		name                                 string
 		body                                 string
 		ok                                   bool
 		kind, apiVersion, namespace, objName string
+		// undecodable marks an ok row whose body ParseJSON rejects: the
+		// scan read only the prologue, and MatchRaw must refuse it.
+		undecodable bool
 	}{
 		{
 			name: "typical object",
@@ -46,8 +72,9 @@ func TestScanRawMeta(t *testing.T) {
 			body: `{"kind":123,"metadata":{"name":"x"}}`,
 			ok:   true, objName: "x",
 		},
-		// Duplicate keys anywhere fail the scan: the decode path rejects
-		// them, and a successful scan promises the body decodes.
+		// Duplicate keys in the walked bytes fail the scan: the decode path
+		// rejects them. None of these bodies has a complete prologue, so
+		// the scan walks all of it.
 		{name: "duplicate kind is undecodable", body: `{"kind":"Pod","kind":"Secret"}`},
 		{name: "duplicate kind with non-string last is undecodable", body: `{"kind":"Pod","kind":[1]}`},
 		{name: "duplicate metadata is undecodable", body: `{"metadata":{"namespace":"a"},"metadata":{"name":"n"}}`},
@@ -71,6 +98,33 @@ func TestScanRawMeta(t *testing.T) {
 		{name: "overflowing number anywhere fails the scan", body: `{"kind":"Pod","a":1e999}`},
 		{name: "control char in string", body: "{\"kind\":\"P\x01d\"}"},
 		{name: "trailing comma", body: `{"kind":"Pod",}`},
+		// The scan stops once apiVersion, kind and metadata are walked:
+		// what follows is the match's to vouch for. Each of these is ok
+		// with the prologue's fields, and none decodes.
+		{
+			name: "duplicate key in spec after the prologue",
+			body: prologueJSON + `,"spec":{"a":1,"a":1}}`,
+			ok:   true, kind: "Pod", apiVersion: "v1", namespace: "ns", objName: "p", undecodable: true,
+		},
+		{
+			name: "trailing bytes after the prologue",
+			body: prologueBody + ` x`,
+			ok:   true, kind: "Pod", apiVersion: "v1", namespace: "ns", objName: "p", undecodable: true,
+		},
+		{
+			name: "unterminated root after the prologue",
+			body: prologueJSON + `,"spec":{"a":1}`,
+			ok:   true, kind: "Pod", apiVersion: "v1", namespace: "ns", objName: "p", undecodable: true,
+		},
+		{
+			name: "duplicate kind after the prologue",
+			body: prologueJSON + `,"kind":"Secret"}`,
+			ok:   true, kind: "Pod", apiVersion: "v1", namespace: "ns", objName: "p", undecodable: true,
+		},
+		// A prologue still incomplete at the duplicate: the scan walks to
+		// it and fails.
+		{name: "kind after spec", body: `{"apiVersion":"v1","metadata":{"name":"p"},"spec":{"a":1,"a":1},"kind":"Pod"}`},
+		{name: "missing apiVersion", body: `{"kind":"Pod","metadata":{"name":"p"},"spec":{"a":1,"a":1}}`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m, ok := ScanRawMeta([]byte(tc.body))
@@ -79,6 +133,9 @@ func TestScanRawMeta(t *testing.T) {
 			}
 			if !ok {
 				return
+			}
+			if tc.undecodable && prog.MatchRaw([]byte(tc.body)) {
+				t.Errorf("MatchRaw vouched for an undecodable body")
 			}
 			if got := string(m.Kind); got != tc.kind {
 				t.Errorf("Kind = %q, want %q", got, tc.kind)
@@ -92,11 +149,14 @@ func TestScanRawMeta(t *testing.T) {
 			if got := string(m.Name); got != tc.objName {
 				t.Errorf("Name = %q, want %q", got, tc.objName)
 			}
-			// The contract: a successful scan means the body decodes and
+			// The contract: a successful scan and a body that decodes mean
 			// the fields equal the decoded accessors.
 			o, err := object.ParseJSON([]byte(tc.body))
+			if (err != nil) != tc.undecodable {
+				t.Fatalf("ParseJSON error %v, want undecodable=%v", err, tc.undecodable)
+			}
 			if err != nil {
-				t.Fatalf("scan ok but ParseJSON failed: %v", err)
+				return
 			}
 			if o.Kind() != string(m.Kind) || o.APIVersion() != string(m.APIVersion) ||
 				o.Namespace() != string(m.Namespace) || o.Name() != string(m.Name) {

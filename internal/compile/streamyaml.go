@@ -22,7 +22,8 @@ import "bytes"
 // comment-stripped content span} on demand (no line slice), and every
 // construct the decoder would reject — indentation jumps inside a
 // mapping, non-entry lines, duplicate keys — makes the scan fall back,
-// so a successful walk still implies the body decodes cleanly.
+// so a successful walk to the end still implies the body decodes cleanly
+// (the routing scan stops at the prologue and promises less: match.go).
 
 // yLine is one logical line: its indentation and the content span after
 // indent stripping, comment stripping, and right-trimming. start == end
@@ -59,13 +60,17 @@ type yamlScan struct {
 	ov       yLine
 }
 
-// ScanRawYAMLMeta extracts RawMeta from a raw YAML body. ok is false
-// when the body is not a single mapping document the scanner can fully
-// vouch for — the caller must fall back to decoding. When ok, the body
-// is guaranteed to decode via object.ParseManifest and the returned
-// fields equal the decoded object's Kind/APIVersion/Namespace/Name
-// accessors (zero-copy sub-slices of body; a non-string value comes
-// back nil the same way the accessors return "").
+// ScanRawYAMLMeta extracts RawMeta from a raw YAML body's prologue: the
+// walk stops when the root entry that completes apiVersion, kind and
+// metadata has been walked, i.e. at the next line at the root's
+// indentation (at the end of the document when one is absent). ok is
+// false when the walked lines are not the start of a single mapping
+// document the scanner can vouch for — the caller must fall back to
+// decoding. When ok, the returned fields equal the decoded object's
+// Kind/APIVersion/Namespace/Name accessors IF the body decodes via
+// object.ParseManifest (zero-copy sub-slices of body; a non-string value
+// comes back nil the same way the accessors return ""); whether it does
+// is MatchRawYAML's to vouch for, not the scan's.
 func ScanRawYAMLMeta(body []byte) (RawMeta, bool) {
 	s := yamlScan{rawMatch: rawMatch{p: metaProgram}, data: body}
 	l, ok := s.openDocument()
@@ -74,7 +79,7 @@ func ScanRawYAMLMeta(body []byte) (RawMeta, bool) {
 		// rejects or the scanner cannot vouch — decode path decides.
 		return RawMeta{}, false
 	}
-	if s.mapping(l.indent, metaRoot, 0) == 0 || !s.closeDocument() {
+	if v := s.mapping(l.indent, metaRoot, 0); v == 0 || v&valPrologue == 0 && !s.closeDocument() {
 		return RawMeta{}, false
 	}
 	return s.meta, true
@@ -415,6 +420,9 @@ func (s *yamlScan) mapping(indent int, idx int32, depth int) val {
 		s.advance()
 		if !w.filled(s.valueAfterKey(rs, re, indent, child, depth+1)) {
 			return 0
+		}
+		if w.done() {
+			return w.close() | valPrologue
 		}
 	}
 	return w.close()

@@ -25,11 +25,21 @@ func rawYAMLVerdict(prog *Program, body []byte) ([]validator.Violation, bool, er
 }
 
 func TestScanRawYAMLMeta(t *testing.T) {
+	const prologue = "apiVersion: v1\nkind: Pod\nmetadata:\n  name: p\n  namespace: ns\n"
+	prologueMeta := RawMeta{Kind: []byte("Pod"), APIVersion: []byte("v1"),
+		Namespace: []byte("ns"), Name: []byte("p")}
+	prog := prologuePolicy(t)
+	if !prog.MatchRawYAML([]byte(prologue + "spec:\n  a: 1\n")) {
+		t.Fatal("MatchRawYAML refused the clean prologue body")
+	}
 	cases := []struct {
 		name string
 		body string
 		ok   bool
 		want RawMeta
+		// undecodable marks an ok row whose body ParseManifest rejects:
+		// the scan read only the prologue, and MatchRawYAML must refuse it.
+		undecodable bool
 	}{
 		{
 			name: "plain manifest",
@@ -113,6 +123,22 @@ func TestScanRawYAMLMeta(t *testing.T) {
 		{name: "bad deeper indent", body: "kind: Pod\n  spec: x\n"},
 		{name: "empty body", body: ""},
 		{name: "ambiguous scalar type", body: "kind: Pod\nspec: 1e5\n"},
+		// The scan stops at the first line at the root's indentation after
+		// apiVersion, kind and metadata: what follows is the match's to
+		// vouch for. Each of these is ok with the prologue's fields, and
+		// none decodes.
+		{name: "duplicate key in spec after the prologue", body: prologue + "spec:\n  a: 1\n  a: 1\n",
+			ok: true, want: prologueMeta, undecodable: true},
+		{name: "trailing bytes after the prologue", body: prologue + "spec:\n  a: 1\njunk\n",
+			ok: true, want: prologueMeta, undecodable: true},
+		{name: "second document after the prologue", body: prologue + "---\nkind: Secret\n",
+			ok: true, want: prologueMeta, undecodable: true},
+		{name: "over-indented line after metadata", body: prologue + " spec: x\n",
+			ok: true, want: prologueMeta, undecodable: true},
+		// A prologue still incomplete at the duplicate: the scan walks to
+		// it and fails.
+		{name: "kind after spec", body: "apiVersion: v1\nmetadata:\n  name: p\nspec:\n  a: 1\n  a: 1\nkind: Pod\n"},
+		{name: "missing apiVersion", body: "kind: Pod\nmetadata:\n  name: p\nspec:\n  a: 1\n  a: 1\n"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -125,19 +151,26 @@ func TestScanRawYAMLMeta(t *testing.T) {
 				// checked in the fuzz target, nothing to compare here.
 				return
 			}
-			o, err := object.ParseManifest([]byte(tc.body))
-			if err != nil {
-				t.Fatalf("scan vouched but ParseManifest failed: %v", err)
-			}
 			got := [4]string{string(m.Kind), string(m.APIVersion), string(m.Namespace), string(m.Name)}
-			dec := [4]string{o.Kind(), o.APIVersion(), o.Namespace(), o.Name()}
-			if got != dec {
-				t.Fatalf("scan meta %v diverges from decoded accessors %v", got, dec)
-			}
 			want := [4]string{string(tc.want.Kind), string(tc.want.APIVersion),
 				string(tc.want.Namespace), string(tc.want.Name)}
 			if got != want {
 				t.Fatalf("scan meta %v, want %v", got, want)
+			}
+			if tc.undecodable && prog.MatchRawYAML([]byte(tc.body)) {
+				t.Errorf("MatchRawYAML vouched for an undecodable body")
+			}
+			// The contract: a successful scan and a body that decodes mean
+			// the fields equal the decoded accessors.
+			o, err := object.ParseManifest([]byte(tc.body))
+			if (err != nil) != tc.undecodable {
+				t.Fatalf("ParseManifest error %v, want undecodable=%v", err, tc.undecodable)
+			}
+			if err != nil {
+				return
+			}
+			if dec := [4]string{o.Kind(), o.APIVersion(), o.Namespace(), o.Name()}; got != dec {
+				t.Fatalf("scan meta %v diverges from decoded accessors %v", got, dec)
 			}
 		})
 	}
@@ -306,7 +339,7 @@ func TestYAMLRawPathEquivalenceOnRobustnessMatrix(t *testing.T) {
 // both decoded engines allow the decoded document — against every
 // builtin chart policy AND against a policy consolidated from the
 // document itself. It also pins ScanRawYAMLMeta to the decoded
-// accessors.
+// accessors of every body that decodes.
 func FuzzRawYAMLEquivalence(f *testing.F) {
 	cs, err := loadCorpus()
 	if err != nil {
@@ -337,14 +370,16 @@ func FuzzRawYAMLEquivalence(f *testing.F) {
 	// Routing fields on an indented continuation line.
 	f.Add([]byte("kind:\n  Pod\n"))
 	f.Add([]byte("kind: Pod\nmetadata:\n  namespace:\n    b\n  name:\n    'n'\n"))
+	// A complete prologue before a line the decoder rejects: the scan is
+	// ok, the body does not decode.
+	f.Add([]byte("apiVersion: \nkind: \nmetadata:\n 0:\n00"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		meta, metaOK := ScanRawYAMLMeta(data)
 		o, perr := object.ParseManifest(data)
-		if metaOK {
-			if perr != nil {
-				t.Fatalf("ScanRawYAMLMeta ok but ParseManifest failed on %q: %v", data, perr)
-			}
+		// The scan reads the prologue only: whether the body decodes is
+		// the match's to vouch for.
+		if metaOK && perr == nil {
 			if o.Kind() != string(meta.Kind) || o.APIVersion() != string(meta.APIVersion) ||
 				o.Namespace() != string(meta.Namespace) || o.Name() != string(meta.Name) {
 				t.Fatalf("ScanRawYAMLMeta %q/%q/%q/%q diverges from decoded %q/%q/%q/%q on %q",

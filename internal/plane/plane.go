@@ -1026,9 +1026,11 @@ func (rep *replica) release() { <-rep.inflight }
 // resolve policy on, so routing and resolution cannot disagree: the
 // namespace (the body's own, then the URL path's) when there is one,
 // then the body kind for cluster-scoped objects. Requests with neither
-// (reads outside a namespace, bodies nothing can decode) get a
+// (reads outside a namespace, bodies that neither scan nor decode) get a
 // deterministic path key; every replica serves or fails closed on those
-// identically, the key only needs to be stable.
+// identically, the key only needs to be stable. An undecodable body
+// whose prologue scans routes by its prologue, and its owner rejects it
+// as any replica would.
 func shardKey(q *proxy.Request, path string) string {
 	namespace, kind := q.Target()
 	switch {

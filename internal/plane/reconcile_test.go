@@ -350,6 +350,9 @@ func TestRoutingEqualsResolution(t *testing.T) {
 			"kind: Pod\nmetadata:\n  name: &n p\n  namespace: zeta\n" + yamlSpec, "", 403},
 		{"undecodable body", "application/json", "/api/v1/namespaces/alpha/pods",
 			`{"kind":"Pod",`, "", 403},
+		// The prologue scans and names beta; the rest does not decode.
+		{"undecodable suffix after the prologue", "application/json", "/api/v1/namespaces/alpha/pods",
+			`{"apiVersion":"v1","kind":"Pod","metadata":{"name":"p","namespace":"beta"},"spec":{"a":1,"a":1}}`, "", 403},
 		{"unsupported content type", "application/xml", "/api/v1/namespaces/alpha/pods",
 			`<pod/>`, "", 415},
 		{"namespace only in the url path", "application/json", "/api/v1/namespaces/gamma/pods",

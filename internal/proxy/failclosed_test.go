@@ -13,8 +13,9 @@ import (
 )
 
 // failFixture builds a proxy over a recording upstream so tests can
-// assert nothing was forwarded.
-func failFixture(t *testing.T) (*Proxy, *httptest.Server, *int) {
+// assert nothing was forwarded; configure, when non-nil, adjusts its
+// Config.
+func failFixture(t *testing.T, configure func(*Config)) (*Proxy, *httptest.Server, *int) {
 	t.Helper()
 	forwarded := 0
 	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -22,7 +23,11 @@ func failFixture(t *testing.T) (*Proxy, *httptest.Server, *int) {
 		w.WriteHeader(http.StatusOK)
 	}))
 	t.Cleanup(upstream.Close)
-	p := newProxy(t, Config{Upstream: upstream.URL}, testPolicy(t), 0)
+	cfg := Config{Upstream: upstream.URL}
+	if configure != nil {
+		configure(&cfg)
+	}
+	p := newProxy(t, cfg, testPolicy(t), 0)
 	ts := httptest.NewServer(p)
 	t.Cleanup(ts.Close)
 	return p, ts, &forwarded
@@ -62,7 +67,12 @@ func reasonsOf(p *Proxy) []string {
 // forwarded upstream) with its own status code and audit-able denial
 // reason, so forensics can tell the cases apart.
 func TestFailClosedDistinctOutcomes(t *testing.T) {
-	p, ts, forwarded := failFixture(t)
+	// Every denial is reported to OnViolation before its handler
+	// returns; the channel holds all four, so no handler blocks.
+	denials := make(chan ViolationRecord, 4)
+	p, ts, forwarded := failFixture(t, func(c *Config) {
+		c.OnViolation = func(rec ViolationRecord) { denials <- rec }
+	})
 	target := ts.URL + "/api/v1/namespaces/default/configmaps"
 
 	// 1. Malformed JSON body.
@@ -94,29 +104,26 @@ func TestFailClosedDistinctOutcomes(t *testing.T) {
 		"Host: %s\r\nContent-Type: application/json\r\nContent-Length: 4096\r\n\r\n{\"kind\":", u.Host)
 	conn.Close()
 
-	wantReasons := []string{
+	// The first three were denied before their responses came back; the
+	// disconnect's handler runs on its own, so wait for its report.
+	timeout := time.After(5 * time.Second)
+	for i := 0; i < 4; i++ {
+		select {
+		case <-denials:
+		case <-timeout:
+			t.Fatalf("%d of 4 denials reported; have:\n%s", i, strings.Join(reasonsOf(p), "\n"))
+		}
+	}
+	reasons := strings.Join(reasonsOf(p), "\n")
+	for _, want := range []string{
 		"not a valid Kubernetes object",
 		"inspection limit",
 		"unsupported content type",
 		"could not be read",
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	var missing []string
-	for {
-		missing = missing[:0]
-		reasons := strings.Join(reasonsOf(p), "\n")
-		for _, want := range wantReasons {
-			if !strings.Contains(reasons, want) {
-				missing = append(missing, want)
-			}
+	} {
+		if !strings.Contains(reasons, want) {
+			t.Errorf("denial records miss the distinct reason %q; have:\n%s", want, reasons)
 		}
-		if len(missing) == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("denial records missing distinct reasons %v; have:\n%s", missing, reasons)
-		}
-		time.Sleep(10 * time.Millisecond)
 	}
 
 	if *forwarded != 0 {
@@ -137,7 +144,7 @@ func TestFailClosedDistinctOutcomes(t *testing.T) {
 // inspected request without a Content-Type is parsed as JSON, validated,
 // and forwarded when conforming.
 func TestEmptyContentTypeDefaultsToJSON(t *testing.T) {
-	_, ts, forwarded := failFixture(t)
+	_, ts, forwarded := failFixture(t, nil)
 	body, err := json.Marshal(goodDeployment())
 	if err != nil {
 		t.Fatal(err)
@@ -186,7 +193,7 @@ func TestContentTypeRouting(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, ts, forwarded := failFixture(t)
+			_, ts, forwarded := failFixture(t, nil)
 			resp := post(t, ts.URL+"/api/v1/namespaces/default/configmaps", tc.contentType, tc.body)
 			if resp.StatusCode != tc.wantCode {
 				t.Fatalf("content type %q: code = %d, want %d",

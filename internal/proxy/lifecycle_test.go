@@ -72,7 +72,7 @@ func TestBodyBufferLifecycleUnderRace(t *testing.T) {
 		Transport:  slowEchoTransport{},
 		SinkBuffer: 2,
 		OnViolation: func(ViolationRecord) {
-			time.Sleep(50 * time.Microsecond) // force ring overflow under load
+			time.Sleep(50 * time.Microsecond) // a slow consumer, not a wait: keeps the 2-slot ring overflowing
 		},
 	}, testPolicy(t), 0)
 

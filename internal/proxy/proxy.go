@@ -16,15 +16,17 @@
 // namespace, name). The hash comes first and keys everything
 // repeatable: a process-wide scan memo answers the metadata scan of any
 // body scanned before (scanmemo.go), so only a body's first appearance
-// is walked (compile.ScanRawMeta / compile.ScanRawYAMLMeta), with at
-// most one decode as the fallback. Serve then decides: for enforce-mode
+// is scanned (compile.ScanRawMeta / compile.ScanRawYAMLMeta), and only
+// as far as its prologue — apiVersion, kind and metadata — with at most
+// one decode as the fallback. Serve then decides: for enforce-mode
 // workloads the policy is resolved through the registry's match trie
 // without materializing strings (ResolveRaw), the workload's
 // decision-cache shard is probed with the same hash, and on a miss the
-// compiled program's streaming fast pass walks the raw bytes — so a
-// re-applied manifest costs a read, a hash and three table probes, an
-// ALLOWED request is never decoded into a document at all, and its
-// buffer returns to the pool when the upstream round trip completes.
+// compiled program's streaming fast pass walks the raw bytes, all of
+// them — so a re-applied manifest costs a read, a hash and three table
+// probes, a never-seen one is walked once past its prologue, an ALLOWED
+// request is never decoded into a document at all, and its buffer
+// returns to the pool when the upstream round trip completes.
 // Only deny verdicts, cache-missed shadow/learn traffic, tap-equipped
 // proxies, and constructs the scanners cannot vouch for take the classic
 // decode + diagnostic path, whose verdicts and violation lists the raw
@@ -244,7 +246,8 @@ func (p *Proxy) SinkStats() SinkStats {
 
 // FlushSinks waits until every event enqueued so far has been delivered
 // or dropped, bounded by the timeout; it reports whether the sink fully
-// drained. A no-op (true) for synchronous sinks.
+// drained. It sleeps on the sink's drained signal, not a poll. A no-op
+// (true) for synchronous sinks.
 func (p *Proxy) FlushSinks(timeout time.Duration) bool {
 	if p.sink == nil {
 		return true
@@ -348,19 +351,30 @@ func rejected(path telemetry.Path, reason string) decision {
 		violations: []validator.Violation{{Reason: reason}}}
 }
 
+// undecodable is the rejection of a body the decoder refuses.
+func undecodable(err error) decision {
+	return rejected(telemetry.PathDecoded, "request body is not a valid Kubernetes object: "+err.Error())
+}
+
 // decide resolves the workload policy governing an inspected request
 // and judges the request against it.
 //
 // Streaming fast path: requests are decided straight off the wire bytes
-// whenever possible, for both encodings. The scanners succeeding
-// guarantees the body decodes and the extracted routing fields equal
-// the decoded accessors, so resolving before decoding is
-// observationally identical to the classic order; ResolveRaw probes the
-// registry's match trie on the scanned byte slices without
-// materializing strings. Taps force the decode path (they consume the
-// object); non-enforce modes and verdicts that need diagnostics decode
-// after resolving (learn feeds the miner, shadow records diagnostics,
-// an uncached denial lists its violations).
+// whenever possible, for both encodings. A successful scan guarantees
+// that the prologue is well formed and that, if the body decodes, the
+// extracted routing fields equal the decoded accessors — so resolving
+// before decoding is observationally identical to the classic order for
+// every body the classic path accepts. Whether it does is decided
+// before any verdict: the raw match walks every byte and vouches only
+// for a body that decodes, a cached decision was made on one, and every
+// other outcome — including a request that resolves to no policy —
+// decodes first, so an undecodable body is rejected as such, exactly as
+// on the classic path. ResolveRaw probes the registry's match trie on
+// the scanned byte slices without materializing strings. Taps force the
+// decode path (they consume the object); non-enforce modes, workloads
+// with no policy yet and verdicts that need diagnostics decode after
+// resolving (learn feeds the miner, shadow records diagnostics, an
+// uncached denial lists its violations).
 func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.TraceCtx) decision {
 	raw := !p.disableRaw && p.tap == nil
 	if raw {
@@ -373,7 +387,7 @@ func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.T
 		_, err := q.decode()
 		tc.Stage("decode")
 		if err != nil {
-			return rejected(path, "request body is not a valid Kubernetes object: "+err.Error())
+			return undecodable(err)
 		}
 	}
 
@@ -386,12 +400,19 @@ func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.T
 	}
 	tc.Stage("resolve")
 	if !found {
+		if raw {
+			if _, err := q.decode(); err != nil {
+				return undecodable(err)
+			}
+		}
 		namespace, kind := q.Target()
 		return rejected(path, fmt.Sprintf("no KubeFence policy registered for namespace %q kind %q", namespace, kind))
 	}
 
 	if raw {
-		if entry.Mode() == registry.ModeEnforce {
+		// A workload with no policy yet fails closed on the decode path,
+		// where an undecodable body is rejected as such first.
+		if entry.Mode() == registry.ModeEnforce && entry.Program() != nil {
 			vs, decided := p.registry.ValidateRawHashed(entry, q.body, q.sum(), q.meta, q.format == formatYAML)
 			if decided {
 				tc.Stage("raw-match")
@@ -405,9 +426,7 @@ func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.T
 		}
 		path = telemetry.PathDecoded
 		if _, err := q.decode(); err != nil {
-			// Unreachable while the scanners keep their contract; fail
-			// closed if one ever breaks it.
-			return rejected(path, "request body is not a valid Kubernetes object: "+err.Error())
+			return undecodable(err)
 		}
 		tc.Stage("decode")
 	}

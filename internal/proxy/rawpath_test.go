@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -144,6 +143,63 @@ func TestRawFastPathNoPolicyRejectMatchesClassic(t *testing.T) {
 	}
 }
 
+// outcome is what a client and an auditor see of one request.
+type outcome struct {
+	Code    int
+	Body    string
+	Charged map[string]uint64 // per-workload Requests
+	Records [][3]string       // workload, kind and name of each denial record
+}
+
+// serveTenants serves body through a fresh proxy over two tenants: a and
+// b each own their namespace's ConfigMaps, a with a lenient data.mode
+// and b with a strict one.
+func serveTenants(t testing.TB, disableRaw, yaml bool, body []byte) outcome {
+	t.Helper()
+	reg := registry.New(registry.Config{})
+	for tenant, mode := range map[string]string{"a": "lenient", "b": "strict"} {
+		v, err := buildPolicy(object.Object{
+			"apiVersion": "v1",
+			"kind":       "ConfigMap",
+			"metadata":   map[string]any{"name": "cm", "namespace": tenant},
+			"data":       map[string]any{"mode": mode},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := reg.Register(tenant, registry.Selector{Namespace: tenant}, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return serveOn(t, reg, disableRaw, yaml, body)
+}
+
+// serveOn serves body on the given wire, POSTed into namespace a,
+// through a fresh proxy over reg.
+func serveOn(t testing.TB, reg *registry.Registry, disableRaw, yaml bool, body []byte) outcome {
+	t.Helper()
+	p, err := New(Config{Upstream: "http://upstream.invalid", Transport: echoTransport{},
+		Registry: reg, DisableRawFastPath: disableRaw})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/namespaces/a/configmaps", bytes.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	if yaml {
+		req.Header.Set("Content-Type", "application/yaml")
+	}
+	rec := httptest.NewRecorder()
+	p.ServeHTTP(rec, req)
+	out := outcome{Code: rec.Code, Body: rec.Body.String(), Charged: map[string]uint64{}}
+	for workload, m := range p.Registry().Metrics() {
+		out.Charged[workload] = m.Requests
+	}
+	for _, r := range p.Violations() {
+		out.Records = append(out.Records, [3]string{r.Workload, r.Kind, r.Name})
+	}
+	return out
+}
+
 // TestRawFastPathTenantResolutionMatchesClassic: a YAML body whose
 // metadata.namespace value sits on an indented continuation line names
 // tenant b whatever the URL says. The raw path must resolve, judge and
@@ -151,49 +207,80 @@ func TestRawFastPathNoPolicyRejectMatchesClassic(t *testing.T) {
 // field as absent fell back to the URL's tenant a, whose policy allows
 // the body.
 func TestRawFastPathTenantResolutionMatchesClassic(t *testing.T) {
-	const body = "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n" +
-		"  namespace:\n    b\ndata:\n  mode: lenient\n"
-	serve := func(disable bool) (int, map[string]uint64) {
-		reg := registry.New(registry.Config{})
-		for tenant, mode := range map[string]string{"a": "lenient", "b": "strict"} {
-			v, err := buildPolicy(object.Object{
-				"apiVersion": "v1",
-				"kind":       "ConfigMap",
-				"metadata":   map[string]any{"name": "cm", "namespace": tenant},
-				"data":       map[string]any{"mode": mode},
-			})
-			if err != nil {
+	body := []byte("apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n" +
+		"  namespace:\n    b\ndata:\n  mode: lenient\n")
+	raw, classic := serveTenants(t, false, true, body), serveTenants(t, true, true, body)
+	if !reflect.DeepEqual(raw, classic) {
+		t.Errorf("raw path: %+v\ndecode path: %+v", raw, classic)
+	}
+	if want := map[string]uint64{"a": 0, "b": 1}; classic.Code != http.StatusForbidden ||
+		!reflect.DeepEqual(classic.Charged, want) {
+		t.Errorf("decode path: %d charged %v, want 403 charged %v", classic.Code, classic.Charged, want)
+	}
+}
+
+// FuzzRawPathMatchesClassic: whatever the body and the wire, the proxy
+// with the raw fast path on answers, charges and records exactly what
+// it does with DisableRawFastPath — the same status, the same response
+// bytes, the same per-workload Requests and the same denial records.
+// The scan reads a body's prologue only, so this is where a body that
+// scans but does not decode has to come out the same as on the classic
+// path.
+func FuzzRawPathMatchesClassic(f *testing.F) {
+	for _, s := range []struct {
+		yaml bool
+		body string
+	}{
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace:\n    b\ndata:\n  mode: lenient\n"},
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: lenient\n"},
+		{false, `{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm","namespace":"b"},"data":{"mode":"strict"}}`},
+		{false, `{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm"},"data":{"mode":"lenient"}}`},
+		// Complete prologues before a suffix that does not decode, naming
+		// a tenant, no tenant, and a kind nobody governs.
+		{false, `{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm","namespace":"b"},"data":{"mode":"strict","mode":"x"}}`},
+		{false, `{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm"},"data":{"mode":"lenient"}} x`},
+		{false, `{"apiVersion":"v1","kind":"Secret","metadata":{"name":"s","namespace":"zz"},"data":`},
+		{false, `{"apiVersion":"","kind":"","metadata":{}`},
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\ndata:\n  mode: lenient\n---\nkind: Secret\n"},
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n namespace: b\n"},
+		{true, "apiVersion: \nkind: \nmetadata:\n 0:\n00"},
+	} {
+		f.Add([]byte(s.body), s.yaml)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, yaml bool) {
+		raw, classic := serveTenants(t, false, yaml, body), serveTenants(t, true, yaml, body)
+		if !reflect.DeepEqual(raw, classic) {
+			t.Fatalf("yaml=%v body %q:\nraw path:    %+v\ndecode path: %+v", yaml, body, raw, classic)
+		}
+	})
+}
+
+// TestRawPathNoPolicyYetMatchesClassic: a learning workload switched to
+// enforce before any policy was swapped in fails closed. A body that
+// does not decode is rejected as such and charged to nobody, on both
+// paths, even when its prologue scans.
+func TestRawPathNoPolicyYetMatchesClassic(t *testing.T) {
+	for _, body := range []string{
+		`{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm"},"data":{}}`,
+		`{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm"},"data":{"k":1,"k":1}}`,
+	} {
+		serve := func(disableRaw bool) outcome {
+			reg := registry.New(registry.Config{CacheSize: 16})
+			if _, err := reg.RegisterLearning("a", registry.Selector{Namespace: "a"}, nil); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := reg.Register(tenant, registry.Selector{Namespace: tenant}, v); err != nil {
+			if err := reg.SetMode("a", registry.ModeEnforce); err != nil {
 				t.Fatal(err)
 			}
+			return serveOn(t, reg, disableRaw, false, []byte(body))
 		}
-		p, err := New(Config{Upstream: "http://upstream.invalid", Transport: echoTransport{},
-			Registry: reg, DisableRawFastPath: disable})
-		if err != nil {
-			t.Fatal(err)
+		raw, classic := serve(false), serve(true)
+		if !reflect.DeepEqual(raw, classic) {
+			t.Errorf("body %s:\nraw path:    %+v\ndecode path: %+v", body, raw, classic)
 		}
-		req := httptest.NewRequest(http.MethodPost, "/api/v1/namespaces/a/configmaps",
-			strings.NewReader(body))
-		req.Header.Set("Content-Type", "application/yaml")
-		rec := httptest.NewRecorder()
-		p.ServeHTTP(rec, req)
-		charged := map[string]uint64{}
-		for workload, m := range p.Registry().Metrics() {
-			charged[workload] = m.Requests
+		if classic.Code != http.StatusForbidden {
+			t.Errorf("body %s: status %d, want 403", body, classic.Code)
 		}
-		return rec.Code, charged
-	}
-	rawCode, rawCharged := serve(false)
-	classicCode, classicCharged := serve(true)
-	if rawCode != classicCode || !reflect.DeepEqual(rawCharged, classicCharged) {
-		t.Errorf("raw path: %d charged %v; decode path: %d charged %v",
-			rawCode, rawCharged, classicCode, classicCharged)
-	}
-	if want := map[string]uint64{"a": 0, "b": 1}; classicCode != http.StatusForbidden ||
-		!reflect.DeepEqual(classicCharged, want) {
-		t.Errorf("decode path: %d charged %v, want 403 charged %v", classicCode, classicCharged, want)
 	}
 }
 

@@ -133,10 +133,11 @@ func (q *Request) sum() *[sha256.Size]byte {
 }
 
 // scan extracts the routing metadata (kind, namespace, name) straight
-// off the wire bytes, once — and once per distinct body: the memo is
-// asked first, and told the result of a scan it could not answer. A
-// successful scan guarantees the body decodes and that the extracted
-// fields equal the decoded accessors.
+// off the wire bytes' prologue, once — and once per distinct body: the
+// memo is asked first, and told the result of a scan it could not
+// answer. A successful scan guarantees the prologue is well formed and
+// that, if the body decodes, the extracted fields equal the decoded
+// accessors; whether it decodes is left to the match or the decoder.
 func (q *Request) scan() bool {
 	if q.scanDone {
 		return q.scanned
@@ -183,9 +184,11 @@ func (q *Request) decode() (object.Object, error) {
 // the decoded document when one exists, else off the wire-byte scan,
 // else by decoding), then the URL path's namespace for a body that
 // omits metadata.namespace. Requests that are not inspected, failed on
-// the way in, or do not decode have only the path namespace. A tier
-// that shards by the same pair routes by construction to a replica
-// that resolves the request.
+// the way in, or neither scan nor decode have only the path namespace.
+// A body whose prologue scans but whose rest does not decode is named
+// by its prologue; the replica it routes to rejects it exactly as the
+// classic path does. A tier that shards by the same pair routes by
+// construction to a replica that resolves the request.
 func (q *Request) Target() (namespace, kind string) {
 	if q.inspect && q.failCode == 0 {
 		if !q.decodeDone && q.scan() {
@@ -201,11 +204,15 @@ func (q *Request) Target() (namespace, kind string) {
 }
 
 // ident names the object for audit records and traces; on the raw path
-// it comes from the wire-byte scan, which matches the decoded accessors.
+// it comes from the wire-byte scan, which matches the decoded accessors
+// of a body that decodes. Once a decode has failed it names nothing: the
+// prologue of a body that is not an object names no object.
 func (q *Request) ident() (kind, name string) {
 	switch {
-	case q.decodeDone && q.decodeErr == nil:
-		return q.obj.Kind(), q.obj.Name()
+	case q.decodeDone:
+		if q.decodeErr == nil {
+			return q.obj.Kind(), q.obj.Name()
+		}
 	case q.scanned:
 		return string(q.meta.Kind), string(q.meta.Name)
 	}

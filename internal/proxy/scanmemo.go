@@ -15,8 +15,10 @@ import (
 // and not part of the per-workload decision-cache shards, whose entries
 // die with a policy. Operators re-apply identical manifests every
 // reconcile, so in the steady state the front end hashes a body and is
-// done: the full validating walk of ScanRawMeta / ScanRawYAMLMeta runs
-// once per distinct body.
+// done: the prologue walk of ScanRawMeta / ScanRawYAMLMeta runs once per
+// distinct body. A memoised success carries the scan's own promise — the
+// prologue is well formed and names the decoded object if the body
+// decodes — and no more.
 //
 // Bodies live in pooled buffers, so an entry holds no bytes: the four
 // RawMeta fields are stored as offsets and rebuilt as slices of whichever

@@ -79,6 +79,9 @@ var memoSeeds = []struct {
 	{false, `{"kind":"ConfigMap","metadata":{"name":"cm"},"data":`},
 	{false, `{"kind":"ConfigMap","kind":"Secret"}`},
 	{false, `[1,2,3]`},
+	// A scan that stops at a complete prologue succeeds whatever follows.
+	{false, `{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm"},"data":`},
+	{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\ndata:\n  k: v\n  k: w\n"},
 	{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: ns\ndata:\n  k: v\n"},
 	{true, "kind: ''\nmetadata:\n  name: \"\"\n"},
 	{true, "kind: 7\nmetadata:\n  namespace: [x]\n"},

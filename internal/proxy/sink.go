@@ -1,6 +1,7 @@
 package proxy
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -57,6 +58,12 @@ type asyncSink struct {
 	delivered atomic.Uint64
 	dropped   atomic.Uint64
 
+	// drained, when non-nil, is the channel flush waits on; whoever
+	// settles the last outstanding event closes it. drainMu orders that
+	// close after a flusher's own check, so no wake-up is lost.
+	drainMu sync.Mutex
+	drained chan struct{}
+
 	onViolate func(ViolationRecord)
 	onShadow  func(ViolationRecord)
 	tap       func(workload, user, method, path string, obj object.Object)
@@ -112,6 +119,7 @@ func (s *asyncSink) dispatch(ev sinkEvent) {
 		}
 	}
 	s.delivered.Add(1)
+	s.settle()
 }
 
 // enqueue offers an event; a full ring drops it (counted), never blocks.
@@ -127,6 +135,7 @@ func (s *asyncSink) enqueue(ev sinkEvent) {
 	case s.ch <- ev:
 	default:
 		s.dropped.Add(1)
+		s.settle()
 	}
 }
 
@@ -138,19 +147,48 @@ func (s *asyncSink) stats() SinkStats {
 	}
 }
 
+// idle reports that every event enqueued so far is delivered or dropped.
+func (s *asyncSink) idle() bool {
+	st := s.stats()
+	return st.Delivered+st.Dropped >= st.Enqueued
+}
+
+// settle wakes the flushers once the sink is idle. Every delivery and
+// every drop calls it after counting itself, so the event that makes the
+// sink idle always sees it.
+func (s *asyncSink) settle() {
+	if !s.idle() {
+		return
+	}
+	s.drainMu.Lock()
+	if s.drained != nil {
+		close(s.drained)
+		s.drained = nil
+	}
+	s.drainMu.Unlock()
+}
+
 // flush waits until every enqueued event is delivered or dropped,
 // bounded by the timeout. It reports whether the sink fully drained.
 func (s *asyncSink) flush(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	for {
-		st := s.stats()
-		if st.Delivered+st.Dropped >= st.Enqueued {
+		s.drainMu.Lock()
+		if s.idle() {
+			s.drainMu.Unlock()
 			return true
 		}
-		if time.Now().After(deadline) {
-			return false
+		if s.drained == nil {
+			s.drained = make(chan struct{})
 		}
-		time.Sleep(100 * time.Microsecond)
+		wake := s.drained
+		s.drainMu.Unlock()
+		select {
+		case <-wake:
+		case <-timer.C:
+			return s.idle()
+		}
 	}
 }
 

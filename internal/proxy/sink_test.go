@@ -97,6 +97,43 @@ func TestAsyncSinkDropsWhenFullWithoutBlockingRequests(t *testing.T) {
 	p.CloseSinks()
 }
 
+// TestFlushSinksWaitsOnDrainSignal holds the one delivered callback:
+// a flush cannot drain and times out false; released, a flush with a
+// long timeout is woken by the drained signal, not by its timer.
+func TestFlushSinksWaitsOnDrainSignal(t *testing.T) {
+	release := make(chan struct{})
+	entered := make(chan struct{}, 1)
+	p := newRawPathProxy(t, func(c *Config) {
+		c.SinkBuffer = 4
+		c.OnViolation = func(ViolationRecord) {
+			entered <- struct{}{}
+			<-release
+		}
+	})
+	defer p.CloseSinks()
+	if rec := postJSON(t, p, badDeployment()); rec.Code != http.StatusForbidden {
+		t.Fatalf("status %d", rec.Code)
+	}
+	<-entered // the worker holds the event
+	if p.FlushSinks(20 * time.Millisecond) {
+		t.Fatal("flush reported a drained sink while its callback is held")
+	}
+	const long = time.Minute
+	flushed := make(chan bool)
+	start := time.Now()
+	go func() { flushed <- p.FlushSinks(long) }()
+	close(release)
+	if !<-flushed {
+		t.Fatal("flush did not drain after the callback was released")
+	}
+	if waited := time.Since(start); waited > long/2 {
+		t.Errorf("flush returned after %v: woken by its timer, not the drained signal", waited)
+	}
+	if st := p.SinkStats(); st.Enqueued != 1 || st.Delivered != 1 {
+		t.Errorf("stats = %+v", st)
+	}
+}
+
 func TestAsyncSinkShadowAndTap(t *testing.T) {
 	var mu sync.Mutex
 	var shadows, taps int

@@ -1,0 +1,185 @@
+package registry
+
+import (
+	"container/list"
+	"crypto/sha256"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sync"
+	"testing"
+
+	"repro/internal/validator"
+)
+
+// refLRUCache is the decision cache as it was before the slab: the same
+// exact LRU over container/list, kept as the oracle the slab is held to.
+type refLRUCache struct {
+	mu       sync.Mutex
+	capacity int
+	ll       *list.List // front = most recently used
+	items    map[cacheKey]*list.Element
+}
+
+type refLRUItem struct {
+	key cacheKey
+	vs  []validator.Violation
+}
+
+func newRefLRUCache(capacity int) *refLRUCache {
+	return &refLRUCache{
+		capacity: capacity,
+		ll:       list.New(),
+		items:    make(map[cacheKey]*list.Element, capacity),
+	}
+}
+
+func (c *refLRUCache) get(key cacheKey) ([]validator.Violation, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.items[key]
+	if !ok {
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	return el.Value.(*refLRUItem).vs, true
+}
+
+func (c *refLRUCache) put(key cacheKey, vs []validator.Violation) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.items[key]; ok {
+		el.Value.(*refLRUItem).vs = vs
+		c.ll.MoveToFront(el)
+		return
+	}
+	c.items[key] = c.ll.PushFront(&refLRUItem{key: key, vs: vs})
+	for c.ll.Len() > c.capacity {
+		oldest := c.ll.Back()
+		c.ll.Remove(oldest)
+		delete(c.items, oldest.Value.(*refLRUItem).key)
+	}
+}
+
+func (c *refLRUCache) stats() (size, capacity int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ll.Len(), c.capacity
+}
+
+func (c *refLRUCache) export(gen uint64) []CacheEntry {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]CacheEntry, 0, c.ll.Len())
+	for el := c.ll.Back(); el != nil; el = el.Prev() {
+		item := el.Value.(*refLRUItem)
+		if item.key.gen != gen {
+			continue
+		}
+		out = append(out, CacheEntry{BodyHash: item.key.bodyHash, Violations: item.vs})
+	}
+	return out
+}
+
+// TestLRUSlabMatchesReference drives the slab and the reference through
+// the same seeded stream of gets, puts, re-puts and exports at several
+// capacities: every get must return the same value, every step must leave
+// the same keys cached (so the same evictions) and every export must list
+// the same decisions in the same recency order.
+func TestLRUSlabMatchesReference(t *testing.T) {
+	for _, capacity := range []int{1, 2, 7, 1024} {
+		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(capacity)))
+			// A key universe a little over twice the capacity keeps both
+			// hits and evictions common; two generations exercise the
+			// export filter.
+			keys := make([]cacheKey, 2*capacity+3)
+			for i := range keys {
+				keys[i] = cacheKey{gen: uint64(i % 2), bodyHash: sha256.Sum256([]byte(fmt.Sprint(i)))}
+			}
+			verdicts := [][]validator.Violation{nil, {{Reason: "a"}}, {{Reason: "b"}, {Reason: "c"}}}
+			slab, ref := newLRUCache(capacity), newRefLRUCache(capacity)
+			steps := 10 * len(keys)
+			for step := 0; step < steps; step++ {
+				k := keys[rng.Intn(len(keys))]
+				switch op := rng.Intn(50); {
+				case op < 20:
+					gotVS, gotOK := slab.get(k)
+					wantVS, wantOK := ref.get(k)
+					if gotOK != wantOK || !reflect.DeepEqual(gotVS, wantVS) {
+						t.Fatalf("step %d: get = %v %v, reference %v %v", step, gotVS, gotOK, wantVS, wantOK)
+					}
+				case op < 49:
+					// The key the reference is about to evict, if any, must
+					// leave the slab too.
+					var victim *cacheKey
+					if _, present := ref.items[k]; !present && ref.ll.Len() == capacity {
+						victim = &ref.ll.Back().Value.(*refLRUItem).key
+					}
+					vs := verdicts[rng.Intn(len(verdicts))]
+					slab.put(k, vs)
+					ref.put(k, vs)
+					if victim != nil {
+						if _, kept := slab.items[*victim]; kept {
+							t.Fatalf("step %d: the slab kept the key the reference evicted", step)
+						}
+					}
+				default:
+					gen := uint64(rng.Intn(2))
+					if got, want := slab.export(gen), ref.export(gen); !sameEntries(got, want) {
+						t.Fatalf("step %d: export(%d) = %v, reference %v", step, gen, got, want)
+					}
+				}
+				gotSize, _ := slab.stats()
+				wantSize, _ := ref.stats()
+				if gotSize != wantSize || len(slab.items) != len(ref.items) {
+					t.Fatalf("step %d: size %d (%d keys), reference %d", step, gotSize, len(slab.items), wantSize)
+				}
+			}
+			for _, gen := range []uint64{0, 1} {
+				if got, want := slab.export(gen), ref.export(gen); !sameEntries(got, want) {
+					t.Fatalf("final export(%d) = %v, reference %v", gen, got, want)
+				}
+			}
+		})
+	}
+}
+
+// sameEntries is reflect.DeepEqual for exports, without reflecting over
+// every body hash.
+func sameEntries(a, b []CacheEntry) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i].BodyHash != b[i].BodyHash || !reflect.DeepEqual(a[i].Violations, b[i].Violations) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestLRUInsertIntoFullShardAllocatesNothing: once the slab has grown to
+// capacity, an insert that evicts reuses the evicted slot.
+func TestLRUInsertIntoFullShardAllocatesNothing(t *testing.T) {
+	const capacity = 64
+	c := newLRUCache(capacity)
+	keys := make([]cacheKey, 4*capacity)
+	for i := range keys {
+		keys[i] = cacheKey{bodyHash: sha256.Sum256([]byte(fmt.Sprint(i)))}
+	}
+	for _, k := range keys[:capacity] {
+		c.put(k, nil)
+	}
+	n := capacity
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.put(keys[n%len(keys)], nil)
+		n++
+	})
+	if allocs != 0 {
+		t.Errorf("an insert into a full shard allocates %.2f times, want 0", allocs)
+	}
+	if size, _ := c.stats(); size != capacity {
+		t.Errorf("size %d after the inserts, want %d", size, capacity)
+	}
+}

@@ -21,8 +21,10 @@
 // (internal/validator) is not on the request path; it is the oracle the
 // compiled program is differentially tested against.
 //
-// An optional bounded LRU decision cache memoizes validation outcomes
-// keyed by (policy generation, request-body hash): operators re-apply
+// An optional bounded LRU decision cache (cache.go: an exact LRU
+// threaded through a slab, so a full shard inserts without allocating)
+// memoizes validation outcomes keyed by (policy generation, request-body
+// hash): operators re-apply
 // identical manifests on every reconcile loop, so idempotent
 // re-validation is the common case under heavy traffic. The cache is
 // sharded per workload — each entry owns its own bounded LRU — so
@@ -785,7 +787,12 @@ func (r *Registry) ValidateRaw(e *Entry, body []byte) (vs []validator.Violation,
 // ValidateRawScanned is ValidateRaw for a caller that already ran
 // compile.ScanRawMeta on this exact body (the proxy scans once for
 // routing): the streaming pass reuses the scan instead of re-tokenizing
-// the body for metadata. meta MUST be the successful scan of body.
+// the body's prologue. meta MUST be the successful scan of body. The
+// scan reads the prologue only, so the body may still not decode; the
+// answers stay correct regardless — the streaming pass walks every byte
+// and vouches for nothing undecodable, a cached decision was made on a
+// body that decoded, and a workload with no policy yet fails closed
+// whatever the body is.
 func (r *Registry) ValidateRawScanned(e *Entry, body []byte, meta compile.RawMeta) (vs []validator.Violation, decided bool) {
 	return r.validateRaw(e, body, nil, meta, true, false)
 }

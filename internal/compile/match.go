@@ -10,10 +10,10 @@ import (
 
 // This file is the program side of the decode-free fast path: every
 // policy decision a raw walk takes, written once for both wires. The
-// wire files (stream.go for JSON, streamyaml.go for block YAML) hold
-// grammar only — they lex scalars into tokens, find where collections
-// open and close, and ask this file what each construct means against
-// the compiled node table.
+// wire files (stream.go for JSON, streamyaml.go for block YAML) hold the
+// walkers only — they read tokens and lines with the decoders' own
+// lexers, find where collections open and close, and ask this file what
+// each construct means against the compiled node table.
 //
 // The contract is deliberately one-sided: a walk succeeds only when the
 // request is DEFINITIVELY allowed — the body is one the decode path
@@ -70,7 +70,7 @@ const (
 	tokString
 )
 
-// token is one scalar as a wire lexer hands it over. seg is the literal
+// token is one scalar as a wire walker hands it over. seg is the literal
 // for numbers and the bytes between the quotes (or the plain scalar) for
 // strings; clean means seg IS the decoded string.
 type token struct {
@@ -584,7 +584,7 @@ func rawNullOK(sc *scalar) bool {
 }
 
 // rawNumberOK mirrors scalarOK for a number literal. Integer literals
-// carry their exact int64 value (the lexers bound the digits);
+// carry their exact int64 value (the walkers bound the digits);
 // fraction/exponent forms are only accepted through the content-free
 // TokFloat type check — value comparisons on them fall back, since
 // reproducing strconv's rounding bit-for-bit is not worth the risk.
@@ -619,7 +619,7 @@ func rawNumberOK(sc *scalar, seg []byte, isInt bool) bool {
 	return isInt && valuesContainInt(sc.values, parseRawInt(seg))
 }
 
-// parseRawInt parses an integer literal a lexer already validated
+// parseRawInt parses an integer literal a walker already bounded
 // (sign + up to 18 digits: always in int64 range).
 func parseRawInt(seg []byte) int64 {
 	neg := false

@@ -1,29 +1,31 @@
 package compile
 
-// This file is the JSON grammar of the decode-free fast path: a
-// tokenizer over raw request bytes and one recursive walker skeleton, so
-// an ALLOWED request never materializes a decoded document (no
-// map[string]any, no string interning for keys, no []any for lists —
-// the dominant hot-path cost once validation itself is allocation-free).
-// What a key, a scalar or a collection means against the compiled
-// program — and the one-sided contract every false return carries — is
-// match.go's; nothing here knows a node's opcode or a field's name.
+import "repro/internal/object"
+
+// This file is the JSON walker of the decode-free fast path: one
+// recursive skeleton over raw request bytes, so an ALLOWED request never
+// materializes a decoded document (no map[string]any, no string
+// interning for keys, no []any for lists). Its tokens come from the
+// decoder's own lexer, object.LexJSON — the wire has one lexer. What a
+// key, a scalar or a collection means against the compiled program — and
+// the one-sided contract every false return carries — is match.go's;
+// nothing here knows a node's opcode or a field's name.
 //
-// What the grammar owes that contract is "accepted ⇒ object.ParseJSON
-// accepts it too": keys and strings whose decoded spelling the raw bytes
-// do not prove (escape sequences, non-ASCII) are reported unclean or
-// refused, numbers are bounded so normalization cannot overflow, every
-// member key passes through the duplicate-key window, and trailing
-// content is refused.
+// What the walker owes that contract is "accepted ⇒ object.ParseJSON
+// accepts it too", which the shared lexer gives token by token; on top
+// it refuses keys whose decoded spelling the raw bytes do not prove
+// (escapes, non-ASCII), bounds numbers so normalization cannot overflow,
+// passes every member key through the duplicate-key window, and refuses
+// trailing content.
 
 // maxRawDepth bounds scanner recursion; deeper documents fall back to
 // the decode path (encoding/json itself allows up to 10000).
 const maxRawDepth = 1000
 
 // maxRawNumberDigits bounds the mantissa digits of a number literal the
-// scanner will vouch for: up to 18 integer digits always fit int64, and
+// walkers will vouch for: up to 18 integer digits always fit int64, and
 // up to 18 mantissa digits with a <=2-digit exponent can never overflow
-// float64 — so "scanner accepted" implies "decode-path number
+// float64 — so "walker accepted" implies "decode-path number
 // normalization succeeds".
 const maxRawNumberDigits = 18
 
@@ -83,16 +85,7 @@ type rawScan struct {
 	pos  int
 }
 
-func (s *rawScan) skipWS() {
-	for s.pos < len(s.data) {
-		switch s.data[s.pos] {
-		case ' ', '\t', '\n', '\r':
-			s.pos++
-		default:
-			return
-		}
-	}
-}
+func (s *rawScan) skipWS() { s.pos = object.SkipJSONSpace(s.data, s.pos) }
 
 // atEnd reports that only whitespace remains — json.Unmarshal rejects
 // trailing content, so a fast-pass allow must too.
@@ -120,10 +113,12 @@ func (s *rawScan) scanKey() ([]byte, bool) {
 	if !s.have('"') {
 		return nil, false
 	}
-	key, clean, ok := s.scanString()
-	if !ok || !clean {
+	t := object.LexJSON(s.data, s.pos)
+	if !t.Plain {
 		return nil, false
 	}
+	key := s.data[s.pos+1 : t.End-1]
+	s.pos = t.End
 	s.skipWS()
 	if !s.eat(':') {
 		return nil, false
@@ -132,158 +127,34 @@ func (s *rawScan) scanKey() ([]byte, bool) {
 	return key, true
 }
 
-// scanString consumes a string token (opening quote at s.pos) and
-// returns the raw bytes between the quotes. clean means the bytes ARE
-// the decoded string: no escape sequences and no bytes outside
-// printable ASCII (json.Unmarshal coerces invalid UTF-8, so non-ASCII
-// raw bytes cannot be trusted to equal the decoded form).
-func (s *rawScan) scanString() (seg []byte, clean, ok bool) {
-	s.pos++ // opening quote
-	start := s.pos
-	clean = true
-	for s.pos < len(s.data) {
-		c := s.data[s.pos]
-		switch {
-		case c == '"':
-			seg = s.data[start:s.pos]
-			s.pos++
-			return seg, clean, true
-		case c == '\\':
-			clean = false
-			s.pos++
-			if s.pos >= len(s.data) {
-				return nil, false, false
-			}
-			switch s.data[s.pos] {
-			case '"', '\\', '/', 'b', 'f', 'n', 'r', 't':
-				s.pos++
-			case 'u':
-				s.pos++
-				if s.pos+4 > len(s.data) {
-					return nil, false, false
-				}
-				for i := 0; i < 4; i++ {
-					if !isHexDigit(s.data[s.pos+i]) {
-						return nil, false, false
-					}
-				}
-				s.pos += 4
-			default:
-				return nil, false, false
-			}
-		case c < 0x20:
-			// Raw control characters are invalid JSON.
-			return nil, false, false
-		default:
-			if c >= 0x80 {
-				clean = false
-			}
-			s.pos++
-		}
-	}
-	return nil, false, false
-}
-
-func isHexDigit(c byte) bool {
-	return (c >= '0' && c <= '9') || (c >= 'a' && c <= 'f') || (c >= 'A' && c <= 'F')
-}
-
-// scanNumber consumes a number token. isInt means the literal has no
-// fraction or exponent, so it parses exactly as int64 (the digit bound
-// guarantees it fits). ok=false covers malformed literals AND literals
-// the scanner won't vouch for (too many digits, >2 exponent digits) —
-// those could overflow the decode path's normalization.
-func (s *rawScan) scanNumber() (seg []byte, isInt, ok bool) {
-	start := s.pos
-	if s.pos < len(s.data) && s.data[s.pos] == '-' {
-		s.pos++
-	}
-	digits := 0
-	if s.pos >= len(s.data) {
-		return nil, false, false
-	}
-	switch c := s.data[s.pos]; {
-	case c == '0':
-		s.pos++
-		digits++
-		// JSON forbids leading zeros: "0" may only be followed by
-		// '.', 'e', or a delimiter.
-		if s.pos < len(s.data) && s.data[s.pos] >= '0' && s.data[s.pos] <= '9' {
-			return nil, false, false
-		}
-	case c >= '1' && c <= '9':
-		for s.pos < len(s.data) && s.data[s.pos] >= '0' && s.data[s.pos] <= '9' {
-			s.pos++
-			digits++
-		}
-	default:
-		return nil, false, false
-	}
-	isInt = true
-	if s.pos < len(s.data) && s.data[s.pos] == '.' {
-		isInt = false
-		s.pos++
-		fracStart := s.pos
-		for s.pos < len(s.data) && s.data[s.pos] >= '0' && s.data[s.pos] <= '9' {
-			s.pos++
-			digits++
-		}
-		if s.pos == fracStart {
-			return nil, false, false
-		}
-	}
-	expDigits := 0
-	if s.pos < len(s.data) && (s.data[s.pos] == 'e' || s.data[s.pos] == 'E') {
-		isInt = false
-		s.pos++
-		if s.pos < len(s.data) && (s.data[s.pos] == '+' || s.data[s.pos] == '-') {
-			s.pos++
-		}
-		expStart := s.pos
-		for s.pos < len(s.data) && s.data[s.pos] >= '0' && s.data[s.pos] <= '9' {
-			s.pos++
-			expDigits++
-		}
-		if s.pos == expStart {
-			return nil, false, false
-		}
-	}
-	if digits > maxRawNumberDigits || expDigits > 2 {
-		return nil, false, false
-	}
-	return s.data[start:s.pos], isInt, true
-}
-
-// lit consumes an exact literal ("true", "false", "null").
-func (s *rawScan) lit(w string) bool {
-	if s.pos+len(w) > len(s.data) || string(s.data[s.pos:s.pos+len(w)]) != w {
-		return false
-	}
-	s.pos += len(w)
-	return true
-}
-
-// scalar lexes the non-collection value at s.pos.
+// scalar lexes the non-collection value at s.pos with the decoder's own
+// lexer. ok=false covers malformed tokens AND numbers the walker won't
+// vouch for (more than maxRawNumberDigits digits, more than two exponent
+// digits), which could overflow the decode path's normalization.
 func (s *rawScan) scalar() (t token, ok bool) {
-	switch s.data[s.pos] {
-	case '"':
-		t.kind = tokString
-		t.seg, t.clean, ok = s.scanString()
-	case 't':
-		t.kind, ok = tokTrue, s.lit("true")
-	case 'f':
-		t.kind, ok = tokFalse, s.lit("false")
-	case 'n':
-		t.kind, ok = tokNull, s.lit("null")
-	default:
-		var isInt bool
-		t.seg, isInt, ok = s.scanNumber()
-		t.kind = tokFloat
-		if isInt {
+	l := object.LexJSON(s.data, s.pos)
+	switch l.Kind {
+	case object.JSONInvalid:
+		return t, false
+	case object.JSONString:
+		t = token{kind: tokString, clean: l.Plain, seg: s.data[s.pos+1 : l.End-1]}
+	case object.JSONNumber:
+		if l.Num.Digits > maxRawNumberDigits || l.Num.ExpDigits > 2 {
+			return t, false
+		}
+		t = token{kind: tokFloat, seg: s.data[s.pos:l.End]}
+		if l.Num.Int {
 			t.kind = tokInt
 		}
+	case object.JSONTrue:
+		t.kind = tokTrue
+	case object.JSONFalse:
+		t.kind = tokFalse
+	case object.JSONNull:
+		t.kind = tokNull
 	}
-	return t, ok
+	s.pos = l.End
+	return t, true
 }
 
 // skipValue structurally consumes one value of any shape, validating it
@@ -343,21 +214,7 @@ func (s *rawScan) skipValue(depth int) val {
 			return valOK
 		}
 	}
-	// scalar's dispatch without building a token nobody will judge.
-	var ok bool
-	switch s.data[s.pos] {
-	case '"':
-		_, _, ok = s.scanString()
-	case 't':
-		ok = s.lit("true")
-	case 'f':
-		ok = s.lit("false")
-	case 'n':
-		ok = s.lit("null")
-	default:
-		_, _, ok = s.scanNumber()
-	}
-	if !ok {
+	if _, ok := s.scalar(); !ok {
 		return 0
 	}
 	return valOK

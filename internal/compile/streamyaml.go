@@ -1,44 +1,37 @@
 package compile
 
-import "bytes"
+import (
+	"bytes"
 
-// This file is the block-YAML grammar of the decode-free fast path,
-// fused on the grammar of the hand-rolled internal/yaml decoder: a
-// cursor-based line reader and one recursive walker skeleton over raw
-// manifest bytes, so an ALLOWED YAML request never materializes lines,
-// strings, or a decoded document. What a key, a scalar or a collection
-// means against the compiled program — and the one-sided contract every
-// zero return carries — is match.go's, shared with the JSON wire.
-//
-// What the grammar owes that contract is "accepted ⇒ object.ParseManifest
-// accepts it too" (exactly one mapping document, nothing the scanner
-// cannot mirror byte-for-byte). Anchors, aliases, tags, flow collections
-// (beyond the encoder's empty {} / [] literals), block scalars, quoted
-// keys, multi-document streams, duplicate keys and scalars whose decoded
-// type is ambiguous are all refused.
-//
-// The scanner mirrors decodeStream / parseMapping / parseSequence /
-// parseValueAfterKey structurally: the line reader computes {indent,
-// comment-stripped content span} on demand (no line slice), and every
-// construct the decoder would reject — indentation jumps inside a
-// mapping, non-entry lines, duplicate keys — makes the scan fall back,
-// so a successful walk to the end still implies the body decodes cleanly
-// (the routing scan stops at the prologue and promises less: match.go).
-
-// yLine is one logical line: its indentation and the content span after
-// indent stripping, comment stripping, and right-trimming. start == end
-// means the line is blank (empty or comment-only).
-type yLine struct {
-	indent     int
-	start, end int
-}
-
-// Entry classification for a content line, mirroring isMappingEntry.
-const (
-	entryNone   = iota // not a mapping entry: a scalar (or garbage) line
-	entryPlain         // plain-key mapping entry — the vouchable kind
-	entryQuoted        // quoted-key mapping entry — decode-path territory
+	"repro/internal/yaml"
 )
+
+// This file is the block-YAML walker of the decode-free fast path: a
+// line cursor and one recursive skeleton over raw manifest bytes, so an
+// ALLOWED YAML request never materializes lines, strings, or a decoded
+// document. Its line grammar is the decoder's own (internal/yaml's
+// SplitLine, SplitEntry, SeqItem, TrimSpace, on byte spans here and on
+// strings there): the wire has one lexer. What a key, a scalar or a
+// collection means against the compiled program — and the one-sided
+// contract every zero return carries — is match.go's.
+//
+// What the walker owes that contract is "accepted ⇒ object.ParseManifest
+// accepts it too" (exactly one mapping document). Its skeleton follows
+// parseNode / parseMapping / parseSequence / parseValueAfterKey and falls
+// back on everything they reject — indentation jumps inside a mapping,
+// non-entry lines, duplicate keys — so a walk to the end implies the
+// body decodes (the routing scan stops at the prologue and promises
+// less: match.go). On top it refuses what it does not judge raw:
+// anchors, aliases, tags, flow collections beyond the encoder's empty
+// {} / [], block scalars, quoted keys, multi-document streams, CR and
+// tab bytes, and scalars whose decoded type is ambiguous.
+
+// yLine is one logical line: its indentation and its content as
+// yaml.SplitLine delimits it (empty for a blank or comment-only line).
+type yLine struct {
+	indent int
+	c      []byte
+}
 
 // yamlScan is a single pass over raw YAML bytes.
 type yamlScan struct {
@@ -46,8 +39,8 @@ type yamlScan struct {
 	data []byte
 	pos  int // byte offset of the start of the current line
 
-	// Current-line cache: parseLine fills line/lineEnd for the line at
-	// pos; advance moves past it.
+	// Current-line cache: cur fills line/lineEnd for the line at pos;
+	// advance moves past it.
 	cached  bool
 	line    yLine
 	lineEnd int
@@ -74,9 +67,8 @@ type yamlScan struct {
 func ScanRawYAMLMeta(body []byte) (RawMeta, bool) {
 	s := yamlScan{rawMatch: rawMatch{p: metaProgram}, data: body}
 	l, ok := s.openDocument()
-	if !ok || s.dashLine(l) || s.entryKind(l) != entryPlain {
-		// Non-mapping root (sequence, scalar, quoted key): ParseManifest
-		// rejects or the scanner cannot vouch — decode path decides.
+	if _, item := yaml.SeqItem(l.c); !ok || item {
+		// ParseManifest rejects a sequence root; mapping refuses the rest.
 		return RawMeta{}, false
 	}
 	if v := s.mapping(l.indent, metaRoot, 0); v == 0 || v&valPrologue == 0 && !s.closeDocument() {
@@ -112,61 +104,19 @@ func (p *Program) MatchRawYAMLScanned(meta RawMeta, body []byte) bool {
 // Line cursor
 // ---------------------------------------------------------------------
 
-// parseLine computes the logical line at s.pos, mirroring splitLine:
-// indent = leading spaces; a line whose body is empty or starts with
-// '#' is blank; otherwise the trailing comment is stripped with the
-// decoder's quote tracking and the content right-trimmed.
-func (s *yamlScan) parseLine() {
-	o := s.pos
-	end := len(s.data)
-	if i := bytes.IndexByte(s.data[o:], '\n'); i >= 0 {
-		end = o + i
-	}
-	s.lineEnd = end
-	i := o
-	for i < end && s.data[i] == ' ' {
-		i++
-	}
-	l := yLine{indent: i - o, start: i, end: i}
-	if i == end || s.data[i] == '#' {
-		s.line = l
-		return
-	}
-	ce := end
-	inS, inD := false, false
-scan:
-	for j := i; j < end; j++ {
-		switch s.data[j] {
-		case '\'':
-			if !inD {
-				inS = !inS
-			}
-		case '"':
-			if !inS && (j == i || s.data[j-1] != '\\') {
-				inD = !inD
-			}
-		case '#':
-			if !inS && !inD && j > i && s.data[j-1] == ' ' {
-				ce = j
-				break scan
-			}
-		}
-	}
-	for ce > i && s.data[ce-1] == ' ' {
-		ce--
-	}
-	l.end = ce
-	s.line = l
-}
-
 // cur returns the current line without consuming it; ok=false at EOF.
 func (s *yamlScan) cur() (yLine, bool) {
 	if s.pos >= len(s.data) {
 		return yLine{}, false
 	}
 	if !s.cached {
-		s.parseLine()
-		s.cached = true
+		end := len(s.data)
+		if i := bytes.IndexByte(s.data[s.pos:], '\n'); i >= 0 {
+			end = s.pos + i
+		}
+		line := s.data[s.pos:end]
+		l := yaml.SplitLine(line)
+		s.line, s.lineEnd, s.cached = yLine{l.Indent, line[l.Start:l.End]}, end, true
 	}
 	if s.ovActive && s.ovAt == s.pos {
 		return s.ov, true
@@ -183,8 +133,6 @@ func (s *yamlScan) advance() {
 	s.cached = false
 }
 
-func (s *yamlScan) mark() int { return s.pos }
-
 func (s *yamlScan) reset(m int) {
 	if s.pos != m {
 		s.pos = m
@@ -192,14 +140,10 @@ func (s *yamlScan) reset(m int) {
 	}
 }
 
-func (s *yamlScan) setOverride(l yLine) {
-	s.ovActive, s.ovAt, s.ov = true, s.pos, l
-}
-
 func (s *yamlScan) skipBlank() {
 	for {
 		l, ok := s.cur()
-		if !ok || l.start != l.end {
+		if !ok || len(l.c) != 0 {
 			return
 		}
 		s.advance()
@@ -209,32 +153,24 @@ func (s *yamlScan) skipBlank() {
 // sep reports a document separator line ("---" or "..."), which the
 // decoder honors at any indentation.
 func (s *yamlScan) sep(l yLine) bool {
-	c := s.data[l.start:l.end]
-	return string(c) == "---" || string(c) == "..."
-}
-
-func (s *yamlScan) sepIs(l yLine, w string) bool {
-	return string(s.data[l.start:l.end]) == w
+	return string(l.c) == "---" || string(l.c) == "..."
 }
 
 // openDocument positions the scanner at the first content line of the
 // single document the scanner can vouch for: optional blank lines, one
 // optional leading "---", then content. Bodies containing '\r' or '\t'
-// fall back wholesale — the decoder's CRLF rewrite and tab-sensitive
-// comment rules are not worth mirroring byte-for-byte.
+// fall back wholesale — the decoder rewrites CRLF before it splits lines,
+// and tab-laid-out manifests are not worth vouching for.
 func (s *yamlScan) openDocument() (yLine, bool) {
 	if bytes.IndexByte(s.data, '\r') >= 0 || bytes.IndexByte(s.data, '\t') >= 0 {
 		return yLine{}, false
 	}
 	s.skipBlank()
 	l, ok := s.cur()
-	if !ok {
+	if !ok || string(l.c) == "..." {
 		return yLine{}, false // empty stream: ParseManifest rejects it
 	}
-	if s.sepIs(l, "...") {
-		return yLine{}, false
-	}
-	if s.sepIs(l, "---") {
+	if string(l.c) == "---" {
 		s.advance()
 		s.skipBlank()
 		l, ok = s.cur()
@@ -256,7 +192,7 @@ func (s *yamlScan) closeDocument() bool {
 	if !ok {
 		return true
 	}
-	if s.sepIs(l, "...") {
+	if string(l.c) == "..." {
 		s.advance()
 		s.skipBlank()
 		_, more := s.cur()
@@ -269,127 +205,53 @@ func (s *yamlScan) closeDocument() bool {
 // Grammar walk (against node idx; structural when idx < 0)
 // ---------------------------------------------------------------------
 
-// dashLine mirrors the decoder's sequence-start test: "-" alone or "- ".
-func (s *yamlScan) dashLine(l yLine) bool {
-	c := s.data[l.start:l.end]
-	return len(c) > 0 && c[0] == '-' && (len(c) == 1 || c[1] == ' ')
-}
-
-func (s *yamlScan) entryKind(l yLine) int {
-	_, _, _, _, k := s.splitKey(l)
-	return k
-}
-
-// splitKey mirrors the decoder's splitKey over the content span:
-// entryPlain returns the key span [ks,ke) and the inline rest span
-// [rs,re) (rs==re when the value continues on following lines). Quoted
-// keys are classified but never vouched for; anything splitKey would
-// reject is entryNone (the decoder then treats the line as a scalar).
-func (s *yamlScan) splitKey(l yLine) (ks, ke, rs, re, kind int) {
-	c := s.data[l.start:l.end]
-	if len(c) == 0 {
-		return 0, 0, 0, 0, entryNone
-	}
-	if q := c[0]; q == '"' || q == '\'' {
-		i := 1
-		for i < len(c) {
-			if c[i] == q {
-				if q == '\'' && i+1 < len(c) && c[i+1] == '\'' {
-					i += 2
-					continue
-				}
-				break
-			}
-			if q == '"' && c[i] == '\\' {
-				i += 2
-				continue
-			}
-			i++
-		}
-		if i >= len(c) {
-			return 0, 0, 0, 0, entryNone
-		}
-		if j := i + 1; j < len(c) && c[j] == ':' && (j+1 == len(c) || c[j+1] == ' ') {
-			return 0, 0, 0, 0, entryQuoted
-		}
-		return 0, 0, 0, 0, entryNone
-	}
-	depth := 0
-	for i := 0; i < len(c); i++ {
-		switch c[i] {
-		case '\'', '"':
-			// A quote inside a plain key aborts splitKey in the decoder.
-			return 0, 0, 0, 0, entryNone
-		case '[', '{':
-			depth++
-		case ']', '}':
-			depth--
-		case ':':
-			if depth == 0 && (i+1 == len(c) || c[i+1] == ' ') {
-				ke := i
-				for ke > 0 && c[ke-1] == ' ' {
-					ke--
-				}
-				if ke == 0 {
-					return 0, 0, 0, 0, entryNone
-				}
-				rs := i + 1
-				for rs < len(c) && c[rs] == ' ' {
-					rs++
-				}
-				return l.start, l.start + ke, l.start + rs, l.end, entryPlain
-			}
-		}
-	}
-	return 0, 0, 0, 0, entryNone
-}
-
-// node parses one node starting at the current (peeked) line l,
-// mirroring parseNode's dispatch: sequence, mapping, or a bare scalar
-// line.
+// node parses one node starting at the current (peeked) line l, as
+// parseNode dispatches: a sequence, a mapping (quoted keys are
+// decode-path territory), or a bare scalar line.
 func (s *yamlScan) node(l yLine, idx int32, depth int) val {
-	if s.dashLine(l) {
+	if _, item := yaml.SeqItem(l.c); item {
 		return s.sequence(l.indent, idx, depth)
 	}
-	switch s.entryKind(l) {
-	case entryPlain:
+	if e, ok := yaml.SplitEntry(l.c); ok {
+		if e.Quoted {
+			return 0
+		}
 		return s.mapping(l.indent, idx, depth)
-	case entryQuoted:
-		return 0
 	}
 	s.advance()
-	return s.scalarSpan(l.start, l.end, idx)
+	i, j := yaml.TrimSpace(l.c, 0, len(l.c))
+	return s.scalar(l.c[i:j], idx)
 }
 
-// valueAfterKey parses the value of a mapping entry, mirroring
-// parseValueAfterKey: an inline rest, or a nested block at deeper
+// valueAfterKey parses the value of a mapping entry as
+// parseValueAfterKey does: an inline rest, or a nested block at deeper
 // indent (or a sequence at the key's own indent), or null.
-func (s *yamlScan) valueAfterKey(rs, re, keyIndent int, idx int32, depth int) val {
+func (s *yamlScan) valueAfterKey(rest []byte, keyIndent int, idx int32, depth int) val {
 	if depth > maxRawDepth {
 		return 0
 	}
-	if rs == re {
-		m := s.mark()
+	if len(rest) == 0 {
+		m := s.pos
 		s.skipBlank()
 		if l, ok := s.cur(); ok && !s.sep(l) {
 			if l.indent > keyIndent {
 				return s.node(l, idx, depth)
 			}
-			if l.indent == keyIndent && s.dashLine(l) {
+			if _, item := yaml.SeqItem(l.c); item && l.indent == keyIndent {
 				return s.sequence(keyIndent, idx, depth)
 			}
 		}
 		s.reset(m)
 		return s.admits(idx, token{kind: tokNull})
 	}
-	if c := s.data[rs]; c == '|' || c == '>' {
+	if c := rest[0]; c == '|' || c == '>' {
 		return 0 // block scalars: decode-path territory
 	}
-	return s.scalarSpan(rs, re, idx)
+	return s.scalar(rest, idx)
 }
 
-// mapping walks a block mapping whose keys sit at exactly indent,
-// mirroring parseMapping (including its rejection of deeper indents and
+// mapping walks a block mapping whose keys sit at exactly indent, as
+// parseMapping does (including its rejection of deeper indents and
 // duplicate keys).
 func (s *yamlScan) mapping(indent int, idx int32, depth int) val {
 	if depth > maxRawDepth {
@@ -409,16 +271,16 @@ func (s *yamlScan) mapping(indent int, idx int32, depth int) val {
 		if l.indent > indent {
 			return 0 // decoder: unexpected indentation
 		}
-		ks, ke, rs, re, ek := s.splitKey(l)
-		if ek != entryPlain {
+		e, ok := yaml.SplitEntry(l.c)
+		if !ok || e.Quoted {
 			return 0
 		}
-		child, ok := w.member(s.data[ks:ke])
+		child, ok := w.member(l.c[e.KeyStart:e.KeyEnd])
 		if !ok {
 			return 0
 		}
 		s.advance()
-		if !w.filled(s.valueAfterKey(rs, re, indent, child, depth+1)) {
+		if !w.filled(s.valueAfterKey(l.c[e.RestStart:e.RestEnd], indent, child, depth+1)) {
 			return 0
 		}
 		if w.done() {
@@ -428,9 +290,8 @@ func (s *yamlScan) mapping(indent int, idx int32, depth int) val {
 	return w.close()
 }
 
-// sequence walks a block sequence whose dashes sit at exactly indent,
-// mirroring parseSequence (including the dash-stripping rewrite for
-// inline items).
+// sequence walks a block sequence whose dashes sit at exactly indent, as
+// parseSequence does (including its rewrite of inline items).
 func (s *yamlScan) sequence(indent int, idx int32, depth int) val {
 	if depth > maxRawDepth {
 		return 0
@@ -446,16 +307,17 @@ func (s *yamlScan) sequence(indent int, idx int32, depth int) val {
 		if !ok || s.sep(l) {
 			break
 		}
-		if l.indent != indent || !s.dashLine(l) {
-			if l.indent > indent && s.entryKind(l) == entryNone && !s.dashLine(l) {
+		at, isItem := yaml.SeqItem(l.c)
+		if l.indent != indent || !isItem {
+			if _, entry := yaml.SplitEntry(l.c); l.indent > indent && !entry {
 				return 0 // decoder: unexpected indentation in sequence
 			}
 			break
 		}
 		var iv val
-		if l.end-l.start == 1 { // bare "-": item on following lines, or null
+		if at == len(l.c) { // bare "-": item on following lines, or null
 			s.advance()
-			m := s.mark()
+			m := s.pos
 			s.skipBlank()
 			if l2, ok2 := s.cur(); ok2 && !s.sep(l2) && l2.indent > indent {
 				iv = s.node(l2, item, depth+1)
@@ -464,20 +326,11 @@ func (s *yamlScan) sequence(indent int, idx int32, depth int) val {
 				iv = s.admits(item, token{kind: tokNull})
 			}
 		} else {
-			j := l.start + 2
-			for j < l.end && s.data[j] == ' ' {
-				j++
-			}
-			if j == l.end {
-				s.advance()
-				iv = s.admits(item, token{kind: tokNull})
-			} else {
-				// Rewrite "- inner" to inner at the deeper indent and
-				// re-parse it, exactly as the decoder mutates the line.
-				inner := yLine{indent: l.indent + (j - l.start), start: j, end: l.end}
-				s.setOverride(inner)
-				iv = s.node(inner, item, depth+1)
-			}
+			// Re-read "- inner" as inner at the deeper indent, exactly as
+			// the decoder rewrites the line.
+			inner := yLine{indent: indent + at, c: l.c[at:]}
+			s.ovActive, s.ovAt, s.ov = true, s.pos, inner
+			iv = s.node(inner, item, depth+1)
 		}
 		if iv == 0 {
 			return 0
@@ -491,12 +344,14 @@ func (s *yamlScan) sequence(indent int, idx int32, depth int) val {
 // Scalars
 // ---------------------------------------------------------------------
 
-// scalarSpan lexes one inline value span, mirroring parseScalar's
-// dispatch: flow (only the encoder's empty literals are vouched for —
-// collections that meet no member), quoted, anchors/aliases/tags
-// (decode errors), or a plain scalar.
-func (s *yamlScan) scalarSpan(start, end int, idx int32) val {
-	c := s.data[start:end]
+// scalar lexes one trimmed inline value as parseScalar dispatches: empty
+// (null), flow (only the encoder's empty literals are vouched for —
+// collections that meet no member), quoted, anchors/aliases/tags (decode
+// errors), or a plain scalar.
+func (s *yamlScan) scalar(c []byte, idx int32) val {
+	if len(c) == 0 {
+		return s.admits(idx, token{kind: tokNull})
+	}
 	t := token{kind: tokString, seg: c, clean: true}
 	ok := true
 	switch c[0] {

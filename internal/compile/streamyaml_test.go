@@ -373,6 +373,17 @@ func FuzzRawYAMLEquivalence(f *testing.F) {
 	// A complete prologue before a line the decoder rejects: the scan is
 	// ok, the body does not decode.
 	f.Add([]byte("apiVersion: \nkind: \nmetadata:\n 0:\n00"))
+	// Unicode white space the decoder trims: a namespace value ending in
+	// U+00A0, and a metadata.labels key of the nginx Deployment repeated
+	// with U+00A0 before its ':' (a duplicate key once trimmed).
+	f.Add([]byte("apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: b" + nbsp + "\ndata:\n  mode: lenient\n"))
+	_, dep := nginxDeployment(f)
+	body, err := dep.MarshalYAML()
+	if err != nil {
+		f.Fatal(err)
+	}
+	label := "    app.kubernetes.io/instance: rel\n"
+	f.Add([]byte(strings.Replace(string(body), label, label+"    app.kubernetes.io/instance"+nbsp+": rel\n", 1)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		meta, metaOK := ScanRawYAMLMeta(data)

@@ -2,23 +2,22 @@ package object
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
 )
 
-// This file is KubeFence's one JSON document decoder: a single-pass
-// recursive-descent parser over the body bytes that builds the value
-// model directly. encoding/json is deliberately not underneath it. The
-// checks below (duplicate keys, exact integers) need a token-level walk,
-// and json.Decoder.Token re-enters Decode for every scalar: it re-scans
-// the value, boxes it, and builds and discards a SyntaxError string on
-// the way out, which made a 0.7 KB manifest cost 428 allocations and
-// ~27 µs — most of a denied request, and slower than the YAML decoder on
-// the same object. The previous Token-driven implementation lives on in
-// json_reference_test.go as the differential oracle: the accept/reject
-// set and every decoded value here are identical to its.
+// This file is KubeFence's one JSON lexer and the decoder built on it.
+// LexJSON reads a string, number or literal token without building a
+// value; the decoder turns tokens into the value model, and the
+// decode-free walker of internal/compile judges the same tokens off the
+// wire, adding only its vouch bounds — the two cannot read a token
+// differently. encoding/json is not underneath: json.Decoder.Token
+// re-enters Decode per scalar (428 allocations for a 0.7 KB manifest).
+// That decoder lives on in json_reference_test.go as the differential
+// oracle: the accept/reject set and every decoded value here equal its.
 //
 // Contract:
 //
@@ -45,6 +44,160 @@ import (
 //   - Errors name a byte offset and what was expected, and echo at most
 //     maxErrorEcho bytes of the input: they are copied into 403 bodies
 //     and retained denial records, which an attacker must not size.
+
+// JSONKind is the class of a token LexJSON read; JSONInvalid is none.
+type JSONKind uint8
+
+const (
+	JSONInvalid JSONKind = iota
+	JSONString
+	JSONNumber
+	JSONTrue
+	JSONFalse
+	JSONNull
+)
+
+// JSONToken is one scalar token. End is the offset just past it or, for
+// JSONInvalid, of the first byte the grammar refuses. A string is Plain
+// when the bytes between its quotes are its decoded spelling (no escape,
+// nothing outside printable ASCII). A number is Num.Int without fraction
+// or exponent; Num.Digits counts its mantissa digits, Num.ExpDigits its
+// exponent's. Four fields in 32 bytes let a token live in registers.
+type JSONToken struct {
+	Kind  JSONKind
+	Plain bool
+	End   int
+	Num   struct {
+		Int               bool
+		Digits, ExpDigits int32
+	}
+}
+
+// SkipJSONSpace returns the offset of the first byte at or after i that
+// is not white space between JSON tokens (space, tab, CR, LF).
+func SkipJSONSpace(data []byte, i int) int {
+	for i < len(data) && (data[i] == ' ' || data[i] == '\t' || data[i] == '\r' || data[i] == '\n') {
+		i++
+	}
+	return i
+}
+
+// LexJSON reads the string, number or literal token at data[i]
+// (i < len(data)); any other byte is an invalid token at i. Strings, the
+// common token, are lexed inline, a plain one in a table-driven loop.
+func LexJSON(data []byte, i int) JSONToken {
+	switch data[i] {
+	case '"':
+	case 't':
+		return lexWord(data, i, "true", JSONTrue)
+	case 'f':
+		return lexWord(data, i, "false", JSONFalse)
+	case 'n':
+		return lexWord(data, i, "null", JSONNull)
+	default:
+		return lexNumber(data, i)
+	}
+	i++
+	for i < len(data) && plainStringByte[data[i]] {
+		i++
+	}
+	t := JSONToken{Kind: JSONString, Plain: true}
+	for ; i < len(data); i++ {
+		switch c := data[i]; {
+		case c == '"':
+			t.End = i + 1
+			return t
+		case c == '\\':
+			t.Plain = false
+			switch {
+			case i+1 == len(data):
+				return JSONToken{End: len(data)}
+			case data[i+1] == 'u' && hex4(data[i:]) >= 0:
+				i += 5
+			case jsonEscapes[data[i+1]] != 0:
+				i++
+			default:
+				return JSONToken{End: i}
+			}
+		case c < 0x20:
+			return JSONToken{End: i}
+		case c >= utf8.RuneSelf:
+			t.Plain = false
+		}
+	}
+	return JSONToken{End: len(data)}
+}
+
+func lexWord(data []byte, i int, w string, k JSONKind) JSONToken {
+	if len(data)-i < len(w) || string(data[i:i+len(w)]) != w {
+		return JSONToken{End: i}
+	}
+	return JSONToken{Kind: k, End: i + len(w)}
+}
+
+// plainStringByte marks the bytes a string carries over unchanged:
+// ASCII other than control bytes, '"' and '\\'.
+var plainStringByte = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// jsonEscapes maps the byte after a backslash to the byte the short
+// escape stands for; zero marks every other byte ('u' is read apart).
+var jsonEscapes = [256]byte{'"': '"', '\\': '\\', '/': '/', 'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t'}
+
+// jsonWords spells the literal each first byte opens.
+var jsonWords = map[byte]string{'t': "true", 'f': "false", 'n': "null"}
+
+// lexNumber checks the literal at data[i] against the number grammar.
+func lexNumber(data []byte, i int) JSONToken {
+	t := JSONToken{Kind: JSONNumber}
+	t.Num.Int = true
+	if data[i] == '-' {
+		i++
+	}
+	start := i
+	i = skipDigits(data, i)
+	switch {
+	case i == start:
+		return JSONToken{End: i}
+	case data[start] == '0' && i-start > 1:
+		return JSONToken{End: start}
+	}
+	digits, exp := i-start, 0
+	if i < len(data) && data[i] == '.' {
+		t.Num.Int = false
+		j := skipDigits(data, i+1)
+		if j == i+1 {
+			return JSONToken{End: j}
+		}
+		digits, i = digits+j-i-1, j
+	}
+	if i < len(data) && (data[i] == 'e' || data[i] == 'E') {
+		t.Num.Int = false
+		i++
+		if i < len(data) && (data[i] == '+' || data[i] == '-') {
+			i++
+		}
+		j := skipDigits(data, i)
+		if j == i {
+			return JSONToken{End: j}
+		}
+		exp, i = j-i, j
+	}
+	// Saturated: the readers only compare the counts with small bounds.
+	t.End, t.Num.Digits, t.Num.ExpDigits = i, int32(min(digits, math.MaxInt32)), int32(min(exp, math.MaxInt32))
+	return t
+}
+
+func skipDigits(data []byte, i int) int {
+	for i < len(data) && data[i] >= '0' && data[i] <= '9' {
+		i++
+	}
+	return i
+}
 
 // ParseJSON decodes a JSON request body into an Object without losing
 // integer precision: plain json.Unmarshal coerces every number to
@@ -109,6 +262,35 @@ func (d *jsonDecoder) unexpected(want string) error {
 	return d.errorf(d.pos, "unexpected %q, want %s", d.data[d.pos], want)
 }
 
+// lexError explains the token LexJSON refused: it began at start and
+// the grammar failed at off.
+func (d *jsonDecoder) lexError(start, off int) error {
+	d.pos = off
+	switch c := d.data[start]; {
+	case c == '"':
+		switch {
+		case off == len(d.data):
+			return d.errorf(off, "unexpected end of document in string")
+		case d.data[off] < 0x20:
+			return d.errorf(off, "raw control byte %#02x in string", d.data[off])
+		case d.data[off+1] == 'u':
+			return d.errorf(off, "invalid \\u escape in string")
+		}
+		return d.errorf(off, "invalid escape %q in string", d.data[off:off+2])
+	case c == 't' || c == 'f' || c == 'n':
+		return d.errorf(start, "invalid literal, want %s", jsonWords[c])
+	case c != '-' && (c < '0' || c > '9'):
+		return d.unexpected("a value")
+	case off < len(d.data) && d.data[off] >= '0' && d.data[off] <= '9':
+		return d.errorf(off, "leading zero in number")
+	case d.data[off-1] == '.':
+		return d.unexpected("a digit after '.'")
+	case off-1 > start: // past the sign, the integer part and any fraction
+		return d.unexpected("a digit in exponent")
+	}
+	return d.unexpected("a digit")
+}
+
 // echo quotes at most maxErrorEcho bytes of s for an error message.
 func echo[T string | []byte](s T) string {
 	if len(s) > maxErrorEcho {
@@ -117,16 +299,7 @@ func echo[T string | []byte](s T) string {
 	return strconv.Quote(string(s))
 }
 
-func (d *jsonDecoder) skipSpace() {
-	for d.pos < len(d.data) {
-		switch d.data[d.pos] {
-		case ' ', '\t', '\r', '\n':
-			d.pos++
-		default:
-			return
-		}
-	}
-}
+func (d *jsonDecoder) skipSpace() { d.pos = SkipJSONSpace(d.data, d.pos) }
 
 // value decodes the value starting at the next non-space byte.
 func (d *jsonDecoder) value(depth int) (any, error) {
@@ -137,27 +310,28 @@ func (d *jsonDecoder) value(depth int) (any, error) {
 	if d.pos >= len(d.data) {
 		return nil, d.unexpected("a value")
 	}
-	switch c := d.data[d.pos]; {
-	case c == '{':
+	switch d.data[d.pos] {
+	case '{':
 		return d.object(depth)
-	case c == '[':
+	case '[':
 		return d.array(depth)
-	case c == '"':
-		s, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		return s, nil
-	case c == '-' || (c >= '0' && c <= '9'):
-		return d.number()
-	case c == 't':
-		return true, d.literal("true")
-	case c == 'f':
-		return false, d.literal("false")
-	case c == 'n':
-		return nil, d.literal("null")
 	}
-	return nil, d.unexpected("a value")
+	start := d.pos
+	t := LexJSON(d.data, start)
+	d.pos = t.End
+	switch t.Kind {
+	case JSONString:
+		return d.str(start, t), nil
+	case JSONNumber:
+		return d.number(start, t)
+	case JSONTrue:
+		return true, nil
+	case JSONFalse:
+		return false, nil
+	case JSONNull:
+		return nil, nil
+	}
+	return nil, d.lexError(start, t.End)
 }
 
 // object decodes the object whose '{' is at d.pos.
@@ -173,10 +347,12 @@ func (d *jsonDecoder) object(depth int) (any, error) {
 			return nil, d.unexpected("an object key")
 		}
 		keyAt := d.pos
-		key, err := d.str()
-		if err != nil {
-			return nil, err
+		t := LexJSON(d.data, keyAt)
+		if t.Kind == JSONInvalid {
+			return nil, d.lexError(keyAt, t.End)
 		}
+		d.pos = t.End
+		key := d.str(keyAt, t)
 		if d.skipSpace(); d.pos >= len(d.data) || d.data[d.pos] != ':' {
 			return nil, d.unexpected("':' after object key")
 		}
@@ -237,106 +413,54 @@ func (d *jsonDecoder) array(depth int) (any, error) {
 	}
 }
 
-// literal consumes exactly w ("true", "false", "null") at d.pos.
-func (d *jsonDecoder) literal(w string) error {
-	if len(d.data)-d.pos < len(w) || string(d.data[d.pos:d.pos+len(w)]) != w {
-		return d.errorf(d.pos, "invalid literal, want %s", w)
+// str decodes the string token t read at start: a plain one is sliced
+// out in one allocation, anything else is unquoted.
+func (d *jsonDecoder) str(start int, t JSONToken) string {
+	if t.Plain {
+		return string(d.data[start+1 : t.End-1])
 	}
-	d.pos += len(w)
-	return nil
+	return unquote(d.data[start+1 : t.End-1])
 }
 
-// str decodes the string whose opening quote is at d.pos. The common
-// string — no escape, no byte >= 0x80 — is sliced out in one allocation;
-// anything else is unquoted by unquote.
-func (d *jsonDecoder) str() (string, error) {
-	data, start := d.data, d.pos+1
-	i := start
-	for i < len(data) && plainStringByte[data[i]] {
-		i++
-	}
-	switch {
-	case i == len(data):
-		return "", d.errorf(i, "unexpected end of document in string")
-	case data[i] == '"':
-		d.pos = i + 1
-		return string(data[start:i]), nil
-	case data[i] < 0x20:
-		return "", d.errorf(i, "raw control byte %#02x in string", data[i])
-	}
-	return d.unquote(start, i)
-}
-
-// plainStringByte marks the bytes a string carries over unchanged:
-// ASCII other than control bytes, '"' and '\\'.
-var plainStringByte = func() (t [256]bool) {
-	for c := 0x20; c < utf8.RuneSelf; c++ {
-		t[c] = c != '"' && c != '\\'
-	}
-	return t
-}()
-
-// unquote finishes str for a string that needs rewriting: data[i] is
-// its first escape or non-ASCII byte. The rules are encoding/json's:
-// invalid UTF-8 and unpaired surrogate escapes become U+FFFD.
-func (d *jsonDecoder) unquote(start, i int) (string, error) {
+// unquote decodes the body of a string token LexJSON accepted by
+// encoding/json's rules: invalid UTF-8 and unpaired surrogate escapes
+// become U+FFFD.
+func unquote(s []byte) string {
 	var scratch [64]byte // most rewritten strings are short: no heap buffer
-	buf := append(scratch[:0], d.data[start:i]...)
-	for i < len(d.data) {
-		switch c := d.data[i]; {
-		case c == '"':
-			d.pos = i + 1
-			return string(buf), nil
+	buf := scratch[:0]
+	for i := 0; i < len(s); {
+		switch c := s[i]; {
+		case c == '\\' && s[i+1] == 'u':
+			r := hex4(s[i:])
+			if utf16.IsSurrogate(r) {
+				// A valid pair consumes the second escape too; a lone
+				// half is replaced and the next escape decodes on its own.
+				if pair := utf16.DecodeRune(r, hex4(s[i+6:])); pair != unicode.ReplacementChar {
+					r = pair
+					i += 6
+				} else {
+					r = unicode.ReplacementChar
+				}
+			}
+			buf = utf8.AppendRune(buf, r)
+			i += 6
 		case c == '\\':
-			if i+1 >= len(d.data) {
-				return "", d.errorf(len(d.data), "unexpected end of document in string")
-			}
-			switch e := d.data[i+1]; e {
-			case '"', '\\', '/':
-				buf = append(buf, e)
-			case 'b':
-				buf = append(buf, '\b')
-			case 'f':
-				buf = append(buf, '\f')
-			case 'n':
-				buf = append(buf, '\n')
-			case 'r':
-				buf = append(buf, '\r')
-			case 't':
-				buf = append(buf, '\t')
-			case 'u':
-				r := hex4(d.data[i:])
-				if r < 0 {
-					return "", d.errorf(i, "invalid \\u escape in string")
-				}
-				if utf16.IsSurrogate(r) {
-					// A valid pair consumes the second escape too; a lone
-					// half is replaced and the next escape decodes on its own.
-					if pair := utf16.DecodeRune(r, hex4(d.data[i+6:])); pair != unicode.ReplacementChar {
-						r = pair
-						i += 6
-					} else {
-						r = unicode.ReplacementChar
-					}
-				}
-				buf = utf8.AppendRune(buf, r)
-				i += 4
-			default:
-				return "", d.errorf(i, "invalid escape %q in string", d.data[i:i+2])
-			}
+			buf = append(buf, jsonEscapes[s[i+1]])
 			i += 2
-		case c < 0x20:
-			return "", d.errorf(i, "raw control byte %#02x in string", c)
 		case c < utf8.RuneSelf:
-			buf = append(buf, c)
-			i++
+			j := i + 1
+			for j < len(s) && plainStringByte[s[j]] {
+				j++
+			}
+			buf = append(buf, s[i:j]...)
+			i = j
 		default:
-			r, size := utf8.DecodeRune(d.data[i:])
+			r, size := utf8.DecodeRune(s[i:])
 			buf = utf8.AppendRune(buf, r)
 			i += size
 		}
 	}
-	return "", d.errorf(len(d.data), "unexpected end of document in string")
+	return string(buf)
 }
 
 // hex4 decodes a \uXXXX escape at the start of s, or returns -1.
@@ -361,48 +485,18 @@ func hex4(s []byte) rune {
 	return r
 }
 
-// number checks the literal at d.pos against the JSON grammar in place
-// and normalizes it: int64 when it has no fraction or exponent and
-// fits, else float64, else an error.
-func (d *jsonDecoder) number() (any, error) {
-	start := d.pos
-	if d.data[d.pos] == '-' {
-		d.pos++
-	}
-	intStart := d.pos
-	if d.digits() == 0 {
-		return nil, d.unexpected("a digit")
-	}
-	if d.data[intStart] == '0' && d.pos-intStart > 1 {
-		return nil, d.errorf(intStart, "leading zero in number")
-	}
-	isInt := true
-	if d.pos < len(d.data) && d.data[d.pos] == '.' {
-		isInt = false
-		d.pos++
-		if d.digits() == 0 {
-			return nil, d.unexpected("a digit after '.'")
-		}
-	}
-	if d.pos < len(d.data) && (d.data[d.pos] == 'e' || d.data[d.pos] == 'E') {
-		isInt = false
-		d.pos++
-		if d.pos < len(d.data) && (d.data[d.pos] == '+' || d.data[d.pos] == '-') {
-			d.pos++
-		}
-		if d.digits() == 0 {
-			return nil, d.unexpected("a digit in exponent")
-		}
-	}
-	lit := d.data[start:d.pos]
-	if isInt {
+// number normalizes the number token t read at start: int64 when it has
+// no fraction or exponent and fits, else float64, else an error.
+func (d *jsonDecoder) number(start int, t JSONToken) (any, error) {
+	lit := d.data[start:t.End]
+	if t.Num.Int {
 		// Up to 18 digits cannot overflow int64: accumulate in place.
-		if d.pos-intStart <= 18 {
+		if t.Num.Digits <= 18 {
 			var n int64
-			for _, c := range d.data[intStart:d.pos] {
+			for _, c := range lit[len(lit)-int(t.Num.Digits):] {
 				n = n*10 + int64(c-'0')
 			}
-			if intStart != start {
+			if lit[0] == '-' {
 				n = -n
 			}
 			return n, nil
@@ -416,15 +510,6 @@ func (d *jsonDecoder) number() (any, error) {
 		return nil, d.errorf(start, "number %s overflows every supported numeric type", echo(lit))
 	}
 	return f, nil
-}
-
-// digits consumes a run of decimal digits and returns its length.
-func (d *jsonDecoder) digits() int {
-	start := d.pos
-	for d.pos < len(d.data) && d.data[d.pos] >= '0' && d.data[d.pos] <= '9' {
-		d.pos++
-	}
-	return d.pos - start
 }
 
 func jsonRootName(v any) string {

@@ -26,6 +26,32 @@ func BenchmarkParseJSON(b *testing.B) {
 	}
 }
 
+// BenchmarkParseManifest is BenchmarkParseJSON on the YAML wire: every
+// chart manifest through object.ParseManifest.
+func BenchmarkParseManifest(b *testing.B) {
+	_, objs := chartManifests(b)
+	var bodies [][]byte
+	total := 0
+	for _, o := range objs {
+		body, err := o.MarshalYAML()
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+		total += len(body)
+	}
+	b.SetBytes(int64(total))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, body := range bodies {
+			if _, err := object.ParseManifest(body); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // fixedManifest is a 0.9 KB Deployment as a client sends it.
 const fixedManifest = `{"apiVersion":"apps/v1","kind":"Deployment","metadata":{"name":"rel-nginx","namespace":"nginx",` +
 	`"labels":{"app.kubernetes.io/name":"nginx","app.kubernetes.io/instance":"rel","app.kubernetes.io/managed-by":"Helm"}},` +

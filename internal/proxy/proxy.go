@@ -208,8 +208,9 @@ func (p *Proxy) Registry() *registry.Registry { return p.registry }
 func (p *Proxy) Telemetry() *telemetry.Hub { return p.telemetry }
 
 // UnresolvedWorkload is the telemetry workload label for decisions the
-// proxy could not attribute to a registered workload: undecodable
-// bodies and requests no policy governs (fail-closed rejections).
+// proxy could not attribute to a registered workload: unreadable,
+// oversized, mistyped and undecodable bodies and requests no policy
+// governs (fail-closed rejections).
 const UnresolvedWorkload = "_unresolved"
 
 // Violations returns a snapshot of all denial records.
@@ -277,7 +278,8 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // failure on the inspection path fails closed with its own audit-able
 // outcome: unreadable bodies (mid-stream disconnects), oversized
 // bodies, unsupported content types, and undecodable bodies each
-// produce a denial record with a distinct reason and status code.
+// produce a denial record with a distinct reason and status code, and
+// each is counted as a rejected decision of UnresolvedWorkload.
 func (p *Proxy) Serve(w http.ResponseWriter, r *http.Request, q *Request) {
 	p.requests.Add(1)
 	user, groups := clientIdentity(r)
@@ -285,6 +287,8 @@ func (p *Proxy) Serve(w http.ResponseWriter, r *http.Request, q *Request) {
 		p.inspected.Add(1)
 	}
 	if q.failCode != 0 {
+		// Decided off the request alone, before any inspection ran.
+		p.telemetry.RecordDecision(UnresolvedWorkload, telemetry.VerdictRejected, telemetry.PathRaw, 0)
 		p.deny(w, r, user, nil, "", "", q.failCode, []validator.Violation{{Reason: q.failReason}})
 		q.Release()
 		return

@@ -8,9 +8,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/chart"
+	"repro/internal/charts"
+	"repro/internal/core"
 	"repro/internal/object"
 	"repro/internal/registry"
 	"repro/internal/validator"
@@ -200,22 +204,78 @@ func serveOn(t testing.TB, reg *registry.Registry, disableRaw, yaml bool, body [
 	return out
 }
 
-// TestRawFastPathTenantResolutionMatchesClassic: a YAML body whose
-// metadata.namespace value sits on an indented continuation line names
-// tenant b whatever the URL says. The raw path must resolve, judge and
-// charge the same tenant the decode path does — a scan that read the
-// field as absent fell back to the URL's tenant a, whose policy allows
-// the body.
-func TestRawFastPathTenantResolutionMatchesClassic(t *testing.T) {
-	body := []byte("apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n" +
-		"  namespace:\n    b\ndata:\n  mode: lenient\n")
-	raw, classic := serveTenants(t, false, true, body), serveTenants(t, true, true, body)
-	if !reflect.DeepEqual(raw, classic) {
-		t.Errorf("raw path: %+v\ndecode path: %+v", raw, classic)
+// nbsp is U+00A0, white space the YAML decoder trims off keys and
+// values.
+const nbsp = "\xc2\xa0"
+
+// nginxDuplicateLabel is the nginx chart's Deployment on the YAML wire
+// with one metadata.labels key repeated, U+00A0 before its ':' — a
+// duplicate key once the decoder trims it.
+func nginxDuplicateLabel(tb testing.TB) []byte {
+	tb.Helper()
+	files, err := charts.MustLoad("nginx").Render(nil, chart.ReleaseOptions{Name: "rel", Namespace: "nginx"})
+	if err != nil {
+		tb.Fatal(err)
 	}
-	if want := map[string]uint64{"a": 0, "b": 1}; classic.Code != http.StatusForbidden ||
-		!reflect.DeepEqual(classic.Charged, want) {
-		t.Errorf("decode path: %d charged %v, want 403 charged %v", classic.Code, classic.Charged, want)
+	for _, o := range chart.Objects(files) {
+		if o.Kind() != "Deployment" {
+			continue
+		}
+		body, err := o.MarshalYAML()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		label := "    app.kubernetes.io/instance: rel\n"
+		return []byte(strings.Replace(string(body), label, label+"    app.kubernetes.io/instance"+nbsp+": rel\n", 1))
+	}
+	tb.Fatal("the nginx chart renders no Deployment")
+	return nil
+}
+
+// TestRawFastPathTenantResolutionMatchesClassic: YAML bodies the raw
+// path once read differently from the decoder. With the fast path on
+// and off, the proxy must answer the same status and charge the same
+// workload.
+//   - metadata.namespace on an indented continuation line names tenant b
+//     whatever the URL says; a scan that read the field as absent fell
+//     back to the URL's tenant a, whose policy allows the body.
+//   - a namespace value ending in U+00A0 names tenant b once trimmed; a
+//     scan that kept the bytes resolved no tenant.
+//   - an nginx Deployment repeating a label key with U+00A0 before the
+//     ':' does not decode (duplicate key); a walker that kept the bytes
+//     vouched for it and forwarded it.
+func TestRawFastPathTenantResolutionMatchesClassic(t *testing.T) {
+	res, err := core.GeneratePolicy(charts.MustLoad("nginx"), core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nginx := func(disableRaw bool, body []byte) outcome {
+		reg := registry.New(registry.Config{})
+		if _, err := reg.Register("nginx", registry.Selector{Namespace: "nginx"}, res.Validator); err != nil {
+			t.Fatal(err)
+		}
+		return serveOn(t, reg, disableRaw, true, body)
+	}
+	tenants := func(disableRaw bool, body []byte) outcome { return serveTenants(t, disableRaw, true, body) }
+	for _, tc := range []struct {
+		name    string
+		serve   func(disableRaw bool, body []byte) outcome
+		body    []byte
+		charged map[string]uint64
+	}{
+		{"continuation-line namespace", tenants, []byte("apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n" +
+			"  namespace:\n    b\ndata:\n  mode: lenient\n"), map[string]uint64{"a": 0, "b": 1}},
+		{"namespace ending in U+00A0", tenants, []byte("apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n" +
+			"  namespace: b" + nbsp + "\ndata:\n  mode: lenient\n"), map[string]uint64{"a": 0, "b": 1}},
+		{"label key repeated with U+00A0", nginx, nginxDuplicateLabel(t), map[string]uint64{"nginx": 0}},
+	} {
+		raw, classic := tc.serve(false, tc.body), tc.serve(true, tc.body)
+		if !reflect.DeepEqual(raw, classic) {
+			t.Errorf("%s: raw path: %+v\ndecode path: %+v", tc.name, raw, classic)
+		}
+		if classic.Code != http.StatusForbidden || !reflect.DeepEqual(classic.Charged, tc.charged) {
+			t.Errorf("%s: decode path: %d charged %v, want 403 charged %v", tc.name, classic.Code, classic.Charged, tc.charged)
+		}
 	}
 }
 
@@ -244,6 +304,9 @@ func FuzzRawPathMatchesClassic(f *testing.F) {
 		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\ndata:\n  mode: lenient\n---\nkind: Secret\n"},
 		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n namespace: b\n"},
 		{true, "apiVersion: \nkind: \nmetadata:\n 0:\n00"},
+		// Unicode white space the YAML decoder trims off values and keys.
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: b" + nbsp + "\ndata:\n  mode: lenient\n"},
+		{true, string(nginxDuplicateLabel(f))},
 	} {
 		f.Add([]byte(s.body), s.yaml)
 	}

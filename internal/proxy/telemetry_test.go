@@ -3,9 +3,13 @@ package proxy
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"repro/internal/object"
 	"repro/internal/registry"
@@ -97,6 +101,25 @@ func TestProxyRecordsVerdictTelemetry(t *testing.T) {
 	if rec := postTenant(t, p, "alpha", tenantConfigMap("alpha", "alpha")); rec.Code != http.StatusOK {
 		t.Fatalf("learn-mode request: code %d", rec.Code)
 	}
+	// Rejected before any inspection: a body cut off mid-stream, an
+	// oversized one and an unsupported content type.
+	for _, tc := range []struct {
+		body        io.Reader
+		contentType string
+		code        int
+	}{
+		{iotest.ErrReader(errors.New("connection reset mid-body")), "application/json", http.StatusBadRequest},
+		{bytes.NewReader(make([]byte, maxInspectBytes+1)), "application/json", http.StatusRequestEntityTooLarge},
+		{strings.NewReader("kind: ConfigMap\n"), "text/plain", http.StatusUnsupportedMediaType},
+	} {
+		req := httptest.NewRequest(http.MethodPost, "/api/v1/namespaces/alpha/configmaps", tc.body)
+		req.Header.Set("Content-Type", tc.contentType)
+		rec := httptest.NewRecorder()
+		p.ServeHTTP(rec, req)
+		if rec.Code != tc.code {
+			t.Fatalf("fail-closed request: code %d, want %d", rec.Code, tc.code)
+		}
+	}
 
 	snap := hub.Snapshot()
 	for _, want := range []struct {
@@ -108,18 +131,19 @@ func TestProxyRecordsVerdictTelemetry(t *testing.T) {
 		{"alpha", telemetry.VerdictDenied, 1},
 		{"alpha", telemetry.VerdictShadowed, 1},
 		{"alpha", telemetry.VerdictLearned, 1},
-		{UnresolvedWorkload, telemetry.VerdictRejected, 1},
+		{UnresolvedWorkload, telemetry.VerdictRejected, 4},
 	} {
 		if got := verdictCount(snap, want.workload, want.verdict); got != want.count {
 			t.Errorf("workload %s verdict %s: count %d, want %d",
 				want.workload, want.verdict, got, want.count)
 		}
 	}
-	if got := snap.Decisions(); got != 5 {
-		t.Errorf("total decisions %d, want 5", got)
+	if got := snap.Decisions(); got != 8 {
+		t.Errorf("total decisions %d, want 8", got)
 	}
 
-	// Sampling 1/1: every decision landed a trace, every one of them
+	// Sampling 1/1: every inspected decision landed a trace (the three
+	// rejected before inspection have nothing to trace), every one of them
 	// scanned first (its own stage, not folded into resolve), and decided
 	// requests carry the resolve stage.
 	traces := hub.Traces()

@@ -5,6 +5,10 @@ import (
 	"strings"
 )
 
+// This file is the block-YAML decoder. It reads lines through lines.go,
+// the line grammar the decode-free walker of internal/compile reads
+// with too, and builds values from them.
+
 // srcLine is one physical line of input after comment splitting.
 type srcLine struct {
 	num     int    // 1-based line number
@@ -29,7 +33,7 @@ func decodeStream(data []byte, keepComments bool) ([]any, map[string]string, err
 		p.comments = make(map[string]string)
 	}
 	for i, r := range raw {
-		p.lines = append(p.lines, splitLine(i+1, r))
+		p.lines = append(p.lines, readLine(i+1, r))
 	}
 	var docs []any
 	for {
@@ -70,46 +74,11 @@ func decodeStream(data []byte, keepComments bool) ([]any, map[string]string, err
 	return docs, p.comments, nil
 }
 
-// splitLine separates indentation, body, and trailing comment, respecting
-// quoted strings.
-func splitLine(num int, raw string) srcLine {
-	indent := 0
-	for indent < len(raw) && raw[indent] == ' ' {
-		indent++
-	}
-	body := raw[indent:]
-	if body == "" {
-		return srcLine{num: num, indent: indent, blank: true, raw: raw}
-	}
-	if strings.HasPrefix(body, "#") {
-		return srcLine{num: num, indent: indent, blank: true, comment: strings.TrimSpace(strings.TrimPrefix(body, "#")), raw: raw}
-	}
-	content, comment := stripTrailingComment(body)
-	content = strings.TrimRight(content, " \t")
-	if content == "" {
-		return srcLine{num: num, indent: indent, blank: true, comment: comment, raw: raw}
-	}
-	return srcLine{num: num, indent: indent, content: content, comment: comment, raw: raw}
-}
-
-// stripTrailingComment finds a ' #' that begins a comment outside quotes.
-func stripTrailingComment(s string) (content, comment string) {
-	inSingle, inDouble := false, false
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; {
-		case c == '\'' && !inDouble:
-			inSingle = !inSingle
-		case c == '"' && !inSingle:
-			if i == 0 || s[i-1] != '\\' {
-				inDouble = !inDouble
-			}
-		case c == '#' && !inSingle && !inDouble:
-			if i == 0 || s[i-1] == ' ' || s[i-1] == '\t' {
-				return s[:i], strings.TrimSpace(s[i+1:])
-			}
-		}
-	}
-	return s, ""
+// readLine lays out one physical line by the line grammar (lines.go).
+func readLine(num int, raw string) srcLine {
+	l := SplitLine(raw)
+	return srcLine{num: num, indent: l.Indent, content: raw[l.Start:l.End],
+		comment: strings.TrimSpace(raw[l.Comment:]), raw: raw, blank: l.Start == l.End}
 }
 
 // skipBlank advances past blank and comment-only lines.
@@ -126,10 +95,10 @@ func (p *parser) parseNode(indent int, path string) (any, error) {
 		return nil, nil
 	}
 	l := p.lines[p.pos]
-	if l.content == "-" || strings.HasPrefix(l.content, "- ") {
+	if _, ok := SeqItem(l.content); ok {
 		return p.parseSequence(indent, path)
 	}
-	if isMappingEntry(l.content) {
+	if _, _, ok := mappingEntry(l.content); ok {
 		return p.parseMapping(indent, path)
 	}
 	// Bare scalar document (possibly spanning a single line).
@@ -179,12 +148,9 @@ func (p *parser) parseMapping(indent int, path string) (any, error) {
 		if l.indent > indent {
 			return nil, errAt(l.num, "unexpected indentation %d in mapping at indent %d", l.indent, indent)
 		}
-		if !isMappingEntry(l.content) {
+		key, rest, ok := mappingEntry(l.content)
+		if !ok {
 			return nil, errAt(l.num, "expected mapping entry, got %q", l.content)
-		}
-		key, rest, err := splitKey(l.content, l.num)
-		if err != nil {
-			return nil, err
 		}
 		if _, dup := m[key]; dup {
 			return nil, errAt(l.num, "duplicate key %q", key)
@@ -217,7 +183,6 @@ func (p *parser) parseMapping(indent int, path string) (any, error) {
 // empty (nested block or null), a block-scalar indicator, or an inline
 // scalar / flow value.
 func (p *parser) parseValueAfterKey(rest string, keyIndent int, path string, keyLine int) (any, error) {
-	rest = strings.TrimSpace(rest)
 	switch {
 	case rest == "":
 		// Nested block, or null if nothing more indented follows.
@@ -230,7 +195,7 @@ func (p *parser) parseValueAfterKey(rest string, keyIndent int, path string, key
 					return p.parseNode(nl.indent, path)
 				}
 				// A sequence may sit at the same indent as its key.
-				if nl.indent == keyIndent && (nl.content == "-" || strings.HasPrefix(nl.content, "- ")) {
+				if _, ok := SeqItem(nl.content); ok && nl.indent == keyIndent {
 					return p.parseSequence(nl.indent, path)
 				}
 			}
@@ -256,14 +221,15 @@ func (p *parser) parseSequence(indent int, path string) (any, error) {
 		if l.content == "---" || l.content == "..." {
 			break
 		}
-		if l.indent != indent || (l.content != "-" && !strings.HasPrefix(l.content, "- ")) {
-			if l.indent >= indent && l.content != "" && !isMappingEntry(l.content) && l.indent > indent {
+		at, item := SeqItem(l.content)
+		if l.indent != indent || !item {
+			if _, _, entry := mappingEntry(l.content); l.indent > indent && !entry {
 				return nil, errAt(l.num, "unexpected indentation in sequence")
 			}
 			break
 		}
 		itemPath := path
-		if l.content == "-" {
+		if at == len(l.content) {
 			p.pos++
 			save := p.pos
 			p.skipBlank()
@@ -282,19 +248,9 @@ func (p *parser) parseSequence(indent int, path string) (any, error) {
 		}
 		// "- <inline>": rewrite the current line to drop the dash and
 		// re-parse at the adjusted indentation so nested keys align.
-		inner := l.content[2:]
-		innerIndent := indent + 2
-		for len(inner) > 0 && inner[0] == ' ' {
-			inner = inner[1:]
-			innerIndent++
-		}
-		if inner == "" {
-			p.pos++
-			seq = append(seq, nil)
-			continue
-		}
+		innerIndent := indent + at
 		p.lines[p.pos] = srcLine{
-			num: l.num, indent: innerIndent, content: inner, comment: l.comment, raw: l.raw,
+			num: l.num, indent: innerIndent, content: l.content[at:], comment: l.comment, raw: l.raw,
 		}
 		v, err := p.parseNode(innerIndent, itemPath)
 		if err != nil {
@@ -329,10 +285,7 @@ func (p *parser) parseBlockScalar(indicator string, keyIndent int, keyLine int) 
 			p.pos++
 			continue
 		}
-		lineIndent := 0
-		for lineIndent < len(l.raw) && l.raw[lineIndent] == ' ' {
-			lineIndent++
-		}
+		lineIndent := l.indent // a block scalar's lines are never rewritten items
 		if lineIndent <= keyIndent {
 			break
 		}
@@ -385,77 +338,20 @@ func (p *parser) parseBlockScalar(indicator string, keyIndent int, keyLine int) 
 	return s, nil
 }
 
-// isMappingEntry reports whether a line body begins a "key: value" entry.
-func isMappingEntry(content string) bool {
-	_, _, err := splitKey(content, 0)
-	return err == nil
-}
-
-// splitKey splits "key: rest" respecting quoted keys and flow contexts.
-func splitKey(content string, lineNum int) (key, rest string, err error) {
-	if content == "" {
-		return "", "", errAt(lineNum, "empty mapping entry")
+// mappingEntry splits "key: rest" content into the decoded key and the
+// rest; ok is false for no entry or a quoted key that does not unquote.
+func mappingEntry(content string) (key, rest string, ok bool) {
+	e, ok := SplitEntry(content)
+	if !ok {
+		return "", "", false
 	}
-	// Quoted key.
-	if content[0] == '"' || content[0] == '\'' {
-		q := content[0]
-		i := 1
-		for i < len(content) {
-			if content[i] == q {
-				if q == '\'' && i+1 < len(content) && content[i+1] == '\'' {
-					i += 2
-					continue
-				}
-				if q == '"' && content[i-1] == '\\' {
-					i++
-					continue
-				}
-				break
-			}
-			i++
-		}
-		if i >= len(content) {
-			return "", "", errAt(lineNum, "unterminated quoted key")
-		}
-		after := content[i+1:]
-		if !strings.HasPrefix(after, ":") {
-			return "", "", errAt(lineNum, "expected ':' after quoted key")
-		}
-		if len(after) > 1 && after[1] != ' ' {
-			return "", "", errAt(lineNum, "expected space after ':'")
-		}
-		k, err := unquoteScalar(content[:i+1], lineNum)
-		if err != nil {
-			return "", "", err
-		}
-		ks, ok := k.(string)
-		if !ok {
-			ks = scalarString(k)
-		}
-		return ks, strings.TrimSpace(after[1:]), nil
+	key, rest = content[e.KeyStart:e.KeyEnd], content[e.RestStart:e.RestEnd]
+	if e.Quoted {
+		k, err := unquoteScalar(key, 0)
+		key, _ = k.(string)
+		ok = err == nil
 	}
-	// Plain key: find first ':' followed by space or EOL, outside flow.
-	depth := 0
-	for i := 0; i < len(content); i++ {
-		switch content[i] {
-		case '[', '{':
-			depth++
-		case ']', '}':
-			depth--
-		case '"', '\'':
-			// A quote inside a plain key is not a key at all.
-			return "", "", errAt(lineNum, "not a mapping entry")
-		case ':':
-			if depth == 0 && (i+1 == len(content) || content[i+1] == ' ') {
-				key = strings.TrimSpace(content[:i])
-				if key == "" {
-					return "", "", errAt(lineNum, "empty key")
-				}
-				return key, strings.TrimSpace(content[i+1:]), nil
-			}
-		}
-	}
-	return "", "", errAt(lineNum, "not a mapping entry")
+	return key, rest, ok
 }
 
 // parseScalar parses an inline scalar or flow collection.
@@ -595,26 +491,14 @@ func parseFlowItem(s string, lineNum int) (any, string, error) {
 	switch s[0] {
 	case '[', '{':
 		return parseFlow(s, lineNum)
-	case '"':
-		for i := 1; i < len(s); i++ {
-			if s[i] == '"' && s[i-1] != '\\' {
-				v, err := unquoteScalar(s[:i+1], lineNum)
-				return v, s[i+1:], err
-			}
-		}
-		return nil, "", errAt(lineNum, "unterminated double-quoted scalar")
-	case '\'':
-		i := 1
-		for i < len(s) {
-			if s[i] == '\'' {
-				if i+1 < len(s) && s[i+1] == '\'' {
-					i += 2
-					continue
-				}
-				v, err := unquoteScalar(s[:i+1], lineNum)
-				return v, s[i+1:], err
-			}
-			i++
+	case '"', '\'':
+		i := quoteEnd(s)
+		switch {
+		case i < len(s):
+			v, err := unquoteScalar(s[:i+1], lineNum)
+			return v, s[i+1:], err
+		case s[0] == '"':
+			return nil, "", errAt(lineNum, "unterminated double-quoted scalar")
 		}
 		return nil, "", errAt(lineNum, "unterminated single-quoted scalar")
 	default:

@@ -10,6 +10,7 @@ package yaml_test
 //
 //	go test -fuzz=FuzzDecode -fuzztime=10s ./internal/yaml
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/charts"
@@ -57,4 +58,70 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("marshal output failed to re-decode: %v\ninput: %q\nmarshaled: %q", err, data, out)
 		}
 	})
+}
+
+// nbsp is U+00A0, one of the white-space runes strings.TrimSpace strips
+// and an ASCII-only trim does not.
+const nbsp = "\xc2\xa0"
+
+// FuzzLineGrammar holds lines.go to the reference line grammar of
+// lines_reference_test.go on every line of the input: readLine gives
+// splitLine's indentation, content, comment text and blank flag;
+// mappingEntry (SplitEntry plus the key unquote) gives splitKey's
+// accept/reject, key and rest, on the line's content and on the raw line
+// alike; and the []byte instantiations the raw walker uses give the same
+// offsets as the string ones the decoder uses.
+func FuzzLineGrammar(f *testing.F) {
+	for _, name := range charts.Names() {
+		files, _ := charts.Files(name)
+		for _, content := range files {
+			f.Add([]byte(content))
+		}
+	}
+	for _, seed := range []string{
+		"kind" + nbsp + ": Pod\nmetadata:\n  namespace: b" + nbsp + "\n",
+		"  app" + nbsp + ": rel # c\n- " + nbsp + "x\n-\n- - y: 1\n",
+		"a: b" + nbsp + " # c\n\"k\"" + nbsp + ": v\n'a''b': c\n\"a\\\\\": x\n",
+		"a: 'x # y' # z\nb: \"q\\\" # r\" #s\nc: d\t# e\n\tk: v\n \t# only\n",
+		"x:\xe3\x80\x80y\n\xc2\x85k: v\nk:\x0bv\x0c\nk: \xc2\n{a: 1}: b\n[x]: y\n: v\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for i, raw := range strings.Split(string(data), "\n") {
+			checkLine(t, i+1, raw)
+		}
+	})
+}
+
+func checkLine(t *testing.T, num int, raw string) {
+	want := yaml.ReferenceSplitLine(num, raw)
+	if got := yaml.ReadLine(num, raw); got != want {
+		t.Fatalf("line %q: readLine %+v, splitLine %+v", raw, got, want)
+	}
+	l := yaml.SplitLine(raw)
+	if lb := yaml.SplitLine([]byte(raw)); l != lb {
+		t.Fatalf("line %q: SplitLine on string %+v, on bytes %+v", raw, l, lb)
+	}
+	for _, c := range []string{raw[l.Start:l.End], raw} {
+		wantKey, wantRest, err := yaml.ReferenceSplitKey(c, num)
+		key, rest, ok := yaml.MappingEntry(c)
+		if ok != (err == nil) || ok && (key != wantKey || rest != wantRest) {
+			t.Fatalf("content %q: mappingEntry (%q, %q, %v), splitKey (%q, %q, %v)",
+				c, key, rest, ok, wantKey, wantRest, err)
+		}
+		e, ok := yaml.SplitEntry(c)
+		if eb, okb := yaml.SplitEntry([]byte(c)); e != eb || ok != okb {
+			t.Fatalf("content %q: SplitEntry on string %+v %v, on bytes %+v %v", c, e, ok, eb, okb)
+		}
+		i, j := yaml.TrimSpace(c, 0, len(c))
+		if ib, jb := yaml.TrimSpace([]byte(c), 0, len(c)); c[i:j] != strings.TrimSpace(c) || ib != i || jb != j {
+			t.Fatalf("content %q: TrimSpace spans [%d,%d) / [%d,%d), strings.TrimSpace %q", c, i, j, ib, jb, strings.TrimSpace(c))
+		}
+		at, item := yaml.SeqItem(c)
+		if item != (c == "-" || strings.HasPrefix(c, "- ")) ||
+			item && at != len(c)-len(strings.TrimLeft(c[1:], " ")) {
+			t.Fatalf("content %q: SeqItem (%d, %v)", c, at, item)
+		}
+	}
 }

@@ -3,10 +3,12 @@ package compile
 import (
 	"encoding/json"
 	"testing"
+
+	"repro/internal/mutate"
 )
 
-// rawBench is one benign body on one wire with its chart's program and
-// its (successful) routing scan.
+// rawBench is one body on one wire with its chart's program and its
+// (successful) routing scan.
 type rawBench struct {
 	prog *Program
 	body []byte
@@ -83,6 +85,54 @@ func BenchmarkRawMatch(b *testing.B) {
 			}
 			if vouched == 0 {
 				b.Fatal("no body was vouched for")
+			}
+		})
+	}
+}
+
+// rawDenialBodies is every attack scenario of the robustness matrix,
+// encoded on one wire, that the walk diagnoses.
+func rawDenialBodies(b *testing.B, wire rawWire) []rawBench {
+	cs, err := loadCorpus()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var out []rawBench
+	for _, c := range cs {
+		scs, err := mutate.ForCatalog(c.benign, mutate.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, sc := range scs {
+			body, err := wire.encode(sc.Object, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			meta, ok := wire.scan(body)
+			if !ok {
+				continue
+			}
+			if vs, decided := c.program.JudgeRawScanned(meta, body, wire.yaml); decided && len(vs) > 0 {
+				out = append(out, rawBench{c.program, body, meta})
+			}
+		}
+	}
+	return out
+}
+
+// BenchmarkRawJudge is one judging walk of a denial per op, its
+// violation list included: the raw path's answer to an attack, over the
+// robustness matrix's scenarios the walk diagnoses.
+func BenchmarkRawJudge(b *testing.B) {
+	for _, wire := range []rawWire{jsonWire, yamlWire} {
+		bodies := rawDenialBodies(b, wire)
+		b.Run(wire.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rb := &bodies[i%len(bodies)]
+				if vs, _ := rb.prog.JudgeRawScanned(rb.meta, rb.body, wire.yaml); len(vs) == 0 {
+					b.Fatal("a denial was not diagnosed")
+				}
 			}
 		})
 	}

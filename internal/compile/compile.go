@@ -36,6 +36,7 @@ import (
 	"regexp"
 	"sort"
 
+	"repro/internal/schema"
 	"repro/internal/validator"
 )
 
@@ -69,12 +70,21 @@ const (
 	flagReqMany
 	// flagOpen marks a map node of the built-in routing-metadata program
 	// (Compile never sets it): unlisted keys are walked structurally and
-	// a non-mapping value is admitted.
+	// a scalar value is admitted (a sequence too: it carries flagList).
 	flagOpen
 	// flagPrologue marks the built-in routing-metadata program's root
 	// (Compile never sets it): a walk may stop once every one of its
 	// listed members has been walked (mapWalk.done).
 	flagPrologue
+	// flagDict / flagList mark a node that admits any mapping / sequence
+	// (walked structurally) unless flagLocked locks it to its
+	// enumeration: an opScalar whose type token is dict / list, and for
+	// sequences the open maps of the routing-metadata program. A raw walk
+	// reads them without a scalar-table lookup (match.go's mapNode and
+	// listItem).
+	flagDict
+	flagList
+	flagLocked
 )
 
 // node is one compiled policy node. Children are index ranges into the
@@ -436,6 +446,15 @@ func (c *compiler) lowerScalar(n *validator.Node, path string, pid int32, flags 
 		sc.kind = scalarGeneric
 	}
 	c.p.scalars = append(c.p.scalars, sc)
+	switch sc.typ {
+	case schema.TokDict:
+		flags |= flagDict
+	case schema.TokList:
+		flags |= flagList
+	}
+	if sc.locked {
+		flags |= flagLocked
+	}
 	return c.alloc(node{op: opScalar, flags: flags, path: pid,
 		scalar: int32(len(c.p.scalars) - 1)}), nil
 }

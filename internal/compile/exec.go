@@ -37,17 +37,15 @@ func skip(flags uint8, k string) bool {
 func (p *Program) Validate(o object.Object) []validator.Violation {
 	kind := o.Kind()
 	if kind == "" {
-		return []validator.Violation{{Reason: "request object has no kind"}}
+		return p.kindViolation("")
 	}
 	kp, ok := p.kinds[kind]
 	if !ok {
-		return []validator.Violation{{Reason: fmt.Sprintf(
-			"kind %s is not used by workload %s", kind, p.workload)}}
+		return p.kindViolation(kind)
 	}
 	if len(kp.apiVersions) > 0 {
 		if av := o.APIVersion(); av != "" && !kp.apiVersions[av] {
-			return []validator.Violation{{Path: "apiVersion",
-				Reason: "apiVersion not allowed for kind " + kind, Got: av}}
+			return apiVersionViolation(kind, av)
 		}
 	}
 	if p.fastOK(kp.root, map[string]any(o)) {
@@ -56,6 +54,23 @@ func (p *Program) Validate(o object.Object) []validator.Violation {
 	var out []validator.Violation
 	p.diagNode(kp.root, map[string]any(o), &out)
 	return out
+}
+
+// kindViolation is the whole verdict on a request whose kind is absent
+// ("") or one the program does not know; no field is walked.
+func (p *Program) kindViolation(kind string) []validator.Violation {
+	if kind == "" {
+		return []validator.Violation{{Reason: "request object has no kind"}}
+	}
+	return []validator.Violation{{Reason: fmt.Sprintf(
+		"kind %s is not used by workload %s", validator.Bounded(kind), p.workload)}}
+}
+
+// apiVersionViolation is the whole verdict on a known kind sent under an
+// apiVersion its policy does not allow.
+func apiVersionViolation(kind, av string) []validator.Violation {
+	return []validator.Violation{{Path: "apiVersion",
+		Reason: "apiVersion not allowed for kind " + kind, Got: validator.Bounded(av)}}
 }
 
 // ---------------------------------------------------------------------

@@ -1,7 +1,11 @@
 package compile
 
 import (
+	"encoding/binary"
 	"math/bits"
+	"slices"
+	"strconv"
+	"strings"
 
 	"repro/internal/object"
 	"repro/internal/schema"
@@ -15,18 +19,31 @@ import (
 // lexers, find where collections open and close, and ask this file what
 // each construct means against the compiled node table.
 //
-// The contract is deliberately one-sided: a walk succeeds only when the
-// request is DEFINITIVELY allowed — the body is one the decode path
-// accepts (no duplicate keys, no number it could reject, nothing the
-// lexer cannot spell byte-for-byte) and the decoded document would pass
-// both the compiled and the interpreted engine. Every other outcome — a
-// genuine violation, a malformed body, a construct that is merely
-// undecidable without decoding — is the same zero val, and the caller
-// falls back to decode + Validate, which produces the authoritative
-// verdict and violation list. The raw walk therefore only decides how
-// much work an allowed request costs; a wrong vouch is a security bug,
-// a missed one is a slower request. Pinned by FuzzRawEquivalence /
-// FuzzRawYAMLEquivalence and the robustness matrix on both wires.
+// A walk judges the body (Program.JudgeRawScanned / JudgeRawYAMLScanned)
+// with one of three outcomes:
+//
+//   - vouched: the walk reached the end of a body the decode path
+//     accepts (no duplicate keys, no number it could reject, nothing the
+//     lexer cannot spell byte-for-byte) and met no violation, so both
+//     the compiled and the interpreted engine allow the decoded
+//     document;
+//   - diagnosed: the walk reached the end of such a body and recorded
+//     violations on the way — exactly the list Program.Validate returns
+//     on the decoded document, in its order (sorted keys, required-field
+//     findings at each mapping's close), with every string copied out of
+//     the body;
+//   - undecided: the walk gave up (the zero val) on a malformed body or
+//     on a construct it cannot judge byte-for-byte — an escaped or float
+//     value a content check needs, a collection-valued Got, a policy node
+//     with more than 64 required children, the duplicate-key window, the
+//     depth limit — and the caller decodes and runs Validate.
+//
+// Allows stay one-sided: a wrong vouch is a security bug, a missed one a
+// slower request. A violation is recorded only where the walk knows the
+// decoded value, so a diagnosis is never a guess; what it cannot know
+// stays undecided. Pinned by FuzzRawEquivalence / FuzzRawYAMLEquivalence
+// (lists, not only verdicts) and the robustness matrix on both wires in
+// sorted and reversed key order.
 
 // RawMeta is the routing metadata extracted from raw JSON bytes: what
 // the enforcement point needs to resolve a workload policy before — or
@@ -42,11 +59,13 @@ type RawMeta struct {
 }
 
 // val is what a walk consumed, as bit flags. Zero means "fall back to
-// the decode path"; every successful walk sets valOK, and a collection
-// walked against a node adds the facts a parent's required-field check
-// asks about it. Only opMap / opList children are ever measured
-// (reqRef.kind), and mapNode / listItem never turn those structural, so
-// a structural walk owes no facts.
+// the decode path"; every walk that may go on sets valOK (whether or not
+// it recorded violations), and a collection walked against a node adds
+// the facts a parent's required-field check asks about it. Only opMap /
+// opList children are ever measured (reqRef.kind), and mapNode /
+// listItem walk a mapping under an opMap, a sequence under an opList,
+// against it: a collection walked structurally is not of the shape the
+// check measures, so it owes no facts.
 type val uint8
 
 const (
@@ -79,51 +98,134 @@ type token struct {
 	seg   []byte
 }
 
+// typeName is validator.TypeName of the value the decoder makes of t.
+func (t token) typeName() string {
+	switch t.kind {
+	case tokNull:
+		return "null"
+	case tokFalse, tokTrue:
+		return "bool"
+	case tokInt:
+		return "int"
+	case tokFloat:
+		return "float"
+	}
+	return "string"
+}
+
+// render is validator.RenderValue of the value the decoder makes of t;
+// ok is false where the bytes do not spell it exactly: an unclean
+// string, and a float, whose value is strconv's rounding.
+func (t token) render() (got string, ok bool) {
+	switch t.kind {
+	case tokString:
+		if t.clean {
+			return validator.Bounded(t.seg), true
+		}
+	case tokInt:
+		return strconv.FormatInt(parseRawInt(t.seg), 10), true // "-0" is 0
+	case tokTrue:
+		return "true", true
+	case tokFalse:
+		return "false", true
+	case tokNull:
+		return "null", true
+	}
+	return "", false
+}
+
+// JudgeRawScanned judges a body straight off the wire it was scanned
+// from — meta MUST be the successful ScanRawYAMLMeta of body when
+// yamlWire, else its ScanRawMeta — in one walk, without decoding it.
+// decided=false is undecided: decode the body and run Validate.
+// decided=true with no violations is a vouch; with violations, the list
+// is exactly Validate's on the decoded body, and none of its strings
+// aliases body.
+func (p *Program) JudgeRawScanned(meta RawMeta, body []byte, yamlWire bool) (vs []validator.Violation, decided bool) {
+	if yamlWire {
+		return p.judgeYAML(meta, body)
+	}
+	return p.judgeJSON(meta, body)
+}
+
 // rawMatch is the program side of one raw walk; each wire scanner
 // embeds one.
 type rawMatch struct {
 	p    *Program
 	meta RawMeta // filled by opCapture nodes (metaProgram walks only)
 	keyWindow
+	// out is the diagnosis: the violations met so far, in
+	// Program.Validate's order for every mapping already closed. nil
+	// until the first, so a vouch allocates nothing.
+	out []validator.Violation
+	// segs are the members of the mappings still open whose walks added
+	// to out, in wire order: each mapping's close sorts its own by key.
+	// Empty until the first violation.
+	segs []memberSeg
 }
 
-// rawRoot is the prologue of a raw match: the kind root a scanned body
-// is walked against. Unknown or absent kinds and disallowed apiVersions
-// are decode-path denials.
-func (p *Program) rawRoot(meta RawMeta) (int32, bool) {
+// memberSeg is one mapping member's run of violations in out, and the
+// key it is sorted on: the policy field's name, or the copy an unlisted
+// key's violation path already made. Never a slice of the body: a
+// pointer stored into the heap-grown segs from a walk frame would move
+// the whole scanner to the heap (escape analysis does not tell struct
+// fields apart).
+type memberSeg struct {
+	key string
+	at  int // where the member's violations start in out
+}
+
+// deny records a violation at node idx's path.
+func (m *rawMatch) deny(idx int32, reason, got string) {
+	m.out = append(m.out, validator.Violation{Path: m.p.paths[m.p.nodes[idx].path], Reason: reason, Got: got})
+}
+
+// root is the prologue of a raw judgement: the kind root a scanned body
+// is walked against. An absent or unknown kind and a disallowed
+// apiVersion are the whole verdict, as in Program.Validate, and the body
+// is walked structurally (-1) only to prove that it decodes.
+func (m *rawMatch) root(meta RawMeta) int32 {
+	p := m.p
+	if len(meta.Kind) == 0 {
+		m.out = p.kindViolation("")
+		return -1
+	}
 	kp, ok := p.kinds[string(meta.Kind)]
-	if !ok {
-		return 0, false
+	switch {
+	case !ok:
+		m.out = p.kindViolation(string(meta.Kind))
+	case len(kp.apiVersions) > 0 && len(meta.APIVersion) > 0 && !kp.apiVersions[string(meta.APIVersion)]:
+		m.out = apiVersionViolation(string(meta.Kind), string(meta.APIVersion))
+	default:
+		return kp.root
 	}
-	if len(kp.apiVersions) > 0 && len(meta.APIVersion) > 0 &&
-		!kp.apiVersions[string(meta.APIVersion)] {
-		return 0, false
-	}
-	return kp.root, true
+	return -1
 }
 
 // mapNode pairs a mapping with the node it was found under and returns
 // the node its members are walked against, -1 for structurally: only
 // opMap walks matched; a wildcard, a capture or an unlocked type-dict
 // scalar admits any well-formed mapping; every other pairing is a
-// decoded deny.
+// violation, recorded here from misfits, and the mapping is walked
+// structurally. A locked type-dict scalar compares the mapping with its
+// enumeration, and an opMap with more than 64 required children sweeps a
+// materialized map: both are undecided.
 func (m *rawMatch) mapNode(idx int32) (int32, bool) {
 	if idx < 0 {
 		return -1, true
 	}
 	n := &m.p.nodes[idx]
-	switch n.op {
-	case opMap:
-		// >64 required children needs the direct-lookup sweep over a
-		// materialized map; exotic enough for the decode path.
+	switch {
+	case n.op == opMap:
 		return idx, n.flags&flagReqMany == 0
-	case opAny, opAllow, opCapture:
-		return -1, true
-	case opScalar:
-		sc := &m.p.scalars[n.scalar]
-		return -1, sc.typ == schema.TokDict && !sc.locked
+	case n.flags&flagDict != 0:
+		return -1, n.flags&flagLocked == 0
 	}
-	return -1, false
+	if v := misfits[n.op][0]; v.Reason != "" {
+		v.Path = m.p.paths[n.path]
+		m.out = append(m.out, v)
+	}
+	return -1, true
 }
 
 // listItem is mapNode for a sequence: the node its items are walked
@@ -133,29 +235,60 @@ func (m *rawMatch) listItem(idx int32) (int32, bool) {
 		return -1, true
 	}
 	n := &m.p.nodes[idx]
-	switch n.op {
-	case opList:
+	switch {
+	case n.op == opList:
 		return n.item, true
-	case opAny, opAllow, opCapture:
-		return -1, true
-	case opScalar:
-		sc := &m.p.scalars[n.scalar]
-		return -1, sc.typ == schema.TokList && !sc.locked
-	case opMap:
-		return -1, n.flags&flagOpen != 0
+	case n.flags&flagList != 0:
+		return -1, n.flags&flagLocked == 0
 	}
-	return -1, false
+	if v := misfits[n.op][1]; v.Reason != "" {
+		v.Path = m.p.paths[n.path]
+		m.out = append(m.out, v)
+	}
+	return -1, true
+}
+
+// misfits is, by opcode, the violation of a mapping ([0]) and of a
+// sequence ([1]) found under a node that does not walk it against its
+// children — diagNode's and diagScalar's texts. An empty entry (the
+// wildcards, the capture) walks it structurally and records nothing. A
+// table, not a call: mapNode and listItem stay inlined on the walk's hot
+// path.
+var misfits = [opCapture + 1][2]validator.Violation{
+	opDeny:   {{Reason: "field not allowed by policy"}, {Reason: "field not allowed by policy"}},
+	opMap:    {1: {Reason: "expected object", Got: "list"}},
+	opList:   {{Reason: "expected list", Got: "object"}},
+	opScalar: {{Reason: "expected scalar, got object"}, {Reason: "expected scalar, got list"}},
 }
 
 // mapWalk is one mapping being walked: the wire calls member for every
 // key, filled with what that member's value walk returned, and close
 // when the mapping ends.
+//
+// It is 64 bytes: the wires hold one per open mapping, and a larger one is
+// copied out of openMap by a loop, not by moves.
 type mapWalk struct {
-	m    *rawMatch
-	n    *node // nil: structural walk
-	base int   // this scope's start in the duplicate-key window
-	seen uint64
-	req  *reqRef // required check awaiting the value of the last member
+	m *rawMatch
+	n *node // nil: structural walk
+	// seen marks the required members met so far; want is n.reqBits (0
+	// for a structural walk), so seen == want at close is a mapping that
+	// met every requirement.
+	seen, want uint64
+	// empty marks the required members filled with an empty {} / [].
+	empty uint64
+	base  int32 // this scope's start in the duplicate-key window
+	segs  int32 // this scope's start in m.segs
+	// at is where the next member's violations start in m.out: nothing
+	// is recorded between one member's value and the next key.
+	at int32
+	// field is the last member's policy field, an index into p.fields.
+	field int32
+	// req is the required check awaiting the last member's value: its
+	// reqBit's index + 1, 0 for none.
+	req uint8
+	// sort is set once a member added violations: close sorts the
+	// members' segments from segs on.
+	sort bool
 	got  val
 	// walked marks the listed members of a flagPrologue node met so far,
 	// by their offset in its field segment.
@@ -164,18 +297,20 @@ type mapWalk struct {
 
 // openMap starts the walk of a mapping against mapNode's answer.
 func (m *rawMatch) openMap(idx int32) mapWalk {
-	w := mapWalk{m: m, base: m.nkeys, got: valOK | valMap}
+	w := mapWalk{m: m, base: int32(m.nkeys), segs: int32(len(m.segs)), at: int32(len(m.out)), got: valOK | valMap}
 	if idx >= 0 {
 		w.n = &m.p.nodes[idx]
+		w.want = w.n.reqBits
 	}
 	return w
 }
 
 // member admits one key and returns the node its value is walked
 // against (-1: structurally — a server-owned key the validators never
-// see, or an unlisted key of an open node).
+// see, an unlisted key of an open node, or an unlisted key of a policy
+// node, recorded as a violation).
 func (w *mapWalk) member(key []byte) (int32, bool) {
-	if !w.m.note(w.base, key) {
+	if !w.m.note(int(w.base), hashKey(key)) {
 		return 0, false
 	}
 	w.got |= valMember
@@ -200,37 +335,85 @@ func (w *mapWalk) member(key []byte) (int32, bool) {
 		default:
 			if f.reqBit != 0 {
 				w.seen |= f.reqBit
-				w.req = &w.m.p.reqs[n.reqOff+int32(bits.TrailingZeros64(f.reqBit))]
+				w.req = uint8(bits.TrailingZeros64(f.reqBit)) + 1
 			}
 			if n.flags&flagPrologue != 0 {
 				w.walked |= 1 << (mid - n.fieldsOff)
 			}
+			w.field = mid
 			return f.node, true
 		}
 	}
-	return -1, n.flags&flagOpen != 0
+	if n.flags&flagOpen == 0 {
+		w.unlisted(key)
+	}
+	return -1, true
+}
+
+// unlisted records the violation of a key the policy node does not
+// list, and the member's segment: its value is walked structurally and
+// adds nothing to it. Kept out of line: inlined, its string building
+// doubles member, which runs for every key of every body.
+//
+//go:noinline
+func (w *mapWalk) unlisted(key []byte) {
+	m := w.m
+	path := string(key)
+	if p := m.p.paths[w.n.path]; p != "" {
+		path = p + "." + string(key)
+	}
+	m.out = append(m.out, validator.Violation{Path: path, Reason: "field not allowed by policy"})
+	w.segment(path[len(path)-len(key):])
 }
 
 // filled takes the walk of the last member's value and reports whether
-// the mapping may go on: the value was admitted, and if the member is a
-// required field it is not an empty {} / [] stand-in (requiredEmpty in
-// the decoded engines; the metadata child is measured after the scrub).
+// the mapping may go on: the value was walked.
 func (w *mapWalk) filled(v val) bool {
-	r := w.req
-	w.req = nil
-	if v == 0 || r == nil {
-		return v != 0
+	if w.req != 0 || len(w.m.out) != int(w.at) {
+		w.settle(v)
 	}
-	switch r.kind {
-	case validator.KindMap:
-		if r.flags&flagMeta != 0 {
-			return v&valMap == 0 || v&valEff != 0
+	return v != 0
+}
+
+// settle is filled for a required member or one that added violations.
+// A required member's empty {} / [] stand-in (requiredEmpty in the
+// decoded engines; the metadata child is measured after the scrub)
+// defeats the requirement the way absence does: its bit leaves seen for
+// empty, and close reports it. A member that added violations is a
+// segment for close to sort.
+func (w *mapWalk) settle(v val) {
+	if w.req != 0 {
+		i := w.req - 1
+		w.req = 0
+		bit := uint64(1) << i
+		r := &w.m.p.reqs[w.n.reqOff+int32(i)]
+		var empty bool
+		switch r.kind {
+		case validator.KindMap:
+			if r.flags&flagMeta != 0 {
+				empty = v&valMap != 0 && v&valEff == 0
+			} else {
+				empty = v&valMap != 0 && v&valMember == 0
+			}
+		case validator.KindList:
+			empty = v&valList != 0 && v&valMember == 0
 		}
-		return v&valMap == 0 || v&valMember != 0
-	case validator.KindList:
-		return v&valList == 0 || v&valMember != 0
+		if empty {
+			w.seen &^= bit
+			w.empty |= bit
+		}
 	}
-	return true
+	if len(w.m.out) != int(w.at) {
+		w.segment(w.m.p.fields[w.field].name)
+	}
+}
+
+// segment closes the last member's run of violations in m.out: close
+// sorts it into place under key.
+func (w *mapWalk) segment(key string) {
+	w.m.segs = append(w.m.segs, memberSeg{key: key, at: int(w.at)})
+	w.at = int32(len(w.m.out))
+	w.sort = true
 }
 
 // done reports whether the walk may stop after the member just filled:
@@ -242,17 +425,83 @@ func (w *mapWalk) filled(v val) bool {
 // Only a flagPrologue node ever sets walked, so one compare decides.
 func (w *mapWalk) done() bool { return w.walked == prologueWalked }
 
-// close ends the mapping: every required field must have been seen.
+// close ends the mapping. One that met violations puts its members'
+// violations in sorted key order, then reports every required field not
+// seen, or filled empty, in the node's required order — diagNode's
+// order.
 func (w *mapWalk) close() val {
-	w.m.nkeys = w.base
-	if w.n != nil && w.seen != w.n.reqBits {
-		return 0
+	w.m.nkeys = int(w.base)
+	if w.seen != w.want || w.sort {
+		w.findings()
 	}
 	return w.got
 }
 
-// admits judges one scalar against a node, mirroring scalarOK on the
-// value the decode path would produce.
+// findings is close for a mapping that met violations or missed a
+// requirement; never a structural walk's, which records neither.
+func (w *mapWalk) findings() {
+	m, n := w.m, w.n
+	if w.sort {
+		m.sortMembers(int(w.segs))
+		m.segs = m.segs[:w.segs]
+	}
+	for i := n.reqOff; i < n.reqEnd; i++ {
+		bit := uint64(1) << uint(i-n.reqOff)
+		if w.seen&bit != 0 {
+			continue
+		}
+		reason := "security-critical field must be present"
+		if w.empty&bit != 0 {
+			reason = "security-critical field must not be empty"
+		}
+		m.out = append(m.out, validator.Violation{Path: m.p.paths[m.p.reqs[i].path], Reason: reason})
+	}
+}
+
+// sortMembers reorders the violations of the members segs[base:] names
+// — back to back at the end of out, in wire order — into sorted key
+// order, the order diagNode visits a mapping's keys in. Keys are unique
+// (the window refuses duplicates), so any sort is stable.
+func (m *rawMatch) sortMembers(base int) {
+	segs := m.segs[base:]
+	if slices.IsSortedFunc(segs, func(a, b memberSeg) int { return strings.Compare(a.key, b.key) }) {
+		return
+	}
+	type span struct {
+		key    string
+		lo, hi int
+	}
+	spans := make([]span, len(segs))
+	for i, s := range segs {
+		hi := len(m.out)
+		if i+1 < len(segs) {
+			hi = segs[i+1].at
+		}
+		spans[i] = span{s.key, s.at, hi}
+	}
+	slices.SortFunc(spans, func(a, b span) int { return strings.Compare(a.key, b.key) })
+	from := segs[0].at
+	tail := append([]validator.Violation(nil), m.out[from:]...)
+	at := from
+	for _, s := range spans {
+		at += copy(m.out[at:], tail[s.lo-from:s.hi-from])
+	}
+}
+
+// judge is admits, then refuse for a scalar admits refuses: the whole
+// judgement of one scalar.
+func (m *rawMatch) judge(idx int32, t token) val {
+	if v := m.admits(idx, t); v != 0 {
+		return v
+	}
+	return m.refuse(idx, t)
+}
+
+// admits reports whether a node admits one scalar, mirroring scalarOK on
+// the value the decode path would produce: valOK, or 0 for refuse to
+// rule on. It keeps nothing of t past the matchers, so a caller on the
+// hot path may hand refuse the token again (the JSON wire re-lexes it)
+// instead of holding it across them.
 func (m *rawMatch) admits(idx int32, t token) val {
 	if idx < 0 {
 		return valOK
@@ -283,6 +532,33 @@ func (m *rawMatch) admits(idx int32, t token) val {
 		return valOK
 	}
 	return 0
+}
+
+// refuse rules on a scalar node idx does not admit: a violation when the
+// walk knows the decoded value (token.render), else undecided — as is a
+// capture the walk cannot spell.
+func (m *rawMatch) refuse(idx int32, t token) val {
+	switch n := &m.p.nodes[idx]; n.op {
+	case opScalar:
+		got, known := t.render()
+		if !known {
+			return 0
+		}
+		reason := "value outside the domain allowed by policy"
+		if m.p.scalars[n.scalar].locked {
+			reason = "security-locked field set to unsafe value"
+		}
+		m.deny(idx, reason, got)
+	case opMap:
+		m.deny(idx, "expected object", t.typeName())
+	case opList:
+		m.deny(idx, "expected list", t.typeName())
+	case opCapture:
+		return 0
+	default: // opDeny
+		m.deny(idx, "field not allowed by policy", "")
+	}
+	return valOK
 }
 
 // capture stores a string into the RawMeta field slot names. A
@@ -341,8 +617,8 @@ var metaProgram = &Program{
 		metaKind:       {op: opCapture, item: metaKind},
 		metaName:       {op: opCapture, item: metaName},
 		metaNamespace:  {op: opCapture, item: metaNamespace},
-		metaMetadata:   {op: opMap, flags: flagOpen, fieldsOff: 0, fieldsEnd: 2},
-		metaRoot:       {op: opMap, flags: flagOpen | flagPrologue, fieldsOff: 2, fieldsEnd: 5},
+		metaMetadata:   {op: opMap, flags: flagOpen | flagList, fieldsOff: 0, fieldsEnd: 2},
+		metaRoot:       {op: opMap, flags: flagOpen | flagList | flagPrologue, fieldsOff: 2, fieldsEnd: 5},
 	},
 	fields: []fieldRef{ // each node's segment sorted by name, as member searches it
 		{name: "name", node: metaName}, {name: "namespace", node: metaNamespace},
@@ -376,20 +652,34 @@ type keyWindow struct {
 	khash [rawKeyStack]uint32
 }
 
-// hashKey is FNV-1a over the key bytes.
+// hashKey hashes a key in a few word loads, whatever its length: eight
+// bytes at a time and then its last eight, or its first and last four,
+// or three of its bytes — every byte is read, none one at a time, so a
+// key costs one dependent multiply per word, not per byte: every key of
+// every body is hashed. Equal keys hash equal, which is all the window
+// needs.
 func hashKey(key []byte) uint32 {
-	h := uint32(2166136261)
-	for _, b := range key {
-		h = (h ^ uint32(b)) * 16777619
+	n := len(key)
+	h := uint64(n) * 0x9e3779b97f4a7c15
+	switch {
+	case n > 8:
+		for k := key; len(k) > 8; k = k[8:] {
+			h = (h ^ binary.LittleEndian.Uint64(k)) * 0xbf58476d1ce4e5b9
+		}
+		h ^= binary.LittleEndian.Uint64(key[n-8:])
+	case n >= 4:
+		h ^= uint64(binary.LittleEndian.Uint32(key))<<32 | uint64(binary.LittleEndian.Uint32(key[n-4:]))
+	case n > 0:
+		h ^= uint64(key[0])<<16 | uint64(key[n>>1])<<8 | uint64(key[n-1])
 	}
-	return h
+	h *= 0x94d049bb133111eb
+	return uint32(h ^ h>>32)
 }
 
-// note records one member key of the scope opened at base and reports
-// whether the walk may proceed: false on a (possible) duplicate and on
-// a full window.
-func (k *keyWindow) note(base int, key []byte) bool {
-	h := hashKey(key)
+// note records one member key of the scope opened at base, by its
+// hashKey h, and reports whether the walk may proceed: false on a
+// (possible) duplicate and on a full window.
+func (k *keyWindow) note(base int, h uint32) bool {
 	for _, seen := range k.khash[base:k.nkeys] {
 		if seen == h {
 			return false

@@ -1,15 +1,19 @@
 package compile
 
-import "repro/internal/object"
+import (
+	"repro/internal/object"
+	"repro/internal/validator"
+)
 
 // This file is the JSON walker of the decode-free fast path: one
-// recursive skeleton over raw request bytes, so an ALLOWED request never
-// materializes a decoded document (no map[string]any, no string
-// interning for keys, no []any for lists). Its tokens come from the
-// decoder's own lexer, object.LexJSON — the wire has one lexer. What a
-// key, a scalar or a collection means against the compiled program — and
-// the one-sided contract every false return carries — is match.go's;
-// nothing here knows a node's opcode or a field's name.
+// recursive skeleton over raw request bytes, so a request it judges — an
+// allowed one or an enforce-mode denial — never materializes a decoded
+// document (no map[string]any, no string interning for keys, no []any
+// for lists). Its tokens come from the decoder's own lexer,
+// object.LexJSON — the wire has one lexer. What a key, a scalar or a
+// collection means against the compiled program — a vouch, a recorded
+// violation, or the zero val that gives up — is match.go's; nothing here
+// knows a node's opcode or a field's name.
 //
 // What the walker owes that contract is "accepted ⇒ object.ParseJSON
 // accepts it too", which the shared lexer gives token by token; on top
@@ -51,31 +55,32 @@ func ScanRawMeta(body []byte) (RawMeta, bool) {
 	return s.meta, true
 }
 
-// MatchRaw reports whether the raw JSON body is definitively allowed by
-// the program: the body decodes cleanly AND the decoded object passes
-// validation. A false return means "run the decode path", not "denied"
-// — genuine violations, undecodable bodies, and constructs the scanner
-// is conservative about all land there, where the classic engines
-// produce the authoritative verdict and violation list.
+// MatchRaw reports whether the program vouches for the raw JSON body:
+// the body decodes cleanly AND the decoded object passes validation. A
+// false return means "not vouched", not "denied" — a diagnosed denial,
+// an undecodable body and a construct the walker is conservative about
+// all land there; JudgeRawScanned tells them apart.
 func (p *Program) MatchRaw(body []byte) bool {
 	meta, ok := ScanRawMeta(body)
-	if !ok {
-		return false
-	}
-	return p.MatchRawScanned(meta, body)
+	return ok && p.MatchRawScanned(meta, body)
 }
 
 // MatchRawScanned is MatchRaw for a caller that already ran ScanRawMeta
 // on this exact body (the enforcement point scans once for routing):
-// it skips straight to the validation walk instead of re-tokenizing the
+// it skips straight to the judging walk instead of re-tokenizing the
 // body for metadata. meta MUST be the successful scan of body.
 func (p *Program) MatchRawScanned(meta RawMeta, body []byte) bool {
-	root, ok := p.rawRoot(meta)
-	if !ok {
-		return false
-	}
+	vs, decided := p.judgeJSON(meta, body)
+	return decided && vs == nil
+}
+
+// judgeJSON is JudgeRawScanned on the JSON wire.
+func (p *Program) judgeJSON(meta RawMeta, body []byte) ([]validator.Violation, bool) {
 	s := rawScan{rawMatch: rawMatch{p: p}, data: body}
-	return s.value(root, 0) != 0 && s.atEnd()
+	if s.value(s.root(meta), 0) == 0 || !s.atEnd() {
+		return nil, false
+	}
+	return s.out, true
 }
 
 // rawScan is a single pass over raw JSON bytes.
@@ -180,7 +185,7 @@ func (s *rawScan) skipValue(depth int) val {
 		base := s.nkeys
 		for {
 			key, ok := s.scanKey()
-			if !ok || !s.note(base, key) || s.skipValue(depth+1) == 0 {
+			if !ok || !s.note(base, hashKey(key)) || s.skipValue(depth+1) == 0 {
 				return 0
 			}
 			s.skipWS()
@@ -297,9 +302,17 @@ func (s *rawScan) value(idx int32, depth int) val {
 			return valOK | valList | valMember
 		}
 	}
+	at := s.pos
 	t, ok := s.scalar()
 	if !ok {
 		return 0
 	}
-	return s.admits(idx, t)
+	if v := s.admits(idx, t); v != 0 {
+		return v
+	}
+	// Refused: the token is lexed again for refuse rather than held
+	// across admits on every scalar's path.
+	s.pos = at
+	t, _ = s.scalar()
+	return s.refuse(idx, t)
 }

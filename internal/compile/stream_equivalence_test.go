@@ -10,72 +10,122 @@ import (
 	"repro/internal/validator"
 )
 
-// rawVerdict runs the full raw-bytes admission pipeline on wire bytes:
-// streaming fast pass first, decode + compiled diagnostic pass on
-// fallback — exactly what the enforcement point does per request. The
-// bool reports whether the fast pass decided (for coverage accounting).
-func rawVerdict(prog *Program, body []byte) ([]validator.Violation, bool, error) {
-	if prog.MatchRaw(body) {
-		return nil, true, nil
+// rawWire is one wire of the raw pipeline, for the replays below.
+type rawWire struct {
+	yaml bool
+}
+
+var jsonWire, yamlWire = rawWire{}, rawWire{yaml: true}
+
+func (w rawWire) String() string {
+	if w.yaml {
+		return "yaml"
 	}
-	o, err := object.ParseJSON(body)
+	return "json"
+}
+
+// encode writes o on the wire with its keys in the encoder's sorted
+// order, or in reverse order when reversed.
+func (w rawWire) encode(o object.Object, reversed bool) ([]byte, error) {
+	switch {
+	case reversed && w.yaml:
+		return reversedYAML(o), nil
+	case reversed:
+		return reversedJSON(o), nil
+	case w.yaml:
+		return o.MarshalYAML()
+	}
+	return json.Marshal(o)
+}
+
+func (w rawWire) scan(body []byte) (RawMeta, bool) {
+	if w.yaml {
+		return ScanRawYAMLMeta(body)
+	}
+	return ScanRawMeta(body)
+}
+
+func (w rawWire) parse(body []byte) (object.Object, error) {
+	if w.yaml {
+		return object.ParseManifest(body)
+	}
+	return object.ParseJSON(body)
+}
+
+// verdict runs the full raw-bytes admission pipeline on wire bytes,
+// exactly what the enforcement point does per request: the judging walk
+// first, decode + compiled Validate when it is undecided. decided
+// reports whether the walk judged the body.
+func (w rawWire) verdict(prog *Program, body []byte) (vs []validator.Violation, decided bool, err error) {
+	if meta, ok := w.scan(body); ok {
+		if vs, decided := prog.JudgeRawScanned(meta, body, w.yaml); decided {
+			return vs, true, nil
+		}
+	}
+	o, err := w.parse(body)
 	if err != nil {
 		return nil, false, err
 	}
 	return prog.Validate(o), false, nil
 }
 
-// TestRawPathEquivalenceOnRobustnessMatrix replays every scenario of
-// the full adversarial robustness matrix — plus the benign traces —
-// through the raw-bytes pipeline on wire-encoded bodies, requiring
-// verdicts AND violation lists identical to both the compiled and the
-// interpreted engine on the decoded document. It also requires the
-// streaming fast pass to actually decide the benign traffic (the whole
-// point), and never to vouch for an attack.
-func TestRawPathEquivalenceOnRobustnessMatrix(t *testing.T) {
-	if testing.Short() {
-		t.Skip("skipping full-matrix raw-path equivalence in -short smoke runs")
-	}
+// replayMatrix replays every scenario of the full adversarial robustness
+// matrix — plus the benign traces — through one wire's raw pipeline, each
+// body encoded with its keys in sorted order and again in reverse order,
+// requiring verdicts AND violation lists identical to both the compiled
+// and the interpreted engine on the decoded document, and that the walk
+// never vouches for a body the engines deny. It counts, over the sorted
+// encodings, the bodies the walk vouched for and those it diagnosed; the
+// reversed encodings must be judged alike.
+func replayMatrix(t *testing.T, w rawWire) (vouched, diagnosed int) {
+	t.Helper()
 	cs, err := loadCorpus()
 	if err != nil {
 		t.Fatal(err)
 	}
-	scenarios, benign, fastDecided := 0, 0, 0
+	scenarios, reversedVouched, reversedDiagnosed := 0, 0, 0
 	for _, c := range cs {
 		check := func(label string, o object.Object) {
-			body, err := json.Marshal(o)
-			if err != nil {
-				t.Fatal(err)
-			}
-			decoded, err := object.ParseJSON(body)
-			if err != nil {
-				t.Fatalf("%s: %s: wire body does not decode: %v", c.name, label, err)
-			}
-			in := c.policy.Validate(decoded)
-			comp := c.program.Validate(decoded)
-			if !reflect.DeepEqual(in, comp) {
-				t.Fatalf("%s: %s: decoded engines diverge:\ninterpreted: %v\ncompiled:    %v",
-					c.name, label, in, comp)
-			}
-			raw, decided, err := rawVerdict(c.program, body)
-			if err != nil {
-				t.Fatalf("%s: %s: raw pipeline decode error the engines did not see: %v",
-					c.name, label, err)
-			}
-			if decided {
-				fastDecided++
-				if len(in) != 0 {
-					t.Fatalf("%s: %s: streaming fast pass vouched for a body the engines deny: %v",
-						c.name, label, in)
+			for _, reversed := range []bool{false, true} {
+				body, err := w.encode(o, reversed)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if !reflect.DeepEqual(raw, in) {
-				t.Fatalf("%s: %s: raw pipeline diverges:\nraw:         %v\ninterpreted: %v",
-					c.name, label, raw, in)
+				decoded, err := w.parse(body)
+				if err != nil {
+					t.Fatalf("%s: %s (reversed=%v): wire body does not decode: %v\n%s", c.name, label, reversed, err, body)
+				}
+				in := c.policy.Validate(decoded)
+				comp := c.program.Validate(decoded)
+				if !reflect.DeepEqual(in, comp) {
+					t.Fatalf("%s: %s: decoded engines diverge:\ninterpreted: %v\ncompiled:    %v",
+						c.name, label, in, comp)
+				}
+				raw, decided, err := w.verdict(c.program, body)
+				if err != nil {
+					t.Fatalf("%s: %s (reversed=%v): raw pipeline decode error the engines did not see: %v",
+						c.name, label, reversed, err)
+				}
+				if !reflect.DeepEqual(raw, in) {
+					t.Fatalf("%s: %s (reversed=%v): raw pipeline diverges:\nraw:         %v\ninterpreted: %v\n%s",
+						c.name, label, reversed, raw, in, body)
+				}
+				if !decided {
+					continue
+				}
+				switch {
+				case len(raw) == 0 && reversed:
+					reversedVouched++
+				case len(raw) == 0:
+					vouched++
+				case reversed:
+					reversedDiagnosed++
+				default:
+					diagnosed++
+				}
 			}
 		}
 		for _, o := range c.benign {
-			benign++
 			check("benign "+o.Kind()+"/"+o.Name(), o)
 		}
 		scs, err := mutate.ForCatalog(c.benign, mutate.Options{})
@@ -97,25 +147,44 @@ func TestRawPathEquivalenceOnRobustnessMatrix(t *testing.T) {
 	if scenarios < 1555 {
 		t.Errorf("robustness matrix shrank: %d scenarios, want >= 1555", scenarios)
 	}
-	// The benign corpus is the allowed-request hot path; the fast pass
-	// must decide (nearly) all of it without decoding, or the streaming
-	// pipeline is dead weight. The fuzzers only prove "vouch ⇒ decoded
-	// allow", so this is also what fails when a change vouches for less:
-	// the count over the 1945 scenarios + 50 benign bodies is pinned
-	// exactly. Raising it is ROADMAP item 2(b)'s job; lowering it needs a
-	// stated reason.
-	if fastDecided != 49 {
-		t.Errorf("streaming fast pass decided %d bodies of the matrix, want exactly 49", fastDecided)
+	if reversedVouched != vouched || reversedDiagnosed != diagnosed {
+		t.Errorf("key order changed what the walk judges: sorted %d vouched / %d diagnosed, reversed %d / %d",
+			vouched, diagnosed, reversedVouched, reversedDiagnosed)
 	}
-	t.Logf("raw-path equivalence held on %d attack scenarios + %d benign objects (%d fast-pass decisions)",
-		scenarios, benign, fastDecided)
+	t.Logf("raw-path equivalence held on %d attack scenarios in both key orders (%d vouched, %d diagnosed)",
+		scenarios, vouched, diagnosed)
+	return vouched, diagnosed
+}
+
+// TestRawPathEquivalenceOnRobustnessMatrix is replayMatrix on the JSON
+// wire. The benign corpus is the allowed-request hot path; the walk must
+// vouch for (nearly) all of it without decoding, or the streaming
+// pipeline is dead weight. The fuzzers only prove "vouch ⇒ decoded
+// allow", so this is also what fails when a change vouches for less: the
+// count over the 1945 scenarios + 50 benign bodies is pinned exactly.
+// Raising it is ROADMAP item 4(b)'s job; lowering it needs a stated
+// reason. The diagnosed count is pinned the same way: it is the share of
+// the attacks answered without a decode.
+func TestRawPathEquivalenceOnRobustnessMatrix(t *testing.T) {
+	if testing.Short() {
+		t.Skip("skipping full-matrix raw-path equivalence in -short smoke runs")
+	}
+	vouched, diagnosed := replayMatrix(t, jsonWire)
+	if vouched != 49 {
+		t.Errorf("the walk vouched for %d bodies of the matrix, want exactly 49", vouched)
+	}
+	if diagnosed != 2020 {
+		t.Errorf("the walk diagnosed %d bodies of the matrix, want exactly 2020", diagnosed)
+	}
 }
 
 // FuzzRawEquivalence is the differential fuzz target of the streaming
 // engine: for arbitrary raw bytes it asserts that whenever MatchRaw
 // vouches for a body, the decode path accepts it and both decoded
-// engines allow the decoded document — against every builtin chart
-// policy AND against a policy consolidated from the document itself.
+// engines allow the decoded document, and that whenever the walk
+// diagnoses a denial, its list is both engines' (checkDiagnosis) —
+// against every builtin chart policy AND against a policy consolidated
+// from the document itself.
 // It also pins ScanRawMeta to the decoded accessors of every body that
 // decodes.
 func FuzzRawEquivalence(f *testing.F) {
@@ -145,6 +214,15 @@ func FuzzRawEquivalence(f *testing.F) {
 	// A complete prologue in an unterminated root: the scan is ok, the
 	// body does not decode.
 	f.Add([]byte(`{"apiVersion":"","kind":"","metadata":{}`))
+	// Denials the walk diagnoses, or must refuse to: keys out of order,
+	// -0, a float, an unknown kind before a malformed tail, a duplicate
+	// key after a violation, required resources filled with {}.
+	f.Add([]byte(`{"spec":{"zz":1,"aa":[true]},"metadata":{"zz":null,"name":"n","aa":"x"},"kind":"ConfigMap","apiVersion":"v1"}`))
+	f.Add([]byte(`{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":-0},"data":{"k":-0}}`))
+	f.Add([]byte(`{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"n"},"data":{"k":1.0}}`))
+	f.Add([]byte(`{"apiVersion":"v1","kind":"Nope","metadata":{},"spec":{"a":1,}`))
+	f.Add([]byte(`{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"n"},"zz":1,"data":{"a":1,"a":2}}`))
+	f.Add([]byte(`{"apiVersion":"apps/v1","kind":"Deployment","metadata":{"name":"d"},"spec":{"template":{"spec":{"containers":[{"name":"c","resources":{}},{"name":"d","resources":{"limits":{}}}]}}}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		meta, metaOK := ScanRawMeta(data)
@@ -162,6 +240,7 @@ func FuzzRawEquivalence(f *testing.F) {
 		check := func(name string, pol *validator.Validator, prog *Program) {
 			allowed := prog.MatchRaw(data)
 			if !allowed {
+				checkDiagnosis(t, name, jsonWire, pol, prog, data, o, perr)
 				return // fallback: the decode path rules, nothing to check
 			}
 			if perr != nil {

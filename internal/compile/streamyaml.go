@@ -3,17 +3,19 @@ package compile
 import (
 	"bytes"
 
+	"repro/internal/validator"
 	"repro/internal/yaml"
 )
 
 // This file is the block-YAML walker of the decode-free fast path: a
-// line cursor and one recursive skeleton over raw manifest bytes, so an
-// ALLOWED YAML request never materializes lines, strings, or a decoded
-// document. Its line grammar is the decoder's own (internal/yaml's
-// SplitLine, SplitEntry, SeqItem, TrimSpace, on byte spans here and on
-// strings there): the wire has one lexer. What a key, a scalar or a
-// collection means against the compiled program — and the one-sided
-// contract every zero return carries — is match.go's.
+// line cursor and one recursive skeleton over raw manifest bytes, so a
+// YAML request it judges — an allowed one or an enforce-mode denial —
+// never materializes lines, strings, or a decoded document. Its line
+// grammar is the decoder's own (internal/yaml's SplitLine, SplitEntry,
+// SeqItem, TrimSpace, on byte spans here and on strings there): the wire
+// has one lexer. What a key, a scalar or a collection means against the
+// compiled program — a vouch, a recorded violation, or the zero val that
+// gives up — is match.go's.
 //
 // What the walker owes that contract is "accepted ⇒ object.ParseManifest
 // accepts it too" (exactly one mapping document). Its skeleton follows
@@ -77,27 +79,31 @@ func ScanRawYAMLMeta(body []byte) (RawMeta, bool) {
 	return s.meta, true
 }
 
-// MatchRawYAML reports whether the raw YAML body is definitively allowed
-// by the program. False means "run the decode path", not "denied".
+// MatchRawYAML reports whether the program vouches for the raw YAML
+// body. False means "not vouched", not "denied": JudgeRawScanned tells a
+// diagnosed denial from an undecided body.
 func (p *Program) MatchRawYAML(body []byte) bool {
 	meta, ok := ScanRawYAMLMeta(body)
-	if !ok {
-		return false
-	}
-	return p.MatchRawYAMLScanned(meta, body)
+	return ok && p.MatchRawYAMLScanned(meta, body)
 }
 
 // MatchRawYAMLScanned is MatchRawYAML for a caller that already ran
 // ScanRawYAMLMeta on this exact body (the enforcement point scans once
 // for routing). meta MUST be the successful scan of body.
 func (p *Program) MatchRawYAMLScanned(meta RawMeta, body []byte) bool {
-	root, ok := p.rawRoot(meta)
-	if !ok {
-		return false
-	}
+	vs, decided := p.judgeYAML(meta, body)
+	return decided && vs == nil
+}
+
+// judgeYAML is JudgeRawScanned on the YAML wire.
+func (p *Program) judgeYAML(meta RawMeta, body []byte) ([]validator.Violation, bool) {
 	s := yamlScan{rawMatch: rawMatch{p: p}, data: body}
+	root := s.root(meta)
 	l, ok := s.openDocument()
-	return ok && s.node(l, root, 0) != 0 && s.closeDocument()
+	if !ok || s.node(l, root, 0) == 0 || !s.closeDocument() {
+		return nil, false
+	}
+	return s.out, true
 }
 
 // ---------------------------------------------------------------------
@@ -242,7 +248,7 @@ func (s *yamlScan) valueAfterKey(rest []byte, keyIndent int, idx int32, depth in
 			}
 		}
 		s.reset(m)
-		return s.admits(idx, token{kind: tokNull})
+		return s.judge(idx, token{kind: tokNull})
 	}
 	if c := rest[0]; c == '|' || c == '>' {
 		return 0 // block scalars: decode-path territory
@@ -323,7 +329,7 @@ func (s *yamlScan) sequence(indent int, idx int32, depth int) val {
 				iv = s.node(l2, item, depth+1)
 			} else {
 				s.reset(m)
-				iv = s.admits(item, token{kind: tokNull})
+				iv = s.judge(item, token{kind: tokNull})
 			}
 		} else {
 			// Re-read "- inner" as inner at the deeper indent, exactly as
@@ -350,7 +356,7 @@ func (s *yamlScan) sequence(indent int, idx int32, depth int) val {
 // errors), or a plain scalar.
 func (s *yamlScan) scalar(c []byte, idx int32) val {
 	if len(c) == 0 {
-		return s.admits(idx, token{kind: tokNull})
+		return s.judge(idx, token{kind: tokNull})
 	}
 	t := token{kind: tokString, seg: c, clean: true}
 	ok := true
@@ -380,7 +386,7 @@ func (s *yamlScan) scalar(c []byte, idx int32) val {
 	}
 	// Unlike JSON, YAML passes raw scalar bytes through with no UTF-8
 	// coercion, so clean strings stay clean even non-ASCII.
-	return s.admits(idx, t)
+	return s.judge(idx, t)
 }
 
 // unquoteSpan vouches for a quoted scalar: ok means the whole span is

@@ -5,24 +5,9 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/mutate"
 	"repro/internal/object"
 	"repro/internal/validator"
 )
-
-// rawYAMLVerdict runs the full raw-bytes admission pipeline on a YAML
-// wire body: streaming fast pass first, decode + compiled diagnostic
-// pass on fallback. The bool reports whether the fast pass decided.
-func rawYAMLVerdict(prog *Program, body []byte) ([]validator.Violation, bool, error) {
-	if prog.MatchRawYAML(body) {
-		return nil, true, nil
-	}
-	o, err := object.ParseManifest(body)
-	if err != nil {
-		return nil, false, err
-	}
-	return prog.Validate(o), false, nil
-}
 
 func TestScanRawYAMLMeta(t *testing.T) {
 	const prologue = "apiVersion: v1\nkind: Pod\nmetadata:\n  name: p\n  namespace: ns\n"
@@ -192,7 +177,7 @@ func TestMatchRawYAMLOnBenignCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			bodies++
-			raw, fast, err := rawYAMLVerdict(c.program, body)
+			raw, fast, err := yamlWire.verdict(c.program, body)
 			if err != nil {
 				t.Fatalf("%s: %s/%s: %v", c.name, o.Kind(), o.Name(), err)
 			}
@@ -253,92 +238,29 @@ func TestMatchRawYAMLFallsBack(t *testing.T) {
 	}
 }
 
-// TestYAMLRawPathEquivalenceOnRobustnessMatrix replays the full
-// adversarial robustness matrix — plus the benign traces — through the
-// YAML raw pipeline on YAML wire encodings, requiring verdicts AND
-// violation lists identical to both decoded engines, and zero false
-// vouches for attacks.
+// TestYAMLRawPathEquivalenceOnRobustnessMatrix is replayMatrix on the
+// YAML wire. As on the JSON wire, the vouched and the diagnosed sets are
+// pinned exactly, not only floored.
 func TestYAMLRawPathEquivalenceOnRobustnessMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("skipping full-matrix YAML raw-path equivalence in -short smoke runs")
 	}
-	cs, err := loadCorpus()
-	if err != nil {
-		t.Fatal(err)
+	vouched, diagnosed := replayMatrix(t, yamlWire)
+	if vouched != 46 {
+		t.Errorf("the YAML walk vouched for %d bodies of the matrix, want exactly 46", vouched)
 	}
-	scenarios, benign, fastDecided := 0, 0, 0
-	for _, c := range cs {
-		check := func(label string, o object.Object) {
-			body, err := o.MarshalYAML()
-			if err != nil {
-				t.Fatal(err)
-			}
-			decoded, err := object.ParseManifest(body)
-			if err != nil {
-				t.Fatalf("%s: %s: wire body does not decode: %v", c.name, label, err)
-			}
-			in := c.policy.Validate(decoded)
-			comp := c.program.Validate(decoded)
-			if !reflect.DeepEqual(in, comp) {
-				t.Fatalf("%s: %s: decoded engines diverge:\ninterpreted: %v\ncompiled:    %v",
-					c.name, label, in, comp)
-			}
-			raw, decided, err := rawYAMLVerdict(c.program, body)
-			if err != nil {
-				t.Fatalf("%s: %s: raw pipeline decode error the engines did not see: %v",
-					c.name, label, err)
-			}
-			if decided {
-				fastDecided++
-				if len(in) != 0 {
-					t.Fatalf("%s: %s: streaming YAML pass vouched for a body the engines deny: %v",
-						c.name, label, in)
-				}
-			}
-			if !reflect.DeepEqual(raw, in) {
-				t.Fatalf("%s: %s: raw YAML pipeline diverges:\nraw:         %v\ninterpreted: %v",
-					c.name, label, raw, in)
-			}
-		}
-		for _, o := range c.benign {
-			benign++
-			check("benign "+o.Kind()+"/"+o.Name(), o)
-		}
-		scs, err := mutate.ForCatalog(c.benign, mutate.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, sc := range scs {
-			scenarios++
-			check("scenario "+sc.ID, sc.Object)
-			if sc.OmitBodyNamespace {
-				alt := sc.Object.DeepCopy()
-				if md, ok := alt["metadata"].(map[string]any); ok {
-					delete(md, "namespace")
-				}
-				check("scenario "+sc.ID+" (namespace stripped)", alt)
-			}
-		}
+	if diagnosed != 1568 {
+		t.Errorf("the YAML walk diagnosed %d bodies of the matrix, want exactly 1568", diagnosed)
 	}
-	if scenarios < 1555 {
-		t.Errorf("robustness matrix shrank: %d scenarios, want >= 1555", scenarios)
-	}
-	// As on the JSON wire: the vouched set is pinned exactly, not only
-	// floored. Raising it is ROADMAP item 2(b)'s job; lowering it needs a
-	// stated reason.
-	if fastDecided != 46 {
-		t.Errorf("streaming YAML pass decided %d bodies of the matrix, want exactly 46", fastDecided)
-	}
-	t.Logf("YAML raw-path equivalence held on %d attack scenarios + %d benign objects (%d fast-pass decisions)",
-		scenarios, benign, fastDecided)
 }
 
 // FuzzRawYAMLEquivalence is the differential fuzz target of the YAML
 // streaming engine: for arbitrary bytes it asserts that whenever
 // MatchRawYAML vouches for a body, object.ParseManifest accepts it and
-// both decoded engines allow the decoded document — against every
-// builtin chart policy AND against a policy consolidated from the
-// document itself. It also pins ScanRawYAMLMeta to the decoded
+// both decoded engines allow the decoded document, and that whenever the
+// walk diagnoses a denial, its list is both engines' (checkDiagnosis) —
+// against every builtin chart policy AND against a policy consolidated
+// from the document itself. It also pins ScanRawYAMLMeta to the decoded
 // accessors of every body that decodes.
 func FuzzRawYAMLEquivalence(f *testing.F) {
 	cs, err := loadCorpus()
@@ -384,6 +306,15 @@ func FuzzRawYAMLEquivalence(f *testing.F) {
 	}
 	label := "    app.kubernetes.io/instance: rel\n"
 	f.Add([]byte(strings.Replace(string(body), label, label+"    app.kubernetes.io/instance"+nbsp+": rel\n", 1)))
+	// Denials the walk diagnoses, or must refuse to: keys out of order,
+	// -0, a float, an unknown kind before a malformed tail, a duplicate
+	// key after a violation, required resources filled with {}.
+	f.Add([]byte("spec:\n  zz: 1\n  aa:\n  - true\nmetadata:\n  zz: null\n  name: n\n  aa: x\nkind: ConfigMap\napiVersion: v1\n"))
+	f.Add([]byte("apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: -0\ndata:\n  k: -0\n"))
+	f.Add([]byte("apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: n\ndata:\n  k: 1.0\n"))
+	f.Add([]byte("apiVersion: v1\nkind: Nope\nmetadata: {}\nspec:\n  a: 1\n   b: 2\n"))
+	f.Add([]byte("apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: n\nzz: 1\ndata:\n  a: 1\n  a: 2\n"))
+	f.Add([]byte("apiVersion: apps/v1\nkind: Deployment\nmetadata:\n  name: d\nspec:\n  template:\n    spec:\n      containers:\n      - name: c\n        resources: {}\n      - name: d\n        resources:\n          limits: {}\n"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		meta, metaOK := ScanRawYAMLMeta(data)
@@ -400,6 +331,7 @@ func FuzzRawYAMLEquivalence(f *testing.F) {
 		}
 		check := func(name string, pol *validator.Validator, prog *Program) {
 			if !prog.MatchRawYAML(data) {
+				checkDiagnosis(t, name, yamlWire, pol, prog, data, o, perr)
 				return // fallback: the decode path rules, nothing to check
 			}
 			if perr != nil {

@@ -8,8 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mutate"
 	"repro/internal/object"
 	"repro/internal/registry"
+	"repro/internal/replay"
 	"repro/internal/synth"
 	"repro/internal/telemetry"
 )
@@ -46,12 +48,13 @@ const benchStamp = "7340000000000137"
 
 // synthFleet is a synthetic fleet behind one registry-backed proxy: each
 // workload's benign manifests as JSON and YAML bodies, every one allowed
-// by its own policy.
+// by its own policy, and its mutation matrix as JSON attack bodies.
 type synthFleet struct {
-	proxy *Proxy
-	hub   *telemetry.Hub
-	json  []fleetBody
-	yaml  []fleetBody
+	proxy   *Proxy
+	hub     *telemetry.Hub
+	json    []fleetBody
+	yaml    []fleetBody
+	attacks []fleetBody
 }
 
 type fleetBody struct {
@@ -92,6 +95,25 @@ func newSynthFleet(tb testing.TB, count int) *synthFleet {
 			}
 			f.json = append(f.json, fleetBody{path, jb})
 			f.yaml = append(f.yaml, fleetBody{path, yb})
+		}
+		// One variant per (attack, mutation class) pair, as bench/'s
+		// attack_mix sends them; the JSON-wire ones.
+		scs, err := mutate.ForCatalog(w.Objects, mutate.Options{MaxPerAttackClass: 1})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, sc := range scs {
+			sc.Object = sc.Object.DeepCopy()
+			if object.Set(sc.Object, "metadata.resourceVersion", benchStamp) != nil {
+				continue
+			}
+			ev, err := replay.AttackEvent(w.Name, sc)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if ev.ContentType == "application/json" {
+				f.attacks = append(f.attacks, fleetBody{ev.Path, ev.Body})
+			}
 		}
 	}
 	f.proxy, err = New(Config{
@@ -150,44 +172,61 @@ func serveLoop(tb testing.TB, f *synthFleet, corpus []fleetBody, contentType str
 	return serve
 }
 
-// benchServe drives ServeHTTP over the fleet's JSON bodies round-robin.
-func benchServe(b *testing.B, unique bool) {
+// benchServe drives ServeHTTP over one of the fleet's JSON corpora
+// round-robin: the benign bodies, every one raw-allowed, or with deny
+// the attacks, every one denied and some on the raw path.
+func benchServe(b *testing.B, unique, deny bool) {
 	f := newSynthFleet(b, 60)
-	serve := serveLoop(b, f, f.json, "application/json", unique)
+	corpus := f.json
+	if deny {
+		corpus = f.attacks
+	}
+	serve := serveLoop(b, f, corpus, "application/json", unique)
 	before := f.proxy.Metrics()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
-		serve(len(f.json) + n)
+		serve(len(corpus) + n)
 	}
 	b.StopTimer()
 	after := f.proxy.Metrics()
-	if got := after.Requests - before.Requests; got != uint64(b.N) || after.Denied != 0 ||
-		after.RawAllowed-before.RawAllowed == 0 {
-		b.Fatalf("served %d of %d, denied %d, raw-allowed %d", got, b.N, after.Denied,
-			after.RawAllowed-before.RawAllowed)
+	served, denied := after.Requests-before.Requests, after.Denied-before.Denied
+	raw := after.RawAllowed - before.RawAllowed
+	if deny {
+		denied, raw = served-denied, after.RawDenied-before.RawDenied
+	}
+	if served != uint64(b.N) || denied != 0 || raw == 0 {
+		b.Fatalf("served %d of %d, %d with the wrong verdict, %d on the raw path", served, b.N, denied, raw)
 	}
 }
 
 // BenchmarkServeReapply is the steady state: every body has been seen,
 // so a decision is read + hash + memo probe + resolve + cache probe +
 // forward.
-func BenchmarkServeReapply(b *testing.B) { benchServe(b, false) }
+func BenchmarkServeReapply(b *testing.B) { benchServe(b, false, false) }
 
 // BenchmarkServeUnique is the cold path: every body is new, so the memo
 // and the decision cache miss and the scanner and matcher do the work.
-func BenchmarkServeUnique(b *testing.B) { benchServe(b, true) }
+func BenchmarkServeUnique(b *testing.B) { benchServe(b, true, false) }
 
-// TestServeAllocationCeiling pins what an allowed request may allocate
-// through the whole handler, on the traffic the two benchmarks above
-// time: a re-applied body and a never-seen one, on both wires. The
+// BenchmarkServeDeny is the cold path of an attack: every body is a
+// never-seen mutation, judged by the walk (or, for a construct it cannot
+// judge, decoded), then recorded and answered 403.
+func BenchmarkServeDeny(b *testing.B) { benchServe(b, true, true) }
+
+// TestServeAllocationCeiling pins what a request may allocate through
+// the whole handler, on the traffic the benchmarks above time: a
+// re-applied body and a never-seen one, on both wires, and a never-seen
+// attack (unique-deny-json: its list, record and 403 allocate; the walk
+// that judges most attacks does not). The
 // ceilings are AllocsPerRun's floored corpus means. unique-yaml carries
 // the bodies the match leaves to the decoder; reapply-yaml is half of it
 // because such a body — its only construct the scanner will not vouch
 // for is a plain scalar such as 0.0.0.0 in spec — still scans, its
 // prologue ending before that scalar, so a re-apply is answered by the
 // decision cache instead of being decoded every time. A change that
-// raises one has started allocating on the allowed fast path. They were
+// raises an allowed row has started allocating on the allowed fast path;
+// one that raises the deny row, on the denial path. They were
 // measured on go1.24 only and are unverified on the go1.22 / go1.23
 // toolchains CI also runs: if a row is red there with the product
 // untouched, re-pin it to the maximum over the matrix.
@@ -198,12 +237,14 @@ func TestServeAllocationCeiling(t *testing.T) {
 		corpus      []fleetBody
 		contentType string
 		unique      bool
+		deny        bool
 		ceiling     float64
 	}{
-		{"reapply-json", f.json, "application/json", false, 10},
-		{"unique-json", f.json, "application/json", true, 11},
-		{"reapply-yaml", f.yaml, "application/yaml", false, 15},
-		{"unique-yaml", f.yaml, "application/yaml", true, 31},
+		{"reapply-json", f.json, "application/json", false, false, 10},
+		{"unique-json", f.json, "application/json", true, false, 11},
+		{"reapply-yaml", f.yaml, "application/yaml", false, false, 15},
+		{"unique-yaml", f.yaml, "application/yaml", true, false, 31},
+		{"unique-deny-json", f.attacks, "application/json", true, true, 21},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			serve := serveLoop(t, f, tc.corpus, tc.contentType, tc.unique)
@@ -214,12 +255,19 @@ func TestServeAllocationCeiling(t *testing.T) {
 				n++
 			})
 			after := f.proxy.Metrics()
-			if after.Denied != 0 || after.RawAllowed == before.RawAllowed {
-				t.Fatalf("denied %d, raw-allowed %d: the corpus left the allowed fast path",
-					after.Denied, after.RawAllowed-before.RawAllowed)
+			denied, raw := after.Denied-before.Denied, after.RawAllowed-before.RawAllowed
+			if tc.deny {
+				denied, raw = after.Requests-before.Requests-denied, after.RawDenied-before.RawDenied
 			}
-			if allocs > tc.ceiling+raceAllocSlack {
-				t.Errorf("%.0f allocs/request, ceiling %.0f", allocs, tc.ceiling+raceAllocSlack)
+			if denied != 0 || raw == 0 {
+				t.Fatalf("%d with the wrong verdict, %d on the raw path: the corpus left its fast path", denied, raw)
+			}
+			slack := float64(raceAllocSlack)
+			if tc.deny {
+				slack = raceDenyAllocSlack
+			}
+			if allocs > tc.ceiling+slack {
+				t.Errorf("%.0f allocs/request, ceiling %.0f", allocs, tc.ceiling+slack)
 			}
 		})
 	}

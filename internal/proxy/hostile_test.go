@@ -2,10 +2,13 @@ package proxy
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -58,6 +61,71 @@ func TestDecodeErrorsDoNotEchoAttackerSizedInput(t *testing.T) {
 		}
 		if n := recordBytes(recs[0]); n >= 1024 {
 			t.Errorf("%s: retained denial record holds %d bytes, want < 1 KiB", name, n)
+		}
+	}
+}
+
+// TestDenialRetainsAndEchoesBoundedBytes: a denial record is retained
+// by the workload's and the proxy's denial logs and echoed in the 403,
+// so what one denied request pins must not be the attacker's to size.
+// A 4 MiB string in a denied field (Got is cut to 256 bytes) and 350 k
+// unknown fields (the list is cut to maxDenyViolations plus one
+// "+N more violations" entry) must each cost under 16 KiB in the record
+// and in the 403, on the raw path and on the decode path.
+func TestDenialRetainsAndEchoesBoundedBytes(t *testing.T) {
+	const bound = 16 << 10
+	deployment := goodDeployment()
+	deployment["spec"].(map[string]any)["replicas"] = int64(2)
+	container := deployment["spec"].(map[string]any)["template"].(map[string]any)["spec"].(map[string]any)["containers"].([]any)[0]
+	container.(map[string]any)["image"] = "evil.io/" + strings.Repeat("x", maxInspectBytes-1024)
+	bigString, err := json.Marshal(deployment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const fields = 350_000
+	var b strings.Builder
+	b.WriteString(`{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm"},"data":{`)
+	for i := 0; i < fields; i++ {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(`"` + strconv.FormatInt(int64(i), 36) + `":0`)
+	}
+	b.WriteString("}}")
+	manyFields := []byte(b.String())
+	if len(bigString) > maxInspectBytes || len(manyFields) > maxInspectBytes {
+		t.Fatalf("hostile bodies of %d and %d bytes exceed the inspection cap", len(bigString), len(manyFields))
+	}
+
+	for _, disableRaw := range []bool{false, true} {
+		for name, body := range map[string][]byte{"4 MiB denied string": bigString, "350 k unknown fields": manyFields} {
+			p := newRawPathProxy(t, func(c *Config) { c.DisableRawFastPath = disableRaw })
+			resp := postRaw(p, body)
+			if resp.Code != http.StatusForbidden {
+				t.Fatalf("%s (raw off: %v): code = %d, want 403", name, disableRaw, resp.Code)
+			}
+			if n := resp.Body.Len(); n >= bound {
+				t.Errorf("%s (raw off: %v): 403 body is %d bytes, want < %d", name, disableRaw, n, bound)
+			}
+			recs := p.Violations()
+			if len(recs) != 1 {
+				t.Fatalf("%s (raw off: %v): %d denial records, want 1", name, disableRaw, len(recs))
+			}
+			if n := recordBytes(recs[0]); n >= bound {
+				t.Errorf("%s (raw off: %v): retained denial record holds %d bytes, want < %d", name, disableRaw, n, bound)
+			}
+			for w, wrecs := range p.Registry().Violations() {
+				if n := recordBytes(wrecs[0]); n >= bound {
+					t.Errorf("%s (raw off: %v): workload %s retains %d bytes, want < %d", name, disableRaw, w, n, bound)
+				}
+			}
+			if name == "350 k unknown fields" {
+				vs := recs[0].Violations
+				if want := fmt.Sprintf("+%d more violations", fields-maxDenyViolations); len(vs) != maxDenyViolations+1 || vs[maxDenyViolations].Reason != want {
+					t.Errorf("raw off: %v: %d violations retained, last %+v, want %d and %q",
+						disableRaw, len(vs), vs[len(vs)-1], maxDenyViolations+1, want)
+				}
+			}
 		}
 	}
 }

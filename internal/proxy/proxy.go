@@ -22,15 +22,19 @@
 // workloads the policy is resolved through the registry's match trie
 // without materializing strings (ResolveRaw), the workload's
 // decision-cache shard is probed with the same hash, and on a miss the
-// compiled program's streaming fast pass walks the raw bytes, all of
-// them — so a re-applied manifest costs a read, a hash and three table
-// probes, a never-seen one is walked once past its prologue, an ALLOWED
-// request is never decoded into a document at all, and its buffer
-// returns to the pool when the upstream round trip completes.
-// Only deny verdicts, cache-missed shadow/learn traffic, tap-equipped
-// proxies, and constructs the scanners cannot vouch for take the classic
-// decode + diagnostic path, whose verdicts and violation lists the raw
-// path reproduces exactly (registry.ValidateRaw contract). ServeHTTP is
+// compiled program judges the raw bytes, all of them, in one walk — so a
+// re-applied manifest costs a read, a hash and three table probes, a
+// never-seen one is walked once past its prologue, an ALLOWED request is
+// never decoded into a document at all, and its buffer returns to the
+// pool when the upstream round trip completes. An enforce-mode denial is
+// judged by the same walk: it records each violation and walks on, and
+// the list it ends with is the one the decode path would produce, so the
+// denial is cached, recorded and answered without a decode. Only
+// cache-missed shadow/learn traffic, tap-equipped proxies, workloads
+// with cross-resource invariants, and constructs the walkers cannot
+// judge byte for byte take the classic decode + diagnostic path, whose
+// verdicts and violation lists the raw path reproduces exactly
+// (registry.ValidateRaw contract). ServeHTTP is
 // the two steps back to back; a tier fronting several proxies
 // (internal/plane) builds the Request itself, routes on it, and hands it
 // to the owning replica's Serve.
@@ -91,8 +95,8 @@ type Metrics struct {
 	// RawAllowed counts inspected requests decided on the streaming
 	// fast path (raw bytes, no decode), including body-hash cache hits.
 	RawAllowed uint64
-	// RawDenied counts inspected requests denied without decoding
-	// (cached denials answered from raw bytes).
+	// RawDenied counts inspected requests denied without decoding:
+	// judged on raw bytes, cached or diagnosed.
 	RawDenied      uint64
 	ValidationTime time.Duration
 }
@@ -376,9 +380,11 @@ func undecodable(err error) decision {
 // on the classic path. ResolveRaw probes the registry's match trie on
 // the scanned byte slices without materializing strings. Taps force the
 // decode path (they consume the object); non-enforce modes, workloads
-// with no policy yet and verdicts that need diagnostics decode after
-// resolving (learn feeds the miner, shadow records diagnostics, an
-// uncached denial lists its violations).
+// with no policy yet and bodies the walk cannot judge decode after
+// resolving (learn feeds the miner, shadow records diagnostics). An
+// enforce-mode decision off the raw bytes — a vouch, a cached verdict or
+// a diagnosed denial — is a PathRaw decision named by the scanned
+// prologue (Request.ident).
 func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.TraceCtx) decision {
 	raw := !p.disableRaw && p.tap == nil
 	if raw {
@@ -419,11 +425,12 @@ func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.T
 		if entry.Mode() == registry.ModeEnforce && entry.Program() != nil {
 			vs, decided := p.registry.ValidateRawHashed(entry, q.body, q.sum(), q.meta, q.format == formatYAML)
 			if decided {
-				tc.Stage("raw-match")
 				if len(vs) > 0 {
+					tc.Stage("raw-diagnose")
 					p.rawDenied.Add(1)
 					return decision{entry: entry, verdict: telemetry.VerdictDenied, path: path, violations: vs}
 				}
+				tc.Stage("raw-match")
 				p.rawAllowed.Add(1)
 				return decision{entry: entry, verdict: telemetry.VerdictAllowed, path: path}
 			}
@@ -542,6 +549,7 @@ func (p *Proxy) deny(w http.ResponseWriter, r *http.Request, user string,
 	if code == http.StatusForbidden {
 		p.denied.Add(1)
 	}
+	violations = capViolations(violations)
 	rec := ViolationRecord{
 		Time:       time.Now(),
 		User:       user,
@@ -579,6 +587,24 @@ func (p *Proxy) deny(w http.ResponseWriter, r *http.Request, user string,
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(&body)
+}
+
+// maxDenyViolations bounds the violations one denial record retains and
+// its 403 echoes: past it, one "+N more violations" entry stands for the
+// rest. A body of 350 k unknown fields is 350 k violations; the engines
+// and the decision cache keep the whole list, the logs and the client do
+// not.
+const maxDenyViolations = 64
+
+// capViolations is violations cut to maxDenyViolations and the count of
+// the rest, never written into violations' own array (a cached decision
+// may share it).
+func capViolations(violations []validator.Violation) []validator.Violation {
+	if len(violations) <= maxDenyViolations {
+		return violations
+	}
+	more := validator.Violation{Reason: fmt.Sprintf("+%d more violations", len(violations)-maxDenyViolations)}
+	return append(violations[:maxDenyViolations:maxDenyViolations], more)
 }
 
 // denyStatus is the Kubernetes Status body of a denial. The fields are

@@ -2,4 +2,4 @@
 
 package proxy
 
-const raceAllocSlack = 0
+const raceAllocSlack, raceDenyAllocSlack = 0, 0

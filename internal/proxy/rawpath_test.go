@@ -106,8 +106,8 @@ func TestRawFastPathFallbackParityOnDenial(t *testing.T) {
 		t.Errorf("violation lists diverge:\nraw:     %v\nclassic: %v",
 			vRaw[0].Violations, vClassic[0].Violations)
 	}
-	if m := raw.Metrics(); m.RawAllowed != 0 || m.RawDenied != 0 {
-		t.Errorf("uncached denial must take the decode path: %+v", m)
+	if m := raw.Metrics(); m.RawAllowed != 0 || m.RawDenied != 1 {
+		t.Errorf("uncached denial must be diagnosed on the raw path: %+v", m)
 	}
 }
 
@@ -122,9 +122,16 @@ func TestRawFastPathCachedDenialSkipsDecode(t *testing.T) {
 		t.Errorf("cached denial diverges from original:\nfirst:  %s\nsecond: %s",
 			first.Body.String(), second.Body.String())
 	}
+	// The first denial is diagnosed off the raw bytes, the second is its
+	// cached list: neither decodes.
 	m := p.Metrics()
-	if m.RawDenied != 1 {
-		t.Errorf("RawDenied = %d, want 1 (second denial answered from raw bytes): %+v", m.RawDenied, m)
+	if m.RawDenied != 2 {
+		t.Errorf("RawDenied = %d, want 2 (diagnosed, then answered from the cache): %+v", m.RawDenied, m)
+	}
+	for w, rm := range p.Registry().Metrics() {
+		if rm.Requests != 2 || rm.CacheHits != 1 {
+			t.Errorf("workload %s: %+v, want 2 requests, 1 cache hit", w, rm)
+		}
 	}
 	vs := p.Violations()
 	if len(vs) != 2 || vs[1].Kind != "Deployment" || vs[1].Name != "web" {
@@ -307,6 +314,13 @@ func FuzzRawPathMatchesClassic(f *testing.F) {
 		// Unicode white space the YAML decoder trims off values and keys.
 		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: b" + nbsp + "\ndata:\n  mode: lenient\n"},
 		{true, string(nginxDuplicateLabel(f))},
+		// Denials the raw walk diagnoses: keys out of order around an
+		// unlisted key and a refused value, a required field emptied, and
+		// an unknown kind before a tail that does not decode.
+		{false, `{"metadata":{"namespace":"b","zz":1,"name":"cm"},"kind":"ConfigMap","data":{"mode":"x","aa":[]},"apiVersion":"v1"}`},
+		{true, "metadata:\n  namespace: b\n  zz: 1\n  name: cm\nkind: ConfigMap\ndata:\n  mode: -0\n  aa: []\napiVersion: v1\n"},
+		{false, `{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm","namespace":"b"},"data":{}}`},
+		{false, `{"apiVersion":"v1","kind":"Nope","metadata":{"namespace":"b"},"data":{"a":1,}`},
 	} {
 		f.Add([]byte(s.body), s.yaml)
 	}

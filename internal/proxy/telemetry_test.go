@@ -164,11 +164,35 @@ func TestProxyRecordsVerdictTelemetry(t *testing.T) {
 	if !sawResolve {
 		t.Error("no sampled trace carries a resolve stage")
 	}
+
+	// The denial was judged on the raw bytes: it is counted on the raw
+	// path, and its trace shows the raw-diagnose stage and no decode, so
+	// a vouch (raw-match), a raw denial and a decode tell apart.
+	if c := snap.Workload("alpha").Cell(telemetry.VerdictDenied.String(), telemetry.PathRaw.String()); c == nil || c.Count != 1 {
+		t.Errorf("alpha's denial is not on the raw path: %+v", snap.Workload("alpha").Cells)
+	}
+	for _, tr := range traces {
+		if tr.Verdict != telemetry.VerdictDenied.String() {
+			continue
+		}
+		var stages []string
+		for _, st := range tr.StageList() {
+			stages = append(stages, st.Name)
+		}
+		if got := strings.Join(stages, ","); got != "scan,resolve,raw-diagnose" {
+			t.Errorf("raw denial's trace stages = %s, want scan,resolve,raw-diagnose", got)
+		}
+	}
 }
 
 // The hub of the proxy that serves a request counts how the scan memo
 // answered it, and the counters reach the snapshot and /metrics.
 func TestProxyRecordsScanMemoTelemetry(t *testing.T) {
+	// The memo is process-wide, and the tests before this one may have
+	// filled the set this body lands in (an eviction); a fresh memo makes
+	// the counts this request's alone.
+	defer func(m *scanMemo) { processScanMemo = m }(processScanMemo)
+	processScanMemo = newScanMemo(memoSets)
 	p, _, hub := telemetryFixture(t, "alpha")
 	// A body no other test sends, so the process-wide memo has not seen it.
 	o := tenantConfigMap("alpha", "alpha")

@@ -37,6 +37,9 @@ func rawTestPolicy(t *testing.T) *validator.Validator {
 var (
 	rawBenignBody = []byte(`{"kind":"Pod","metadata":{"name":"web"},"spec":{"hostNetwork":false,"containers":[{"name":"c","image":"docker.io/library/nginx:1.25","resources":{"limits":{"cpu":"100m"}}}]}}`)
 	rawAttackBody = []byte(`{"kind":"Pod","metadata":{"name":"web"},"spec":{"hostNetwork":true,"containers":[{"name":"c","image":"docker.io/library/nginx:1.25","resources":{"limits":{"cpu":"100m"}}}]}}`)
+	// rawEscapedAttackBody's image is an escaped string: the walk cannot
+	// spell what it decodes to, so it cannot judge the body.
+	rawEscapedAttackBody = []byte(`{"kind":"Pod","metadata":{"name":"web"},"spec":{"hostNetwork":false,"containers":[{"name":"c","image":"evil.io\/nginx","resources":{"limits":{"cpu":"100m"}}}]}}`)
 )
 
 func TestValidateRawFastPath(t *testing.T) {
@@ -71,28 +74,60 @@ func TestValidateRawFallbackAndCachedDenial(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A violating body is never decided raw: the caller decodes and runs
-	// the diagnostic engine.
-	vs, decided := reg.ValidateRaw(e, rawAttackBody)
+	// A violating body the walk cannot judge is left undecided: the caller
+	// decodes and runs the diagnostic engine.
+	vs, decided := reg.ValidateRaw(e, rawEscapedAttackBody)
 	if decided {
-		t.Fatalf("attack body decided raw: vs=%v", vs)
+		t.Fatalf("escaped attack body decided raw: vs=%v", vs)
 	}
 	if m := e.Metrics(); m.Requests != 0 {
 		t.Fatalf("undecided raw pass must not count a request: %+v", m)
+	}
+	o, err := object.ParseJSON(rawEscapedAttackBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	denial := reg.Validate(e, rawEscapedAttackBody, o)
+	if len(denial) == 0 {
+		t.Fatal("escaped attack body not denied by the decode path")
+	}
+	// The decode-path denial is now cached: the raw path returns the
+	// exact violation list with no decode at all.
+	vs, decided = reg.ValidateRaw(e, rawEscapedAttackBody)
+	if !decided || !reflect.DeepEqual(vs, denial) {
+		t.Fatalf("cached denial: decided=%v\nvs:   %v\nwant: %v", decided, vs, denial)
+	}
+}
+
+// TestValidateRawDiagnosesDenial: a violating body the walk can judge is
+// decided raw with the decode path's exact list, counted once, and
+// cached under the body hash like any other decision.
+func TestValidateRawDiagnosesDenial(t *testing.T) {
+	reg := New(Config{CacheSize: 16})
+	e, err := reg.Register("web", Selector{}, rawTestPolicy(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, decided := reg.ValidateRaw(e, rawAttackBody)
+	if !decided || len(vs) == 0 {
+		t.Fatalf("attack body: decided=%v vs=%v, want a raw diagnosis", decided, vs)
 	}
 	o, err := object.ParseJSON(rawAttackBody)
 	if err != nil {
 		t.Fatal(err)
 	}
-	denial := reg.Validate(e, rawAttackBody, o)
-	if len(denial) == 0 {
-		t.Fatal("attack body not denied by the decode path")
+	if want := e.Program().Validate(o); !reflect.DeepEqual(vs, want) {
+		t.Fatalf("raw diagnosis diverges from the decode path:\nraw:    %v\ndecode: %v", vs, want)
 	}
-	// The decode-path denial is now cached: the raw path returns the
-	// exact violation list with no decode at all.
-	vs, decided = reg.ValidateRaw(e, rawAttackBody)
-	if !decided || !reflect.DeepEqual(vs, denial) {
-		t.Fatalf("cached denial: decided=%v\nvs:   %v\nwant: %v", decided, vs, denial)
+	if m := e.Metrics(); m.Requests != 1 || m.CacheHits != 0 {
+		t.Fatalf("metrics after a raw diagnosis: %+v", m)
+	}
+	again, decided := reg.ValidateRaw(e, rawAttackBody)
+	if !decided || !reflect.DeepEqual(again, vs) {
+		t.Fatalf("cached diagnosis: decided=%v vs=%v", decided, again)
+	}
+	if m := e.Metrics(); m.Requests != 2 || m.CacheHits != 1 {
+		t.Fatalf("metrics after the cached diagnosis: %+v", m)
 	}
 }
 
@@ -106,8 +141,11 @@ func TestValidateRawNoCache(t *testing.T) {
 	if !decided || vs != nil {
 		t.Fatalf("cacheless fast pass: decided=%v vs=%v", decided, vs)
 	}
-	if _, decided := reg.ValidateRaw(e, rawAttackBody); decided {
-		t.Fatal("cacheless attack body decided raw")
+	if _, decided := reg.ValidateRaw(e, rawEscapedAttackBody); decided {
+		t.Fatal("cacheless escaped attack body decided raw")
+	}
+	if vs, decided := reg.ValidateRaw(e, rawAttackBody); !decided || len(vs) == 0 {
+		t.Fatalf("cacheless attack body: decided=%v vs=%v, want a raw diagnosis", decided, vs)
 	}
 }
 

@@ -771,14 +771,17 @@ func newCacheKey(gen uint64, body []byte, sum *[sha256.Size]byte) cacheKey {
 // without decoding: the entry's decision-cache shard is consulted on the
 // body hash first (operators re-apply identical manifests every
 // reconcile loop, so the common case never even tokenizes), then the
-// compiled program's streaming fast pass walks the bytes directly.
+// compiled program judges the bytes directly
+// (compile.Program.JudgeRawScanned).
 //
-// decided=true returns the authoritative violation list (nil = allowed;
-// cached denials come back verbatim). decided=false means the raw view
-// could not rule — the caller must decode the body and call Validate,
-// which produces the exact diagnostic violation list. Entries carrying
-// cross-resource invariants skip the streaming pass but still honor the
-// cache short-circuit.
+// decided=true returns the authoritative violation list: nil = allowed;
+// cached denials come back verbatim, and an uncached one is the judging
+// walk's diagnosis — Validate's list on the decoded body — cached under
+// the same key. decided=false means the raw view could not rule — the
+// caller must decode the body and call Validate, which produces the
+// exact diagnostic violation list. Either way a request is counted
+// once. Entries carrying cross-resource invariants skip the judging
+// walk but still honor the cache short-circuit.
 func (r *Registry) ValidateRaw(e *Entry, body []byte) (vs []validator.Violation, decided bool) {
 	meta, ok := compile.ScanRawMeta(body)
 	return r.validateRaw(e, body, nil, meta, ok, false)
@@ -786,20 +789,20 @@ func (r *Registry) ValidateRaw(e *Entry, body []byte) (vs []validator.Violation,
 
 // ValidateRawScanned is ValidateRaw for a caller that already ran
 // compile.ScanRawMeta on this exact body (the proxy scans once for
-// routing): the streaming pass reuses the scan instead of re-tokenizing
+// routing): the judging walk reuses the scan instead of re-tokenizing
 // the body's prologue. meta MUST be the successful scan of body. The
 // scan reads the prologue only, so the body may still not decode; the
-// answers stay correct regardless — the streaming pass walks every byte
-// and vouches for nothing undecodable, a cached decision was made on a
-// body that decoded, and a workload with no policy yet fails closed
-// whatever the body is.
+// answers stay correct regardless — the judging walk reads every byte
+// and decides nothing undecodable, a cached decision was made on a body
+// that decoded, and a workload with no policy yet fails closed whatever
+// the body is.
 func (r *Registry) ValidateRawScanned(e *Entry, body []byte, meta compile.RawMeta) (vs []validator.Violation, decided bool) {
 	return r.validateRaw(e, body, nil, meta, true, false)
 }
 
 // ValidateRawYAMLScanned is ValidateRawScanned for YAML wire bytes:
 // meta MUST be the successful compile.ScanRawYAMLMeta of body, and the
-// streaming pass runs the YAML matcher against the same compiled
+// judging walk runs the YAML walker against the same compiled
 // program. The cache short-circuit and all gating rules are shared with
 // the JSON path.
 func (r *Registry) ValidateRawYAMLScanned(e *Entry, body []byte, meta compile.RawMeta) (vs []validator.Violation, decided bool) {
@@ -835,7 +838,7 @@ func (r *Registry) validateRaw(e *Entry, body []byte, sum *[sha256.Size]byte, me
 		}
 	}
 	// Entries carrying cross-resource invariants never decide on the raw
-	// view: the streaming pass vouches only for schema conformance, and
+	// view: the judging walk rules on schema conformance only, and
 	// an invariant needs the decoded object. The cache short-circuit
 	// above is still sound — cached verdicts were computed by the decode
 	// path WITH the invariants, under the same generation.
@@ -843,13 +846,8 @@ func (r *Registry) validateRaw(e *Entry, body []byte, sum *[sha256.Size]byte, me
 		return nil, false
 	}
 	start := time.Now()
-	var matched bool
-	if yamlBody {
-		matched = ver.program.MatchRawYAMLScanned(meta, body)
-	} else {
-		matched = ver.program.MatchRawScanned(meta, body)
-	}
-	if !matched {
+	vs, decided = ver.program.JudgeRawScanned(meta, body, yamlBody)
+	if !decided {
 		// Undecided: the caller's Validate call does the request
 		// accounting (exactly one count per inspected request).
 		return nil, false
@@ -857,9 +855,9 @@ func (r *Registry) validateRaw(e *Entry, body []byte, sum *[sha256.Size]byte, me
 	e.requests.Add(1)
 	e.valNanos.Add(int64(time.Since(start)))
 	if cached {
-		e.cache.put(key, nil)
+		e.cache.put(key, vs)
 	}
-	return nil, true
+	return vs, true
 }
 
 // Validate checks a decoded object against an entry's policy, executing

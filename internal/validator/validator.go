@@ -18,8 +18,10 @@ import (
 	"fmt"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync/atomic"
+	"unicode/utf8"
 
 	"repro/internal/object"
 	"repro/internal/schema"
@@ -509,12 +511,12 @@ func (v *Validator) Validate(o object.Object) []Violation {
 	}
 	root, ok := v.Kinds[kind]
 	if !ok {
-		return []Violation{{Reason: fmt.Sprintf("kind %s is not used by workload %s", kind, v.Workload)}}
+		return []Violation{{Reason: fmt.Sprintf("kind %s is not used by workload %s", Bounded(kind), v.Workload)}}
 	}
 	if avs := v.APIVersions[kind]; len(avs) > 0 {
 		if av := o.APIVersion(); av != "" && !avs[av] {
 			return []Violation{{Path: "apiVersion",
-				Reason: "apiVersion not allowed for kind " + kind, Got: av}}
+				Reason: "apiVersion not allowed for kind " + kind, Got: Bounded(av)}}
 		}
 	}
 	body := map[string]any(o.DeepCopy())
@@ -740,13 +742,38 @@ func TypeName(v any) string {
 	}
 }
 
-// RenderValue renders an offending value for violation messages. Shared
-// with internal/compile so both engines render identical reasons.
+// RenderValue renders an offending value for violation messages, bounded
+// by Bounded. Shared with internal/compile, whose raw walker renders a
+// wire token through Bounded too, so every engine renders identical
+// reasons.
 func RenderValue(v any) string {
-	if v == nil {
+	switch t := v.(type) {
+	case nil:
 		return "null"
+	case string:
+		return Bounded(t)
 	}
-	return fmt.Sprintf("%v", v)
+	return Bounded(fmt.Sprintf("%v", v))
+}
+
+// maxRender bounds the bytes of an offending value a violation keeps: a
+// violation is retained by the workload's and the proxy's denial logs and
+// echoed in the 403, so its size must not be the attacker's to choose.
+const maxRender = 256
+
+// Bounded returns s as a string of at most maxRender bytes of it: s itself
+// when it fits, else its first maxRender bytes, cut back to a rune
+// boundary, and a marker giving the full length. The result never aliases
+// s.
+func Bounded[T string | []byte](s T) string {
+	if len(s) <= maxRender {
+		return string(s)
+	}
+	cut := maxRender
+	for i := 1; i < utf8.UTFMax && !utf8.RuneStart(s[cut]); i++ {
+		cut--
+	}
+	return string(s[:cut]) + "...(" + strconv.Itoa(len(s)) + " bytes)"
 }
 
 func sortedKeys(m map[string]any) []string {

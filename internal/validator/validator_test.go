@@ -1,6 +1,7 @@
 package validator
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 
@@ -560,5 +561,32 @@ func TestTypeMatches(t *testing.T) {
 		if got := TypeMatches(tt.tok, tt.v); got != tt.want {
 			t.Errorf("TypeMatches(%q, %#v) = %v, want %v", tt.tok, tt.v, got, tt.want)
 		}
+	}
+}
+
+// TestBoundedRendering: an offending value is kept whole up to maxRender
+// bytes; past it, cut back to a rune boundary with its full length
+// marked — the same text from a decoded string and from the wire bytes.
+func TestBoundedRendering(t *testing.T) {
+	long := strings.Repeat("a", maxRender-1) + "é" + strings.Repeat("b", 4<<20)
+	for _, tc := range []struct{ in, want string }{
+		{"", ""},
+		{"short", "short"},
+		{strings.Repeat("x", maxRender), strings.Repeat("x", maxRender)},
+		// "é" straddles byte maxRender: the cut keeps none of it.
+		{long, strings.Repeat("a", maxRender-1) + "...(" + strconv.Itoa(len(long)) + " bytes)"},
+	} {
+		if got := Bounded(tc.in); got != tc.want {
+			t.Errorf("Bounded(%d bytes) = %.80q, want %.80q", len(tc.in), got, tc.want)
+		}
+		if got := Bounded([]byte(tc.in)); got != tc.want {
+			t.Errorf("Bounded([]byte, %d bytes) = %.80q, want %.80q", len(tc.in), got, tc.want)
+		}
+	}
+	if got := RenderValue(long); got != Bounded(long) {
+		t.Errorf("RenderValue of a long string is not bounded: %d bytes", len(got))
+	}
+	if got := RenderValue(int64(-7)); got != "-7" {
+		t.Errorf("RenderValue(-7) = %q", got)
 	}
 }

@@ -67,7 +67,7 @@ func decodeStream(data []byte, keepComments bool) ([]any, map[string]string, err
 		if p.pos < len(p.lines) {
 			c := p.lines[p.pos].content
 			if c != "---" && c != "..." {
-				return nil, nil, errAt(p.lines[p.pos].num, "unexpected content %q after document", c)
+				return nil, nil, errAt(p.lines[p.pos].num, "unexpected content %s after document", echo(c))
 			}
 		}
 	}
@@ -150,10 +150,10 @@ func (p *parser) parseMapping(indent int, path string) (any, error) {
 		}
 		key, rest, ok := mappingEntry(l.content)
 		if !ok {
-			return nil, errAt(l.num, "expected mapping entry, got %q", l.content)
+			return nil, errAt(l.num, "expected mapping entry, got %s", echo(l.content))
 		}
 		if _, dup := m[key]; dup {
-			return nil, errAt(l.num, "duplicate key %q", key)
+			return nil, errAt(l.num, "duplicate key %s", echo(key))
 		}
 		childPath := key
 		if path != "" {
@@ -270,10 +270,10 @@ func (p *parser) parseBlockScalar(indicator string, keyIndent int, keyLine int) 
 		case '-', '+':
 			chomp = indicator[1]
 		default:
-			return nil, errAt(keyLine, "unsupported block scalar indicator %q", indicator)
+			return nil, errAt(keyLine, "unsupported block scalar indicator %s", echo(indicator))
 		}
 		if len(indicator) > 2 {
-			return nil, errAt(keyLine, "unsupported block scalar indicator %q", indicator)
+			return nil, errAt(keyLine, "unsupported block scalar indicator %s", echo(indicator))
 		}
 	}
 	var body []string
@@ -367,7 +367,7 @@ func parseScalar(s string, lineNum int) (any, error) {
 			return nil, err
 		}
 		if strings.TrimSpace(rest) != "" {
-			return nil, errAt(lineNum, "trailing content after flow sequence: %q", rest)
+			return nil, errAt(lineNum, "trailing content after flow sequence: %s", echo(rest))
 		}
 		return v, nil
 	case '{':
@@ -376,13 +376,13 @@ func parseScalar(s string, lineNum int) (any, error) {
 			return nil, err
 		}
 		if strings.TrimSpace(rest) != "" {
-			return nil, errAt(lineNum, "trailing content after flow mapping: %q", rest)
+			return nil, errAt(lineNum, "trailing content after flow mapping: %s", echo(rest))
 		}
 		return v, nil
 	case '"', '\'':
 		return unquoteScalar(s, lineNum)
 	case '&', '*', '!':
-		return nil, errAt(lineNum, "anchors, aliases and tags are not supported (%q)", s)
+		return nil, errAt(lineNum, "anchors, aliases and tags are not supported (%s)", echo(s))
 	default:
 		return plainScalar(s), nil
 	}
@@ -421,7 +421,7 @@ func parseFlow(s string, lineNum int) (any, string, error) {
 			if strings.HasPrefix(rest, "]") {
 				return seq, rest[1:], nil
 			}
-			return nil, "", errAt(lineNum, "malformed flow sequence near %q", rest)
+			return nil, "", errAt(lineNum, "malformed flow sequence near %s", echo(rest))
 		}
 	case '{':
 		rest := strings.TrimLeft(s[1:], " ")
@@ -443,13 +443,13 @@ func parseFlow(s string, lineNum int) (any, string, error) {
 			} else {
 				idx := strings.IndexByte(rest, ':')
 				if idx < 0 {
-					return nil, "", errAt(lineNum, "malformed flow mapping near %q", rest)
+					return nil, "", errAt(lineNum, "malformed flow mapping near %s", echo(rest))
 				}
 				key = strings.TrimSpace(rest[:idx])
 				rest = rest[idx:]
 			}
 			if !strings.HasPrefix(rest, ":") {
-				return nil, "", errAt(lineNum, "expected ':' in flow mapping near %q", rest)
+				return nil, "", errAt(lineNum, "expected ':' in flow mapping near %s", echo(rest))
 			}
 			rest = strings.TrimLeft(rest[1:], " ")
 			var val any
@@ -475,10 +475,10 @@ func parseFlow(s string, lineNum int) (any, string, error) {
 			if strings.HasPrefix(rest, "}") {
 				return m, rest[1:], nil
 			}
-			return nil, "", errAt(lineNum, "malformed flow mapping near %q", rest)
+			return nil, "", errAt(lineNum, "malformed flow mapping near %s", echo(rest))
 		}
 	default:
-		return nil, "", errAt(lineNum, "expected flow collection near %q", s)
+		return nil, "", errAt(lineNum, "expected flow collection near %s", echo(s))
 	}
 }
 
@@ -524,11 +524,11 @@ func parseFlowItem(s string, lineNum int) (any, string, error) {
 // unquoteScalar interprets a quoted scalar including escape sequences.
 func unquoteScalar(s string, lineNum int) (any, error) {
 	if len(s) < 2 {
-		return nil, errAt(lineNum, "malformed quoted scalar %q", s)
+		return nil, errAt(lineNum, "malformed quoted scalar %s", echo(s))
 	}
 	q := s[0]
 	if s[len(s)-1] != q {
-		return nil, errAt(lineNum, "unterminated quoted scalar %q", s)
+		return nil, errAt(lineNum, "unterminated quoted scalar %s", echo(s))
 	}
 	body := s[1 : len(s)-1]
 	if q == '\'' {
@@ -543,7 +543,7 @@ func unquoteScalar(s string, lineNum int) (any, error) {
 		}
 		i++
 		if i >= len(body) {
-			return nil, errAt(lineNum, "dangling escape in %q", s)
+			return nil, errAt(lineNum, "dangling escape in %s", echo(s))
 		}
 		switch body[i] {
 		case 'n':
@@ -560,11 +560,11 @@ func unquoteScalar(s string, lineNum int) (any, error) {
 			b.WriteByte(0)
 		case 'u':
 			if i+4 >= len(body) {
-				return nil, errAt(lineNum, "short \\u escape in %q", s)
+				return nil, errAt(lineNum, "short \\u escape in %s", echo(s))
 			}
 			n, err := strconv.ParseUint(body[i+1:i+5], 16, 32)
 			if err != nil {
-				return nil, errAt(lineNum, "bad \\u escape in %q", s)
+				return nil, errAt(lineNum, "bad \\u escape in %s", echo(s))
 			}
 			b.WriteRune(rune(n))
 			i += 4

@@ -19,6 +19,7 @@ package yaml
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -101,4 +102,18 @@ func (e *Error) Error() string {
 
 func errAt(line int, format string, args ...any) error {
 	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}
+}
+
+// maxErrorEcho bounds the input bytes an error quotes: a decode error is
+// copied into 403 bodies and retained denial records, so its size must
+// not be the attacker's to choose (internal/object bounds JSON's alike).
+const maxErrorEcho = 64
+
+// echo quotes s as %q does, at most maxErrorEcho bytes of it; the one
+// quoting helper of every error that names a piece of the input.
+func echo(s string) string {
+	if len(s) > maxErrorEcho {
+		return strconv.Quote(s[:maxErrorEcho]) + "..."
+	}
+	return strconv.Quote(s)
 }

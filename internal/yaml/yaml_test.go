@@ -304,6 +304,38 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
+// TestErrorsDoNotEchoAttackerSizedInput: a decode error reaches the 403
+// body and the retained denial record of a request the proxy decodes, so
+// the line, key or scalar it names is quoted in a bounded excerpt. A
+// 4 MiB line must cost under 1 KiB of error, at every quoting site this
+// table reaches; short inputs keep their full %q quoting.
+func TestErrorsDoNotEchoAttackerSizedInput(t *testing.T) {
+	big := strings.Repeat("x", 4<<20)
+	for name, doc := range map[string]string{
+		"expected mapping entry": "a: 1\n" + big + "\n",
+		"duplicate key":          big + ": 1\n" + big + ": 2\n",
+		"content after document": big + "\n" + big + "\n",
+		"anchor":                 "a: &" + big + "\n",
+		"unterminated quote":     "a: \"" + big + "\n",
+		"trailing after flow":    "a: [1] " + big + "\n",
+		"malformed flow mapping": "a: {" + big + "}\n",
+		"dangling escape":        "a: \"" + big + "\\\"\n",
+		"block scalar indicator": "a: |" + big + "\n",
+	} {
+		_, err := Decode([]byte(doc))
+		if err == nil {
+			t.Fatalf("%s: decoded", name)
+		}
+		if n := len(err.Error()); n >= 1024 {
+			t.Errorf("%s: error is %d bytes, want < 1 KiB", name, n)
+		}
+	}
+	_, err := Decode([]byte("a: 1\na: 2\n"))
+	if err == nil || err.Error() != `yaml: line 2: duplicate key "a"` {
+		t.Errorf("short duplicate key error = %v", err)
+	}
+}
+
 func TestErrorHasLineNumber(t *testing.T) {
 	_, err := Decode([]byte("ok: 1\nbad: &anchor v\n"))
 	if err == nil {

@@ -188,8 +188,8 @@ func (c *CompiledPolicy) ValidateObject(obj map[string]any) []Violation {
 // MatchRaw runs the streaming fast pass over a raw JSON body without
 // decoding it. The contract is one-sided: true means the body provably
 // decodes and the policy definitively allows it (identical verdict to
-// ValidateManifest with no violations); false means only "not decided
-// here" — fall back to ValidateManifest for the verdict and the
+// ValidateManifest with no violations); false means only "not vouched
+// for here" — fall back to ValidateManifest for the verdict and the
 // violation diagnostics.
 func (c *CompiledPolicy) MatchRaw(body []byte) bool {
 	return c.program.MatchRaw(body)

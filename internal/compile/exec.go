@@ -285,7 +285,7 @@ func (p *Program) diagNode(idx int32, val any, out *[]validator.Violation) {
 		for _, k := range keys {
 			f := p.findField(n, k)
 			if f == nil {
-				*out = append(*out, validator.Violation{Path: joinPath(path, k),
+				*out = append(*out, validator.Violation{Path: validator.UnlistedPath(path, k),
 					Reason: "field not allowed by policy"})
 				continue
 			}

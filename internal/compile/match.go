@@ -6,10 +6,12 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/object"
 	"repro/internal/schema"
 	"repro/internal/validator"
+	"repro/internal/yaml"
 )
 
 // This file is the program side of the decode-free fast path: every
@@ -33,10 +35,16 @@ import (
 //     findings at each mapping's close), with every string copied out of
 //     the body;
 //   - undecided: the walk gave up (the zero val) on a malformed body or
-//     on a construct it cannot judge byte-for-byte — an escaped or float
-//     value a content check needs, a collection-valued Got, a policy node
-//     with more than 64 required children, the duplicate-key window, the
-//     depth limit — and the caller decodes and runs Validate.
+//     on a construct it cannot judge byte-for-byte — a float value a
+//     content check needs, an escaped one that decodes to more than
+//     maxUnquoted bytes, a collection-valued Got, a policy node with more
+//     than 64 required children, the duplicate-key window, the depth
+//     limit — and the caller decodes and runs Validate.
+//
+// An escaped string is decoded, with the decoder's own function, only
+// where a check reads its content, into a fixed scratch, and never
+// reaches a capture: routing fields still have to be spelled by the raw
+// bytes.
 //
 // Allows stay one-sided: a wrong vouch is a security bug, a missed one a
 // slower request. A violation is recorded only where the walk knows the
@@ -91,11 +99,69 @@ const (
 
 // token is one scalar as a wire walker hands it over. seg is the literal
 // for numbers and the bytes between the quotes (or the plain scalar) for
-// strings; clean means seg IS the decoded string.
+// strings; clean means seg IS the decoded string. An unclean string is
+// one whose escapes the walker has already proved to decode (LexJSON's
+// on the JSON wire, yaml.AppendUnquoted's on YAML), and quote says which
+// decoder's rules spell it: 0 for JSON, else the YAML quote seg sat
+// between.
 type token struct {
 	kind  tokKind
 	clean bool
+	quote byte
 	seg   []byte
+}
+
+// maxUnquoted is the scratch an unclean string is decoded into where a
+// check reads its content: validator.MaxRender, so a string that fits is
+// rendered whole, and one that does not stays undecided.
+const maxUnquoted = validator.MaxRender
+
+// unquote appends an unclean string's decoded form to dst, by the rules
+// of the decoder that accepts it; ok is false when the form is longer
+// than maxUnquoted. dst must not be nil: yaml.AppendUnquoted only
+// validates into a nil one.
+func (t token) unquote(dst []byte) (s []byte, ok bool) {
+	if len(t.seg) > 6*maxUnquoted {
+		return nil, false // every decoded byte is spelled by at most six
+	}
+	if t.quote == 0 {
+		s = object.AppendUnquoted(dst, t.seg)
+	} else {
+		s, _, _ = yaml.AppendUnquoted(dst, t.quote, t.seg)
+	}
+	return s, len(s) <= maxUnquoted
+}
+
+// unquotedOK is rawStringOK on an unclean string's decoded form, decoded
+// into a fixed scratch; false, too, when the form does not fit. Out of
+// line: only a string that needs the scratch pays for it.
+//
+//go:noinline
+func unquotedOK(sc *scalar, t token) bool {
+	scratch := unquoteScratch.Get().(*[maxUnquoted]byte)
+	s, ok := t.unquote(scratch[:0])
+	ok = ok && rawStringOK(sc, s, true)
+	unquoteScratch.Put(scratch)
+	return ok
+}
+
+// unquoteScratch holds unquotedOK's scratches. Not a stack array: a
+// regexp keeps its input in a pooled machine, so as far as escape
+// analysis can tell rawStringOK's bytes outlive the call, and the array
+// would move to the heap on every call.
+var unquoteScratch = sync.Pool{New: func() any { return new([maxUnquoted]byte) }}
+
+// renderUnquoted is token.render of an unclean string: RenderValue of its
+// decoded form, unknown when that does not fit the scratch.
+//
+//go:noinline
+func (t token) renderUnquoted() (string, bool) {
+	var scratch [maxUnquoted]byte
+	s, ok := t.unquote(scratch[:0])
+	if !ok {
+		return "", false
+	}
+	return validator.Bounded(s), true
 }
 
 // typeName is validator.TypeName of the value the decoder makes of t.
@@ -114,14 +180,16 @@ func (t token) typeName() string {
 }
 
 // render is validator.RenderValue of the value the decoder makes of t;
-// ok is false where the bytes do not spell it exactly: an unclean
-// string, and a float, whose value is strconv's rounding.
+// ok is false where the walk does not know it exactly: an unclean string
+// longer than maxUnquoted, and a float, whose value is strconv's
+// rounding.
 func (t token) render() (got string, ok bool) {
 	switch t.kind {
 	case tokString:
 		if t.clean {
 			return validator.Bounded(t.seg), true
 		}
+		return t.renderUnquoted()
 	case tokInt:
 		return strconv.FormatInt(parseRawInt(t.seg), 10), true // "-0" is 0
 	case tokTrue:
@@ -166,10 +234,10 @@ type rawMatch struct {
 
 // memberSeg is one mapping member's run of violations in out, and the
 // key it is sorted on: the policy field's name, or the copy an unlisted
-// key's violation path already made. Never a slice of the body: a
-// pointer stored into the heap-grown segs from a walk frame would move
-// the whole scanner to the heap (escape analysis does not tell struct
-// fields apart).
+// key's violation path already made (a copy of its own when that path
+// cuts the key). Never a slice of the body: a pointer stored into the
+// heap-grown segs from a walk frame would move the whole scanner to the
+// heap (escape analysis does not tell struct fields apart).
 type memberSeg struct {
 	key string
 	at  int // where the member's violations start in out
@@ -358,11 +426,13 @@ func (w *mapWalk) member(key []byte) (int32, bool) {
 //go:noinline
 func (w *mapWalk) unlisted(key []byte) {
 	m := w.m
-	path := string(key)
-	if p := m.p.paths[w.n.path]; p != "" {
-		path = p + "." + string(key)
-	}
+	path := validator.UnlistedPath(m.p.paths[w.n.path], key)
 	m.out = append(m.out, validator.Violation{Path: path, Reason: "field not allowed by policy"})
+	// close sorts on the whole key: the path's copy, unless Bounded cut it.
+	if len(key) > validator.MaxRender {
+		w.segment(string(key))
+		return
+	}
 	w.segment(path[len(path)-len(key):])
 }
 
@@ -515,7 +585,9 @@ func (m *rawMatch) admits(idx int32, t token) val {
 		sc := &m.p.scalars[n.scalar]
 		switch t.kind {
 		case tokString:
-			ok = rawStringOK(sc, t.seg, t.clean)
+			// An unclean string is decoded only where the matcher reads
+			// its content: rawStringOK admits it otherwise.
+			ok = rawStringOK(sc, t.seg, t.clean) || !t.clean && unquotedOK(sc, t)
 		case tokInt, tokFloat:
 			ok = rawNumberOK(sc, t.seg, t.kind == tokInt)
 		case tokNull:

@@ -16,8 +16,11 @@ import (
 // knows a node's opcode or a field's name.
 //
 // What the walker owes that contract is "accepted ⇒ object.ParseJSON
-// accepts it too", which the shared lexer gives token by token; on top
-// it refuses keys whose decoded spelling the raw bytes do not prove
+// accepts it too", which the shared lexer gives token by token — its
+// escapes included: a string value with an escape or a non-ASCII byte
+// reaches match.go unclean, to be decoded with the decoder's
+// object.AppendUnquoted where a check reads it. On top the walker
+// refuses keys whose decoded spelling the raw bytes do not prove
 // (escapes, non-ASCII), bounds numbers so normalization cannot overflow,
 // passes every member key through the duplicate-key window, and refuses
 // trailing content.

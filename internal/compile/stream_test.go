@@ -3,6 +3,7 @@ package compile
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"testing"
 
 	"repro/internal/object"
@@ -380,7 +381,9 @@ func TestRawLiteralMatchersAgreeWithTypeMatches(t *testing.T) {
 }
 
 // TestMatchRawAllocFree: the fast pass over a realistic body must not
-// allocate (the entire point of the streaming pipeline).
+// allocate (the entire point of the streaming pipeline) — nor over one
+// whose policy-checked image is an escaped string, which the walk
+// decodes for the check, on either wire.
 func TestMatchRawAllocFree(t *testing.T) {
 	cs, err := loadCorpus()
 	if err != nil {
@@ -400,14 +403,42 @@ func TestMatchRawAllocFree(t *testing.T) {
 	if len(bodies) == 0 {
 		t.Fatal("no benign body of the first chart passes the raw fast pass")
 	}
+	c, dep := nginxDeployment(t)
+	image := dep["spec"].(map[string]any)["template"].(map[string]any)["spec"].(map[string]any)["containers"].([]any)[0].(map[string]any)["image"].(string)
+	jsonBody, err := json.Marshal(dep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	yamlBody, err := dep.MarshalYAML()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The image's first byte as a \u escape: the same string once decoded.
+	esc := fmt.Sprintf(`\u%04x`, image[0])
+	escJSON := bytes.Replace(jsonBody, []byte(`"image":"`+image+`"`), []byte(`"image":"`+esc+image[1:]+`"`), 1)
+	escYAML := bytes.Replace(yamlBody, []byte("image: "+image+"\n"), []byte(`image: "`+esc+image[1:]+"\"\n"), 1)
+	if bytes.Equal(escJSON, jsonBody) || bytes.Equal(escYAML, yamlBody) {
+		t.Fatalf("no image %q to escape in the nginx Deployment", image)
+	}
+	if !c.program.MatchRaw(escJSON) || !c.program.MatchRawYAML(escYAML) {
+		t.Fatal("the escaped image is not vouched for")
+	}
+	wrongJSON := bytes.Replace(escJSON, []byte(esc), []byte(`!`), 1)
+	wrongYAML := bytes.Replace(escYAML, []byte(esc), []byte(`!`), 1)
+	if c.program.MatchRaw(wrongJSON) || c.program.MatchRawYAML(wrongYAML) {
+		t.Fatal("an escaped image the policy does not list is vouched for: the image check reads no content")
+	}
 	avg := testing.AllocsPerRun(200, func() {
 		for _, b := range bodies {
 			if !prog.MatchRaw(b) {
 				t.Fatal("verdict changed between runs")
 			}
 		}
+		if !c.program.MatchRaw(escJSON) || !c.program.MatchRawYAML(escYAML) {
+			t.Fatal("verdict changed between runs")
+		}
 	})
-	if perBody := avg / float64(len(bodies)); perBody > 0.5 {
+	if perBody := avg / float64(len(bodies)+2); perBody > 0.5 {
 		t.Errorf("MatchRaw allocates %.2f allocs per body, want 0", perBody)
 	}
 }

@@ -23,10 +23,13 @@ import (
 // back on everything they reject — indentation jumps inside a mapping,
 // non-entry lines, duplicate keys — so a walk to the end implies the
 // body decodes (the routing scan stops at the prologue and promises
-// less: match.go). On top it refuses what it does not judge raw:
-// anchors, aliases, tags, flow collections beyond the encoder's empty
-// {} / [], block scalars, quoted keys, multi-document streams, CR and
-// tab bytes, and scalars whose decoded type is ambiguous.
+// less: match.go). Quoted scalars are the decoder's too: every escape
+// of a double-quoted one is checked with yaml.AppendUnquoted, in every
+// walk, and match.go decodes an escaped value with it where a check
+// reads the content. On top the walker refuses what it does not judge
+// raw: anchors, aliases, tags, flow collections beyond the encoder's
+// empty {} / [], block scalars, quoted keys, multi-document streams, CR
+// and tab bytes, and plain scalars whose decoded type is ambiguous.
 
 // yLine is one logical line: its indentation and its content as
 // yaml.SplitLine delimits it (empty for a blank or comment-only line).
@@ -377,6 +380,7 @@ func (s *yamlScan) scalar(c []byte, idx int32) val {
 		return 0 // decoder rejects anchors, aliases, tags
 	case '"', '\'':
 		t.seg, t.clean, ok = unquoteSpan(c)
+		t.quote = c[0]
 	default:
 		// !ok: an ambiguous literal, let the decode path type it.
 		t.kind, ok = classifyPlain(c)
@@ -390,33 +394,36 @@ func (s *yamlScan) scalar(c []byte, idx int32) val {
 }
 
 // unquoteSpan vouches for a quoted scalar: ok means the whole span is
-// one quoted token the decoder accepts; clean means the returned bytes
-// ARE the decoded string. A backslash in a double-quoted body falls
-// back entirely (escape validity and content both unknowable raw);
-// doubled quotes in a single-quoted body decode but change the bytes,
-// so they pass only content-free matchers.
+// one quoted token the decoder accepts — a double-quoted body's escapes
+// are checked by the decoder's own yaml.AppendUnquoted, in every walk —
+// and seg is its body. clean means seg IS the decoded string; a body
+// with an escape, or a single-quoted one with a quote in it, is unclean,
+// and match.go decodes it with the same function where a check reads its
+// content.
 func unquoteSpan(c []byte) (seg []byte, clean, ok bool) {
 	q := c[0]
 	if len(c) < 2 || c[len(c)-1] != q {
 		return nil, false, false
 	}
 	body := c[1 : len(c)-1]
-	if q == '"' {
-		if bytes.IndexByte(body, '\\') >= 0 {
-			return nil, false, false
-		}
+	if q == '\'' {
+		return body, bytes.IndexByte(body, '\'') < 0, true
+	}
+	if bytes.IndexByte(body, '\\') < 0 {
 		return body, true, true
 	}
-	if bytes.IndexByte(body, '\'') >= 0 {
-		return body, false, true
-	}
-	return body, true, true
+	_, _, bad := yaml.AppendUnquoted(nil, q, body)
+	return body, false, bad == 0
 }
 
 // classifyPlain types a plain scalar, mirroring plainScalar's resolution
 // order. ok is false for every literal whose decoded type the raw bytes
 // do not prove (exponents, hex, leading '+', inf/nan, underscore digit
-// groups, >18-digit numbers): those fall back.
+// groups, >18-digit numbers): those fall back. Over the numeric alphabet
+// [0-9+-._eE] only two or more '.' prove a string (an address such as
+// 0.0.0.0, a version such as 1.2.3): ParseInt in base 10 has no '.', the
+// hex branch needs the 0x refused before it, and ParseFloat's decimal
+// grammar has at most one.
 func classifyPlain(c []byte) (kind tokKind, ok bool) {
 	switch string(c) {
 	case "~", "null", "Null", "NULL":
@@ -445,16 +452,22 @@ func classifyPlain(c []byte) (kind tokKind, ok bool) {
 	if parseFloatWord(d) {
 		return 0, false // inf / infinity / nan
 	}
+	dots := 0
 	for _, b := range d {
 		switch {
 		case b >= '0' && b <= '9':
-		case b == '+' || b == '-' || b == '.' || b == '_' || b == 'e' || b == 'E':
+		case b == '.':
+			dots++
+		case b == '+' || b == '-' || b == '_' || b == 'e' || b == 'E':
 		default:
 			// A byte no non-hex, non-word numeric literal can contain:
 			// definitely the string the raw bytes spell (the decoder
 			// passes plain scalar bytes through untouched).
 			return tokString, true
 		}
+	}
+	if dots >= 2 {
+		return tokString, true
 	}
 	return 0, false
 }

@@ -422,12 +422,18 @@ func (d *jsonDecoder) str(start int, t JSONToken) string {
 	return unquote(d.data[start+1 : t.End-1])
 }
 
-// unquote decodes the body of a string token LexJSON accepted by
-// encoding/json's rules: invalid UTF-8 and unpaired surrogate escapes
-// become U+FFFD.
+// unquote decodes the body of a string token LexJSON accepted.
 func unquote(s []byte) string {
 	var scratch [64]byte // most rewritten strings are short: no heap buffer
-	buf := scratch[:0]
+	return string(AppendUnquoted(scratch[:0], s))
+}
+
+// AppendUnquoted appends to buf the string that s, the body of a string
+// token LexJSON accepted (the bytes between its quotes), decodes to by
+// encoding/json's rules: invalid UTF-8 and unpaired surrogate escapes
+// become U+FFFD. The decoder calls it, and so does the decode-free walker
+// of internal/compile for a string a policy check reads.
+func AppendUnquoted(buf, s []byte) []byte {
 	for i := 0; i < len(s); {
 		switch c := s[i]; {
 		case c == '\\' && s[i+1] == 'u':
@@ -460,7 +466,7 @@ func unquote(s []byte) string {
 			i += size
 		}
 	}
-	return string(buf)
+	return buf
 }
 
 // hex4 decodes a \uXXXX escape at the start of s, or returns -1.

@@ -68,10 +68,12 @@ func TestDecodeErrorsDoNotEchoAttackerSizedInput(t *testing.T) {
 // TestDenialRetainsAndEchoesBoundedBytes: a denial record is retained
 // by the workload's and the proxy's denial logs and echoed in the 403,
 // so what one denied request pins must not be the attacker's to size.
-// A 4 MiB string in a denied field (Got is cut to 256 bytes) and 350 k
+// A 4 MiB string in a denied field (Got is cut to 256 bytes), 350 k
 // unknown fields (the list is cut to maxDenyViolations plus one
-// "+N more violations" entry) must each cost under 16 KiB in the record
-// and in the 403, on the raw path and on the decode path.
+// "+N more violations" entry), a 4 MiB unknown key (its Path is cut like
+// a Got) and a 4 MiB unknown kind (so is the kind in the reason) must
+// each cost under 16 KiB in the record and in the 403, on the raw path
+// and on the decode path.
 func TestDenialRetainsAndEchoesBoundedBytes(t *testing.T) {
 	const bound = 16 << 10
 	deployment := goodDeployment()
@@ -93,12 +95,19 @@ func TestDenialRetainsAndEchoesBoundedBytes(t *testing.T) {
 	}
 	b.WriteString("}}")
 	manyFields := []byte(b.String())
-	if len(bigString) > maxInspectBytes || len(manyFields) > maxInspectBytes {
-		t.Fatalf("hostile bodies of %d and %d bytes exceed the inspection cap", len(bigString), len(manyFields))
+	huge := strings.Repeat("k", maxInspectBytes-1024)
+	bigKey := []byte(`{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm"},"data":{"` + huge + `":"v"}}`)
+	bigKind := []byte(`{"apiVersion":"v1","kind":"` + huge + `","metadata":{"name":"cm"}}`)
+	hostile := map[string][]byte{"4 MiB denied string": bigString, "350 k unknown fields": manyFields,
+		"4 MiB unknown key": bigKey, "4 MiB unknown kind": bigKind}
+	for name, body := range hostile {
+		if len(body) > maxInspectBytes {
+			t.Fatalf("%s: %d bytes exceed the inspection cap", name, len(body))
+		}
 	}
 
 	for _, disableRaw := range []bool{false, true} {
-		for name, body := range map[string][]byte{"4 MiB denied string": bigString, "350 k unknown fields": manyFields} {
+		for name, body := range hostile {
 			p := newRawPathProxy(t, func(c *Config) { c.DisableRawFastPath = disableRaw })
 			resp := postRaw(p, body)
 			if resp.Code != http.StatusForbidden {

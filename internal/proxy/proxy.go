@@ -416,7 +416,8 @@ func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.T
 			}
 		}
 		namespace, kind := q.Target()
-		return rejected(path, fmt.Sprintf("no KubeFence policy registered for namespace %q kind %q", namespace, kind))
+		return rejected(path, fmt.Sprintf("no KubeFence policy registered for namespace %q kind %q",
+			validator.Bounded(namespace), validator.Bounded(kind)))
 	}
 
 	if raw {
@@ -529,8 +530,8 @@ func (p *Proxy) recordShadow(r *http.Request, user string,
 		User:       user,
 		Method:     r.Method,
 		RequestURI: r.URL.Path,
-		Kind:       obj.Kind(),
-		Name:       obj.Name(),
+		Kind:       validator.Bounded(obj.Kind()),
+		Name:       validator.Bounded(obj.Name()),
 		Violations: violations,
 	}
 	entry.RecordShadowViolation(rec)
@@ -543,7 +544,8 @@ func (p *Proxy) recordShadow(r *http.Request, user string,
 // either way. Only policy rejections (403) count toward the denied
 // metric: transport-level failures (unreadable, oversized, or
 // unparseable-typed bodies) would otherwise skew the experiments'
-// denial rates.
+// denial rates. The record's kind and name come from the body, so they
+// are cut by validator.Bounded like a violation's Got.
 func (p *Proxy) deny(w http.ResponseWriter, r *http.Request, user string,
 	entry *registry.Entry, kind, name string, code int, violations []validator.Violation) {
 	if code == http.StatusForbidden {
@@ -555,8 +557,8 @@ func (p *Proxy) deny(w http.ResponseWriter, r *http.Request, user string,
 		User:       user,
 		Method:     r.Method,
 		RequestURI: r.URL.Path,
-		Kind:       kind,
-		Name:       name,
+		Kind:       validator.Bounded(kind),
+		Name:       validator.Bounded(name),
 		Violations: violations,
 	}
 	if entry != nil {

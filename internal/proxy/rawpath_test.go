@@ -321,6 +321,25 @@ func FuzzRawPathMatchesClassic(f *testing.F) {
 		{true, "metadata:\n  namespace: b\n  zz: 1\n  name: cm\nkind: ConfigMap\ndata:\n  mode: -0\n  aa: []\napiVersion: v1\n"},
 		{false, `{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm","namespace":"b"},"data":{}}`},
 		{false, `{"apiVersion":"v1","kind":"Nope","metadata":{"namespace":"b"},"data":{"a":1,}`},
+		// Scalar forms the walk judges: dotted strings, escapes it decodes
+		// for the mode check (a lenient spelled with one), a raw and an
+		// escaped non-ASCII rune, a lone surrogate half, an invalid escape.
+		{false, `{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm","namespace":"b"},"data":{"mode":"0.0.0.0"}}`},
+		{false, `{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm","namespace":"b"},"data":{"mode":"1.2.3"}}`},
+		{false, `{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm","namespace":"b"},"data":{"mode":"a\nb"}}`},
+		{false, `{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm","namespace":"b"},"data":{"mode":"é"}}`},
+		{false, `{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm","namespace":"b"},"data":{"mode":"\ud83d\ude00"}}`},
+		{false, `{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm","namespace":"b"},"data":{"mode":"\ud800"}}`},
+		{false, `{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm","namespace":"b"},"data":{"mode":"\x41"}}`},
+		{false, `{"apiVersion":"v1","kind":"ConfigMap","metadata":{"name":"cm","namespace":"b"},"data":{"mode":"l\u0065nient"}}`},
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: 0.0.0.0\n"},
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: 1.2.3\n"},
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: \"a\\nb\"\n"},
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: \"é\"\n"},
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: \"\\ud83d\\ude00\"\n"},
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: \"\\ud800\"\n"},
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: \"\\x41\"\n"},
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: \"l\\u0065nient\"\n"},
 	} {
 		f.Add([]byte(s.body), s.yaml)
 	}

@@ -3,6 +3,7 @@ package registry
 import (
 	"crypto/sha256"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/compile"
@@ -37,9 +38,14 @@ func rawTestPolicy(t *testing.T) *validator.Validator {
 var (
 	rawBenignBody = []byte(`{"kind":"Pod","metadata":{"name":"web"},"spec":{"hostNetwork":false,"containers":[{"name":"c","image":"docker.io/library/nginx:1.25","resources":{"limits":{"cpu":"100m"}}}]}}`)
 	rawAttackBody = []byte(`{"kind":"Pod","metadata":{"name":"web"},"spec":{"hostNetwork":true,"containers":[{"name":"c","image":"docker.io/library/nginx:1.25","resources":{"limits":{"cpu":"100m"}}}]}}`)
-	// rawEscapedAttackBody's image is an escaped string: the walk cannot
-	// spell what it decodes to, so it cannot judge the body.
+	// rawEscapedAttackBody's image is an escaped string: the walk decodes
+	// it where the image check reads it, and diagnoses the body.
 	rawEscapedAttackBody = []byte(`{"kind":"Pod","metadata":{"name":"web"},"spec":{"hostNetwork":false,"containers":[{"name":"c","image":"evil.io\/nginx","resources":{"limits":{"cpu":"100m"}}}]}}`)
+	// rawUndecidedAttackBody's image is an escaped string that decodes to
+	// more than the walk's scratch holds: the walk cannot render it, so it
+	// cannot judge the body.
+	rawUndecidedAttackBody = []byte(`{"kind":"Pod","metadata":{"name":"web"},"spec":{"hostNetwork":false,"containers":[{"name":"c","image":"evil.io\/` +
+		strings.Repeat("x", 300) + `","resources":{"limits":{"cpu":"100m"}}}]}}`)
 )
 
 func TestValidateRawFastPath(t *testing.T) {
@@ -76,24 +82,24 @@ func TestValidateRawFallbackAndCachedDenial(t *testing.T) {
 
 	// A violating body the walk cannot judge is left undecided: the caller
 	// decodes and runs the diagnostic engine.
-	vs, decided := reg.ValidateRaw(e, rawEscapedAttackBody)
+	vs, decided := reg.ValidateRaw(e, rawUndecidedAttackBody)
 	if decided {
-		t.Fatalf("escaped attack body decided raw: vs=%v", vs)
+		t.Fatalf("undecidable attack body decided raw: vs=%v", vs)
 	}
 	if m := e.Metrics(); m.Requests != 0 {
 		t.Fatalf("undecided raw pass must not count a request: %+v", m)
 	}
-	o, err := object.ParseJSON(rawEscapedAttackBody)
+	o, err := object.ParseJSON(rawUndecidedAttackBody)
 	if err != nil {
 		t.Fatal(err)
 	}
-	denial := reg.Validate(e, rawEscapedAttackBody, o)
+	denial := reg.Validate(e, rawUndecidedAttackBody, o)
 	if len(denial) == 0 {
-		t.Fatal("escaped attack body not denied by the decode path")
+		t.Fatal("undecidable attack body not denied by the decode path")
 	}
 	// The decode-path denial is now cached: the raw path returns the
 	// exact violation list with no decode at all.
-	vs, decided = reg.ValidateRaw(e, rawEscapedAttackBody)
+	vs, decided = reg.ValidateRaw(e, rawUndecidedAttackBody)
 	if !decided || !reflect.DeepEqual(vs, denial) {
 		t.Fatalf("cached denial: decided=%v\nvs:   %v\nwant: %v", decided, vs, denial)
 	}
@@ -101,33 +107,36 @@ func TestValidateRawFallbackAndCachedDenial(t *testing.T) {
 
 // TestValidateRawDiagnosesDenial: a violating body the walk can judge is
 // decided raw with the decode path's exact list, counted once, and
-// cached under the body hash like any other decision.
+// cached under the body hash like any other decision — a refused plain
+// value, and an escaped one the walk decodes for the check.
 func TestValidateRawDiagnosesDenial(t *testing.T) {
-	reg := New(Config{CacheSize: 16})
-	e, err := reg.Register("web", Selector{}, rawTestPolicy(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vs, decided := reg.ValidateRaw(e, rawAttackBody)
-	if !decided || len(vs) == 0 {
-		t.Fatalf("attack body: decided=%v vs=%v, want a raw diagnosis", decided, vs)
-	}
-	o, err := object.ParseJSON(rawAttackBody)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := e.Program().Validate(o); !reflect.DeepEqual(vs, want) {
-		t.Fatalf("raw diagnosis diverges from the decode path:\nraw:    %v\ndecode: %v", vs, want)
-	}
-	if m := e.Metrics(); m.Requests != 1 || m.CacheHits != 0 {
-		t.Fatalf("metrics after a raw diagnosis: %+v", m)
-	}
-	again, decided := reg.ValidateRaw(e, rawAttackBody)
-	if !decided || !reflect.DeepEqual(again, vs) {
-		t.Fatalf("cached diagnosis: decided=%v vs=%v", decided, again)
-	}
-	if m := e.Metrics(); m.Requests != 2 || m.CacheHits != 1 {
-		t.Fatalf("metrics after the cached diagnosis: %+v", m)
+	for name, body := range map[string][]byte{"plain": rawAttackBody, "escaped image": rawEscapedAttackBody} {
+		reg := New(Config{CacheSize: 16})
+		e, err := reg.Register("web", Selector{}, rawTestPolicy(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vs, decided := reg.ValidateRaw(e, body)
+		if !decided || len(vs) == 0 {
+			t.Fatalf("%s: decided=%v vs=%v, want a raw diagnosis", name, decided, vs)
+		}
+		o, err := object.ParseJSON(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := e.Program().Validate(o); !reflect.DeepEqual(vs, want) {
+			t.Fatalf("%s: raw diagnosis diverges from the decode path:\nraw:    %v\ndecode: %v", name, vs, want)
+		}
+		if m := e.Metrics(); m.Requests != 1 || m.CacheHits != 0 {
+			t.Fatalf("%s: metrics after a raw diagnosis: %+v", name, m)
+		}
+		again, decided := reg.ValidateRaw(e, body)
+		if !decided || !reflect.DeepEqual(again, vs) {
+			t.Fatalf("%s: cached diagnosis: decided=%v vs=%v", name, decided, again)
+		}
+		if m := e.Metrics(); m.Requests != 2 || m.CacheHits != 1 {
+			t.Fatalf("%s: metrics after the cached diagnosis: %+v", name, m)
+		}
 	}
 }
 
@@ -141,8 +150,8 @@ func TestValidateRawNoCache(t *testing.T) {
 	if !decided || vs != nil {
 		t.Fatalf("cacheless fast pass: decided=%v vs=%v", decided, vs)
 	}
-	if _, decided := reg.ValidateRaw(e, rawEscapedAttackBody); decided {
-		t.Fatal("cacheless escaped attack body decided raw")
+	if _, decided := reg.ValidateRaw(e, rawUndecidedAttackBody); decided {
+		t.Fatal("cacheless undecidable attack body decided raw")
 	}
 	if vs, decided := reg.ValidateRaw(e, rawAttackBody); !decided || len(vs) == 0 {
 		t.Fatalf("cacheless attack body: decided=%v vs=%v, want a raw diagnosis", decided, vs)

@@ -554,13 +554,12 @@ func (v *Validator) validateNode(n *Node, val any, path string, out *[]Violation
 		}
 		for _, k := range sortedKeys(m) {
 			child, allowed := n.Fields[k]
-			childPath := joinPath(path, k)
 			if !allowed {
-				*out = append(*out, Violation{Path: childPath,
+				*out = append(*out, Violation{Path: UnlistedPath(path, k),
 					Reason: "field not allowed by policy"})
 				continue
 			}
-			v.validateNode(child, m[k], childPath, out)
+			v.validateNode(child, m[k], joinPath(path, k), out)
 		}
 		for _, k := range sortedNodeKeys(n.Fields) {
 			child := n.Fields[k]
@@ -756,24 +755,35 @@ func RenderValue(v any) string {
 	return Bounded(fmt.Sprintf("%v", v))
 }
 
-// maxRender bounds the bytes of an offending value a violation keeps: a
+// MaxRender bounds the bytes of an offending value a violation keeps: a
 // violation is retained by the workload's and the proxy's denial logs and
 // echoed in the 403, so its size must not be the attacker's to choose.
-const maxRender = 256
+const MaxRender = 256
 
-// Bounded returns s as a string of at most maxRender bytes of it: s itself
-// when it fits, else its first maxRender bytes, cut back to a rune
+// Bounded returns s as a string of at most MaxRender bytes of it: s itself
+// when it fits, else its first MaxRender bytes, cut back to a rune
 // boundary, and a marker giving the full length. The result never aliases
 // s.
 func Bounded[T string | []byte](s T) string {
-	if len(s) <= maxRender {
+	if len(s) <= MaxRender {
 		return string(s)
 	}
-	cut := maxRender
+	cut := MaxRender
 	for i := 1; i < utf8.UTFMax && !utf8.RuneStart(s[cut]); i++ {
 		cut--
 	}
 	return string(s[:cut]) + "...(" + strconv.Itoa(len(s)) + " bytes)"
+}
+
+// UnlistedPath is the Path of the violation on a key the policy node at
+// path does not list. The key is the client's to size, so it is cut by
+// Bounded like a Got; the compiled engine and the raw walk name it so
+// too.
+func UnlistedPath[T string | []byte](path string, key T) string {
+	if path == "" {
+		return Bounded(key)
+	}
+	return path + "." + Bounded(key)
 }
 
 func sortedKeys(m map[string]any) []string {

@@ -564,17 +564,17 @@ func TestTypeMatches(t *testing.T) {
 	}
 }
 
-// TestBoundedRendering: an offending value is kept whole up to maxRender
+// TestBoundedRendering: an offending value is kept whole up to MaxRender
 // bytes; past it, cut back to a rune boundary with its full length
 // marked — the same text from a decoded string and from the wire bytes.
 func TestBoundedRendering(t *testing.T) {
-	long := strings.Repeat("a", maxRender-1) + "é" + strings.Repeat("b", 4<<20)
+	long := strings.Repeat("a", MaxRender-1) + "é" + strings.Repeat("b", 4<<20)
 	for _, tc := range []struct{ in, want string }{
 		{"", ""},
 		{"short", "short"},
-		{strings.Repeat("x", maxRender), strings.Repeat("x", maxRender)},
-		// "é" straddles byte maxRender: the cut keeps none of it.
-		{long, strings.Repeat("a", maxRender-1) + "...(" + strconv.Itoa(len(long)) + " bytes)"},
+		{strings.Repeat("x", MaxRender), strings.Repeat("x", MaxRender)},
+		// "é" straddles byte MaxRender: the cut keeps none of it.
+		{long, strings.Repeat("a", MaxRender-1) + "...(" + strconv.Itoa(len(long)) + " bytes)"},
 	} {
 		if got := Bounded(tc.in); got != tc.want {
 			t.Errorf("Bounded(%d bytes) = %.80q, want %.80q", len(tc.in), got, tc.want)

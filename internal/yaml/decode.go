@@ -521,7 +521,8 @@ func parseFlowItem(s string, lineNum int) (any, string, error) {
 	}
 }
 
-// unquoteScalar interprets a quoted scalar including escape sequences.
+// unquoteScalar interprets a quoted scalar including escape sequences
+// (quoted.go).
 func unquoteScalar(s string, lineNum int) (any, error) {
 	if len(s) < 2 {
 		return nil, errAt(lineNum, "malformed quoted scalar %s", echo(s))
@@ -531,48 +532,22 @@ func unquoteScalar(s string, lineNum int) (any, error) {
 		return nil, errAt(lineNum, "unterminated quoted scalar %s", echo(s))
 	}
 	body := s[1 : len(s)-1]
-	if q == '\'' {
-		return strings.ReplaceAll(body, "''", "'"), nil
+	if q == '"' && strings.IndexByte(body, '\\') < 0 || q == '\'' && strings.IndexByte(body, '\'') < 0 {
+		return body, nil // nothing to rewrite
 	}
-	var b strings.Builder
-	for i := 0; i < len(body); i++ {
-		c := body[i]
-		if c != '\\' {
-			b.WriteByte(c)
-			continue
-		}
-		i++
-		if i >= len(body) {
-			return nil, errAt(lineNum, "dangling escape in %s", echo(s))
-		}
-		switch body[i] {
-		case 'n':
-			b.WriteByte('\n')
-		case 't':
-			b.WriteByte('\t')
-		case 'r':
-			b.WriteByte('\r')
-		case '"':
-			b.WriteByte('"')
-		case '\\':
-			b.WriteByte('\\')
-		case '0':
-			b.WriteByte(0)
-		case 'u':
-			if i+4 >= len(body) {
-				return nil, errAt(lineNum, "short \\u escape in %s", echo(s))
-			}
-			n, err := strconv.ParseUint(body[i+1:i+5], 16, 32)
-			if err != nil {
-				return nil, errAt(lineNum, "bad \\u escape in %s", echo(s))
-			}
-			b.WriteRune(rune(n))
-			i += 4
-		default:
-			return nil, errAt(lineNum, "unsupported escape \\%c", body[i])
-		}
+	var scratch [64]byte // most rewritten scalars are short: no heap buffer
+	out, at, cause := AppendUnquoted(scratch[:0], q, body)
+	switch cause {
+	case EscapeDangling:
+		return nil, errAt(lineNum, "dangling escape in %s", echo(s))
+	case EscapeShortU:
+		return nil, errAt(lineNum, "short \\u escape in %s", echo(s))
+	case EscapeBadU:
+		return nil, errAt(lineNum, "bad \\u escape in %s", echo(s))
+	case EscapeUnsupported:
+		return nil, errAt(lineNum, "unsupported escape \\%c", body[at])
 	}
-	return b.String(), nil
+	return string(out), nil
 }
 
 // plainScalar applies YAML 1.2 core-schema-ish type resolution.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/mutate"
+	"repro/internal/object"
 )
 
 // rawBench is one body on one wire with its chart's program and its
@@ -132,6 +133,64 @@ func BenchmarkRawJudge(b *testing.B) {
 				rb := &bodies[i%len(bodies)]
 				if vs, _ := rb.prog.JudgeRawScanned(rb.meta, rb.body, wire.yaml); len(vs) == 0 {
 					b.Fatal("a denial was not diagnosed")
+				}
+			}
+		})
+	}
+}
+
+// validateBench is one decoded object with its chart's program.
+type validateBench struct {
+	prog *Program
+	obj  object.Object
+}
+
+// validateBodies is every benign object of loadCorpus() (deny false), or
+// every attack scenario of the robustness matrix the program denies
+// (deny true).
+func validateBodies(b *testing.B, deny bool) []validateBench {
+	cs, err := loadCorpus()
+	if err != nil {
+		b.Fatal(err)
+	}
+	var out []validateBench
+	for _, c := range cs {
+		if !deny {
+			for _, o := range c.benign {
+				out = append(out, validateBench{c.program, o})
+			}
+			continue
+		}
+		scs, err := mutate.ForCatalog(c.benign, mutate.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, sc := range scs {
+			if len(c.program.Validate(sc.Object)) > 0 {
+				out = append(out, validateBench{c.program, sc.Object})
+			}
+		}
+	}
+	return out
+}
+
+// BenchmarkValidate is one Program.Validate of a decoded object per op,
+// compile.exec_ns in the harness: allow over the benign corpus (0 allocs
+// expected), deny over the robustness matrix's denials, violation list
+// included.
+func BenchmarkValidate(b *testing.B) {
+	for _, deny := range []bool{false, true} {
+		objs := validateBodies(b, deny)
+		name := "allow"
+		if deny {
+			name = "deny"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				vb := &objs[i%len(objs)]
+				if vs := vb.prog.Validate(vb.obj); (len(vs) > 0) != deny {
+					b.Fatal("verdict changed between runs")
 				}
 			}
 		})

@@ -22,13 +22,16 @@
 //     resourceVersion/uid/… under metadata) becomes skip flags on the
 //     two affected nodes, eliminating the per-request DeepCopy.
 //
-// Execution is two-phase: a fast pass returns on the first problem
-// without allocating; only denied requests take the diagnostic pass,
-// which reproduces the interpreted engine's violation list — same
-// order, same paths, same reasons — so audit output is identical
-// whichever engine ran. Semantic equivalence is enforced by a
-// differential fuzz target and a table test replaying the full
-// robustness matrix through both engines.
+// Execution is one walk that decides and diagnoses: a member that
+// breaks the policy is recorded and the walk goes on, and each
+// mapping's close (diagnosis.closeMapping) puts its members' violations
+// in sorted key order and adds its required-field findings. The list is
+// the interpreted engine's — same order, same paths, same reasons — so
+// audit output is identical whichever engine ran, and an allowed request
+// allocates nothing. The raw walks of match.go close their mappings with
+// the same function. Semantic equivalence is enforced by differential
+// fuzz targets and a table test replaying the full robustness matrix
+// through both engines.
 package compile
 
 import (

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/mutate"
 	"repro/internal/object"
 	"repro/internal/schema"
 	"repro/internal/validator"
@@ -309,11 +310,123 @@ func TestValidateAllocsOnAllowedRequest(t *testing.T) {
 			t.Fatal("denied inside alloc probe")
 		}
 	})
-	// The fast pass itself is allocation-free; regexp matching against
-	// the image pattern is permitted a tiny constant.
+	// The walk itself is allocation-free on an allowed request; regexp
+	// matching against the image pattern is permitted a tiny constant.
 	if allocs > 2 {
 		t.Errorf("compiled validate allocates %.1f objects/op on the allow path, want <= 2", allocs)
 	}
+}
+
+// mapOrderPolicy and mapOrderAttack are a Pod policy with required
+// children under a container's resources, and a Pod whose root,
+// metadata, spec and container each carry three or more violating
+// members, with one required field missing and one filled empty.
+func mapOrderPolicy(t testing.TB) *validator.Validator {
+	v, err := validator.Build([]object.Object{pod(map[string]any{
+		"hostNetwork": false,
+		"containers": []any{map[string]any{
+			"name":  "c",
+			"image": "reg.example/app:v1",
+			"resources": map[string]any{
+				"limits":   map[string]any{"cpu": "1"},
+				"requests": map[string]any{"cpu": "1"},
+			},
+			"securityContext": map[string]any{"runAsNonRoot": true},
+		}},
+	})}, validator.BuildOptions{Workload: "w",
+		RequiredPaths: []string{"containers.resources.limits", "containers.resources.requests"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+func mapOrderAttack() object.Object {
+	o := pod(map[string]any{
+		"hostNetwork": true,
+		"hostPID":     true,
+		"aUnknown":    "x",
+		"zUnknown":    "y",
+		"containers": []any{map[string]any{
+			"name":    "c",
+			"image":   "evil.io/app:v1",
+			"command": []any{"sh"},
+			"args":    []any{"-c"},
+			"resources": map[string]any{
+				"limits": map[string]any{},
+				"extra":  "z",
+			},
+			"securityContext": map[string]any{"runAsNonRoot": false, "privileged": true},
+		}},
+	})
+	o["aRoot"], o["zRoot"] = int64(1), int64(2)
+	o["metadata"] = map[string]any{"name": "p", "namespace": "default",
+		"aMeta": "x", "finalizers": []any{"f"}, "zMeta": "z"}
+	return o
+}
+
+// TestValidateIsMapOrderIndependent: the decoded walk visits a mapping's
+// members in Go's map order, which changes from one walk to the next,
+// and its close puts them in sorted key order. Sixty-four walks of one
+// object with several violating members at every level, and a missing
+// and an empty required field, must each give the interpreted engine's
+// list.
+func TestValidateIsMapOrderIndependent(t *testing.T) {
+	v := mapOrderPolicy(t)
+	p := MustCompile(v)
+	o := mapOrderAttack()
+	want := v.Validate(o)
+	reasons := map[string]bool{}
+	for _, vi := range want {
+		reasons[vi.Reason] = true
+	}
+	if len(want) < 15 || !reasons["security-critical field must be present"] || !reasons["security-critical field must not be empty"] {
+		t.Fatalf("the probe misses what it is for: %v", want)
+	}
+	for i := 0; i < 64; i++ {
+		if got := p.Validate(o); !reflect.DeepEqual(got, want) {
+			t.Fatalf("walk %d diverges from the interpreted engine:\ninterpreted: %v\ncompiled:    %v", i, want, got)
+		}
+	}
+}
+
+// TestValidateAllocsOnDeniedRequest: a denial costs its violation list
+// and little else — no key slice per mapping, no second walk. Averaged
+// over the robustness matrix's denials.
+func TestValidateAllocsOnDeniedRequest(t *testing.T) {
+	cs, err := loadCorpus()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type denial struct {
+		p *Program
+		o object.Object
+	}
+	var denials []denial
+	for _, c := range cs {
+		scs, err := mutate.ForCatalog(c.benign, mutate.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sc := range scs {
+			if len(c.program.Validate(sc.Object)) > 0 {
+				denials = append(denials, denial{c.program, sc.Object})
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(3, func() {
+		for _, d := range denials {
+			if len(d.p.Validate(d.o)) == 0 {
+				t.Fatal("verdict changed inside the alloc probe")
+			}
+		}
+	}) / float64(len(denials))
+	// The list, the member segments and a sort's scratch where a mapping
+	// met violations in more than one member.
+	if allocs > 8 {
+		t.Errorf("compiled validate allocates %.1f objects/op over %d denials, want <= 8", allocs, len(denials))
+	}
+	t.Logf("%.2f allocs per denial over %d denials", allocs, len(denials))
 }
 
 func TestRequiredOverflowFallback(t *testing.T) {

@@ -3,7 +3,8 @@ package compile
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
 
 	"repro/internal/object"
 	"repro/internal/schema"
@@ -27,13 +28,16 @@ func skip(flags uint8, k string) bool {
 }
 
 // Validate checks a request object against the compiled program. A nil
-// result means the request is allowed. Verdicts and violations are
-// identical to validator.Validator.Validate on the source policy.
+// result means the request is allowed; otherwise the result is exactly
+// validator.Validator.Validate's list on the source policy: same order,
+// same paths, same reasons.
 //
-// Allowed requests complete in a single pass over the decoded document
-// with no allocations beyond what regexp matching may need; only
-// denied requests take the diagnostic pass that materializes the
-// violation list.
+// One walk decides and diagnoses. It visits each mapping's members in
+// the map's own order, records a violation where it meets one and walks
+// on; the mapping's close (diagnosis.closeMapping, the raw walk's close
+// too) puts its members' violations in sorted key order and adds its
+// required-field findings. An allowed request allocates nothing beyond
+// what regexp matching may need.
 func (p *Program) Validate(o object.Object) []validator.Violation {
 	kind := o.Kind()
 	if kind == "" {
@@ -48,12 +52,9 @@ func (p *Program) Validate(o object.Object) []validator.Violation {
 			return apiVersionViolation(kind, av)
 		}
 	}
-	if p.fastOK(kp.root, map[string]any(o)) {
-		return nil
-	}
-	var out []validator.Violation
-	p.diagNode(kp.root, map[string]any(o), &out)
-	return out
+	var d diagnosis
+	p.walk(kp.root, map[string]any(o), &d)
+	return d.out
 }
 
 // kindViolation is the whole verdict on a request whose kind is absent
@@ -73,68 +74,89 @@ func apiVersionViolation(kind, av string) []validator.Violation {
 		Reason: "apiVersion not allowed for kind " + kind, Got: validator.Bounded(av)}}
 }
 
-// ---------------------------------------------------------------------
-// Fast pass: allocation-free, stops at the first problem.
-// ---------------------------------------------------------------------
-
-func (p *Program) fastOK(idx int32, val any) bool {
+// walk judges one decoded value against node idx, appending its
+// violations to d.
+func (p *Program) walk(idx int32, val any, d *diagnosis) {
 	n := &p.nodes[idx]
 	switch n.op {
 	case opDeny:
-		return false
+		d.deny(p, n, "field not allowed by policy", "")
 	case opAny, opAllow:
-		return true
 	case opScalar:
-		return p.scalarOK(&p.scalars[n.scalar], val)
+		sc := &p.scalars[n.scalar]
+		switch val.(type) {
+		case map[string]any:
+			if sc.typ != schema.TokDict {
+				d.deny(p, n, "expected scalar, got object", "")
+				return
+			}
+		case []any:
+			if sc.typ != schema.TokList {
+				d.deny(p, n, "expected scalar, got list", "")
+				return
+			}
+		}
+		if !p.scalarOK(sc, val) {
+			d.deny(p, n, sc.refusal(), validator.RenderValue(val))
+		}
 	case opList:
 		items, ok := val.([]any)
 		if !ok {
-			return false
+			d.deny(p, n, "expected list", validator.TypeName(val))
+			return
 		}
 		for _, item := range items {
-			if !p.fastOK(n.item, item) {
-				return false
-			}
+			p.walk(n.item, item, d)
 		}
-		return true
 	default: // opMap
 		m, ok := val.(map[string]any)
 		if !ok {
-			return false
+			d.deny(p, n, "expected object", validator.TypeName(val))
+			return
 		}
-		var seen uint64
+		segs := len(d.segs)
+		var seen, empty uint64
 		for k, v := range m {
 			if n.flags&(flagRoot|flagMeta) != 0 && skip(n.flags, k) {
 				continue
 			}
-			f := p.findField(n, k)
-			if f == nil {
-				return false
-			}
-			if f.reqBit != 0 {
-				seen |= f.reqBit
-				if p.requiredEmpty(&p.reqs[n.reqOff+int32(bits.TrailingZeros64(f.reqBit))], v) {
-					return false
+			at := len(d.out)
+			if f := p.findField(n, k); f == nil {
+				d.out = append(d.out, validator.Violation{Path: validator.UnlistedPath(p.paths[n.path], k),
+					Reason: "field not allowed by policy"})
+			} else {
+				if f.reqBit != 0 {
+					if p.requiredEmpty(&p.reqs[n.reqOff+int32(bits.TrailingZeros64(f.reqBit))], v) {
+						empty |= f.reqBit
+					} else {
+						seen |= f.reqBit
+					}
 				}
+				p.walk(f.node, v, d)
 			}
-			if !p.fastOK(f.node, v) {
-				return false
+			if len(d.out) != at {
+				d.segs = append(d.segs, memberSeg{key: k, lo: int32(at), hi: int32(len(d.out))})
 			}
 		}
-		if n.flags&flagReqMany != 0 {
-			for i := n.reqOff; i < n.reqEnd; i++ {
-				r := &p.reqs[i]
-				v, present := m[r.name]
-				if present && n.flags&(flagRoot|flagMeta) != 0 && skip(n.flags, r.name) {
-					present = false
-				}
-				if !present || p.requiredEmpty(r, v) {
-					return false
-				}
+		if n.flags&flagReqMany == 0 {
+			if seen != n.reqBits || len(d.segs) != segs {
+				d.closeMapping(p, n, segs, seen, empty)
 			}
-			return true
+			return
 		}
-		return seen == n.reqBits
+		// More than 64 required children: no bitset, so the required
+		// findings come from direct lookups.
+		d.sortMembers(segs)
+		for i := n.reqOff; i < n.reqEnd; i++ {
+			r := &p.reqs[i]
+			v, present := m[r.name]
+			if present && n.flags&(flagRoot|flagMeta) != 0 && skip(n.flags, r.name) {
+				present = false
+			}
+			if !present || p.requiredEmpty(r, v) {
+				d.require(p, r, present)
+			}
+		}
 	}
 }
 
@@ -186,16 +208,11 @@ func (p *Program) requiredEmpty(r *reqRef, val any) bool {
 	return false
 }
 
-// scalarOK runs the precompiled matcher group. The checks mirror the
-// interpreted validateScalar exactly; matcher specializations only
+// scalarOK runs the precompiled matcher group on a value walk has
+// already found to be of a shape the scalar admits. The checks mirror
+// the interpreted validateScalar exactly; matcher specializations only
 // shortcut shapes whose outcome is decided by one comparison.
 func (p *Program) scalarOK(sc *scalar, val any) bool {
-	if _, isMap := val.(map[string]any); isMap && sc.typ != schema.TokDict {
-		return false
-	}
-	if _, isList := val.([]any); isList && sc.typ != schema.TokList {
-		return false
-	}
 	switch sc.kind {
 	case scalarExact:
 		s, ok := val.(string)
@@ -241,97 +258,93 @@ func (p *Program) scalarOK(sc *scalar, val any) bool {
 	return false
 }
 
+// refusal is the reason a scalar gives a value it does not admit.
+func (sc *scalar) refusal() string {
+	if sc.locked {
+		return "security-locked field set to unsafe value"
+	}
+	return "value outside the domain allowed by policy"
+}
+
 // ---------------------------------------------------------------------
-// Diagnostic pass: reproduces the interpreted violation list exactly
-// (same traversal order, same interned paths, same reasons).
+// Diagnosis: the violation order, decided once for both program walks.
 // ---------------------------------------------------------------------
 
-func (p *Program) diagNode(idx int32, val any, out *[]validator.Violation) {
-	n := &p.nodes[idx]
-	path := p.paths[n.path]
-	switch n.op {
-	case opDeny:
-		*out = append(*out, validator.Violation{Path: path,
-			Reason: "field not allowed by policy"})
-	case opAny, opAllow:
-		return
-	case opScalar:
-		p.diagScalar(&p.scalars[n.scalar], val, path, out)
-	case opList:
-		items, ok := val.([]any)
-		if !ok {
-			*out = append(*out, validator.Violation{Path: path,
-				Reason: "expected list", Got: validator.TypeName(val)})
-			return
-		}
-		for _, item := range items {
-			p.diagNode(n.item, item, out)
-		}
-	default: // opMap
-		m, ok := val.(map[string]any)
-		if !ok {
-			*out = append(*out, validator.Violation{Path: path,
-				Reason: "expected object", Got: validator.TypeName(val)})
-			return
-		}
-		keys := make([]string, 0, len(m))
-		for k := range m {
-			if n.flags&(flagRoot|flagMeta) != 0 && skip(n.flags, k) {
-				continue
-			}
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			f := p.findField(n, k)
-			if f == nil {
-				*out = append(*out, validator.Violation{Path: validator.UnlistedPath(path, k),
-					Reason: "field not allowed by policy"})
-				continue
-			}
-			p.diagNode(f.node, m[k], out)
-		}
-		for i := n.reqOff; i < n.reqEnd; i++ {
-			r := &p.reqs[i]
-			v, present := m[r.name]
-			if present && n.flags&(flagRoot|flagMeta) != 0 && skip(n.flags, r.name) {
-				present = false
-			}
-			if !present {
-				*out = append(*out, validator.Violation{Path: p.paths[r.path],
-					Reason: "security-critical field must be present"})
-				continue
-			}
-			if p.requiredEmpty(r, v) {
-				*out = append(*out, validator.Violation{Path: p.paths[r.path],
-					Reason: "security-critical field must not be empty"})
-			}
+// diagnosis is a violation list being built by a program walk — the
+// decoded one above or a raw one (rawMatch embeds it) — with what it
+// takes to put the list in the interpreted engine's order: per mapping,
+// its members' violations in sorted key order, then its required-field
+// findings in policy order. A walk visits members in whatever order it
+// meets them and leaves the ordering to closeMapping.
+type diagnosis struct {
+	// out is the violations met so far, in order for every mapping
+	// already closed. nil until the first, so an allowed walk allocates
+	// nothing.
+	out []validator.Violation
+	// segs are the members of the mappings still open whose walks added
+	// to out, in visiting order: each mapping's close sorts its own by
+	// key. Empty until the first violation.
+	segs []memberSeg
+}
+
+// memberSeg is one mapping member's run of violations in out, and the
+// key it is sorted on: the member's key as a string — for the raw walk,
+// the policy field's name, or the copy an unlisted key's violation path
+// already made (a copy of its own when that path cuts the key). Never a
+// slice of a raw body: a pointer stored into the heap-grown segs from a
+// walk frame would move the whole scanner to the heap (escape analysis
+// does not tell struct fields apart).
+type memberSeg struct {
+	key    string
+	lo, hi int32 // the member's violations are out[lo:hi]
+}
+
+// deny records a violation at node n's path.
+func (d *diagnosis) deny(p *Program, n *node, reason, got string) {
+	d.out = append(d.out, validator.Violation{Path: p.paths[n.path], Reason: reason, Got: got})
+}
+
+// require records the finding of required child r: absent, or present
+// but filled with an empty {} / [] (empty).
+func (d *diagnosis) require(p *Program, r *reqRef, empty bool) {
+	reason := "security-critical field must be present"
+	if empty {
+		reason = "security-critical field must not be empty"
+	}
+	d.out = append(d.out, validator.Violation{Path: p.paths[r.path], Reason: reason})
+}
+
+// closeMapping ends the diagnosis of a mapping walked against policy
+// node n (fewer than 65 required children): its members' violations, the
+// runs segs[base:] names, go into sorted key order, then every required
+// child whose bit is not in seen is reported in the node's required
+// order — as empty when its bit is in empty, as missing otherwise.
+func (d *diagnosis) closeMapping(p *Program, n *node, base int, seen, empty uint64) {
+	d.sortMembers(base)
+	for i := n.reqOff; i < n.reqEnd; i++ {
+		bit := uint64(1) << uint(i-n.reqOff)
+		if seen&bit == 0 {
+			d.require(p, &p.reqs[i], empty&bit != 0)
 		}
 	}
 }
 
-func (p *Program) diagScalar(sc *scalar, val any, path string, out *[]validator.Violation) {
-	if _, isMap := val.(map[string]any); isMap && sc.typ != schema.TokDict {
-		*out = append(*out, validator.Violation{Path: path,
-			Reason: "expected scalar, got object"})
+// sortMembers reorders the violations of the members segs[base:] names
+// — back to back at the end of out, in visiting order — into sorted key
+// order, and drops those segments. Keys are unique within a mapping, so
+// any sort is stable. The sorted runs are appended past the end of out
+// and moved down over the unsorted ones: no scratch of its own.
+func (d *diagnosis) sortMembers(base int) {
+	segs := d.segs[base:]
+	d.segs = d.segs[:base]
+	byKey := func(a, b memberSeg) int { return strings.Compare(a.key, b.key) }
+	if slices.IsSortedFunc(segs, byKey) {
 		return
 	}
-	if _, isList := val.([]any); isList && sc.typ != schema.TokList {
-		*out = append(*out, validator.Violation{Path: path,
-			Reason: "expected scalar, got list"})
-		return
+	from, end := segs[0].lo, len(d.out)
+	slices.SortFunc(segs, byKey)
+	for _, s := range segs {
+		d.out = append(d.out, d.out[s.lo:s.hi]...)
 	}
-	if sc.locked {
-		if !p.scalarOK(sc, val) {
-			*out = append(*out, validator.Violation{Path: path,
-				Reason: "security-locked field set to unsafe value",
-				Got:    validator.RenderValue(val)})
-		}
-		return
-	}
-	if !p.scalarOK(sc, val) {
-		*out = append(*out, validator.Violation{Path: path,
-			Reason: "value outside the domain allowed by policy",
-			Got:    validator.RenderValue(val)})
-	}
+	d.out = append(d.out[:from], d.out[end:]...)
 }

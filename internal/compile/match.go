@@ -3,9 +3,7 @@ package compile
 import (
 	"encoding/binary"
 	"math/bits"
-	"slices"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/object"
@@ -217,35 +215,14 @@ func (p *Program) JudgeRawScanned(meta RawMeta, body []byte, yamlWire bool) (vs 
 }
 
 // rawMatch is the program side of one raw walk; each wire scanner
-// embeds one.
+// embeds one. Its diagnosis is the violation list: the walk records a
+// violation where it meets one and walks on, and each mapping's close
+// puts the list in Program.Validate's order.
 type rawMatch struct {
 	p    *Program
 	meta RawMeta // filled by opCapture nodes (metaProgram walks only)
 	keyWindow
-	// out is the diagnosis: the violations met so far, in
-	// Program.Validate's order for every mapping already closed. nil
-	// until the first, so a vouch allocates nothing.
-	out []validator.Violation
-	// segs are the members of the mappings still open whose walks added
-	// to out, in wire order: each mapping's close sorts its own by key.
-	// Empty until the first violation.
-	segs []memberSeg
-}
-
-// memberSeg is one mapping member's run of violations in out, and the
-// key it is sorted on: the policy field's name, or the copy an unlisted
-// key's violation path already made (a copy of its own when that path
-// cuts the key). Never a slice of the body: a pointer stored into the
-// heap-grown segs from a walk frame would move the whole scanner to the
-// heap (escape analysis does not tell struct fields apart).
-type memberSeg struct {
-	key string
-	at  int // where the member's violations start in out
-}
-
-// deny records a violation at node idx's path.
-func (m *rawMatch) deny(idx int32, reason, got string) {
-	m.out = append(m.out, validator.Violation{Path: m.p.paths[m.p.nodes[idx].path], Reason: reason, Got: got})
+	diagnosis
 }
 
 // root is the prologue of a raw judgement: the kind root a scanned body
@@ -279,19 +256,18 @@ func (m *rawMatch) root(meta RawMeta) int32 {
 // enumeration, and an opMap with more than 64 required children sweeps a
 // materialized map: both are undecided.
 func (m *rawMatch) mapNode(idx int32) (int32, bool) {
-	if idx < 0 {
-		return -1, true
-	}
-	n := &m.p.nodes[idx]
-	switch {
-	case n.op == opMap:
-		return idx, n.flags&flagReqMany == 0
-	case n.flags&flagDict != 0:
-		return -1, n.flags&flagLocked == 0
-	}
-	if v := misfits[n.op][0]; v.Reason != "" {
-		v.Path = m.p.paths[n.path]
-		m.out = append(m.out, v)
+	if idx >= 0 {
+		n := &m.p.nodes[idx]
+		switch {
+		case n.op == opMap:
+			return idx, n.flags&flagReqMany == 0
+		case n.flags&flagDict != 0:
+			return -1, n.flags&flagLocked == 0
+		}
+		if v := misfits[n.op][0]; v.Reason != "" {
+			v.Path = m.p.paths[n.path]
+			m.out = append(m.out, v)
+		}
 	}
 	return -1, true
 }
@@ -299,29 +275,29 @@ func (m *rawMatch) mapNode(idx int32) (int32, bool) {
 // listItem is mapNode for a sequence: the node its items are walked
 // against.
 func (m *rawMatch) listItem(idx int32) (int32, bool) {
-	if idx < 0 {
-		return -1, true
-	}
-	n := &m.p.nodes[idx]
-	switch {
-	case n.op == opList:
-		return n.item, true
-	case n.flags&flagList != 0:
-		return -1, n.flags&flagLocked == 0
-	}
-	if v := misfits[n.op][1]; v.Reason != "" {
-		v.Path = m.p.paths[n.path]
-		m.out = append(m.out, v)
+	if idx >= 0 {
+		n := &m.p.nodes[idx]
+		switch {
+		case n.op == opList:
+			return n.item, true
+		case n.flags&flagList != 0:
+			return -1, n.flags&flagLocked == 0
+		}
+		if v := misfits[n.op][1]; v.Reason != "" {
+			v.Path = m.p.paths[n.path]
+			m.out = append(m.out, v)
+		}
 	}
 	return -1, true
 }
 
 // misfits is, by opcode, the violation of a mapping ([0]) and of a
 // sequence ([1]) found under a node that does not walk it against its
-// children — diagNode's and diagScalar's texts. An empty entry (the
+// children — the decoded walk's texts (Program.walk). An empty entry (the
 // wildcards, the capture) walks it structurally and records nothing. A
 // table, not a call: mapNode and listItem stay inlined on the walk's hot
-// path.
+// path (mapNode within a node or two of the inliner's budget: check
+// `go build -gcflags=-m` after touching it).
 var misfits = [opCapture + 1][2]validator.Violation{
 	opDeny:   {{Reason: "field not allowed by policy"}, {Reason: "field not allowed by policy"}},
 	opMap:    {1: {Reason: "expected object", Got: "list"}},
@@ -481,7 +457,7 @@ func (w *mapWalk) settle(v val) {
 // segment closes the last member's run of violations in m.out: close
 // sorts it into place under key.
 func (w *mapWalk) segment(key string) {
-	w.m.segs = append(w.m.segs, memberSeg{key: key, at: int(w.at)})
+	w.m.segs = append(w.m.segs, memberSeg{key: key, lo: w.at, hi: int32(len(w.m.out))})
 	w.at = int32(len(w.m.out))
 	w.sort = true
 }
@@ -495,10 +471,8 @@ func (w *mapWalk) segment(key string) {
 // Only a flagPrologue node ever sets walked, so one compare decides.
 func (w *mapWalk) done() bool { return w.walked == prologueWalked }
 
-// close ends the mapping. One that met violations puts its members'
-// violations in sorted key order, then reports every required field not
-// seen, or filled empty, in the node's required order — diagNode's
-// order.
+// close ends the mapping. One that met violations or missed a
+// requirement is closed by findings; a structural walk records neither.
 func (w *mapWalk) close() val {
 	w.m.nkeys = int(w.base)
 	if w.seen != w.want || w.sort {
@@ -507,55 +481,13 @@ func (w *mapWalk) close() val {
 	return w.got
 }
 
-// findings is close for a mapping that met violations or missed a
-// requirement; never a structural walk's, which records neither.
+// findings is closeMapping, the decoded walk's close too, for this
+// mapping. Out of line: inlined, it takes close, which every mapping of
+// every body runs, past the inlining budget.
+//
+//go:noinline
 func (w *mapWalk) findings() {
-	m, n := w.m, w.n
-	if w.sort {
-		m.sortMembers(int(w.segs))
-		m.segs = m.segs[:w.segs]
-	}
-	for i := n.reqOff; i < n.reqEnd; i++ {
-		bit := uint64(1) << uint(i-n.reqOff)
-		if w.seen&bit != 0 {
-			continue
-		}
-		reason := "security-critical field must be present"
-		if w.empty&bit != 0 {
-			reason = "security-critical field must not be empty"
-		}
-		m.out = append(m.out, validator.Violation{Path: m.p.paths[m.p.reqs[i].path], Reason: reason})
-	}
-}
-
-// sortMembers reorders the violations of the members segs[base:] names
-// — back to back at the end of out, in wire order — into sorted key
-// order, the order diagNode visits a mapping's keys in. Keys are unique
-// (the window refuses duplicates), so any sort is stable.
-func (m *rawMatch) sortMembers(base int) {
-	segs := m.segs[base:]
-	if slices.IsSortedFunc(segs, func(a, b memberSeg) int { return strings.Compare(a.key, b.key) }) {
-		return
-	}
-	type span struct {
-		key    string
-		lo, hi int
-	}
-	spans := make([]span, len(segs))
-	for i, s := range segs {
-		hi := len(m.out)
-		if i+1 < len(segs) {
-			hi = segs[i+1].at
-		}
-		spans[i] = span{s.key, s.at, hi}
-	}
-	slices.SortFunc(spans, func(a, b span) int { return strings.Compare(a.key, b.key) })
-	from := segs[0].at
-	tail := append([]validator.Violation(nil), m.out[from:]...)
-	at := from
-	for _, s := range spans {
-		at += copy(m.out[at:], tail[s.lo-from:s.hi-from])
-	}
+	w.m.closeMapping(w.m.p, w.n, int(w.segs), w.seen, w.empty)
 }
 
 // judge is admits, then refuse for a scalar admits refuses: the whole
@@ -616,19 +548,15 @@ func (m *rawMatch) refuse(idx int32, t token) val {
 		if !known {
 			return 0
 		}
-		reason := "value outside the domain allowed by policy"
-		if m.p.scalars[n.scalar].locked {
-			reason = "security-locked field set to unsafe value"
-		}
-		m.deny(idx, reason, got)
+		m.deny(m.p, n, m.p.scalars[n.scalar].refusal(), got)
 	case opMap:
-		m.deny(idx, "expected object", t.typeName())
+		m.deny(m.p, n, "expected object", t.typeName())
 	case opList:
-		m.deny(idx, "expected list", t.typeName())
+		m.deny(m.p, n, "expected list", t.typeName())
 	case opCapture:
 		return 0
 	default: // opDeny
-		m.deny(idx, "field not allowed by policy", "")
+		m.deny(m.p, n, "field not allowed by policy", "")
 	}
 	return valOK
 }

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/chart"
 	"repro/internal/charts"
+	"repro/internal/compile"
 	"repro/internal/core"
 	"repro/internal/mutate"
 	"repro/internal/object"
@@ -283,7 +284,11 @@ func TestRawPathFallsBackUnderInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, decided := reg.ValidateRaw(e, body); decided {
+	meta, ok := compile.ScanRawMeta(body)
+	if !ok {
+		t.Fatal("scan of the benign body failed")
+	}
+	if _, decided := reg.ValidateRawScanned(e, body, meta); decided {
 		t.Error("raw path decided for an entry with invariants before any cached verdict")
 	}
 	// Decode-path validation populates the cache; the raw path may now
@@ -291,7 +296,7 @@ func TestRawPathFallsBackUnderInvariants(t *testing.T) {
 	if vs := reg.Validate(e, body, o); len(vs) != 0 {
 		t.Fatalf("benign object denied: %v", vs)
 	}
-	vs, decided := reg.ValidateRaw(e, body)
+	vs, decided := reg.ValidateRawScanned(e, body, meta)
 	if !decided || len(vs) != 0 {
 		t.Errorf("cache short-circuit lost: decided=%v vs=%v", decided, vs)
 	}

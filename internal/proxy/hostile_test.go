@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/registry"
 	"repro/internal/validator"
 )
 
@@ -29,8 +30,14 @@ func postRaw(p *Proxy, body []byte) *httptest.ResponseRecorder {
 // recordBytes sizes what a retained denial record pins: every string it
 // holds.
 func recordBytes(rec ViolationRecord) int {
-	n := len(rec.Workload) + len(rec.User) + len(rec.Method) + len(rec.RequestURI) + len(rec.Kind) + len(rec.Name)
-	for _, v := range rec.Violations {
+	return len(rec.Workload) + len(rec.User) + len(rec.Method) + len(rec.RequestURI) + len(rec.Kind) + len(rec.Name) +
+		violationBytes(rec.Violations)
+}
+
+// violationBytes sizes the strings a violation list holds.
+func violationBytes(vs []validator.Violation) int {
+	n := 0
+	for _, v := range vs {
 		n += len(v.Path) + len(v.Reason) + len(v.Got)
 	}
 	return n
@@ -67,13 +74,15 @@ func TestDecodeErrorsDoNotEchoAttackerSizedInput(t *testing.T) {
 
 // TestDenialRetainsAndEchoesBoundedBytes: a denial record is retained
 // by the workload's and the proxy's denial logs and echoed in the 403,
-// so what one denied request pins must not be the attacker's to size.
-// A 4 MiB string in a denied field (Got is cut to 256 bytes), 350 k
-// unknown fields (the list is cut to maxDenyViolations plus one
-// "+N more violations" entry), a 4 MiB unknown key (its Path is cut like
-// a Got) and a 4 MiB unknown kind (so is the kind in the reason) must
-// each cost under 16 KiB in the record and in the 403, on the raw path
-// and on the decode path.
+// its list is kept by the decision cache, and a shadow-mode workload's
+// would-deny record is retained by its shadow log and handed to the
+// shadow callback — so what one denied request pins must not be the
+// attacker's to size. A 4 MiB string in a denied field (Got is cut to
+// 256 bytes), 350 k unknown fields (the registry cuts the list to
+// registry.MaxViolations plus one "+N more violations" entry), a 4 MiB
+// unknown key (its Path is cut like a Got) and a 4 MiB unknown kind (so
+// is the kind in the reason) must each cost under 16 KiB in every one
+// of them, on the raw path and on the decode path.
 func TestDenialRetainsAndEchoesBoundedBytes(t *testing.T) {
 	const bound = 16 << 10
 	deployment := goodDeployment()
@@ -105,34 +114,81 @@ func TestDenialRetainsAndEchoesBoundedBytes(t *testing.T) {
 			t.Fatalf("%s: %d bytes exceed the inspection cap", name, len(body))
 		}
 	}
+	// capped checks a list the 350 k-field body left behind.
+	capped := func(what string, vs []validator.Violation) {
+		t.Helper()
+		want := fmt.Sprintf("+%d more violations", fields-registry.MaxViolations)
+		if len(vs) != registry.MaxViolations+1 || vs[registry.MaxViolations].Reason != want {
+			t.Errorf("%s: %d violations retained, last %+v, want %d and %q",
+				what, len(vs), vs[len(vs)-1], registry.MaxViolations+1, want)
+		}
+	}
 
 	for _, disableRaw := range []bool{false, true} {
 		for name, body := range hostile {
-			p := newRawPathProxy(t, func(c *Config) { c.DisableRawFastPath = disableRaw })
+			what := fmt.Sprintf("%s (raw off: %v)", name, disableRaw)
+			p := newProxy(t, Config{Upstream: "http://upstream.invalid", Transport: echoTransport{},
+				DisableRawFastPath: disableRaw}, testPolicy(t), 16)
 			resp := postRaw(p, body)
 			if resp.Code != http.StatusForbidden {
-				t.Fatalf("%s (raw off: %v): code = %d, want 403", name, disableRaw, resp.Code)
+				t.Fatalf("%s: code = %d, want 403", what, resp.Code)
 			}
 			if n := resp.Body.Len(); n >= bound {
-				t.Errorf("%s (raw off: %v): 403 body is %d bytes, want < %d", name, disableRaw, n, bound)
+				t.Errorf("%s: 403 body is %d bytes, want < %d", what, n, bound)
 			}
 			recs := p.Violations()
 			if len(recs) != 1 {
-				t.Fatalf("%s (raw off: %v): %d denial records, want 1", name, disableRaw, len(recs))
+				t.Fatalf("%s: %d denial records, want 1", what, len(recs))
 			}
 			if n := recordBytes(recs[0]); n >= bound {
-				t.Errorf("%s (raw off: %v): retained denial record holds %d bytes, want < %d", name, disableRaw, n, bound)
+				t.Errorf("%s: retained denial record holds %d bytes, want < %d", what, n, bound)
 			}
 			for w, wrecs := range p.Registry().Violations() {
 				if n := recordBytes(wrecs[0]); n >= bound {
-					t.Errorf("%s (raw off: %v): workload %s retains %d bytes, want < %d", name, disableRaw, w, n, bound)
+					t.Errorf("%s: workload %s retains %d bytes, want < %d", what, w, n, bound)
+				}
+			}
+			workload := p.Registry().Workloads()[0]
+			snap, err := p.Registry().ExportCache(workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, ce := range snap.Entries {
+				if n := violationBytes(ce.Violations); n >= bound {
+					t.Errorf("%s: cached decision holds %d bytes, want < %d", what, n, bound)
 				}
 			}
 			if name == "350 k unknown fields" {
-				vs := recs[0].Violations
-				if want := fmt.Sprintf("+%d more violations", fields-maxDenyViolations); len(vs) != maxDenyViolations+1 || vs[maxDenyViolations].Reason != want {
-					t.Errorf("raw off: %v: %d violations retained, last %+v, want %d and %q",
-						disableRaw, len(vs), vs[len(vs)-1], maxDenyViolations+1, want)
+				capped(what+" denial record", recs[0].Violations)
+				if len(snap.Entries) != 1 {
+					t.Fatalf("%s: %d cached decisions, want 1", what, len(snap.Entries))
+				}
+				capped(what+" cached decision", snap.Entries[0].Violations)
+			}
+
+			// The same body under a shadow-mode policy: forwarded, and
+			// recorded as a would-deny.
+			var shadowed []ViolationRecord
+			p = newProxy(t, Config{Upstream: "http://upstream.invalid", Transport: echoTransport{},
+				DisableRawFastPath: disableRaw,
+				OnShadowViolation:  func(rec ViolationRecord) { shadowed = append(shadowed, rec) }}, testPolicy(t), 16)
+			if err := p.Registry().SetMode(workload, registry.ModeShadow); err != nil {
+				t.Fatal(err)
+			}
+			if resp := postRaw(p, body); resp.Code != http.StatusOK {
+				t.Fatalf("%s shadowed: code = %d, want 200", what, resp.Code)
+			}
+			e, _ := p.Registry().Entry(workload)
+			recs = e.ShadowViolations()
+			if len(recs) != 1 || len(shadowed) != 1 {
+				t.Fatalf("%s: %d shadow records, %d shadow callbacks, want 1 and 1", what, len(recs), len(shadowed))
+			}
+			for where, rec := range map[string]ViolationRecord{"shadow record": recs[0], "shadow callback": shadowed[0]} {
+				if n := recordBytes(rec); n >= bound {
+					t.Errorf("%s: %s holds %d bytes, want < %d", what, where, n, bound)
+				}
+				if name == "350 k unknown fields" {
+					capped(what+" "+where, rec.Violations)
 				}
 			}
 		}

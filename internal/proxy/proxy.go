@@ -34,7 +34,7 @@
 // with cross-resource invariants, and constructs the walkers cannot
 // judge byte for byte take the classic decode + diagnostic path, whose
 // verdicts and violation lists the raw path reproduces exactly
-// (registry.ValidateRaw contract). ServeHTTP is
+// (registry.ValidateRawScanned contract). ServeHTTP is
 // the two steps back to back; a tier fronting several proxies
 // (internal/plane) builds the Request itself, routes on it, and hands it
 // to the owning replica's Serve.
@@ -545,13 +545,13 @@ func (p *Proxy) recordShadow(r *http.Request, user string,
 // metric: transport-level failures (unreadable, oversized, or
 // unparseable-typed bodies) would otherwise skew the experiments'
 // denial rates. The record's kind and name come from the body, so they
-// are cut by validator.Bounded like a violation's Got.
+// are cut by validator.Bounded like a violation's Got; a policy's list
+// comes from the registry, which cuts it to registry.MaxViolations.
 func (p *Proxy) deny(w http.ResponseWriter, r *http.Request, user string,
 	entry *registry.Entry, kind, name string, code int, violations []validator.Violation) {
 	if code == http.StatusForbidden {
 		p.denied.Add(1)
 	}
-	violations = capViolations(violations)
 	rec := ViolationRecord{
 		Time:       time.Now(),
 		User:       user,
@@ -589,24 +589,6 @@ func (p *Proxy) deny(w http.ResponseWriter, r *http.Request, user string,
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(&body)
-}
-
-// maxDenyViolations bounds the violations one denial record retains and
-// its 403 echoes: past it, one "+N more violations" entry stands for the
-// rest. A body of 350 k unknown fields is 350 k violations; the engines
-// and the decision cache keep the whole list, the logs and the client do
-// not.
-const maxDenyViolations = 64
-
-// capViolations is violations cut to maxDenyViolations and the count of
-// the rest, never written into violations' own array (a cached decision
-// may share it).
-func capViolations(violations []validator.Violation) []validator.Violation {
-	if len(violations) <= maxDenyViolations {
-		return violations
-	}
-	more := validator.Violation{Reason: fmt.Sprintf("+%d more violations", len(violations)-maxDenyViolations)}
-	return append(violations[:maxDenyViolations:maxDenyViolations], more)
 }
 
 // denyStatus is the Kubernetes Status body of a denial. The fields are

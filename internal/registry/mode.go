@@ -364,8 +364,9 @@ func (r *Registry) Demote(workload string) (Mode, error) {
 // ShadowValidate checks an object against the entry's candidate policy
 // without enforcing the verdict: the would-deny outcome is folded into
 // the entry's cumulative shadow counters and the per-generation sliding
-// window. It returns the violations (for the caller's record log) and
-// the policy generation the verdict was made under.
+// window. It returns the violations, cut like Validate's (for the
+// caller's record log), and the policy generation the verdict was made
+// under.
 func (r *Registry) ShadowValidate(e *Entry, body []byte, obj object.Object) ([]validator.Violation, uint64) {
 	return r.ShadowValidateHashed(e, body, nil, obj)
 }

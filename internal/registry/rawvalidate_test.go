@@ -2,6 +2,7 @@ package registry
 
 import (
 	"crypto/sha256"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -48,6 +49,17 @@ var (
 		strings.Repeat("x", 300) + `","resources":{"limits":{"cpu":"100m"}}}]}}`)
 )
 
+// rawScanned is the enforcement point's raw order for a JSON body: scan
+// it, then judge the scanned body.
+func rawScanned(t *testing.T, reg *Registry, e *Entry, body []byte) ([]validator.Violation, bool) {
+	t.Helper()
+	meta, ok := compile.ScanRawMeta(body)
+	if !ok {
+		t.Fatalf("scan of %.64q failed", body)
+	}
+	return reg.ValidateRawScanned(e, body, meta)
+}
+
 func TestValidateRawFastPath(t *testing.T) {
 	reg := New(Config{CacheSize: 16})
 	e, err := reg.Register("web", Selector{}, rawTestPolicy(t))
@@ -55,7 +67,7 @@ func TestValidateRawFastPath(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	vs, decided := reg.ValidateRaw(e, rawBenignBody)
+	vs, decided := rawScanned(t, reg, e, rawBenignBody)
 	if !decided || vs != nil {
 		t.Fatalf("benign body: decided=%v vs=%v, want decided with nil violations", decided, vs)
 	}
@@ -64,7 +76,7 @@ func TestValidateRawFastPath(t *testing.T) {
 	}
 	// The allow decision was cached under the body hash: the identical
 	// re-apply short-circuits before any tokenization.
-	vs, decided = reg.ValidateRaw(e, rawBenignBody)
+	vs, decided = rawScanned(t, reg, e, rawBenignBody)
 	if !decided || vs != nil {
 		t.Fatalf("cached benign body: decided=%v vs=%v", decided, vs)
 	}
@@ -82,7 +94,7 @@ func TestValidateRawFallbackAndCachedDenial(t *testing.T) {
 
 	// A violating body the walk cannot judge is left undecided: the caller
 	// decodes and runs the diagnostic engine.
-	vs, decided := reg.ValidateRaw(e, rawUndecidedAttackBody)
+	vs, decided := rawScanned(t, reg, e, rawUndecidedAttackBody)
 	if decided {
 		t.Fatalf("undecidable attack body decided raw: vs=%v", vs)
 	}
@@ -99,7 +111,7 @@ func TestValidateRawFallbackAndCachedDenial(t *testing.T) {
 	}
 	// The decode-path denial is now cached: the raw path returns the
 	// exact violation list with no decode at all.
-	vs, decided = reg.ValidateRaw(e, rawUndecidedAttackBody)
+	vs, decided = rawScanned(t, reg, e, rawUndecidedAttackBody)
 	if !decided || !reflect.DeepEqual(vs, denial) {
 		t.Fatalf("cached denial: decided=%v\nvs:   %v\nwant: %v", decided, vs, denial)
 	}
@@ -116,7 +128,7 @@ func TestValidateRawDiagnosesDenial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		vs, decided := reg.ValidateRaw(e, body)
+		vs, decided := rawScanned(t, reg, e, body)
 		if !decided || len(vs) == 0 {
 			t.Fatalf("%s: decided=%v vs=%v, want a raw diagnosis", name, decided, vs)
 		}
@@ -124,13 +136,13 @@ func TestValidateRawDiagnosesDenial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want := e.Program().Validate(o); !reflect.DeepEqual(vs, want) {
+		if want := capViolations(e.Program().Validate(o)); !reflect.DeepEqual(vs, want) {
 			t.Fatalf("%s: raw diagnosis diverges from the decode path:\nraw:    %v\ndecode: %v", name, vs, want)
 		}
 		if m := e.Metrics(); m.Requests != 1 || m.CacheHits != 0 {
 			t.Fatalf("%s: metrics after a raw diagnosis: %+v", name, m)
 		}
-		again, decided := reg.ValidateRaw(e, body)
+		again, decided := rawScanned(t, reg, e, body)
 		if !decided || !reflect.DeepEqual(again, vs) {
 			t.Fatalf("%s: cached diagnosis: decided=%v vs=%v", name, decided, again)
 		}
@@ -140,20 +152,80 @@ func TestValidateRawDiagnosesDenial(t *testing.T) {
 	}
 }
 
+// TestEveryListIsCapped: a list longer than MaxViolations is cut once,
+// by the registry, wherever it leaves it — a raw diagnosis, a decoded
+// one, a shadow verdict, a cached decision and the exported cache all
+// hold the first MaxViolations and one "+N more violations" entry.
+func TestEveryListIsCapped(t *testing.T) {
+	// Every container's image is outside the policy's domain: one
+	// violation each, and no mapping open at once holds more than a few
+	// keys, so the walk diagnoses the body.
+	container := `{"name":"c","image":"evil.io/x","resources":{"limits":{"cpu":"100m"}}}`
+	containers := strings.Repeat(container+",", 2*MaxViolations) + container
+	body := []byte(`{"kind":"Pod","metadata":{"name":"web"},"spec":{"hostNetwork":false,"containers":[` + containers + `]}}`)
+	o, err := object.ParseJSON(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := compile.MustCompile(rawTestPolicy(t)).Validate(o)
+	want := capViolations(full)
+	if len(full) <= MaxViolations || len(want) != MaxViolations+1 ||
+		want[MaxViolations].Reason != fmt.Sprintf("+%d more violations", len(full)-MaxViolations) {
+		t.Fatalf("%d violations cut to %d, last %+v", len(full), len(want), want[len(want)-1])
+	}
+	for _, raw := range []bool{true, false} {
+		reg := New(Config{CacheSize: 16})
+		e, err := reg.Register("web", Selector{}, rawTestPolicy(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vs []validator.Violation
+		if raw {
+			var decided bool
+			if vs, decided = rawScanned(t, reg, e, body); !decided {
+				t.Fatal("the raw walk left the body undecided")
+			}
+		} else {
+			vs = reg.Validate(e, body, o)
+		}
+		cached := reg.Validate(e, body, o)
+		snap, err := reg.ExportCache("web")
+		if err != nil || len(snap.Entries) != 1 {
+			t.Fatalf("raw %v: export = %d entries, %v", raw, len(snap.Entries), err)
+		}
+		for what, got := range map[string][]validator.Violation{"verdict": vs, "cached verdict": cached, "exported": snap.Entries[0].Violations} {
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("raw %v: %s holds %d violations, want the %d of the cut list", raw, what, len(got), len(want))
+			}
+		}
+	}
+	reg := New(Config{})
+	e, err := reg.Register("web", Selector{}, rawTestPolicy(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.SetMode("web", ModeShadow); err != nil {
+		t.Fatal(err)
+	}
+	if shadow, _ := reg.ShadowValidate(e, body, o); !reflect.DeepEqual(shadow, want) {
+		t.Errorf("shadow verdict holds %d violations, want the %d of the cut list", len(shadow), len(want))
+	}
+}
+
 func TestValidateRawNoCache(t *testing.T) {
 	reg := New(Config{})
 	e, err := reg.Register("web", Selector{}, rawTestPolicy(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, decided := reg.ValidateRaw(e, rawBenignBody)
+	vs, decided := rawScanned(t, reg, e, rawBenignBody)
 	if !decided || vs != nil {
 		t.Fatalf("cacheless fast pass: decided=%v vs=%v", decided, vs)
 	}
-	if _, decided := reg.ValidateRaw(e, rawUndecidedAttackBody); decided {
+	if _, decided := rawScanned(t, reg, e, rawUndecidedAttackBody); decided {
 		t.Fatal("cacheless undecidable attack body decided raw")
 	}
-	if vs, decided := reg.ValidateRaw(e, rawAttackBody); !decided || len(vs) == 0 {
+	if vs, decided := rawScanned(t, reg, e, rawAttackBody); !decided || len(vs) == 0 {
 		t.Fatalf("cacheless attack body: decided=%v vs=%v, want a raw diagnosis", decided, vs)
 	}
 }
@@ -164,7 +236,7 @@ func TestValidateRawLearningEntryFailsClosed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vs, decided := reg.ValidateRaw(e, rawBenignBody)
+	vs, decided := rawScanned(t, reg, e, rawBenignBody)
 	if !decided || len(vs) == 0 {
 		t.Fatalf("no-policy entry must fail closed raw: decided=%v vs=%v", decided, vs)
 	}

@@ -767,37 +767,28 @@ func newCacheKey(gen uint64, body []byte, sum *[sha256.Size]byte) cacheKey {
 	return cacheKey{gen: gen, bodyHash: sha256.Sum256(body)}
 }
 
-// ValidateRaw attempts to decide a request from its raw wire bytes,
-// without decoding: the entry's decision-cache shard is consulted on the
-// body hash first (operators re-apply identical manifests every
-// reconcile loop, so the common case never even tokenizes), then the
-// compiled program judges the bytes directly
-// (compile.Program.JudgeRawScanned).
+// ValidateRawScanned attempts to decide a request from its raw wire
+// bytes, without decoding them. meta MUST be the successful
+// compile.ScanRawMeta of body (the proxy scans once, for routing). The
+// entry's decision-cache shard is consulted on the body hash first
+// (operators re-apply identical manifests every reconcile loop, so the
+// common case never even tokenizes), then the compiled program judges
+// the bytes (compile.Program.JudgeRawScanned).
 //
-// decided=true returns the authoritative violation list: nil = allowed;
-// cached denials come back verbatim, and an uncached one is the judging
+// decided=true returns the authoritative violation list, cut by
+// capViolations: nil = allowed; a cached one verbatim, else the judging
 // walk's diagnosis — Validate's list on the decoded body — cached under
-// the same key. decided=false means the raw view could not rule — the
-// caller must decode the body and call Validate, which produces the
-// exact diagnostic violation list. Either way a request is counted
-// once. Entries carrying cross-resource invariants skip the judging
-// walk but still honor the cache short-circuit.
-func (r *Registry) ValidateRaw(e *Entry, body []byte) (vs []validator.Violation, decided bool) {
-	meta, ok := compile.ScanRawMeta(body)
-	return r.validateRaw(e, body, nil, meta, ok, false)
-}
-
-// ValidateRawScanned is ValidateRaw for a caller that already ran
-// compile.ScanRawMeta on this exact body (the proxy scans once for
-// routing): the judging walk reuses the scan instead of re-tokenizing
-// the body's prologue. meta MUST be the successful scan of body. The
-// scan reads the prologue only, so the body may still not decode; the
-// answers stay correct regardless — the judging walk reads every byte
-// and decides nothing undecodable, a cached decision was made on a body
-// that decoded, and a workload with no policy yet fails closed whatever
-// the body is.
+// the same key. decided=false means the raw view could not rule: the
+// caller decodes the body and calls Validate. Either way a request is
+// counted once. Entries carrying cross-resource invariants skip the
+// judging walk but still honor the cache short-circuit. The scan reads
+// the prologue only, so the body may still not decode; the answers stay
+// correct regardless — the judging walk reads every byte and decides
+// nothing undecodable, a cached decision was made on a body that
+// decoded, and a workload with no policy yet fails closed whatever the
+// body is.
 func (r *Registry) ValidateRawScanned(e *Entry, body []byte, meta compile.RawMeta) (vs []validator.Violation, decided bool) {
-	return r.validateRaw(e, body, nil, meta, true, false)
+	return r.validateRaw(e, body, nil, meta, false)
 }
 
 // ValidateRawYAMLScanned is ValidateRawScanned for YAML wire bytes:
@@ -806,7 +797,7 @@ func (r *Registry) ValidateRawScanned(e *Entry, body []byte, meta compile.RawMet
 // program. The cache short-circuit and all gating rules are shared with
 // the JSON path.
 func (r *Registry) ValidateRawYAMLScanned(e *Entry, body []byte, meta compile.RawMeta) (vs []validator.Violation, decided bool) {
-	return r.validateRaw(e, body, nil, meta, true, true)
+	return r.validateRaw(e, body, nil, meta, true)
 }
 
 // ValidateRawHashed is ValidateRawScanned (ValidateRawYAMLScanned when
@@ -815,12 +806,12 @@ func (r *Registry) ValidateRawYAMLScanned(e *Entry, body []byte, meta compile.Ra
 // hash taken here. The enforcement point's front end hashes every inspected body
 // once, before it scans it.
 func (r *Registry) ValidateRawHashed(e *Entry, body []byte, sum *[sha256.Size]byte, meta compile.RawMeta, yamlBody bool) (vs []validator.Violation, decided bool) {
-	return r.validateRaw(e, body, sum, meta, true, yamlBody)
+	return r.validateRaw(e, body, sum, meta, yamlBody)
 }
 
-// validateRaw is every ValidateRaw form. A nil sum is taken here, and
-// only when the entry has a cache to key with it.
-func (r *Registry) validateRaw(e *Entry, body []byte, sum *[sha256.Size]byte, meta compile.RawMeta, scanOK, yamlBody bool) (vs []validator.Violation, decided bool) {
+// validateRaw is every ValidateRawScanned form. A nil sum is taken here,
+// and only when the entry has a cache to key with it.
+func (r *Registry) validateRaw(e *Entry, body []byte, sum *[sha256.Size]byte, meta compile.RawMeta, yamlBody bool) (vs []validator.Violation, decided bool) {
 	ver := e.version.Load()
 	if ver.program == nil && ver.policy == nil {
 		e.requests.Add(1)
@@ -842,7 +833,7 @@ func (r *Registry) validateRaw(e *Entry, body []byte, sum *[sha256.Size]byte, me
 	// an invariant needs the decoded object. The cache short-circuit
 	// above is still sound — cached verdicts were computed by the decode
 	// path WITH the invariants, under the same generation.
-	if !scanOK || len(ver.invariants) > 0 {
+	if len(ver.invariants) > 0 {
 		return nil, false
 	}
 	start := time.Now()
@@ -852,6 +843,7 @@ func (r *Registry) validateRaw(e *Entry, body []byte, sum *[sha256.Size]byte, me
 		// accounting (exactly one count per inspected request).
 		return nil, false
 	}
+	vs = capViolations(vs)
 	e.requests.Add(1)
 	e.valNanos.Add(int64(time.Since(start)))
 	if cached {
@@ -862,7 +854,8 @@ func (r *Registry) validateRaw(e *Entry, body []byte, sum *[sha256.Size]byte, me
 
 // Validate checks a decoded object against an entry's policy, executing
 // the compiled rule program and consulting the entry's decision-cache
-// shard when a request body is supplied. The body must be
+// shard when a request body is supplied; the list is cut by
+// capViolations, cached or not. The body must be
 // the exact wire bytes the object was decoded from; callers without
 // access to the raw body pass nil to validate uncached.
 func (r *Registry) Validate(e *Entry, body []byte, obj object.Object) []validator.Violation {
@@ -907,11 +900,29 @@ func (r *Registry) validateVersion(e *Entry, ver *policyVersion, body []byte, su
 			vs = append(vs, inv.Check(obj)...)
 		}
 	}
+	vs = capViolations(vs)
 	e.valNanos.Add(int64(time.Since(start)))
 	if cached {
 		e.cache.put(key, vs)
 	}
 	return vs
+}
+
+// MaxViolations bounds every violation list the registry returns,
+// caches, records or exports: past it, one "+N more violations" entry
+// stands for the rest. A body of 350 k unknown fields is 350 k
+// violations out of the engines; a denial record, a shadow record, a
+// cached decision and the 403 that echoes it keep 65.
+const MaxViolations = 64
+
+// capViolations is violations cut to MaxViolations and the count of the
+// rest, in a new array: a cut list does not pin the engine's whole one.
+func capViolations(violations []validator.Violation) []validator.Violation {
+	if len(violations) <= MaxViolations {
+		return violations
+	}
+	more := validator.Violation{Reason: fmt.Sprintf("+%d more violations", len(violations)-MaxViolations)}
+	return append(violations[:MaxViolations:MaxViolations], more)
 }
 
 // CacheEntry is one exported decision: the body hash it was keyed by

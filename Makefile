@@ -3,6 +3,7 @@
 #   make ci              # the full gate: gofmt, go vet, build, tests with -race
 #   make test            # fast test run (no race detector)
 #   make plane-race      # the plane's generation invariant, -race -count=20
+#   make forward-race    # the upstream frame's lifetime, -race -count=20
 #   make bench           # in-package micro-benchmarks (multi-workload enforcement, JSON and YAML decode, raw scan/match/judge, decoded validate, proxy hit/cold/deny path)
 #   make fuzz-smoke      # 10s per native fuzz target
 #   make fuzz-nightly    # 2m per native fuzz target
@@ -19,7 +20,7 @@ GO ?= go
 # coverage grows, never lower it to make a PR pass.
 COVERAGE_BASELINE ?= 84.0
 
-.PHONY: all ci fmt-check vet build test race plane-race bench fuzz-smoke \
+.PHONY: all ci fmt-check vet build test race plane-race forward-race bench fuzz-smoke \
 	fuzz-nightly coverage-gate staticcheck
 
 all: ci
@@ -50,6 +51,13 @@ race:
 # (about 20 s on 2 cores).
 plane-race:
 	$(GO) test -race -count=20 ./internal/plane
+
+# The proxy recycles each upstream request under the RoundTripper
+# contract; the TestForward tests drive transports that use every
+# freedom it gives, and a frame recycled too early is a race the
+# detector reports. Twenty passes, like plane-race.
+forward-race:
+	$(GO) test -race -count=20 -run TestForward ./internal/proxy
 
 bench:
 	$(GO) test -run NONE -bench 'MultiWorkload|RegistryResolve' -benchmem .

@@ -102,7 +102,9 @@ type Config struct {
 	// Upstream is the API server base URL shared by every replica.
 	Upstream string
 	// Transport carries requests upstream. Defaults to
-	// http.DefaultTransport.
+	// http.DefaultTransport. It must keep the http.RoundTripper contract
+	// as proxy.Config.Transport describes: every replica recycles its
+	// upstream requests.
 	Transport http.RoundTripper
 	// CacheSize bounds each replica registry's per-workload decision
 	// cache. Zero disables caching.

@@ -222,7 +222,9 @@ func BenchmarkServeDeny(b *testing.B) { benchServe(b, true, true) }
 // floored corpus means. Every request of an allowed row must be allowed
 // on the raw path: the walk vouches for every benign body of the fleet,
 // escaped strings and plain scalars such as 0.0.0.0 included, on both
-// wires, so the four allowed rows cost the same. A change that raises an
+// wires, so the four allowed rows cost the same: the upstream body
+// wrapper and the null transport's Response, the upstream request
+// itself being a recycled frame (forward.go). A change that raises an
 // allowed row has started allocating on the allowed fast path, or
 // sending benign bodies to the decoder; one that raises the deny row, on
 // the denial path. They were
@@ -239,11 +241,11 @@ func TestServeAllocationCeiling(t *testing.T) {
 		deny        bool
 		ceiling     float64
 	}{
-		{"reapply-json", f.json, "application/json", false, false, 10},
-		{"unique-json", f.json, "application/json", true, false, 10},
-		{"reapply-yaml", f.yaml, "application/yaml", false, false, 10},
-		{"unique-yaml", f.yaml, "application/yaml", true, false, 10},
-		{"unique-deny-json", f.attacks, "application/json", true, true, 21},
+		{"reapply-json", f.json, "application/json", false, false, 2},
+		{"unique-json", f.json, "application/json", true, false, 2},
+		{"reapply-yaml", f.yaml, "application/yaml", false, false, 2},
+		{"unique-yaml", f.yaml, "application/yaml", true, false, 2},
+		{"unique-deny-json", f.attacks, "application/json", true, true, 20},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			serve := serveLoop(t, f, tc.corpus, tc.contentType, tc.unique)

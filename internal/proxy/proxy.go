@@ -39,6 +39,18 @@
 // (internal/plane) builds the Request itself, routes on it, and hands it
 // to the owning replica's Serve.
 //
+// An admitted request is forwarded in a recycled frame (forward.go): the
+// upstream http.Request, its URL and its header map live in one pooled
+// upstreamCall, inbound header values are shared rather than copied, and
+// the pooled body buffer rides along, so a re-applied manifest is
+// admitted and forwarded without allocating anything but its body
+// wrapper. The frame is recycled under the http.RoundTripper contract —
+// only once forward has closed the response body and the transport has
+// closed the request body, never after a failed round trip — which is
+// the contract Config.Transport must keep. Hop-by-hop headers stay on
+// their hop in both directions, and identity headers a client sends are
+// stripped under any spelling of their names.
+//
 // Identity is propagated upstream via the front-proxy headers
 // (X-Forwarded-User/-Group) over an mTLS channel only the proxy can open,
 // preserving Complete Mediation: the API server refuses direct client
@@ -65,7 +77,6 @@ package proxy
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strings"
@@ -106,7 +117,13 @@ type Config struct {
 	// Upstream is the API server base URL, e.g. "https://127.0.0.1:6443".
 	Upstream string
 	// Transport carries requests upstream (holds the mTLS client config).
-	// Defaults to http.DefaultTransport.
+	// Defaults to http.DefaultTransport. The proxy recycles each upstream
+	// request once its round trip is over, so Transport must keep the
+	// http.RoundTripper contract to the letter, as net/http's transports
+	// do: read the request's fields only until the response body is
+	// closed, and the request body only until its first Close (a request
+	// whose RoundTrip returned an error is never recycled). Request
+	// bodies are not replayable (GetBody is nil).
 	Transport http.RoundTripper
 	// Registry supplies per-workload policies resolved per request
 	// (required); the proxy denies requests no registered policy governs
@@ -606,72 +623,4 @@ type denyStatus struct {
 
 type denyDetails struct {
 	Violations []string `json:"violations"`
-}
-
-// forward relays the request upstream, asserting the original caller via
-// front-proxy headers. The upstream URL is the configured base with the
-// inbound path and query copied onto it field by field — escaped form
-// included, so upstream is asked for exactly the resource the client
-// named ("n%3Fwatch=1" stays a name, not a query). Ownership of the
-// pooled body buffer transfers to the upstream request: the transport's
-// Body.Close returns it to the pool.
-func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, user string,
-	groups []string, q *Request) {
-	u := *p.upstream
-	u.Path = p.upstream.Path + r.URL.Path
-	if r.URL.RawPath != "" || p.upstream.RawPath != "" {
-		u.RawPath = p.upstream.EscapedPath() + r.URL.EscapedPath()
-	}
-	u.RawQuery = r.URL.RawQuery
-	// The literal stays on the stack; WithContext makes the one copy
-	// that goes upstream.
-	req := (&http.Request{
-		Method:     r.Method,
-		URL:        &u,
-		Proto:      "HTTP/1.1",
-		ProtoMajor: 1,
-		ProtoMinor: 1,
-		Header:     make(http.Header),
-		Host:       u.Host,
-	}).WithContext(r.Context())
-	if len(q.body) > 0 {
-		body := &pooledBody{}
-		body.Reset(q.body)
-		body.buf.Store(q.buf)
-		q.buf = nil
-		req.Body, req.ContentLength = body, int64(len(q.body))
-	} else {
-		// Nothing upstream will read; recycle the buffer immediately.
-		q.Release()
-	}
-	for k, vs := range r.Header {
-		// Strip identity headers a client might try to smuggle.
-		if k == "X-Forwarded-User" || k == "X-Forwarded-Group" || k == "X-Remote-User" || k == "X-Remote-Group" {
-			continue
-		}
-		for _, v := range vs {
-			req.Header.Add(k, v)
-		}
-	}
-	req.Header.Set("X-Forwarded-User", user)
-	for _, g := range groups {
-		req.Header.Add("X-Forwarded-Group", g)
-	}
-	if p.proxyUser != "" {
-		req.Header.Set("X-Remote-User", p.proxyUser)
-	}
-
-	resp, err := p.transport.RoundTrip(req)
-	if err != nil {
-		http.Error(w, "upstream error: "+err.Error(), http.StatusBadGateway)
-		return
-	}
-	defer resp.Body.Close()
-	for k, vs := range resp.Header {
-		for _, v := range vs {
-			w.Header().Add(k, v)
-		}
-	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
 }

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/compile"
 	"repro/internal/object"
@@ -68,8 +67,12 @@ const maxInspectBytes = 4 << 20
 // bodyPool recycles request-body buffers across requests: the enforcement
 // point reads every body it inspects, and steady-state traffic should
 // not allocate a fresh buffer (the single largest allocation of the
-// allowed-request path) per request.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// allowed-request path) per request. A buffer the pool has to make
+// starts at newBodyCap, so a typical manifest is read into it without
+// a doubling.
+var bodyPool = sync.Pool{New: func() any { return bytes.NewBuffer(make([]byte, 0, newBodyCap)) }}
+
+const newBodyCap = 4 << 10
 
 // maxPooledBody caps the buffers the pool retains; a rare 4 MiB body
 // should not pin 4 MiB per pool slot forever.
@@ -90,7 +93,7 @@ func ReadRequest(r *http.Request) Request {
 	if r.Body != nil {
 		q.buf = bodyPool.Get().(*bytes.Buffer)
 		q.buf.Reset()
-		_, err := q.buf.ReadFrom(io.LimitReader(r.Body, maxInspectBytes+1))
+		err := readBody(q.buf, r.Body, maxInspectBytes+1)
 		r.Body.Close()
 		if err != nil {
 			q.failCode, q.failReason = http.StatusBadRequest, "request body could not be read: "+err.Error()
@@ -114,6 +117,26 @@ func ReadRequest(r *http.Request) Request {
 		}
 	}
 	return q
+}
+
+// readBody reads body into buf until EOF or until buf holds limit
+// bytes, the bound io.LimitReader would set without allocating one.
+func readBody(buf *bytes.Buffer, body io.Reader, limit int) error {
+	for buf.Len() < limit {
+		if buf.Available() == 0 {
+			buf.Grow(bytes.MinRead)
+		}
+		p := buf.AvailableBuffer()
+		n, err := body.Read(p[:min(cap(p), limit-buf.Len())])
+		buf.Write(p[:n])
+		if err == io.EOF {
+			return nil
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Release returns the body buffer to the pool. Idempotent, and a no-op
@@ -217,20 +240,6 @@ func (q *Request) ident() (kind, name string) {
 		return string(q.meta.Kind), string(q.meta.Name)
 	}
 	return "", ""
-}
-
-// pooledBody carries a pooled body into the upstream round trip and
-// returns the buffer to the pool when the transport closes the request
-// body (http.RoundTripper contract: the transport always closes it,
-// possibly more than once and from another goroutine).
-type pooledBody struct {
-	bytes.Reader
-	buf atomic.Pointer[bytes.Buffer]
-}
-
-func (b *pooledBody) Close() error {
-	putBody(b.buf.Swap(nil))
-	return nil
 }
 
 // requestNamespace extracts the namespace segment of an API request path

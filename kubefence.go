@@ -326,7 +326,10 @@ type ProxyConfig struct {
 	Registry *Registry
 	// Transport carries requests upstream; holds the mTLS client config
 	// in complete-mediation deployments. Defaults to
-	// http.DefaultTransport.
+	// http.DefaultTransport. It must keep the http.RoundTripper contract
+	// to the letter (proxy.Config.Transport): the proxy recycles each
+	// upstream request once its response body and its request body are
+	// closed.
 	Transport http.RoundTripper
 	// ProxyUser is the identity asserted upstream over header-
 	// authenticated (non-mTLS) channels; must be among the API server's

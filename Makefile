@@ -1,6 +1,7 @@
 # KubeFence reproduction — build & CI entry points.
 #
-#   make ci              # the full gate: gofmt, go vet, build, tests with -race
+#   make ci              # the full gate: gofmt, go vet, build, tests with -race, bench-check
+#   make bench-check     # vet and race-test bench/, its own module, against this one
 #   make test            # fast test run (no race detector)
 #   make plane-race      # the plane's generation invariant, -race -count=20
 #   make forward-race    # the upstream frame's lifetime, -race -count=20
@@ -20,12 +21,12 @@ GO ?= go
 # coverage grows, never lower it to make a PR pass.
 COVERAGE_BASELINE ?= 84.0
 
-.PHONY: all ci fmt-check vet build test race plane-race forward-race bench fuzz-smoke \
-	fuzz-nightly coverage-gate staticcheck
+.PHONY: all ci fmt-check vet build test race bench-check plane-race forward-race bench \
+	fuzz-smoke fuzz-nightly coverage-gate staticcheck
 
 all: ci
 
-ci: fmt-check vet build race
+ci: fmt-check vet build race bench-check
 
 fmt-check:
 	@unformatted=$$(gofmt -l .); \
@@ -44,6 +45,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench/ is its own module, built against this one through a replace
+# directive, so ./... above never compiles it: a product API that
+# drifts from the benchmark harness fails here.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test -race ./...
 
 # The chaos and interleaving tests assert "no stale-generation verdict,
 # no silent allow" across swap, kill, restart and shard moves; one pass

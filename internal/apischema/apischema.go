@@ -67,7 +67,7 @@ func (f Field) count() int {
 
 // Paths returns the dotted path of every field in the resource, sorted.
 // List children share their parent's path segment (no indices), matching
-// object.Paths and the validator's path model.
+// the validator's path model.
 func (r Resource) Paths() []string {
 	var out []string
 	for _, f := range r.Fields {

@@ -6,7 +6,6 @@ package object
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/yaml"
@@ -208,48 +207,6 @@ func Delete(o map[string]any, path string) {
 		cur = next
 	}
 	delete(cur, segs[len(segs)-1])
-}
-
-// Paths returns every leaf field path in the value tree, in sorted order.
-// Sequence elements are traversed but do not contribute an index segment:
-// all items of a list share the same path prefix, which matches how the
-// KubeFence validator treats list schemas (one schema per item shape).
-func Paths(v any) []string {
-	set := map[string]bool{}
-	collectPaths(v, "", set)
-	out := make([]string, 0, len(set))
-	for p := range set {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func collectPaths(v any, prefix string, set map[string]bool) {
-	switch t := v.(type) {
-	case map[string]any:
-		if len(t) == 0 && prefix != "" {
-			set[prefix] = true
-		}
-		for k, val := range t {
-			p := k
-			if prefix != "" {
-				p = prefix + "." + k
-			}
-			collectPaths(val, p, set)
-		}
-	case []any:
-		if len(t) == 0 && prefix != "" {
-			set[prefix] = true
-		}
-		for _, val := range t {
-			collectPaths(val, prefix, set)
-		}
-	default:
-		if prefix != "" {
-			set[prefix] = true
-		}
-	}
 }
 
 // Equal reports deep equality of two decoded-YAML value trees, treating

@@ -1,7 +1,6 @@
 package object
 
 import (
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -104,31 +103,6 @@ func TestDeepCopyIndependence(t *testing.T) {
 	os, _ := GetSlice(o, "spec.template.spec.containers")
 	if os[0].(map[string]any)["image"] != "nginx:1.25" {
 		t.Error("slice mutation leaked into original")
-	}
-}
-
-func TestPaths(t *testing.T) {
-	o := mustParse(t, sampleDeployment)
-	paths := Paths(map[string]any(o))
-	want := []string{
-		"apiVersion", "kind", "metadata.name", "metadata.namespace",
-		"spec.replicas",
-		"spec.template.spec.containers.image",
-		"spec.template.spec.containers.name",
-		"spec.template.spec.containers.securityContext.runAsNonRoot",
-	}
-	if !reflect.DeepEqual(paths, want) {
-		t.Errorf("Paths = %v, want %v", paths, want)
-	}
-}
-
-func TestPathsEmptyCollections(t *testing.T) {
-	paths := Paths(map[string]any{
-		"a": map[string]any{},
-		"b": []any{},
-	})
-	if !reflect.DeepEqual(paths, []string{"a", "b"}) {
-		t.Errorf("Paths = %v", paths)
 	}
 }
 

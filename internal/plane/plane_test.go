@@ -8,9 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/object"
 	"repro/internal/registry"
@@ -32,14 +30,6 @@ func (okTransport) RoundTrip(r *http.Request) (*http.Response, error) {
 		Body:    http.NoBody,
 		Request: r,
 	}, nil
-}
-
-// slowTransport sleeps before answering — a bounded-capacity upstream.
-type slowTransport struct{ d time.Duration }
-
-func (t slowTransport) RoundTrip(r *http.Request) (*http.Response, error) {
-	time.Sleep(t.d)
-	return okTransport{}.RoundTrip(r)
 }
 
 // heldTransport announces a round trip on entered and holds it until
@@ -256,48 +246,42 @@ func TestPlaneSwapPromoteLifecycle(t *testing.T) {
 }
 
 func TestPlaneShedsFailClosed(t *testing.T) {
-	pl := newTestPlane(t, 1, Config{
-		Transport:   slowTransport{d: 20 * time.Millisecond},
-		MaxInFlight: 2,
-	})
+	held := heldTransport{entered: make(chan struct{}), release: make(chan struct{})}
+	pl := newTestPlane(t, 1, Config{Transport: held, MaxInFlight: 2})
 	if err := pl.Register("wl", registry.Selector{Namespace: "prod"}, policyFor(t, "wl", false, img)); err != nil {
 		t.Fatal(err)
 	}
-	const n = 16
-	codes := make([]int, n)
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			w := post(t, pl, "/api/v1/namespaces/prod/pods", podBody(false, img))
-			codes[i] = w.Code
-		}(i)
+	// Two requests hold both slots inside the upstream round trip; every
+	// request that arrives meanwhile is shed (no queueing).
+	const holders, n = 2, 16
+	heldCodes := make(chan int, holders)
+	for i := 0; i < holders; i++ {
+		go func() {
+			heldCodes <- post(t, pl, "/api/v1/namespaces/prod/pods", podBody(false, img)).Code
+		}()
 	}
-	wg.Wait()
-	var ok, shed int
-	for _, c := range codes {
-		switch c {
-		case http.StatusOK:
-			ok++
-		case http.StatusTooManyRequests:
-			shed++
-		default:
-			t.Errorf("unexpected code %d under overload", c)
+	for i := 0; i < holders; i++ {
+		<-held.entered
+	}
+	for i := holders; i < n; i++ {
+		if w := post(t, pl, "/api/v1/namespaces/prod/pods", podBody(false, img)); w.Code != http.StatusTooManyRequests {
+			t.Errorf("request %d against a saturated replica: code %d, want 429", i, w.Code)
 		}
 	}
-	if shed == 0 {
-		t.Errorf("16 concurrent requests against MaxInFlight=2 (no queueing) shed nothing")
+	if tm := pl.Metrics(); tm.Shed != n-holders {
+		t.Errorf("metrics shed %d, want %d", tm.Shed, n-holders)
 	}
-	tm := pl.Metrics()
-	if tm.Shed != uint64(shed) {
-		t.Errorf("metrics shed %d, observed %d", tm.Shed, shed)
+	close(held.release)
+	for i := 0; i < holders; i++ {
+		if c := <-heldCodes; c != http.StatusOK {
+			t.Errorf("held request: code %d, want 200", c)
+		}
 	}
 	// A shed response is an explicit Status failure, not a silent allow.
 	// The benign request holds the only slot inside the upstream round
 	// trip until the attack has been answered.
-	held := heldTransport{entered: make(chan struct{}), release: make(chan struct{})}
-	pl2 := newTestPlane(t, 1, Config{Transport: held, MaxInFlight: 1})
+	held2 := heldTransport{entered: make(chan struct{}), release: make(chan struct{})}
+	pl2 := newTestPlane(t, 1, Config{Transport: held2, MaxInFlight: 1})
 	if err := pl2.Register("wl", registry.Selector{Namespace: "prod"}, policyFor(t, "wl", false, img)); err != nil {
 		t.Fatal(err)
 	}
@@ -306,9 +290,9 @@ func TestPlaneShedsFailClosed(t *testing.T) {
 		defer close(done)
 		post(t, pl2, "/api/v1/namespaces/prod/pods", podBody(false, img))
 	}()
-	<-held.entered
+	<-held2.entered
 	w := post(t, pl2, "/api/v1/namespaces/prod/pods", podBody(true, img))
-	close(held.release)
+	close(held2.release)
 	<-done
 	if w.Code != http.StatusTooManyRequests {
 		t.Fatalf("attack under saturation: code %d, want 429", w.Code)

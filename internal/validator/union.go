@@ -66,8 +66,7 @@ func mergeNodes(a, b *Node) *Node {
 		// Required merges with AND when both sides define the node: a
 		// requirement only one member imposes would make the union
 		// stricter than that other member, breaking the one-direction
-		// soundness contract above. (Nodes only one side knows keep
-		// their requirement via cloneNode.)
+		// soundness contract above.
 		merged := &Node{Kind: KindMap, Fields: map[string]*Node{},
 			Required: a.Required && b.Required}
 		for k, v := range a.Fields {
@@ -75,6 +74,19 @@ func mergeNodes(a, b *Node) *Node {
 		}
 		for _, k := range sortedNodeKeys(b.Fields) {
 			merged.Fields[k] = mergeNodes(merged.Fields[k], b.Fields[k])
+		}
+		// For the same reason a field only one side knows is optional
+		// here: the other side lets a request omit it. Below that field
+		// only its own side applies, so its subtree keeps its
+		// requirements.
+		for k, n := range merged.Fields {
+			_, inA := a.Fields[k]
+			_, inB := b.Fields[k]
+			if inA != inB && n.Required {
+				optional := cloneNode(n)
+				optional.Required = false
+				merged.Fields[k] = optional
+			}
 		}
 		return merged
 	case KindList:

@@ -163,10 +163,6 @@ func DefaultLockSpecs() []LockSpec {
 // the same workload stay diffable field for field.
 func DefaultGeneralizeAny() []string { return defaultGeneralizeAny() }
 
-// DefaultGeneralizeString exports the force-to-string defaults, shared
-// with internal/learn like DefaultGeneralizeAny.
-func DefaultGeneralizeString() []string { return defaultGeneralizeString() }
-
 func defaultGeneralizeAny() []string {
 	return []string{
 		"metadata.labels", "metadata.annotations",

@@ -12,6 +12,13 @@
 //	violations, _ := policy.ValidateManifest(requestBody)
 //	if len(violations) > 0 { /* deny */ }
 //
+// A Policy is compiled once, when it is built, into the rule program
+// the enforcement hot path executes: ValidateManifest and ValidateObject
+// run that program, and MatchRaw / MatchRawYAML vouch for a raw JSON or
+// YAML body without decoding it. Policy.Validator exposes the validator
+// tree in the paper's notation; its Validate is the interpreted
+// reference the program is tested against.
+//
 // For runtime enforcement, register the policy in a Registry (a zero
 // Selector scopes it to every request) and hand the registry to NewProxy,
 // which returns an http.Handler that intercepts API traffic, validates
@@ -72,7 +79,10 @@ type Options struct {
 	DisableSecurityLocks bool
 }
 
-// Policy is a generated KubeFence security policy for one workload.
+// Policy is a KubeFence security policy for one workload: the validator
+// tree in the paper's notation, lowered once at construction into the
+// flat, immutable rule program the enforcement hot path executes. It is
+// safe for unbounded concurrent use.
 type Policy struct {
 	// Workload names the operator the policy was generated for.
 	Workload string
@@ -82,6 +92,23 @@ type Policy struct {
 	Manifests int
 
 	validator *validator.Validator
+	program   *compile.Program
+}
+
+// newPolicy compiles v and wraps it; every constructor goes through it,
+// so a policy that exists is one the registry and the plane accept.
+func newPolicy(v *validator.Validator, variants, manifests int) (*Policy, error) {
+	prog, err := compile.Compile(v)
+	if err != nil {
+		return nil, fmt.Errorf("kubefence: compiling policy %s: %w", v.Workload, err)
+	}
+	return &Policy{
+		Workload:  v.Workload,
+		Variants:  variants,
+		Manifests: manifests,
+		validator: v,
+		program:   prog,
+	}, nil
 }
 
 // LoadChart loads a Helm chart from a path→content fileset with entries
@@ -111,12 +138,7 @@ func GeneratePolicy(c *Chart, opts Options) (*Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Policy{
-		Workload:  res.Workload,
-		Variants:  res.Variants,
-		Manifests: res.Manifests,
-		validator: res.Validator,
-	}, nil
+	return newPolicy(res.Validator, res.Variants, res.Manifests)
 }
 
 // ValidateManifest checks a YAML manifest against the policy. An empty
@@ -126,13 +148,33 @@ func (p *Policy) ValidateManifest(data []byte) ([]Violation, error) {
 	if err != nil {
 		return nil, fmt.Errorf("kubefence: parsing manifest: %w", err)
 	}
-	return p.validator.Validate(o), nil
+	return p.program.Validate(o), nil
 }
 
 // ValidateObject checks a decoded object (e.g. a parsed JSON request
 // body) against the policy.
 func (p *Policy) ValidateObject(obj map[string]any) []Violation {
-	return p.validator.Validate(object.Object(obj))
+	return p.program.Validate(object.Object(obj))
+}
+
+// MatchRaw runs the streaming fast pass over a raw JSON body without
+// decoding it. The contract is one-sided: true means the body provably
+// decodes and the policy definitively allows it (identical verdict to
+// ValidateManifest with no violations); false means only "not vouched
+// for here" — fall back to ValidateManifest for the verdict and the
+// violation diagnostics.
+func (p *Policy) MatchRaw(body []byte) bool {
+	return p.program.MatchRaw(body)
+}
+
+// MatchRawYAML is MatchRaw for a raw YAML manifest: the same one-sided
+// contract, fused on the manifest decoder's line discipline. Constructs
+// the streaming matcher cannot prove equivalent to a full decode
+// (anchors, tags, flow collections, block scalars, multi-document
+// streams, duplicate keys, ambiguous scalar literals) return false and
+// take the decode path.
+func (p *Policy) MatchRawYAML(body []byte) bool {
+	return p.program.MatchRawYAML(body)
 }
 
 // AllowedKinds lists the resource kinds the policy permits.
@@ -147,63 +189,6 @@ func (p *Policy) MarshalYAML() ([]byte, error) { return p.validator.MarshalYAML(
 // Validator exposes the underlying validator for advanced integration
 // (surface measurement, custom enforcement points).
 func (p *Policy) Validator() *validator.Validator { return p.validator }
-
-// CompiledPolicy is a policy lowered into the flat, immutable rule
-// program the enforcement hot path executes: interned field paths, a
-// contiguous rule table with precompiled matchers, and mode-resolved
-// required-field bitsets. It is immutable and safe for unbounded
-// concurrent use, validates with near-zero allocations, and returns
-// verdicts and violations identical to the tree-walk Policy methods.
-//
-// Registry-backed proxies compile automatically at Register/Swap; use
-// Compile directly for custom enforcement points that validate without
-// a registry.
-type CompiledPolicy struct {
-	program *compile.Program
-}
-
-// Compile lowers the policy into its compiled form.
-func (p *Policy) Compile() (*CompiledPolicy, error) {
-	prog, err := compile.Compile(p.validator)
-	if err != nil {
-		return nil, fmt.Errorf("kubefence: compiling policy %s: %w", p.Workload, err)
-	}
-	return &CompiledPolicy{program: prog}, nil
-}
-
-// ValidateManifest checks a YAML manifest against the compiled policy.
-func (c *CompiledPolicy) ValidateManifest(data []byte) ([]Violation, error) {
-	o, err := object.ParseManifest(data)
-	if err != nil {
-		return nil, fmt.Errorf("kubefence: parsing manifest: %w", err)
-	}
-	return c.program.Validate(o), nil
-}
-
-// ValidateObject checks a decoded object against the compiled policy.
-func (c *CompiledPolicy) ValidateObject(obj map[string]any) []Violation {
-	return c.program.Validate(object.Object(obj))
-}
-
-// MatchRaw runs the streaming fast pass over a raw JSON body without
-// decoding it. The contract is one-sided: true means the body provably
-// decodes and the policy definitively allows it (identical verdict to
-// ValidateManifest with no violations); false means only "not vouched
-// for here" — fall back to ValidateManifest for the verdict and the
-// violation diagnostics.
-func (c *CompiledPolicy) MatchRaw(body []byte) bool {
-	return c.program.MatchRaw(body)
-}
-
-// MatchRawYAML is MatchRaw for a raw YAML manifest: the same one-sided
-// contract, fused on the manifest decoder's line discipline. Constructs
-// the streaming matcher cannot prove equivalent to a full decode
-// (anchors, tags, flow collections, block scalars, multi-document
-// streams, duplicate keys, ambiguous scalar literals) return false and
-// take the decode path.
-func (c *CompiledPolicy) MatchRawYAML(body []byte) bool {
-	return c.program.MatchRawYAML(body)
-}
 
 // UnionPolicies combines per-workload policies into one cluster policy: a
 // request is allowed if it conforms to the union of what the member
@@ -224,12 +209,7 @@ func UnionPolicies(name string, policies ...*Policy) (*Policy, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Policy{
-		Workload:  name,
-		Variants:  variants,
-		Manifests: manifests,
-		validator: merged,
-	}, nil
+	return newPolicy(merged, variants, manifests)
 }
 
 // Registry holds the per-workload policies of one enforcement point: it
@@ -592,14 +572,14 @@ func (m *Miner) Requests() uint64 { return m.m.Requests() }
 func (m *Miner) Summaries() []MinedPathSummary { return m.m.Summaries() }
 
 // Policy generalizes the observations into a candidate policy. The
-// result is a full Policy: it validates, compiles, registers, and swaps
+// result is a full Policy: it validates, matches, registers, and swaps
 // exactly like a chart-derived one.
 func (m *Miner) Policy() (*Policy, error) {
 	v, err := m.m.Policy()
 	if err != nil {
 		return nil, err
 	}
-	return &Policy{Workload: v.Workload, validator: v}, nil
+	return newPolicy(v, 0, 0)
 }
 
 // Diff compares the miner's current candidate against a base policy

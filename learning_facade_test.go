@@ -7,7 +7,7 @@ import (
 
 // TestLearnPolicyFacade mines a policy from a rendered chart trace via
 // the public API and checks it behaves like any other Policy: validates
-// benign traffic, denies unobserved surface, compiles, registers.
+// benign traffic, denies unobserved surface, matches the oracle, registers.
 func TestLearnPolicyFacade(t *testing.T) {
 	c, err := LoadBuiltinChart("nginx")
 	if err != nil {
@@ -49,9 +49,23 @@ func TestLearnPolicyFacade(t *testing.T) {
 	}); len(vs) == 0 {
 		t.Error("mined policy allowed a never-observed shape")
 	}
-	if _, err := mined.Compile(); err != nil {
-		t.Fatalf("mined policy does not compile: %v", err)
+	checkPolicyFacade(t, mined, manifests, hostNetworkAttack("nginx"))
+
+	// The one-shot form over decoded objects builds the same kind of
+	// Policy.
+	objs := make([]map[string]any, len(manifests))
+	for i, data := range manifests {
+		o, err := parseManifest(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs[i] = o
 	}
+	batch, err := LearnPolicy("nginx", objs, LearnOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkPolicyFacade(t, batch, manifests, hostNetworkAttack("nginx"))
 
 	// Summaries and the chart diff are the audit trail.
 	if len(miner.Summaries()) == 0 {

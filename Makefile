@@ -47,15 +47,17 @@ race:
 	$(GO) test -race ./...
 
 # bench/ is its own module, built against this one through a replace
-# directive, so ./... above never compiles it: a product API that
-# drifts from the benchmark harness fails here.
+# directive, so ./... above never compiles it. Vet and test it, unedited,
+# so a product API that drifts from the benchmark fails in the change
+# that drifts rather than in the next perf change. CI runs it once per
+# Go version, as part of ci.
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test -race ./...
 
 # The chaos and interleaving tests assert "no stale-generation verdict,
 # no silent allow" across swap, kill, restart and shard moves; one pass
 # proves little about a race, twenty under the detector is the gate
-# (about 20 s on 2 cores).
+# (about 10 s on 2 cores).
 plane-race:
 	$(GO) test -race -count=20 ./internal/plane
 

@@ -153,11 +153,11 @@ type kindProgram struct {
 
 // Program is a compiled, immutable policy. It is safe for concurrent
 // use by any number of request goroutines; the registry swaps whole
-// programs atomically on policy updates.
+// programs atomically on policy updates, and the plane installs one
+// program on every replica that holds its workload.
 type Program struct {
-	workload string
-	mode     validator.LockMode
-	kinds    map[string]kindProgram
+	source *validator.Validator
+	kinds  map[string]kindProgram
 
 	nodes   []node
 	fields  []fieldRef
@@ -167,7 +167,12 @@ type Program struct {
 }
 
 // Workload names the policy the program was compiled from.
-func (p *Program) Workload() string { return p.workload }
+func (p *Program) Workload() string { return p.source.Workload }
+
+// Source returns the validator the program was compiled from: the
+// policy's identity for callers that compare policies (the registry's
+// cache handoff compares this pointer).
+func (p *Program) Source() *validator.Validator { return p.source }
 
 // Stats describes a compiled program, for introspection and tests.
 type Stats struct {
@@ -213,9 +218,8 @@ func Compile(v *validator.Validator) (*Program, error) {
 	}
 	c := &compiler{
 		p: &Program{
-			workload: v.Workload,
-			mode:     v.Mode,
-			kinds:    make(map[string]kindProgram, len(v.Kinds)),
+			source: v,
+			kinds:  make(map[string]kindProgram, len(v.Kinds)),
 		},
 		intern: map[string]int32{},
 		mode:   v.Mode,

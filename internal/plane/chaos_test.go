@@ -4,13 +4,36 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/registry"
 )
+
+// chaosSwaps is the number of swap phases each chaos test runs. A phase
+// is one completed Swap followed by at least one completed round of
+// probes and one completed chaos step (a Kill, a Restart or a
+// Rebalance), so every phase overlaps both, and a run's length is a
+// count of work rather than a stretch of wall clock: on 2 cores a run
+// of either test takes about 20 ms, 0.1 s under the race detector.
+const chaosSwaps = 64
+
+// awaitEach yields until every counter has moved past the value it held
+// at the call, or the test has failed (an actor that gave up never
+// moves its counter again).
+func awaitEach(t *testing.T, ctrs ...*atomic.Uint64) {
+	marks := make([]uint64, len(ctrs))
+	for i, c := range ctrs {
+		marks[i] = c.Load()
+	}
+	for i, c := range ctrs {
+		for c.Load() == marks[i] && !t.Failed() {
+			runtime.Gosched()
+		}
+	}
+}
 
 // TestChaosKillRestartMidSwap kills and restarts replicas while policy
 // swaps and enforcement traffic run full tilt, and asserts the tier's
@@ -52,23 +75,20 @@ func TestChaosKillRestartMidSwap(t *testing.T) {
 	// sound: with only the trailing one, a request that starts during or
 	// just after a publish sees the new policy while the counter still
 	// reads the old value, and a correct tier is reported stale.
-	var phase atomic.Uint64
+	var phase, rounds, steps atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
 	bodyFalse := podBody(false, img)
 	bodyTrue := podBody(true, img)
 
-	// Swapper: v1 -> v2 -> v1 -> ... as fast as it can.
+	// Swapper: v1 -> v2 -> v1 -> ..., one swap per phase, then it stops
+	// the run.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		defer close(stop)
+		for i := 0; i < chaosSwaps; i++ {
 			next := v2
 			if i%2 == 1 {
 				next = v1
@@ -80,12 +100,12 @@ func TestChaosKillRestartMidSwap(t *testing.T) {
 				t.Errorf("Swap: %v", err)
 				return
 			}
-			time.Sleep(200 * time.Microsecond)
+			awaitEach(t, &rounds, &steps)
 		}
 	}()
 
 	// Chaos monkey: kill and restart each replica in turn, mid-swap by
-	// construction (the swapper never pauses).
+	// construction (the swapper swaps again once it has taken a step).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -100,12 +120,14 @@ func TestChaosKillRestartMidSwap(t *testing.T) {
 				t.Errorf("Kill(%d): %v", idx, err)
 				return
 			}
-			time.Sleep(500 * time.Microsecond)
+			steps.Add(1)
+			runtime.Gosched() // let probes meet the dead replica
 			if err := pl.Restart(idx); err != nil {
 				t.Errorf("Restart(%d): %v", idx, err)
 				return
 			}
-			time.Sleep(500 * time.Microsecond)
+			steps.Add(1)
+			runtime.Gosched()
 		}
 	}()
 
@@ -158,12 +180,14 @@ func TestChaosKillRestartMidSwap(t *testing.T) {
 						t.Errorf("unexpected status %d under chaos: %s", rec.Code, rec.Body)
 					}
 				}
+				rounds.Add(1)
+				// Yield: the swapper waits on rounds, and a busy probe
+				// loop would keep it off the CPU for a whole time slice.
+				runtime.Gosched()
 			}
 		}()
 	}
 
-	time.Sleep(300 * time.Millisecond)
-	close(stop)
 	wg.Wait()
 
 	if served.Load() == 0 {
@@ -233,23 +257,20 @@ func TestChaosRebalanceMidSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var phase atomic.Uint64
+	var phase, rounds, steps atomic.Uint64
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 
 	bodyFalse := podBody(false, img)
 	bodyTrue := podBody(true, img)
 
-	// Swapper: v1 -> v2 -> v1 -> ...
+	// Swapper: v1 -> v2 -> v1 -> ..., one swap per phase, then it stops
+	// the run.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
+		defer close(stop)
+		for i := 0; i < chaosSwaps; i++ {
 			next := v2
 			if i%2 == 1 {
 				next = v1
@@ -261,7 +282,7 @@ func TestChaosRebalanceMidSwap(t *testing.T) {
 				t.Errorf("Swap: %v", err)
 				return
 			}
-			time.Sleep(200 * time.Microsecond)
+			awaitEach(t, &rounds, &steps)
 		}
 	}()
 
@@ -280,7 +301,8 @@ func TestChaosRebalanceMidSwap(t *testing.T) {
 				t.Errorf("Rebalance: %v", err)
 				return
 			}
-			time.Sleep(300 * time.Microsecond)
+			steps.Add(1)
+			runtime.Gosched()
 		}
 	}()
 
@@ -354,12 +376,14 @@ func TestChaosRebalanceMidSwap(t *testing.T) {
 						t.Errorf("unexpected status %d under rebalance chaos: %s", rec.Code, rec.Body)
 					}
 				}
+				rounds.Add(1)
+				// Yield: the swapper waits on rounds, and a busy probe
+				// loop would keep it off the CPU for a whole time slice.
+				runtime.Gosched()
 			}
 		}()
 	}
 
-	time.Sleep(300 * time.Millisecond)
-	close(stop)
 	wg.Wait()
 
 	tm := pl.Metrics()

@@ -89,22 +89,6 @@ func TestPlaneLearningDeregisterLifecycle(t *testing.T) {
 	}
 }
 
-func TestPlaneDeregisterPinnedReleasesShard(t *testing.T) {
-	pl := newTestPlane(t, 2, Config{})
-	if err := pl.RegisterPinned("pinned", registry.Selector{Namespace: "pin"},
-		policyFor(t, "pinned", false, "docker.io/p:1"), 1); err != nil {
-		t.Fatal(err)
-	}
-	if !pl.Deregister("pinned") {
-		t.Fatal("Deregister(pinned) = false")
-	}
-	// The shard key is free again: re-pinning it elsewhere succeeds.
-	if err := pl.RegisterPinned("pinned2", registry.Selector{Namespace: "pin"},
-		policyFor(t, "pinned2", false, "docker.io/p:1"), 0); err != nil {
-		t.Fatalf("re-pinning released shard: %v", err)
-	}
-}
-
 func TestPlaneStateAndStateString(t *testing.T) {
 	pl := newTestPlane(t, 2, Config{})
 	if _, err := pl.State(-1); err == nil {
@@ -212,10 +196,6 @@ func TestPlaneErrorSurfaces(t *testing.T) {
 	}
 	if _, err := pl.Owners("ghost"); err == nil {
 		t.Error("Owners(ghost) should fail")
-	}
-	if err := pl.RegisterPinned("p", registry.Selector{},
-		policyFor(t, "p", false, "docker.io/p:1"), 0); err == nil {
-		t.Error("pinning a wildcard selector should fail")
 	}
 	if err := pl.Register("v", registry.Selector{}, nil); err == nil {
 		t.Error("Register with nil validator should fail")

@@ -19,7 +19,7 @@ type ReplicaMetrics struct {
 	Workloads int `json:"workloads"`
 	// AssignedShards and LoadScore describe placement: how many shard
 	// keys currently route to this replica and the EWMA load score they
-	// carry (pinned shards are placed by fiat and not scored).
+	// carry.
 	AssignedShards int           `json:"assigned_shards"`
 	LoadScore      float64       `json:"load_score"`
 	Proxy          proxy.Metrics `json:"proxy"`

@@ -1,6 +1,7 @@
 package plane
 
 import (
+	"slices"
 	"sort"
 	"time"
 
@@ -28,7 +29,7 @@ import (
 // any other and is bounded by the same PublishesStarted/Completed
 // window.
 
-// PlacementPolicy selects how non-pinned shard keys map to replicas.
+// PlacementPolicy selects how shard keys map to replicas.
 type PlacementPolicy string
 
 const (
@@ -170,8 +171,7 @@ func (pl *Plane) loadScoresLocked(advance bool) map[string]float64 {
 	return out
 }
 
-// keyLoadsLocked folds workload scores onto their shard keys. Pinned
-// workloads are excluded (their placement is forced), broadcast
+// keyLoadsLocked folds workload scores onto their shard keys; broadcast
 // workloads have no shard key to place. A workload addressed by several
 // keys (namespace plus claimed cluster kinds) contributes its full
 // score to each — conservative: any key moving alone must still fit.
@@ -179,9 +179,6 @@ func (pl *Plane) loadScoresLocked(advance bool) map[string]float64 {
 func (pl *Plane) keyLoadsLocked(scores map[string]float64) []keyLoad {
 	byKey := map[string]float64{}
 	for w, ws := range pl.workloads {
-		if ws.pin >= 0 {
-			continue
-		}
 		for _, key := range shardKeys(ws.selector) {
 			byKey[key] += scores[w]
 		}
@@ -341,9 +338,9 @@ type ShardMove struct {
 }
 
 // RebalanceReport describes one rebalance epoch. Imbalance is
-// max/mean - 1 of per-replica load score over the non-pinned shard
-// keys; After equals Before on a hash-placement tier (scores still
-// advance, nothing moves).
+// max/mean - 1 of per-replica load score over the shard keys; After
+// equals Before on a hash-placement tier (scores still advance, nothing
+// moves).
 type RebalanceReport struct {
 	Placement       PlacementPolicy `json:"placement"`
 	Moves           []ShardMove     `json:"moves"`
@@ -393,7 +390,7 @@ func (pl *Plane) Rebalance() (RebalanceReport, error) {
 	for _, mv := range plan.moves {
 		ms := ShardMove{Key: mv.key, From: mv.from, To: mv.to, Score: mv.score}
 		for _, w := range pl.workloadsOnKeyLocked(mv.key) {
-			if containsInt(pl.workloads[w].owners, mv.to) && !containsInt(before[w], mv.to) {
+			if slices.Contains(pl.workloads[w].owners, mv.to) && !slices.Contains(before[w], mv.to) {
 				ms.Workloads = append(ms.Workloads, w)
 				ms.HandoffEntries += primed[w]
 			}
@@ -405,23 +402,16 @@ func (pl *Plane) Rebalance() (RebalanceReport, error) {
 	return report, err
 }
 
-// workloadsOnKeyLocked lists the non-pinned workloads a shard key
-// addresses, sorted for deterministic migration order. Caller holds
-// pl.mu.
+// workloadsOnKeyLocked lists the workloads a shard key addresses,
+// sorted for deterministic migration order. Caller holds pl.mu.
 func (pl *Plane) workloadsOnKeyLocked(key string) []string {
 	var out []string
 	for w, ws := range pl.workloads {
-		if ws.pin >= 0 {
-			continue
-		}
-		for _, k := range shardKeys(ws.selector) {
-			if k == key {
-				out = append(out, w)
-				break
-			}
+		if slices.Contains(shardKeys(ws.selector), key) {
+			out = append(out, w)
 		}
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 

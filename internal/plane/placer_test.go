@@ -385,7 +385,7 @@ func TestPlanePeriodicRebalanceAndClose(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("periodic rebalancer never fired")
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(5 * time.Millisecond) // the rebalancer runs on a ticker: poll it at its own period
 	}
 	if err := pl.Close(); err != nil {
 		t.Fatal(err)
@@ -394,7 +394,7 @@ func TestPlanePeriodicRebalanceAndClose(t *testing.T) {
 		t.Fatal(err) // idempotent
 	}
 	n := pl.Metrics().Rebalances
-	time.Sleep(30 * time.Millisecond)
+	time.Sleep(30 * time.Millisecond) // six ticker periods: a loop that survived Close would fire in them
 	if got := pl.Metrics().Rebalances; got > n+1 {
 		// One in-flight tick may land after Close; a growing counter
 		// means the loop survived it.

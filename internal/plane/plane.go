@@ -9,15 +9,16 @@
 // kind-only and wildcard selectors are broadcast to every replica —
 // requests route by namespace first, so a selector that matches any
 // namespace must be present wherever a request can land, or the tier
-// would fail closed on traffic the policy actually covers. Explicit
-// pins (RegisterPinned) override both the routing table and ownership
-// for a namespace. Requests are routed by the same key function, so a
-// request always lands on a replica whose local registry holds every
-// selector that could match it — per-replica resolution then applies
-// the registry's usual specificity rules unchanged.
+// would fail closed on traffic the policy actually covers. Requests are
+// routed by the same key function, so a request always lands on a
+// replica whose local registry holds every selector that could match it
+// — per-replica resolution then applies the registry's usual
+// specificity rules unchanged.
 //
-// Policy distribution. Every control-plane call is serialized under one
-// lock and is "mutate desired state, then reconcile": Register/Swap
+// Policy distribution. A policy is compiled once, before the lock is
+// taken, and that one program is installed on every replica that holds
+// its workload. Every control-plane call is serialized under one lock
+// and is "mutate desired state, then reconcile": Register/Swap
 // change a workload's policy, Drain/Kill/Restart flip a replica's state,
 // Rebalance adopts a new shard assignment — and one primitive
 // (reconcileLocked) makes replicas and routing match, in the only safe
@@ -51,7 +52,6 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -143,17 +143,16 @@ type Config struct {
 // workloadState is the control plane's desired state for one workload —
 // the source of truth replicas are resynced from after a restart.
 type workloadState struct {
-	selector  registry.Selector
-	validator *validator.Validator
-	mode      registry.Mode
-	observer  registry.Observer
+	selector registry.Selector
+	// program is the compiled policy every holder installs; nil for a
+	// learning workload.
+	program  *compile.Program
+	mode     registry.Mode
+	observer registry.Observer
 	// gen is the plane generation of the last completed publish; Promote
 	// pins against it exactly like registry.Promote pins entry
 	// generations.
 	gen uint64
-	// pin, when >= 0, forces ownership (and routing of the selector's
-	// shard keys) to one replica.
-	pin int
 	// owners are the replica indices the workload is currently
 	// published to.
 	owners []int
@@ -192,20 +191,15 @@ type replica struct {
 // take the control-plane lock.
 type routeTable struct {
 	ring *ring
-	pins map[string]int
 	// assign is the weighted placement overlay: shard keys explicitly
-	// homed by the last rebalance. Resolution order is pins, then
-	// assign, then the ring.
+	// homed by the last rebalance, which win over the ring.
 	assign map[string]int
 }
 
-// owner resolves a shard key to its replica: explicit pin first, then
-// the weighted assignment, then consistent hashing. ok is false only
-// when the ring is empty (every replica drained or down).
+// owner resolves a shard key to its replica: the weighted assignment
+// first, then consistent hashing. ok is false only when the ring is
+// empty (every replica drained or down).
 func (rt *routeTable) owner(key string) (int, bool) {
-	if idx, ok := rt.pins[key]; ok {
-		return idx, true
-	}
 	if idx, ok := rt.assign[key]; ok {
 		return idx, true
 	}
@@ -224,7 +218,6 @@ type Plane struct {
 	// per-replica installs.
 	mu        sync.Mutex
 	workloads map[string]*workloadState
-	pins      map[string]int
 	gens      atomic.Uint64
 
 	// assign and loads are the weighted placer's state: the committed
@@ -276,7 +269,6 @@ func New(cfg Config) (*Plane, error) {
 	pl := &Plane{
 		cfg:       cfg,
 		workloads: map[string]*workloadState{},
-		pins:      map[string]int{},
 		assign:    map[string]int{},
 		loads:     map[string]loadState{},
 	}
@@ -335,30 +327,16 @@ func (pl *Plane) activeIndices() []int {
 	return out
 }
 
-// activeOnly copies the entries of a placement map whose replica is
-// active. Pins and weighted assignments only bind while their replica
-// is active; otherwise the shard falls back to hashed placement, so a
-// pinned or weighted-placed workload keeps receiving (correctly
-// re-homed) traffic while its replica is out.
-func (pl *Plane) activeOnly(m map[string]int) map[string]int {
-	out := make(map[string]int, len(m))
-	for k, v := range m {
-		if ReplicaState(pl.replicas[v].state.Load()) == ReplicaActive {
-			out[k] = v
-		}
-	}
-	return out
-}
-
 // nextRoutesLocked builds the routing snapshot for the current replica
-// states, pins, and weighted assignments. The ring is a function of the
-// active set alone, so the published one is reused until that set
-// changes — a publish that changes no topology (Register, Swap, a shard
-// move) never rebuilds it. Weighted assignments whose replica left the
-// active set are dropped for good (hashed placement until the next
-// weighted rebalance re-places them by load), which makes the committed
-// assignment and the table's one map: replaced here, never written in
-// place. Caller holds pl.mu (or is inside New).
+// states and weighted assignments. The ring is a function of the active
+// set alone, so the published one is reused until that set changes — a
+// publish that changes no topology (Register, Swap, a shard move) never
+// rebuilds it. Weighted assignments whose replica left the active set
+// are dropped for good (hashed placement until the next weighted
+// rebalance re-places them by load, so the workload keeps receiving
+// correctly re-homed traffic), which makes the committed assignment and
+// the table's one map: replaced here, never written in place. Caller
+// holds pl.mu (or is inside New).
 func (pl *Plane) nextRoutesLocked() *routeTable {
 	active := pl.activeIndices()
 	var rg *ring
@@ -367,8 +345,14 @@ func (pl *Plane) nextRoutesLocked() *routeTable {
 	} else {
 		rg = buildRing(active, pl.cfg.VirtualNodes)
 	}
-	pl.assign = pl.activeOnly(pl.assign)
-	return &routeTable{ring: rg, pins: pl.activeOnly(pl.pins), assign: pl.assign}
+	assign := make(map[string]int, len(pl.assign))
+	for k, idx := range pl.assign {
+		if ReplicaState(pl.replicas[idx].state.Load()) == ReplicaActive {
+			assign[k] = idx
+		}
+	}
+	pl.assign = assign
+	return &routeTable{ring: rg, assign: assign}
 }
 
 // Shard keys. Requests and selectors are addressed by the same key
@@ -404,20 +388,11 @@ func (rt *routeTable) owners(ws *workloadState) []int {
 	}
 	var owners []int
 	for _, key := range keys {
-		if idx, ok := rt.owner(key); ok && !containsInt(owners, idx) {
+		if idx, ok := rt.owner(key); ok && !slices.Contains(owners, idx) {
 			owners = append(owners, idx)
 		}
 	}
 	return owners
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }
 
 // lookupLocked finds a workload's desired state, or the registry's
@@ -438,44 +413,28 @@ func (pl *Plane) replicaAt(replicaIndex int) (*replica, error) {
 	return pl.replicas[replicaIndex], nil
 }
 
-// Register adds a workload policy to the tier and publishes it to its
-// owning replicas. The selector semantics are the registry's; a
-// wildcard or kind-only selector is broadcast to every replica.
+// Register compiles a workload policy, before the control-plane lock is
+// taken, and registers the program (RegisterProgram). A policy that does
+// not compile leaves the tier untouched.
 func (pl *Plane) Register(workload string, sel registry.Selector, v *validator.Validator) error {
-	return pl.register(workload, sel, v, -1)
-}
-
-// RegisterPinned is Register with an explicit placement override: the
-// workload (and the routing of its namespace and claimed cluster
-// kinds) is pinned to one replica instead of consistent hashing.
-// Pinning requires a namespaced selector — a selector that matches any
-// namespace has no shard key to pin.
-func (pl *Plane) RegisterPinned(workload string, sel registry.Selector, v *validator.Validator, replicaIndex int) error {
-	if sel.Namespace == "" {
-		return fmt.Errorf("plane: workload %s: pinning requires a namespaced selector", workload)
-	}
-	return pl.register(workload, sel, v, replicaIndex)
-}
-
-// checkPolicy compiles a policy before any replica is touched: one
-// that does not compile must leave the whole tier untouched.
-func checkPolicy(workload string, v *validator.Validator) error {
-	if v == nil {
-		return fmt.Errorf("plane: validator is required for workload %s", workload)
-	}
-	if _, err := compile.Compile(v); err != nil {
+	prog, err := compile.Compile(v)
+	if err != nil {
 		return fmt.Errorf("plane: workload %s: %w", workload, err)
 	}
-	return nil
+	return pl.RegisterProgram(workload, sel, prog)
 }
 
-func (pl *Plane) register(workload string, sel registry.Selector, v *validator.Validator, pin int) error {
-	if err := checkPolicy(workload, v); err != nil {
-		return err
+// RegisterProgram adds a compiled workload policy to the tier and
+// publishes it to its owning replicas, each of which installs prog
+// itself. The selector semantics are the registry's; a wildcard or
+// kind-only selector is broadcast to every replica.
+func (pl *Plane) RegisterProgram(workload string, sel registry.Selector, prog *compile.Program) error {
+	if prog == nil {
+		return fmt.Errorf("plane: a policy is required for workload %s", workload)
 	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	return pl.addLocked(workload, &workloadState{selector: sel, validator: v, mode: registry.ModeEnforce, pin: pin})
+	return pl.addLocked(workload, &workloadState{selector: sel, program: prog, mode: registry.ModeEnforce})
 }
 
 // RegisterLearning adds a workload with no policy in ModeLearn: its
@@ -483,7 +442,7 @@ func (pl *Plane) register(workload string, sel registry.Selector, v *validator.V
 func (pl *Plane) RegisterLearning(workload string, sel registry.Selector, obs registry.Observer) error {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	return pl.addLocked(workload, &workloadState{selector: sel, mode: registry.ModeLearn, observer: obs, pin: -1})
+	return pl.addLocked(workload, &workloadState{selector: sel, mode: registry.ModeLearn, observer: obs})
 }
 
 // addLocked admits a new workload into desired state and publishes it.
@@ -494,9 +453,6 @@ func (pl *Plane) RegisterLearning(workload string, sel registry.Selector, obs re
 func (pl *Plane) addLocked(workload string, ws *workloadState) error {
 	if _, dup := pl.workloads[workload]; dup {
 		return fmt.Errorf("plane: workload %s is already registered", workload)
-	}
-	if ws.pin >= len(pl.replicas) {
-		return fmt.Errorf("plane: workload %s: no replica %d (tier has %d)", workload, ws.pin, len(pl.replicas))
 	}
 	// Cluster-scoped claims must be tier-unique for the same reason they
 	// are registry-unique: no namespace disambiguates tenants. Checked
@@ -509,29 +465,17 @@ func (pl *Plane) addLocked(workload string, ws *workloadState) error {
 			}
 		}
 	}
-	if ws.pin >= 0 {
-		for _, key := range shardKeys(ws.selector) {
-			if other, ok := pl.pins[key]; ok && other != ws.pin {
-				return fmt.Errorf("plane: shard %s already pinned to replica %d", key, other)
-			}
-		}
-		for _, key := range shardKeys(ws.selector) {
-			pl.pins[key] = ws.pin
-		}
-	}
 	pl.workloads[workload] = ws
 	if _, err := pl.reconcileLocked(map[string]*workloadState{workload: ws}, true); err != nil {
-		pl.removeLocked(workload, ws)
+		pl.removeLocked(workload)
 		return err
 	}
 	return nil
 }
 
-// removeLocked takes a workload out of desired state, its pins, and
-// every replica it reached. Releasing a pin re-homes the shard, so the
-// tier is reconciled: whatever else the shard addresses is installed on
-// its new owner before the routing follows. Caller holds pl.mu.
-func (pl *Plane) removeLocked(workload string, ws *workloadState) {
+// removeLocked takes a workload out of desired state and every replica
+// it reached. Caller holds pl.mu.
+func (pl *Plane) removeLocked(workload string) {
 	for _, rep := range pl.replicas {
 		if _, had := rep.installed[workload]; had {
 			rep.reg.Deregister(workload)
@@ -539,25 +483,30 @@ func (pl *Plane) removeLocked(workload string, ws *workloadState) {
 		}
 	}
 	delete(pl.workloads, workload)
-	if ws.pin >= 0 {
-		for _, key := range shardKeys(ws.selector) {
-			delete(pl.pins, key)
-		}
-		// Deregister has no error to return; a replica the re-homing
-		// could not reach is retried by the next reconcile.
-		_, _ = pl.reconcileLocked(pl.workloads, false)
-	}
 }
 
 // Swap atomically replaces a workload's policy tier-wide: compiled
-// once up front, then published to every owning replica under the
-// control-plane lock. Each replica's local swap is an atomic snapshot
-// publish; when Swap returns, every owner serves the new generation.
-// Returns registry.ErrUnknownWorkload for a workload the tier has
-// never seen.
+// once up front, before the control-plane lock is taken, then published
+// as one program to every holder (SwapProgram). A policy that does not
+// compile leaves the tier untouched.
 func (pl *Plane) Swap(workload string, v *validator.Validator) error {
-	if err := checkPolicy(workload, v); err != nil {
-		return err
+	prog, err := compile.Compile(v)
+	if err != nil {
+		return fmt.Errorf("plane: workload %s: %w", workload, err)
+	}
+	return pl.SwapProgram(workload, prog)
+}
+
+// SwapProgram atomically replaces a workload's policy tier-wide with a
+// compiled program, published under the control-plane lock to every
+// replica holding the workload, each of which installs prog itself.
+// Each replica's
+// local swap is an atomic snapshot publish; when SwapProgram returns,
+// every owner serves the new generation. Returns
+// registry.ErrUnknownWorkload for a workload the tier has never seen.
+func (pl *Plane) SwapProgram(workload string, prog *compile.Program) error {
+	if prog == nil {
+		return fmt.Errorf("plane: a policy is required for workload %s", workload)
 	}
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
@@ -565,7 +514,7 @@ func (pl *Plane) Swap(workload string, v *validator.Validator) error {
 	if err != nil {
 		return err
 	}
-	ws.validator = v
+	ws.program = prog
 	_, err = pl.reconcileLocked(map[string]*workloadState{workload: ws}, true)
 	return err
 }
@@ -598,7 +547,7 @@ func (pl *Plane) reconcileLocked(scope map[string]*workloadState, bumpGeneration
 				continue
 			}
 			have, holds := rep.installed[w]
-			if holds && have == gen || !holds && !containsInt(owners, rep.index) {
+			if holds && have == gen || !holds && !slices.Contains(owners, rep.index) {
 				continue
 			}
 			if err := pl.installLocked(rep, w, ws, gen); err != nil {
@@ -614,7 +563,7 @@ func (pl *Plane) reconcileLocked(scope map[string]*workloadState, bumpGeneration
 		}
 		ws.gen, ws.owners = gen, owners
 		for _, idx := range owners {
-			if containsInt(prev, idx) {
+			if slices.Contains(prev, idx) {
 				continue
 			}
 			for _, old := range prev {
@@ -644,24 +593,25 @@ func (pl *Plane) at(step string) {
 }
 
 // installLocked makes one replica's registry match the desired state of
-// one workload. The registry's typed sentinels drive the reconcile: an
-// ErrUnknownWorkload from Swap means the replica lost the entry
-// (restarted process) and the install falls back to Register; any other
-// error is reported to the caller. Caller holds pl.mu.
+// one workload, installing the workload's one program. The registry's
+// typed sentinels drive the reconcile: an ErrUnknownWorkload from
+// SwapProgram means the replica lost the entry (restarted process) and
+// the install falls back to RegisterProgram; any other error is reported
+// to the caller. Caller holds pl.mu.
 func (pl *Plane) installLocked(rep *replica, workload string, ws *workloadState, gen uint64) error {
 	_, had := rep.installed[workload]
 	var err error
-	if had && ws.validator != nil {
-		if err = rep.reg.Swap(workload, ws.validator); errors.Is(err, registry.ErrUnknownWorkload) {
+	if had && ws.program != nil {
+		if err = rep.reg.SwapProgram(workload, ws.program); errors.Is(err, registry.ErrUnknownWorkload) {
 			had = false
 		}
 	}
 	if !had {
-		if ws.validator == nil {
+		if ws.program == nil {
 			// Learn-mode workload: no policy to swap, just ensure presence.
 			_, err = rep.reg.RegisterLearning(workload, ws.selector, ws.observer)
 		} else {
-			_, err = rep.reg.Register(workload, ws.selector, ws.validator)
+			_, err = rep.reg.RegisterProgram(workload, ws.selector, ws.program)
 		}
 	}
 	if err == nil {
@@ -758,9 +708,9 @@ func (pl *Plane) Demote(workload string) error {
 func (pl *Plane) Deregister(workload string) bool {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
-	ws, ok := pl.workloads[workload]
+	_, ok := pl.workloads[workload]
 	if ok {
-		pl.removeLocked(workload, ws)
+		pl.removeLocked(workload)
 	}
 	return ok
 }
@@ -799,6 +749,19 @@ func (pl *Plane) Owners(workload string) ([]int, error) {
 	return append([]int(nil), ws.owners...), nil
 }
 
+// Program reports the compiled policy the tier publishes for a
+// workload: the one program every holder installs, nil for a learning
+// workload.
+func (pl *Plane) Program(workload string) (*compile.Program, error) {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	ws, err := pl.lookupLocked(workload)
+	if err != nil {
+		return nil, err
+	}
+	return ws.program, nil
+}
+
 // Workloads lists the tier's registered workloads, sorted.
 func (pl *Plane) Workloads() []string {
 	pl.mu.Lock()
@@ -807,7 +770,7 @@ func (pl *Plane) Workloads() []string {
 	for w := range pl.workloads {
 		out = append(out, w)
 	}
-	sort.Strings(out)
+	slices.Sort(out)
 	return out
 }
 

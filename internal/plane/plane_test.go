@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -162,30 +163,6 @@ func TestPlaneBroadcastSelectors(t *testing.T) {
 	}
 }
 
-func TestPlanePinning(t *testing.T) {
-	pl := newTestPlane(t, 4, Config{})
-	if err := pl.RegisterPinned("pinned", registry.Selector{Namespace: "vip"}, policyFor(t, "pinned", false, img), 2); err != nil {
-		t.Fatal(err)
-	}
-	if owners, _ := pl.Owners("pinned"); len(owners) != 1 || owners[0] != 2 {
-		t.Fatalf("pinned owners = %v, want [2]", owners)
-	}
-	for i := 0; i < 10; i++ {
-		if w := post(t, pl, "/api/v1/namespaces/vip/pods", podBody(false, img)); w.Code != http.StatusOK {
-			t.Fatalf("benign pinned: code %d body %s", w.Code, w.Body)
-		}
-	}
-	tm := pl.Metrics()
-	if got := tm.Replicas[2].Routed; got != 10 {
-		t.Errorf("pinned replica routed %d requests, want 10", got)
-	}
-	// Pinning requires a shard key.
-	err := pl.RegisterPinned("nope", registry.Selector{}, policyFor(t, "nope", false, img), 0)
-	if err == nil {
-		t.Error("RegisterPinned with wildcard selector succeeded, want error")
-	}
-}
-
 func TestPlaneSwapPromoteLifecycle(t *testing.T) {
 	pl := newTestPlane(t, 3, Config{})
 	v1 := policyFor(t, "wl", false, img)
@@ -338,7 +315,7 @@ func TestPlaneDrainKillRestart(t *testing.T) {
 	}
 	for _, ns := range namespaces {
 		owners, _ := pl.Owners("wl-" + ns)
-		if containsInt(owners, 1) {
+		if slices.Contains(owners, 1) {
 			t.Errorf("post-drain: wl-%s still owned by drained replica (%v)", ns, owners)
 		}
 	}
@@ -466,4 +443,47 @@ func TestRingDeterminismAndReassignment(t *testing.T) {
 	if _, ok := buildRing(nil, 64).lookup("ns/x"); ok {
 		t.Error("empty ring lookup reported ok")
 	}
+}
+
+// TestPlaneInstallsOneProgram holds a plane publish to one compile:
+// after Register and after Swap of a broadcast workload on a 4-replica
+// tier, every holder enforces the very program the tier publishes, and
+// its entry still reports the validator the program came from.
+func TestPlaneInstallsOneProgram(t *testing.T) {
+	pl := newTestPlane(t, 4, Config{})
+	check := func(when string, v *validator.Validator) {
+		t.Helper()
+		prog, err := pl.Program("podwatch")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prog.Source() != v {
+			t.Errorf("%s: the published program was not compiled from the given validator", when)
+		}
+		pl.mu.Lock()
+		defer pl.mu.Unlock()
+		for _, rep := range pl.replicas {
+			e, ok := rep.reg.Entry("podwatch")
+			if !ok {
+				t.Errorf("%s: replica %d holds no copy of a broadcast workload", when, rep.index)
+				continue
+			}
+			if e.Program() != prog {
+				t.Errorf("%s: replica %d enforces a program of its own", when, rep.index)
+			}
+			if e.Policy() != v {
+				t.Errorf("%s: replica %d: Entry.Policy() is not the given validator", when, rep.index)
+			}
+		}
+	}
+	v1 := policyFor(t, "podwatch", false, img)
+	if err := pl.Register("podwatch", registry.Selector{Kinds: []string{"Pod"}}, v1); err != nil {
+		t.Fatal(err)
+	}
+	check("after Register", v1)
+	v2 := policyFor(t, "podwatch", true, img)
+	if err := pl.Swap("podwatch", v2); err != nil {
+		t.Fatal(err)
+	}
+	check("after Swap", v2)
 }

@@ -224,8 +224,8 @@ func TestReconcileInterleavings(t *testing.T) {
 // registration: the preconditions (shared by every Register* entry
 // point) reject a tier-wide conflict before anything changes, and a
 // first publish that fails for a reason only a replica's registry knows
-// is rolled back — desired state, pins and replica copies — so a
-// corrected retry succeeds.
+// is rolled back — desired state, its cluster-kind claim and replica
+// copies — so a corrected retry succeeds.
 func TestPlaneFailedRegistrationLeavesNoTrace(t *testing.T) {
 	pl := newTestPlane(t, 3, Config{})
 	claims := func(ns string) registry.Selector {
@@ -259,15 +259,16 @@ func TestPlaneFailedRegistrationLeavesNoTrace(t *testing.T) {
 
 	// An empty workload name passes the tier's preconditions and is
 	// refused by the replica's registry: the first publish fails.
-	if err := pl.RegisterPinned("", registry.Selector{Namespace: "x"}, policyFor(t, "x", false, img), 1); err == nil {
+	pv := registry.Selector{Namespace: "x", ClusterKinds: []string{"PersistentVolume"}}
+	if err := pl.Register("", pv, policyFor(t, "x", false, img)); err == nil {
 		t.Fatal("registering an empty workload name succeeded")
 	}
 	unchanged("after the failed first publish", "a", "b")
-	if err := pl.RegisterPinned("x", registry.Selector{Namespace: "x"}, policyFor(t, "x", false, img), 0); err != nil {
-		t.Fatalf("the failed registration kept its pin: %v", err)
+	if err := pl.Register("x", pv, policyFor(t, "x", false, img)); err != nil {
+		t.Fatalf("the failed registration kept its cluster-kind claim: %v", err)
 	}
 	if w := post(t, pl, "/api/v1/namespaces/x/pods", podBody(false, img)); w.Code != http.StatusOK {
-		t.Errorf("request for the re-pinned shard: status %d: %s", w.Code, w.Body)
+		t.Errorf("request for the retried workload's shard: status %d: %s", w.Code, w.Body)
 	}
 	if tm := pl.Metrics(); tm.PublishesStarted != tm.PublishesCompleted {
 		t.Errorf("publish window open: %d started, %d completed", tm.PublishesStarted, tm.PublishesCompleted)

@@ -244,7 +244,7 @@ func (e *Entry) ShadowViolations() []Record {
 // it is switched to enforce (or shadow) before a candidate policy is
 // swapped in: a nil program validates to a deny verdict.
 func (r *Registry) RegisterLearning(workload string, sel Selector, obs Observer) (*Entry, error) {
-	e, err := r.register(workload, sel, nil, nil)
+	e, err := r.register(workload, sel, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -339,7 +339,7 @@ func (r *Registry) Promote(workload string, gen uint64) error {
 		return fmt.Errorf("%w (workload %s: gated %d, current %d)",
 			ErrStaleGeneration, workload, gen, ver.gen)
 	}
-	if ver.program == nil && ver.policy == nil {
+	if ver.program == nil {
 		return fmt.Errorf("registry: workload %s has no policy to enforce", workload)
 	}
 	e.mode.Store(int32(ModeEnforce))

@@ -15,7 +15,8 @@
 // mirroring how per-namespace operator installs scope their authority.
 //
 // Policies are compiled at Register/Swap time (internal/compile) into
-// flat, immutable rule programs; the request hot path executes the
+// flat, immutable rule programs, or handed over already compiled
+// (RegisterProgram/SwapProgram); the request hot path executes the
 // compiled program, and a swap publishes the whole new program
 // atomically with a generation bump. The interpreted tree walk
 // (internal/validator) is not on the request path; it is the oracle the
@@ -198,11 +199,12 @@ type Entry struct {
 	order    int // registration sequence, tie-breaker for resolution
 
 	// version is the entry's current policy in every form the hot path
-	// needs — validator, compiled program, and cache-key generation —
-	// published as ONE immutable snapshot. A single atomic pointer
-	// (rather than separate policy/program/gen atomics) makes
-	// concurrent Swaps linearizable: readers can never observe one
-	// swap's program paired with another's validator or generation.
+	// needs — compiled program (which carries its source validator),
+	// invariants and cache-key generation — published as ONE immutable
+	// snapshot. A single atomic pointer (rather than separate
+	// program/gen atomics) makes concurrent Swaps linearizable: readers
+	// can never observe one swap's program paired with another's
+	// generation.
 	version atomic.Pointer[policyVersion]
 
 	// cache is this workload's decision-cache shard (nil = disabled).
@@ -236,7 +238,7 @@ type Entry struct {
 // name (which would be a policy bypass) — the shard is per *Entry*, and
 // generations never repeat across entries.
 type policyVersion struct {
-	policy  *validator.Validator
+	// program is nil for a learning entry with no candidate yet.
 	program *compile.Program
 	// invariants are the entry's cross-resource rules, evaluated after a
 	// clean schema verdict. Part of the snapshot so a SetInvariants can
@@ -253,8 +255,17 @@ func (e *Entry) Workload() string { return e.workload }
 // Selector returns the entry's request scope.
 func (e *Entry) Selector() Selector { return e.selector }
 
-// Policy returns the currently enforced validator.
-func (e *Entry) Policy() *validator.Validator { return e.version.Load().policy }
+// Policy returns the currently enforced validator: the source of its
+// compiled program, nil while a learning entry has no policy.
+func (e *Entry) Policy() *validator.Validator { return e.version.Load().policy() }
+
+// policy is the snapshot's source validator (nil when it has no program).
+func (v *policyVersion) policy() *validator.Validator {
+	if v.program == nil {
+		return nil
+	}
+	return v.program.Source()
+}
 
 // Program returns the compiled form of the currently enforced policy.
 func (e *Entry) Program() *compile.Program { return e.version.Load().program }
@@ -455,26 +466,33 @@ func errUnknown(workload string) error {
 	return fmt.Errorf("%w: %s is not registered", ErrUnknownWorkload, workload)
 }
 
-// Register adds a workload policy. The workload name must be unique, and
-// its ClusterKinds must not overlap another entry's: cluster-scoped
-// objects carry no namespace to disambiguate tenants, so an overlapping
-// claim would silently route one tenant's objects to another's policy.
-// Use Swap to replace the policy of a registered workload.
+// Register compiles a workload policy and registers the program
+// (RegisterProgram).
 func (r *Registry) Register(workload string, sel Selector, v *validator.Validator) (*Entry, error) {
-	if v == nil {
-		return nil, fmt.Errorf("registry: validator is required for workload %s", workload)
-	}
 	prog, err := compile.Compile(v)
 	if err != nil {
 		return nil, fmt.Errorf("registry: workload %s: %w", workload, err)
 	}
-	return r.register(workload, sel, v, prog)
+	return r.RegisterProgram(workload, sel, prog)
 }
 
-// register is the shared registration path. A nil validator registers a
+// RegisterProgram adds a workload policy in its compiled form; the entry
+// enforces prog itself. The workload name must be unique, and its
+// ClusterKinds must not overlap another entry's: cluster-scoped objects
+// carry no namespace to disambiguate tenants, so an overlapping claim
+// would silently route one tenant's objects to another's policy. Use
+// Swap or SwapProgram to replace the policy of a registered workload.
+func (r *Registry) RegisterProgram(workload string, sel Selector, prog *compile.Program) (*Entry, error) {
+	if prog == nil {
+		return nil, fmt.Errorf("registry: a policy is required for workload %s", workload)
+	}
+	return r.register(workload, sel, prog)
+}
+
+// register is the shared registration path. A nil program registers a
 // learning entry with no policy: it fails closed under enforce/shadow
 // until a candidate is swapped in.
-func (r *Registry) register(workload string, sel Selector, v *validator.Validator, prog *compile.Program) (*Entry, error) {
+func (r *Registry) register(workload string, sel Selector, prog *compile.Program) (*Entry, error) {
 	if workload == "" {
 		return nil, fmt.Errorf("registry: workload name is required")
 	}
@@ -502,27 +520,32 @@ func (r *Registry) register(workload string, sel Selector, v *validator.Validato
 		e.cache = newLRUCache(r.cacheSize)
 	}
 	r.nextOrder++
-	e.version.Store(&policyVersion{policy: v, program: prog, gen: r.gens.Add(1)})
+	e.version.Store(&policyVersion{program: prog, gen: r.gens.Add(1)})
 	r.entries[workload] = e
 	r.rebuildLocked()
 	return e, nil
 }
 
-// Swap atomically replaces the policy of a registered workload (policy
-// updates without proxy restarts). The validator is compiled before the
-// swap and published as one immutable {validator, program, generation}
-// snapshot: a reader can never pair one swap's program with another's
-// validator or generation, and the generation change invalidates the
-// workload's cached decisions. The read lock is held across the store
-// so Swap cannot report success for an entry a concurrent Deregister
-// just removed.
+// Swap compiles a workload's new policy and swaps the program in
+// (SwapProgram).
 func (r *Registry) Swap(workload string, v *validator.Validator) error {
-	if v == nil {
-		return fmt.Errorf("registry: validator is required for workload %s", workload)
-	}
 	prog, err := compile.Compile(v)
 	if err != nil {
 		return fmt.Errorf("registry: workload %s: %w", workload, err)
+	}
+	return r.SwapProgram(workload, prog)
+}
+
+// SwapProgram atomically replaces the policy of a registered workload
+// (policy updates without proxy restarts) with a compiled program,
+// published as one immutable {program, generation} snapshot: a reader
+// can never pair one swap's program with another's generation, and the
+// generation change invalidates the workload's cached decisions. The
+// read lock is held across the store so SwapProgram cannot report
+// success for an entry a concurrent Deregister just removed.
+func (r *Registry) SwapProgram(workload string, prog *compile.Program) error {
+	if prog == nil {
+		return fmt.Errorf("registry: a policy is required for workload %s", workload)
 	}
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -538,8 +561,7 @@ func (r *Registry) Swap(workload string, v *validator.Validator) error {
 	// silently drop the rules attached beside it.
 	e.modeMu.Lock()
 	cur := e.version.Load()
-	e.version.Store(&policyVersion{policy: v, program: prog,
-		invariants: cur.invariants, gen: r.gens.Add(1)})
+	e.version.Store(&policyVersion{program: prog, invariants: cur.invariants, gen: r.gens.Add(1)})
 	e.modeMu.Unlock()
 	return nil
 }
@@ -558,8 +580,7 @@ func (r *Registry) SetInvariants(workload string, invs []Invariant) error {
 	}
 	e.modeMu.Lock()
 	cur := e.version.Load()
-	e.version.Store(&policyVersion{policy: cur.policy, program: cur.program,
-		invariants: invs, gen: r.gens.Add(1)})
+	e.version.Store(&policyVersion{program: cur.program, invariants: invs, gen: r.gens.Add(1)})
 	e.modeMu.Unlock()
 	return nil
 }
@@ -813,7 +834,7 @@ func (r *Registry) ValidateRawHashed(e *Entry, body []byte, sum *[sha256.Size]by
 // and only when the entry has a cache to key with it.
 func (r *Registry) validateRaw(e *Entry, body []byte, sum *[sha256.Size]byte, meta compile.RawMeta, yamlBody bool) (vs []validator.Violation, decided bool) {
 	ver := e.version.Load()
-	if ver.program == nil && ver.policy == nil {
+	if ver.program == nil {
 		e.requests.Add(1)
 		return []validator.Violation{{Reason: fmt.Sprintf(
 			"workload %s has no learned policy yet", e.workload)}}, true
@@ -876,7 +897,7 @@ func (r *Registry) ValidateHashed(e *Entry, body []byte, sum *[sha256.Size]byte,
 // consulting the entry's decision-cache shard. A snapshot with no policy
 // (a learning entry whose candidate was never swapped in) fails closed.
 func (r *Registry) validateVersion(e *Entry, ver *policyVersion, body []byte, sum *[sha256.Size]byte, obj object.Object) []validator.Violation {
-	if ver.program == nil && ver.policy == nil {
+	if ver.program == nil {
 		return []validator.Violation{{Reason: fmt.Sprintf(
 			"workload %s has no learned policy yet", e.workload)}}
 	}
@@ -974,7 +995,7 @@ func (r *Registry) ExportCache(workload string) (CacheSnapshot, error) {
 	snap := CacheSnapshot{
 		Workload:      workload,
 		Generation:    ver.gen,
-		policy:        ver.policy,
+		policy:        ver.policy(),
 		hasInvariants: len(ver.invariants) > 0,
 	}
 	if e.cache != nil {
@@ -1008,7 +1029,7 @@ func (r *Registry) ImportCache(snap CacheSnapshot) (int, error) {
 	e.modeMu.Lock()
 	defer e.modeMu.Unlock()
 	ver := e.version.Load()
-	if ver.policy == nil || ver.policy != snap.policy ||
+	if pol := ver.policy(); pol == nil || pol != snap.policy ||
 		snap.hasInvariants || len(ver.invariants) > 0 {
 		return 0, nil
 	}

@@ -1,9 +1,11 @@
 package registry
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"repro/internal/compile"
 	"repro/internal/object"
 	"repro/internal/validator"
 )
@@ -167,6 +169,44 @@ func TestSwapBumpsGenerationAndKeepsNeighbors(t *testing.T) {
 	}
 	if b.Policy() != bPolicy || b.Generation() != bGen {
 		t.Error("swap of a disturbed b")
+	}
+}
+
+// TestRegisterProgramInstallsItsProgram: RegisterProgram and
+// SwapProgram install the program they are handed, not a recompiled
+// copy, and Entry.Policy reads the validator through it; Register and
+// Swap compile what they are given and report that validator.
+func TestRegisterProgramInstallsItsProgram(t *testing.T) {
+	r := New(Config{})
+	v1, v2 := policy(t, "w"), policy(t, "w2")
+	p1, p2 := compile.MustCompile(v1), compile.MustCompile(v2)
+	e, err := r.RegisterProgram("w", Selector{}, p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.Program() != p1 || e.Policy() != v1 {
+		t.Error("RegisterProgram did not install the program it was handed")
+	}
+	if err := r.SwapProgram("w", p2); err != nil {
+		t.Fatal(err)
+	}
+	if e.Program() != p2 || e.Policy() != v2 {
+		t.Error("SwapProgram did not install the program it was handed")
+	}
+	if err := r.Swap("w", v1); err != nil {
+		t.Fatal(err)
+	}
+	if e.Policy() != v1 || e.Program().Source() != v1 {
+		t.Error("Swap did not install a program compiled from its validator")
+	}
+	if _, err := r.RegisterProgram("x", Selector{}, nil); err == nil {
+		t.Error("RegisterProgram with a nil program should fail")
+	}
+	if err := r.SwapProgram("w", nil); err == nil {
+		t.Error("SwapProgram with a nil program should fail")
+	}
+	if err := r.SwapProgram("missing", p1); !errors.Is(err, ErrUnknownWorkload) {
+		t.Errorf("SwapProgram(missing) = %v, want ErrUnknownWorkload", err)
 	}
 }
 

@@ -251,16 +251,17 @@ func NewRegistry(cfg RegistryConfig) *Registry {
 }
 
 // Register adds the policy to a registry under the given selector. The
-// policy's workload name is the registry key (must be unique).
+// policy's workload name is the registry key (must be unique); the entry
+// enforces the policy's own program, not a recompiled copy.
 func (p *Policy) Register(r *Registry, sel Selector) error {
-	_, err := r.Register(p.Workload, sel, p.validator)
+	_, err := r.RegisterProgram(p.Workload, sel, p.program)
 	return err
 }
 
 // Swap atomically replaces the registered policy for p's workload —
 // policy regeneration without proxy restarts, scoped to one workload.
 func (p *Policy) Swap(r *Registry) error {
-	return r.Swap(p.Workload, p.validator)
+	return r.SwapProgram(p.Workload, p.program)
 }
 
 // GenerateRegistry runs the policy pipeline for several builtin charts
@@ -434,17 +435,17 @@ type PlaneReplicaMetrics = plane.ReplicaMetrics
 func NewPlane(cfg PlaneConfig) (*Plane, error) { return plane.New(cfg) }
 
 // RegisterOn adds the policy to a plane under the given selector,
-// installing it atomically on every replica that owns a shard of the
-// selector (the plane analogue of Policy.Register).
+// installing its own program atomically on every replica that owns a
+// shard of the selector (the plane analogue of Policy.Register).
 func (p *Policy) RegisterOn(pl *Plane, sel Selector) error {
-	return pl.Register(p.Workload, sel, p.validator)
+	return pl.RegisterProgram(p.Workload, sel, p.program)
 }
 
 // SwapOn atomically propagates a regenerated policy for p's workload to
 // every owning replica — no replica ever serves a generation the plane
 // has not finished publishing.
 func (p *Policy) SwapOn(pl *Plane) error {
-	return pl.Swap(p.Workload, p.validator)
+	return pl.SwapProgram(p.Workload, p.program)
 }
 
 // Sentinel errors the registry and plane return for permanent (as

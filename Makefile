@@ -17,9 +17,10 @@
 GO ?= go
 
 # Tier-1 total statement coverage at the time the gate was last raised
-# (PR 6, 84.5%) minus a small buffer for refactoring churn; raise it as
-# coverage grows, never lower it to make a PR pass.
-COVERAGE_BASELINE ?= 84.0
+# (87.8% when the validator tree left compile.Program) minus a small
+# buffer for refactoring churn; raise it as coverage grows, never lower
+# it to make a PR pass.
+COVERAGE_BASELINE ?= 87.0
 
 .PHONY: all ci fmt-check vet build test race bench-check plane-race forward-race bench \
 	fuzz-smoke fuzz-nightly coverage-gate staticcheck

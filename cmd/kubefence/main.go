@@ -49,7 +49,6 @@ import (
 	"sync"
 	"time"
 
-	kubefence "repro"
 	"repro/internal/chart"
 	"repro/internal/charts"
 	"repro/internal/core"
@@ -219,20 +218,29 @@ func runGenerate(args []string) error {
 	return os.WriteFile(*out, data, 0o644)
 }
 
-// multiRegistry builds the multi-workload policy registry via the
-// facade (one policy per builtin chart, namespace-scoped, cluster
-// kinds claimed automatically).
-func multiRegistry(names []string, mode string, cacheSize int) (*kubefence.Registry, error) {
-	cfg := kubefence.RegistryConfig{CacheSize: cacheSize}
-	switch mode {
-	case "", "lenient":
-		cfg.Mode = kubefence.LockIfPresent
-	case "strict":
-		cfg.Mode = kubefence.LockRequired
-	default:
-		return nil, fmt.Errorf("unknown -mode %q (lenient or strict)", mode)
+// multiRegistry builds the multi-workload policy registry the way the
+// facade's GenerateRegistry does (one policy per builtin chart,
+// namespace-scoped, cluster kinds claimed automatically) and returns the
+// validators it generated, in names order: the registry holds only
+// their compiled programs.
+func multiRegistry(names []string, mode string, cacheSize int) (*registry.Registry, []*validator.Validator, error) {
+	reg := registry.New(registry.Config{CacheSize: cacheSize})
+	bases := make([]*validator.Validator, len(names))
+	for i, name := range names {
+		res, err := generate("", name, mode, false)
+		if err != nil {
+			return nil, nil, err
+		}
+		sel := registry.Selector{
+			Namespace:    name,
+			ClusterKinds: registry.ClusterScopedKinds(res.Validator.AllowedKinds()),
+		}
+		if _, err := reg.Register(name, sel, res.Validator); err != nil {
+			return nil, nil, err
+		}
+		bases[i] = res.Validator
 	}
-	return kubefence.GenerateRegistry(cfg, names...)
+	return reg, bases, nil
 }
 
 func runProxy(args []string) error {
@@ -359,20 +367,20 @@ func runProxy(args []string) error {
 			enforcing = fmt.Sprintf("%d learning workloads (%s)", len(names), strings.Join(names, ", "))
 		case registry.ModeShadow:
 			// Chart policies exist but rehearse before they deny.
-			reg, err := multiRegistry(names, *mode, *cacheSize)
+			reg, bases, err := multiRegistry(names, *mode, *cacheSize)
 			if err != nil {
 				return err
 			}
 			ctl = learn.NewController(reg, learn.GateConfig{})
-			for _, name := range reg.Workloads() {
-				if _, err := ctl.Adopt(name, learn.Options{}); err != nil {
+			for i, name := range names {
+				if _, err := ctl.Adopt(name, bases[i], learn.Options{}); err != nil {
 					return err
 				}
 			}
 			cfg.Registry = reg
 			enforcing = fmt.Sprintf("%d workload policies in shadow (%s)", len(names), strings.Join(reg.Workloads(), ", "))
 		default:
-			reg, err := multiRegistry(names, *mode, *cacheSize)
+			reg, _, err := multiRegistry(names, *mode, *cacheSize)
 			if err != nil {
 				return err
 			}

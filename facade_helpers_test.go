@@ -26,9 +26,6 @@ func TestPolicyRegistersItsProgram(t *testing.T) {
 		if e.Program() != p.program {
 			t.Errorf("%s: the entry enforces a recompiled program", when)
 		}
-		if e.Policy() != p.validator {
-			t.Errorf("%s: Entry.Policy() is not the policy's validator", when)
-		}
 	}
 	if err := p.Register(r, Selector{}); err != nil {
 		t.Fatal(err)

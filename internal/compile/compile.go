@@ -156,44 +156,14 @@ type kindProgram struct {
 // programs atomically on policy updates, and the plane installs one
 // program on every replica that holds its workload.
 type Program struct {
-	source *validator.Validator
-	kinds  map[string]kindProgram
+	workload string // the policy's workload, named by the decoded walk's unknown-kind violation
+	kinds    map[string]kindProgram
 
 	nodes   []node
 	fields  []fieldRef
 	reqs    []reqRef
 	scalars []scalar
 	paths   []string // interned path table
-}
-
-// Workload names the policy the program was compiled from.
-func (p *Program) Workload() string { return p.source.Workload }
-
-// Source returns the validator the program was compiled from: the
-// policy's identity for callers that compare policies (the registry's
-// cache handoff compares this pointer).
-func (p *Program) Source() *validator.Validator { return p.source }
-
-// Stats describes a compiled program, for introspection and tests.
-type Stats struct {
-	Kinds         int
-	Nodes         int
-	Fields        int
-	RequiredRefs  int
-	Scalars       int
-	InternedPaths int
-}
-
-// Stats reports the program's table sizes.
-func (p *Program) Stats() Stats {
-	return Stats{
-		Kinds:         len(p.kinds),
-		Nodes:         len(p.nodes),
-		Fields:        len(p.fields),
-		RequiredRefs:  len(p.reqs),
-		Scalars:       len(p.scalars),
-		InternedPaths: len(p.paths),
-	}
 }
 
 // maxDepth bounds compilation recursion so a (hand-constructed) cyclic
@@ -218,8 +188,8 @@ func Compile(v *validator.Validator) (*Program, error) {
 	}
 	c := &compiler{
 		p: &Program{
-			source: v,
-			kinds:  make(map[string]kindProgram, len(v.Kinds)),
+			workload: v.Workload,
+			kinds:    make(map[string]kindProgram, len(v.Kinds)),
 		},
 		intern: map[string]int32{},
 		mode:   v.Mode,

@@ -3,6 +3,7 @@ package compile
 import (
 	"fmt"
 	"reflect"
+	"regexp"
 	"testing"
 
 	"repro/internal/mutate"
@@ -264,9 +265,8 @@ func TestPathInterning(t *testing.T) {
 			t.Fatalf("path %q interned twice", path)
 		}
 	}
-	st := p.Stats()
-	if st.Kinds != 2 || st.InternedPaths != len(p.paths) || st.Nodes != len(p.nodes) {
-		t.Fatalf("stats inconsistent: %+v", st)
+	if len(p.kinds) != 2 {
+		t.Fatalf("compiled %d kinds, want 2", len(p.kinds))
 	}
 }
 
@@ -456,5 +456,54 @@ func TestRequiredOverflowFallback(t *testing.T) {
 	}
 	if vs := both(t, v, missing); len(vs) != 1 {
 		t.Fatalf("want exactly the missing-f33 violation, got %v", vs)
+	}
+}
+
+// reachableTypes walks a type graph through struct fields, pointers,
+// arrays, slices, maps and channels, and reports every type it reaches.
+// Interface-typed values are opaque to it.
+func reachableTypes(root reflect.Type) map[reflect.Type]bool {
+	seen := map[reflect.Type]bool{}
+	var walk func(t reflect.Type)
+	walk = func(t reflect.Type) {
+		if seen[t] {
+			return
+		}
+		seen[t] = true
+		switch t.Kind() {
+		case reflect.Struct:
+			for i := 0; i < t.NumField(); i++ {
+				walk(t.Field(i).Type)
+			}
+		case reflect.Map:
+			walk(t.Key())
+			walk(t.Elem())
+		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+			walk(t.Elem())
+		}
+	}
+	walk(root)
+	return seen
+}
+
+// TestProgramHoldsNoValidatorTree: the compiled program is the only
+// form of a policy the serving side keeps, so nothing in its type graph
+// may reach the interpreted tree it was lowered from.
+func TestProgramHoldsNoValidatorTree(t *testing.T) {
+	tree := []reflect.Type{reflect.TypeOf(validator.Validator{}), reflect.TypeOf(validator.Node{})}
+	// The walk must see through a field to the tree, or its silence on
+	// Program proves nothing.
+	type holder struct{ kinds map[string][]*validator.Node }
+	if !reachableTypes(reflect.TypeOf(holder{}))[tree[1]] {
+		t.Fatal("the type walk does not reach a Node held through a map of slices")
+	}
+	got := reachableTypes(reflect.TypeOf(Program{}))
+	if !got[reflect.TypeOf(regexp.Regexp{})] {
+		t.Fatal("the type walk did not reach the program's compiled patterns")
+	}
+	for _, typ := range tree {
+		if got[typ] {
+			t.Errorf("compile.Program reaches %v", typ)
+		}
 	}
 }

@@ -64,7 +64,7 @@ func (p *Program) kindViolation(kind string) []validator.Violation {
 		return []validator.Violation{{Reason: "request object has no kind"}}
 	}
 	return []validator.Violation{{Reason: fmt.Sprintf(
-		"kind %s is not used by workload %s", validator.Bounded(kind), p.source.Workload)}}
+		"kind %s is not used by workload %s", validator.Bounded(kind), p.workload)}}
 }
 
 // apiVersionViolation is the whole verdict on a known kind sent under an

@@ -144,10 +144,10 @@ func plainForms(t *testing.T) (embed []scalarForm) {
 // suffix mends; the accepted ones are decoded as the items of one
 // sequence per batch.
 func quotedForms(t *testing.T, q string, alphabet, first []string, depth int) (embed []scalarForm) {
-	// A batch is a flow sequence while every quote in the body is escaped
-	// and it does not end in a backslash (the flow reader finds the
-	// closing quote from the left, so it frames such a body as the block
-	// reader does), else a block sequence, one item a line.
+	// A batch is a flow sequence while no quote in the body closes it
+	// and no backslash escapes its closing quote (the flow reader finds
+	// the closing quote from the left, so it frames such a body as the
+	// block reader does), else a block sequence, one item a line.
 	flowed, blocked := quotedBatch{flow: true}, quotedBatch{}
 	scratch := make([]byte, 0, maxUnquoted)
 	quoted, accepted := 0, 0
@@ -211,14 +211,20 @@ func quotedForms(t *testing.T, q string, alphabet, first []string, depth int) (e
 }
 
 // flowFramed reports whether a flow sequence frames the quoted body as a
-// block line does: every quote in it escaped, and no backslash last.
+// block line does: no quote in it closes the scalar, and no backslash
+// escapes the closing quote (inside double quotes a backslash escapes
+// the byte after it).
 func flowFramed(body []byte, q byte) bool {
-	for i, c := range body {
-		if c == q && (i == 0 || body[i-1] != '\\') {
+	for i := 0; i < len(body); i++ {
+		if q == '"' && body[i] == '\\' {
+			if i++; i == len(body) {
+				return false
+			}
+		} else if body[i] == q {
 			return false
 		}
 	}
-	return len(body) == 0 || body[len(body)-1] != '\\'
+	return true
 }
 
 // quotedBatch is a sequence document of quoted scalars the walker

@@ -146,15 +146,16 @@ func (c *Controller) AddWorkload(workload string, sel registry.Selector, opts Op
 // attached as its observer, and the workload is moved to shadow mode so
 // the existing policy can rehearse against live traffic before it
 // enforces. Candidates emitted from shadow feedback are unioned onto
-// the original policy — traffic can widen a chart policy's domains, but
-// never drop the chart's surface.
-func (c *Controller) Adopt(workload string, opts Options) (*Miner, error) {
+// base, the validator the registered policy was compiled from — traffic
+// can widen a chart policy's domains, but never drop the chart's
+// surface. The registry holds only compiled programs, so the caller
+// that generated the policy supplies its validator.
+func (c *Controller) Adopt(workload string, base *validator.Validator, opts Options) (*Miner, error) {
 	e, ok := c.reg.Entry(workload)
 	if !ok {
 		return nil, fmt.Errorf("learn: workload %s is not registered", workload)
 	}
-	base := e.Policy()
-	if base == nil {
+	if e.Program() == nil || base == nil {
 		return nil, fmt.Errorf("learn: workload %s has no policy to adopt (use AddWorkload)", workload)
 	}
 	m := New(workload, opts)

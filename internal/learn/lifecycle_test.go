@@ -267,7 +267,7 @@ func TestAdoptShadowsExistingPolicy(t *testing.T) {
 	if _, err := reg.Register("w", registry.Selector{Namespace: "ns"}, basePol); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctl.Adopt("w", Options{}); err != nil {
+	if _, err := ctl.Adopt("w", basePol, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	e, _ := reg.Entry("w")
@@ -309,13 +309,25 @@ func TestAdoptShadowsExistingPolicy(t *testing.T) {
 func TestAdoptRequiresExistingPolicy(t *testing.T) {
 	reg := registry.New(registry.Config{})
 	ctl := NewController(reg, GateConfig{})
-	if _, err := ctl.Adopt("missing", Options{}); err == nil {
+	if _, err := ctl.Adopt("missing", nil, Options{}); err == nil {
 		t.Error("adopting an unregistered workload must error")
 	}
 	if _, err := reg.RegisterLearning("bare", registry.Selector{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ctl.Adopt("bare", Options{}); err == nil {
+	m := New("w", Options{})
+	m.Observe(benignObj(0))
+	base, err := m.Policy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctl.Adopt("bare", base, Options{}); err == nil {
 		t.Error("adopting a policy-less workload must error")
+	}
+	if _, err := reg.Register("w", registry.Selector{}, base); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ctl.Adopt("w", nil, Options{}); err == nil {
+		t.Error("adopting without a base validator must error")
 	}
 }

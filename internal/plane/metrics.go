@@ -20,9 +20,10 @@ type ReplicaMetrics struct {
 	// AssignedShards and LoadScore describe placement: how many shard
 	// keys currently route to this replica and the EWMA load score they
 	// carry.
-	AssignedShards int           `json:"assigned_shards"`
-	LoadScore      float64       `json:"load_score"`
-	Proxy          proxy.Metrics `json:"proxy"`
+	AssignedShards int     `json:"assigned_shards"`
+	LoadScore      float64 `json:"load_score"`
+	// Proxy sums the replica's proxy counters across restarts.
+	Proxy proxy.Metrics `json:"proxy"`
 }
 
 // TierMetrics is the tier-level rollup: front-door accounting,
@@ -97,18 +98,10 @@ func (pl *Plane) Metrics() TierMetrics {
 			Workloads:      len(rep.installed),
 			AssignedShards: shardsBy[rep.index],
 			LoadScore:      loadBy[rep.index],
-		}
-		if px := rep.proxy.Load(); px != nil {
-			rm.Proxy = px.Metrics()
+			Proxy:          rep.retired.Add(rep.proxy.Load().Metrics()),
 		}
 		tm.Replicas = append(tm.Replicas, rm)
-		tm.Proxy.Requests += rm.Proxy.Requests
-		tm.Proxy.Inspected += rm.Proxy.Inspected
-		tm.Proxy.Denied += rm.Proxy.Denied
-		tm.Proxy.Shadowed += rm.Proxy.Shadowed
-		tm.Proxy.RawAllowed += rm.Proxy.RawAllowed
-		tm.Proxy.RawDenied += rm.Proxy.RawDenied
-		tm.Proxy.ValidationTime += rm.Proxy.ValidationTime
+		tm.Proxy = tm.Proxy.Add(rm.Proxy)
 	}
 	return tm
 }

@@ -180,6 +180,10 @@ type replica struct {
 	// without telemetry). Created once; survives Restart so decision
 	// counters span replica generations.
 	hub *telemetry.Hub
+	// retired sums the counters of the proxies Restart replaced, so the
+	// replica's proxy rollup spans replica generations like hub does.
+	// Under Plane.mu.
+	retired proxy.Metrics
 
 	routed      atomic.Uint64
 	shed        atomic.Uint64
@@ -309,6 +313,9 @@ func (pl *Plane) bootReplica(rep *replica) error {
 	})
 	if err != nil {
 		return err
+	}
+	if old := rep.proxy.Load(); old != nil {
+		rep.retired = rep.retired.Add(old.Metrics())
 	}
 	rep.reg = reg
 	rep.proxy.Store(px)

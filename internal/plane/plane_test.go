@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/compile"
 	"repro/internal/object"
 	"repro/internal/registry"
 	"repro/internal/validator"
@@ -448,18 +449,20 @@ func TestRingDeterminismAndReassignment(t *testing.T) {
 // TestPlaneInstallsOneProgram holds a plane publish to one compile:
 // after Register and after Swap of a broadcast workload on a 4-replica
 // tier, every holder enforces the very program the tier publishes, and
-// its entry still reports the validator the program came from.
+// a swap publishes a new one compiled from the swapped-in validator.
 func TestPlaneInstallsOneProgram(t *testing.T) {
 	pl := newTestPlane(t, 4, Config{})
-	check := func(when string, v *validator.Validator) {
+	var prev *compile.Program
+	check := func(when string, hostNetwork bool) {
 		t.Helper()
 		prog, err := pl.Program("podwatch")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if prog.Source() != v {
+		if prog == prev || !prog.MatchRaw(podBody(hostNetwork, img)) || prog.MatchRaw(podBody(!hostNetwork, img)) {
 			t.Errorf("%s: the published program was not compiled from the given validator", when)
 		}
+		prev = prog
 		pl.mu.Lock()
 		defer pl.mu.Unlock()
 		for _, rep := range pl.replicas {
@@ -471,19 +474,60 @@ func TestPlaneInstallsOneProgram(t *testing.T) {
 			if e.Program() != prog {
 				t.Errorf("%s: replica %d enforces a program of its own", when, rep.index)
 			}
-			if e.Policy() != v {
-				t.Errorf("%s: replica %d: Entry.Policy() is not the given validator", when, rep.index)
+		}
+	}
+	if err := pl.Register("podwatch", registry.Selector{Kinds: []string{"Pod"}}, policyFor(t, "podwatch", false, img)); err != nil {
+		t.Fatal(err)
+	}
+	check("after Register", false)
+	if err := pl.Swap("podwatch", policyFor(t, "podwatch", true, img)); err != nil {
+		t.Fatal(err)
+	}
+	check("after Swap", true)
+}
+
+// TestPlaneRollupSurvivesRestart: a restarted replica boots a fresh
+// proxy, but the tier's proxy rollup keeps what the retired one served,
+// so it still equals the front door's count.
+func TestPlaneRollupSurvivesRestart(t *testing.T) {
+	pl := newTestPlane(t, 2, Config{})
+	if err := pl.Register("wl", registry.Selector{Namespace: "ns"}, policyFor(t, "wl", false, img)); err != nil {
+		t.Fatal(err)
+	}
+	serve := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if w := post(t, pl, "/api/v1/namespaces/ns/pods", podBody(false, img)); w.Code != http.StatusOK {
+				t.Fatalf("benign request: code %d, body %s", w.Code, w.Body)
 			}
 		}
 	}
-	v1 := policyFor(t, "podwatch", false, img)
-	if err := pl.Register("podwatch", registry.Selector{Kinds: []string{"Pod"}}, v1); err != nil {
+	check := func(when string, want uint64) {
+		t.Helper()
+		tm := pl.Metrics()
+		if tm.Requests != want || tm.Proxy.Requests != tm.Requests {
+			t.Errorf("%s: front door %d requests (want %d), replicas saw %d",
+				when, tm.Requests, want, tm.Proxy.Requests)
+		}
+		var routed, served uint64
+		for _, rm := range tm.Replicas {
+			routed += rm.Routed
+			served += rm.Proxy.Requests
+		}
+		if served != routed {
+			t.Errorf("%s: replicas were routed %d requests, their proxies saw %d", when, routed, served)
+		}
+	}
+	serve(5)
+	check("before restart", 5)
+	owners, err := pl.Owners("wl")
+	if err != nil || len(owners) != 1 {
+		t.Fatalf("Owners(wl) = %v, %v; want exactly one", owners, err)
+	}
+	if err := pl.Restart(owners[0]); err != nil {
 		t.Fatal(err)
 	}
-	check("after Register", v1)
-	v2 := policyFor(t, "podwatch", true, img)
-	if err := pl.Swap("podwatch", v2); err != nil {
-		t.Fatal(err)
-	}
-	check("after Swap", v2)
+	check("after restarting the owner", 5)
+	serve(3)
+	check("after serving on the restarted tier", 8)
 }

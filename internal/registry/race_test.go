@@ -64,7 +64,7 @@ func TestConcurrentRegisterSwapResolve(t *testing.T) {
 				if !ok {
 					continue // not registered yet, acceptable mid-race
 				}
-				if e.Policy() == nil {
+				if e.Program() == nil {
 					t.Error("resolved entry exposed a nil policy")
 					return
 				}
@@ -89,7 +89,7 @@ func TestConcurrentRegisterSwapResolve(t *testing.T) {
 		if !ok {
 			t.Fatalf("tenant %s missing after the race", w)
 		}
-		if e.Policy() == nil {
+		if e.Program() == nil {
 			t.Fatalf("tenant %s has nil policy", w)
 		}
 	}

@@ -1,14 +1,15 @@
-// Package registry maps workloads to their KubeFence policy validators
+// Package registry maps workloads to their compiled KubeFence policies
 // and resolves, per request, which policy governs an incoming API object.
 //
 // The paper generates one fine-grained policy per workload (operator); a
 // real cluster runs many operators behind a single enforcement point. The
 // registry is the multi-tenant core that makes that possible: each entry
 // pairs a workload name with a Selector (namespace and/or resource kinds)
-// and an atomically hot-swappable *validator.Validator, so one proxy can
-// enforce nginx, postgresql, rabbitmq, mlflow, and sonarqube policies
-// concurrently, and any single policy can be regenerated and swapped in
-// without restarting the proxy or touching its neighbors.
+// and an atomically hot-swappable compiled policy (*compile.Program), so
+// one proxy can enforce nginx, postgresql, rabbitmq, mlflow, and
+// sonarqube policies concurrently, and any single policy can be
+// regenerated and swapped in without restarting the proxy or touching
+// its neighbors.
 //
 // Resolution picks the most specific matching entry (namespace+kind over
 // namespace over kind over wildcard, ties broken by registration order),
@@ -192,16 +193,16 @@ type Metrics struct {
 }
 
 // Entry is one registered workload policy. All methods are safe for
-// concurrent use; the policy pointer is hot-swappable via Registry.Swap.
+// concurrent use; the program is hot-swappable via Registry.SwapProgram.
 type Entry struct {
 	workload string
 	selector Selector
 	order    int // registration sequence, tie-breaker for resolution
 
 	// version is the entry's current policy in every form the hot path
-	// needs — compiled program (which carries its source validator),
-	// invariants and cache-key generation — published as ONE immutable
-	// snapshot. A single atomic pointer (rather than separate
+	// needs — compiled program (the only form of the policy an entry
+	// holds), invariants and cache-key generation — published as ONE
+	// immutable snapshot. A single atomic pointer (rather than separate
 	// program/gen atomics) makes concurrent Swaps linearizable: readers
 	// can never observe one swap's program paired with another's
 	// generation.
@@ -255,19 +256,8 @@ func (e *Entry) Workload() string { return e.workload }
 // Selector returns the entry's request scope.
 func (e *Entry) Selector() Selector { return e.selector }
 
-// Policy returns the currently enforced validator: the source of its
-// compiled program, nil while a learning entry has no policy.
-func (e *Entry) Policy() *validator.Validator { return e.version.Load().policy() }
-
-// policy is the snapshot's source validator (nil when it has no program).
-func (v *policyVersion) policy() *validator.Validator {
-	if v.program == nil {
-		return nil
-	}
-	return v.program.Source()
-}
-
-// Program returns the compiled form of the currently enforced policy.
+// Program returns the currently enforced policy, nil while a learning
+// entry has none.
 func (e *Entry) Program() *compile.Program { return e.version.Load().program }
 
 // CacheStats reports the entry's decision-cache shard size and capacity
@@ -960,8 +950,14 @@ type CacheEntry struct {
 // keeps only decisions made under the source entry's current
 // generation, and import re-keys them to the destination's current
 // generation only while the destination provably serves the identical
-// policy — otherwise every entry is dropped as stale. Entries are
+// program — otherwise every entry is dropped as stale. Entries are
 // ordered least- to most-recently used so recency survives the move.
+//
+// Identity is the program pointer. The plane installs one program on
+// every replica that holds a workload, so its handoffs match; a caller
+// that compiles the same validator twice (two Register or Swap calls)
+// holds two programs, and a handoff between them imports nothing —
+// the destination decides afresh, which fails safe.
 type CacheSnapshot struct {
 	Workload string
 	// Generation is the source entry's policy generation at export —
@@ -969,13 +965,13 @@ type CacheSnapshot struct {
 	Generation uint64
 	Entries    []CacheEntry
 
-	// policy pins the identity of the validator the decisions were
+	// program pins the identity of the program the decisions were
 	// computed by. Generations are registry-local (each registry issues
 	// its own), so cross-registry staleness cannot be judged by number:
 	// ImportCache accepts the snapshot only while the destination's
-	// current version holds this exact policy object. In-process handoff
+	// current version holds this exact program. In-process handoff
 	// only; a wire-format handoff needs a content hash here instead.
-	policy *validator.Validator
+	program *compile.Program
 	// hasInvariants records whether the source decided with
 	// cross-resource invariants attached. Verdicts made with and without
 	// invariants are not interchangeable, so import requires both sides
@@ -995,7 +991,7 @@ func (r *Registry) ExportCache(workload string) (CacheSnapshot, error) {
 	snap := CacheSnapshot{
 		Workload:      workload,
 		Generation:    ver.gen,
-		policy:        ver.policy(),
+		program:       ver.program,
 		hasInvariants: len(ver.invariants) > 0,
 	}
 	if e.cache != nil {
@@ -1007,8 +1003,8 @@ func (r *Registry) ExportCache(workload string) (CacheSnapshot, error) {
 // ImportCache merges an exported shard into the destination entry's
 // cache, re-keyed to the destination's current generation, and reports
 // how many decisions were imported. Stale snapshots import nothing: if
-// the destination's current version does not hold the exact policy
-// object the snapshot was exported under (a swap landed on either side
+// the destination's current version does not hold the exact program
+// the snapshot was exported under (a swap landed on either side
 // since), or either side carries cross-resource invariants, every entry
 // is dropped — an imported decision must be byte-for-byte the decision
 // the destination would compute itself. Entries are replayed in LRU
@@ -1029,7 +1025,7 @@ func (r *Registry) ImportCache(snap CacheSnapshot) (int, error) {
 	e.modeMu.Lock()
 	defer e.modeMu.Unlock()
 	ver := e.version.Load()
-	if pol := ver.policy(); pol == nil || pol != snap.policy ||
+	if ver.program == nil || ver.program != snap.program ||
 		snap.hasInvariants || len(ver.invariants) > 0 {
 		return 0, nil
 	}

@@ -155,27 +155,26 @@ func TestSwapBumpsGenerationAndKeepsNeighbors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bPolicy, bGen := b.Policy(), b.Generation()
-	aGen := a.Generation()
+	bProg, bGen := b.Program(), b.Generation()
+	aProg, aGen := a.Program(), a.Generation()
 	next := policy(t, "a2")
 	if err := r.Swap("a", next); err != nil {
 		t.Fatal(err)
 	}
-	if a.Policy() != next {
+	if a.Program() == aProg {
 		t.Error("swap did not install the new policy")
 	}
 	if a.Generation() == aGen {
 		t.Error("generation unchanged after swap")
 	}
-	if b.Policy() != bPolicy || b.Generation() != bGen {
+	if b.Program() != bProg || b.Generation() != bGen {
 		t.Error("swap of a disturbed b")
 	}
 }
 
 // TestRegisterProgramInstallsItsProgram: RegisterProgram and
 // SwapProgram install the program they are handed, not a recompiled
-// copy, and Entry.Policy reads the validator through it; Register and
-// Swap compile what they are given and report that validator.
+// copy; Register and Swap compile what they are given afresh.
 func TestRegisterProgramInstallsItsProgram(t *testing.T) {
 	r := New(Config{})
 	v1, v2 := policy(t, "w"), policy(t, "w2")
@@ -184,20 +183,20 @@ func TestRegisterProgramInstallsItsProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e.Program() != p1 || e.Policy() != v1 {
+	if e.Program() != p1 {
 		t.Error("RegisterProgram did not install the program it was handed")
 	}
 	if err := r.SwapProgram("w", p2); err != nil {
 		t.Fatal(err)
 	}
-	if e.Program() != p2 || e.Policy() != v2 {
+	if e.Program() != p2 {
 		t.Error("SwapProgram did not install the program it was handed")
 	}
 	if err := r.Swap("w", v1); err != nil {
 		t.Fatal(err)
 	}
-	if e.Policy() != v1 || e.Program().Source() != v1 {
-		t.Error("Swap did not install a program compiled from its validator")
+	if got := e.Program(); got == p1 || got == p2 {
+		t.Error("Swap did not install a program compiled afresh from its validator")
 	}
 	if _, err := r.RegisterProgram("x", Selector{}, nil); err == nil {
 		t.Error("RegisterProgram with a nil program should fail")

@@ -111,15 +111,17 @@ func SeqItem[T string | []byte](content T) (at int, ok bool) {
 
 // quoteEnd is the offset of the quote closing the quoted scalar s opens,
 // or len(s) when none does. Inside single quotes a doubled quote is an
-// escaped one; inside double quotes so is a '"' after a backslash.
+// escaped one; inside double quotes a backslash escapes the byte after
+// it, so the '"' of `\\"` closes the scalar and the one of `\"` does not.
 func quoteEnd[T string | []byte](s T) int {
 	q := s[0]
 	for i := 1; i < len(s); i++ {
 		switch {
+		case q == '"' && s[i] == '\\':
+			i++
 		case s[i] != q:
 		case q == '\'' && i+1 < len(s) && s[i+1] == '\'':
 			i++
-		case q == '"' && s[i-1] == '\\':
 		default:
 			return i
 		}

@@ -68,13 +68,13 @@ func splitKey(content string, lineNum int) (key, rest string, err error) {
 		q := content[0]
 		i := 1
 		for i < len(content) {
+			if q == '"' && content[i] == '\\' {
+				i += 2
+				continue
+			}
 			if content[i] == q {
 				if q == '\'' && i+1 < len(content) && content[i+1] == '\'' {
 					i += 2
-					continue
-				}
-				if q == '"' && content[i-1] == '\\' {
-					i++
 					continue
 				}
 				break

@@ -175,17 +175,54 @@ func TestRouteKeyDerivation(t *testing.T) {
 			body: `<pod/>`,
 			want: "ns/xmlns",
 		},
+		{
+			name:   "scanned body without a namespace uses path namespace",
+			method: "POST", path: "/api/v1/namespaces/pathns/pods", contentType: "application/json",
+			body: `{"kind":"Pod","metadata":{"name":"p"}}`,
+			want: "ns/pathns",
+		},
+		{
+			name:   "unscannable body without a path namespace routes by path",
+			method: "POST", path: "/api/v1/pods", contentType: "application/json",
+			body: "{not json",
+			want: "path//api/v1/pods",
+		},
+		{
+			name:   "key longer than the front door's stack buffer",
+			method: "POST", path: "/api/v1/pods", contentType: "application/json",
+			body: `{"kind":"Pod","metadata":{"name":"p","namespace":"` + strings.Repeat("n", 200) + `"}}`,
+			want: "ns/" + strings.Repeat("n", 200),
+		},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
 			req := mkReq(tt.method, tt.path, tt.contentType, tt.body)
 			q := proxy.ReadRequest(req)
 			defer q.Release()
-			if got := shardKey(&q, req.URL.Path); got != tt.want {
+			var buf [128]byte
+			got := string(shardKey(buf[:0], &q, req.URL.Path))
+			if got != tt.want {
 				t.Errorf("shardKey = %q, want %q", got, tt.want)
+			}
+			if s := stringShardKey(&q, req.URL.Path); got != s {
+				t.Errorf("shardKey = %q, string-built key %q", got, s)
 			}
 		})
 	}
+}
+
+// stringShardKey is the shard key as the front door built it before it
+// routed on the scan's bytes: the pair as strings, then a
+// concatenation. shardKey must produce it byte for byte.
+func stringShardKey(q *proxy.Request, path string) string {
+	namespace, kind := q.Target()
+	switch {
+	case namespace != "":
+		return nsKey(namespace)
+	case kind != "":
+		return kindKey(kind)
+	}
+	return "path/" + path
 }
 
 func TestPlaneErrorSurfaces(t *testing.T) {

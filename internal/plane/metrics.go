@@ -81,7 +81,7 @@ func (pl *Plane) Metrics() TierMetrics {
 	shardsBy := make(map[int]int, len(pl.replicas))
 	loadBy := make(map[int]float64, len(pl.replicas))
 	for _, kl := range pl.keyLoadsLocked(scores) {
-		idx, ok := rt.owner(kl.key)
+		idx, ok := rt.owner([]byte(kl.key))
 		if !ok {
 			continue
 		}

@@ -242,7 +242,7 @@ func planWeighted(keys []keyLoad, active []int, current map[string]int, rg *ring
 	for _, kl := range sorted {
 		home, ok := current[kl.key]
 		if !ok || !activeSet[home] {
-			home, ok = rg.lookup(kl.key)
+			home, ok = rg.lookup([]byte(kl.key))
 			if !ok {
 				home = active[0]
 			}

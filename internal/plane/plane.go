@@ -203,8 +203,8 @@ type routeTable struct {
 // owner resolves a shard key to its replica: the weighted assignment
 // first, then consistent hashing. ok is false only when the ring is
 // empty (every replica drained or down).
-func (rt *routeTable) owner(key string) (int, bool) {
-	if idx, ok := rt.assign[key]; ok {
+func (rt *routeTable) owner(key []byte) (int, bool) {
+	if idx, ok := rt.assign[string(key)]; ok {
 		return idx, true
 	}
 	return rt.ring.lookup(key)
@@ -367,8 +367,10 @@ func (pl *Plane) nextRoutesLocked() *routeTable {
 // by "ns/<namespace>", cluster-scoped traffic by "kind/<kind>", and
 // requests with neither by a deterministic path fallback (any replica
 // will serve or fail closed on them identically).
-func nsKey(namespace string) string { return "ns/" + namespace }
-func kindKey(kind string) string    { return "kind/" + kind }
+const nsPrefix, kindPrefix = "ns/", "kind/"
+
+func nsKey(namespace string) string { return nsPrefix + namespace }
+func kindKey(kind string) string    { return kindPrefix + kind }
 
 // shardKeys lists the keys a selector is addressed by. Empty means the
 // selector is not shardable (matches any namespace) and must be
@@ -395,7 +397,7 @@ func (rt *routeTable) owners(ws *workloadState) []int {
 	}
 	var owners []int
 	for _, key := range keys {
-		if idx, ok := rt.owner(key); ok && !slices.Contains(owners, idx) {
+		if idx, ok := rt.owner([]byte(key)); ok && !slices.Contains(owners, idx) {
 			owners = append(owners, idx)
 		}
 	}
@@ -894,7 +896,10 @@ func (pl *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// the body buffer on every path that sheds instead.
 	defer q.Release()
 
-	idx, ok := pl.routes.Load().owner(shardKey(&q, r.URL.Path))
+	// Namespace and kind keys fit (a valid namespace is at most 63
+	// bytes); a longer key, such as a long path, moves to the heap.
+	var key [128]byte
+	idx, ok := pl.routes.Load().owner(shardKey(key[:0], &q, r.URL.Path))
 	if !ok {
 		pl.unavailable(w, nil, start, "no active admission replica for this request")
 		return
@@ -993,25 +998,26 @@ func (rep *replica) acquire() bool {
 
 func (rep *replica) release() { <-rep.inflight }
 
-// shardKey derives the shard key of a request from the (namespace, kind)
-// its front end reports — the very pair the owning replica's proxy will
-// resolve policy on, so routing and resolution cannot disagree: the
-// namespace (the body's own, then the URL path's) when there is one,
-// then the body kind for cluster-scoped objects. Requests with neither
-// (reads outside a namespace, bodies that neither scan nor decode) get a
-// deterministic path key; every replica serves or fails closed on those
-// identically, the key only needs to be stable. An undecodable body
-// whose prologue scans routes by its prologue, and its owner rejects it
-// as any replica would.
-func shardKey(q *proxy.Request, path string) string {
-	namespace, kind := q.Target()
+// shardKey appends to buf the shard key of a request, derived from the
+// (namespace, kind) its front end reports — the very pair the owning
+// replica's proxy will resolve policy on, so routing and resolution
+// cannot disagree: the namespace (the body's own, then the URL path's)
+// when there is one, then the body kind for cluster-scoped objects.
+// Requests with neither (reads outside a namespace, bodies that neither
+// scan nor decode) get a deterministic path key; every replica serves or
+// fails closed on those identically, the key only needs to be stable. An
+// undecodable body whose prologue scans routes by its prologue, and its
+// owner rejects it as any replica would. The key is nsKey / kindKey of
+// the pair, built from the scan's bytes without a string in between.
+func shardKey(buf []byte, q *proxy.Request, path string) []byte {
+	namespace, kind := q.TargetBytes()
 	switch {
-	case namespace != "":
-		return nsKey(namespace)
-	case kind != "":
-		return kindKey(kind)
+	case len(namespace) != 0:
+		return append(append(buf, nsPrefix...), namespace...)
+	case len(kind) != 0:
+		return append(append(buf, kindPrefix...), kind...)
 	}
-	return "path/" + path
+	return append(append(buf, "path/"...), path...)
 }
 
 // writeStatus writes a Kubernetes Status-shaped failure so shed

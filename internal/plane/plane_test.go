@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -414,7 +415,7 @@ func TestRingDeterminismAndReassignment(t *testing.T) {
 	perOwner := map[int]int{}
 	const keys = 1000
 	for i := 0; i < keys; i++ {
-		key := fmt.Sprintf("ns/namespace-%d", i)
+		key := []byte(fmt.Sprintf("ns/namespace-%d", i))
 		a, _ := r1.lookup(key)
 		b, _ := r2.lookup(key)
 		if a != b {
@@ -441,8 +442,33 @@ func TestRingDeterminismAndReassignment(t *testing.T) {
 			t.Errorf("replica %d owns only %d/%d keys — virtual nodes not spreading", idx, n, keys)
 		}
 	}
-	if _, ok := buildRing(nil, 64).lookup("ns/x"); ok {
+	if _, ok := buildRing(nil, 64).lookup([]byte("ns/x")); ok {
 		t.Error("empty ring lookup reported ok")
+	}
+}
+
+// TestHashKeyIsFNV1a pins the inlined hash to hash/fnv's 64-bit FNV-1a
+// under the same finalizer: a shard key or virtual node hashed either
+// way lands on the same ring point.
+func TestHashKeyIsFNV1a(t *testing.T) {
+	finalize := func(x uint64) uint64 {
+		x ^= x >> 33
+		x *= 0xff51afd7ed558ccd
+		x ^= x >> 33
+		x *= 0xc4ceb9fe1a85ec53
+		x ^= x >> 33
+		return x
+	}
+	for _, key := range []string{
+		"", "a", "ns/default", "ns/tenant-17", "kind/ClusterRole",
+		"path//healthz", "replica-0/vnode-0", "replica-3/vnode-63",
+		"ns/\x00\xffé", strings.Repeat("k", 300),
+	} {
+		h := fnv.New64a()
+		h.Write([]byte(key))
+		if got, want := hashKey([]byte(key)), finalize(h.Sum64()); got != want {
+			t.Errorf("hashKey(%q) = %#x, want %#x", key, got, want)
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package plane
 
 import (
 	"fmt"
-	"hash/fnv"
 	"sort"
 )
 
@@ -36,7 +35,7 @@ func buildRing(replicas []int, vnodes int) *ring {
 	for _, idx := range replicas {
 		for v := 0; v < vnodes; v++ {
 			rg.points = append(rg.points, ringPoint{
-				hash:    hashKey(fmt.Sprintf("replica-%d/vnode-%d", idx, v)),
+				hash:    hashKey(fmt.Appendf(nil, "replica-%d/vnode-%d", idx, v)),
 				replica: idx,
 			})
 		}
@@ -54,7 +53,7 @@ func buildRing(replicas []int, vnodes int) *ring {
 
 // lookup maps a shard key to its owning replica. ok is false when the
 // ring is empty (every replica drained or down).
-func (rg *ring) lookup(key string) (int, bool) {
+func (rg *ring) lookup(key []byte) (int, bool) {
 	if len(rg.points) == 0 {
 		return 0, false
 	}
@@ -71,10 +70,18 @@ func (rg *ring) lookup(key string) (int, bool) {
 // "…/vnode-18") in one contiguous hash band, which would degenerate
 // the ring into one giant arc per replica; the 64-bit avalanche
 // finalizer spreads the bands so virtual nodes actually interleave.
-func hashKey(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	x := h.Sum64()
+// The FNV-1a loop is hash/fnv's New64a, written out so a key hashes
+// without a hasher or a conversion.
+func hashKey(key []byte) uint64 {
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	x := uint64(offset64)
+	for _, c := range key {
+		x ^= uint64(c)
+		x *= prime64
+	}
 	x ^= x >> 33
 	x *= 0xff51afd7ed558ccd
 	x ^= x >> 33

@@ -431,13 +431,7 @@ func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.T
 		}
 	}
 
-	var entry *registry.Entry
-	var found bool
-	if raw && len(q.meta.Namespace) > 0 {
-		entry, found = p.registry.ResolveRaw(q.meta.Namespace, q.meta.Kind)
-	} else {
-		entry, found = p.registry.Resolve(q.Target())
-	}
+	entry, found := p.registry.ResolveRaw(q.TargetBytes())
 	tc.Stage("resolve")
 	if !found {
 		if raw {

@@ -202,28 +202,39 @@ func (q *Request) decode() (object.Object, error) {
 	return q.obj, q.decodeErr
 }
 
-// Target reports the (namespace, kind) policy resolution runs on, the
-// one place the precedence is written down: the body's own fields (off
-// the decoded document when one exists, else off the wire-byte scan,
-// else by decoding), then the URL path's namespace for a body that
+// TargetBytes reports the (namespace, kind) policy resolution runs on,
+// the one place the precedence is written down: the body's own fields
+// (off the decoded document when one exists, else off the wire-byte
+// scan, else by decoding), then the URL path's namespace for a body that
 // omits metadata.namespace. Requests that are not inspected, failed on
 // the way in, or neither scan nor decode have only the path namespace.
 // A body whose prologue scans but whose rest does not decode is named
 // by its prologue; the replica it routes to rejects it exactly as the
 // classic path does. A tier that shards by the same pair routes by
 // construction to a replica that resolves the request.
-func (q *Request) Target() (namespace, kind string) {
+//
+// On the scan the pair is the scan's own byte slices, which alias the
+// request body: read them before the request is released, and do not
+// write them. A pair taken from the decoded document or the path is a
+// copy.
+func (q *Request) TargetBytes() (namespace, kind []byte) {
 	if q.inspect && q.failCode == 0 {
 		if !q.decodeDone && q.scan() {
-			namespace, kind = string(q.meta.Namespace), string(q.meta.Kind)
+			namespace, kind = q.meta.Namespace, q.meta.Kind
 		} else if obj, err := q.decode(); err == nil {
-			namespace, kind = obj.Namespace(), obj.Kind()
+			namespace, kind = []byte(obj.Namespace()), []byte(obj.Kind())
 		}
 	}
-	if namespace == "" {
-		namespace = requestNamespace(q.path)
+	if len(namespace) == 0 {
+		namespace = []byte(requestNamespace(q.path))
 	}
 	return namespace, kind
+}
+
+// Target is TargetBytes as strings.
+func (q *Request) Target() (namespace, kind string) {
+	ns, k := q.TargetBytes()
+	return string(ns), string(k)
 }
 
 // ident names the object for audit records and traces; on the raw path

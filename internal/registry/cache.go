@@ -13,9 +13,11 @@ import (
 //
 // The recency list is threaded through a slab: items live in one slice
 // and link to each other by index, and the map holds indices. The slab
-// grows by append up to the capacity — a shard that only ever sees a few
-// bodies stays small — and from then on an insert reuses the evicted
-// item's slot, so a cache at capacity inserts without allocating.
+// and the map grow with the decisions put in them, up to the capacity —
+// a shard that only ever sees a few bodies stays small, and one that
+// sees none costs an empty map — and from then on an insert reuses the
+// evicted item's slot, so a cache at capacity inserts without
+// allocating.
 type lruCache struct {
 	mu       sync.Mutex
 	capacity int
@@ -36,7 +38,7 @@ type lruItem struct {
 func newLRUCache(capacity int) *lruCache {
 	return &lruCache{
 		capacity: capacity,
-		items:    make(map[cacheKey]int32, capacity),
+		items:    make(map[cacheKey]int32),
 		head:     -1,
 		tail:     -1,
 	}

@@ -95,6 +95,76 @@ func TestBoundedLogParallelAppend(t *testing.T) {
 	}
 }
 
+// TestBoundedLogUnwrittenHoldsNoRing: a log nobody has appended to —
+// most workloads' shadow logs, the violation log of a workload that
+// never denies — answers every read empty and never builds its ring to
+// do so.
+func TestBoundedLogUnwrittenHoldsNoRing(t *testing.T) {
+	l := NewBoundedLog(MaxRecords)
+	allocs := testing.AllocsPerRun(100, func() {
+		if l.Len() != 0 {
+			t.Fatalf("Len = %d on an unwritten log", l.Len())
+		}
+		if snap := l.Snapshot(); len(snap) != 0 {
+			t.Fatalf("Snapshot holds %d records on an unwritten log", len(snap))
+		}
+		l.Reset()
+	})
+	if allocs != 0 {
+		t.Errorf("Len, Snapshot and Reset allocate %.1f times on an unwritten log, want 0", allocs)
+	}
+	if l.ring.Load() != nil {
+		t.Fatal("reading an unwritten log built its ring")
+	}
+	l.Append(Record{Name: "first"})
+	if l.ring.Load() == nil || l.Len() != 1 {
+		t.Fatalf("after one Append: ring %v, Len %d", l.ring.Load() != nil, l.Len())
+	}
+}
+
+// TestBoundedLogFirstAppendsRace: goroutines released together make the
+// first appends to fresh logs, so they race to install the ring. Each
+// loser must append into the winner's ring: every appended record is
+// retained, none twice, up to the capacity.
+func TestBoundedLogFirstAppendsRace(t *testing.T) {
+	const (
+		capacity   = 64
+		goroutines = 8
+		perG       = 4
+		rounds     = 200
+	)
+	for round := 0; round < rounds; round++ {
+		l := NewBoundedLog(capacity)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perG; i++ {
+					l.Append(Record{User: fmt.Sprintf("g%d", g), Name: fmt.Sprint(i)})
+				}
+			}(g)
+		}
+		close(start)
+		wg.Wait()
+		snap := l.Snapshot()
+		if len(snap) != goroutines*perG || l.Len() != goroutines*perG {
+			t.Fatalf("round %d: %d records retained (Len %d), want all %d appended",
+				round, len(snap), l.Len(), goroutines*perG)
+		}
+		seen := map[string]bool{}
+		for _, rec := range snap {
+			id := rec.User + "/" + rec.Name
+			if rec.User == "" || seen[id] {
+				t.Fatalf("round %d: record %q is zero or retained twice", round, id)
+			}
+			seen[id] = true
+		}
+	}
+}
+
 func BenchmarkBoundedLogAppendParallel(b *testing.B) {
 	l := NewBoundedLog(MaxRecords)
 	rec := Record{User: "u", Name: "n"}

@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"encoding/binary"
+	"math/rand"
 	"sync"
 
 	"repro/internal/validator"
@@ -12,17 +14,30 @@ import (
 // amplification primitive.
 //
 // The recency list is threaded through a slab: items live in one slice
-// and link to each other by index, and the map holds indices. The slab
-// and the map grow with the decisions put in them, up to the capacity —
-// a shard that only ever sees a few bodies stays small, and one that
-// sees none costs an empty map — and from then on an insert reuses the
-// evicted item's slot, so a cache at capacity inserts without
-// allocating.
+// and link to each other by index. The slab doubles as decisions are put
+// in it, up to the capacity, so a shard that only ever sees a few bodies
+// stays small and one that sees none costs nothing but this struct; from
+// then on an insert reuses the evicted item's slot.
+//
+// The keys are indexed by an open-addressed table stored beside the
+// slab, not by a runtime map. Under insert/evict churn a map keeps the
+// tombstones its deletes leave and clears them only by growing, so a
+// full shard's map climbed from 192 KiB to over 500 KiB while it held
+// 72 KiB of decisions. The index here deletes by backward shift, leaves
+// no tombstones and is rebuilt only when the slab grows: a full shard
+// keeps its size, and a cache at capacity inserts without allocating.
 type lruCache struct {
 	mu       sync.Mutex
 	capacity int
-	items    map[cacheKey]int32 // index into slab
-	slab     []lruItem
+	// seed is mixed into every key's hash, so a client who grinds
+	// bodies cannot aim their keys at one probe chain.
+	seed uint64
+	// index is open-addressed with linear probing, a power of two long
+	// and at least twice cap(slab), so at most half full. A slot holds a
+	// key's tag (slotHash) in its upper half and its slab index + 1 in
+	// its lower half; 0 is empty.
+	index []uint64
+	slab  []lruItem
 	// head is the most and tail the least recently used item; -1 when
 	// the cache is empty.
 	head, tail int32
@@ -38,9 +53,99 @@ type lruItem struct {
 func newLRUCache(capacity int) *lruCache {
 	return &lruCache{
 		capacity: capacity,
-		items:    make(map[cacheKey]int32),
+		seed:     rand.Uint64(),
 		head:     -1,
 		tail:     -1,
+	}
+}
+
+// slotHash is key's tag; its low bits, masked to the index length, are
+// the key's home slot, so a slot's home is known without the slab. The
+// body hash is already uniform, so one mix of its first word with the
+// generation and the seed suffices; keys that share that word are told
+// apart by the full-key compare every tag match is confirmed by.
+func (c *lruCache) slotHash(key *cacheKey) uint32 {
+	h := binary.LittleEndian.Uint64(key.bodyHash[:8]) ^ key.gen*0x9e3779b97f4a7c15 ^ c.seed
+	h ^= h >> 33
+	h *= 0xff51afd7ed558ccd
+	h ^= h >> 33
+	h *= 0xc4ceb9fe1a85ec53
+	h ^= h >> 33
+	return uint32(h >> 32)
+}
+
+// find returns key's slab index, or -1 when the key is not cached.
+func (c *lruCache) find(key *cacheKey) int32 {
+	if len(c.index) == 0 {
+		return -1
+	}
+	mask := uint32(len(c.index) - 1)
+	tag := c.slotHash(key)
+	for s := tag & mask; ; s = (s + 1) & mask {
+		e := c.index[s]
+		if e == 0 {
+			return -1
+		}
+		if uint32(e>>32) == tag {
+			if i := int32(uint32(e)) - 1; c.slab[i].key == *key {
+				return i
+			}
+		}
+	}
+}
+
+// place puts slot value e, whose key is not indexed, in the first empty
+// slot from its home.
+func (c *lruCache) place(e uint64) {
+	mask := uint32(len(c.index) - 1)
+	s := uint32(e>>32) & mask
+	for c.index[s] != 0 {
+		s = (s + 1) & mask
+	}
+	c.index[s] = e
+}
+
+// unindex removes slab item i from the index. Each later slot of the
+// cluster moves back into the hole unless its home lies after the hole
+// (Knuth's Algorithm R), so no probe chain is cut and no tombstone is
+// left.
+func (c *lruCache) unindex(i int32) {
+	mask := uint32(len(c.index) - 1)
+	s := c.slotHash(&c.slab[i].key) & mask
+	for uint32(c.index[s]) != uint32(i+1) {
+		s = (s + 1) & mask
+	}
+	for j := s; ; {
+		j = (j + 1) & mask
+		e := c.index[j]
+		if e == 0 {
+			break
+		}
+		if home := uint32(e>>32) & mask; (j-home)&mask >= (j-s)&mask {
+			c.index[s] = e
+			s = j
+		}
+	}
+	c.index[s] = 0
+}
+
+// grow doubles the slab, up to the capacity, and rebuilds the index for
+// the new size.
+func (c *lruCache) grow() {
+	n := min(max(2*cap(c.slab), 1), c.capacity)
+	slab := make([]lruItem, len(c.slab), n)
+	copy(slab, c.slab)
+	c.slab = slab
+	size := 2
+	for size < 2*n {
+		size *= 2
+	}
+	old := c.index
+	c.index = make([]uint64, size)
+	for _, e := range old {
+		if e != 0 {
+			c.place(e)
+		}
 	}
 }
 
@@ -82,8 +187,8 @@ func (c *lruCache) touch(i int32) {
 func (c *lruCache) get(key cacheKey) ([]validator.Violation, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, ok := c.items[key]
-	if !ok {
+	i := c.find(&key)
+	if i < 0 {
 		return nil, false
 	}
 	c.touch(i)
@@ -93,24 +198,27 @@ func (c *lruCache) get(key cacheKey) ([]validator.Violation, bool) {
 func (c *lruCache) put(key cacheKey, vs []validator.Violation) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i, ok := c.items[key]; ok {
+	if i := c.find(&key); i >= 0 {
 		c.slab[i].vs = vs
 		c.touch(i)
 		return
 	}
 	var i int32
 	if len(c.slab) < c.capacity {
+		if len(c.slab) == cap(c.slab) {
+			c.grow()
+		}
 		i = int32(len(c.slab))
-		c.slab = append(c.slab, lruItem{})
+		c.slab = c.slab[:i+1]
 	} else {
 		// Full: the least recently used item gives up its slot.
 		i = c.tail
 		c.unlink(i)
-		delete(c.items, c.slab[i].key)
+		c.unindex(i)
 	}
 	c.slab[i].key, c.slab[i].vs = key, vs
 	c.pushFront(i)
-	c.items[key] = i
+	c.place(uint64(c.slotHash(&key))<<32 | uint64(uint32(i+1)))
 }
 
 func (c *lruCache) stats() (size, capacity int) {

@@ -1,6 +1,8 @@
 package registry
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"runtime"
 	"testing"
@@ -38,5 +40,55 @@ func TestIdleWorkloadRetainsLittle(t *testing.T) {
 	t.Logf("%d B retained per idle workload", per)
 	if per > ceiling {
 		t.Errorf("an idle workload retains %d B, ceiling %d B", per, ceiling)
+	}
+}
+
+// TestDecisionCacheRetainsBoundedBytesUnderChurn: a full shard keeps its
+// size however many distinct bodies pass through it. After 2^20 further
+// distinct keys each, the shards retain what they retained right after
+// they filled, within 10 %, and no more than their slab of decisions and
+// its index; the slab never outgrows the capacity. Not parallel: it
+// reads the heap.
+func TestDecisionCacheRetainsBoundedBytesUnderChurn(t *testing.T) {
+	const (
+		shards   = 3
+		capacity = 1024
+		churn    = 1 << 20 // distinct keys per shard after the fill
+		ceiling  = 96 << 10
+	)
+	heap := func() int64 {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+	var in [8]byte
+	fill := func(c *lruCache, from, to uint64) {
+		for n := from; n < to; n++ {
+			binary.LittleEndian.PutUint64(in[:], n)
+			c.put(cacheKey{bodyHash: sha256.Sum256(in[:])}, nil)
+		}
+	}
+	before := heap()
+	cs := make([]*lruCache, shards)
+	for i := range cs {
+		cs[i] = newLRUCache(capacity)
+		fill(cs[i], 0, capacity)
+	}
+	full := (heap() - before) / shards
+	for _, c := range cs {
+		fill(c, capacity, capacity+churn)
+	}
+	churned := (heap() - before) / shards
+	runtime.KeepAlive(cs)
+	t.Logf("a full shard retains %d B after its fill, %d B after %d more keys", full, churned, churn)
+	if churned > full+full/10 || churned > ceiling {
+		t.Errorf("a churned shard retains %d B, want within 10 %% of %d B and under %d B", churned, full, ceiling)
+	}
+	for _, c := range cs {
+		if size, _ := c.stats(); size != capacity || cap(c.slab) > c.capacity {
+			t.Errorf("slab holds %d items in %d slots, capacity %d", size, cap(c.slab), c.capacity)
+		}
 	}
 }

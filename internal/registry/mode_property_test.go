@@ -84,6 +84,9 @@ func TestModeTransitionProperty(t *testing.T) {
 				if st.Generation != gen || st.GenRequests == 0 || st.WindowDenied > 0 {
 					continue
 				}
+				// Done before started: if the two agree, no swap was in
+				// flight when swapsBefore was read.
+				doneBefore := swapsDone.Load()
 				swapsBefore := swapsStarted.Load()
 				err := reg.Promote("w", gen)
 				if err == nil {
@@ -92,7 +95,7 @@ func TestModeTransitionProperty(t *testing.T) {
 					// one if some swap overlapped or followed the
 					// promotion; a promote that succeeded with NO
 					// concurrent swap activity must leave gen untouched.
-					if e.Generation() != gen && swapsStarted.Load() == swapsBefore && swapsDone.Load() == swapsBefore {
+					if e.Generation() != gen && doneBefore == swapsBefore && swapsStarted.Load() == swapsBefore {
 						staleAccepted.Add(1)
 					}
 					stop.Store(true)

@@ -10,6 +10,7 @@
 #   make fuzz-nightly    # 2m per native fuzz target
 #   make coverage-gate   # coverage profile; fails below COVERAGE_BASELINE
 #   make staticcheck     # pinned staticcheck ./... via go run
+#   make loc             # non-test Go lines outside bench/, the size figure simplicity changes report
 #
 # Performance numbers come from one place: bash bench/run.sh (see
 # bench/README.md and BENCHMARK.json).
@@ -23,7 +24,7 @@ GO ?= go
 COVERAGE_BASELINE ?= 87.0
 
 .PHONY: all ci fmt-check vet build test race bench-check plane-race forward-race bench \
-	fuzz-smoke fuzz-nightly coverage-gate staticcheck
+	fuzz-smoke fuzz-nightly coverage-gate staticcheck loc
 
 all: ci
 
@@ -118,3 +119,8 @@ coverage-gate:
 STATICCHECK_VERSION ?= 2024.1.1
 staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
+
+# The program's size as the ROADMAP scoreboard counts it: tracked Go
+# files, tests and the bench/ module left out.
+loc:
+	@git ls-files '*.go' | grep -v '^bench/' | grep -v '_test\.go$$' | xargs cat | wc -l

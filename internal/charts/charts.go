@@ -39,8 +39,8 @@ func Names() []string {
 
 // ScenarioNames lists the scenario charts that extend the evaluation
 // beyond the paper's corpus — today the multi-service store application
-// (store-api / order-processor / customer-db), used by the scenarios
-// experiment and the cross-resource invariant tests.
+// (store-api / order-processor / customer-db), rendered by the
+// decoder-equivalence and chart tests.
 func ScenarioNames() []string {
 	return []string{"store"}
 }

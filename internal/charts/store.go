@@ -6,16 +6,15 @@ import "repro/internal/chart"
 // cooperating services (store-api, order-processor, customer-db) in one
 // release, with the NetworkPolicy / ServiceAccount / RBAC surfaces a
 // real cluster mixes across services and per-component credential
-// Secrets. It exists to exercise what single-workload validation cannot:
-// the cross-resource invariant class ("the DB pod never mounts the API's
-// secrets", internal/invariant) keyed off the component labels and the
-// ownership labels stamped on each Secret.
+// Secrets, each labeled with its owning component. It widens the corpus
+// the decoder-equivalence and chart tests render: one release whose
+// objects span several services' shapes. The policy generated from it is
+// per object, as for every chart; which component may mount which
+// Secret is a cross-resource relationship KubeFence does not enforce.
 //
 // The chart is intentionally NOT part of Names(): the five-chart corpus
 // is the paper's Fig. 9 evaluation set and the robustness and learning
-// matrices' pinned scenario counts depend on it. The store scenario
-// rides the scenarios experiment (internal/experiments) and the
-// examples/multi-service walkthrough instead.
+// matrices' pinned scenario counts depend on it.
 func storeChart() chart.Fileset {
 	return chart.Fileset{
 		"Chart.yaml": `

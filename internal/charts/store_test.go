@@ -64,8 +64,7 @@ func TestStoreScenarioFootprint(t *testing.T) {
 	}
 
 	// Every component is present on both workloads and Secrets, keyed by
-	// the recommended component label — the hook the cross-resource
-	// secret-ownership invariant derives from.
+	// the recommended component label.
 	workloads := map[string]bool{}
 	secrets := map[string]bool{}
 	for _, o := range objs {

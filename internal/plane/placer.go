@@ -24,8 +24,7 @@ import (
 // When a key moves, the workloads it addresses move with their hot
 // decision sets: the destination replica is installed at the current
 // generation and its cache primed from the source (ExportCache /
-// ImportCache, which independently verify policy identity and invariant
-// parity) BEFORE the route table flips — a migration is a publish like
+// ImportCache, which independently verify policy identity) BEFORE the route table flips — a migration is a publish like
 // any other and is bounded by the same PublishesStarted/Completed
 // window.
 
@@ -418,9 +417,10 @@ func (pl *Plane) workloadsOnKeyLocked(key string) []string {
 // handoffLocked primes dst's decision cache for one workload from the
 // replica its shard is moving off. Only a live source still serving the
 // workload's published generation exports; the registry's import guard
-// (policy identity plus invariant parity) independently drops anything
-// stale, so a failed precondition here means a cold start on dst, never
-// a wrong verdict. Returns the number of decisions that travelled.
+// (policy identity: the exact program the decisions were made by)
+// independently drops anything stale, so a failed precondition here
+// means a cold start on dst, never a wrong verdict. Returns the number
+// of decisions that travelled and landed in dst's shard.
 // Caller holds pl.mu.
 func (pl *Plane) handoffLocked(from int, dst *replica, w string, ws *workloadState) int {
 	if pl.cfg.CacheSize <= 0 {

@@ -30,12 +30,11 @@
 // judged by the same walk: it records each violation and walks on, and
 // the list it ends with is the one the decode path would produce, so the
 // denial is cached, recorded and answered without a decode. Only
-// cache-missed shadow/learn traffic, tap-equipped proxies, workloads
-// with cross-resource invariants, and constructs the walkers cannot
-// judge byte for byte take the classic decode + diagnostic path, whose
-// verdicts and violation lists the raw path reproduces exactly
-// (registry.ValidateRawScanned contract). ServeHTTP is
-// the two steps back to back; a tier fronting several proxies
+// cache-missed shadow/learn traffic, tap-equipped proxies, and
+// constructs the walkers cannot judge byte for byte take the classic
+// decode + diagnostic path, whose verdicts and violation lists the raw
+// path reproduces exactly (registry.ValidateRawScanned contract).
+// ServeHTTP is the two steps back to back; a tier fronting several proxies
 // (internal/plane) builds the Request itself, routes on it, and hands it
 // to the owning replica's Serve.
 //

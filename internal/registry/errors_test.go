@@ -17,11 +17,10 @@ func TestTypedSentinelErrors(t *testing.T) {
 
 	t.Run("unknown workload", func(t *testing.T) {
 		cases := map[string]error{
-			"Swap":          r.Swap("ghost", v),
-			"SetInvariants": r.SetInvariants("ghost", nil),
-			"SetObserver":   r.SetObserver("ghost", nil),
-			"SetMode":       r.SetMode("ghost", ModeShadow),
-			"Promote":       r.Promote("ghost", 1),
+			"Swap":        r.Swap("ghost", v),
+			"SetObserver": r.SetObserver("ghost", nil),
+			"SetMode":     r.SetMode("ghost", ModeShadow),
+			"Promote":     r.Promote("ghost", 1),
 		}
 		if _, err := r.Mode("ghost"); err != nil {
 			cases["Mode"] = err

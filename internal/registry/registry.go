@@ -21,7 +21,11 @@
 // compiled program, and a swap publishes the whole new program
 // atomically with a generation bump. The interpreted tree walk
 // (internal/validator) is not on the request path; it is the oracle the
-// compiled program is differentially tested against.
+// compiled program is differentially tested against. An entry's policy
+// is its program and nothing beside it: a verdict depends on one object
+// and the program alone, so the raw judging walk, a cached decision and
+// a decision handed off between registries can each stand in for
+// validating the decoded object.
 //
 // An optional bounded LRU decision cache (cache.go: an exact LRU
 // threaded through a slab, so a full shard inserts without allocating)
@@ -135,27 +139,6 @@ func (s Selector) specificity() int {
 	return score
 }
 
-// Invariant is a cross-resource policy rule attached to a workload
-// entry beside its schema policy: where the schema validator constrains
-// the *shape* of a single object, an invariant constrains a relationship
-// the schema cannot express (e.g. "the DB pod never mounts the API's
-// secrets" — secret names generalize to free strings in schema
-// policies, so ownership must be checked as a separate rule class).
-//
-// Check is called only for objects whose schema verdict is clean, and
-// MUST be stateless with respect to admission order: its verdict may
-// depend only on the submitted object and the invariant's own immutable
-// configuration, so concurrent admissions and arbitrary arrival
-// interleavings cannot change what is allowed (the property the
-// cross-resource tests verify).
-type Invariant interface {
-	// Name identifies the rule in diagnostics.
-	Name() string
-	// Check returns the violations the object commits against the rule
-	// (empty/nil = clean).
-	Check(obj object.Object) []validator.Violation
-}
-
 // Record is one denied request attributed to a workload, for auditing.
 type Record struct {
 	Time       time.Time
@@ -199,13 +182,12 @@ type Entry struct {
 	selector Selector
 	order    int // registration sequence, tie-breaker for resolution
 
-	// version is the entry's current policy in every form the hot path
-	// needs — compiled program (the only form of the policy an entry
-	// holds), invariants and cache-key generation — published as ONE
-	// immutable snapshot. A single atomic pointer (rather than separate
-	// program/gen atomics) makes concurrent Swaps linearizable: readers
-	// can never observe one swap's program paired with another's
-	// generation.
+	// version is the entry's current policy — its compiled program (the
+	// only form of the policy an entry holds) and cache-key generation —
+	// published as ONE immutable snapshot. A single atomic pointer
+	// (rather than separate program/gen atomics) makes concurrent Swaps
+	// linearizable: readers can never observe one swap's program paired
+	// with another's generation.
 	version atomic.Pointer[policyVersion]
 
 	// cache is this workload's decision-cache shard (nil = disabled).
@@ -241,13 +223,7 @@ type Entry struct {
 type policyVersion struct {
 	// program is nil for a learning entry with no candidate yet.
 	program *compile.Program
-	// invariants are the entry's cross-resource rules, evaluated after a
-	// clean schema verdict. Part of the snapshot so a SetInvariants can
-	// never be observed torn against a concurrent policy swap, and part
-	// of the generation so cached decisions made without the rules are
-	// invalidated when rules arrive.
-	invariants []Invariant
-	gen        uint64
+	gen     uint64
 }
 
 // Workload names the entry's workload.
@@ -272,10 +248,6 @@ func (e *Entry) CacheStats() (size, capacity int) {
 // Generation returns the policy generation: an opaque registry-unique
 // value that changes on every swap.
 func (e *Entry) Generation() uint64 { return e.version.Load().gen }
-
-// Invariants returns the entry's cross-resource rules (nil when none
-// are attached).
-func (e *Entry) Invariants() []Invariant { return e.version.Load().invariants }
 
 // Metrics returns a snapshot of the entry's counters, read under the
 // same atomic scheme as the policy itself: a seqlock-style loop keyed
@@ -364,16 +336,19 @@ type resolveIndex struct {
 
 // lookup resolves (namespace, kind) against the trie with the same
 // semantics as scanning the sorted entry list: most specific match
-// first, registration order breaking ties.
-func (ix *resolveIndex) lookup(namespace, kind string) (*Entry, bool) {
-	if namespace != "" {
-		if e := ix.nsKind[namespace][kind]; e != nil {
+// first, registration order breaking ties. It is generic over the key
+// form so Resolve probes with strings and ResolveRaw with wire bytes
+// through one body; the []byte probes convert inside the map index and
+// do not allocate.
+func lookup[T string | []byte](ix *resolveIndex, namespace, kind T) (*Entry, bool) {
+	if len(namespace) != 0 {
+		if e := ix.nsKind[string(namespace)][string(kind)]; e != nil {
 			return e, true
 		}
-		if e := ix.nsAny[namespace]; e != nil {
+		if e := ix.nsAny[string(namespace)]; e != nil {
 			return e, true
 		}
-		if e := ix.kindOnly[kind]; e != nil {
+		if e := ix.kindOnly[string(kind)]; e != nil {
 			return e, true
 		}
 		if ix.wildcard != nil {
@@ -384,8 +359,8 @@ func (ix *resolveIndex) lookup(namespace, kind string) (*Entry, bool) {
 	// Namespace-less objects: a cluster-kind claim competes at the
 	// claiming selector's own specificity against kind-only and
 	// wildcard entries (namespace selectors cannot match directly).
-	best := ix.cluster[kind]
-	best = preferEntry(best, ix.kindOnly[kind])
+	best := ix.cluster[string(kind)]
+	best = preferEntry(best, ix.kindOnly[string(kind)])
 	best = preferEntry(best, ix.wildcard)
 	return best, best != nil
 }
@@ -546,31 +521,9 @@ func (r *Registry) SwapProgram(workload string, prog *compile.Program) error {
 	// The mode lock serializes the publish against Promote's
 	// generation-pinned shadow→enforce transition (see mode.go): a swap
 	// can land before the gate check (stale gen, promotion refused) or
-	// after the promotion completes, never in between. The entry's
-	// cross-resource invariants carry over — a policy refresh must not
-	// silently drop the rules attached beside it.
+	// after the promotion completes, never in between.
 	e.modeMu.Lock()
-	cur := e.version.Load()
-	e.version.Store(&policyVersion{program: prog, invariants: cur.invariants, gen: r.gens.Add(1)})
-	e.modeMu.Unlock()
-	return nil
-}
-
-// SetInvariants attaches (or, with nil, clears) the cross-resource
-// rules of a registered workload, preserving its current schema policy.
-// Published as a fresh snapshot with a new generation: decisions cached
-// without the rules can never satisfy a request made under them, and a
-// concurrent Swap can never be observed torn against the rule change.
-func (r *Registry) SetInvariants(workload string, invs []Invariant) error {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	e, ok := r.entries[workload]
-	if !ok {
-		return errUnknown(workload)
-	}
-	e.modeMu.Lock()
-	cur := e.version.Load()
-	e.version.Store(&policyVersion{program: cur.program, invariants: invs, gen: r.gens.Add(1)})
+	e.version.Store(&policyVersion{program: prog, gen: r.gens.Add(1)})
 	e.modeMu.Unlock()
 	return nil
 }
@@ -658,7 +611,7 @@ func (r *Registry) rebuildLocked() {
 func (r *Registry) Resolve(namespace, kind string) (*Entry, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	return r.index.lookup(namespace, kind)
+	return lookup(&r.index, namespace, kind)
 }
 
 // ResolveRaw is Resolve for wire bytes (e.g. compile.RawMeta fields):
@@ -667,26 +620,7 @@ func (r *Registry) Resolve(namespace, kind string) (*Entry, bool) {
 func (r *Registry) ResolveRaw(namespace, kind []byte) (*Entry, bool) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	ix := &r.index
-	if len(namespace) != 0 {
-		if e := ix.nsKind[string(namespace)][string(kind)]; e != nil {
-			return e, true
-		}
-		if e := ix.nsAny[string(namespace)]; e != nil {
-			return e, true
-		}
-		if e := ix.kindOnly[string(kind)]; e != nil {
-			return e, true
-		}
-		if ix.wildcard != nil {
-			return ix.wildcard, true
-		}
-		return nil, false
-	}
-	best := ix.cluster[string(kind)]
-	best = preferEntry(best, ix.kindOnly[string(kind)])
-	best = preferEntry(best, ix.wildcard)
-	return best, best != nil
+	return lookup(&r.index, namespace, kind)
 }
 
 // resolveScan is the pre-trie linear resolution over the sorted entry
@@ -791,13 +725,11 @@ func newCacheKey(gen uint64, body []byte, sum *[sha256.Size]byte) cacheKey {
 // walk's diagnosis — Validate's list on the decoded body — cached under
 // the same key. decided=false means the raw view could not rule: the
 // caller decodes the body and calls Validate. Either way a request is
-// counted once. Entries carrying cross-resource invariants skip the
-// judging walk but still honor the cache short-circuit. The scan reads
-// the prologue only, so the body may still not decode; the answers stay
-// correct regardless — the judging walk reads every byte and decides
-// nothing undecodable, a cached decision was made on a body that
-// decoded, and a workload with no policy yet fails closed whatever the
-// body is.
+// counted once. The scan reads the prologue only, so the body may still
+// not decode; the answers stay correct regardless — the judging walk
+// reads every byte and decides nothing undecodable, a cached decision
+// was made on a body that decoded, and a workload with no policy yet
+// fails closed whatever the body is.
 func (r *Registry) ValidateRawScanned(e *Entry, body []byte, meta compile.RawMeta) (vs []validator.Violation, decided bool) {
 	return r.validateRaw(e, body, nil, meta, false)
 }
@@ -838,14 +770,6 @@ func (r *Registry) validateRaw(e *Entry, body []byte, sum *[sha256.Size]byte, me
 			e.cacheHits.Add(1)
 			return vs, true
 		}
-	}
-	// Entries carrying cross-resource invariants never decide on the raw
-	// view: the judging walk rules on schema conformance only, and
-	// an invariant needs the decoded object. The cache short-circuit
-	// above is still sound — cached verdicts were computed by the decode
-	// path WITH the invariants, under the same generation.
-	if len(ver.invariants) > 0 {
-		return nil, false
 	}
 	start := time.Now()
 	vs, decided = ver.program.JudgeRawScanned(meta, body, yamlBody)
@@ -901,17 +825,7 @@ func (r *Registry) validateVersion(e *Entry, ver *policyVersion, body []byte, su
 		}
 	}
 	start := time.Now()
-	vs := ver.program.Validate(obj)
-	// Cross-resource invariants judge only schema-clean objects: a
-	// schema violation already denies the request, and running the rules
-	// on top would blur which layer caught it. Enforce and shadow
-	// validation share this function, so their verdicts stay identical.
-	if len(vs) == 0 {
-		for _, inv := range ver.invariants {
-			vs = append(vs, inv.Check(obj)...)
-		}
-	}
-	vs = capViolations(vs)
+	vs := capViolations(ver.program.Validate(obj))
 	e.valNanos.Add(int64(time.Since(start)))
 	if cached {
 		e.cache.put(key, vs)
@@ -972,11 +886,6 @@ type CacheSnapshot struct {
 	// current version holds this exact program. In-process handoff
 	// only; a wire-format handoff needs a content hash here instead.
 	program *compile.Program
-	// hasInvariants records whether the source decided with
-	// cross-resource invariants attached. Verdicts made with and without
-	// invariants are not interchangeable, so import requires both sides
-	// invariant-free.
-	hasInvariants bool
 }
 
 // ExportCache snapshots a workload's decision-cache shard for handoff.
@@ -989,10 +898,9 @@ func (r *Registry) ExportCache(workload string) (CacheSnapshot, error) {
 	}
 	ver := e.version.Load()
 	snap := CacheSnapshot{
-		Workload:      workload,
-		Generation:    ver.gen,
-		program:       ver.program,
-		hasInvariants: len(ver.invariants) > 0,
+		Workload:   workload,
+		Generation: ver.gen,
+		program:    ver.program,
 	}
 	if e.cache != nil {
 		snap.Entries = e.cache.export(ver.gen)
@@ -1002,14 +910,15 @@ func (r *Registry) ExportCache(workload string) (CacheSnapshot, error) {
 
 // ImportCache merges an exported shard into the destination entry's
 // cache, re-keyed to the destination's current generation, and reports
-// how many decisions were imported. Stale snapshots import nothing: if
-// the destination's current version does not hold the exact program
-// the snapshot was exported under (a swap landed on either side
-// since), or either side carries cross-resource invariants, every entry
-// is dropped — an imported decision must be byte-for-byte the decision
-// the destination would compute itself. Entries are replayed in LRU
-// order through the shard's own bounded put, so the import can never
-// grow the shard past its capacity.
+// how many imported decisions the shard holds afterwards. Stale
+// snapshots import nothing: if the destination's current version does
+// not hold the exact program the snapshot was exported under (a swap
+// landed on either side since), every entry is dropped — an imported
+// decision must be byte-for-byte the decision the destination would
+// compute itself. Entries are replayed in LRU order through the shard's
+// own bounded put, so the import can never grow the shard past its
+// capacity: a snapshot larger than the shard keeps its most recently
+// used tail.
 func (r *Registry) ImportCache(snap CacheSnapshot) (int, error) {
 	e, ok := r.Entry(snap.Workload)
 	if !ok {
@@ -1018,21 +927,22 @@ func (r *Registry) ImportCache(snap CacheSnapshot) (int, error) {
 	if e.cache == nil {
 		return 0, nil
 	}
-	// Serialized against Swap/SetInvariants via modeMu: the generation
+	// Serialized against SwapProgram via modeMu: the generation
 	// read here cannot be superseded while the entries are keyed to it,
 	// so an import can never resurrect decisions across a concurrent
 	// policy change.
 	e.modeMu.Lock()
 	defer e.modeMu.Unlock()
 	ver := e.version.Load()
-	if ver.program == nil || ver.program != snap.program ||
-		snap.hasInvariants || len(ver.invariants) > 0 {
+	if ver.program == nil || ver.program != snap.program {
 		return 0, nil
 	}
 	for _, ce := range snap.Entries {
 		e.cache.put(cacheKey{gen: ver.gen, bodyHash: ce.BodyHash}, ce.Violations)
 	}
-	return len(snap.Entries), nil
+	// Exported keys are distinct, so the shard keeps min(entries,
+	// capacity) of them.
+	return min(len(snap.Entries), e.cache.capacity), nil
 }
 
 // CacheStats reports the aggregate decision-cache occupancy: the sum of

@@ -23,6 +23,7 @@
 package telemetry
 
 import (
+	"math"
 	"math/bits"
 	"runtime"
 	"sort"
@@ -269,14 +270,6 @@ func (h *Hub) workload(name string) *workloadTel {
 	return wt
 }
 
-// RegisterWorkload pre-creates a workload's recording state so its
-// first recorded decision stays on the allocation-free path.
-func (h *Hub) RegisterWorkload(name string) {
-	if h != nil {
-		h.workload(name)
-	}
-}
-
 // RecordDecision records one decision: the (workload, verdict, path)
 // counter and its latency histogram. Lock-free and allocation-free
 // after the workload's first record; safe from any number of
@@ -356,16 +349,21 @@ type CellSnapshot struct {
 
 // Quantile derives an upper-bound latency estimate for quantile q
 // (0 < q <= 1) from the bucket counts: the bound of the bucket the
-// q-th observation falls in. The +Inf bucket reports the largest
-// finite bound (the estimate saturates).
+// nearest-rank observation ⌈q·N⌉ falls in, so p99 of two decisions is
+// the slower one. The +Inf bucket reports the largest finite bound (the
+// estimate saturates).
 func (c *CellSnapshot) Quantile(q float64) time.Duration {
 	if c.Count == 0 {
 		return 0
 	}
-	rank := uint64(q * float64(c.Count))
-	if rank < 1 {
-		rank = 1
+	x := q * float64(c.Count)
+	rank := uint64(math.Ceil(x))
+	// Float error can lift an exact integer q·N past it (0.07·100 reads
+	// 7.000000000000001); such a product keeps its integer rank.
+	if r := math.Round(x); r < x && x-r <= x*1e-12 {
+		rank = uint64(r)
 	}
+	rank = min(max(rank, 1), c.Count)
 	var seen uint64
 	for i, n := range c.Buckets {
 		seen += n

@@ -141,6 +141,39 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
+// TestQuantileNearestRank pins the nearest rank ⌈q·N⌉ at small counts,
+// where rounding the rank down reports the fast bucket for the tail,
+// and the float guard that keeps an exact integer q·N on its rank.
+func TestQuantileNearestRank(t *testing.T) {
+	quantile := func(fast, slow int, q float64) time.Duration {
+		h := New(Config{Shards: 1})
+		for i := 0; i < fast; i++ {
+			h.RecordDecision("w", VerdictAllowed, PathRaw, 200*time.Nanosecond)
+		}
+		for i := 0; i < slow; i++ {
+			h.RecordDecision("w", VerdictAllowed, PathRaw, time.Millisecond)
+		}
+		snap := h.Snapshot()
+		return snap.Workload("w").Cell("allowed", "raw").Quantile(q)
+	}
+	for _, tc := range []struct {
+		name       string
+		fast, slow int
+		q          float64
+		slowBucket bool
+	}{
+		{"p99 of one fast and one slow", 1, 1, 0.99, true},
+		{"p95 of nine fast and one slow", 9, 1, 0.95, true},
+		{"p7 of seven fast and 93 slow", 7, 93, 0.07, false},
+		{"p100 of two", 1, 1, 1, true},
+	} {
+		got := quantile(tc.fast, tc.slow, tc.q)
+		if slow := got >= 512*time.Microsecond; slow != tc.slowBucket {
+			t.Errorf("%s: Quantile(%v) = %v, slow bucket %v, want %v", tc.name, tc.q, got, slow, tc.slowBucket)
+		}
+	}
+}
+
 func TestMergeEqualsSumOfReplicas(t *testing.T) {
 	// Property: the merged tier histogram of every cell equals the sum
 	// of per-replica histograms — drive three hubs with a random but
@@ -295,7 +328,6 @@ func TestTraceRingBounded(t *testing.T) {
 func TestNilHubSafe(t *testing.T) {
 	var h *Hub
 	h.RecordDecision("w", VerdictAllowed, PathRaw, time.Microsecond)
-	h.RegisterWorkload("w")
 	if tc := h.Sample(); tc != nil {
 		t.Fatal("nil hub sampled")
 	}
@@ -312,7 +344,8 @@ func TestNilHubSafe(t *testing.T) {
 
 func TestRecordDecisionAllocFree(t *testing.T) {
 	h := New(Config{Shards: 4})
-	h.RegisterWorkload("w")
+	// The first decision a workload records publishes its state; warm it.
+	h.RecordDecision("w", VerdictAllowed, PathRaw, 731*time.Nanosecond)
 	allocs := testing.AllocsPerRun(1000, func() {
 		h.RecordDecision("w", VerdictAllowed, PathRaw, 731*time.Nanosecond)
 	})

@@ -5,6 +5,7 @@
 #   make test            # fast test run (no race detector)
 #   make plane-race      # the plane's generation invariant, -race -count=20
 #   make forward-race    # the upstream frame's lifetime, -race -count=20
+#   make mode-race       # the rollout modes' accounting and promotion gate, -race -count=20
 #   make bench           # in-package micro-benchmarks (multi-workload enforcement, JSON and YAML decode, raw scan/match/judge, decoded validate, proxy hit/cold/deny path, plane reapply, decision-cache probe, violation-log append)
 #   make fuzz-smoke      # 10s per native fuzz target
 #   make fuzz-nightly    # 2m per native fuzz target
@@ -23,7 +24,7 @@ GO ?= go
 # it to make a PR pass.
 COVERAGE_BASELINE ?= 87.0
 
-.PHONY: all ci fmt-check vet build test race bench-check plane-race forward-race bench \
+.PHONY: all ci fmt-check vet build test race bench-check plane-race forward-race mode-race bench \
 	fuzz-smoke fuzz-nightly coverage-gate staticcheck loc
 
 all: ci
@@ -69,6 +70,13 @@ plane-race:
 # detector reports. Twenty passes, like plane-race.
 forward-race:
 	$(GO) test -race -count=20 -run TestForward ./internal/proxy
+
+# Enforce and shadow share one decision function, which also keeps the
+# shadow counters and window that the promotion gate reads; the Mode and
+# Shadow property tests race swaps, promotions and traffic against them.
+# Twenty passes, like plane-race (about 16 s on 2 cores).
+mode-race:
+	$(GO) test -race -count=20 -run 'Mode|Shadow' ./internal/registry
 
 bench:
 	$(GO) test -run NONE -bench 'MultiWorkload|RegistryResolve' -benchmem .

@@ -72,7 +72,7 @@ func TestLifecycleLearnShadowEnforce(t *testing.T) {
 
 	// Shadow phase: benign traffic validates clean against the candidate.
 	for i := 0; i < 12; i++ {
-		if vs, _ := reg.ShadowValidate(e, nil, benignObj(i)); len(vs) != 0 {
+		if vs := reg.Validate(e, nil, benignObj(i)); len(vs) != 0 {
 			t.Fatalf("candidate denies its own trace: %v", vs)
 		}
 	}
@@ -112,7 +112,7 @@ func TestShadowFPFeedbackGrowsCandidate(t *testing.T) {
 	// A benign object the candidate has never seen: shadow would-deny.
 	novel := benignObj(0)
 	novel["spec"].(map[string]any)["subdomain"] = "svc"
-	vs, _ := reg.ShadowValidate(e, nil, novel)
+	vs := reg.Validate(e, nil, novel)
 	if len(vs) == 0 {
 		t.Fatal("novel field should shadow-deny before feedback")
 	}
@@ -129,7 +129,7 @@ func TestShadowFPFeedbackGrowsCandidate(t *testing.T) {
 	if e.Generation() == gen1 {
 		t.Fatal("candidate not re-published after growth")
 	}
-	if vs, _ := reg.ShadowValidate(e, nil, novel); len(vs) != 0 {
+	if vs := reg.Validate(e, nil, novel); len(vs) != 0 {
 		t.Fatalf("grown candidate still denies the fed-back object: %v", vs)
 	}
 }
@@ -151,7 +151,7 @@ func TestDemotionOnDenialSpike(t *testing.T) {
 	}
 	ctl.Tick() // → shadow
 	for i := 0; i < 3; i++ {
-		reg.ShadowValidate(e, nil, benignObj(i))
+		reg.Validate(e, nil, benignObj(i))
 	}
 	ctl.Tick() // → enforce
 	if e.Mode() != registry.ModeEnforce {
@@ -189,7 +189,7 @@ func TestPromoteRefusesStaleGeneration(t *testing.T) {
 	e.ObserveLearn(benignObj(0))
 	ctl.Tick() // → shadow
 	gen := e.Generation()
-	reg.ShadowValidate(e, nil, benignObj(0))
+	reg.Validate(e, nil, benignObj(0))
 
 	// A swap lands after the gate evaluation: promotion must refuse.
 	pol, err := miner.Policy()
@@ -278,7 +278,7 @@ func TestAdoptShadowsExistingPolicy(t *testing.T) {
 	// Shadow FP feedback: a benign object outside the base policy.
 	novel := benignObj(0)
 	novel["spec"].(map[string]any)["subdomain"] = "svc"
-	vs, _ := reg.ShadowValidate(e, nil, novel)
+	vs := reg.Validate(e, nil, novel)
 	if len(vs) == 0 {
 		t.Fatal("novel object should shadow-deny against the base policy")
 	}
@@ -290,11 +290,11 @@ func TestAdoptShadowsExistingPolicy(t *testing.T) {
 	ctl.Tick() // publishes base ∪ mined
 
 	// The union must keep the base surface AND admit the fed-back shape.
-	if vs, _ := reg.ShadowValidate(e, nil, novel); len(vs) != 0 {
+	if vs := reg.Validate(e, nil, novel); len(vs) != 0 {
 		t.Fatalf("union candidate still denies the fed-back object: %v", vs)
 	}
 	for i := 0; i < 3; i++ {
-		if vs, _ := reg.ShadowValidate(e, nil, benignObj(i)); len(vs) != 0 {
+		if vs := reg.Validate(e, nil, benignObj(i)); len(vs) != 0 {
 			t.Fatalf("union candidate dropped base surface: %v", vs)
 		}
 	}

@@ -1,6 +1,8 @@
 package plane
 
 import (
+	"fmt"
+
 	"repro/internal/proxy"
 	"repro/internal/telemetry"
 )
@@ -104,6 +106,22 @@ func (pl *Plane) Metrics() TierMetrics {
 		tm.Proxy = tm.Proxy.Add(rm.Proxy)
 	}
 	return tm
+}
+
+// Healthz reports liveness as the router sees it, for
+// telemetry.MuxConfig.Healthz on the tier's own telemetry listener: nil
+// while at least one replica is active (the tier can admit), else an
+// error carrying the per-state replica counts, so a drained or killed
+// tier is visible to a probe without the Go API.
+func (pl *Plane) Healthz() error {
+	counts := map[string]int{}
+	for _, rep := range pl.replicas {
+		counts[ReplicaState(rep.state.Load()).String()]++
+	}
+	if counts["active"] > 0 {
+		return nil
+	}
+	return fmt.Errorf("plane: no active replicas (%v)", counts)
 }
 
 // Telemetry merges the front-door hub and every replica hub into one

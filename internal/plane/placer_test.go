@@ -2,7 +2,6 @@ package plane
 
 import (
 	"net/http"
-	"net/http/httptest"
 	"reflect"
 	"strings"
 	"testing"
@@ -330,10 +329,7 @@ func TestPlaneMetricsExposePlacement(t *testing.T) {
 		t.Error("tier carried traffic but total load score is zero")
 	}
 	// The per-replica placement detail rides /varz.
-	req := httptest.NewRequest(http.MethodGet, "/varz", nil)
-	rec := httptest.NewRecorder()
-	pl.ServeHTTP(rec, req)
-	varz := rec.Body.String()
+	varz := scrape(planeMux(pl), "/varz").Body.String()
 	if !strings.Contains(varz, `"assigned_shards"`) || !strings.Contains(varz, `"load_score"`) {
 		t.Error("/varz does not expose placement detail")
 	}

@@ -47,7 +47,6 @@
 package plane
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -872,19 +871,6 @@ func (pl *Plane) Restart(replicaIndex int) error {
 // outcomes (unreadable body 400, oversized 413, unsupported type 415) —
 // never a silent allow.
 func (pl *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	// Observability endpoints ride the front door so replica state is
-	// visible without linking the Go API; they are answered before the
-	// request counter and body read (a scrape is not admission traffic).
-	if r.Method == http.MethodGet {
-		switch r.URL.Path {
-		case "/healthz":
-			pl.serveHealthz(w)
-			return
-		case "/varz":
-			pl.serveVarz(w)
-			return
-		}
-	}
 	pl.requests.Add(1)
 	var start time.Time
 	if pl.front != nil {
@@ -948,42 +934,6 @@ func (pl *Plane) recordFront(v telemetry.Verdict, start time.Time) {
 	if pl.front != nil {
 		pl.front.RecordDecision(FrontDoorWorkload, v, telemetry.PathRaw, time.Since(start))
 	}
-}
-
-// serveHealthz reports liveness as seen by the router: 200 while at
-// least one replica is active (the tier can admit), 503 otherwise —
-// with the per-state replica counts either way, so a drained or killed
-// replica is visible to a probe without the Go API.
-func (pl *Plane) serveHealthz(w http.ResponseWriter) {
-	counts := map[string]int{}
-	for _, rep := range pl.replicas {
-		counts[ReplicaState(rep.state.Load()).String()]++
-	}
-	code := http.StatusOK
-	status := "ok"
-	if counts["active"] == 0 {
-		code = http.StatusServiceUnavailable
-		status = "no active replicas"
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	_ = enc.Encode(map[string]any{"status": status, "replicas": counts})
-}
-
-// serveVarz serves the full tier rollup as JSON: TierMetrics (replica
-// states, front-door accounting, summed proxy counters), the merged
-// telemetry snapshot, and the sampled traces when telemetry is on.
-func (pl *Plane) serveVarz(w http.ResponseWriter) {
-	out := map[string]any{"tier": pl.Metrics()}
-	if pl.front != nil {
-		out["telemetry"] = pl.Telemetry()
-		out["traces"] = pl.Traces()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(out)
 }
 
 // acquire takes a backpressure slot if one is free.

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	"repro/internal/registry"
@@ -137,37 +138,45 @@ func TestPlaneTelemetrySurvivesRestart(t *testing.T) {
 	}
 }
 
+// planeMux is the tier's telemetry listener as an embedder builds it:
+// the plane's own admission port answers no scrape.
+func planeMux(pl *Plane) http.Handler {
+	return telemetry.Mux(telemetry.MuxConfig{
+		Snapshot: pl.Telemetry,
+		Traces:   pl.Traces,
+		Varz:     func() any { return pl.Metrics() },
+		Healthz:  pl.Healthz,
+	})
+}
+
+func scrape(h http.Handler, path string) *httptest.ResponseRecorder {
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodGet, path, nil))
+	return w
+}
+
 func TestPlaneHealthz(t *testing.T) {
 	pl := telemetryPlane(t, 2, []string{"alpha"})
-	get := func() (*httptest.ResponseRecorder, map[string]any) {
-		t.Helper()
-		req := httptest.NewRequest(http.MethodGet, "/healthz", nil)
-		w := httptest.NewRecorder()
-		pl.ServeHTTP(w, req)
-		var body map[string]any
-		if err := json.Unmarshal(w.Body.Bytes(), &body); err != nil {
-			t.Fatalf("healthz body %q: %v", w.Body, err)
-		}
-		return w, body
-	}
-	w, body := get()
-	if w.Code != http.StatusOK {
-		t.Fatalf("healthz with active replicas: code %d", w.Code)
-	}
-	if body["status"] != "ok" {
-		t.Errorf("healthz status = %v, want ok", body["status"])
+	mux := planeMux(pl)
+	if w := scrape(mux, "/healthz"); w.Code != http.StatusOK || strings.TrimSpace(w.Body.String()) != "ok" {
+		t.Fatalf("healthz with active replicas: code %d, body %q", w.Code, w.Body)
 	}
 	// A health scrape is not admission traffic.
 	if pl.Metrics().Requests != 0 {
 		t.Errorf("healthz counted as admission: Requests = %d", pl.Metrics().Requests)
+	}
+	// The front door answers no /healthz of its own: the request is
+	// admission traffic, forwarded to the API server's /healthz.
+	if w := scrape(pl, "/healthz"); w.Code != http.StatusOK || pl.Metrics().Requests != 1 {
+		t.Fatalf("front-door /healthz: code %d, Requests = %d, want forwarded", w.Code, pl.Metrics().Requests)
 	}
 	for i := 0; i < 2; i++ {
 		if err := pl.Kill(i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if w, body = get(); w.Code != http.StatusServiceUnavailable {
-		t.Fatalf("healthz with no active replicas: code %d, body %v", w.Code, body)
+	if w := scrape(mux, "/healthz"); w.Code != http.StatusServiceUnavailable || !strings.Contains(w.Body.String(), "down:2") {
+		t.Fatalf("healthz with no active replicas: code %d, body %q", w.Code, w.Body)
 	}
 }
 
@@ -176,9 +185,7 @@ func TestPlaneVarz(t *testing.T) {
 	if w := post(t, pl, "/api/v1/namespaces/alpha/pods", podBody(false, img)); w.Code != http.StatusOK {
 		t.Fatalf("seed request: code %d", w.Code)
 	}
-	req := httptest.NewRequest(http.MethodGet, "/varz", nil)
-	w := httptest.NewRecorder()
-	pl.ServeHTTP(w, req)
+	w := scrape(planeMux(pl), "/varz")
 	if w.Code != http.StatusOK {
 		t.Fatalf("varz: code %d", w.Code)
 	}
@@ -186,7 +193,7 @@ func TestPlaneVarz(t *testing.T) {
 		t.Errorf("varz content type %q", ct)
 	}
 	var body struct {
-		Tier      json.RawMessage    `json:"tier"`
+		Tier      json.RawMessage    `json:"state"`
 		Telemetry telemetry.Snapshot `json:"telemetry"`
 		Traces    []telemetry.Trace  `json:"traces"`
 	}

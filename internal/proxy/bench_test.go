@@ -274,3 +274,54 @@ func TestServeAllocationCeiling(t *testing.T) {
 		})
 	}
 }
+
+// TestShadowModeDecidesOnTheWire: a shadow-mode workload's clean,
+// never-seen JSON body is judged by the walk that judges it in enforce
+// mode, so it is an (allowed, raw) decision and allocates what it does
+// in enforce mode; only the verdict's meaning differs with the mode.
+func TestShadowModeDecidesOnTheWire(t *testing.T) {
+	f := newSynthFleet(t, 8)
+	reg := f.proxy.Registry()
+	shadowed := func() (n uint64) {
+		for _, w := range reg.Workloads() {
+			e, _ := reg.Entry(w)
+			n += e.ShadowStats().Requests
+		}
+		return n
+	}
+	serve := serveLoop(t, f, f.json, "application/json", true)
+	n := len(f.json)
+	allocs := map[registry.Mode]float64{}
+	for _, m := range []registry.Mode{registry.ModeEnforce, registry.ModeShadow} {
+		for _, w := range reg.Workloads() {
+			if err := reg.SetMode(w, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// A pass in the new mode first: each workload's first shadow
+		// verdict makes its window.
+		for end := n + len(f.json); n < end; n++ {
+			serve(n)
+		}
+		before, shadowBefore := f.proxy.Metrics(), shadowed()
+		allocs[m] = testing.AllocsPerRun(4*len(f.json), func() {
+			serve(n)
+			n++
+		})
+		after := f.proxy.Metrics()
+		served := after.Requests - before.Requests
+		if raw := after.RawAllowed - before.RawAllowed; raw != served || after.Shadowed != before.Shadowed {
+			t.Fatalf("%s: %d of %d allowed on the raw path, %d shadowed", m, raw, served, after.Shadowed-before.Shadowed)
+		}
+		want := uint64(0)
+		if m == registry.ModeShadow {
+			want = served
+		}
+		if got := shadowed() - shadowBefore; got != want {
+			t.Fatalf("%s: %d shadow verdicts, want %d", m, got, want)
+		}
+	}
+	if d := allocs[registry.ModeShadow] - allocs[registry.ModeEnforce]; d > raceAllocSlack || -d > raceAllocSlack {
+		t.Errorf("shadow mode %.0f allocs/request, enforce mode %.0f", allocs[registry.ModeShadow], allocs[registry.ModeEnforce])
+	}
+}

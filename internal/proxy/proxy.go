@@ -18,19 +18,20 @@
 // body scanned before (scanmemo.go), so only a body's first appearance
 // is scanned (compile.ScanRawMeta / compile.ScanRawYAMLMeta), and only
 // as far as its prologue — apiVersion, kind and metadata — with at most
-// one decode as the fallback. Serve then decides: for enforce-mode
-// workloads the policy is resolved through the registry's match trie
-// without materializing strings (ResolveRaw), the workload's
-// decision-cache shard is probed with the same hash, and on a miss the
-// compiled program judges the raw bytes, all of them, in one walk — so a
-// re-applied manifest costs a read, a hash and three table probes, a
-// never-seen one is walked once past its prologue, an ALLOWED request is
-// never decoded into a document at all, and its buffer returns to the
-// pool when the upstream round trip completes. An enforce-mode denial is
-// judged by the same walk: it records each violation and walks on, and
-// the list it ends with is the one the decode path would produce, so the
-// denial is cached, recorded and answered without a decode. Only
-// cache-missed shadow/learn traffic, tap-equipped proxies, and
+// one decode as the fallback. Serve then decides: the policy is
+// resolved through the registry's match trie without materializing
+// strings (ResolveRaw), the workload's decision-cache shard is probed
+// with the same hash, and on a miss the compiled program judges the raw
+// bytes, all of them, in one walk — so a re-applied manifest costs a
+// read, a hash and three table probes, a never-seen one is walked once
+// past its prologue, an ALLOWED request is never decoded into a document
+// at all, and its buffer returns to the pool when the upstream round
+// trip completes. A violation is found by the same walk: it records each
+// one and walks on, and the list it ends with is the one the decode path
+// would produce, so a denial is cached, recorded and answered without a
+// decode. Enforce and shadow mode are judged alike; the mode decides
+// only whether a violation denies or is recorded. Only learn-mode
+// traffic, tap-equipped proxies, workloads with no policy yet and
 // constructs the walkers cannot judge byte for byte take the classic
 // decode + diagnostic path, whose verdicts and violation lists the raw
 // path reproduces exactly (registry.ValidateRawScanned contract).
@@ -63,14 +64,15 @@
 // which matches every request.
 //
 // Each workload carries a rollout mode (registry modes, learn →
-// shadow → enforce): learn-mode requests are forwarded unvalidated and
-// fed to the workload's policy miner, shadow-mode requests are validated
-// against the candidate policy with the would-deny verdict recorded but
-// never enforced, and enforce mode is the classic deny path. Config.Tap
-// additionally streams every inspected request to a trace sink for
-// offline mining. Audit callbacks (OnViolation, OnShadowViolation, Tap)
-// can be moved off the request goroutine onto a bounded async ring with
-// explicit drop accounting via Config.SinkBuffer.
+// shadow → enforce), read once per request: learn-mode requests are
+// forwarded unvalidated and fed to the workload's policy miner,
+// shadow-mode requests get the enforce-mode verdict, by the same walk,
+// with a would-deny recorded but never enforced, and enforce mode
+// denies it. Config.Tap additionally streams every inspected request to
+// a trace sink for offline mining. Audit callbacks (OnViolation,
+// OnShadowViolation, Tap) can be moved off the request goroutine onto a
+// bounded async ring with explicit drop accounting via
+// Config.SinkBuffer.
 package proxy
 
 import (
@@ -100,10 +102,11 @@ type Metrics struct {
 	Inspected uint64
 	Denied    uint64
 	// Shadowed counts would-deny verdicts recorded for shadow-mode
-	// workloads (the requests themselves were forwarded).
+	// workloads (the requests themselves were forwarded), on either path.
 	Shadowed uint64
-	// RawAllowed counts inspected requests decided on the streaming
-	// fast path (raw bytes, no decode), including body-hash cache hits.
+	// RawAllowed counts inspected requests allowed on the streaming fast
+	// path (raw bytes, no decode), including body-hash cache hits, in
+	// enforce or shadow mode.
 	RawAllowed uint64
 	// RawDenied counts inspected requests denied without decoding:
 	// judged on raw bytes, cached or diagnosed.
@@ -357,13 +360,16 @@ func (p *Proxy) Serve(w http.ResponseWriter, r *http.Request, q *Request) {
 			}
 		}
 		if d.verdict == telemetry.VerdictShadowed {
-			p.recordShadow(r, user, d.entry, q.obj, d.violations)
+			p.recordShadow(r, user, d.entry, q, d.violations)
 			// Pre-enforcement traffic is trusted by definition of the
 			// rollout, so a would-deny is a learning opportunity: feed it
 			// back to the miner and let the controller publish the grown
-			// candidate.
+			// candidate. A would-deny judged on the wire decodes here, and
+			// only for a miner; a body a walk judged always decodes.
 			if obs := d.entry.Observer(); obs != nil {
-				obs.Observe(q.obj)
+				if obj, err := q.decode(); err == nil {
+					obs.Observe(obj)
+				}
 			}
 		}
 	}
@@ -407,13 +413,16 @@ func undecodable(err error) decision {
 // other outcome — including a request that resolves to no policy —
 // decodes first, so an undecodable body is rejected as such, exactly as
 // on the classic path. ResolveRaw probes the registry's match trie on
-// the scanned byte slices without materializing strings. Taps force the
-// decode path (they consume the object); non-enforce modes, workloads
-// with no policy yet and bodies the walk cannot judge decode after
-// resolving (learn feeds the miner, shadow records diagnostics). An
-// enforce-mode decision off the raw bytes — a vouch, a cached verdict or
-// a diagnosed denial — is a PathRaw decision named by the scanned
-// prologue (Request.ident).
+// the scanned byte slices without materializing strings.
+//
+// The workload's mode, read once, decides only what the verdict means,
+// never how it is reached: enforce and shadow are judged by the same
+// walk and the same cache. Learn mode and taps decode, because they
+// consume the object (learn feeds the miner, a tap streams it);
+// workloads with no policy yet and bodies the walk cannot judge decode
+// after resolving. A decision off the raw bytes — a vouch, a cached
+// verdict or a diagnosed violation — is a PathRaw decision named by the
+// scanned prologue (Request.ident).
 func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.TraceCtx) decision {
 	raw := !p.disableRaw && p.tap == nil
 	if raw {
@@ -443,53 +452,56 @@ func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.T
 			validator.Bounded(namespace), validator.Bounded(kind)))
 	}
 
-	if raw {
-		// A workload with no policy yet fails closed on the decode path,
-		// where an undecodable body is rejected as such first.
-		if entry.Mode() == registry.ModeEnforce && entry.Program() != nil {
-			vs, decided := p.registry.ValidateRawHashed(entry, q.body, q.sum(), q.meta, q.format == formatYAML)
-			if decided {
-				if len(vs) > 0 {
-					tc.Stage("raw-diagnose")
-					p.rawDenied.Add(1)
-					return decision{entry: entry, verdict: telemetry.VerdictDenied, path: path, violations: vs}
-				}
-				tc.Stage("raw-match")
-				p.rawAllowed.Add(1)
-				return decision{entry: entry, verdict: telemetry.VerdictAllowed, path: path}
-			}
-		}
-		path = telemetry.PathDecoded
-		if _, err := q.decode(); err != nil {
-			return undecodable(err)
-		}
-		tc.Stage("decode")
+	mode := entry.Mode()
+	var vs []validator.Violation
+	decided := false
+	// A workload with no policy yet fails closed on the decode path,
+	// where an undecodable body is rejected as such first.
+	if raw && mode != registry.ModeLearn && entry.Program() != nil {
+		vs, decided = p.registry.ValidateRawHashed(entry, mode, q.body, q.sum(), q.meta, q.format == formatYAML)
 	}
-	obj := q.obj
-	if p.tap != nil {
-		p.emitTap(entry.Workload(), user, r.Method, r.URL.Path, obj)
+	switch {
+	case decided && len(vs) > 0:
+		tc.Stage("raw-diagnose")
+	case decided:
+		tc.Stage("raw-match")
+	default:
+		path = telemetry.PathDecoded
+		if raw {
+			if _, err := q.decode(); err != nil {
+				return undecodable(err)
+			}
+			tc.Stage("decode")
+		}
+		p.emitTap(entry.Workload(), user, r.Method, r.URL.Path, q.obj)
+		if mode == registry.ModeLearn {
+			entry.ObserveLearn(q.obj)
+		} else {
+			vs = p.registry.ValidateHashed(entry, mode, q.body, q.sum(), q.obj)
+		}
+		tc.Stage("validate")
 	}
 
-	// The workload's rollout mode decides what "validate" means: learn
-	// feeds the miner and forwards, shadow records the verdict and
-	// forwards, enforce denies violations (the classic path).
-	d := decision{entry: entry, verdict: telemetry.VerdictAllowed, path: path}
-	switch entry.Mode() {
-	case registry.ModeLearn:
-		entry.ObserveLearn(obj)
+	// The one place a verdict gets its meaning: learn observed the
+	// object, enforce denies a violation, shadow records it and forwards.
+	d := decision{entry: entry, verdict: telemetry.VerdictAllowed, path: path, violations: vs}
+	switch {
+	case mode == registry.ModeLearn:
 		d.verdict = telemetry.VerdictLearned
-	case registry.ModeShadow:
-		// A clean shadow validation is an allowed decision; only a
-		// would-deny records as shadowed.
-		if d.violations, _ = p.registry.ShadowValidateHashed(entry, q.body, q.sum(), obj); len(d.violations) > 0 {
-			d.verdict = telemetry.VerdictShadowed
-		}
-	default: // registry.ModeEnforce
-		if d.violations = p.registry.ValidateHashed(entry, q.body, q.sum(), obj); len(d.violations) > 0 {
-			d.verdict = telemetry.VerdictDenied
+	case len(vs) == 0:
+	case mode == registry.ModeShadow:
+		d.verdict = telemetry.VerdictShadowed
+	default:
+		d.verdict = telemetry.VerdictDenied
+	}
+	if path == telemetry.PathRaw {
+		switch d.verdict {
+		case telemetry.VerdictAllowed:
+			p.rawAllowed.Add(1)
+		case telemetry.VerdictDenied:
+			p.rawDenied.Add(1)
 		}
 	}
-	tc.Stage("validate")
 	return d
 }
 
@@ -546,15 +558,16 @@ func (p *Proxy) emitTap(workload, user, method, path string, obj object.Object) 
 // the record lands in the entry's shadow log (never the denial log or
 // the denied metric — nothing was denied) and the shadow callback.
 func (p *Proxy) recordShadow(r *http.Request, user string,
-	entry *registry.Entry, obj object.Object, violations []validator.Violation) {
+	entry *registry.Entry, q *Request, violations []validator.Violation) {
 	p.shadowed.Add(1)
+	kind, name := q.ident()
 	rec := ViolationRecord{
 		Time:       time.Now(),
 		User:       user,
 		Method:     r.Method,
 		RequestURI: r.URL.Path,
-		Kind:       validator.Bounded(obj.Kind()),
-		Name:       validator.Bounded(obj.Name()),
+		Kind:       validator.Bounded(kind),
+		Name:       validator.Bounded(name),
 		Violations: violations,
 	}
 	entry.RecordShadowViolation(rec)

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/chart"
 	"repro/internal/charts"
@@ -160,35 +161,45 @@ type outcome struct {
 	Body    string
 	Charged map[string]uint64 // per-workload Requests
 	Records [][3]string       // workload, kind and name of each denial record
+	// Shadows holds each shadow record, its time zeroed, and
+	// ShadowStats each workload's shadow verdict state.
+	Shadows     []registry.Record
+	ShadowStats map[string]registry.ShadowStats
 }
 
-// serveTenants serves body through a fresh proxy over two tenants: a and
-// b each own their namespace's ConfigMaps, a with a lenient data.mode
-// and b with a strict one.
-func serveTenants(t testing.TB, disableRaw, yaml bool, body []byte) outcome {
+// serveTenants serves body through a fresh proxy over two tenants in
+// mode m: a and b each own their namespace's ConfigMaps, a with a
+// lenient data.mode and b with a strict one. They register in that
+// order, so their policy generations are the same on every call.
+func serveTenants(t testing.TB, m registry.Mode, disableRaw, yaml bool, body []byte) outcome {
 	t.Helper()
 	reg := registry.New(registry.Config{})
-	for tenant, mode := range map[string]string{"a": "lenient", "b": "strict"} {
+	for _, tenant := range [][2]string{{"a", "lenient"}, {"b", "strict"}} {
 		v, err := buildPolicy(object.Object{
 			"apiVersion": "v1",
 			"kind":       "ConfigMap",
-			"metadata":   map[string]any{"name": "cm", "namespace": tenant},
-			"data":       map[string]any{"mode": mode},
+			"metadata":   map[string]any{"name": "cm", "namespace": tenant[0]},
+			"data":       map[string]any{"mode": tenant[1]},
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := reg.Register(tenant, registry.Selector{Namespace: tenant}, v); err != nil {
+		if _, err := reg.Register(tenant[0], registry.Selector{Namespace: tenant[0]}, v); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return serveOn(t, reg, disableRaw, yaml, body)
+	return serveOn(t, reg, m, disableRaw, yaml, body)
 }
 
 // serveOn serves body on the given wire, POSTed into namespace a,
-// through a fresh proxy over reg.
-func serveOn(t testing.TB, reg *registry.Registry, disableRaw, yaml bool, body []byte) outcome {
+// through a fresh proxy over reg with every workload in mode m.
+func serveOn(t testing.TB, reg *registry.Registry, m registry.Mode, disableRaw, yaml bool, body []byte) outcome {
 	t.Helper()
+	for _, w := range reg.Workloads() {
+		if err := reg.SetMode(w, m); err != nil {
+			t.Fatal(err)
+		}
+	}
 	p, err := New(Config{Upstream: "http://upstream.invalid", Transport: echoTransport{},
 		Registry: reg, DisableRawFastPath: disableRaw})
 	if err != nil {
@@ -201,12 +212,21 @@ func serveOn(t testing.TB, reg *registry.Registry, disableRaw, yaml bool, body [
 	}
 	rec := httptest.NewRecorder()
 	p.ServeHTTP(rec, req)
-	out := outcome{Code: rec.Code, Body: rec.Body.String(), Charged: map[string]uint64{}}
+	out := outcome{Code: rec.Code, Body: rec.Body.String(), Charged: map[string]uint64{},
+		ShadowStats: map[string]registry.ShadowStats{}}
 	for workload, m := range p.Registry().Metrics() {
 		out.Charged[workload] = m.Requests
 	}
 	for _, r := range p.Violations() {
 		out.Records = append(out.Records, [3]string{r.Workload, r.Kind, r.Name})
+	}
+	for _, w := range reg.Workloads() {
+		e, _ := reg.Entry(w)
+		for _, r := range e.ShadowViolations() {
+			r.Time = time.Time{}
+			out.Shadows = append(out.Shadows, r)
+		}
+		out.ShadowStats[w] = e.ShadowStats()
 	}
 	return out
 }
@@ -261,9 +281,11 @@ func TestRawFastPathTenantResolutionMatchesClassic(t *testing.T) {
 		if _, err := reg.Register("nginx", registry.Selector{Namespace: "nginx"}, res.Validator); err != nil {
 			t.Fatal(err)
 		}
-		return serveOn(t, reg, disableRaw, true, body)
+		return serveOn(t, reg, registry.ModeEnforce, disableRaw, true, body)
 	}
-	tenants := func(disableRaw bool, body []byte) outcome { return serveTenants(t, disableRaw, true, body) }
+	tenants := func(disableRaw bool, body []byte) outcome {
+		return serveTenants(t, registry.ModeEnforce, disableRaw, true, body)
+	}
 	for _, tc := range []struct {
 		name    string
 		serve   func(disableRaw bool, body []byte) outcome
@@ -286,13 +308,14 @@ func TestRawFastPathTenantResolutionMatchesClassic(t *testing.T) {
 	}
 }
 
-// FuzzRawPathMatchesClassic: whatever the body and the wire, the proxy
-// with the raw fast path on answers, charges and records exactly what
-// it does with DisableRawFastPath — the same status, the same response
-// bytes, the same per-workload Requests and the same denial records.
-// The scan reads a body's prologue only, so this is where a body that
-// scans but does not decode has to come out the same as on the classic
-// path.
+// FuzzRawPathMatchesClassic: whatever the body, the wire and the mode
+// (enforce or shadow), the proxy with the raw fast path on answers,
+// charges and records exactly what it does with DisableRawFastPath —
+// the same status, the same response bytes, the same per-workload
+// Requests, the same denial and shadow records and the same shadow
+// verdict state. The scan reads a body's prologue only, so this is
+// where a body that scans but does not decode has to come out the same
+// as on the classic path.
 func FuzzRawPathMatchesClassic(f *testing.F) {
 	for _, s := range []struct {
 		yaml bool
@@ -341,12 +364,17 @@ func FuzzRawPathMatchesClassic(f *testing.F) {
 		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: \"\\x41\"\n"},
 		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: \"l\\u0065nient\"\n"},
 	} {
-		f.Add([]byte(s.body), s.yaml)
+		f.Add([]byte(s.body), s.yaml, false)
+		f.Add([]byte(s.body), s.yaml, true)
 	}
-	f.Fuzz(func(t *testing.T, body []byte, yaml bool) {
-		raw, classic := serveTenants(t, false, yaml, body), serveTenants(t, true, yaml, body)
+	f.Fuzz(func(t *testing.T, body []byte, yaml, shadow bool) {
+		m := registry.ModeEnforce
+		if shadow {
+			m = registry.ModeShadow
+		}
+		raw, classic := serveTenants(t, m, false, yaml, body), serveTenants(t, m, true, yaml, body)
 		if !reflect.DeepEqual(raw, classic) {
-			t.Fatalf("yaml=%v body %q:\nraw path:    %+v\ndecode path: %+v", yaml, body, raw, classic)
+			t.Fatalf("%s yaml=%v body %q:\nraw path:    %+v\ndecode path: %+v", m, yaml, body, raw, classic)
 		}
 	})
 }
@@ -365,10 +393,7 @@ func TestRawPathNoPolicyYetMatchesClassic(t *testing.T) {
 			if _, err := reg.RegisterLearning("a", registry.Selector{Namespace: "a"}, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := reg.SetMode("a", registry.ModeEnforce); err != nil {
-				t.Fatal(err)
-			}
-			return serveOn(t, reg, disableRaw, false, []byte(body))
+			return serveOn(t, reg, registry.ModeEnforce, disableRaw, false, []byte(body))
 		}
 		raw, classic := serve(false), serve(true)
 		if !reflect.DeepEqual(raw, classic) {

@@ -23,12 +23,10 @@
 package registry
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"sync"
 
 	"repro/internal/object"
-	"repro/internal/validator"
 )
 
 // Mode is a workload's enforcement mode. The zero value is ModeEnforce,
@@ -359,29 +357,4 @@ func (r *Registry) Demote(workload string) (Mode, error) {
 	prev := Mode(e.mode.Load())
 	e.mode.Store(int32(ModeShadow))
 	return prev, nil
-}
-
-// ShadowValidate checks an object against the entry's candidate policy
-// without enforcing the verdict: the would-deny outcome is folded into
-// the entry's cumulative shadow counters and the per-generation sliding
-// window. It returns the violations, cut like Validate's (for the
-// caller's record log), and the policy generation the verdict was made
-// under.
-func (r *Registry) ShadowValidate(e *Entry, body []byte, obj object.Object) ([]validator.Violation, uint64) {
-	return r.ShadowValidateHashed(e, body, nil, obj)
-}
-
-// ShadowValidateHashed is ShadowValidate for a caller that has hashed
-// the body; see ValidateHashed.
-func (r *Registry) ShadowValidateHashed(e *Entry, body []byte, sum *[sha256.Size]byte, obj object.Object) ([]validator.Violation, uint64) {
-	e.requests.Add(1)
-	ver := e.version.Load()
-	vs := r.validateVersion(e, ver, body, sum, obj)
-	deny := len(vs) > 0
-	e.shadowReqs.Add(1)
-	if deny {
-		e.shadowDenied.Add(1)
-	}
-	e.shadow.record(ver.gen, deny)
-	return vs, ver.gen
 }

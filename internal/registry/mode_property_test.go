@@ -68,7 +68,7 @@ func TestModeTransitionProperty(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for i := 0; !stop.Load(); i++ {
-					reg.ShadowValidate(e, nil, benignCM(0))
+					reg.Validate(e, nil, benignCM(0))
 				}
 			}()
 		}
@@ -142,7 +142,7 @@ func TestPromoteNeverAcceptsNilPolicy(t *testing.T) {
 	if vs := reg.Validate(e, nil, benignCM(0)); len(vs) == 0 {
 		t.Fatal("nil-policy entry did not fail closed")
 	}
-	if vs, _ := reg.ShadowValidate(e, nil, benignCM(0)); len(vs) == 0 {
+	if vs := reg.ValidateHashed(e, ModeShadow, nil, nil, benignCM(0)); len(vs) == 0 {
 		t.Fatal("nil-policy shadow verdict did not deny")
 	}
 }
@@ -185,7 +185,7 @@ func TestShadowCountersSurviveSwap(t *testing.T) {
 				} else {
 					o = benignCM(0)
 				}
-				vs, _ := reg.ShadowValidate(e, nil, o)
+				vs := reg.Validate(e, nil, o)
 				sentTotal.Add(1)
 				if len(vs) > 0 {
 					denedTotal.Add(1)

@@ -81,9 +81,8 @@ func TestShadowLogAndDemote(t *testing.T) {
 	bad := object.Object{"apiVersion": "v1", "kind": "Secret",
 		"metadata": map[string]any{"name": "s", "namespace": "default"}}
 	for i := 0; i < 12; i++ {
-		vs, gen := reg.ShadowValidate(e, nil, bad)
-		if len(vs) == 0 || gen != e.Generation() {
-			t.Fatalf("shadow verdict = %v under gen %d", vs, gen)
+		if vs := reg.Validate(e, nil, bad); len(vs) == 0 {
+			t.Fatalf("shadow verdict = %v", vs)
 		}
 		e.RecordShadowViolation(Record{Kind: "Secret"})
 	}
@@ -91,7 +90,7 @@ func TestShadowLogAndDemote(t *testing.T) {
 		t.Fatalf("shadow log = %d", got)
 	}
 	st := e.ShadowStats()
-	if st.WindowSize != 8 || st.WindowDenied != 8 {
+	if st.WindowSize != 8 || st.WindowDenied != 8 || st.Generation != e.Generation() {
 		t.Fatalf("window = %+v", st)
 	}
 	if r := st.WindowDenyRate(); r != 1.0 {

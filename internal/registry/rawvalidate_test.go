@@ -207,7 +207,7 @@ func TestEveryListIsCapped(t *testing.T) {
 	if err := reg.SetMode("web", ModeShadow); err != nil {
 		t.Fatal(err)
 	}
-	if shadow, _ := reg.ShadowValidate(e, body, o); !reflect.DeepEqual(shadow, want) {
+	if shadow := reg.Validate(e, body, o); !reflect.DeepEqual(shadow, want) {
 		t.Errorf("shadow verdict holds %d violations, want the %d of the cut list", len(shadow), len(want))
 	}
 }
@@ -266,7 +266,7 @@ func TestHashedFormsShareTheDecisionCache(t *testing.T) {
 	if !ok {
 		t.Fatal("scan of the benign body failed")
 	}
-	if vs, decided := reg.ValidateRawHashed(e, rawBenignBody, &benignSum, meta, false); !decided || vs != nil {
+	if vs, decided := reg.ValidateRawHashed(e, ModeEnforce, rawBenignBody, &benignSum, meta, false); !decided || vs != nil {
 		t.Fatalf("hashed raw pass: decided=%v vs=%v", decided, vs)
 	}
 	if vs, decided := reg.ValidateRawScanned(e, rawBenignBody, meta); !decided || vs != nil || hits() != 1 {
@@ -282,13 +282,13 @@ func TestHashedFormsShareTheDecisionCache(t *testing.T) {
 	if len(denied) == 0 {
 		t.Fatal("attack body validated clean")
 	}
-	if vs := reg.ValidateHashed(e, rawAttackBody, &attackSum, attack); !reflect.DeepEqual(vs, denied) || hits() != 2 {
+	if vs := reg.ValidateHashed(e, ModeEnforce, rawAttackBody, &attackSum, attack); !reflect.DeepEqual(vs, denied) || hits() != 2 {
 		t.Fatalf("hashed validate after the self-hashing one: vs=%v hits=%d", vs, hits())
 	}
-	if vs, _ := reg.ShadowValidateHashed(e, rawAttackBody, &attackSum, attack); !reflect.DeepEqual(vs, denied) || hits() != 3 {
+	if vs := reg.ValidateHashed(e, ModeShadow, rawAttackBody, &attackSum, attack); !reflect.DeepEqual(vs, denied) || hits() != 3 {
 		t.Fatalf("hashed shadow validate: vs=%v hits=%d", vs, hits())
 	}
-	if vs, decided := reg.ValidateRawHashed(e, rawAttackBody, &attackSum, meta, false); !decided || !reflect.DeepEqual(vs, denied) || hits() != 4 {
+	if vs, decided := reg.ValidateRawHashed(e, ModeEnforce, rawAttackBody, &attackSum, meta, false); !decided || !reflect.DeepEqual(vs, denied) || hits() != 4 {
 		t.Fatalf("hashed raw pass on a cached denial: decided=%v vs=%v hits=%d", decided, vs, hits())
 	}
 }

@@ -713,12 +713,12 @@ func newCacheKey(gen uint64, body []byte, sum *[sha256.Size]byte) cacheKey {
 }
 
 // ValidateRawScanned attempts to decide a request from its raw wire
-// bytes, without decoding them. meta MUST be the successful
-// compile.ScanRawMeta of body (the proxy scans once, for routing). The
-// entry's decision-cache shard is consulted on the body hash first
-// (operators re-apply identical manifests every reconcile loop, so the
-// common case never even tokenizes), then the compiled program judges
-// the bytes (compile.Program.JudgeRawScanned).
+// bytes, without decoding them, under the entry's current mode. meta
+// MUST be the successful compile.ScanRawMeta of body (the proxy scans
+// once, for routing). The entry's decision-cache shard is consulted on
+// the body hash first (operators re-apply identical manifests every
+// reconcile loop, so the common case never even tokenizes), then the
+// compiled program judges the bytes (compile.Program.JudgeRawScanned).
 //
 // decided=true returns the authoritative violation list, cut by
 // capViolations: nil = allowed; a cached one verbatim, else the judging
@@ -731,7 +731,7 @@ func newCacheKey(gen uint64, body []byte, sum *[sha256.Size]byte) cacheKey {
 // was made on a body that decoded, and a workload with no policy yet
 // fails closed whatever the body is.
 func (r *Registry) ValidateRawScanned(e *Entry, body []byte, meta compile.RawMeta) (vs []validator.Violation, decided bool) {
-	return r.validateRaw(e, body, nil, meta, false)
+	return r.judge(e, e.Mode(), body, nil, nil, &meta, false)
 }
 
 // ValidateRawYAMLScanned is ValidateRawScanned for YAML wire bytes:
@@ -740,97 +740,91 @@ func (r *Registry) ValidateRawScanned(e *Entry, body []byte, meta compile.RawMet
 // program. The cache short-circuit and all gating rules are shared with
 // the JSON path.
 func (r *Registry) ValidateRawYAMLScanned(e *Entry, body []byte, meta compile.RawMeta) (vs []validator.Violation, decided bool) {
-	return r.validateRaw(e, body, nil, meta, true)
+	return r.judge(e, e.Mode(), body, nil, nil, &meta, true)
 }
 
 // ValidateRawHashed is ValidateRawScanned (ValidateRawYAMLScanned when
-// yamlBody) for a caller that has also hashed the body: a non-nil sum
-// MUST be the SHA-256 of body, and keys the decision cache in place of a
-// hash taken here. The enforcement point's front end hashes every inspected body
-// once, before it scans it.
-func (r *Registry) ValidateRawHashed(e *Entry, body []byte, sum *[sha256.Size]byte, meta compile.RawMeta, yamlBody bool) (vs []validator.Violation, decided bool) {
-	return r.validateRaw(e, body, sum, meta, yamlBody)
+// yamlBody) under the mode m its caller read, for a caller that has also
+// hashed the body: a non-nil sum MUST be the SHA-256 of body, and keys
+// the decision cache in place of a hash taken here. The enforcement
+// point's front end hashes every inspected body once, before it scans
+// it.
+func (r *Registry) ValidateRawHashed(e *Entry, m Mode, body []byte, sum *[sha256.Size]byte, meta compile.RawMeta, yamlBody bool) (vs []validator.Violation, decided bool) {
+	return r.judge(e, m, body, sum, nil, &meta, yamlBody)
 }
 
-// validateRaw is every ValidateRawScanned form. A nil sum is taken here,
-// and only when the entry has a cache to key with it.
-func (r *Registry) validateRaw(e *Entry, body []byte, sum *[sha256.Size]byte, meta compile.RawMeta, yamlBody bool) (vs []validator.Violation, decided bool) {
+// Validate checks a decoded object against an entry's policy under the
+// entry's current mode, executing the compiled rule program and
+// consulting the entry's decision-cache shard when a request body is
+// supplied; the list is cut by capViolations, cached or not. The body
+// must be the exact wire bytes the object was decoded from; callers
+// without access to the raw body pass nil to validate uncached.
+func (r *Registry) Validate(e *Entry, body []byte, obj object.Object) []validator.Violation {
+	vs, _ := r.judge(e, e.Mode(), body, nil, obj, nil, false)
+	return vs
+}
+
+// ValidateHashed is Validate under the mode m its caller read, for a
+// caller that has hashed the body: a non-nil sum MUST be the SHA-256 of
+// body, and keys the decision cache in place of a hash taken here.
+func (r *Registry) ValidateHashed(e *Entry, m Mode, body []byte, sum *[sha256.Size]byte, obj object.Object) []validator.Violation {
+	vs, _ := r.judge(e, m, body, sum, obj, nil, false)
+	return vs
+}
+
+// judge is every Validate form: one cache-through decision over one
+// loaded policy snapshot, so the generation keyed into the cache always
+// matches the program that (on a miss) computes the decision. A snapshot
+// with no policy (a learning entry whose candidate was never swapped in)
+// fails closed. Otherwise, on a cache miss, the program judges obj, or,
+// when meta is non-nil, the wire bytes meta is the scanned prologue of;
+// an undecided raw walk counts nothing, since the caller's Validate call
+// does. A nil sum is taken here, and only when the entry has a cache to
+// key with it.
+//
+// The mode decides only what the verdict means, never how it is made:
+// under ModeShadow the verdict is also folded into the cumulative shadow
+// counters and then the per-generation window (ShadowStats reads them in
+// the other order).
+func (r *Registry) judge(e *Entry, m Mode, body []byte, sum *[sha256.Size]byte, obj object.Object, meta *compile.RawMeta, yamlBody bool) (vs []validator.Violation, decided bool) {
 	ver := e.version.Load()
 	if ver.program == nil {
-		e.requests.Add(1)
-		return []validator.Violation{{Reason: fmt.Sprintf(
-			"workload %s has no learned policy yet", e.workload)}}, true
-	}
-	var key cacheKey
-	cached := e.cache != nil && len(body) > 0
-	if cached {
-		key = newCacheKey(ver.gen, body, sum)
-		if vs, ok := e.cache.get(key); ok {
-			e.requests.Add(1)
+		vs = []validator.Violation{{Reason: fmt.Sprintf(
+			"workload %s has no learned policy yet", e.workload)}}
+	} else {
+		var key cacheKey
+		cached := e.cache != nil && len(body) > 0
+		hit := false
+		if cached {
+			key = newCacheKey(ver.gen, body, sum)
+			vs, hit = e.cache.get(key)
+		}
+		if hit {
 			e.cacheHits.Add(1)
-			return vs, true
+		} else {
+			start := time.Now()
+			if meta == nil {
+				vs = ver.program.Validate(obj)
+			} else if vs, decided = ver.program.JudgeRawScanned(*meta, body, yamlBody); !decided {
+				return nil, false
+			}
+			vs = capViolations(vs)
+			e.valNanos.Add(int64(time.Since(start)))
+			if cached {
+				e.cache.put(key, vs)
+			}
 		}
 	}
-	start := time.Now()
-	vs, decided = ver.program.JudgeRawScanned(meta, body, yamlBody)
-	if !decided {
-		// Undecided: the caller's Validate call does the request
-		// accounting (exactly one count per inspected request).
-		return nil, false
-	}
-	vs = capViolations(vs)
 	e.requests.Add(1)
-	e.valNanos.Add(int64(time.Since(start)))
-	if cached {
-		e.cache.put(key, vs)
+	if m == ModeShadow {
+		deny := len(vs) > 0
+		e.shadowReqs.Add(1)
+		if deny {
+			e.shadowDenied.Add(1)
+		}
+		e.shadow.record(ver.gen, deny)
 	}
 	return vs, true
-}
-
-// Validate checks a decoded object against an entry's policy, executing
-// the compiled rule program and consulting the entry's decision-cache
-// shard when a request body is supplied; the list is cut by
-// capViolations, cached or not. The body must be
-// the exact wire bytes the object was decoded from; callers without
-// access to the raw body pass nil to validate uncached.
-func (r *Registry) Validate(e *Entry, body []byte, obj object.Object) []validator.Violation {
-	return r.ValidateHashed(e, body, nil, obj)
-}
-
-// ValidateHashed is Validate for a caller that has hashed the body: a
-// non-nil sum MUST be the SHA-256 of body, and keys the decision cache
-// in place of a hash taken here.
-func (r *Registry) ValidateHashed(e *Entry, body []byte, sum *[sha256.Size]byte, obj object.Object) []validator.Violation {
-	e.requests.Add(1)
-	// One snapshot load: the generation keyed into the cache always
-	// matches the engine state that (on a miss) computes the decision.
-	return r.validateVersion(e, e.version.Load(), body, sum, obj)
-}
-
-// validateVersion validates against one loaded policy snapshot,
-// consulting the entry's decision-cache shard. A snapshot with no policy
-// (a learning entry whose candidate was never swapped in) fails closed.
-func (r *Registry) validateVersion(e *Entry, ver *policyVersion, body []byte, sum *[sha256.Size]byte, obj object.Object) []validator.Violation {
-	if ver.program == nil {
-		return []validator.Violation{{Reason: fmt.Sprintf(
-			"workload %s has no learned policy yet", e.workload)}}
-	}
-	var key cacheKey
-	cached := e.cache != nil && len(body) > 0
-	if cached {
-		key = newCacheKey(ver.gen, body, sum)
-		if vs, ok := e.cache.get(key); ok {
-			e.cacheHits.Add(1)
-			return vs
-		}
-	}
-	start := time.Now()
-	vs := capViolations(ver.program.Validate(obj))
-	e.valNanos.Add(int64(time.Since(start)))
-	if cached {
-		e.cache.put(key, vs)
-	}
-	return vs
 }
 
 // MaxViolations bounds every violation list the registry returns,

@@ -8,7 +8,8 @@ import (
 
 // MaxTraceStages bounds the stage timeline one trace record carries;
 // the admission pipeline marks at most four stages before the verdict
-// (scan, resolve, then raw-match, or decode and validate).
+// (scan, resolve, then raw-match or raw-diagnose, or decode and
+// validate).
 const MaxTraceStages = 4
 
 // TraceStage is one timed stage of a sampled decision.
@@ -24,9 +25,11 @@ type TraceStage struct {
 // scan-memo hit that stood in for it (near zero behind a tier's front
 // door, which scanned to route), "resolve" is registry resolution,
 // "raw-match" covers the decision-cache probe plus the compiled
-// program's raw-byte pass, "decode" is body decoding on the fallback
-// path, and "validate" is the decoded validation (enforce, shadow, or
-// learn observation).
+// program's raw-byte pass for a clean verdict and "raw-diagnose" the
+// same for a verdict with violations (a denial, or a shadow-mode
+// would-deny), "decode" is body decoding on the fallback path, and
+// "validate" is the decoded validation (enforce or shadow) or the
+// learn-mode observation.
 type Trace struct {
 	Time     time.Time `json:"time"`
 	Workload string    `json:"workload"`

@@ -111,7 +111,7 @@ func TestRolloutFacade(t *testing.T) {
 		t.Fatalf("mode = %v after learn tick", mode)
 	}
 	for i := 0; i < 3; i++ {
-		if vs, _ := r.ShadowValidate(e, nil, obj); len(vs) != 0 {
+		if vs := r.Validate(e, nil, obj); len(vs) != 0 {
 			t.Fatalf("shadow denies the learned trace: %v", vs)
 		}
 	}

@@ -89,9 +89,9 @@ func run() error {
 	if _, err := cl.Apply(evil); err == nil {
 		return fmt.Errorf("attack unexpectedly admitted")
 	}
-	for workload, recs := range reg.Violations() {
+	for _, rec := range p.Violations() {
 		fmt.Printf("blocked: workload=%s kind=%s: %s\n",
-			workload, recs[0].Kind, recs[0].Violations[0])
+			rec.Workload, rec.Kind, rec.Violations[0])
 	}
 
 	// --- Hot-swap one tenant's policy (strict lock mode) while the

@@ -162,8 +162,8 @@ func TestDemotionOnDenialSpike(t *testing.T) {
 	// A burst of denials (e.g. a chart upgrade changed the workload's
 	// manifests): every request denied.
 	for i := 0; i < 6; i++ {
-		if vs := reg.Validate(e, nil, attackObj()); len(vs) > 0 {
-			e.RecordViolation(registry.Record{})
+		if vs := reg.Validate(e, nil, attackObj()); len(vs) == 0 {
+			t.Fatal("attack object allowed")
 		}
 	}
 	trs := ctl.Tick()

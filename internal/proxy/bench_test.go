@@ -57,9 +57,12 @@ type synthFleet struct {
 	attacks []fleetBody
 }
 
+// fleetBody is one corpus request; stamp is the offset of benchStamp's
+// digits in body, found once, so the stamp survives being overwritten.
 type fleetBody struct {
-	path string
-	body []byte
+	path  string
+	body  []byte
+	stamp int
 }
 
 // newSynthFleet registers count synthetic workloads the way the facade
@@ -73,6 +76,13 @@ func newSynthFleet(tb testing.TB, count int) *synthFleet {
 	}
 	reg := registry.New(registry.Config{CacheSize: 1024})
 	f := &synthFleet{hub: telemetry.New(telemetry.Config{SampleEvery: 128})}
+	stamped := func(path string, body []byte) fleetBody {
+		stamp := bytes.Index(body, []byte(benchStamp))
+		if stamp < 0 {
+			tb.Fatalf("a %s body carries no resourceVersion stamp", path)
+		}
+		return fleetBody{path, body, stamp}
+	}
 	for _, w := range ws {
 		sel := registry.Selector{Namespace: w.Name,
 			ClusterKinds: registry.ClusterScopedKinds(w.Policy.AllowedKinds())}
@@ -93,8 +103,8 @@ func newSynthFleet(tb testing.TB, count int) *synthFleet {
 			if err != nil {
 				tb.Fatal(err)
 			}
-			f.json = append(f.json, fleetBody{path, jb})
-			f.yaml = append(f.yaml, fleetBody{path, yb})
+			f.json = append(f.json, stamped(path, jb))
+			f.yaml = append(f.yaml, stamped(path, yb))
 		}
 		// One variant per (attack, mutation class) pair, as bench/'s
 		// attack_mix sends them; the JSON-wire ones.
@@ -112,7 +122,7 @@ func newSynthFleet(tb testing.TB, count int) *synthFleet {
 				tb.Fatal(err)
 			}
 			if ev.ContentType == "application/json" {
-				f.attacks = append(f.attacks, fleetBody{ev.Path, ev.Body})
+				f.attacks = append(f.attacks, stamped(ev.Path, ev.Body))
 			}
 		}
 	}
@@ -137,7 +147,6 @@ func serveLoop(tb testing.TB, f *synthFleet, corpus []fleetBody, contentType str
 	tb.Helper()
 	reqs := make([]*http.Request, len(corpus))
 	bodies := make([]*resettableBody, len(corpus))
-	stamps := make([]int, len(corpus))
 	for i, fb := range corpus {
 		bodies[i] = &resettableBody{}
 		r, err := http.NewRequest(http.MethodPost, "http://kubefence.invalid"+fb.path, nil)
@@ -148,16 +157,13 @@ func serveLoop(tb testing.TB, f *synthFleet, corpus []fleetBody, contentType str
 		r.Header.Set("X-Remote-User", "operator")
 		r.Body, r.ContentLength = bodies[i], int64(len(fb.body))
 		reqs[i] = r
-		if stamps[i] = bytes.Index(fb.body, []byte(benchStamp)); stamps[i] < 0 {
-			tb.Fatalf("body %d carries no resourceVersion stamp", i)
-		}
 	}
 	w := &nullWriter{header: http.Header{}}
 	serve := func(n int) {
 		i := n % len(reqs)
-		body := corpus[i].body
+		body, stamp := corpus[i].body, corpus[i].stamp
 		if unique {
-			digits := body[stamps[i] : stamps[i]+len(benchStamp)]
+			digits := body[stamp : stamp+len(benchStamp)]
 			copy(digits, "0000000000000000")
 			strconv.AppendInt(digits[:0], int64(n), 10)
 		}
@@ -289,7 +295,6 @@ func TestShadowModeDecidesOnTheWire(t *testing.T) {
 		}
 		return n
 	}
-	serve := serveLoop(t, f, f.json, "application/json", true)
 	n := len(f.json)
 	allocs := map[registry.Mode]float64{}
 	for _, m := range []registry.Mode{registry.ModeEnforce, registry.ModeShadow} {
@@ -298,8 +303,10 @@ func TestShadowModeDecidesOnTheWire(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// A pass in the new mode first: each workload's first shadow
+		// One loop per mode, over the corpus the last one stamped. A
+		// pass in the new mode first: each workload's first shadow
 		// verdict makes its window.
+		serve := serveLoop(t, f, f.json, "application/json", true)
 		for end := n + len(f.json); n < end; n++ {
 			serve(n)
 		}

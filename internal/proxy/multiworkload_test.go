@@ -101,15 +101,11 @@ func TestMultiWorkloadPerNamespaceResolution(t *testing.T) {
 	}
 
 	// The denial is attributed to beta.
-	viols := f.reg.Violations()
-	if len(viols["beta"]) != 1 {
-		t.Fatalf("beta violations = %v", viols)
+	viols := f.proxy.Violations()
+	if len(viols) != 1 {
+		t.Fatalf("violations = %v, want one, charged to beta", viols)
 	}
-	if len(viols["alpha"]) != 0 {
-		t.Errorf("alpha wrongly charged: %v", viols["alpha"])
-	}
-	rec := viols["beta"][0]
-	if rec.Workload != "beta" || rec.Kind != "ConfigMap" {
+	if rec := viols[0]; rec.Workload != "beta" || rec.Kind != "ConfigMap" {
 		t.Errorf("record = %+v", rec)
 	}
 	// Per-workload metrics saw the traffic.
@@ -272,7 +268,7 @@ func TestRequestNamespace(t *testing.T) {
 // attacker-triggerable, so an unbounded log is a memory amplifier).
 func TestProxyViolationLogIsBounded(t *testing.T) {
 	f := newMultiFixture(t, 0, "alpha")
-	for i := 0; i < registry.MaxRecords+25; i++ {
+	for i := 0; i < maxRecords+25; i++ {
 		req := httptest.NewRequest(http.MethodPost, "/api/v1/namespaces/unclaimed/things",
 			strings.NewReader(fmt.Sprintf(`{"kind":"ConfigMap","metadata":{"name":"x%d","namespace":"unclaimed"}}`, i)))
 		req.Header.Set("Content-Type", "application/json")
@@ -283,13 +279,13 @@ func TestProxyViolationLogIsBounded(t *testing.T) {
 		}
 	}
 	viols := f.proxy.Violations()
-	if len(viols) != registry.MaxRecords {
-		t.Fatalf("log length = %d, want %d", len(viols), registry.MaxRecords)
+	if len(viols) != maxRecords {
+		t.Fatalf("log length = %d, want %d", len(viols), maxRecords)
 	}
-	if got := viols[len(viols)-1].Name; got != fmt.Sprintf("x%d", registry.MaxRecords+24) {
+	if got := viols[len(viols)-1].Name; got != fmt.Sprintf("x%d", maxRecords+24) {
 		t.Errorf("newest record = %s", got)
 	}
-	if m := f.proxy.Metrics(); m.Denied != registry.MaxRecords+25 {
-		t.Errorf("denied counter = %d, want %d", m.Denied, registry.MaxRecords+25)
+	if m := f.proxy.Metrics(); m.Denied != maxRecords+25 {
+		t.Errorf("denied counter = %d, want %d", m.Denied, maxRecords+25)
 	}
 }

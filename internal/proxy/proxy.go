@@ -90,11 +90,20 @@ import (
 	"repro/internal/validator"
 )
 
-// ViolationRecord is one denied request, for auditing. It is the
-// registry's per-workload record type; proxy-level denials that could not
-// be attributed to a workload (undecodable bodies, unmatched requests)
-// leave Workload empty.
-type ViolationRecord = registry.Record
+// ViolationRecord is one denied (or, for a shadow-mode workload,
+// would-deny) request, for auditing. Denials that could not be attributed
+// to a workload (undecodable bodies, unmatched requests) leave Workload
+// empty.
+type ViolationRecord struct {
+	Time       time.Time
+	Workload   string
+	User       string
+	Method     string
+	RequestURI string
+	Kind       string
+	Name       string
+	Violations []validator.Violation
+}
 
 // Metrics aggregates proxy counters.
 type Metrics struct {
@@ -192,7 +201,7 @@ type Proxy struct {
 	sink       *asyncSink
 	telemetry  *telemetry.Hub
 
-	violations *registry.BoundedLog
+	violations *boundedLog
 	requests   atomic.Uint64
 	inspected  atomic.Uint64
 	denied     atomic.Uint64
@@ -224,7 +233,7 @@ func New(cfg Config) (*Proxy, error) {
 		onShadow:   cfg.OnShadowViolation,
 		tap:        cfg.Tap,
 		telemetry:  cfg.Telemetry,
-		violations: registry.NewBoundedLog(registry.MaxRecords),
+		violations: newLog(maxRecords),
 	}
 	if p.transport == nil {
 		p.transport = http.DefaultTransport
@@ -235,8 +244,8 @@ func New(cfg Config) (*Proxy, error) {
 	return p, nil
 }
 
-// Registry exposes the proxy's policy registry for per-workload metrics,
-// violation records, and live policy management.
+// Registry exposes the proxy's policy registry for per-workload metrics
+// and live policy management.
 func (p *Proxy) Registry() *registry.Registry { return p.registry }
 
 // Telemetry exposes the proxy's telemetry hub (nil when the proxy was
@@ -249,14 +258,12 @@ func (p *Proxy) Telemetry() *telemetry.Hub { return p.telemetry }
 // governs (fail-closed rejections).
 const UnresolvedWorkload = "_unresolved"
 
-// Violations returns a snapshot of all denial records.
+// Violations returns a snapshot of the proxy's newest denial records
+// (at most 1 024), across all workloads, oldest first. A workload that
+// floods denials can push the others' records out of it; the complete
+// trail is the OnViolation sink.
 func (p *Proxy) Violations() []ViolationRecord {
 	return p.violations.Snapshot()
-}
-
-// ResetViolations clears the denial log.
-func (p *Proxy) ResetViolations() {
-	p.violations.Reset()
 }
 
 // Metrics returns a snapshot of the counters.
@@ -554,40 +561,13 @@ func (p *Proxy) emitTap(workload, user, method, path string, obj object.Object) 
 	p.tap(workload, user, method, path, obj)
 }
 
-// recordShadow logs a would-deny verdict for a shadow-mode workload:
-// the record lands in the entry's shadow log (never the denial log or
-// the denied metric — nothing was denied) and the shadow callback.
-func (p *Proxy) recordShadow(r *http.Request, user string,
-	entry *registry.Entry, q *Request, violations []validator.Violation) {
-	p.shadowed.Add(1)
-	kind, name := q.ident()
-	rec := ViolationRecord{
-		Time:       time.Now(),
-		User:       user,
-		Method:     r.Method,
-		RequestURI: r.URL.Path,
-		Kind:       validator.Bounded(kind),
-		Name:       validator.Bounded(name),
-		Violations: violations,
-	}
-	entry.RecordShadowViolation(rec)
-	rec.Workload = entry.Workload()
-	p.emitShadow(rec)
-}
-
-// deny fails a request closed with the given status code (403 for a
-// request that violates policy), recording an audit-able denial record
-// either way. Only policy rejections (403) count toward the denied
-// metric: transport-level failures (unreadable, oversized, or
-// unparseable-typed bodies) would otherwise skew the experiments'
-// denial rates. The record's kind and name come from the body, so they
-// are cut by validator.Bounded like a violation's Got; a policy's list
-// comes from the registry, which cuts it to registry.MaxViolations.
-func (p *Proxy) deny(w http.ResponseWriter, r *http.Request, user string,
-	entry *registry.Entry, kind, name string, code int, violations []validator.Violation) {
-	if code == http.StatusForbidden {
-		p.denied.Add(1)
-	}
+// newRecord is the audit record of a denied or would-deny request: kind
+// and name come from the body, so they are cut by validator.Bounded like
+// a violation's Got; a policy's list comes from the registry, which cuts
+// it to registry.MaxViolations. entry is nil for a denial no workload
+// can be charged with.
+func newRecord(r *http.Request, user string, entry *registry.Entry,
+	kind, name string, violations []validator.Violation) ViolationRecord {
 	rec := ViolationRecord{
 		Time:       time.Now(),
 		User:       user,
@@ -599,8 +579,32 @@ func (p *Proxy) deny(w http.ResponseWriter, r *http.Request, user string,
 	}
 	if entry != nil {
 		rec.Workload = entry.Workload()
-		entry.RecordViolation(rec)
 	}
+	return rec
+}
+
+// recordShadow counts a would-deny verdict for a shadow-mode workload
+// and hands its record to the shadow callback; nothing was denied, so
+// the denial log and the denied metric are not touched.
+func (p *Proxy) recordShadow(r *http.Request, user string,
+	entry *registry.Entry, q *Request, violations []validator.Violation) {
+	p.shadowed.Add(1)
+	kind, name := q.ident()
+	p.emitShadow(newRecord(r, user, entry, kind, name, violations))
+}
+
+// deny fails a request closed with the given status code (403 for a
+// request that violates policy), recording an audit-able denial record
+// either way. Only policy rejections (403) count toward the denied
+// metric: transport-level failures (unreadable, oversized, or
+// unparseable-typed bodies) would otherwise skew the experiments'
+// denial rates. The registry counts its own workload's denials.
+func (p *Proxy) deny(w http.ResponseWriter, r *http.Request, user string,
+	entry *registry.Entry, kind, name string, code int, violations []validator.Violation) {
+	if code == http.StatusForbidden {
+		p.denied.Add(1)
+	}
+	rec := newRecord(r, user, entry, kind, name, violations)
 	p.violations.Append(rec)
 	p.emitViolation(rec)
 

@@ -163,7 +163,7 @@ type outcome struct {
 	Records [][3]string       // workload, kind and name of each denial record
 	// Shadows holds each shadow record, its time zeroed, and
 	// ShadowStats each workload's shadow verdict state.
-	Shadows     []registry.Record
+	Shadows     []ViolationRecord
 	ShadowStats map[string]registry.ShadowStats
 }
 
@@ -200,8 +200,13 @@ func serveOn(t testing.TB, reg *registry.Registry, m registry.Mode, disableRaw, 
 			t.Fatal(err)
 		}
 	}
+	var shadows []ViolationRecord
 	p, err := New(Config{Upstream: "http://upstream.invalid", Transport: echoTransport{},
-		Registry: reg, DisableRawFastPath: disableRaw})
+		Registry: reg, DisableRawFastPath: disableRaw,
+		OnShadowViolation: func(r ViolationRecord) {
+			r.Time = time.Time{}
+			shadows = append(shadows, r)
+		}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +218,7 @@ func serveOn(t testing.TB, reg *registry.Registry, m registry.Mode, disableRaw, 
 	rec := httptest.NewRecorder()
 	p.ServeHTTP(rec, req)
 	out := outcome{Code: rec.Code, Body: rec.Body.String(), Charged: map[string]uint64{},
-		ShadowStats: map[string]registry.ShadowStats{}}
+		Shadows: shadows, ShadowStats: map[string]registry.ShadowStats{}}
 	for workload, m := range p.Registry().Metrics() {
 		out.Charged[workload] = m.Requests
 	}
@@ -222,10 +227,6 @@ func serveOn(t testing.TB, reg *registry.Registry, m registry.Mode, disableRaw, 
 	}
 	for _, w := range reg.Workloads() {
 		e, _ := reg.Entry(w)
-		for _, r := range e.ShadowViolations() {
-			r.Time = time.Time{}
-			out.Shadows = append(out.Shadows, r)
-		}
 		out.ShadowStats[w] = e.ShadowStats()
 	}
 	return out

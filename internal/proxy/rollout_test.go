@@ -112,8 +112,8 @@ func TestRolloutModesEndToEnd(t *testing.T) {
 	if e.Metrics().Denied != 0 {
 		t.Fatal("shadow verdict bumped the denied metric")
 	}
-	if got := len(e.ShadowViolations()); got != 1 {
-		t.Fatalf("entry shadow log = %d", got)
+	if got := e.ShadowStats().Denied; got != 1 {
+		t.Fatalf("entry shadow denials = %d", got)
 	}
 
 	// The controller publishes the grown candidate; a clean window then

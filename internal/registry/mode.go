@@ -9,8 +9,8 @@
 //     without validation.
 //   - ModeShadow: a candidate policy is installed and compiled. Every
 //     inspected request is validated, but a would-deny verdict is only
-//     *recorded* (cumulative counters, a per-generation sliding window,
-//     and a bounded record log) — the request is forwarded regardless.
+//     *recorded* (cumulative counters and a per-generation sliding
+//     window) — the request is forwarded regardless.
 //   - ModeEnforce: the normal KubeFence behavior; violations deny.
 //
 // Promotion shadow → enforce is generation-pinned: Promote(workload, gen)
@@ -221,19 +221,6 @@ func (e *Entry) ShadowStats() ShadowStats {
 	st := e.shadow.snapshot()
 	st.Requests, st.Denied = e.shadowReqs.Load(), e.shadowDenied.Load()
 	return st
-}
-
-// RecordShadowViolation appends a would-deny record to the entry's
-// bounded shadow log. Unlike RecordViolation it does NOT bump the denied
-// metric: a shadow verdict denies nothing.
-func (e *Entry) RecordShadowViolation(rec Record) {
-	rec.Workload = e.workload
-	e.shadowLog.Append(rec)
-}
-
-// ShadowViolations returns a snapshot of the entry's would-deny records.
-func (e *Entry) ShadowViolations() []Record {
-	return e.shadowLog.Snapshot()
 }
 
 // RegisterLearning adds a workload with NO policy, in ModeLearn: the

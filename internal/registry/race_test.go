@@ -1,9 +1,12 @@
 package registry
 
 import (
+	"encoding/json"
 	"fmt"
 	"sync"
 	"testing"
+
+	"repro/internal/object"
 )
 
 // TestConcurrentRegisterSwapResolve hammers every registry mutation and
@@ -95,30 +98,50 @@ func TestConcurrentRegisterSwapResolve(t *testing.T) {
 	}
 }
 
-// TestConcurrentViolationRecording checks the bounded per-entry log under
-// concurrent writers and readers.
-func TestConcurrentViolationRecording(t *testing.T) {
-	r := New(Config{})
-	e, err := r.Register("w", Selector{}, policy(t, "w"))
+// TestConcurrentModeDenials: the registry counts its own denials. Under
+// ModeEnforce every denying verdict is one Denied, from any number of
+// goroutines and on the cache-miss and cache-hit paths alike; under
+// ModeShadow the same verdicts deny nothing and count as shadow denials.
+func TestConcurrentModeDenials(t *testing.T) {
+	const goroutines, perG = 8, 300
+	bad := object.Object{"apiVersion": "v1", "kind": "Secret",
+		"metadata": map[string]any{"name": "s", "namespace": "default"}}
+	body, err := json.Marshal(bad)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 300; i++ {
-				e.RecordViolation(Record{Name: "x"})
-				_ = e.Violations()
-			}
-		}()
-	}
-	wg.Wait()
-	if got := len(e.Violations()); got != MaxRecords {
-		t.Fatalf("log length = %d, want %d", got, MaxRecords)
-	}
-	if m := e.Metrics(); m.Denied != 8*300 {
-		t.Fatalf("denied = %d, want %d", m.Denied, 8*300)
+	for _, m := range []Mode{ModeEnforce, ModeShadow} {
+		r := New(Config{CacheSize: 16})
+		e, err := r.Register("w", Selector{}, policy(t, "w"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.SetMode("w", m); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perG; i++ {
+					if vs := r.Validate(e, body, bad); len(vs) == 0 {
+						t.Errorf("%s: a Secret passed a ConfigMap policy", m)
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		wantDenied, wantShadow := uint64(goroutines*perG), uint64(0)
+		if m == ModeShadow {
+			wantDenied, wantShadow = 0, goroutines*perG
+		}
+		if got := e.Metrics().Denied; got != wantDenied {
+			t.Errorf("%s: Denied = %d, want %d", m, got, wantDenied)
+		}
+		if got := e.ShadowStats().Denied; got != wantShadow {
+			t.Errorf("%s: shadow Denied = %d, want %d", m, got, wantShadow)
+		}
 	}
 }

@@ -40,8 +40,8 @@
 // cached decision made under the old policy; deregistering a workload
 // drops its shard outright.
 //
-// Each entry also aggregates per-workload enforcement metrics and keeps a
-// bounded log of per-workload violation records for auditing.
+// Each entry also aggregates per-workload enforcement metrics. It keeps no
+// audit records: the enforcement point that answers a request records it.
 package registry
 
 import (
@@ -139,18 +139,6 @@ func (s Selector) specificity() int {
 	return score
 }
 
-// Record is one denied request attributed to a workload, for auditing.
-type Record struct {
-	Time       time.Time
-	Workload   string
-	User       string
-	Method     string
-	RequestURI string
-	Kind       string
-	Name       string
-	Violations []validator.Violation
-}
-
 // Metrics aggregates per-workload enforcement counters.
 type Metrics struct {
 	// Generation is the policy generation the snapshot was taken under
@@ -160,7 +148,7 @@ type Metrics struct {
 	Generation uint64
 	// Requests counts inspected requests resolved to this workload.
 	Requests uint64
-	// Denied counts requests rejected by this workload's policy.
+	// Denied counts enforce-mode verdicts that deny.
 	Denied uint64
 	// CacheHits counts validations answered from the decision cache.
 	CacheHits uint64
@@ -208,9 +196,6 @@ type Entry struct {
 	learned      atomic.Uint64
 	shadowReqs   atomic.Uint64
 	shadowDenied atomic.Uint64
-
-	violations *BoundedLog
-	shadowLog  *BoundedLog
 }
 
 // policyVersion is one immutable published state of an entry's policy.
@@ -274,28 +259,6 @@ func (e *Entry) Metrics() Metrics {
 		}
 		// A Swap landed mid-read; retry against the new version.
 	}
-}
-
-// MaxRecords bounds each entry's violation log so a hostile client cannot
-// grow proxy memory without bound; the newest records are kept.
-const MaxRecords = 1024
-
-// RecordViolation appends a denial record to the entry's bounded,
-// contention-free log and bumps the denied counter.
-func (e *Entry) RecordViolation(rec Record) {
-	rec.Workload = e.workload
-	e.denied.Add(1)
-	e.violations.Append(rec)
-}
-
-// Violations returns a snapshot of the entry's denial records.
-func (e *Entry) Violations() []Record {
-	return e.violations.Snapshot()
-}
-
-// ResetViolations clears the entry's denial log.
-func (e *Entry) ResetViolations() {
-	e.violations.Reset()
 }
 
 // Config configures a Registry.
@@ -478,9 +441,7 @@ func (r *Registry) register(workload string, sel Selector, prog *compile.Program
 		}
 	}
 	e := &Entry{workload: workload, selector: sel, order: r.nextOrder,
-		shadow:     newShadowWindow(r.shadowWindow),
-		violations: NewBoundedLog(MaxRecords),
-		shadowLog:  NewBoundedLog(MaxRecords)}
+		shadow: newShadowWindow(r.shadowWindow)}
 	if r.cacheSize > 0 {
 		e.cache = newLRUCache(r.cacheSize)
 	}
@@ -675,24 +636,6 @@ func (r *Registry) Metrics() map[string]Metrics {
 	return out
 }
 
-// Violations returns the denial records of every workload, newest last
-// per workload, grouped by workload name.
-func (r *Registry) Violations() map[string][]Record {
-	r.mu.RLock()
-	entries := make([]*Entry, 0, len(r.entries))
-	for _, e := range r.entries {
-		entries = append(entries, e)
-	}
-	r.mu.RUnlock()
-	out := make(map[string][]Record, len(entries))
-	for _, e := range entries {
-		if recs := e.Violations(); len(recs) > 0 {
-			out[e.workload] = recs
-		}
-	}
-	return out
-}
-
 // cacheKey identifies one validation decision within an entry's shard:
 // the policy generation it was made under and the hash of the request
 // body. A swap changes the generation, so stale decisions can never be
@@ -783,9 +726,9 @@ func (r *Registry) ValidateHashed(e *Entry, m Mode, body []byte, sum *[sha256.Si
 // key with it.
 //
 // The mode decides only what the verdict means, never how it is made:
-// under ModeShadow the verdict is also folded into the cumulative shadow
-// counters and then the per-generation window (ShadowStats reads them in
-// the other order).
+// under ModeEnforce a violation counts as denied; under ModeShadow the
+// verdict is folded into the cumulative shadow counters and then the
+// per-generation window (ShadowStats reads them in the other order).
 func (r *Registry) judge(e *Entry, m Mode, body []byte, sum *[sha256.Size]byte, obj object.Object, meta *compile.RawMeta, yamlBody bool) (vs []validator.Violation, decided bool) {
 	ver := e.version.Load()
 	if ver.program == nil {
@@ -816,6 +759,9 @@ func (r *Registry) judge(e *Entry, m Mode, body []byte, sum *[sha256.Size]byte, 
 		}
 	}
 	e.requests.Add(1)
+	if m == ModeEnforce && len(vs) > 0 {
+		e.denied.Add(1)
+	}
 	if m == ModeShadow {
 		deny := len(vs) > 0
 		e.shadowReqs.Add(1)
@@ -828,7 +774,7 @@ func (r *Registry) judge(e *Entry, m Mode, body []byte, sum *[sha256.Size]byte, 
 }
 
 // MaxViolations bounds every violation list the registry returns,
-// caches, records or exports: past it, one "+N more violations" entry
+// caches or exports: past it, one "+N more violations" entry
 // stands for the rest. A body of 350 k unknown fields is 350 k
 // violations out of the engines; a denial record, a shadow record, a
 // cached decision and the 403 that echoes it keep 65.

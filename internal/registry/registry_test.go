@@ -331,50 +331,6 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
-func TestViolationLogIsBoundedPerWorkload(t *testing.T) {
-	r := New(Config{})
-	e, err := r.Register("w", Selector{}, policy(t, "w"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < MaxRecords+10; i++ {
-		e.RecordViolation(Record{Name: fmt.Sprintf("obj-%d", i)})
-	}
-	recs := e.Violations()
-	if len(recs) != MaxRecords {
-		t.Fatalf("log length = %d, want %d", len(recs), MaxRecords)
-	}
-	if got := recs[len(recs)-1].Name; got != fmt.Sprintf("obj-%d", MaxRecords+9) {
-		t.Errorf("newest record = %s, want obj-%d", got, MaxRecords+9)
-	}
-	if got := recs[0].Name; got != "obj-10" {
-		t.Errorf("oldest kept record = %s, want obj-10", got)
-	}
-	if m := e.Metrics(); m.Denied != MaxRecords+10 {
-		t.Errorf("denied = %d, want %d", m.Denied, MaxRecords+10)
-	}
-	e.ResetViolations()
-	if len(e.Violations()) != 0 {
-		t.Error("reset left records behind")
-	}
-}
-
-func TestRegistryViolationsGroupsByWorkload(t *testing.T) {
-	r := New(Config{})
-	a, _ := r.Register("a", Selector{Namespace: "a"}, policy(t, "a"))
-	if _, err := r.Register("b", Selector{Namespace: "b"}, policy(t, "b")); err != nil {
-		t.Fatal(err)
-	}
-	a.RecordViolation(Record{Name: "bad"})
-	got := r.Violations()
-	if len(got) != 1 || len(got["a"]) != 1 {
-		t.Fatalf("violations = %v, want one record under a", got)
-	}
-	if got["a"][0].Workload != "a" {
-		t.Errorf("record workload = %q, want a", got["a"][0].Workload)
-	}
-}
-
 func TestWorkloadsAndMetrics(t *testing.T) {
 	r := New(Config{})
 	for _, w := range []string{"b", "a"} {

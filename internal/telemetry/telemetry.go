@@ -18,8 +18,8 @@
 //
 // Scrapes (Snapshot, WriteMetrics) run concurrently with recording and
 // never block it; a snapshot is a best-effort sum taken while writers
-// run, exact once they quiesce — the same contract as
-// registry.BoundedLog.
+// run, exact once they quiesce — the same contract as the proxy's
+// violation log.
 package telemetry
 
 import (

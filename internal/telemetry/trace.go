@@ -144,7 +144,8 @@ func (h *Hub) Traces() []Trace {
 }
 
 // traceRing is a fixed-capacity lock-free ring of sampled traces,
-// newest-kept — the BoundedLog discipline applied to trace records.
+// newest-kept — the proxy violation log's discipline applied to trace
+// records.
 type traceRing struct {
 	slots  []atomic.Pointer[Trace]
 	cursor atomic.Uint64

@@ -752,8 +752,8 @@ func RenderValue(v any) string {
 }
 
 // MaxRender bounds the bytes of an offending value a violation keeps: a
-// violation is retained by the workload's and the proxy's denial logs and
-// echoed in the 403, so its size must not be the attacker's to choose.
+// violation is retained by the proxy's denial log and echoed in the 403,
+// so its size must not be the attacker's to choose.
 const MaxRender = 256
 
 // Bounded returns s as a string of at most MaxRender bytes of it: s itself

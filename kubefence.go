@@ -215,7 +215,8 @@ func UnionPolicies(name string, policies ...*Policy) (*Policy, error) {
 // Registry holds the per-workload policies of one enforcement point: it
 // resolves, per request, the most specific policy for an object's
 // namespace and kind, supports atomic hot-swap of individual policies,
-// and aggregates per-workload metrics and violation records.
+// and aggregates per-workload metrics (the proxy keeps the violation
+// records).
 type Registry = registry.Registry
 
 // Selector scopes a registered policy to the requests it governs; the

@@ -45,6 +45,44 @@ func TestBoundedLogSequential(t *testing.T) {
 	}
 }
 
+// TestBoundedLogDefaultCapacity: the log a proxy builds for itself keeps
+// exactly maxRecords records, the newest.
+func TestBoundedLogDefaultCapacity(t *testing.T) {
+	p, err := New(Config{Upstream: "http://upstream.invalid", Registry: registry.New(registry.Config{})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < maxRecords+10; i++ {
+		p.violations.Append(ViolationRecord{Name: fmt.Sprint(i)})
+	}
+	got := p.Violations()
+	if len(got) != maxRecords {
+		t.Fatalf("default-capacity log holds %d, want %d", len(got), maxRecords)
+	}
+	if got[0].Name != "10" {
+		t.Errorf("oldest kept record = %s, want 10", got[0].Name)
+	}
+}
+
+// TestBoundedLogUnwrittenReadsEmpty: a log nobody has appended to — the
+// proxy's, until its first denial — answers reads empty without
+// allocating, and holds the first record appended.
+func TestBoundedLogUnwrittenReadsEmpty(t *testing.T) {
+	l := newLog(maxRecords)
+	allocs := testing.AllocsPerRun(100, func() {
+		if snap := l.Snapshot(); len(snap) != 0 {
+			t.Fatalf("Snapshot holds %d records on an unwritten log", len(snap))
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Snapshot allocates %.1f times on an unwritten log, want 0", allocs)
+	}
+	l.Append(ViolationRecord{Name: "first"})
+	if snap := l.Snapshot(); len(snap) != 1 || snap[0].Name != "first" {
+		t.Fatalf("after one Append: %+v", snap)
+	}
+}
+
 // TestBoundedLogParallelAppend hammers one log from many goroutines —
 // the proxy's denial-path contention pattern — and requires that after
 // quiescing, the log holds exactly its capacity in valid records, all

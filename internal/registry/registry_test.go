@@ -331,6 +331,31 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	}
 }
 
+// TestRegistryViolationsGroupsByWorkload: a denial is counted under the
+// workload whose entry judged it, and under no other.
+func TestRegistryViolationsGroupsByWorkload(t *testing.T) {
+	r := New(Config{})
+	if _, err := r.Register("a", Selector{Namespace: "a"}, policy(t, "a")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Register("b", Selector{Namespace: "b"}, policy(t, "b")); err != nil {
+		t.Fatal(err)
+	}
+	bad := object.Object{"apiVersion": "v1", "kind": "Secret",
+		"metadata": map[string]any{"name": "bad", "namespace": "a"}}
+	e, ok := r.Resolve("a", "Secret")
+	if !ok || e.Workload() != "a" {
+		t.Fatalf("Resolve(a, Secret) = %v, %v; want entry a", e, ok)
+	}
+	if vs := r.Validate(e, []byte(`{"kind":"Secret","metadata":{"name":"bad","namespace":"a"}}`), bad); len(vs) == 0 {
+		t.Fatal("a Secret passed a ConfigMap policy")
+	}
+	got := r.Metrics()
+	if got["a"].Denied != 1 || got["b"].Denied != 0 {
+		t.Fatalf("denied a=%d b=%d, want the one denial under a", got["a"].Denied, got["b"].Denied)
+	}
+}
+
 func TestWorkloadsAndMetrics(t *testing.T) {
 	r := New(Config{})
 	for _, w := range []string{"b", "a"} {

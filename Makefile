@@ -6,7 +6,7 @@
 #   make plane-race      # the plane's generation invariant, -race -count=20
 #   make forward-race    # the upstream frame's lifetime, -race -count=20
 #   make mode-race       # the rollout modes' accounting and promotion gate, -race -count=20
-#   make bench           # in-package micro-benchmarks (multi-workload enforcement, JSON and YAML decode, raw scan/match/judge, decoded validate, proxy hit/cold/deny path, plane reapply, registry decision-cache probe, proxy violation-log append)
+#   make bench           # in-package micro-benchmarks (multi-workload enforcement, body tag vs SHA-256, JSON and YAML decode, raw scan/match/judge, decoded validate, proxy hit/cold/deny path, plane reapply, registry decision-cache probe, proxy violation-log append)
 #   make fuzz-smoke      # 10s per native fuzz target
 #   make fuzz-nightly    # 2m per native fuzz target
 #   make coverage-gate   # coverage profile; fails below COVERAGE_BASELINE
@@ -79,7 +79,7 @@ mode-race:
 	$(GO) test -race -count=20 -run 'Mode|Shadow' ./internal/registry
 
 bench:
-	$(GO) test -run NONE -bench 'MultiWorkload|RegistryResolve' -benchmem .
+	$(GO) test -run NONE -bench 'MultiWorkload|RegistryResolve|BodyTag' -benchmem .
 	$(GO) test -run NONE -bench 'ParseJSON|ParseManifest' -benchmem ./internal/object
 	$(GO) test -run NONE -bench 'RawScan|RawMatch|RawJudge|Validate' -benchmem ./internal/compile
 	$(GO) test -run NONE -bench 'ServeReapply|ServeUnique|ServeDeny' -benchmem ./internal/proxy

@@ -6,8 +6,10 @@
 package kubefence_test
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	kubefence "repro"
@@ -457,5 +459,37 @@ spec:
 		if _, err := policy.ValidateManifest(manifest); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// ---------------------------------------------------------------------
+// Ablation — the body's identity: keyed AES-GMAC tag vs SHA-256
+// ---------------------------------------------------------------------
+
+// BenchmarkBodyTag prices the tag that keys the scan memo and the
+// decision cache (registry.BodyTag) at three body sizes around the
+// re-applied manifests' (mean 0.7 KiB, largest 2.4 KiB), with the
+// SHA-256 it replaced beside it. It lives here so that the registry
+// and the proxy carry no SHA-256 at all.
+func BenchmarkBodyTag(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		n    int
+	}{{"0.5KiB", 512}, {"1.2KiB", 1229}, {"4KiB", 4096}} {
+		body := []byte(strings.Repeat(`{"apiVersion":"apps/v1","kind":"Deployment"}`, size.n/44+1)[:size.n])
+		b.Run("gmac/"+size.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				registry.BodyTag(body)
+			}
+		})
+		b.Run("sha256/"+size.name, func(b *testing.B) {
+			b.SetBytes(int64(len(body)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sha256.Sum256(body)
+			}
+		})
 	}
 }

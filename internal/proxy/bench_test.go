@@ -42,7 +42,7 @@ func (*resettableBody) Close() error { return nil }
 
 // benchStamp is the fixed-width metadata.resourceVersion every corpus
 // body carries: server-owned metadata the engines scrub before matching,
-// so overwriting its digits yields a body with a new hash and the same
+// so overwriting its digits yields a body with a new tag and the same
 // verdict.
 const benchStamp = "7340000000000137"
 
@@ -207,7 +207,7 @@ func benchServe(b *testing.B, unique, deny bool) {
 }
 
 // BenchmarkServeReapply is the steady state: every body has been seen,
-// so a decision is read + hash + memo probe + resolve + cache probe +
+// so a decision is read + tag + memo probe + resolve + cache probe +
 // forward.
 func BenchmarkServeReapply(b *testing.B) { benchServe(b, false, false) }
 

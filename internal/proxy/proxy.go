@@ -12,18 +12,21 @@
 // The admission data path is two steps. ReadRequest builds the front
 // end, everything learned from the wire before policy is consulted: the
 // body read once into a pooled buffer, its content type classified,
-// and, on first use, its SHA-256 and its routing metadata (kind,
-// namespace, name). The hash comes first and keys everything
-// repeatable: a process-wide scan memo answers the metadata scan of any
-// body scanned before (scanmemo.go), so only a body's first appearance
+// and, on first use, its tag and its routing metadata (kind, namespace,
+// name). The tag is a keyed 128-bit MAC of the body (registry.Tag:
+// AES-GMAC under a per-process secret key; it resists chosen-body
+// collisions only while no tag leaves the process, so none is ever
+// printed). It comes first and keys everything repeatable: a
+// process-wide scan memo answers the metadata scan of any body scanned
+// before (scanmemo.go), so only a body's first appearance
 // is scanned (compile.ScanRawMeta / compile.ScanRawYAMLMeta), and only
 // as far as its prologue — apiVersion, kind and metadata — with at most
 // one decode as the fallback. Serve then decides: the policy is
 // resolved through the registry's match trie without materializing
 // strings (ResolveRaw), the workload's decision-cache shard is probed
-// with the same hash, and on a miss the compiled program judges the raw
+// with the same tag, and on a miss the compiled program judges the raw
 // bytes, all of them, in one walk — so a re-applied manifest costs a
-// read, a hash and three table probes, a never-seen one is walked once
+// read, a tag and three table probes, a never-seen one is walked once
 // past its prologue, an ALLOWED request is never decoded into a document
 // at all, and its buffer returns to the pool when the upstream round
 // trip completes. A violation is found by the same walk: it records each
@@ -114,7 +117,7 @@ type Metrics struct {
 	// workloads (the requests themselves were forwarded), on either path.
 	Shadowed uint64
 	// RawAllowed counts inspected requests allowed on the streaming fast
-	// path (raw bytes, no decode), including body-hash cache hits, in
+	// path (raw bytes, no decode), including body-tag cache hits, in
 	// enforce or shadow mode.
 	RawAllowed uint64
 	// RawDenied counts inspected requests denied without decoding:
@@ -465,7 +468,7 @@ func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.T
 	// A workload with no policy yet fails closed on the decode path,
 	// where an undecodable body is rejected as such first.
 	if raw && mode != registry.ModeLearn && entry.Program() != nil {
-		vs, decided = p.registry.ValidateRawHashed(entry, mode, q.body, q.sum(), q.meta, q.format == formatYAML)
+		vs, decided = p.registry.ValidateRawHashed(entry, mode, q.body, q.tag(), q.meta, q.format == formatYAML)
 	}
 	switch {
 	case decided && len(vs) > 0:
@@ -484,7 +487,7 @@ func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.T
 		if mode == registry.ModeLearn {
 			entry.ObserveLearn(q.obj)
 		} else {
-			vs = p.registry.ValidateHashed(entry, mode, q.body, q.sum(), q.obj)
+			vs = p.registry.ValidateHashed(entry, mode, q.body, q.tag(), q.obj)
 		}
 		tc.Stage("validate")
 	}

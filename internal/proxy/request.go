@@ -2,7 +2,6 @@ package proxy
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"io"
 	"mime"
@@ -12,17 +11,18 @@ import (
 
 	"repro/internal/compile"
 	"repro/internal/object"
+	"repro/internal/registry"
 	"repro/internal/telemetry"
 )
 
 // Request is the enforcement point's front end: everything it learns
-// from the wire before it consults policy. The body hash, the
+// from the wire before it consults policy. The body tag, the
 // routing-metadata scan and the decode fallback run on first use and are
 // remembered, so however many layers look at a request — a tier's front
 // door deriving a shard key, then the owning replica's proxy resolving
-// and validating — its body is read once, hashed once, scanned at most
+// and validating — its body is read once, tagged once, scanned at most
 // once and decoded at most once, and every layer sees the same
-// (namespace, kind). The hash comes first: it keys the scan memo (a body
+// (namespace, kind). The tag comes first: it keys the scan memo (a body
 // scanned before, by any request, is not walked again) and then the
 // registry's decision cache. A Request owns a pooled buffer:
 // its builder hands it to Proxy.Serve or calls Release, and must not use
@@ -44,8 +44,8 @@ type Request struct {
 	inspect bool
 	format  bodyFormatKind
 
-	hashed bool
-	hash   [sha256.Size]byte
+	tagged  bool
+	bodyTag registry.Tag
 
 	// memo answers the scan of a body seen before; memoed is how it
 	// answered this one, for the telemetry hub of whoever serves it.
@@ -146,13 +146,13 @@ func (q *Request) Release() {
 	q.buf, q.body = nil, nil
 }
 
-// sum is the body's SHA-256, computed once.
-func (q *Request) sum() *[sha256.Size]byte {
-	if !q.hashed {
-		q.hashed = true
-		q.hash = sha256.Sum256(q.body)
+// tag is the body's tag (registry.BodyTag), computed once.
+func (q *Request) tag() *registry.Tag {
+	if !q.tagged {
+		q.tagged = true
+		q.bodyTag = registry.BodyTag(q.body)
 	}
-	return &q.hash
+	return &q.bodyTag
 }
 
 // scan extracts the routing metadata (kind, namespace, name) straight
@@ -166,7 +166,7 @@ func (q *Request) scan() bool {
 		return q.scanned
 	}
 	q.scanDone = true
-	key := newMemoKey(q.sum())
+	key := newMemoKey(q.tag())
 	var hit bool
 	if q.meta, q.scanned, hit = q.memo.get(&key, q.format, q.body); hit {
 		q.memoed = telemetry.ScanMemoHit

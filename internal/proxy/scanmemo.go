@@ -1,22 +1,23 @@
 package proxy
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"sync/atomic"
 
 	"repro/internal/compile"
+	"repro/internal/registry"
 )
 
-// scanMemo memoises the routing-metadata scan, keyed by (body SHA-256,
-// wire format). The scan is a pure function of the bytes, so an entry is
-// never wrong: the memo needs no generation, no invalidation and no
-// hand-off between replicas — which is why it is one process-wide table
-// and not part of the per-workload decision-cache shards, whose entries
-// die with a policy. Operators re-apply identical manifests every
-// reconcile, so in the steady state the front end hashes a body and is
-// done: the prologue walk of ScanRawMeta / ScanRawYAMLMeta runs once per
-// distinct body. A memoised success carries the scan's own promise — the
+// scanMemo memoises the routing-metadata scan, keyed by (body tag, wire
+// format); the tag is registry.BodyTag, a keyed MAC whose key never
+// leaves the process. The scan is a pure function of the bytes, so an
+// entry is never wrong: the memo needs no generation, no invalidation
+// and no hand-off between replicas — which is why it is one
+// process-wide table and not part of the per-workload decision-cache
+// shards, whose entries die with a policy. Operators re-apply identical
+// manifests every reconcile, so in the steady state the front end tags a
+// body and is done: the prologue walk of ScanRawMeta / ScanRawYAMLMeta
+// runs once per distinct body. A memoised success carries the scan's own promise — the
 // prologue is well formed and names the decoded object if the body
 // decodes — and no more.
 //
@@ -36,8 +37,8 @@ type scanMemo struct {
 	mask uint64 // len(sets)-1; len(sets) is a power of two
 }
 
-// The process-wide memo is 2048 sets of 4 ways: 8192 entries of 72
-// bytes, 576 KiB, fixed. A set overflows only when five live bodies
+// The process-wide memo is 2048 sets of 4 ways: 8192 entries of 56
+// bytes, 448 KiB, fixed. A set overflows only when five live bodies
 // share it — 0.04 sets expected for a 643-body working set.
 const (
 	memoSets = 2048
@@ -51,10 +52,10 @@ type memoSet [memoWays]memoSlot
 // it read in between. Every other word is atomic so the race detector
 // sees what the protocol guarantees.
 type memoSlot struct {
-	seq  atomic.Uint32
-	tag  atomic.Uint32 // memoValid | memoYAML | memoScanned
-	key  [4]atomic.Uint64
-	span [4]atomic.Uint64 // kind, apiVersion, namespace, name
+	seq   atomic.Uint32
+	flags atomic.Uint32 // memoValid | memoYAML | memoScanned
+	key   [2]atomic.Uint64
+	span  [4]atomic.Uint64 // kind, apiVersion, namespace, name
 }
 
 const (
@@ -67,8 +68,8 @@ const (
 // scanners tell nil (absent or non-string) from empty, so the memo does.
 const nilSpan = ^uint64(0)
 
-// memoKey is a body hash as the four words the slots compare.
-type memoKey [4]uint64
+// memoKey is a body tag as the two words the slots compare.
+type memoKey [2]uint64
 
 func newScanMemo(sets int) *scanMemo {
 	return &scanMemo{sets: make([]memoSet, sets), mask: uint64(sets - 1)}
@@ -77,32 +78,28 @@ func newScanMemo(sets int) *scanMemo {
 // processScanMemo is the memo every Request built by ReadRequest uses.
 var processScanMemo = newScanMemo(memoSets)
 
-func newMemoKey(sum *[sha256.Size]byte) memoKey {
-	return memoKey{
-		binary.LittleEndian.Uint64(sum[0:]), binary.LittleEndian.Uint64(sum[8:]),
-		binary.LittleEndian.Uint64(sum[16:]), binary.LittleEndian.Uint64(sum[24:]),
-	}
+func newMemoKey(tag *registry.Tag) memoKey {
+	return memoKey{binary.LittleEndian.Uint64(tag[0:]), binary.LittleEndian.Uint64(tag[8:])}
 }
 
-func memoTag(format bodyFormatKind) uint32 {
+func memoFlags(format bodyFormatKind) uint32 {
 	if format == formatYAML {
 		return memoValid | memoYAML
 	}
 	return memoValid
 }
 
-// get returns the memoised scan of body, whose hash is k, with the
+// get returns the memoised scan of body, whose tag is k, with the
 // fields as slices of body. hit is false when the memo holds no entry.
 func (m *scanMemo) get(k *memoKey, format bodyFormatKind, body []byte) (meta compile.RawMeta, scanned, hit bool) {
 	set := &m.sets[k[0]&m.mask]
-	want := memoTag(format)
+	want := memoFlags(format)
 	for i := range set {
 		s := &set[i]
 		seq := s.seq.Load()
-		tag := s.tag.Load()
-		if seq&1 != 0 || tag&^memoScanned != want ||
-			s.key[0].Load() != k[0] || s.key[1].Load() != k[1] ||
-			s.key[2].Load() != k[2] || s.key[3].Load() != k[3] {
+		flags := s.flags.Load()
+		if seq&1 != 0 || flags&^memoScanned != want ||
+			s.key[0].Load() != k[0] || s.key[1].Load() != k[1] {
 			continue
 		}
 		spans := [4]uint64{s.span[0].Load(), s.span[1].Load(), s.span[2].Load(), s.span[3].Load()}
@@ -114,7 +111,7 @@ func (m *scanMemo) get(k *memoKey, format bodyFormatKind, body []byte) (meta com
 			APIVersion: spanSlice(body, spans[1]),
 			Namespace:  spanSlice(body, spans[2]),
 			Name:       spanSlice(body, spans[3]),
-		}, tag&memoScanned != 0, true
+		}, flags&memoScanned != 0, true
 	}
 	return compile.RawMeta{}, false, false
 }
@@ -133,7 +130,7 @@ func (m *scanMemo) put(k *memoKey, format bodyFormatKind, body []byte, meta comp
 	set := &m.sets[k[0]&m.mask]
 	s := &set[(k[0]>>32)%memoWays]
 	for i := range set {
-		if set[i].tag.Load()&memoValid == 0 {
+		if set[i].flags.Load()&memoValid == 0 {
 			s = &set[i]
 			break
 		}
@@ -142,14 +139,16 @@ func (m *scanMemo) put(k *memoKey, format bodyFormatKind, body []byte, meta comp
 	if seq&1 != 0 || !s.seq.CompareAndSwap(seq, seq+1) {
 		return false
 	}
-	evicted = s.tag.Load()&memoValid != 0
-	tag := memoTag(format)
+	evicted = s.flags.Load()&memoValid != 0
+	flags := memoFlags(format)
 	if scanned {
-		tag |= memoScanned
+		flags |= memoScanned
 	}
-	s.tag.Store(tag)
+	s.flags.Store(flags)
 	for i := range k {
 		s.key[i].Store(k[i])
+	}
+	for i := range spans {
 		s.span[i].Store(spans[i])
 	}
 	s.seq.Store(seq + 2)

@@ -143,7 +143,7 @@ func TestScanMemoKeysOnFormat(t *testing.T) {
 	}
 }
 
-// distinctBodies returns n JSON bodies that differ in name, so in hash.
+// distinctBodies returns n JSON bodies that differ in name, so in tag.
 func distinctBodies(n int) [][]byte {
 	out := make([][]byte, n)
 	for i := range out {

@@ -23,7 +23,7 @@ import (
 // slab, not by a runtime map. Under insert/evict churn a map keeps the
 // tombstones its deletes leave and clears them only by growing, so a
 // full shard's map climbed from 192 KiB to over 500 KiB while it held
-// 72 KiB of decisions. The index here deletes by backward shift, leaves
+// 1 024 decisions. The index here deletes by backward shift, leaves
 // no tombstones and is rebuilt only when the slab grows: a full shard
 // keeps its size, and a cache at capacity inserts without allocating.
 type lruCache struct {
@@ -61,11 +61,11 @@ func newLRUCache(capacity int) *lruCache {
 
 // slotHash is key's tag; its low bits, masked to the index length, are
 // the key's home slot, so a slot's home is known without the slab. The
-// body hash is already uniform, so one mix of its first word with the
+// body tag is already uniform, so one mix of its first word with the
 // generation and the seed suffices; keys that share that word are told
 // apart by the full-key compare every tag match is confirmed by.
 func (c *lruCache) slotHash(key *cacheKey) uint32 {
-	h := binary.LittleEndian.Uint64(key.bodyHash[:8]) ^ key.gen*0x9e3779b97f4a7c15 ^ c.seed
+	h := binary.LittleEndian.Uint64(key.tag[:8]) ^ key.gen*0x9e3779b97f4a7c15 ^ c.seed
 	h ^= h >> 33
 	h *= 0xff51afd7ed558ccd
 	h ^= h >> 33
@@ -241,7 +241,7 @@ func (c *lruCache) export(gen uint64) []CacheEntry {
 		if item.key.gen != gen {
 			continue
 		}
-		out = append(out, CacheEntry{BodyHash: item.key.bodyHash, Violations: item.vs})
+		out = append(out, CacheEntry{BodyTag: item.key.tag, Violations: item.vs})
 	}
 	return out
 }

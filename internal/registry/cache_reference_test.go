@@ -2,7 +2,6 @@ package registry
 
 import (
 	"container/list"
-	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -76,7 +75,7 @@ func (c *refLRUCache) export(gen uint64) []CacheEntry {
 		if item.key.gen != gen {
 			continue
 		}
-		out = append(out, CacheEntry{BodyHash: item.key.bodyHash, Violations: item.vs})
+		out = append(out, CacheEntry{BodyTag: item.key.tag, Violations: item.vs})
 	}
 	return out
 }
@@ -95,7 +94,7 @@ func TestLRUSlabMatchesReference(t *testing.T) {
 			// export filter.
 			keys := make([]cacheKey, 2*capacity+3)
 			for i := range keys {
-				keys[i] = cacheKey{gen: uint64(i % 2), bodyHash: sha256.Sum256([]byte(fmt.Sprint(i)))}
+				keys[i] = cacheKey{gen: uint64(i % 2), tag: BodyTag([]byte(fmt.Sprint(i)))}
 			}
 			verdicts := [][]validator.Violation{nil, {{Reason: "a"}}, {{Reason: "b"}, {Reason: "c"}}}
 			slab, ref := newLRUCache(capacity), newRefLRUCache(capacity)
@@ -157,13 +156,13 @@ func indexed(c *lruCache) int {
 }
 
 // sameEntries is reflect.DeepEqual for exports, without reflecting over
-// every body hash.
+// every body tag.
 func sameEntries(a, b []CacheEntry) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
-		if a[i].BodyHash != b[i].BodyHash || !reflect.DeepEqual(a[i].Violations, b[i].Violations) {
+		if a[i].BodyTag != b[i].BodyTag || !reflect.DeepEqual(a[i].Violations, b[i].Violations) {
 			return false
 		}
 	}
@@ -177,7 +176,7 @@ func TestLRUInsertIntoFullShardAllocatesNothing(t *testing.T) {
 	c := newLRUCache(capacity)
 	keys := make([]cacheKey, 4*capacity)
 	for i := range keys {
-		keys[i] = cacheKey{bodyHash: sha256.Sum256([]byte(fmt.Sprint(i)))}
+		keys[i] = cacheKey{tag: BodyTag([]byte(fmt.Sprint(i)))}
 	}
 	for _, k := range keys[:capacity] {
 		c.put(k, nil)

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -20,14 +19,14 @@ import (
 func TestDecisionCacheConfirmsEveryTagMatch(t *testing.T) {
 	const capacity, n = 8, 24
 	sets := map[string]func(c *lruCache) []cacheKey{
-		// Every key has the same first 8 body-hash bytes, half of them
-		// the same first 16 too: one tag and one home slot for all.
+		// Every key has the same first 8 body-tag bytes, and the keys
+		// differ only in the last byte: one tag and one home slot for all.
 		"shared-prefix": func(*lruCache) []cacheKey {
-			base := sha256.Sum256([]byte("base"))
+			base := BodyTag([]byte("base"))
 			keys := make([]cacheKey, n)
 			for i := range keys {
-				keys[i].bodyHash = base
-				keys[i].bodyHash[8+8*(i%2)] ^= byte(1 + i)
+				keys[i].tag = base
+				keys[i].tag[len(base)-1] ^= byte(1 + i)
 			}
 			return keys
 		},
@@ -35,7 +34,7 @@ func TestDecisionCacheConfirmsEveryTagMatch(t *testing.T) {
 		"generation-only": func(*lruCache) []cacheKey {
 			keys := make([]cacheKey, n)
 			for i := range keys {
-				keys[i] = cacheKey{gen: uint64(i), bodyHash: sha256.Sum256([]byte("body"))}
+				keys[i] = cacheKey{gen: uint64(i), tag: BodyTag([]byte("body"))}
 			}
 			return keys
 		},
@@ -86,7 +85,7 @@ func TestDecisionCacheConfirmsEveryTagMatch(t *testing.T) {
 func groundKeys(c *lruCache, n int, homes ...uint32) []cacheKey {
 	var keys []cacheKey
 	for i := 0; len(keys) < n; i++ {
-		k := cacheKey{bodyHash: sha256.Sum256([]byte(fmt.Sprint(i)))}
+		k := cacheKey{tag: BodyTag([]byte(fmt.Sprint(i)))}
 		for _, h := range homes {
 			if c.slotHash(&k)&15 == h {
 				keys = append(keys, k)
@@ -135,7 +134,7 @@ func BenchmarkDecisionCache(b *testing.B) {
 	const capacity = 1024
 	keys := make([]cacheKey, 4*capacity)
 	for i := range keys {
-		keys[i] = cacheKey{gen: 1, bodyHash: sha256.Sum256([]byte(fmt.Sprint(i)))}
+		keys[i] = cacheKey{gen: 1, tag: BodyTag([]byte(fmt.Sprint(i)))}
 	}
 	b.Run("hit", func(b *testing.B) {
 		c := newLRUCache(capacity)

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
 	"runtime"
@@ -71,7 +70,7 @@ func TestDecisionCacheRetainsBoundedBytesUnderChurn(t *testing.T) {
 	fill := func(c *lruCache, from, to uint64) {
 		for n := from; n < to; n++ {
 			binary.LittleEndian.PutUint64(in[:], n)
-			c.put(cacheKey{bodyHash: sha256.Sum256(in[:])}, nil)
+			c.put(cacheKey{tag: BodyTag(in[:])}, nil)
 		}
 	}
 	before := heap()

@@ -10,7 +10,7 @@ import (
 	"repro/internal/validator"
 )
 
-// The decision cache memoizes (generation, body-hash) → violations in
+// The decision cache memoizes (generation, body tag) → violations in
 // per-workload shards. Its safety properties, checked here over random
 // Register/Swap/Deregister/Enforce interleavings:
 //

@@ -1,7 +1,6 @@
 package registry
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"reflect"
 	"strings"
@@ -74,7 +73,7 @@ func TestValidateRawFastPath(t *testing.T) {
 	if m := e.Metrics(); m.Requests != 1 || m.CacheHits != 0 {
 		t.Fatalf("metrics after fast-pass allow: %+v", m)
 	}
-	// The allow decision was cached under the body hash: the identical
+	// The allow decision was cached under the body tag: the identical
 	// re-apply short-circuits before any tokenization.
 	vs, decided = rawScanned(t, reg, e, rawBenignBody)
 	if !decided || vs != nil {
@@ -119,7 +118,7 @@ func TestValidateRawFallbackAndCachedDenial(t *testing.T) {
 
 // TestValidateRawDiagnosesDenial: a violating body the walk can judge is
 // decided raw with the decode path's exact list, counted once, and
-// cached under the body hash like any other decision — a refused plain
+// cached under the body tag like any other decision — a refused plain
 // value, and an escaped one the walk decodes for the check.
 func TestValidateRawDiagnosesDenial(t *testing.T) {
 	for name, body := range map[string][]byte{"plain": rawAttackBody, "escaped image": rawEscapedAttackBody} {
@@ -250,7 +249,7 @@ func TestValidateRawLearningEntryFailsClosed(t *testing.T) {
 	}
 }
 
-// The sum-carrying forms and the forms that hash for themselves are one
+// The tag-carrying forms and the forms that tag for themselves are one
 // code path over one cache: a decision either kind caches, the other
 // kind finds, for allows, denials and shadow verdicts alike.
 func TestHashedFormsShareTheDecisionCache(t *testing.T) {
@@ -261,12 +260,12 @@ func TestHashedFormsShareTheDecisionCache(t *testing.T) {
 	}
 	hits := func() uint64 { return e.Metrics().CacheHits }
 
-	benignSum := sha256.Sum256(rawBenignBody)
+	benignTag := BodyTag(rawBenignBody)
 	meta, ok := compile.ScanRawMeta(rawBenignBody)
 	if !ok {
 		t.Fatal("scan of the benign body failed")
 	}
-	if vs, decided := reg.ValidateRawHashed(e, ModeEnforce, rawBenignBody, &benignSum, meta, false); !decided || vs != nil {
+	if vs, decided := reg.ValidateRawHashed(e, ModeEnforce, rawBenignBody, &benignTag, meta, false); !decided || vs != nil {
 		t.Fatalf("hashed raw pass: decided=%v vs=%v", decided, vs)
 	}
 	if vs, decided := reg.ValidateRawScanned(e, rawBenignBody, meta); !decided || vs != nil || hits() != 1 {
@@ -277,18 +276,18 @@ func TestHashedFormsShareTheDecisionCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	attackSum := sha256.Sum256(rawAttackBody)
+	attackTag := BodyTag(rawAttackBody)
 	denied := reg.Validate(e, rawAttackBody, attack)
 	if len(denied) == 0 {
 		t.Fatal("attack body validated clean")
 	}
-	if vs := reg.ValidateHashed(e, ModeEnforce, rawAttackBody, &attackSum, attack); !reflect.DeepEqual(vs, denied) || hits() != 2 {
+	if vs := reg.ValidateHashed(e, ModeEnforce, rawAttackBody, &attackTag, attack); !reflect.DeepEqual(vs, denied) || hits() != 2 {
 		t.Fatalf("hashed validate after the self-hashing one: vs=%v hits=%d", vs, hits())
 	}
-	if vs := reg.ValidateHashed(e, ModeShadow, rawAttackBody, &attackSum, attack); !reflect.DeepEqual(vs, denied) || hits() != 3 {
+	if vs := reg.ValidateHashed(e, ModeShadow, rawAttackBody, &attackTag, attack); !reflect.DeepEqual(vs, denied) || hits() != 3 {
 		t.Fatalf("hashed shadow validate: vs=%v hits=%d", vs, hits())
 	}
-	if vs, decided := reg.ValidateRawHashed(e, ModeEnforce, rawAttackBody, &attackSum, meta, false); !decided || !reflect.DeepEqual(vs, denied) || hits() != 4 {
+	if vs, decided := reg.ValidateRawHashed(e, ModeEnforce, rawAttackBody, &attackTag, meta, false); !decided || !reflect.DeepEqual(vs, denied) || hits() != 4 {
 		t.Fatalf("hashed raw pass on a cached denial: decided=%v vs=%v hits=%d", decided, vs, hits())
 	}
 }

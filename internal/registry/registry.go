@@ -30,7 +30,7 @@
 // An optional bounded LRU decision cache (cache.go: an exact LRU
 // threaded through a slab, so a full shard inserts without allocating)
 // memoizes validation outcomes keyed by (policy generation, request-body
-// hash): operators re-apply
+// tag; tag.go): operators re-apply
 // identical manifests on every reconcile loop, so idempotent
 // re-validation is the common case under heavy traffic. The cache is
 // sharded per workload — each entry owns its own bounded LRU — so
@@ -45,7 +45,6 @@
 package registry
 
 import (
-	"crypto/sha256"
 	"fmt"
 	"sort"
 	"sync"
@@ -637,29 +636,29 @@ func (r *Registry) Metrics() map[string]Metrics {
 }
 
 // cacheKey identifies one validation decision within an entry's shard:
-// the policy generation it was made under and the hash of the request
+// the policy generation it was made under and the tag of the request
 // body. A swap changes the generation, so stale decisions can never be
 // served; the shard dies with its entry, so decisions can never leak
 // across a Deregister/Register of the same workload name either.
 type cacheKey struct {
-	gen      uint64
-	bodyHash [sha256.Size]byte
+	gen uint64
+	tag Tag
 }
 
-// newCacheKey keys a decision on body's hash: sum when the caller
+// newCacheKey keys a decision on body's tag: tag when the caller
 // carries it, else taken here.
-func newCacheKey(gen uint64, body []byte, sum *[sha256.Size]byte) cacheKey {
-	if sum != nil {
-		return cacheKey{gen: gen, bodyHash: *sum}
+func newCacheKey(gen uint64, body []byte, tag *Tag) cacheKey {
+	if tag != nil {
+		return cacheKey{gen: gen, tag: *tag}
 	}
-	return cacheKey{gen: gen, bodyHash: sha256.Sum256(body)}
+	return cacheKey{gen: gen, tag: BodyTag(body)}
 }
 
 // ValidateRawScanned attempts to decide a request from its raw wire
 // bytes, without decoding them, under the entry's current mode. meta
 // MUST be the successful compile.ScanRawMeta of body (the proxy scans
 // once, for routing). The entry's decision-cache shard is consulted on
-// the body hash first (operators re-apply identical manifests every
+// the body tag first (operators re-apply identical manifests every
 // reconcile loop, so the common case never even tokenizes), then the
 // compiled program judges the bytes (compile.Program.JudgeRawScanned).
 //
@@ -688,12 +687,11 @@ func (r *Registry) ValidateRawYAMLScanned(e *Entry, body []byte, meta compile.Ra
 
 // ValidateRawHashed is ValidateRawScanned (ValidateRawYAMLScanned when
 // yamlBody) under the mode m its caller read, for a caller that has also
-// hashed the body: a non-nil sum MUST be the SHA-256 of body, and keys
-// the decision cache in place of a hash taken here. The enforcement
-// point's front end hashes every inspected body once, before it scans
-// it.
-func (r *Registry) ValidateRawHashed(e *Entry, m Mode, body []byte, sum *[sha256.Size]byte, meta compile.RawMeta, yamlBody bool) (vs []validator.Violation, decided bool) {
-	return r.judge(e, m, body, sum, nil, &meta, yamlBody)
+// tagged the body: a non-nil tag MUST be the tag of body (BodyTag), and
+// keys the decision cache in place of a tag taken here. The enforcement
+// point's front end tags every inspected body once, before it scans it.
+func (r *Registry) ValidateRawHashed(e *Entry, m Mode, body []byte, tag *Tag, meta compile.RawMeta, yamlBody bool) (vs []validator.Violation, decided bool) {
+	return r.judge(e, m, body, tag, nil, &meta, yamlBody)
 }
 
 // Validate checks a decoded object against an entry's policy under the
@@ -708,10 +706,10 @@ func (r *Registry) Validate(e *Entry, body []byte, obj object.Object) []validato
 }
 
 // ValidateHashed is Validate under the mode m its caller read, for a
-// caller that has hashed the body: a non-nil sum MUST be the SHA-256 of
-// body, and keys the decision cache in place of a hash taken here.
-func (r *Registry) ValidateHashed(e *Entry, m Mode, body []byte, sum *[sha256.Size]byte, obj object.Object) []validator.Violation {
-	vs, _ := r.judge(e, m, body, sum, obj, nil, false)
+// caller that has tagged the body: a non-nil tag MUST be the tag of body
+// (BodyTag), and keys the decision cache in place of a tag taken here.
+func (r *Registry) ValidateHashed(e *Entry, m Mode, body []byte, tag *Tag, obj object.Object) []validator.Violation {
+	vs, _ := r.judge(e, m, body, tag, obj, nil, false)
 	return vs
 }
 
@@ -722,14 +720,14 @@ func (r *Registry) ValidateHashed(e *Entry, m Mode, body []byte, sum *[sha256.Si
 // fails closed. Otherwise, on a cache miss, the program judges obj, or,
 // when meta is non-nil, the wire bytes meta is the scanned prologue of;
 // an undecided raw walk counts nothing, since the caller's Validate call
-// does. A nil sum is taken here, and only when the entry has a cache to
+// does. A nil tag is taken here, and only when the entry has a cache to
 // key with it.
 //
 // The mode decides only what the verdict means, never how it is made:
 // under ModeEnforce a violation counts as denied; under ModeShadow the
 // verdict is folded into the cumulative shadow counters and then the
 // per-generation window (ShadowStats reads them in the other order).
-func (r *Registry) judge(e *Entry, m Mode, body []byte, sum *[sha256.Size]byte, obj object.Object, meta *compile.RawMeta, yamlBody bool) (vs []validator.Violation, decided bool) {
+func (r *Registry) judge(e *Entry, m Mode, body []byte, tag *Tag, obj object.Object, meta *compile.RawMeta, yamlBody bool) (vs []validator.Violation, decided bool) {
 	ver := e.version.Load()
 	if ver.program == nil {
 		vs = []validator.Violation{{Reason: fmt.Sprintf(
@@ -739,7 +737,7 @@ func (r *Registry) judge(e *Entry, m Mode, body []byte, sum *[sha256.Size]byte, 
 		cached := e.cache != nil && len(body) > 0
 		hit := false
 		if cached {
-			key = newCacheKey(ver.gen, body, sum)
+			key = newCacheKey(ver.gen, body, tag)
 			vs, hit = e.cache.get(key)
 		}
 		if hit {
@@ -790,10 +788,13 @@ func capViolations(violations []validator.Violation) []validator.Violation {
 	return append(violations[:MaxViolations:MaxViolations], more)
 }
 
-// CacheEntry is one exported decision: the body hash it was keyed by
-// and the violation list it answered with (nil = allowed).
+// CacheEntry is one exported decision: the body tag it was keyed by and
+// the violation list it answered with (nil = allowed). The tag is under
+// this process's key (Tag), so an entry means nothing to another
+// process, and printing its tag would publish what keeps tags from
+// colliding.
 type CacheEntry struct {
-	BodyHash   [sha256.Size]byte
+	BodyTag    Tag
 	Violations []validator.Violation
 }
 
@@ -824,7 +825,10 @@ type CacheSnapshot struct {
 	// its own), so cross-registry staleness cannot be judged by number:
 	// ImportCache accepts the snapshot only while the destination's
 	// current version holds this exact program. In-process handoff
-	// only; a wire-format handoff needs a content hash here instead.
+	// only: a wire-format handoff needs a content hash here instead, and
+	// its entries' tags are keyed by this process's secret, so the
+	// receiver would need that key too, sent as carefully as any
+	// other secret (Tag).
 	program *compile.Program
 }
 
@@ -878,7 +882,7 @@ func (r *Registry) ImportCache(snap CacheSnapshot) (int, error) {
 		return 0, nil
 	}
 	for _, ce := range snap.Entries {
-		e.cache.put(cacheKey{gen: ver.gen, bodyHash: ce.BodyHash}, ce.Violations)
+		e.cache.put(cacheKey{gen: ver.gen, tag: ce.BodyTag}, ce.Violations)
 	}
 	// Exported keys are distinct, so the shard keeps min(entries,
 	// capacity) of them.

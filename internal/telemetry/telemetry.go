@@ -98,7 +98,7 @@ func (p Path) String() string {
 }
 
 // ScanOutcome is how the scan memo answered a request's routing-metadata
-// scan (internal/proxy): the front end hashes a body and asks the memo
+// scan (internal/proxy): the front end tags a body and asks the memo
 // before it walks the bytes.
 type ScanOutcome uint8
 

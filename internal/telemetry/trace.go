@@ -21,7 +21,7 @@ type TraceStage struct {
 // Trace is one sampled decision record: what was decided, through
 // which pipeline, and where the time went — so a slow or denied
 // decision can be explained after the fact. Stage semantics on the
-// proxy: "scan" is the body hash plus the routing-metadata scan or the
+// proxy: "scan" is the body tag plus the routing-metadata scan or the
 // scan-memo hit that stood in for it (near zero behind a tier's front
 // door, which scanned to route), "resolve" is registry resolution,
 // "raw-match" covers the decision-cache probe plus the compiled

@@ -95,9 +95,6 @@ func TestBodyTagCollidesUnderAKnownKey(t *testing.T) {
 // package initialises, with the GCM error, before serving anything. The
 // test binary is re-run in that mode.
 func TestBodyTagFailsAtStartUpWithoutFixedNonceGCM(t *testing.T) {
-	if testing.Short() {
-		t.Skip("re-runs the test binary")
-	}
 	cmd := exec.Command(os.Args[0], "-test.run=^$")
 	cmd.Env = append(os.Environ(), "GODEBUG=fips140=only")
 	out, err := cmd.CombinedOutput()

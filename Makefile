@@ -6,7 +6,7 @@
 #   make plane-race      # the plane's generation invariant, -race -count=20
 #   make forward-race    # the upstream frame's lifetime, -race -count=20
 #   make mode-race       # the rollout modes' accounting and promotion gate, -race -count=20
-#   make bench           # in-package micro-benchmarks (multi-workload enforcement, body tag vs SHA-256, JSON and YAML decode, raw scan/match/judge, decoded validate, proxy hit/cold/deny path, plane reapply, registry decision-cache probe, proxy violation-log append)
+#   make bench           # in-package micro-benchmarks (multi-workload enforcement, body tag vs SHA-256, JSON and YAML decode, raw scan/match/judge, decoded validate, proxy hit/cold/deny path, plane reapply, registry decision-cache probe, telemetry record-ring append)
 #   make fuzz-smoke      # 10s per native fuzz target
 #   make fuzz-nightly    # 2m per native fuzz target
 #   make coverage-gate   # coverage profile; fails below COVERAGE_BASELINE
@@ -85,7 +85,7 @@ bench:
 	$(GO) test -run NONE -bench 'ServeReapply|ServeUnique|ServeDeny' -benchmem ./internal/proxy
 	$(GO) test -run NONE -bench 'PlaneServe' -benchmem ./internal/plane
 	$(GO) test -run NONE -bench 'DecisionCache' -benchmem ./internal/registry
-	$(GO) test -run NONE -bench 'BoundedLog' -benchmem ./internal/proxy
+	$(GO) test -run NONE -bench 'BoundedLog' -benchmem ./internal/telemetry
 
 # Every native fuzz target, as package:target — the one list both the
 # PR smoke and the nightly run iterate.

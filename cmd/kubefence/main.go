@@ -243,6 +243,22 @@ func multiRegistry(names []string, mode string, cacheSize int) (*registry.Regist
 	return reg, bases, nil
 }
 
+// telemetryMux serves the proxy's telemetry; the /varz state carries
+// its counters and its retained denial records.
+func telemetryMux(hub *telemetry.Hub, p *proxy.Proxy) http.Handler {
+	return telemetry.Mux(telemetry.MuxConfig{
+		Snapshot: hub.Snapshot,
+		Traces:   hub.Traces,
+		Varz: func() any {
+			return struct {
+				Metrics    proxy.Metrics           `json:"metrics"`
+				Violations []proxy.ViolationRecord `json:"violations"`
+			}{p.Metrics(), p.Violations()}
+		},
+		EnablePprof: true,
+	})
+}
+
 func runProxy(args []string) error {
 	fs := flag.NewFlagSet("proxy", flag.ExitOnError)
 	chartDir := fs.String("chart", "", "chart directory")
@@ -423,15 +439,9 @@ func runProxy(args []string) error {
 		// The telemetry surface gets its own listener and server: scrapes
 		// and pprof captures allocate freely and must never contend with
 		// admission traffic for the enforcement listener.
-		mux := telemetry.Mux(telemetry.MuxConfig{
-			Snapshot:    hub.Snapshot,
-			Traces:      hub.Traces,
-			Varz:        func() any { return p.Metrics() },
-			EnablePprof: true,
-		})
 		tsrv := &http.Server{
 			Addr:              *telemetryAddr,
-			Handler:           mux,
+			Handler:           telemetryMux(hub, p),
 			ReadHeaderTimeout: 10 * time.Second,
 		}
 		go func() {

@@ -1,11 +1,19 @@
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
+
+	"repro/internal/proxy"
+	"repro/internal/telemetry"
 )
 
 func writeChartDir(t *testing.T) string {
@@ -158,5 +166,92 @@ func TestRunProxySetupPaths(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "address already in use") {
 			t.Errorf("%s: expected the occupied listen address to fail, got %v", tc.name, err)
 		}
+	}
+}
+
+type roundTripperFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripperFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestTelemetryMuxServesDenialRecords: a denial the proxy records is
+// read back from /varz on the telemetry listener, which also serves
+// pprof, and the record carries only the audit fields.
+func TestTelemetryMuxServesDenialRecords(t *testing.T) {
+	reg, _, err := multiRegistry([]string{"nginx"}, "lenient", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hub := telemetry.New(telemetry.Config{SampleEvery: 1})
+	p, err := proxy.New(proxy.Config{
+		Upstream: "http://upstream.invalid",
+		Registry: reg,
+		Transport: roundTripperFunc(func(r *http.Request) (*http.Response, error) {
+			t.Errorf("denied request forwarded upstream: %s %s", r.Method, r.URL)
+			return nil, errors.New("unexpected upstream call")
+		}),
+		Telemetry: hub,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := `{"apiVersion":"v1","kind":"Pod","metadata":{"name":"rogue","namespace":"nginx"},"spec":{"hostNetwork":true}}`
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/namespaces/nginx/pods", strings.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Remote-User", "operator:nginx")
+	rec := httptest.NewRecorder()
+	p.ServeHTTP(rec, req)
+	if rec.Code != http.StatusForbidden {
+		t.Fatalf("rogue pod: status %d, want 403", rec.Code)
+	}
+
+	srv := httptest.NewServer(telemetryMux(hub, p))
+	defer srv.Close()
+	get := func(path string) *http.Response {
+		resp, err := srv.Client().Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s: status %d", path, resp.StatusCode)
+		}
+		return resp
+	}
+	get("/debug/pprof/").Body.Close()
+	resp := get("/varz")
+	defer resp.Body.Close()
+	var varz struct {
+		State struct {
+			Metrics    proxy.Metrics    `json:"metrics"`
+			Violations []map[string]any `json:"violations"`
+		} `json:"state"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&varz); err != nil {
+		t.Fatal(err)
+	}
+	if varz.State.Metrics.Denied != 1 {
+		t.Errorf("/varz metrics count %d denials, want 1", varz.State.Metrics.Denied)
+	}
+	if len(varz.State.Violations) != 1 {
+		t.Fatalf("/varz holds %d denial records, want 1", len(varz.State.Violations))
+	}
+	got := varz.State.Violations[0]
+	for field, want := range map[string]string{
+		"Workload": "nginx", "User": "operator:nginx", "Method": http.MethodPost,
+		"RequestURI": "/api/v1/namespaces/nginx/pods", "Kind": "Pod", "Name": "rogue",
+	} {
+		if got[field] != want {
+			t.Errorf("record %s = %v, want %q", field, got[field], want)
+		}
+	}
+	if vs, _ := got["Violations"].([]any); len(vs) == 0 {
+		t.Errorf("record carries no violations: %v", got)
+	}
+	var fields []string
+	for k := range got {
+		fields = append(fields, k)
+	}
+	sort.Strings(fields)
+	if want := "Kind Method Name RequestURI Time User Violations Workload"; strings.Join(fields, " ") != want {
+		t.Errorf("record fields %v, want exactly %s", fields, want)
 	}
 }

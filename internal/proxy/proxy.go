@@ -204,7 +204,7 @@ type Proxy struct {
 	sink       *asyncSink
 	telemetry  *telemetry.Hub
 
-	violations *boundedLog
+	violations *telemetry.Ring[ViolationRecord]
 	requests   atomic.Uint64
 	inspected  atomic.Uint64
 	denied     atomic.Uint64
@@ -213,6 +213,10 @@ type Proxy struct {
 	rawDenied  atomic.Uint64
 	valNanos   atomic.Int64
 }
+
+// maxRecords bounds the proxy's denial records so a hostile client
+// cannot grow proxy memory without bound; the newest records are kept.
+const maxRecords = 1024
 
 // New builds a Proxy.
 func New(cfg Config) (*Proxy, error) {
@@ -236,7 +240,7 @@ func New(cfg Config) (*Proxy, error) {
 		onShadow:   cfg.OnShadowViolation,
 		tap:        cfg.Tap,
 		telemetry:  cfg.Telemetry,
-		violations: newLog(maxRecords),
+		violations: telemetry.NewRing[ViolationRecord](maxRecords),
 	}
 	if p.transport == nil {
 		p.transport = http.DefaultTransport
@@ -262,9 +266,9 @@ func (p *Proxy) Telemetry() *telemetry.Hub { return p.telemetry }
 const UnresolvedWorkload = "_unresolved"
 
 // Violations returns a snapshot of the proxy's newest denial records
-// (at most 1 024), across all workloads, oldest first. A workload that
-// floods denials can push the others' records out of it; the complete
-// trail is the OnViolation sink.
+// (at most 1 024), across all workloads, oldest first, exact within that
+// window (telemetry.Ring). A workload that floods denials can push the
+// others' records out of it; the complete trail is the OnViolation sink.
 func (p *Proxy) Violations() []ViolationRecord {
 	return p.violations.Snapshot()
 }

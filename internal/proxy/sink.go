@@ -16,11 +16,11 @@ import (
 // one background goroutine; when the ring is full the event is DROPPED,
 // never blocked on, and the drop is counted — explicit loss accounting
 // instead of silent backpressure on the hot path. The proxy's own
-// bounded violation log and metrics are unaffected: they are updated
-// synchronously and stay exact; only callback delivery is asynchronous.
-// The log keeps only the newest records across all workloads; the
-// callbacks receive every record of every workload, less what a full
-// ring drops (counted).
+// denial records (a telemetry.Ring) and metrics are unaffected: they are
+// updated synchronously and stay exact; only callback delivery is
+// asynchronous. The record ring keeps only the newest records across all
+// workloads; the callbacks receive every record of every workload, less
+// what a full sink ring drops (counted).
 
 // SinkStats is the async sink's delivery accounting.
 type SinkStats struct {

@@ -18,8 +18,8 @@
 //
 // Scrapes (Snapshot, WriteMetrics) run concurrently with recording and
 // never block it; a snapshot is a best-effort sum taken while writers
-// run, exact once they quiesce — the same contract as the proxy's
-// violation log.
+// run, exact once they quiesce. Sampled traces, like the proxy's
+// denial records, are kept in a Ring, which is exact within its window.
 package telemetry
 
 import (
@@ -168,14 +168,14 @@ type workloadTel struct {
 	shards []shard
 }
 
+// maxTraces bounds the hub's trace ring; the newest traces are kept.
+const maxTraces = 256
+
 // Config configures a Hub.
 type Config struct {
 	// SampleEvery traces one of every N recorded decisions onto the
 	// bounded trace ring (1 traces everything, 0 disables tracing).
 	SampleEvery int
-	// TraceRing bounds the retained trace records (default 256;
-	// newest-kept when full).
-	TraceRing int
 	// Shards is the per-workload counter stripe count, rounded up to a
 	// power of two (default: GOMAXPROCS rounded up, capped at 16).
 	Shards int
@@ -197,7 +197,7 @@ type Hub struct {
 	sampleEvery uint64
 	sampleCtr   atomic.Uint64
 	sampled     atomic.Uint64
-	ring        *traceRing
+	traces      *Ring[Trace]
 	ctxPool     sync.Pool
 
 	// How the scan memo answered the scans of the requests this hub
@@ -221,15 +221,11 @@ func New(cfg Config) *Hub {
 	for n < shards {
 		n <<= 1
 	}
-	ringSize := cfg.TraceRing
-	if ringSize <= 0 {
-		ringSize = 256
-	}
 	h := &Hub{
 		shards:      n,
 		shardMask:   uint64(n - 1),
 		sampleEvery: uint64(max(cfg.SampleEvery, 0)),
-		ring:        newTraceRing(ringSize),
+		traces:      NewRing[Trace](maxTraces),
 	}
 	h.ctxPool.New = func() any { return new(TraceCtx) }
 	empty := map[string]*workloadTel{}

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http/httptest"
 	"strings"
@@ -225,7 +226,7 @@ func TestMergeEqualsSumOfReplicas(t *testing.T) {
 
 func TestConcurrentRecordScrape(t *testing.T) {
 	// -race hammer: writers record while scrapers snapshot and expose.
-	h := New(Config{Shards: 4, SampleEvery: 8, TraceRing: 64})
+	h := New(Config{Shards: 4, SampleEvery: 8})
 	const writers = 8
 	const perWriter = 2000
 	stop := make(chan struct{})
@@ -272,7 +273,7 @@ func TestConcurrentRecordScrape(t *testing.T) {
 }
 
 func TestTraceSampling(t *testing.T) {
-	h := New(Config{SampleEvery: 4, TraceRing: 16, Shards: 1})
+	h := New(Config{SampleEvery: 4, Shards: 1})
 	for i := 0; i < 40; i++ {
 		tc := h.Sample()
 		tc.Stage("resolve")
@@ -314,14 +315,18 @@ func TestTraceSampling(t *testing.T) {
 }
 
 func TestTraceRingBounded(t *testing.T) {
-	h := New(Config{SampleEvery: 1, TraceRing: 8, Shards: 1})
-	for i := 0; i < 50; i++ {
+	h := New(Config{SampleEvery: 1, Shards: 1})
+	for i := 0; i < maxTraces+50; i++ {
 		tc := h.Sample()
-		tc.Finish("w", VerdictAllowed, PathRaw, "", "")
+		tc.Finish("w", VerdictAllowed, PathRaw, "", fmt.Sprint(i))
 	}
 	traces := h.Traces()
-	if len(traces) != 8 {
-		t.Fatalf("ring kept %d traces, want 8", len(traces))
+	if len(traces) != maxTraces {
+		t.Fatalf("ring kept %d traces, want %d", len(traces), maxTraces)
+	}
+	if traces[0].Name != "50" || traces[maxTraces-1].Name != fmt.Sprint(maxTraces+49) {
+		t.Errorf("ring kept traces %s..%s, want the newest, 50..%d",
+			traces[0].Name, traces[maxTraces-1].Name, maxTraces+49)
 	}
 }
 
@@ -365,7 +370,7 @@ func TestRecordDecisionAllocFree(t *testing.T) {
 }
 
 func TestWriteMetricsExposition(t *testing.T) {
-	h := New(Config{Shards: 2, SampleEvery: 2, TraceRing: 8})
+	h := New(Config{Shards: 2, SampleEvery: 2})
 	for i := 0; i < 100; i++ {
 		tc := h.Sample()
 		h.RecordDecision("api", VerdictAllowed, PathRaw, time.Duration(i)*time.Microsecond)
@@ -421,7 +426,7 @@ func TestValidateExpositionRejects(t *testing.T) {
 }
 
 func TestMux(t *testing.T) {
-	h := New(Config{Shards: 1, SampleEvery: 1, TraceRing: 4})
+	h := New(Config{Shards: 1, SampleEvery: 1})
 	tc := h.Sample()
 	h.RecordDecision("api", VerdictAllowed, PathRaw, time.Microsecond)
 	tc.Finish("api", VerdictAllowed, PathRaw, "Pod", "p")

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"encoding/json"
-	"sync/atomic"
 	"time"
 )
 
@@ -105,7 +104,7 @@ func (t *TraceCtx) Stage(name string) {
 }
 
 // Finish completes the trace with its decision labels and pushes it
-// onto the hub's bounded ring.
+// onto the hub's trace ring.
 func (t *TraceCtx) Finish(workload string, v Verdict, p Path, kind, name string) {
 	if t == nil {
 		return
@@ -116,7 +115,7 @@ func (t *TraceCtx) Finish(workload string, v Verdict, p Path, kind, name string)
 	t.trace.Kind = kind
 	t.trace.Name = name
 	t.trace.TotalNs = time.Since(t.start).Nanoseconds()
-	t.hub.ring.append(t.trace)
+	t.hub.traces.Append(t.trace)
 	t.hub.sampled.Add(1)
 	t.release()
 }
@@ -140,37 +139,5 @@ func (h *Hub) Traces() []Trace {
 	if h == nil {
 		return nil
 	}
-	return h.ring.snapshot()
-}
-
-// traceRing is a fixed-capacity lock-free ring of sampled traces,
-// newest-kept — the proxy violation log's discipline applied to trace
-// records.
-type traceRing struct {
-	slots  []atomic.Pointer[Trace]
-	cursor atomic.Uint64
-}
-
-func newTraceRing(capacity int) *traceRing {
-	return &traceRing{slots: make([]atomic.Pointer[Trace], capacity)}
-}
-
-func (r *traceRing) append(t Trace) {
-	idx := r.cursor.Add(1) - 1
-	r.slots[idx%uint64(len(r.slots))].Store(&t)
-}
-
-func (r *traceRing) snapshot() []Trace {
-	cur := r.cursor.Load()
-	n := cur
-	if n > uint64(len(r.slots)) {
-		n = uint64(len(r.slots))
-	}
-	out := make([]Trace, 0, n)
-	for i := cur - n; i < cur; i++ {
-		if p := r.slots[i%uint64(len(r.slots))].Load(); p != nil {
-			out = append(out, *p)
-		}
-	}
-	return out
+	return h.traces.Snapshot()
 }

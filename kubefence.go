@@ -471,8 +471,8 @@ var (
 // nothing, so instrumented code needs no guards.
 type Telemetry = telemetry.Hub
 
-// TelemetryConfig sizes a hub: trace sampling rate, trace-ring
-// capacity, and histogram shard count.
+// TelemetryConfig sizes a hub: trace sampling rate and histogram shard
+// count.
 type TelemetryConfig = telemetry.Config
 
 // TelemetrySnapshot is a consistent point-in-time view of a hub (or a

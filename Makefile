@@ -6,7 +6,7 @@
 #   make plane-race      # the plane's generation invariant, -race -count=20
 #   make forward-race    # the upstream frame's lifetime, -race -count=20
 #   make mode-race       # the rollout modes' accounting and promotion gate, -race -count=20
-#   make bench           # in-package micro-benchmarks (multi-workload enforcement, body tag vs SHA-256, JSON and YAML decode, raw scan/match/judge, decoded validate, proxy hit/cold/deny path, plane reapply, registry decision-cache probe, telemetry record-ring append)
+#   make bench           # in-package micro-benchmarks (multi-workload enforcement, body tag vs SHA-256, JSON and YAML decode, YAML encode, raw scan/match/judge, decoded validate, proxy hit/cold/deny path, plane reapply, registry decision-cache probe, telemetry record-ring append)
 #   make fuzz-smoke      # 10s per native fuzz target
 #   make fuzz-nightly    # 2m per native fuzz target
 #   make coverage-gate   # coverage profile; fails below COVERAGE_BASELINE
@@ -80,7 +80,7 @@ mode-race:
 
 bench:
 	$(GO) test -run NONE -bench 'MultiWorkload|RegistryResolve|BodyTag' -benchmem .
-	$(GO) test -run NONE -bench 'ParseJSON|ParseManifest' -benchmem ./internal/object
+	$(GO) test -run NONE -bench 'ParseJSON|ParseManifest|MarshalYAML' -benchmem ./internal/object
 	$(GO) test -run NONE -bench 'RawScan|RawMatch|RawJudge|Validate' -benchmem ./internal/compile
 	$(GO) test -run NONE -bench 'ServeReapply|ServeUnique|ServeDeny' -benchmem ./internal/proxy
 	$(GO) test -run NONE -bench 'PlaneServe' -benchmem ./internal/plane
@@ -92,6 +92,7 @@ bench:
 FUZZ_TARGETS := \
 	internal/yaml:FuzzDecode \
 	internal/yaml:FuzzLineGrammar \
+	internal/yaml:FuzzPlainScalar \
 	internal/validator:FuzzValidate \
 	internal/object:FuzzDecodeJSONEquivalence \
 	internal/compile:FuzzCompiledEquivalence \

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"fmt"
+	"os"
 	"reflect"
 	"slices"
 	"strings"
@@ -17,8 +18,11 @@ import (
 // slice of the raw-vs-decoded contract:
 //
 //   - every plain scalar of up to five symbols over 0 1 9 . + - _ e E x
-//     i n f: where classifyPlain types one, the decoder gives it that
-//     type, and a string is the scalar's own bytes;
+//     i n f, and every word form of internal/yaml's
+//     testdata/plain_words.txt (each casing of null, true and false, the
+//     inf and nan words, YAML 1.1 booleans, base prefixes, int64-edge
+//     digits): where the walker's lexer, yaml.LexScalar, types one, the
+//     decoder gives it that type, and a string is the scalar's own bytes;
 //   - every double-quoted body of up to six symbols over a é \ n t r " 0
 //     u F x — not extended past a prefix the decoder already refuses for
 //     good, an unsupported escape or a bad \u — and every single-quoted
@@ -47,6 +51,10 @@ func TestRawWalkersReadScalarFormsAsTheDecoders(t *testing.T) {
 		t.Run("plain", func(t *testing.T) {
 			t.Parallel()
 			keep(plainForms(t))
+		})
+		t.Run("words", func(t *testing.T) {
+			t.Parallel()
+			keep(wordForms(t))
 		})
 		for i, first := range [][]string{double[:6], double[6:]} {
 			i, first := i, first
@@ -100,13 +108,14 @@ func plainForms(t *testing.T) (embed []scalarForm) {
 		}
 		items := doc.([]any)
 		for i, s := range chunk {
-			kind, ok := classifyPlain([]byte(s))
+			tok, _, ok := yamlToken([]byte(s))
 			if !ok {
 				continue
 			}
+			kind := tok.kind
 			v := items[i]
 			if want := decodedKind(v); kind != want {
-				t.Fatalf("plain %q: classifyPlain types it %d, the decoder makes %T %v", s, kind, v, v)
+				t.Fatalf("plain %q: yamlToken types it %d, the decoder makes %T %v", s, kind, v, v)
 			}
 			switch kind {
 			case tokString:
@@ -126,12 +135,48 @@ func plainForms(t *testing.T) (embed []scalarForm) {
 		}
 	}
 	for _, s := range []string{"0.0.0.0", "1.2.3", "+1.2.3", "-1.2.3e4", "..", "1..", "1.2.3_4"} {
-		if kind, ok := classifyPlain([]byte(s)); !ok || kind != tokString {
-			t.Fatalf("plain %q: classifyPlain = %d, %v, want a string", s, kind, ok)
+		if tok, _, ok := yamlToken([]byte(s)); !ok || tok.kind != tokString {
+			t.Fatalf("plain %q: yamlToken = %d, %v, want a string", s, tok.kind, ok)
 		}
 		embed = append(embed, scalarForm{yaml: true, spell: s})
 	}
 	t.Logf("%d plain scalars: %d typed, %d of them strings", len(plain), typed, strs)
+	return embed
+}
+
+// wordForms checks every word form the way plainForms checks the
+// alphabet's, and returns the ones the walker types. The rest fall back:
+// internal/proxy's TestRawFastPathWordFormsMatchClassic serves each
+// through the proxy with the fast path on and off.
+func wordForms(t *testing.T) (embed []scalarForm) {
+	data, err := os.ReadFile("../yaml/testdata/plain_words.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var words []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			words = append(words, strings.Fields(line)...)
+		}
+	}
+	doc, err := yaml.Decode([]byte("[" + strings.Join(words, ", ") + "]"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range words {
+		tok, _, ok := yamlToken([]byte(s))
+		if !ok {
+			continue
+		}
+		switch v := doc.([]any)[i]; {
+		case tok.kind != decodedKind(v):
+			t.Fatalf("word %q: yamlToken types it %d, the decoder makes %T %v", s, tok.kind, v, v)
+		case tok.kind == tokString && v != s, tok.kind == tokInt && v != parseRawInt([]byte(s)):
+			t.Fatalf("word %q: the decoder makes %T %v", s, v, v)
+		}
+		embed = append(embed, scalarForm{yaml: true, spell: s})
+	}
+	t.Logf("%d word forms: %d typed", len(words), len(embed))
 	return embed
 }
 
@@ -157,7 +202,8 @@ func quotedForms(t *testing.T, q string, alphabet, first []string, depth int) (e
 		quoted++
 		spell = append(spell, q...)
 		body := spell[len(q) : len(spell)-len(q)]
-		seg, clean, ok := unquoteSpan(spell)
+		tok, _, ok := yamlToken(spell)
+		seg, clean := tok.seg, tok.clean
 		if !ok {
 			_, err := yaml.Decode(spell)
 			if err == nil {
@@ -199,7 +245,7 @@ func quotedForms(t *testing.T, q string, alphabet, first []string, depth int) (e
 			strings.Repeat(`\n`, 200), strings.Repeat(`\u00e9`, 130), strings.Repeat("x", 300) + `\n`} {
 			spell = append(spell[:len(q)], body...)
 			nest(0)
-			if _, _, ok := unquoteSpan([]byte(q + body + q)); ok {
+			if _, _, ok := yamlToken([]byte(q + body + q)); ok {
 				embed = append(embed, scalarForm{yaml: true, spell: q + body + q})
 			}
 		}

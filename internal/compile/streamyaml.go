@@ -23,10 +23,10 @@ import (
 // back on everything they reject — indentation jumps inside a mapping,
 // non-entry lines, duplicate keys — so a walk to the end implies the
 // body decodes (the routing scan stops at the prologue and promises
-// less: match.go). Quoted scalars are the decoder's too: every escape
-// of a double-quoted one is checked with yaml.AppendUnquoted, in every
-// walk, and match.go decodes an escaped value with it where a check
-// reads the content. On top the walker refuses what it does not judge
+// less: match.go). Scalars are the decoder's too: yaml.LexScalar types
+// every inline value for both, every escape of a double-quoted one is
+// checked with yaml.AppendUnquoted, in every walk, and match.go decodes
+// an escaped value with it where a check reads the content. On top the walker refuses what it does not judge
 // raw: anchors, aliases, tags, flow collections beyond the encoder's
 // empty {} / [], block scalars, quoted keys, multi-document streams, CR
 // and tab bytes, and plain scalars whose decoded type is ambiguous.
@@ -353,176 +353,64 @@ func (s *yamlScan) sequence(indent int, idx int32, depth int) val {
 // Scalars
 // ---------------------------------------------------------------------
 
-// scalar lexes one trimmed inline value as parseScalar dispatches: empty
-// (null), flow (only the encoder's empty literals are vouched for —
-// collections that meet no member), quoted, anchors/aliases/tags (decode
-// errors), or a plain scalar.
+// scalar judges one trimmed inline value: flow (only the encoder's empty
+// literals are vouched for — collections that meet no member), or the
+// token yamlToken makes of it.
 func (s *yamlScan) scalar(c []byte, idx int32) val {
-	if len(c) == 0 {
-		return s.judge(idx, token{kind: tokNull})
-	}
-	t := token{kind: tokString, seg: c, clean: true}
-	ok := true
-	switch c[0] {
-	case '[', '{':
-		if string(c) == "{}" {
-			if mi, paired := s.mapNode(idx); paired {
-				w := s.openMap(mi)
-				return w.close()
-			}
-		} else if string(c) == "[]" {
-			if _, paired := s.listItem(idx); paired {
-				return valOK | valList
-			}
+	t, flow, ok := yamlToken(c)
+	switch {
+	case !flow:
+	case string(c) == "{}":
+		if mi, paired := s.mapNode(idx); paired {
+			w := s.openMap(mi)
+			return w.close()
 		}
-		return 0 // general flow syntax: decode path
-	case '&', '*', '!':
-		return 0 // decoder rejects anchors, aliases, tags
-	case '"', '\'':
-		t.seg, t.clean, ok = unquoteSpan(c)
-		t.quote = c[0]
-	default:
-		// !ok: an ambiguous literal, let the decode path type it.
-		t.kind, ok = classifyPlain(c)
+	case string(c) == "[]":
+		if _, paired := s.listItem(idx); paired {
+			return valOK | valList
+		}
 	}
 	if !ok {
-		return 0
+		return 0 // general flow syntax, or a value the decode path types
 	}
 	// Unlike JSON, YAML passes raw scalar bytes through with no UTF-8
 	// coercion, so clean strings stay clean even non-ASCII.
 	return s.judge(idx, t)
 }
 
-// unquoteSpan vouches for a quoted scalar: ok means the whole span is
-// one quoted token the decoder accepts — a double-quoted body's escapes
-// are checked by the decoder's own yaml.AppendUnquoted, in every walk —
-// and seg is its body. clean means seg IS the decoded string; a body
-// with an escape, or a single-quoted one with a quote in it, is unclean,
-// and match.go decodes it with the same function where a check reads its
-// content.
-func unquoteSpan(c []byte) (seg []byte, clean, ok bool) {
-	q := c[0]
-	if len(c) < 2 || c[len(c)-1] != q {
-		return nil, false, false
-	}
-	body := c[1 : len(c)-1]
-	if q == '\'' {
-		return body, bytes.IndexByte(body, '\'') < 0, true
-	}
-	if bytes.IndexByte(body, '\\') < 0 {
-		return body, true, true
-	}
-	_, _, bad := yaml.AppendUnquoted(nil, q, body)
-	return body, false, bad == 0
-}
-
-// classifyPlain types a plain scalar, mirroring plainScalar's resolution
-// order. ok is false for every literal whose decoded type the raw bytes
-// do not prove (exponents, hex, leading '+', inf/nan, underscore digit
-// groups, >18-digit numbers): those fall back. Over the numeric alphabet
-// [0-9+-._eE] only two or more '.' prove a string (an address such as
-// 0.0.0.0, a version such as 1.2.3): ParseInt in base 10 has no '.', the
-// hex branch needs the 0x refused before it, and ParseFloat's decimal
-// grammar has at most one.
-func classifyPlain(c []byte) (kind tokKind, ok bool) {
-	switch string(c) {
-	case "~", "null", "Null", "NULL":
-		return tokNull, true
-	case "true", "True", "TRUE":
-		return tokTrue, true
-	case "false", "False", "FALSE":
-		return tokFalse, true
-	}
-	if isStrictInt(c) {
-		return tokInt, true
-	}
-	if isStrictFloat(c) {
-		return tokFloat, true
-	}
-	d := c
-	if d[0] == '+' || d[0] == '-' {
-		d = d[1:]
-	}
-	if len(d) == 0 {
-		return tokString, true // a bare sign parses as neither number
-	}
-	if len(d) >= 2 && d[0] == '0' && (d[1] == 'x' || d[1] == 'X') {
-		return 0, false // hex int / hex float territory
-	}
-	if parseFloatWord(d) {
-		return 0, false // inf / infinity / nan
-	}
-	dots := 0
-	for _, b := range d {
-		switch {
-		case b >= '0' && b <= '9':
-		case b == '.':
-			dots++
-		case b == '+' || b == '-' || b == '_' || b == 'e' || b == 'E':
-		default:
-			// A byte no non-hex, non-word numeric literal can contain:
-			// definitely the string the raw bytes spell (the decoder
-			// passes plain scalar bytes through untouched).
-			return tokString, true
+// yamlToken is the token of one trimmed inline value as yaml.LexScalar
+// types it, the decoder's own lexer: empty (null), a quoted scalar whose
+// escapes decode — checked with the decoder's yaml.AppendUnquoted, in
+// every walk; match.go decodes an unclean body with it where a check
+// reads its content — or a proven plain scalar. ok is false for the rest,
+// which the decode path types: flow collections (flow is true), anchors,
+// aliases and tags (decode errors), an unterminated quote, and an
+// undecided plain scalar.
+func yamlToken(c []byte) (t token, flow, ok bool) {
+	l := yaml.LexScalar(c)
+	t = token{kind: tokString, seg: c, clean: true}
+	switch l.Kind {
+	case yaml.ScalarFlow:
+		return t, true, false
+	case yaml.ScalarQuoted:
+		t.seg, t.clean, t.quote = c[1:len(c)-1], l.Clean, l.Quote
+		if !t.clean && t.quote == '"' {
+			_, _, bad := yaml.AppendUnquoted(nil, t.quote, t.seg)
+			return t, false, bad == 0
 		}
+	case yaml.ScalarEmpty, yaml.ScalarNull:
+		t.kind = tokNull
+	case yaml.ScalarTrue:
+		t.kind = tokTrue
+	case yaml.ScalarFalse:
+		t.kind = tokFalse
+	case yaml.ScalarInt:
+		t.kind = tokInt
+	case yaml.ScalarFloat:
+		t.kind = tokFloat
+	case yaml.ScalarString:
+	default:
+		return t, false, false
 	}
-	if dots >= 2 {
-		return tokString, true
-	}
-	return 0, false
-}
-
-// parseFloatWord reports the word forms strconv.ParseFloat accepts
-// case-insensitively (the sign was already stripped).
-func parseFloatWord(d []byte) bool {
-	eqFold := func(w string) bool {
-		if len(d) != len(w) {
-			return false
-		}
-		for i := 0; i < len(w); i++ {
-			if d[i]|0x20 != w[i] {
-				return false
-			}
-		}
-		return true
-	}
-	return eqFold("inf") || eqFold("nan") || eqFold("infinity")
-}
-
-// isStrictInt is ^-?\d{1,18}$: exactly the literals whose ParseInt
-// value parseRawInt reproduces without overflow.
-func isStrictInt(c []byte) bool {
-	if c[0] == '-' {
-		c = c[1:]
-	}
-	if len(c) == 0 || len(c) > maxRawNumberDigits {
-		return false
-	}
-	for _, b := range c {
-		if b < '0' || b > '9' {
-			return false
-		}
-	}
-	return true
-}
-
-// isStrictFloat is ^-?\d+\.\d+$ with <=18 total digits: guaranteed to
-// ParseFloat without overflow, so the decoded value is a float64.
-func isStrictFloat(c []byte) bool {
-	if c[0] == '-' {
-		c = c[1:]
-	}
-	i := 0
-	for i < len(c) && c[i] >= '0' && c[i] <= '9' {
-		i++
-	}
-	if i == 0 || i >= len(c) || c[i] != '.' {
-		return false
-	}
-	frac := i + 1
-	for frac < len(c) && c[frac] >= '0' && c[frac] <= '9' {
-		frac++
-	}
-	digits := i + (frac - i - 1)
-	return frac == len(c) && frac > i+1 && digits <= maxRawNumberDigits
+	return t, false, true
 }

@@ -52,6 +52,22 @@ func BenchmarkParseManifest(b *testing.B) {
 	}
 }
 
+// BenchmarkMarshalYAML is the encoder's side of BenchmarkParseManifest:
+// every chart manifest through Object.MarshalYAML, the output that
+// ParseManifest reads.
+func BenchmarkMarshalYAML(b *testing.B) {
+	_, objs := chartManifests(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, o := range objs {
+			if _, err := o.MarshalYAML(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // fixedManifest is a 0.9 KB Deployment as a client sends it.
 const fixedManifest = `{"apiVersion":"apps/v1","kind":"Deployment","metadata":{"name":"rel-nginx","namespace":"nginx",` +
 	`"labels":{"app.kubernetes.io/name":"nginx","app.kubernetes.io/instance":"rel","app.kubernetes.io/managed-by":"Helm"}},` +

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"reflect"
 	"strings"
 	"sync"
@@ -309,6 +310,39 @@ func TestRawFastPathTenantResolutionMatchesClassic(t *testing.T) {
 	}
 }
 
+// TestRawFastPathWordFormsMatchClassic sends every word form of
+// internal/yaml's testdata/plain_words.txt — each casing of null, true
+// and false, the inf and nan words, YAML 1.1 booleans, base prefixes,
+// int64-edge digits — as data.mode of a ConfigMap into tenant a on the
+// YAML wire. The raw walk types a form as the decoder does or falls
+// back, so in enforce and in shadow mode the proxy answers, charges and
+// records the same with the fast path on and off; none of the forms is
+// tenant a's "lenient", so enforce mode denies each.
+func TestRawFastPathWordFormsMatchClassic(t *testing.T) {
+	data, err := os.ReadFile("../yaml/testdata/plain_words.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var words []string
+	for _, line := range strings.Split(string(data), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			words = append(words, strings.Fields(line)...)
+		}
+	}
+	for _, w := range words {
+		body := []byte("apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: " + w + "\n")
+		for _, m := range []registry.Mode{registry.ModeEnforce, registry.ModeShadow} {
+			raw, classic := serveTenants(t, m, false, true, body), serveTenants(t, m, true, true, body)
+			if !reflect.DeepEqual(raw, classic) {
+				t.Errorf("%s mode: %q:\nraw path:    %+v\ndecode path: %+v", m, w, raw, classic)
+			}
+			if m == registry.ModeEnforce && classic.Code != http.StatusForbidden {
+				t.Errorf("%q: the decode path answers %d, want 403", w, classic.Code)
+			}
+		}
+	}
+}
+
 // FuzzRawPathMatchesClassic: whatever the body, the wire and the mode
 // (enforce or shadow), the proxy with the raw fast path on answers,
 // charges and records exactly what it does with DisableRawFastPath —
@@ -364,6 +398,13 @@ func FuzzRawPathMatchesClassic(f *testing.F) {
 		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: \"\\ud800\"\n"},
 		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: \"\\x41\"\n"},
 		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: \"l\\u0065nient\"\n"},
+		// Word forms: a casing the decoder reads as a string, a float word,
+		// a hex int, and ints past 18 and past 19 digits.
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: nULL\n"},
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: -Infinity\n"},
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: 0x1F\n"},
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: -9223372036854775808\n"},
+		{true, "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: a\ndata:\n  mode: 12345678901234567890\n"},
 	} {
 		f.Add([]byte(s.body), s.yaml, false)
 		f.Add([]byte(s.body), s.yaml, true)

@@ -354,37 +354,31 @@ func mappingEntry(content string) (key, rest string, ok bool) {
 	return key, rest, ok
 }
 
-// parseScalar parses an inline scalar or flow collection.
+// parseScalar parses an inline scalar or flow collection, as LexScalar
+// types it.
 func parseScalar(s string, lineNum int) (any, error) {
 	s = strings.TrimSpace(s)
-	if s == "" {
+	switch l := LexScalar(s); l.Kind {
+	case ScalarEmpty:
 		return nil, nil
-	}
-	switch s[0] {
-	case '[':
+	case ScalarFlow:
 		v, rest, err := parseFlow(s, lineNum)
 		if err != nil {
 			return nil, err
 		}
 		if strings.TrimSpace(rest) != "" {
-			return nil, errAt(lineNum, "trailing content after flow sequence: %s", echo(rest))
-		}
-		return v, nil
-	case '{':
-		v, rest, err := parseFlow(s, lineNum)
-		if err != nil {
-			return nil, err
-		}
-		if strings.TrimSpace(rest) != "" {
+			if s[0] == '[' {
+				return nil, errAt(lineNum, "trailing content after flow sequence: %s", echo(rest))
+			}
 			return nil, errAt(lineNum, "trailing content after flow mapping: %s", echo(rest))
 		}
 		return v, nil
-	case '"', '\'':
+	case ScalarQuoted, ScalarUnterminated:
 		return unquoteScalar(s, lineNum)
-	case '&', '*', '!':
+	case ScalarNode:
 		return nil, errAt(lineNum, "anchors, aliases and tags are not supported (%s)", echo(s))
 	default:
-		return plainScalar(s), nil
+		return plainScalar(s, l.Kind), nil
 	}
 }
 
@@ -517,22 +511,23 @@ func parseFlowItem(s string, lineNum int) (any, string, error) {
 				depth--
 			}
 		}
-		return plainScalar(strings.TrimSpace(s[:end])), s[end:], nil
+		item := strings.TrimSpace(s[:end])
+		return plainScalar(item, lexPlain(item)), s[end:], nil
 	}
 }
 
 // unquoteScalar interprets a quoted scalar including escape sequences
 // (quoted.go).
 func unquoteScalar(s string, lineNum int) (any, error) {
-	if len(s) < 2 {
+	l := LexScalar(s)
+	switch {
+	case len(s) < 2:
 		return nil, errAt(lineNum, "malformed quoted scalar %s", echo(s))
-	}
-	q := s[0]
-	if s[len(s)-1] != q {
+	case l.Kind != ScalarQuoted:
 		return nil, errAt(lineNum, "unterminated quoted scalar %s", echo(s))
 	}
-	body := s[1 : len(s)-1]
-	if q == '"' && strings.IndexByte(body, '\\') < 0 || q == '\'' && strings.IndexByte(body, '\'') < 0 {
+	q, body := l.Quote, s[1:len(s)-1]
+	if l.Clean {
 		return body, nil // nothing to rewrite
 	}
 	var scratch [64]byte // most rewritten scalars are short: no heap buffer
@@ -550,15 +545,19 @@ func unquoteScalar(s string, lineNum int) (any, error) {
 	return string(out), nil
 }
 
-// plainScalar applies YAML 1.2 core-schema-ish type resolution.
-func plainScalar(s string) any {
-	switch s {
-	case "", "~", "null", "Null", "NULL":
+// plainScalar is the value of the plain scalar s, which lexPlain types
+// as k: the words and proven strings as lexed, and a number, proven or
+// not, by strconv.
+func plainScalar(s string, k ScalarKind) any {
+	switch k {
+	case ScalarNull:
 		return nil
-	case "true", "True", "TRUE":
+	case ScalarTrue:
 		return true
-	case "false", "False", "FALSE":
+	case ScalarFalse:
 		return false
+	case ScalarString:
+		return s
 	}
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return i
@@ -569,9 +568,6 @@ func plainScalar(s string) any {
 		}
 	}
 	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		// Only treat as float when it looks numeric (avoid "1e" etc. —
-		// ParseFloat already rejects those; also avoid versions like
-		// "1.2.3" which ParseFloat rejects).
 		return f
 	}
 	return s

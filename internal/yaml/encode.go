@@ -10,14 +10,15 @@ import (
 // encodeNode writes v at the given indentation level. inSeq marks that the
 // first line's indentation has already been emitted by a sequence dash.
 func encodeNode(b *strings.Builder, v any, indent int, inSeq bool) error {
-	switch t := v.(type) {
-	case nil, string, bool, int, int32, int64, float32, float64, uint, uint32, uint64:
+	if s, ok := inline(v); ok {
 		if !inSeq {
 			writeIndent(b, indent)
 		}
-		b.WriteString(encodeScalar(t))
+		b.WriteString(s)
 		b.WriteByte('\n')
 		return nil
+	}
+	switch t := v.(type) {
 	case map[string]any:
 		return encodeMap(b, t, indent, inSeq)
 	case []any:
@@ -34,19 +35,13 @@ func encodeNode(b *strings.Builder, v any, indent int, inSeq bool) error {
 			seq[i] = m
 		}
 		return encodeSeq(b, seq, indent, inSeq)
-	default:
-		return fmt.Errorf("yaml: cannot encode value of type %T", v)
 	}
+	return fmt.Errorf("yaml: cannot encode value of type %T", v)
 }
 
+// encodeMap writes a non-empty mapping; encodeNode writes an empty one
+// inline.
 func encodeMap(b *strings.Builder, m map[string]any, indent int, inSeq bool) error {
-	if len(m) == 0 {
-		if !inSeq {
-			writeIndent(b, indent)
-		}
-		b.WriteString("{}\n")
-		return nil
-	}
 	keys := make([]string, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
@@ -56,58 +51,32 @@ func encodeMap(b *strings.Builder, m map[string]any, indent int, inSeq bool) err
 		if i > 0 || !inSeq {
 			writeIndent(b, indent)
 		}
-		b.WriteString(encodeKey(k))
+		b.WriteString(encodeString(k))
 		b.WriteByte(':')
-		val := m[k]
-		if isScalar(val) {
+		if s, ok := inline(m[k]); ok {
 			b.WriteByte(' ')
-			b.WriteString(encodeScalarValue(val))
+			b.WriteString(s)
 			b.WriteByte('\n')
 			continue
 		}
-		if isEmptyCollection(val) {
-			b.WriteByte(' ')
-			switch val.(type) {
-			case map[string]any:
-				b.WriteString("{}\n")
-			default:
-				b.WriteString("[]\n")
-			}
-			continue
-		}
 		b.WriteByte('\n')
-		if err := encodeNode(b, val, indent+2, false); err != nil {
+		if err := encodeNode(b, m[k], indent+2, false); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// encodeSeq writes a non-empty sequence, as encodeMap a mapping.
 func encodeSeq(b *strings.Builder, seq []any, indent int, inSeq bool) error {
-	if len(seq) == 0 {
-		if !inSeq {
-			writeIndent(b, indent)
-		}
-		b.WriteString("[]\n")
-		return nil
-	}
 	for i, item := range seq {
 		if i > 0 || !inSeq {
 			writeIndent(b, indent)
 		}
 		b.WriteString("- ")
-		if isScalar(item) {
-			b.WriteString(encodeScalarValue(item))
+		if s, ok := inline(item); ok {
+			b.WriteString(s)
 			b.WriteByte('\n')
-			continue
-		}
-		if isEmptyCollection(item) {
-			switch item.(type) {
-			case map[string]any:
-				b.WriteString("{}\n")
-			default:
-				b.WriteString("[]\n")
-			}
 			continue
 		}
 		if err := encodeNode(b, item, indent+2, true); err != nil {
@@ -123,57 +92,42 @@ func writeIndent(b *strings.Builder, n int) {
 	}
 }
 
-func isScalar(v any) bool {
-	switch v.(type) {
-	case nil, string, bool, int, int32, int64, float32, float64, uint, uint32, uint64:
-		return true
-	}
-	return false
-}
-
-func isEmptyCollection(v any) bool {
-	switch t := v.(type) {
-	case map[string]any:
-		return len(t) == 0
-	case []any:
-		return len(t) == 0
-	case []string:
-		return len(t) == 0
-	case []map[string]any:
-		return len(t) == 0
-	}
-	return false
-}
-
-func encodeScalarValue(v any) string { return encodeScalar(v) }
-
-func encodeScalar(v any) string {
+// inline is v's spelling on one line — a scalar or an empty collection —
+// and false for every other value.
+func inline(v any) (string, bool) {
 	switch t := v.(type) {
 	case nil:
-		return "null"
+		return "null", true
 	case bool:
-		return strconv.FormatBool(t)
+		return strconv.FormatBool(t), true
 	case int:
-		return strconv.Itoa(t)
+		return strconv.Itoa(t), true
 	case int32:
-		return strconv.FormatInt(int64(t), 10)
+		return strconv.FormatInt(int64(t), 10), true
 	case int64:
-		return strconv.FormatInt(t, 10)
+		return strconv.FormatInt(t, 10), true
 	case uint:
-		return strconv.FormatUint(uint64(t), 10)
+		return strconv.FormatUint(uint64(t), 10), true
 	case uint32:
-		return strconv.FormatUint(uint64(t), 10)
+		return strconv.FormatUint(uint64(t), 10), true
 	case uint64:
-		return strconv.FormatUint(t, 10)
+		return strconv.FormatUint(t, 10), true
 	case float32:
-		return formatFloat(float64(t))
+		return formatFloat(float64(t)), true
 	case float64:
-		return formatFloat(t)
+		return formatFloat(t), true
 	case string:
-		return encodeString(t)
-	default:
-		return fmt.Sprintf("%v", v)
+		return encodeString(t), true
+	case map[string]any:
+		return "{}", len(t) == 0
+	case []any:
+		return "[]", len(t) == 0
+	case []string:
+		return "[]", len(t) == 0
+	case []map[string]any:
+		return "[]", len(t) == 0
 	}
+	return "", false
 }
 
 func formatFloat(f float64) string {
@@ -185,19 +139,9 @@ func formatFloat(f float64) string {
 	return s
 }
 
-// encodeKey quotes mapping keys only when required.
-func encodeKey(k string) string {
-	if k == "" || needsQuoting(k) {
-		return quoteScalar(k)
-	}
-	return k
-}
-
-// encodeString quotes string scalars that would otherwise be misparsed.
+// encodeString quotes a string, a key or a value, only where its plain
+// rendering would not decode back to it.
 func encodeString(s string) string {
-	if s == "" {
-		return `""`
-	}
 	if needsQuoting(s) {
 		return quoteScalar(s)
 	}
@@ -212,6 +156,7 @@ func encodeString(s string) string {
 // directions, so quoting is byte-exact on round trip.
 func quoteScalar(s string) string {
 	var b strings.Builder
+	b.Grow(len(s) + 2)
 	b.WriteByte('"')
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
@@ -235,23 +180,23 @@ func quoteScalar(s string) string {
 	return b.String()
 }
 
-// needsQuoting reports whether a plain rendering of s would change meaning.
+// needsQuoting reports whether a plain rendering of s would not decode
+// back to s.
 func needsQuoting(s string) bool {
 	switch s {
-	case "true", "True", "TRUE", "false", "False", "FALSE", "null", "Null", "NULL", "~", "yes", "no", "on", "off":
+	case "yes", "no", "on", "off": // YAML 1.1 booleans, for other readers
+		return true
+	case "...": // a document end on a line of its own
 		return true
 	}
-	if _, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return true
-	}
-	if _, err := strconv.ParseFloat(s, 64); err == nil {
-		return true
-	}
-	// Hex literals decode as integers (see plainScalar).
-	if (strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X")) && len(s) > 2 {
-		if _, err := strconv.ParseInt(s[2:], 16, 64); err == nil {
+	switch k := lexPlain(s); k {
+	case ScalarString:
+	case ScalarUndecided:
+		if v, ok := plainScalar(s, k).(string); !ok || v != s {
 			return true
 		}
+	default:
+		return true
 	}
 	if strings.ContainsAny(s, "\n\t\"'") {
 		return true
@@ -263,7 +208,9 @@ func needsQuoting(s string) bool {
 			return true
 		}
 	}
-	if s[0] == ' ' || s[len(s)-1] == ' ' {
+	// The decoder trims every rune unicode.IsSpace reports off a value
+	// and a key.
+	if i, j := TrimSpace(s, 0, len(s)); i != 0 || j != len(s) {
 		return true
 	}
 	switch s[0] {

@@ -1,9 +1,12 @@
 package yaml
 
 import (
+	"fmt"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // TestMarshalScalarShapes round-trips every scalar kind the encoder
@@ -156,5 +159,62 @@ func TestErrorFormatting(t *testing.T) {
 	_, err := Decode([]byte("a: [1\nb: 2\n"))
 	if err == nil {
 		t.Fatal("unterminated flow sequence should error")
+	}
+}
+
+// TestMarshalRoundTripsWhiteSpaceAndWords: every plain scalar of up to
+// two symbols of the enumerator's alphabet, every word form of
+// testdata/plain_words.txt and the document markers, alone and with each
+// rune unicode.IsSpace reports before or after it, decodes back from the
+// encoder's output as a map value, a map key, a list item and a document
+// of its own. An encoder that quoted only ASCII spaces wrote U+00A0 "x"
+// plain, which the decoder trims to "x", and "..." plain, which ends a
+// document.
+func TestMarshalRoundTripsWhiteSpaceAndWords(t *testing.T) {
+	base := append([]string{"", "...", "---", "k"}, plainWords(t)...)
+	for _, a := range plainAlphabet {
+		base = append(base, a)
+		for _, b := range plainAlphabet {
+			base = append(base, a+b)
+		}
+	}
+	var spaces []string
+	for r := rune(0); r <= unicode.MaxRune; r++ {
+		if unicode.IsSpace(r) {
+			spaces = append(spaces, string(r))
+		}
+	}
+	var all []string
+	for _, b := range base {
+		all = append(all, b)
+		for _, sp := range spaces {
+			all = append(all, sp+b, b+sp)
+		}
+	}
+	values, keys, items := map[string]any{}, map[string]any{}, []any{}
+	for i, s := range all {
+		values[strconv.Itoa(i)] = s
+		keys[s] = int64(i)
+		items = append(items, s)
+	}
+	for _, s := range all {
+		checkDocument(t, s)
+	}
+	for _, doc := range []any{values, keys, items} {
+		checkDocument(t, doc)
+	}
+	t.Logf("%d strings", len(all))
+}
+
+// checkDocument holds Decode(Marshal(doc)) to doc.
+func checkDocument(t *testing.T, doc any) {
+	t.Helper()
+	out, err := Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := Decode(out); err != nil || !reflect.DeepEqual(back, doc) {
+		msg := fmt.Sprintf("%q does not decode back from %q: %#v, %v", doc, out, back, err)
+		t.Fatal(msg[:min(len(msg), 500)])
 	}
 }

@@ -9,7 +9,8 @@ import (
 // of a double- or single-quoted scalar decodes to — written once, like
 // lines.go, for the decoder (unquoteScalar) and for the decode-free
 // walker of internal/compile, which checks every escaped scalar it meets
-// with it and decodes the ones a policy check reads.
+// with it and decodes the ones a policy check reads. Which scalars are
+// quoted, and which bodies need no decoding, is LexScalar's (scalar.go).
 
 // EscapeError is why the body of a double-quoted scalar does not decode;
 // zero is none.

@@ -6,7 +6,8 @@
 #   make plane-race      # the plane's generation invariant, -race -count=20
 #   make forward-race    # the upstream frame's lifetime, -race -count=20
 #   make mode-race       # the rollout modes' accounting and promotion gate, -race -count=20
-#   make bench           # in-package micro-benchmarks (multi-workload enforcement, body tag vs SHA-256, JSON and YAML decode, YAML encode, raw scan/match/judge, decoded validate, proxy hit/cold/deny path, plane reapply, registry decision-cache probe, telemetry record-ring append)
+#   make cache-race      # the decision cache's lock-free hit, -race -count=20
+#   make bench           # in-package micro-benchmarks (multi-workload enforcement, body tag vs SHA-256, JSON and YAML decode, YAML encode, raw scan/match/judge, decoded validate, proxy hit/cold/deny path serial and on every core, plane reapply, registry decision-cache probe serial and on every core, telemetry record-ring append)
 #   make fuzz-smoke      # 10s per native fuzz target
 #   make fuzz-nightly    # 2m per native fuzz target
 #   make coverage-gate   # coverage profile; fails below COVERAGE_BASELINE
@@ -24,7 +25,7 @@ GO ?= go
 # it to make a PR pass.
 COVERAGE_BASELINE ?= 87.0
 
-.PHONY: all ci fmt-check vet build test race bench-check plane-race forward-race mode-race bench \
+.PHONY: all ci fmt-check vet build test race bench-check plane-race forward-race mode-race cache-race bench \
 	fuzz-smoke fuzz-nightly coverage-gate staticcheck loc
 
 all: ci
@@ -77,6 +78,13 @@ forward-race:
 # Twenty passes, like plane-race (about 16 s on 2 cores).
 mode-race:
 	$(GO) test -race -count=20 -run 'Mode|Shadow' ./internal/registry
+
+# A decision-cache hit reads its shard under a seqlock, without the
+# mutex that puts, evictions and growth take; the Cache, LRU, Handoff and
+# Fresh tests race hits against them and hold every hit to its own key's
+# decision. Twenty passes, like plane-race.
+cache-race:
+	$(GO) test -race -count=20 -run 'Cache|LRU|Handoff|Fresh' ./internal/registry
 
 bench:
 	$(GO) test -run NONE -bench 'MultiWorkload|RegistryResolve|BodyTag' -benchmem .

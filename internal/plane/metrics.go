@@ -2,6 +2,7 @@ package plane
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/proxy"
 	"repro/internal/telemetry"
@@ -61,7 +62,7 @@ func (pl *Plane) Metrics() TierMetrics {
 	pl.mu.Lock()
 	defer pl.mu.Unlock()
 	tm := TierMetrics{
-		Requests:           pl.requests.Load(),
+		Requests:           sum(&pl.requests),
 		Shed:               pl.shedTotal.Load(),
 		Unavailable:        pl.unavailableTotal.Load(),
 		PublishesStarted:   pl.publishesStarted.Load(),
@@ -94,7 +95,7 @@ func (pl *Plane) Metrics() TierMetrics {
 		rm := ReplicaMetrics{
 			Index:          rep.index,
 			State:          ReplicaState(rep.state.Load()).String(),
-			Routed:         rep.routed.Load(),
+			Routed:         sum(&rep.routed),
 			Shed:           rep.shed.Load(),
 			Unavailable:    rep.unavailable.Load(),
 			Workloads:      len(rep.installed),
@@ -163,4 +164,10 @@ func (pl *Plane) Traces() []telemetry.Trace {
 		out = append(out, pl.front.Traces()...)
 	}
 	return out
+}
+
+// sum totals a striped counter.
+func sum(s *telemetry.Striped[atomic.Uint64]) (n uint64) {
+	s.Each(func(c *atomic.Uint64) { n += c.Load() })
+	return n
 }

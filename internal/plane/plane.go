@@ -184,9 +184,11 @@ type replica struct {
 	// Under Plane.mu.
 	retired proxy.Metrics
 
-	routed      atomic.Uint64
 	shed        atomic.Uint64
 	unavailable atomic.Uint64
+	// routed is written by every request the replica is handed, so each
+	// core counts in a cell of its own.
+	routed telemetry.Striped[atomic.Uint64]
 }
 
 // routeTable is the immutable routing snapshot the data path reads —
@@ -235,7 +237,6 @@ type Plane struct {
 	// takes no control-plane lock) but make no control-plane call.
 	stepHook func(step string)
 
-	requests           atomic.Uint64
 	shedTotal          atomic.Uint64
 	unavailableTotal   atomic.Uint64
 	publishesStarted   atomic.Uint64
@@ -253,6 +254,10 @@ type Plane struct {
 	// front records routing outcomes at the front door (nil when the
 	// tier runs without telemetry).
 	front *telemetry.Hub
+
+	// requests is written by every request, each core in a cell of its
+	// own and off the lines of the fields the data path reads.
+	requests telemetry.Striped[atomic.Uint64]
 }
 
 // New builds the tier: Replicas proxy replicas, each with its own
@@ -871,7 +876,7 @@ func (pl *Plane) Restart(replicaIndex int) error {
 // outcomes (unreadable body 400, oversized 413, unsupported type 415) —
 // never a silent allow.
 func (pl *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	pl.requests.Add(1)
+	pl.requests.Local().Add(1)
 	var start time.Time
 	if pl.front != nil {
 		start = time.Now()
@@ -906,7 +911,7 @@ func (pl *Plane) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		}
 		defer rep.release()
 	}
-	rep.routed.Add(1)
+	rep.routed.Local().Add(1)
 	// The front-door record covers routing overhead only (read, scan,
 	// route); the replica's own hub times the admission decision itself.
 	pl.recordFront(telemetry.VerdictRouted, start)

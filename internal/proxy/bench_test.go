@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/mutate"
@@ -206,6 +208,42 @@ func benchServe(b *testing.B, unique, deny bool) {
 	}
 }
 
+// benchServeParallel is benchServe over the benign JSON corpus from
+// GOMAXPROCS goroutines, each with a copy of the corpus of its own: the
+// serial benchmarks keep every write on one core, so only this form
+// prices the cache lines that two cores serving at once both write.
+// With unique, each goroutine stamps numbers no other one stamps.
+func benchServeParallel(b *testing.B, unique bool) {
+	f := newSynthFleet(b, 60)
+	procs := runtime.GOMAXPROCS(0)
+	serves := make(chan func(n int), procs)
+	for g := 0; g < procs; g++ {
+		corpus := make([]fleetBody, len(f.json))
+		for i, fb := range f.json {
+			corpus[i] = fleetBody{fb.path, bytes.Clone(fb.body), fb.stamp}
+		}
+		serves <- serveLoop(b, f, corpus, "application/json", unique)
+	}
+	before := f.proxy.Metrics()
+	var next atomic.Int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		serve := <-serves
+		n := int(next.Add(1)) * 1e12
+		for pb.Next() {
+			serve(n)
+			n++
+		}
+	})
+	b.StopTimer()
+	after := f.proxy.Metrics()
+	served, denied := after.Requests-before.Requests, after.Denied-before.Denied
+	if raw := after.RawAllowed - before.RawAllowed; served != uint64(b.N) || denied != 0 || raw != served {
+		b.Fatalf("served %d of %d, %d denied, %d on the raw path", served, b.N, denied, raw)
+	}
+}
+
 // BenchmarkServeReapply is the steady state: every body has been seen,
 // so a decision is read + tag + memo probe + resolve + cache probe +
 // forward.
@@ -214,6 +252,15 @@ func BenchmarkServeReapply(b *testing.B) { benchServe(b, false, false) }
 // BenchmarkServeUnique is the cold path: every body is new, so the memo
 // and the decision cache miss and the scanner and matcher do the work.
 func BenchmarkServeUnique(b *testing.B) { benchServe(b, true, false) }
+
+// BenchmarkServeReapplyParallel is BenchmarkServeReapply on every core
+// at once: the decision-cache hit path with no writes shared between
+// cores left to serialize on.
+func BenchmarkServeReapplyParallel(b *testing.B) { benchServeParallel(b, false) }
+
+// BenchmarkServeUniqueParallel is BenchmarkServeUnique on every core at
+// once: the shards' puts and evictions under their mutexes.
+func BenchmarkServeUniqueParallel(b *testing.B) { benchServeParallel(b, true) }
 
 // BenchmarkServeDeny is the cold path of an attack: every body is a
 // never-seen mutation, judged by the walk (or, for a construct it cannot

@@ -23,10 +23,11 @@
 // as far as its prologue — apiVersion, kind and metadata — with at most
 // one decode as the fallback. Serve then decides: the policy is
 // resolved through the registry's match trie without materializing
-// strings (ResolveRaw), the workload's decision-cache shard is probed
-// with the same tag, and on a miss the compiled program judges the raw
-// bytes, all of them, in one walk — so a re-applied manifest costs a
-// read, a tag and three table probes, a never-seen one is walked once
+// strings (ResolveRaw), the workload's decision-cache shard (a
+// second-chance cache) is probed with the same tag, and on a miss the
+// compiled program judges the raw bytes, all of them, in one walk — so
+// a re-applied manifest costs a read, a tag and three table probes that
+// take no lock, a never-seen one is walked once
 // past its prologue, an ALLOWED request is never decoded into a document
 // at all, and its buffer returns to the pool when the upstream round
 // trip completes. A violation is found by the same walk: it records each
@@ -203,8 +204,15 @@ type Proxy struct {
 	tap        func(workload, user, method, path string, obj object.Object)
 	sink       *asyncSink
 	telemetry  *telemetry.Hub
-
 	violations *telemetry.Ring[ViolationRecord]
+
+	// counts is written by every request, each core in a cell of its own
+	// and off the lines of the read-only fields above.
+	counts telemetry.Striped[proxyCounts]
+}
+
+// proxyCounts is one stripe of the counters Metrics sums.
+type proxyCounts struct {
 	requests   atomic.Uint64
 	inspected  atomic.Uint64
 	denied     atomic.Uint64
@@ -273,17 +281,22 @@ func (p *Proxy) Violations() []ViolationRecord {
 	return p.violations.Snapshot()
 }
 
-// Metrics returns a snapshot of the counters.
+// Metrics returns a snapshot of the counters: exact once requests
+// quiesce, a sum taken while they run otherwise.
 func (p *Proxy) Metrics() Metrics {
-	return Metrics{
-		Requests:       p.requests.Load(),
-		Inspected:      p.inspected.Load(),
-		Denied:         p.denied.Load(),
-		Shadowed:       p.shadowed.Load(),
-		RawAllowed:     p.rawAllowed.Load(),
-		RawDenied:      p.rawDenied.Load(),
-		ValidationTime: time.Duration(p.valNanos.Load()),
-	}
+	var m Metrics
+	p.counts.Each(func(c *proxyCounts) {
+		m = m.Add(Metrics{
+			Requests:       c.requests.Load(),
+			Inspected:      c.inspected.Load(),
+			Denied:         c.denied.Load(),
+			Shadowed:       c.shadowed.Load(),
+			RawAllowed:     c.rawAllowed.Load(),
+			RawDenied:      c.rawDenied.Load(),
+			ValidationTime: time.Duration(c.valNanos.Load()),
+		})
+	})
+	return m
 }
 
 // SinkStats reports the async sink's delivery accounting. Zero-valued
@@ -331,10 +344,11 @@ func (p *Proxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // produce a denial record with a distinct reason and status code, and
 // each is counted as a rejected decision of UnresolvedWorkload.
 func (p *Proxy) Serve(w http.ResponseWriter, r *http.Request, q *Request) {
-	p.requests.Add(1)
+	c := p.counts.Local()
+	c.requests.Add(1)
 	user, groups := clientIdentity(r)
 	if q.inspect {
-		p.inspected.Add(1)
+		c.inspected.Add(1)
 	}
 	if q.failCode != 0 {
 		// Decided off the request alone, before any inspection ran.
@@ -354,7 +368,15 @@ func (p *Proxy) Serve(w http.ResponseWriter, r *http.Request, q *Request) {
 		// The one conclusion site: account the decision, then deny it or
 		// fall through to forward.
 		el := time.Since(start)
-		p.valNanos.Add(int64(el))
+		c.valNanos.Add(int64(el))
+		if d.path == telemetry.PathRaw {
+			switch d.verdict {
+			case telemetry.VerdictAllowed:
+				c.rawAllowed.Add(1)
+			case telemetry.VerdictDenied:
+				c.rawDenied.Add(1)
+			}
+		}
 		workload := UnresolvedWorkload
 		if d.entry != nil {
 			workload = d.entry.Workload()
@@ -508,14 +530,6 @@ func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.T
 	default:
 		d.verdict = telemetry.VerdictDenied
 	}
-	if path == telemetry.PathRaw {
-		switch d.verdict {
-		case telemetry.VerdictAllowed:
-			p.rawAllowed.Add(1)
-		case telemetry.VerdictDenied:
-			p.rawDenied.Add(1)
-		}
-	}
 	return d
 }
 
@@ -595,7 +609,7 @@ func newRecord(r *http.Request, user string, entry *registry.Entry,
 // the denial log and the denied metric are not touched.
 func (p *Proxy) recordShadow(r *http.Request, user string,
 	entry *registry.Entry, q *Request, violations []validator.Violation) {
-	p.shadowed.Add(1)
+	p.counts.Local().shadowed.Add(1)
 	kind, name := q.ident()
 	p.emitShadow(newRecord(r, user, entry, kind, name, violations))
 }
@@ -609,7 +623,7 @@ func (p *Proxy) recordShadow(r *http.Request, user string,
 func (p *Proxy) deny(w http.ResponseWriter, r *http.Request, user string,
 	entry *registry.Entry, kind, name string, code int, violations []validator.Violation) {
 	if code == http.StatusForbidden {
-		p.denied.Add(1)
+		p.counts.Local().denied.Add(1)
 	}
 	rec := newRecord(r, user, entry, kind, name, violations)
 	p.violations.Append(rec)

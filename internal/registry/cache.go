@@ -4,20 +4,41 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/validator"
 )
 
-// lruCache is a bounded, thread-safe LRU map from cacheKey to a
-// validation decision. Bounding matters at an enforcement point: request
+// lruCache is a bounded, thread-safe map from cacheKey to a validation
+// decision that evicts by second chance (CLOCK), an approximation of
+// least-recently-used. Bounding matters at an enforcement point: request
 // bodies are attacker-controlled, so an unbounded memo would be a memory
 // amplification primitive.
 //
-// The recency list is threaded through a slab: items live in one slice
-// and link to each other by index. The slab doubles as decisions are put
-// in it, up to the capacity, so a shard that only ever sees a few bodies
-// stays small and one that sees none costs nothing but this struct; from
-// then on an insert reuses the evicted item's slot.
+// A hit takes no lock and writes nothing another core writes. It reads
+// the index and the slab under the shard's seqlock, the scan memo's
+// idiom (internal/proxy/scanmemo.go): seq is odd while a writer changes
+// either, and a hit whose two loads of it differ, or that finds it odd,
+// asks again under the mutex. Every word a hit reads is atomic, so the
+// race detector sees what the protocol guarantees. The decision is an
+// immutable violation list held as a pointer to its first element and
+// its length, nil and 0 for an allow: a put stores a denial without
+// boxing it and an allow stores nothing. A hit sets its item's reference
+// bit only when the bit is clear: a decision re-applied a million times
+// is written once.
+// Puts, evictions, growth and export take the mutex.
+//
+// Eviction is second chance: the clock hand sweeps the slab in order,
+// clears each set reference bit it passes and evicts the first item
+// whose bit is clear, so an item hit since the hand last passed it
+// survives one more sweep. A new item enters with its bit clear, in the
+// slot of the item it evicts, just behind the hand.
+//
+// Items live in one slab; the slab doubles as decisions are put in it,
+// up to the capacity, so a shard that only ever sees a few bodies stays
+// small and one that sees none costs nothing but this struct; from then
+// on an insert reuses the evicted item's slot.
 //
 // The keys are indexed by an open-addressed table stored beside the
 // slab, not by a runtime map. Under insert/evict churn a map keeps the
@@ -27,6 +48,12 @@ import (
 // no tombstones and is rebuilt only when the slab grows: a full shard
 // keeps its size, and a cache at capacity inserts without allocating.
 type lruCache struct {
+	// seq is the seqlock: odd while a writer changes the index or a slot.
+	seq atomic.Uint32
+	// view is the index and the whole slab, as hits read them; replaced
+	// when the slab grows.
+	view atomic.Pointer[cacheView]
+
 	mu       sync.Mutex
 	capacity int
 	// seed is mixed into every key's hash, so a client who grinds
@@ -35,27 +62,78 @@ type lruCache struct {
 	// index is open-addressed with linear probing, a power of two long
 	// and at least twice cap(slab), so at most half full. A slot holds a
 	// key's tag (slotHash) in its upper half and its slab index + 1 in
-	// its lower half; 0 is empty.
+	// its lower half; 0 is empty. Writers store its words atomically.
 	index []uint64
-	slab  []lruItem
-	// head is the most and tail the least recently used item; -1 when
-	// the cache is empty.
-	head, tail int32
+	slab  []cacheSlot
+	// hand is the slot the next eviction examines first.
+	hand int32
 }
 
-type lruItem struct {
-	key cacheKey
-	vs  []validator.Violation
-	// prev links toward head (more recent), next toward tail; -1 ends.
-	prev, next int32
+// cacheView is the index and slab[:cap(slab)] that one growth published.
+type cacheView struct {
+	index []uint64
+	slab  []cacheSlot
+}
+
+// cacheSlot is one cached decision.
+type cacheSlot struct {
+	// key is the cacheKey as words: the generation, then the body tag's
+	// two little-endian halves.
+	key [3]atomic.Uint64
+	// vs and n are the violation list's first element and length; nil
+	// and 0 are an allow. The list is never written once cached.
+	vs atomic.Pointer[validator.Violation]
+	n  atomic.Uint32
+	// ref is the second-chance bit.
+	ref atomic.Uint32
 }
 
 func newLRUCache(capacity int) *lruCache {
-	return &lruCache{
-		capacity: capacity,
-		seed:     rand.Uint64(),
-		head:     -1,
-		tail:     -1,
+	return &lruCache{capacity: capacity, seed: rand.Uint64()}
+}
+
+// keyWords is key as a slot stores it.
+func keyWords(key *cacheKey) [3]uint64 {
+	return [3]uint64{key.gen, binary.LittleEndian.Uint64(key.tag[:8]), binary.LittleEndian.Uint64(key.tag[8:])}
+}
+
+// loadKey is the slot's key.
+func (s *cacheSlot) loadKey() cacheKey {
+	k := cacheKey{gen: s.key[0].Load()}
+	binary.LittleEndian.PutUint64(k.tag[:8], s.key[1].Load())
+	binary.LittleEndian.PutUint64(k.tag[8:], s.key[2].Load())
+	return k
+}
+
+// setDecision stores vs, which MaxViolations bounds, as the slot's
+// decision.
+func (s *cacheSlot) setDecision(vs []validator.Violation) {
+	if len(vs) == 0 {
+		s.vs.Store(nil)
+		s.n.Store(0)
+		return
+	}
+	s.vs.Store(unsafe.SliceData(vs))
+	s.n.Store(uint32(len(vs)))
+}
+
+// decision is the slot's violation list.
+func (s *cacheSlot) decision() []validator.Violation {
+	return violations(s.vs.Load(), s.n.Load())
+}
+
+// violations is the list whose first element is p and whose length is n.
+func violations(p *validator.Violation, n uint32) []validator.Violation {
+	if n == 0 {
+		return nil
+	}
+	return unsafe.Slice(p, n)
+}
+
+// touch sets the slot's reference bit, writing only when it is clear.
+func (s *cacheSlot) touch() {
+	if s.ref.Load() == 0 {
+		s.ref.Store(1)
 	}
 }
 
@@ -74,24 +152,30 @@ func (c *lruCache) slotHash(key *cacheKey) uint32 {
 	return uint32(h >> 32)
 }
 
-// find returns key's slab index, or -1 when the key is not cached.
-func (c *lruCache) find(key *cacheKey) int32 {
-	if len(c.index) == 0 {
+// probe returns the slab index of the key whose words are kw and whose
+// tag is tag, or -1. A hit calls it outside the mutex, so it reads with
+// atomic loads and gives up after one lap of the index: under a
+// concurrent writer the answer is discarded anyway.
+func probe(index []uint64, slab []cacheSlot, kw *[3]uint64, tag uint32) int32 {
+	if len(index) == 0 {
 		return -1
 	}
-	mask := uint32(len(c.index) - 1)
-	tag := c.slotHash(key)
-	for s := tag & mask; ; s = (s + 1) & mask {
-		e := c.index[s]
+	mask := uint32(len(index) - 1)
+	s := tag & mask
+	for range index {
+		e := atomic.LoadUint64(&index[s])
 		if e == 0 {
 			return -1
 		}
 		if uint32(e>>32) == tag {
-			if i := int32(uint32(e)) - 1; c.slab[i].key == *key {
+			i := int32(uint32(e)) - 1
+			if k := &slab[i].key; k[0].Load() == kw[0] && k[1].Load() == kw[1] && k[2].Load() == kw[2] {
 				return i
 			}
 		}
+		s = (s + 1) & mask
 	}
+	return -1
 }
 
 // place puts slot value e, whose key is not indexed, in the first empty
@@ -102,7 +186,7 @@ func (c *lruCache) place(e uint64) {
 	for c.index[s] != 0 {
 		s = (s + 1) & mask
 	}
-	c.index[s] = e
+	atomic.StoreUint64(&c.index[s], e)
 }
 
 // unindex removes slab item i from the index. Each later slot of the
@@ -111,7 +195,8 @@ func (c *lruCache) place(e uint64) {
 // left.
 func (c *lruCache) unindex(i int32) {
 	mask := uint32(len(c.index) - 1)
-	s := c.slotHash(&c.slab[i].key) & mask
+	key := c.slab[i].loadKey()
+	s := c.slotHash(&key) & mask
 	for uint32(c.index[s]) != uint32(i+1) {
 		s = (s + 1) & mask
 	}
@@ -122,19 +207,27 @@ func (c *lruCache) unindex(i int32) {
 			break
 		}
 		if home := uint32(e>>32) & mask; (j-home)&mask >= (j-s)&mask {
-			c.index[s] = e
+			atomic.StoreUint64(&c.index[s], e)
 			s = j
 		}
 	}
-	c.index[s] = 0
+	atomic.StoreUint64(&c.index[s], 0)
 }
 
-// grow doubles the slab, up to the capacity, and rebuilds the index for
-// the new size.
+// grow doubles the slab, up to the capacity, rebuilds the index for the
+// new size and publishes both to hits.
 func (c *lruCache) grow() {
 	n := min(max(2*cap(c.slab), 1), c.capacity)
-	slab := make([]lruItem, len(c.slab), n)
-	copy(slab, c.slab)
+	slab := make([]cacheSlot, len(c.slab), n)
+	for i := range c.slab {
+		from, to := &c.slab[i], &slab[i]
+		for w := range from.key {
+			to.key[w].Store(from.key[w].Load())
+		}
+		to.vs.Store(from.vs.Load())
+		to.n.Store(from.n.Load())
+		to.ref.Store(from.ref.Load())
+	}
 	c.slab = slab
 	size := 2
 	for size < 2*n {
@@ -147,60 +240,67 @@ func (c *lruCache) grow() {
 			c.place(e)
 		}
 	}
+	c.view.Store(&cacheView{index: c.index, slab: c.slab[:n]})
 }
 
-// unlink takes item i out of the recency list.
-func (c *lruCache) unlink(i int32) {
-	it := &c.slab[i]
-	if it.prev >= 0 {
-		c.slab[it.prev].next = it.next
-	} else {
-		c.head = it.next
-	}
-	if it.next >= 0 {
-		c.slab[it.next].prev = it.prev
-	} else {
-		c.tail = it.prev
-	}
-}
-
-// pushFront makes item i, not in the list, the most recently used.
-func (c *lruCache) pushFront(i int32) {
-	it := &c.slab[i]
-	it.prev, it.next = -1, c.head
-	if c.head >= 0 {
-		c.slab[c.head].prev = i
-	} else {
-		c.tail = i
-	}
-	c.head = i
-}
-
-// touch makes item i, in the list, the most recently used.
-func (c *lruCache) touch(i int32) {
-	if i != c.head {
-		c.unlink(i)
-		c.pushFront(i)
+// evict advances the hand past the items whose reference bit is set,
+// clearing it, and returns the first item whose bit is clear; the hand
+// moves on past it. The shard is full.
+func (c *lruCache) evict() int32 {
+	for {
+		i := c.hand
+		if c.hand++; int(c.hand) == len(c.slab) {
+			c.hand = 0
+		}
+		s := &c.slab[i]
+		if s.ref.Load() == 0 {
+			return i
+		}
+		s.ref.Store(0)
 	}
 }
 
 func (c *lruCache) get(key cacheKey) ([]validator.Violation, bool) {
+	kw, tag := keyWords(&key), c.slotHash(&key)
+	if seq := c.seq.Load(); seq&1 == 0 {
+		v := c.view.Load()
+		if v == nil {
+			return nil, false // nothing was ever put
+		}
+		i := probe(v.index, v.slab, &kw, tag)
+		var p *validator.Violation
+		var n uint32
+		if i >= 0 {
+			p, n = v.slab[i].vs.Load(), v.slab[i].n.Load()
+		}
+		if c.seq.Load() == seq {
+			if i < 0 {
+				return nil, false
+			}
+			v.slab[i].touch()
+			return violations(p, n), true
+		}
+	}
+	// A writer holds the shard: ask under the mutex.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i := c.find(&key)
+	i := probe(c.index, c.slab, &kw, tag)
 	if i < 0 {
 		return nil, false
 	}
-	c.touch(i)
-	return c.slab[i].vs, true
+	c.slab[i].touch()
+	return c.slab[i].decision(), true
 }
 
 func (c *lruCache) put(key cacheKey, vs []validator.Violation) {
+	kw, tag := keyWords(&key), c.slotHash(&key)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if i := c.find(&key); i >= 0 {
-		c.slab[i].vs = vs
-		c.touch(i)
+	c.seq.Add(1)
+	defer c.seq.Add(1)
+	if i := probe(c.index, c.slab, &kw, tag); i >= 0 {
+		c.slab[i].setDecision(vs)
+		c.slab[i].touch()
 		return
 	}
 	var i int32
@@ -211,14 +311,16 @@ func (c *lruCache) put(key cacheKey, vs []validator.Violation) {
 		i = int32(len(c.slab))
 		c.slab = c.slab[:i+1]
 	} else {
-		// Full: the least recently used item gives up its slot.
-		i = c.tail
-		c.unlink(i)
+		i = c.evict()
 		c.unindex(i)
 	}
-	c.slab[i].key, c.slab[i].vs = key, vs
-	c.pushFront(i)
-	c.place(uint64(c.slotHash(&key))<<32 | uint64(uint32(i+1)))
+	s := &c.slab[i]
+	for w := range kw {
+		s.key[w].Store(kw[w])
+	}
+	s.setDecision(vs)
+	s.ref.Store(0)
+	c.place(uint64(tag)<<32 | uint64(uint32(i+1)))
 }
 
 func (c *lruCache) stats() (size, capacity int) {
@@ -227,21 +329,31 @@ func (c *lruCache) stats() (size, capacity int) {
 	return len(c.slab), c.capacity
 }
 
-// export copies the shard's decisions made under one policy generation,
-// ordered least- to most-recently used so an import replayed through
-// put() reproduces the source's recency order. Decisions cached under
-// any other generation are already unreachable (probes key on the
-// current generation) and are dropped here rather than shipped.
+// export copies the shard's decisions made under one policy generation
+// in the order the shard would evict them were no more hits to come:
+// from the hand on, the items whose reference bit is clear, then those
+// whose bit is set. An import replayed through put() enters them all
+// with their bits clear, in that order, so the destination evicts them
+// in the source's order. Decisions cached under any other generation are
+// already unreachable (probes key on the current generation) and are
+// dropped here rather than shipped.
 func (c *lruCache) export(gen uint64) []CacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]CacheEntry, 0, len(c.slab))
-	for i := c.tail; i >= 0; i = c.slab[i].prev {
-		item := &c.slab[i]
-		if item.key.gen != gen {
+	var hot []CacheEntry
+	for n := range c.slab {
+		s := &c.slab[(int(c.hand)+n)%len(c.slab)]
+		k := s.loadKey()
+		if k.gen != gen {
 			continue
 		}
-		out = append(out, CacheEntry{BodyTag: item.key.tag, Violations: item.vs})
+		ce := CacheEntry{BodyTag: k.tag, Violations: s.decision()}
+		if s.ref.Load() == 0 {
+			out = append(out, ce)
+		} else {
+			hot = append(hot, ce)
+		}
 	}
-	return out
+	return append(out, hot...)
 }

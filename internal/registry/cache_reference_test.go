@@ -11,18 +11,25 @@ import (
 	"repro/internal/validator"
 )
 
-// refLRUCache is the decision cache as it was before the slab: the same
-// exact LRU over container/list, kept as the oracle the slab is held to.
+// refLRUCache is the oracle the slab is held to: the same second-chance
+// eviction over container/list, written for clarity rather than speed.
+// (It keeps the name of the exact LRU it was until the shard's hits went
+// lock-free.) The list is the clock, a circle read front to back and
+// round again; it is cut so that its back is the item the next eviction
+// takes, so a test asks ll.Back() for the victim as it asked the LRU.
 type refLRUCache struct {
 	mu       sync.Mutex
 	capacity int
-	ll       *list.List // front = most recently used
+	ll       *list.List
 	items    map[cacheKey]*list.Element
+	// hand is where the next eviction's sweep starts; nil while empty.
+	hand *list.Element
 }
 
 type refLRUItem struct {
 	key cacheKey
 	vs  []validator.Violation
+	ref bool // the second-chance bit
 }
 
 func newRefLRUCache(capacity int) *refLRUCache {
@@ -33,6 +40,36 @@ func newRefLRUCache(capacity int) *refLRUCache {
 	}
 }
 
+// next is el's successor on the clock.
+func (c *refLRUCache) next(el *list.Element) *list.Element {
+	if n := el.Next(); n != nil {
+		return n
+	}
+	return c.ll.Front()
+}
+
+// recut turns the circle until its back is the next victim: the first
+// item from the hand whose bit is clear, or the hand itself when every
+// bit is set (the sweep clears them all and comes back to it).
+func (c *refLRUCache) recut() {
+	if c.hand == nil {
+		return
+	}
+	victim := c.hand
+	for el := c.hand; ; {
+		if !el.Value.(*refLRUItem).ref {
+			victim = el
+			break
+		}
+		if el = c.next(el); el == c.hand {
+			break
+		}
+	}
+	for c.ll.Back() != victim {
+		c.ll.MoveToBack(c.ll.Front())
+	}
+}
+
 func (c *refLRUCache) get(key cacheKey) ([]validator.Violation, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -40,24 +77,42 @@ func (c *refLRUCache) get(key cacheKey) ([]validator.Violation, bool) {
 	if !ok {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*refLRUItem).vs, true
+	item := el.Value.(*refLRUItem)
+	item.ref = true
+	c.recut()
+	return item.vs, true
 }
 
 func (c *refLRUCache) put(key cacheKey, vs []validator.Violation) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
-		el.Value.(*refLRUItem).vs = vs
-		c.ll.MoveToFront(el)
+		item := el.Value.(*refLRUItem)
+		item.vs, item.ref = vs, true
+		c.recut()
 		return
 	}
-	c.items[key] = c.ll.PushFront(&refLRUItem{key: key, vs: vs})
-	for c.ll.Len() > c.capacity {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*refLRUItem).key)
+	item := &refLRUItem{key: key, vs: vs}
+	switch {
+	case c.hand == nil:
+		c.hand = c.ll.PushBack(item)
+		c.items[key] = c.hand
+	case c.ll.Len() < c.capacity:
+		// Just behind the hand, which has not moved: after every item
+		// put so far.
+		c.items[key] = c.ll.InsertBefore(item, c.hand)
+	default:
+		for it := c.hand.Value.(*refLRUItem); it.ref; it = c.hand.Value.(*refLRUItem) {
+			it.ref = false
+			c.hand = c.next(c.hand)
+		}
+		victim := c.hand
+		c.items[key] = c.ll.InsertBefore(item, victim)
+		c.hand = c.next(victim)
+		c.ll.Remove(victim)
+		delete(c.items, victim.Value.(*refLRUItem).key)
 	}
+	c.recut()
 }
 
 func (c *refLRUCache) stats() (size, capacity int) {
@@ -66,25 +121,34 @@ func (c *refLRUCache) stats() (size, capacity int) {
 	return c.ll.Len(), c.capacity
 }
 
+// export lists one generation's decisions in eviction order: from the
+// hand round, the items whose bit is clear, then those whose bit is set.
 func (c *refLRUCache) export(gen uint64) []CacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]CacheEntry, 0, c.ll.Len())
-	for el := c.ll.Back(); el != nil; el = el.Prev() {
+	var out, hot []CacheEntry
+	el := c.hand
+	for n := 0; n < c.ll.Len(); n++ {
 		item := el.Value.(*refLRUItem)
-		if item.key.gen != gen {
-			continue
+		if item.key.gen == gen {
+			ce := CacheEntry{BodyTag: item.key.tag, Violations: item.vs}
+			if item.ref {
+				hot = append(hot, ce)
+			} else {
+				out = append(out, ce)
+			}
 		}
-		out = append(out, CacheEntry{BodyTag: item.key.tag, Violations: item.vs})
+		el = c.next(el)
 	}
-	return out
+	return append(out, hot...)
 }
 
 // TestLRUSlabMatchesReference drives the slab and the reference through
 // the same seeded stream of gets, puts, re-puts and exports at several
 // capacities: every get must return the same value, every step must leave
-// the same keys cached (so the same evictions) and every export must list
-// the same decisions in the same recency order.
+// the same keys cached (so the same evictions, second chances included)
+// and every export must list the same decisions in the same eviction
+// order.
 func TestLRUSlabMatchesReference(t *testing.T) {
 	for _, capacity := range []int{1, 2, 7, 1024} {
 		t.Run(fmt.Sprint(capacity), func(t *testing.T) {
@@ -142,6 +206,13 @@ func TestLRUSlabMatchesReference(t *testing.T) {
 			}
 		})
 	}
+}
+
+// find returns key's slab index in c, or -1 when the key is not
+// cached; unlike get, it leaves the reference bit alone.
+func (c *lruCache) find(key *cacheKey) int32 {
+	kw := keyWords(key)
+	return probe(c.index, c.slab, &kw, c.slotHash(key))
 }
 
 // indexed counts the keys in c's index.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/validator"
@@ -111,7 +112,8 @@ func checkIndex(t *testing.T, c *lruCache) {
 			t.Fatalf("slot %d names slab item %d (slab %d, seen %v)", s, i, len(c.slab), seen[i])
 		}
 		seen[i] = true
-		tag := c.slotHash(&c.slab[i].key)
+		key := c.slab[i].loadKey()
+		tag := c.slotHash(&key)
 		if uint32(e>>32) != tag {
 			t.Fatalf("slot %d carries tag %#x, its key hashes to %#x", s, e>>32, tag)
 		}
@@ -161,6 +163,31 @@ func BenchmarkDecisionCache(b *testing.B) {
 				b.Fatal("a fresh key hit")
 			}
 			c.put(k, nil)
+		}
+	})
+}
+
+// BenchmarkDecisionCacheParallel is the hit of BenchmarkDecisionCache
+// from every core at once on one shard: a hit that wrote a line another
+// core writes (a lock, a recency list) would serialize them.
+func BenchmarkDecisionCacheParallel(b *testing.B) {
+	const capacity = 1024
+	c := newLRUCache(capacity)
+	hot := make([]cacheKey, 650)
+	for i := range hot {
+		hot[i] = cacheKey{gen: 1, tag: BodyTag([]byte(fmt.Sprint(i)))}
+		c.put(hot[i], nil)
+	}
+	var start atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		n := int(start.Add(97))
+		for pb.Next() {
+			if _, ok := c.get(hot[n%len(hot)]); !ok {
+				b.Error("a hot key missed")
+				return
+			}
+			n++
 		}
 	})
 }

@@ -27,15 +27,15 @@
 // a decision handed off between registries can each stand in for
 // validating the decoded object.
 //
-// An optional bounded LRU decision cache (cache.go: an exact LRU
-// threaded through a slab, so a full shard inserts without allocating)
-// memoizes validation outcomes keyed by (policy generation, request-body
-// tag; tag.go): operators re-apply
-// identical manifests on every reconcile loop, so idempotent
-// re-validation is the common case under heavy traffic. The cache is
-// sharded per workload — each entry owns its own bounded LRU — so
-// concurrent tenants never contend on a global cache lock and one
-// tenant's traffic cannot evict another's decisions. Swapping a policy
+// An optional bounded decision cache (cache.go: second-chance eviction
+// in a slab, so a full shard inserts without allocating, and hits that
+// take no lock) memoizes validation outcomes keyed by (policy
+// generation, request-body tag; tag.go): operators re-apply identical
+// manifests on every reconcile loop, so idempotent re-validation is the
+// common case under heavy traffic. The cache is sharded per workload —
+// each entry owns its own bounded shard — so concurrent tenants never
+// contend on a global cache lock and one tenant's traffic cannot evict
+// another's decisions. Swapping a policy
 // bumps the entry's generation, which implicitly invalidates every
 // cached decision made under the old policy; deregistering a workload
 // drops its shard outright.
@@ -188,6 +188,9 @@ type Entry struct {
 	observer atomic.Pointer[Observer]
 	shadow   *shadowWindow
 
+	// The counters below are written by every request; the pad keeps
+	// the fields above, which every request reads, off their line.
+	_            [64]byte
 	requests     atomic.Uint64
 	denied       atomic.Uint64
 	cacheHits    atomic.Uint64
@@ -351,20 +354,23 @@ func preferEntry(a, b *Entry) *Entry {
 
 // Registry holds the workload policy entries of one enforcement point.
 // Register/Swap/Deregister/Resolve are all safe for concurrent use; the
-// hot path (Resolve + Validate) takes only a read lock plus atomic loads
-// and the resolved entry's own cache-shard lock.
+// hot path (Resolve + Validate) takes no lock: it loads the published
+// match trie and the entry's policy, and a decision-cache hit reads its
+// shard under the shard's seqlock.
 type Registry struct {
+	// index is the registry-wide match trie, rebuilt alongside
+	// resolution and published whole; Resolve and ResolveRaw probe the
+	// one they load instead of scanning, and never take mu.
+	index atomic.Pointer[resolveIndex]
+
 	mu      sync.RWMutex
 	entries map[string]*Entry
 	// resolution is the entry list sorted by (specificity desc, order
-	// asc). The trie below answers lookups; the sorted list is kept as
-	// the executable specification the trie is differentially tested
+	// asc). The trie answers lookups; the sorted list is kept as the
+	// executable specification the trie is differentially tested
 	// against (resolveScan).
 	resolution []*Entry
-	// index is the registry-wide match trie rebuilt alongside
-	// resolution; Resolve and ResolveRaw probe it instead of scanning.
-	index     resolveIndex
-	nextOrder int
+	nextOrder  int
 	// gens issues policy generations for all entries; see Entry.gen.
 	gens atomic.Uint64
 
@@ -374,11 +380,13 @@ type Registry struct {
 
 // New builds an empty registry.
 func New(cfg Config) *Registry {
-	return &Registry{
+	r := &Registry{
 		entries:      map[string]*Entry{},
 		cacheSize:    cfg.CacheSize,
 		shadowWindow: cfg.ShadowWindow,
 	}
+	r.index.Store(&resolveIndex{})
+	return r
 }
 
 // ErrUnknownWorkload reports an operation addressed to a workload the
@@ -517,7 +525,7 @@ func (r *Registry) rebuildLocked() {
 	})
 	r.resolution = res
 
-	ix := resolveIndex{
+	ix := &resolveIndex{
 		nsKind:   map[string]map[string]*Entry{},
 		nsAny:    map[string]*Entry{},
 		kindOnly: map[string]*Entry{},
@@ -560,27 +568,25 @@ func (r *Registry) rebuildLocked() {
 			ix.cluster[k] = e // unique by registration-time check
 		}
 	}
-	r.index = ix
+	r.index.Store(ix)
 }
 
 // Resolve returns the most specific entry whose selector matches the
 // namespace and kind, or false if no registered policy governs the
 // request (the enforcement point should fail closed). Lookup probes the
 // registry-wide match trie — at most four map probes — so cost is flat
-// in the number of registered workloads.
+// in the number of registered workloads. It takes no lock and writes
+// nothing: the trie is an immutable snapshot that every registration
+// and deregistration replaces.
 func (r *Registry) Resolve(namespace, kind string) (*Entry, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return lookup(&r.index, namespace, kind)
+	return lookup(r.index.Load(), namespace, kind)
 }
 
 // ResolveRaw is Resolve for wire bytes (e.g. compile.RawMeta fields):
 // the map probes convert the keys without allocating, so routing a
 // request straight off its scanned metadata is allocation-free.
 func (r *Registry) ResolveRaw(namespace, kind []byte) (*Entry, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return lookup(&r.index, namespace, kind)
+	return lookup(r.index.Load(), namespace, kind)
 }
 
 // resolveScan is the pre-trie linear resolution over the sorted entry
@@ -806,7 +812,8 @@ type CacheEntry struct {
 // generation, and import re-keys them to the destination's current
 // generation only while the destination provably serves the identical
 // program — otherwise every entry is dropped as stale. Entries are
-// ordered least- to most-recently used so recency survives the move.
+// ordered as the source would evict them, so the order survives the
+// move.
 //
 // Identity is the program pointer. The plane installs one program on
 // every replica that holds a workload, so its handoffs match; a caller
@@ -859,10 +866,10 @@ func (r *Registry) ExportCache(workload string) (CacheSnapshot, error) {
 // not hold the exact program the snapshot was exported under (a swap
 // landed on either side since), every entry is dropped — an imported
 // decision must be byte-for-byte the decision the destination would
-// compute itself. Entries are replayed in LRU order through the shard's
-// own bounded put, so the import can never grow the shard past its
-// capacity: a snapshot larger than the shard keeps its most recently
-// used tail.
+// compute itself. Entries are replayed in the snapshot's eviction order
+// through the shard's own bounded put, so the import can never grow the
+// shard past its capacity: a snapshot larger than the shard keeps its
+// tail, the decisions the source would have evicted last.
 func (r *Registry) ImportCache(snap CacheSnapshot) (int, error) {
 	e, ok := r.Entry(snap.Workload)
 	if !ok {

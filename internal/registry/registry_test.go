@@ -311,19 +311,21 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 	if _, ok := c.get(keys[0]); ok {
 		t.Error("oldest key should have been evicted")
 	}
+	// find looks without using: a get would set the reference bit.
 	for _, k := range keys[1:] {
-		if _, ok := c.get(k); !ok {
+		if c.find(&k) < 0 {
 			t.Errorf("key %v missing", k)
 		}
 	}
-	// Touch keys[1], insert a fourth: keys[2] is now the LRU victim.
-	c.get(keys[1])
+	// Use keys[2], insert a fourth: keys[1], unused since it was put, is
+	// the victim, and keys[2] has its second chance.
+	c.get(keys[2])
 	k3 := cacheKey{gen: 3}
 	c.put(k3, nil)
-	if _, ok := c.get(keys[2]); ok {
+	if _, ok := c.get(keys[1]); ok {
 		t.Error("LRU victim survived")
 	}
-	if _, ok := c.get(keys[1]); !ok {
+	if _, ok := c.get(keys[2]); !ok {
 		t.Error("recently used key evicted")
 	}
 	if size, capacity := c.stats(); size != 2 || capacity != 2 {

@@ -10,8 +10,8 @@
 // immutable map published through an atomic pointer (copy-on-write on
 // the first decision a workload ever records — a one-time slow path),
 // and every cell is striped across cache-line-padded shards indexed by
-// the decision's own duration bits, so concurrent request goroutines
-// rarely contend on one counter line. Histograms use fixed power-of-two
+// the recording core's stripe (Striped), so two cores recording at once
+// write two lines. Histograms use fixed power-of-two
 // bucket bounds: recording is one subtract, one shift, one bits.Len64
 // and three atomic adds, and p50/p90/p99 are derived from the bucket
 // counts at scrape time, where allocating is fine.
@@ -186,25 +186,33 @@ type Config struct {
 // a valid no-op recorder, so callers gate telemetry on a single nil
 // check. All methods are safe for concurrent use.
 type Hub struct {
+	// The fields every record reads come first, off the lines the
+	// record path writes; mu is taken once per workload.
 	shards    int
 	shardMask uint64
-
 	// workloads is the immutable name -> state map the record path
 	// reads; misses take mu and republish a copy (once per workload).
-	workloads atomic.Pointer[map[string]*workloadTel]
-	mu        sync.Mutex
-
+	workloads   atomic.Pointer[map[string]*workloadTel]
 	sampleEvery uint64
-	sampleCtr   atomic.Uint64
-	sampled     atomic.Uint64
 	traces      *Ring[Trace]
-	ctxPool     sync.Pool
+	mu          sync.Mutex
+
+	// sampleCtr is the one counter every decision writes on a shared
+	// line: exact every-N-th sampling needs one sequence. It sits on a
+	// line of its own.
+	_         [cacheLine]byte
+	sampleCtr atomic.Uint64
+	_         [cacheLine]byte
+	sampled   atomic.Uint64
+	ctxPool   sync.Pool
 
 	// How the scan memo answered the scans of the requests this hub
 	// recorded (RecordScan).
-	scanHits      atomic.Uint64
-	scanMisses    atomic.Uint64
-	scanEvictions atomic.Uint64
+	scans Striped[scanCounts]
+}
+
+type scanCounts struct {
+	hits, misses, evictions atomic.Uint64
 }
 
 // New builds a Hub.
@@ -269,8 +277,7 @@ func (h *Hub) workload(name string) *workloadTel {
 // RecordDecision records one decision: the (workload, verdict, path)
 // counter and its latency histogram. Lock-free and allocation-free
 // after the workload's first record; safe from any number of
-// goroutines. The stripe is picked from the duration's own bits —
-// per-decision entropy that costs nothing to obtain.
+// goroutines. The shard is the recording core's stripe.
 func (h *Hub) RecordDecision(workload string, v Verdict, p Path, d time.Duration) {
 	if h == nil {
 		return
@@ -279,28 +286,28 @@ func (h *Hub) RecordDecision(workload string, v Verdict, p Path, d time.Duration
 		d = 0
 	}
 	wt := h.workload(workload)
-	n := uint64(d)
-	sh := &wt.shards[(n^n>>7^n>>14)&h.shardMask]
+	sh := &wt.shards[uint64(stripe())&h.shardMask]
 	ci := cellIndex(v, p)
 	sh.count[ci].Add(1)
-	sh.sumNs[ci].Add(n)
+	sh.sumNs[ci].Add(uint64(d))
 	sh.bucket[ci][bucketIndex(d)].Add(1)
 }
 
 // RecordScan counts how the scan memo answered one request's scan.
 // Lock-free and allocation-free; ScanNone and a nil hub record nothing.
 func (h *Hub) RecordScan(o ScanOutcome) {
-	if h == nil {
+	if h == nil || o == ScanNone {
 		return
 	}
+	c := h.scans.Local()
 	switch o {
 	case ScanMemoHit:
-		h.scanHits.Add(1)
+		c.hits.Add(1)
 	case ScanMemoEvict:
-		h.scanEvictions.Add(1)
+		c.evictions.Add(1)
 		fallthrough
 	case ScanMemoMiss:
-		h.scanMisses.Add(1)
+		c.misses.Add(1)
 	}
 }
 
@@ -445,13 +452,13 @@ func (h *Hub) Snapshot() Snapshot {
 	snap := Snapshot{
 		SampleEvery: int(h.sampleEvery),
 		Sampled:     h.sampled.Load(),
-		ScanMemo: ScanMemoSnapshot{
-			Hits:      h.scanHits.Load(),
-			Misses:    h.scanMisses.Load(),
-			Evictions: h.scanEvictions.Load(),
-		},
-		Workloads: make([]WorkloadSnapshot, 0, len(names)),
+		Workloads:   make([]WorkloadSnapshot, 0, len(names)),
 	}
+	h.scans.Each(func(c *scanCounts) {
+		snap.ScanMemo.Hits += c.hits.Load()
+		snap.ScanMemo.Misses += c.misses.Load()
+		snap.ScanMemo.Evictions += c.evictions.Load()
+	})
 	for _, name := range names {
 		wt := m[name]
 		ws := WorkloadSnapshot{Workload: name}

@@ -3,6 +3,7 @@ package yaml
 import (
 	"strconv"
 	"strings"
+	"unicode"
 )
 
 // This file is the block-YAML decoder. It reads lines through lines.go,
@@ -478,7 +479,9 @@ func parseFlow(s string, lineNum int) (any, string, error) {
 
 // parseFlowItem parses one element inside a flow collection.
 func parseFlowItem(s string, lineNum int) (any, string, error) {
-	s = strings.TrimLeft(s, " ")
+	// The white space a plain item's TrimSpace would cut, so a quote
+	// after a tab still opens a quoted item.
+	s = strings.TrimLeftFunc(s, unicode.IsSpace)
 	if s == "" {
 		return nil, "", errAt(lineNum, "unterminated flow collection")
 	}
@@ -558,6 +561,11 @@ func plainScalar(s string, k ScalarKind) any {
 		return false
 	case ScalarString:
 		return s
+	case ScalarFloat:
+		// Proven finite: ParseInt would fail first, and its error
+		// allocates.
+		f, _ := strconv.ParseFloat(s, 64)
+		return f
 	}
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return i

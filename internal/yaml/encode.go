@@ -51,7 +51,7 @@ func encodeMap(b *strings.Builder, m map[string]any, indent int, inSeq bool) err
 		if i > 0 || !inSeq {
 			writeIndent(b, indent)
 		}
-		b.WriteString(encodeString(k))
+		b.WriteString(encodeKey(k))
 		b.WriteByte(':')
 		if s, ok := inline(m[k]); ok {
 			b.WriteByte(' ')
@@ -146,6 +146,17 @@ func encodeString(s string) string {
 		return quoteScalar(s)
 	}
 	return s
+}
+
+// encodeKey is encodeString for a mapping key, which is also quoted
+// when it holds a flow indicator: the line grammar counts brackets and
+// braces across a plain key (SplitEntry), so a plain "a[" would leave
+// its line no entry.
+func encodeKey(k string) string {
+	if strings.ContainsAny(k, "[]{}") {
+		return quoteScalar(k)
+	}
+	return encodeString(k)
 }
 
 // quoteScalar double-quotes a string using only the escape sequences the

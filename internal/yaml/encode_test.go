@@ -218,3 +218,21 @@ func checkDocument(t *testing.T, doc any) {
 		t.Fatal(msg[:min(len(msg), 500)])
 	}
 }
+
+// TestMarshalQuotesKeysWithFlowIndicators: the line grammar counts
+// brackets and braces across a plain key, so a key that holds one is
+// quoted, at the top level and nested, and decodes back.
+func TestMarshalQuotesKeysWithFlowIndicators(t *testing.T) {
+	for _, k := range []string{"a[", "a]", "a{b", "x}", "a[0]", "{}x"} {
+		checkDocument(t, map[string]any{k: int64(1), "b": int64(2)})
+		checkDocument(t, map[string]any{"k": map[string]any{k: int64(1)}})
+		checkDocument(t, []any{map[string]any{k: "v"}})
+	}
+	out, err := Marshal(map[string]any{"a[": int64(1), "b": int64(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "\"a[\": 1\nb: 2\n"; string(out) != want {
+		t.Errorf("Marshal = %q, want %q", out, want)
+	}
+}

@@ -109,8 +109,8 @@ var plainAlphabet = []string{"0", "1", "9", ".", "+", "-", "_", "e", "E", "x", "
 // decoder's value is the reference's, LexScalar types a plain-opened s
 // as lexPlain does, and the encoder quotes s exactly as the reference
 // did — or, where the reference dropped white space or a document end,
-// at all — so that s decodes back from a map value, a list item and a
-// document of its own.
+// at all — so that s decodes back from a map value, a map key, a list
+// item and a document of its own.
 func FuzzPlainScalar(f *testing.F) {
 	for _, s := range plainAlphabet {
 		f.Add(s)
@@ -119,7 +119,7 @@ func FuzzPlainScalar(f *testing.F) {
 		f.Add(s)
 	}
 	for _, s := range []string{"0.0.0.0", "1.2.3", "-1.2.3e4", "1_000", "1e999", "0.5", "-0", "",
-		"...", "---", "\u00a0x", "x\u00a0", "\u3000", "a #b", "a: b", "'q'", "[a]", "&a"} {
+		"...", "---", "\u00a0x", "x\u00a0", "\u3000", "a #b", "a: b", "'q'", "[a]", "&a", "a[", "x}y"} {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
@@ -185,10 +185,12 @@ func droppedPlain(s string) bool {
 }
 
 // checkRoundTrip holds Decode(Marshal(x)) to x where x is s as a map
-// value, a list item and a document of its own.
+// value, a map key (beside another, and nested), a list item and a
+// document of its own.
 func checkRoundTrip(t *testing.T, s string) {
 	t.Helper()
-	for _, doc := range []any{map[string]any{"k": s}, []any{s}, s} {
+	for _, doc := range []any{map[string]any{"k": s}, map[string]any{s: int64(1), "~k": int64(2)},
+		map[string]any{"k": map[string]any{s: "v"}}, []any{s}, s} {
 		out, err := Marshal(doc)
 		if err != nil {
 			t.Fatalf("%q: %v", s, err)

@@ -2,6 +2,7 @@ package yaml
 
 import (
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -41,6 +42,26 @@ func TestDecodeScalars(t *testing.T) {
 				t.Errorf("Decode(%q) = %#v, want %#v", tt.in, got, tt.want)
 			}
 		})
+	}
+}
+
+// TestDecodeFloatAllocatesOnlyItsValue: a proven float goes straight to
+// strconv.ParseFloat, so decoding it allocates the interface that holds
+// the float64 and nothing else: a failed ParseInt allocates its error
+// and a copy of the input.
+func TestDecodeFloatAllocatesOnlyItsValue(t *testing.T) {
+	for _, s := range []string{"1.5", "-0.25", "123456789.123456789"} {
+		k := lexPlain(s)
+		if k != ScalarFloat {
+			t.Fatalf("%q lexed as kind %d, want ScalarFloat", s, k)
+		}
+		var v any
+		allocs := testing.AllocsPerRun(100, func() { v = plainScalar(s, k) })
+		if f, ok := v.(float64); !ok || allocs > 1 {
+			t.Errorf("%q decodes to %T %v with %.0f allocs, want a float64 and at most 1", s, v, v, allocs)
+		} else if want, _ := strconv.ParseFloat(s, 64); f != want {
+			t.Errorf("%q decodes to %v, want %v", s, f, want)
+		}
 	}
 }
 
@@ -142,6 +163,10 @@ func TestDecodeFlowCollections(t *testing.T) {
 		{"x: {a: 1, b: two}", map[string]any{"x": map[string]any{"a": int64(1), "b": "two"}}},
 		{"x: [{a: 1}, {b: 2}]", map[string]any{"x": []any{map[string]any{"a": int64(1)}, map[string]any{"b": int64(2)}}}},
 		{"x: [[1], [2]]", map[string]any{"x": []any{[]any{int64(1)}, []any{int64(2)}}}},
+		// A tab before a quote is white space, not part of a plain item.
+		{"k: [\t\"a\"]", map[string]any{"k": []any{"a"}}},
+		{"k: [1,\t'b c']", map[string]any{"k": []any{int64(1), "b c"}}},
+		{"k: {a:\t\"b\"}", map[string]any{"k": map[string]any{"a": "b"}}},
 	}
 	for _, tt := range tests {
 		got, err := Decode([]byte(tt.in))

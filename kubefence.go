@@ -230,8 +230,8 @@ type WorkloadMetrics = registry.Metrics
 type RegistryConfig struct {
 	// CacheSize bounds each workload's decision-cache shard (cached
 	// validation outcomes keyed by policy generation and request-body
-	// hash; one bounded LRU per registered workload, so tenants never
-	// contend on a shared cache lock). Zero disables caching.
+	// hash; one bounded second-chance cache per registered workload,
+	// whose hits take no lock). Zero disables caching.
 	CacheSize int
 	// Mode selects lock enforcement for policies GenerateRegistry
 	// generates (default LockIfPresent).

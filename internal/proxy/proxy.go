@@ -390,12 +390,14 @@ func (p *Proxy) Serve(w http.ResponseWriter, r *http.Request, q *Request) {
 			kind, name := q.ident()
 			tc.Finish(workload, d.verdict, d.path, kind, name)
 			if denied {
+				c.denied.Add(1)
 				p.deny(w, r, user, d.entry, kind, name, http.StatusForbidden, d.violations)
 				q.Release()
 				return
 			}
 		}
 		if d.verdict == telemetry.VerdictShadowed {
+			c.shadowed.Add(1)
 			p.recordShadow(r, user, d.entry, q, d.violations)
 			// Pre-enforcement traffic is trusted by definition of the
 			// rollout, so a would-deny is a learning opportunity: feed it
@@ -604,27 +606,24 @@ func newRecord(r *http.Request, user string, entry *registry.Entry,
 	return rec
 }
 
-// recordShadow counts a would-deny verdict for a shadow-mode workload
-// and hands its record to the shadow callback; nothing was denied, so
-// the denial log and the denied metric are not touched.
+// recordShadow hands a shadow-mode workload's would-deny record to the
+// shadow callback; nothing was denied, so the denial log is not
+// touched. Serve counts it.
 func (p *Proxy) recordShadow(r *http.Request, user string,
 	entry *registry.Entry, q *Request, violations []validator.Violation) {
-	p.counts.Local().shadowed.Add(1)
 	kind, name := q.ident()
 	p.emitShadow(newRecord(r, user, entry, kind, name, violations))
 }
 
 // deny fails a request closed with the given status code (403 for a
 // request that violates policy), recording an audit-able denial record
-// either way. Only policy rejections (403) count toward the denied
-// metric: transport-level failures (unreadable, oversized, or
-// unparseable-typed bodies) would otherwise skew the experiments'
-// denial rates. The registry counts its own workload's denials.
+// either way. Serve counts only policy rejections (403) toward the
+// denied metric, at its conclusion site: transport-level failures
+// (unreadable, oversized, or unparseable-typed bodies) would otherwise
+// skew the experiments' denial rates. The registry counts its own
+// workload's denials.
 func (p *Proxy) deny(w http.ResponseWriter, r *http.Request, user string,
 	entry *registry.Entry, kind, name string, code int, violations []validator.Violation) {
-	if code == http.StatusForbidden {
-		p.counts.Local().denied.Add(1)
-	}
 	rec := newRecord(r, user, entry, kind, name, violations)
 	p.violations.Append(rec)
 	p.emitViolation(rec)

@@ -50,8 +50,8 @@ import (
 type lruCache struct {
 	// seq is the seqlock: odd while a writer changes the index or a slot.
 	seq atomic.Uint32
-	// view is the index and the whole slab, as hits read them; replaced
-	// when the slab grows.
+	// view is the shard's index and slab, the one copy writers and hits
+	// both read; a growth replaces it under the mutex.
 	view atomic.Pointer[cacheView]
 
 	mu       sync.Mutex
@@ -59,21 +59,27 @@ type lruCache struct {
 	// seed is mixed into every key's hash, so a client who grinds
 	// bodies cannot aim their keys at one probe chain.
 	seed uint64
-	// index is open-addressed with linear probing, a power of two long
-	// and at least twice cap(slab), so at most half full. A slot holds a
-	// key's tag (slotHash) in its upper half and its slab index + 1 in
-	// its lower half; 0 is empty. Writers store its words atomically.
-	index []uint64
-	slab  []cacheSlot
+	// n is the number of slab items in use: slab[:n] of the view.
+	n int32
 	// hand is the slot the next eviction examines first.
 	hand int32
 }
 
-// cacheView is the index and slab[:cap(slab)] that one growth published.
+// cacheView is the index and the slab that one growth published.
 type cacheView struct {
+	// index is open-addressed with linear probing, a power of two long
+	// and at least twice len(slab), so at most half full. A slot holds a
+	// key's tag (slotHash) in its upper half and its slab index + 1 in
+	// its lower half; 0 is empty. Writers store its words atomically.
 	index []uint64
-	slab  []cacheSlot
+	// slab is as long as it was allocated; the shard's n counts the
+	// items in use.
+	slab []cacheSlot
 }
+
+// noItems is the view of a shard nothing was put in; it is never
+// written.
+var noItems cacheView
 
 // cacheSlot is one cached decision.
 type cacheSlot struct {
@@ -89,7 +95,9 @@ type cacheSlot struct {
 }
 
 func newLRUCache(capacity int) *lruCache {
-	return &lruCache{capacity: capacity, seed: rand.Uint64()}
+	c := &lruCache{capacity: capacity, seed: rand.Uint64()}
+	c.view.Store(&noItems)
+	return c
 }
 
 // keyWords is key as a slot stores it.
@@ -180,47 +188,48 @@ func probe(index []uint64, slab []cacheSlot, kw *[3]uint64, tag uint32) int32 {
 
 // place puts slot value e, whose key is not indexed, in the first empty
 // slot from its home.
-func (c *lruCache) place(e uint64) {
-	mask := uint32(len(c.index) - 1)
+func (v *cacheView) place(e uint64) {
+	mask := uint32(len(v.index) - 1)
 	s := uint32(e>>32) & mask
-	for c.index[s] != 0 {
+	for v.index[s] != 0 {
 		s = (s + 1) & mask
 	}
-	atomic.StoreUint64(&c.index[s], e)
+	atomic.StoreUint64(&v.index[s], e)
 }
 
 // unindex removes slab item i from the index. Each later slot of the
 // cluster moves back into the hole unless its home lies after the hole
 // (Knuth's Algorithm R), so no probe chain is cut and no tombstone is
 // left.
-func (c *lruCache) unindex(i int32) {
-	mask := uint32(len(c.index) - 1)
-	key := c.slab[i].loadKey()
+func (c *lruCache) unindex(v *cacheView, i int32) {
+	mask := uint32(len(v.index) - 1)
+	key := v.slab[i].loadKey()
 	s := c.slotHash(&key) & mask
-	for uint32(c.index[s]) != uint32(i+1) {
+	for uint32(v.index[s]) != uint32(i+1) {
 		s = (s + 1) & mask
 	}
 	for j := s; ; {
 		j = (j + 1) & mask
-		e := c.index[j]
+		e := v.index[j]
 		if e == 0 {
 			break
 		}
 		if home := uint32(e>>32) & mask; (j-home)&mask >= (j-s)&mask {
-			atomic.StoreUint64(&c.index[s], e)
+			atomic.StoreUint64(&v.index[s], e)
 			s = j
 		}
 	}
-	atomic.StoreUint64(&c.index[s], 0)
+	atomic.StoreUint64(&v.index[s], 0)
 }
 
 // grow doubles the slab, up to the capacity, rebuilds the index for the
-// new size and publishes both to hits.
-func (c *lruCache) grow() {
-	n := min(max(2*cap(c.slab), 1), c.capacity)
-	slab := make([]cacheSlot, len(c.slab), n)
-	for i := range c.slab {
-		from, to := &c.slab[i], &slab[i]
+// new size and publishes both, as one view, to writers and hits.
+func (c *lruCache) grow() *cacheView {
+	old := c.view.Load()
+	n := min(max(2*len(old.slab), 1), c.capacity)
+	v := &cacheView{slab: make([]cacheSlot, n)}
+	for i := int32(0); i < c.n; i++ {
+		from, to := &old.slab[i], &v.slab[i]
 		for w := range from.key {
 			to.key[w].Store(from.key[w].Load())
 		}
@@ -228,31 +237,30 @@ func (c *lruCache) grow() {
 		to.n.Store(from.n.Load())
 		to.ref.Store(from.ref.Load())
 	}
-	c.slab = slab
 	size := 2
 	for size < 2*n {
 		size *= 2
 	}
-	old := c.index
-	c.index = make([]uint64, size)
-	for _, e := range old {
+	v.index = make([]uint64, size)
+	for _, e := range old.index {
 		if e != 0 {
-			c.place(e)
+			v.place(e)
 		}
 	}
-	c.view.Store(&cacheView{index: c.index, slab: c.slab[:n]})
+	c.view.Store(v)
+	return v
 }
 
 // evict advances the hand past the items whose reference bit is set,
 // clearing it, and returns the first item whose bit is clear; the hand
 // moves on past it. The shard is full.
-func (c *lruCache) evict() int32 {
+func (c *lruCache) evict(v *cacheView) int32 {
 	for {
 		i := c.hand
-		if c.hand++; int(c.hand) == len(c.slab) {
+		if c.hand++; c.hand == c.n {
 			c.hand = 0
 		}
-		s := &c.slab[i]
+		s := &v.slab[i]
 		if s.ref.Load() == 0 {
 			return i
 		}
@@ -264,9 +272,6 @@ func (c *lruCache) get(key cacheKey) ([]validator.Violation, bool) {
 	kw, tag := keyWords(&key), c.slotHash(&key)
 	if seq := c.seq.Load(); seq&1 == 0 {
 		v := c.view.Load()
-		if v == nil {
-			return nil, false // nothing was ever put
-		}
 		i := probe(v.index, v.slab, &kw, tag)
 		var p *validator.Violation
 		var n uint32
@@ -284,12 +289,13 @@ func (c *lruCache) get(key cacheKey) ([]validator.Violation, bool) {
 	// A writer holds the shard: ask under the mutex.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i := probe(c.index, c.slab, &kw, tag)
+	v := c.view.Load()
+	i := probe(v.index, v.slab, &kw, tag)
 	if i < 0 {
 		return nil, false
 	}
-	c.slab[i].touch()
-	return c.slab[i].decision(), true
+	v.slab[i].touch()
+	return v.slab[i].decision(), true
 }
 
 func (c *lruCache) put(key cacheKey, vs []validator.Violation) {
@@ -298,35 +304,36 @@ func (c *lruCache) put(key cacheKey, vs []validator.Violation) {
 	defer c.mu.Unlock()
 	c.seq.Add(1)
 	defer c.seq.Add(1)
-	if i := probe(c.index, c.slab, &kw, tag); i >= 0 {
-		c.slab[i].setDecision(vs)
-		c.slab[i].touch()
+	v := c.view.Load()
+	if i := probe(v.index, v.slab, &kw, tag); i >= 0 {
+		v.slab[i].setDecision(vs)
+		v.slab[i].touch()
 		return
 	}
 	var i int32
-	if len(c.slab) < c.capacity {
-		if len(c.slab) == cap(c.slab) {
-			c.grow()
+	if int(c.n) < c.capacity {
+		if int(c.n) == len(v.slab) {
+			v = c.grow()
 		}
-		i = int32(len(c.slab))
-		c.slab = c.slab[:i+1]
+		i = c.n
+		c.n++
 	} else {
-		i = c.evict()
-		c.unindex(i)
+		i = c.evict(v)
+		c.unindex(v, i)
 	}
-	s := &c.slab[i]
+	s := &v.slab[i]
 	for w := range kw {
 		s.key[w].Store(kw[w])
 	}
 	s.setDecision(vs)
 	s.ref.Store(0)
-	c.place(uint64(tag)<<32 | uint64(uint32(i+1)))
+	v.place(uint64(tag)<<32 | uint64(uint32(i+1)))
 }
 
 func (c *lruCache) stats() (size, capacity int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.slab), c.capacity
+	return int(c.n), c.capacity
 }
 
 // export copies the shard's decisions made under one policy generation
@@ -340,10 +347,11 @@ func (c *lruCache) stats() (size, capacity int) {
 func (c *lruCache) export(gen uint64) []CacheEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]CacheEntry, 0, len(c.slab))
+	v := c.view.Load()
+	out := make([]CacheEntry, 0, c.n)
 	var hot []CacheEntry
-	for n := range c.slab {
-		s := &c.slab[(int(c.hand)+n)%len(c.slab)]
+	for k := int32(0); k < c.n; k++ {
+		s := &v.slab[(c.hand+k)%c.n]
 		k := s.loadKey()
 		if k.gen != gen {
 			continue

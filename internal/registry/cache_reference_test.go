@@ -211,14 +211,14 @@ func TestLRUSlabMatchesReference(t *testing.T) {
 // find returns key's slab index in c, or -1 when the key is not
 // cached; unlike get, it leaves the reference bit alone.
 func (c *lruCache) find(key *cacheKey) int32 {
-	kw := keyWords(key)
-	return probe(c.index, c.slab, &kw, c.slotHash(key))
+	kw, v := keyWords(key), c.view.Load()
+	return probe(v.index, v.slab, &kw, c.slotHash(key))
 }
 
 // indexed counts the keys in c's index.
 func indexed(c *lruCache) int {
 	n := 0
-	for _, e := range c.index {
+	for _, e := range c.view.Load().index {
 		if e != 0 {
 			n++
 		}

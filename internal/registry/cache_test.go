@@ -101,30 +101,32 @@ func groundKeys(c *lruCache, n int, homes ...uint32) []cacheKey {
 // crossing an empty slot, and at most half full.
 func checkIndex(t *testing.T, c *lruCache) {
 	t.Helper()
-	mask := uint32(len(c.index) - 1)
+	v := c.view.Load()
+	index, slab := v.index, v.slab[:c.n]
+	mask := uint32(len(index) - 1)
 	seen := make(map[int32]bool)
-	for s, e := range c.index {
+	for s, e := range index {
 		if e == 0 {
 			continue
 		}
 		i := int32(uint32(e)) - 1
-		if i < 0 || int(i) >= len(c.slab) || seen[i] {
-			t.Fatalf("slot %d names slab item %d (slab %d, seen %v)", s, i, len(c.slab), seen[i])
+		if i < 0 || int(i) >= len(slab) || seen[i] {
+			t.Fatalf("slot %d names slab item %d (slab %d, seen %v)", s, i, len(slab), seen[i])
 		}
 		seen[i] = true
-		key := c.slab[i].loadKey()
+		key := slab[i].loadKey()
 		tag := c.slotHash(&key)
 		if uint32(e>>32) != tag {
 			t.Fatalf("slot %d carries tag %#x, its key hashes to %#x", s, e>>32, tag)
 		}
 		for h := tag & mask; h != uint32(s); h = (h + 1) & mask {
-			if c.index[h] == 0 {
+			if index[h] == 0 {
 				t.Fatalf("slot %d is cut off from its home %d by the empty slot %d", s, tag&mask, h)
 			}
 		}
 	}
-	if len(seen) != len(c.slab) || 2*len(seen) > len(c.index) {
-		t.Fatalf("index holds %d of %d items in %d slots", len(seen), len(c.slab), len(c.index))
+	if len(seen) != len(slab) || 2*len(seen) > len(index) {
+		t.Fatalf("index holds %d of %d items in %d slots", len(seen), len(slab), len(index))
 	}
 }
 

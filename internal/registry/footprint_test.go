@@ -90,8 +90,8 @@ func TestDecisionCacheRetainsBoundedBytesUnderChurn(t *testing.T) {
 		t.Errorf("a churned shard retains %d B, want within 10 %% of %d B and under %d B", churned, full, ceiling)
 	}
 	for _, c := range cs {
-		if size, _ := c.stats(); size != capacity || cap(c.slab) > c.capacity {
-			t.Errorf("slab holds %d items in %d slots, capacity %d", size, cap(c.slab), c.capacity)
+		if size, _ := c.stats(); size != capacity || len(c.view.Load().slab) > c.capacity {
+			t.Errorf("slab holds %d items in %d slots, capacity %d", size, len(c.view.Load().slab), c.capacity)
 		}
 	}
 }

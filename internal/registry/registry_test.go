@@ -317,15 +317,14 @@ func TestCacheEvictsLeastRecentlyUsed(t *testing.T) {
 			t.Errorf("key %v missing", k)
 		}
 	}
-	// Use keys[2], insert a fourth: keys[1], unused since it was put, is
-	// the victim, and keys[2] has its second chance.
-	c.get(keys[2])
+	// Touch keys[1], insert a fourth: keys[2] is now the LRU victim.
+	c.get(keys[1])
 	k3 := cacheKey{gen: 3}
 	c.put(k3, nil)
-	if _, ok := c.get(keys[1]); ok {
+	if _, ok := c.get(keys[2]); ok {
 		t.Error("LRU victim survived")
 	}
-	if _, ok := c.get(keys[2]); !ok {
+	if _, ok := c.get(keys[1]); !ok {
 		t.Error("recently used key evicted")
 	}
 	if size, capacity := c.stats(); size != 2 || capacity != 2 {

@@ -7,7 +7,8 @@
 #   make forward-race    # the upstream frame's lifetime, -race -count=20
 #   make mode-race       # the rollout modes' accounting and promotion gate, -race -count=20
 #   make cache-race      # the decision cache's lock-free hit, -race -count=20
-#   make bench           # in-package micro-benchmarks (multi-workload enforcement, body tag vs SHA-256, JSON and YAML decode, YAML encode, raw scan/match/judge, decoded validate, proxy hit/cold/deny path serial and on every core, plane reapply, registry decision-cache probe serial and on every core, telemetry record-ring append)
+#   make telemetry-race  # the hub's per-processor sampling, stripes and rings, -race -count=20
+#   make bench           # in-package micro-benchmarks (multi-workload enforcement, body tag vs SHA-256, JSON and YAML decode, YAML encode, raw scan/match/judge, decoded validate, proxy hit/cold/deny path serial and on every core, plane reapply, registry decision-cache probe serial and on every core, telemetry record-ring append and trace-sampling probe on every core)
 #   make fuzz-smoke      # 10s per native fuzz target
 #   make fuzz-nightly    # 2m per native fuzz target
 #   make coverage-gate   # coverage profile; fails below COVERAGE_BASELINE
@@ -25,7 +26,7 @@ GO ?= go
 # it to make a PR pass.
 COVERAGE_BASELINE ?= 87.0
 
-.PHONY: all ci fmt-check vet build test race bench-check plane-race forward-race mode-race cache-race bench \
+.PHONY: all ci fmt-check vet build test race bench-check plane-race forward-race mode-race cache-race telemetry-race bench \
 	fuzz-smoke fuzz-nightly coverage-gate staticcheck loc
 
 all: ci
@@ -86,6 +87,13 @@ mode-race:
 cache-race:
 	$(GO) test -race -count=20 -run 'Cache|LRU|Handoff|Fresh' ./internal/registry
 
+# The hub samples traces per processor stripe and keeps its counters in
+# stripes and its records in lock-free rings; the sampling, concurrent
+# record / scrape and ring tests race writers against each other and
+# against readers. Twenty passes, like plane-race.
+telemetry-race:
+	$(GO) test -race -count=20 ./internal/telemetry
+
 bench:
 	$(GO) test -run NONE -bench 'MultiWorkload|RegistryResolve|BodyTag' -benchmem .
 	$(GO) test -run NONE -bench 'ParseJSON|ParseManifest|MarshalYAML' -benchmem ./internal/object
@@ -93,7 +101,7 @@ bench:
 	$(GO) test -run NONE -bench 'ServeReapply|ServeUnique|ServeDeny' -benchmem ./internal/proxy
 	$(GO) test -run NONE -bench 'PlaneServe' -benchmem ./internal/plane
 	$(GO) test -run NONE -bench 'DecisionCache' -benchmem ./internal/registry
-	$(GO) test -run NONE -bench 'BoundedLog' -benchmem ./internal/telemetry
+	$(GO) test -run NONE -bench 'BoundedLog|HubSample' -benchmem ./internal/telemetry
 
 # Every native fuzz target, as package:target — the one list both the
 # PR smoke and the nightly run iterate.

@@ -110,7 +110,8 @@ for offline mining (kubefence and audit tooling read it back).
 -telemetry-addr serves /metrics (Prometheus text format), /varz (JSON),
 /healthz, and /debug/pprof/ on a separate listener, so scrapes and
 profiles never share the enforcement listener. -telemetry-sample traces
-one decision per N onto a bounded in-memory ring, readable via /varz.`)
+one in N decisions on each processor onto a bounded in-memory ring,
+readable via /varz.`)
 }
 
 // lockedWriter serializes writes to the shared trace buffer against the
@@ -273,7 +274,7 @@ func runProxy(args []string) error {
 	rolloutInterval := fs.Duration("rollout-interval", 15*time.Second, "promotion-gate evaluation interval for learn/shadow rollouts")
 	traceOut := fs.String("trace-out", "", "append inspected requests to a JSONL admission trace (offline mining input)")
 	telemetryAddr := fs.String("telemetry-addr", "", "serve /metrics, /varz, /healthz, and /debug/pprof/ on this address (off when empty)")
-	telemetrySample := fs.Int("telemetry-sample", 128, "trace one decision per N onto the telemetry ring")
+	telemetrySample := fs.Int("telemetry-sample", 128, "trace one in N decisions on each processor onto the telemetry ring")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -208,18 +208,22 @@ func benchServe(b *testing.B, unique, deny bool) {
 	}
 }
 
-// benchServeParallel is benchServe over the benign JSON corpus from
-// GOMAXPROCS goroutines, each with a copy of the corpus of its own: the
-// serial benchmarks keep every write on one core, so only this form
-// prices the cache lines that two cores serving at once both write.
-// With unique, each goroutine stamps numbers no other one stamps.
-func benchServeParallel(b *testing.B, unique bool) {
+// benchServeParallel is benchServe from GOMAXPROCS goroutines, each
+// with a copy of the corpus of its own: the serial benchmarks keep every
+// write on one core, so only this form prices the cache lines that two
+// cores serving at once both write. With unique, each goroutine stamps
+// numbers no other one stamps.
+func benchServeParallel(b *testing.B, unique, deny bool) {
 	f := newSynthFleet(b, 60)
+	shared := f.json
+	if deny {
+		shared = f.attacks
+	}
 	procs := runtime.GOMAXPROCS(0)
 	serves := make(chan func(n int), procs)
 	for g := 0; g < procs; g++ {
-		corpus := make([]fleetBody, len(f.json))
-		for i, fb := range f.json {
+		corpus := make([]fleetBody, len(shared))
+		for i, fb := range shared {
 			corpus[i] = fleetBody{fb.path, bytes.Clone(fb.body), fb.stamp}
 		}
 		serves <- serveLoop(b, f, corpus, "application/json", unique)
@@ -239,6 +243,12 @@ func benchServeParallel(b *testing.B, unique bool) {
 	b.StopTimer()
 	after := f.proxy.Metrics()
 	served, denied := after.Requests-before.Requests, after.Denied-before.Denied
+	if deny {
+		if raw := after.RawDenied - before.RawDenied; served != uint64(b.N) || denied != served || raw == 0 {
+			b.Fatalf("served %d of %d, %d denied, %d on the raw path", served, b.N, denied, raw)
+		}
+		return
+	}
 	if raw := after.RawAllowed - before.RawAllowed; served != uint64(b.N) || denied != 0 || raw != served {
 		b.Fatalf("served %d of %d, %d denied, %d on the raw path", served, b.N, denied, raw)
 	}
@@ -256,16 +266,21 @@ func BenchmarkServeUnique(b *testing.B) { benchServe(b, true, false) }
 // BenchmarkServeReapplyParallel is BenchmarkServeReapply on every core
 // at once: the decision-cache hit path with no writes shared between
 // cores left to serialize on.
-func BenchmarkServeReapplyParallel(b *testing.B) { benchServeParallel(b, false) }
+func BenchmarkServeReapplyParallel(b *testing.B) { benchServeParallel(b, false, false) }
 
 // BenchmarkServeUniqueParallel is BenchmarkServeUnique on every core at
 // once: the shards' puts and evictions under their mutexes.
-func BenchmarkServeUniqueParallel(b *testing.B) { benchServeParallel(b, true) }
+func BenchmarkServeUniqueParallel(b *testing.B) { benchServeParallel(b, true, false) }
 
 // BenchmarkServeDeny is the cold path of an attack: every body is a
 // never-seen mutation, judged by the walk (or, for a construct it cannot
 // judge, decoded), then recorded and answered 403.
 func BenchmarkServeDeny(b *testing.B) { benchServe(b, true, true) }
+
+// BenchmarkServeDenyParallel is BenchmarkServeDeny on every core at
+// once: each denial's record goes into the proxy's one audit ring, whose
+// cursor every core bumps.
+func BenchmarkServeDenyParallel(b *testing.B) { benchServeParallel(b, true, true) }
 
 // TestServeAllocationCeiling pins what a request may allocate through
 // the whole handler, on the traffic the benchmarks above time: a

@@ -185,6 +185,71 @@ func TestDenialRetainsAndEchoesBoundedBytes(t *testing.T) {
 	}
 }
 
+// TestDenialBoundsClientHeadersAndPath: the user a denial record keeps
+// comes from X-Remote-User, its RequestURI from the request line and a
+// 415's reason quotes the Content-Type, all three the client's to size
+// (net/http admits 1 MiB of headers). A 64 KiB user, a 32 KiB path and,
+// for the 415, a 64 KiB content type must cost under 16 KiB in the
+// response and in the retained record, on a policy denial and on a
+// fail-closed rejection; the forwarded X-Forwarded-User of an allowed
+// request stays whole.
+func TestDenialBoundsClientHeadersAndPath(t *testing.T) {
+	const bound = 16 << 10
+	user := "u" + strings.Repeat("x", 64<<10-1)
+	path := "/api/v1/namespaces/default/deployments/" + strings.Repeat("p", 32<<10)
+	denied := goodDeployment()
+	denied["spec"].(map[string]any)["template"].(map[string]any)["spec"].(map[string]any)["hostNetwork"] = true
+	deniedBody, err := json.Marshal(denied)
+	if err != nil {
+		t.Fatal(err)
+	}
+	allowedBody, err := json.Marshal(goodDeployment())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name        string
+		contentType string
+		body        []byte
+		code        int
+	}{
+		{"403 policy violation", "application/json", deniedBody, http.StatusForbidden},
+		{"415 content type", "application/" + strings.Repeat("t", 64<<10), allowedBody, http.StatusUnsupportedMediaType},
+		{"200 allowed", "application/json", allowedBody, http.StatusOK},
+	} {
+		tr := &captureTransport{}
+		p := newProxy(t, Config{Upstream: "http://upstream.invalid", Transport: tr}, testPolicy(t), 16)
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(tc.body))
+		req.Header.Set("Content-Type", tc.contentType)
+		req.Header.Set("X-Remote-User", user)
+		resp := httptest.NewRecorder()
+		p.ServeHTTP(resp, req)
+		if resp.Code != tc.code {
+			t.Fatalf("%s: code = %d, want %d: %.200s", tc.name, resp.Code, tc.code, resp.Body.String())
+		}
+		if tc.code == http.StatusOK {
+			if len(tr.got) != 1 || tr.got[0].Get("X-Forwarded-User") != user {
+				t.Errorf("%s: the forwarded X-Forwarded-User is not the client's whole user", tc.name)
+			}
+			continue
+		}
+		if n := resp.Body.Len(); n >= bound {
+			t.Errorf("%s: response body is %d bytes, want < %d", tc.name, n, bound)
+		}
+		recs := p.Violations()
+		if len(recs) != 1 {
+			t.Fatalf("%s: %d denial records, want 1", tc.name, len(recs))
+		}
+		if n := recordBytes(recs[0]); n >= bound {
+			t.Errorf("%s: retained denial record holds %d bytes, want < %d", tc.name, n, bound)
+		}
+		if !strings.HasPrefix(recs[0].User, "ux") || !strings.HasPrefix(recs[0].RequestURI, "/api/v1/namespaces/default/") {
+			t.Errorf("%s: record keeps user %.20q and path %.40q, want their leading bytes", tc.name,
+				recs[0].User, recs[0].RequestURI)
+		}
+	}
+}
+
 // TestHostileBodyAtInspectionCap sends the deepest body the inspection
 // cap admits — 4 MiB of '[' — through the whole enforcement point: it
 // must fail closed at the decoder's depth limit, promptly and with a

@@ -537,13 +537,18 @@ func (p *Proxy) decide(r *http.Request, user string, q *Request, tc *telemetry.T
 
 // clientIdentity extracts the caller identity the same way the API server
 // would have (client certificate CN, else X-Remote-User).
+//
+// The headers are read by literal key: Header.Get and Header.Values
+// canonicalize only the key they are asked for, and these literals are
+// already canonical, so the reads return what Get and Values return
+// without canonicalizing a key on every request.
 func clientIdentity(r *http.Request) (string, []string) {
 	if r.TLS != nil && len(r.TLS.PeerCertificates) > 0 {
 		leaf := r.TLS.PeerCertificates[0]
 		return leaf.Subject.CommonName, leaf.Subject.Organization
 	}
-	if h := r.Header.Get("X-Remote-User"); h != "" {
-		return h, r.Header.Values("X-Remote-Group")
+	if users := r.Header["X-Remote-User"]; len(users) > 0 && users[0] != "" {
+		return users[0], r.Header["X-Remote-Group"]
 	}
 	return "system:anonymous", nil
 }
@@ -585,17 +590,18 @@ func (p *Proxy) emitTap(workload, user, method, path string, obj object.Object) 
 }
 
 // newRecord is the audit record of a denied or would-deny request: kind
-// and name come from the body, so they are cut by validator.Bounded like
-// a violation's Got; a policy's list comes from the registry, which cuts
-// it to registry.MaxViolations. entry is nil for a denial no workload
-// can be charged with.
+// and name come from the body and user and path from the request line
+// and headers, so all four are the client's to size and are cut by
+// validator.Bounded like a violation's Got; a policy's list comes from
+// the registry, which cuts it to registry.MaxViolations. entry is nil
+// for a denial no workload can be charged with.
 func newRecord(r *http.Request, user string, entry *registry.Entry,
 	kind, name string, violations []validator.Violation) ViolationRecord {
 	rec := ViolationRecord{
 		Time:       time.Now(),
-		User:       user,
+		User:       validator.Bounded(user),
 		Method:     r.Method,
-		RequestURI: r.URL.Path,
+		RequestURI: validator.Bounded(r.URL.Path),
 		Kind:       validator.Bounded(kind),
 		Name:       validator.Bounded(name),
 		Violations: violations,

@@ -4,6 +4,7 @@ import (
 	"crypto/tls"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -416,5 +417,49 @@ func TestCompleteMediationMTLS(t *testing.T) {
 		t.Fatal("direct API server access should fail without client cert")
 	} else if client.IsForbidden(err) {
 		t.Fatal("failure should be TLS-level, not authorization-level")
+	}
+}
+
+// TestLiteralKeyHeaderReads: clientIdentity and ReadRequest read their
+// headers by literal key, not through Header.Get / Values, which
+// canonicalize only the key they are asked for; on every header map
+// below, canonical or hand-built, the reads must return what Get and
+// Values return.
+func TestLiteralKeyHeaderReads(t *testing.T) {
+	for name, h := range map[string]http.Header{
+		"canonical keys": {"X-Remote-User": {"alice"}, "X-Remote-Group": {"devs"},
+			"Content-Type": {"application/json"}},
+		"lower-case keys": {"x-remote-user": {"alice"}, "x-remote-group": {"devs"},
+			"content-type": {"text/plain"}},
+		"empty first user":         {"X-Remote-User": {"", "mallory"}, "X-Remote-Group": {"system:masters"}},
+		"several groups":           {"X-Remote-User": {"bob"}, "X-Remote-Group": {"a", "b", ""}},
+		"user without groups":      {"X-Remote-User": {"carol"}, "Content-Type": {"application/yaml"}},
+		"no values":                {"X-Remote-User": {}, "X-Remote-Group": {}, "Content-Type": {}},
+		"content type parameters":  {"Content-Type": {"application/json; charset=utf-8", "text/plain"}},
+		"unsupported content type": {"Content-Type": {"text/plain"}},
+		"absent headers":           {},
+	} {
+		r := httptest.NewRequest(http.MethodPost, "/api/v1/namespaces/default/configmaps",
+			strings.NewReader(`{"kind":"ConfigMap"}`))
+		r.Header = h
+
+		wantUser, wantGroups := "system:anonymous", []string(nil)
+		if u := h.Get("X-Remote-User"); u != "" {
+			wantUser, wantGroups = u, h.Values("X-Remote-Group")
+		}
+		if user, groups := clientIdentity(r); user != wantUser || !reflect.DeepEqual(groups, wantGroups) {
+			t.Errorf("%s: identity %q %q, want %q %q", name, user, groups, wantUser, wantGroups)
+		}
+
+		wantFormat, ok := bodyFormat(h.Get("Content-Type"))
+		wantCode := 0
+		if !ok {
+			wantCode = http.StatusUnsupportedMediaType
+		}
+		q := ReadRequest(r)
+		q.Release()
+		if q.failCode != wantCode || (ok && q.format != wantFormat) {
+			t.Errorf("%s: format %v, fail code %d, want %v, %d", name, q.format, q.failCode, wantFormat, wantCode)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/object"
 	"repro/internal/registry"
 	"repro/internal/telemetry"
+	"repro/internal/validator"
 )
 
 // Request is the enforcement point's front end: everything it learns
@@ -109,11 +110,18 @@ func ReadRequest(r *http.Request) Request {
 			fmt.Sprintf("request body exceeds the %d MiB inspection limit", maxInspectBytes>>20)
 	} else if inspectable(r.Method) && len(q.body) > 0 {
 		q.inspect = true
-		contentType := r.Header.Get("Content-Type")
+		// By literal key, as clientIdentity reads: the literal is
+		// canonical, so this is Header.Get without canonicalizing it.
+		var contentType string
+		if v := r.Header["Content-Type"]; len(v) > 0 {
+			contentType = v[0]
+		}
 		var ok bool
 		if q.format, ok = bodyFormat(contentType); !ok {
+			// The client sizes the header, and the reason is retained
+			// and echoed twice in the 415; cut it like a violation's Got.
 			q.failCode, q.failReason = http.StatusUnsupportedMediaType,
-				fmt.Sprintf("unsupported content type %q for an inspected request", contentType)
+				fmt.Sprintf("unsupported content type %q for an inspected request", validator.Bounded(contentType))
 		}
 	}
 	return q

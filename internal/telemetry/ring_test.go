@@ -166,6 +166,19 @@ func BenchmarkBoundedLogAppendParallel(b *testing.B) {
 	})
 }
 
+// BenchmarkHubSampleParallel is the trace-sampling probe every decision
+// makes, on every core at once, at the rate the benchmarks run the hub
+// (one in 128 traced).
+func BenchmarkHubSampleParallel(b *testing.B) {
+	h := New(Config{SampleEvery: 128})
+	b.ReportAllocs()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			h.Sample().Finish("w", VerdictAllowed, PathRaw, "Pod", "p")
+		}
+	})
+}
+
 // TestRingSnapshotExactWithinWindow: a snapshot returns only records
 // appended at the positions of its window, in append order, and skips a
 // slot that does not hold its position's record.

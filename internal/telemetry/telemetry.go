@@ -173,8 +173,9 @@ const maxTraces = 256
 
 // Config configures a Hub.
 type Config struct {
-	// SampleEvery traces one of every N recorded decisions onto the
-	// bounded trace ring (1 traces everything, 0 disables tracing).
+	// SampleEvery traces one of every N decisions recorded on each
+	// processor stripe onto the bounded trace ring (1 traces everything,
+	// 0 disables tracing). Hub.Sample states the contract.
 	SampleEvery int
 	// Shards is the per-workload counter stripe count, rounded up to a
 	// power of two (default: GOMAXPROCS rounded up, capped at 16).
@@ -197,12 +198,11 @@ type Hub struct {
 	traces      *Ring[Trace]
 	mu          sync.Mutex
 
-	// sampleCtr is the one counter every decision writes on a shared
-	// line: exact every-N-th sampling needs one sequence. It sits on a
-	// line of its own.
-	_         [cacheLine]byte
-	sampleCtr atomic.Uint64
-	_         [cacheLine]byte
+	// sampleCtr counts the decisions Sample was asked about, one
+	// sequence per processor stripe, so that no decision writes a line
+	// another core writes; each stripe traces every N-th of its own.
+	// sampled is written only when a decision is sampled.
+	sampleCtr Striped[atomic.Uint64]
 	sampled   atomic.Uint64
 	ctxPool   sync.Pool
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -272,7 +273,15 @@ func TestConcurrentRecordScrape(t *testing.T) {
 	}
 }
 
+// oneProc runs the rest of the test on one P: every decision is
+// sampled on one stripe, so sampling is exactly every N-th.
+func oneProc(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 func TestTraceSampling(t *testing.T) {
+	oneProc(t)
 	h := New(Config{SampleEvery: 4, Shards: 1})
 	for i := 0; i < 40; i++ {
 		tc := h.Sample()
@@ -312,6 +321,38 @@ func TestTraceSampling(t *testing.T) {
 	nilCtx.Stage("x")
 	nilCtx.Finish("w", VerdictAllowed, PathRaw, "", "")
 	nilCtx.Discard()
+}
+
+// TestSampleEveryPerProcessor: decisions sampled from every core at
+// once are traced every N-th per processor stripe, so over n decisions
+// Sampled lies in [⌊n/N⌋ − S, ⌊n/N⌋], S the stripes that recorded (at
+// most maxStripes), and the ring keeps the newest of them.
+func TestSampleEveryPerProcessor(t *testing.T) {
+	goroutines := runtime.GOMAXPROCS(0) * 4
+	const perGoroutine = 5000
+	n := uint64(goroutines * perGoroutine)
+	for _, every := range []int{1, 7, 128} {
+		h := New(Config{SampleEvery: every})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < perGoroutine; i++ {
+					h.Sample().Finish("w", VerdictAllowed, PathRaw, "Pod", "p")
+				}
+			}()
+		}
+		wg.Wait()
+		sampled, hi := h.Snapshot().Sampled, n/uint64(every)
+		if sampled > hi || sampled+maxStripes < hi {
+			t.Errorf("SampleEvery %d: %d of %d decisions sampled, want [%d, %d]",
+				every, sampled, n, hi-min(hi, maxStripes), hi)
+		}
+		if got, want := len(h.Traces()), min(int(sampled), maxTraces); got != want {
+			t.Errorf("SampleEvery %d: ring holds %d traces, want %d", every, got, want)
+		}
+	}
 }
 
 func TestTraceRingBounded(t *testing.T) {
@@ -370,6 +411,7 @@ func TestRecordDecisionAllocFree(t *testing.T) {
 }
 
 func TestWriteMetricsExposition(t *testing.T) {
+	oneProc(t)
 	h := New(Config{Shards: 2, SampleEvery: 2})
 	for i := 0; i < 100; i++ {
 		tc := h.Sample()

@@ -67,14 +67,19 @@ type TraceCtx struct {
 	last  time.Time
 }
 
-// Sample decides whether this decision is traced: every N-th recorded
-// decision when SampleEvery is N. Returns nil (no tracing work at
-// all) otherwise. The unsampled cost is one atomic increment.
+// Sample decides whether this decision is traced: every N-th decision
+// recorded on the calling processor's stripe when SampleEvery is N
+// (Striped). SampleEvery 1 traces every decision and 0 none. Over n
+// decisions, Sampled lies in [⌊n/N⌋ − S, ⌊n/N⌋], S ≤ maxStripes the
+// number of stripes that recorded, and a goroutine that stays on one P,
+// alone, is traced at exactly every N-th decision. Returns nil (no
+// tracing work at all) otherwise. The unsampled cost is one atomic
+// increment on a line no other core writes.
 func (h *Hub) Sample() *TraceCtx {
 	if h == nil || h.sampleEvery == 0 {
 		return nil
 	}
-	if h.sampleCtr.Add(1)%h.sampleEvery != 0 {
+	if h.sampleCtr.Local().Add(1)%h.sampleEvery != 0 {
 		return nil
 	}
 	t := h.ctxPool.Get().(*TraceCtx)

@@ -119,13 +119,8 @@ func (s *yamlScan) cur() (yLine, bool) {
 		return yLine{}, false
 	}
 	if !s.cached {
-		end := len(s.data)
-		if i := bytes.IndexByte(s.data[s.pos:], '\n'); i >= 0 {
-			end = s.pos + i
-		}
-		line := s.data[s.pos:end]
-		l := yaml.SplitLine(line)
-		s.line, s.lineEnd, s.cached = yLine{l.Indent, line[l.Start:l.End]}, end, true
+		l, end := yaml.LexLine(s.data, s.pos)
+		s.line, s.lineEnd, s.cached = yLine{l.Indent, s.data[s.pos+l.Start : s.pos+l.End]}, end, true
 	}
 	if s.ovActive && s.ovAt == s.pos {
 		return s.ov, true

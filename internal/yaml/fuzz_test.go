@@ -70,7 +70,9 @@ const nbsp = "\xc2\xa0"
 // mappingEntry (SplitEntry plus the key unquote) gives splitKey's
 // accept/reject, key and rest, on the line's content and on the raw line
 // alike; and the []byte instantiations the raw walker uses give the same
-// offsets as the string ones the decoder uses.
+// offsets as the string ones the decoder uses. LexLine, run over the
+// whole input as the raw walker runs it, lays out each line as SplitLine
+// does on that line alone and ends it at its '\n'.
 func FuzzLineGrammar(f *testing.F) {
 	for _, name := range charts.Names() {
 		files, _ := charts.Files(name)
@@ -84,6 +86,10 @@ func FuzzLineGrammar(f *testing.F) {
 		"a: b" + nbsp + " # c\n\"k\"" + nbsp + ": v\n'a''b': c\n\"a\\\\\": x\n",
 		"a: 'x # y' # z\nb: \"q\\\" # r\" #s\nc: d\t# e\n\tk: v\n \t# only\n",
 		"x:\xe3\x80\x80y\n\xc2\x85k: v\nk:\x0bv\x0c\nk: \xc2\n{a: 1}: b\n[x]: y\n: v\n",
+		// Lines whose last byte is a '#', a quote or a backslash, at the
+		// end of the input and before a '\n'.
+		"a: b #", "a: b #\nc: d", "a: 'b", "a: 'b\nc: d # e", "a: \"b", "a: \"b\nc: d # e",
+		"a: \"b\\", "a: \"b\\\nc: d # e\n", "- \"\\\n- x # y\n", "#\n'\n\"\n\\\n",
 	} {
 		f.Add([]byte(seed))
 	}
@@ -91,7 +97,26 @@ func FuzzLineGrammar(f *testing.F) {
 		for i, raw := range strings.Split(string(data), "\n") {
 			checkLine(t, i+1, raw)
 		}
+		checkLexLine(t, string(data))
+		checkLexLine(t, data)
 	})
+}
+
+// checkLexLine lexes data line by line, each line from the end of the
+// one before, and holds every layout to SplitLine's on the '\n'-split
+// line and every end to that line's '\n'.
+func checkLexLine[T string | []byte](t *testing.T, data T) {
+	pos := 0
+	for i, raw := range strings.Split(string(data), "\n") {
+		l, end := yaml.LexLine(data, pos)
+		if want := yaml.SplitLine(raw); l != want {
+			t.Fatalf("line %d %q: LexLine %+v, SplitLine %+v", i+1, raw, l, want)
+		}
+		if end != pos+len(raw) {
+			t.Fatalf("line %d %q: LexLine ends at %d, its '\\n' is at %d", i+1, raw, end, pos+len(raw))
+		}
+		pos = end + 1
+	}
 }
 
 func checkLine(t *testing.T, num int, raw string) {

@@ -19,36 +19,62 @@ import (
 // line's length when there is none).
 type Line struct{ Indent, Start, End, Comment int }
 
-// SplitLine lays out one line, without its '\n'. A '#' opens a comment
-// at the start of the content or after a space or tab, outside quotes;
-// a '"' preceded by a backslash neither opens nor closes a quote.
-func SplitLine[T string | []byte](line T) Line {
-	l := Line{Comment: len(line)}
-	for l.Indent < len(line) && line[l.Indent] == ' ' {
-		l.Indent++
+// LexLine lays out the line that opens at data[pos] and finds its end,
+// the offset of its '\n' (len(data) on the last line), in the same pass;
+// l's offsets are into the line, data[pos:end]. A '#' opens a comment at
+// the start of the content or after a space or tab, outside quotes; a
+// '"' preceded by a backslash neither opens nor closes a quote. Ordinary
+// bytes cost one lineClass lookup each, and once a comment opens the
+// rest of the line is only searched for its '\n'.
+func LexLine[T string | []byte](data T, pos int) (l Line, end int) {
+	i := pos
+	for i < len(data) && data[i] == ' ' {
+		i++
 	}
-	l.Start, l.End = l.Indent, len(line)
+	start, stop, comment := i, -1, -1
 	inSingle, inDouble := false, false
-	for i := l.Indent; i < len(line); i++ {
-		switch c := line[i]; {
+scan:
+	for ; i < len(data); i++ {
+		c := data[i]
+		if !lineClass[c] {
+			continue
+		}
+		switch {
+		case c == '\n':
+			break scan
 		case c == '\'' && !inDouble:
 			inSingle = !inSingle
 		case c == '"' && !inSingle:
-			if i == l.Indent || line[i-1] != '\\' {
+			if i == start || data[i-1] != '\\' {
 				inDouble = !inDouble
 			}
 		case c == '#' && !inSingle && !inDouble:
-			if i == l.Indent || line[i-1] == ' ' || line[i-1] == '\t' {
-				l.Comment, l.End = i+1, i
-				i = len(line)
+			if i == start || data[i-1] == ' ' || data[i-1] == '\t' {
+				stop, comment = i, i+1
+				for i = comment; i < len(data) && data[i] != '\n'; i++ {
+				}
+				break scan
 			}
 		}
 	}
-	for l.End > l.Start && (line[l.End-1] == ' ' || line[l.End-1] == '\t') {
-		l.End--
+	if stop < 0 {
+		stop, comment = i, i
 	}
+	for stop > start && (data[stop-1] == ' ' || data[stop-1] == '\t') {
+		stop--
+	}
+	return Line{Indent: start - pos, Start: start - pos, End: stop - pos, Comment: comment - pos}, i
+}
+
+// SplitLine lays out one line that holds no '\n', as LexLine does.
+func SplitLine[T string | []byte](line T) Line {
+	l, _ := LexLine(line, 0)
 	return l
 }
+
+// lineClass marks the bytes LexLine stops at: the quotes, the '#' that
+// may open a comment and the '\n' that ends the line.
+var lineClass = [256]bool{'\'': true, '"': true, '#': true, '\n': true}
 
 // Entry splits a mapping entry's content, in offsets into it: the key
 // [KeyStart, KeyEnd), trimmed as strings.TrimSpace trims or, when Quoted,
@@ -75,6 +101,9 @@ func SplitEntry[T string | []byte](content T) (e Entry, ok bool) {
 	}
 	depth := 0
 	for i := 0; i < len(content); i++ {
+		if !keyClass[content[i]] {
+			continue
+		}
 		switch content[i] {
 		case '[', '{':
 			depth++
@@ -93,6 +122,9 @@ func SplitEntry[T string | []byte](content T) (e Entry, ok bool) {
 	}
 	return e, false
 }
+
+// keyClass marks the bytes SplitEntry's plain-key loop stops at.
+var keyClass = [256]bool{':': true, '[': true, ']': true, '{': true, '}': true, '"': true, '\'': true}
 
 // SeqItem reports whether content opens a block-sequence item, "-" alone
 // or "- item". at is where the inline item starts, re-read as a line of

@@ -489,7 +489,7 @@ func parseFlowItem(s string, lineNum int) (any, string, error) {
 	case '[', '{':
 		return parseFlow(s, lineNum)
 	case '"', '\'':
-		i := quoteEnd(s)
+		i := spanEnd(s, 0)
 		switch {
 		case i < len(s):
 			v, err := unquoteScalar(s[:i+1], lineNum)

@@ -22,17 +22,18 @@ type Line struct{ Indent, Start, End, Comment int }
 // LexLine lays out the line that opens at data[pos] and finds its end,
 // the offset of its '\n' (len(data) on the last line), in the same pass;
 // l's offsets are into the line, data[pos:end]. A '#' opens a comment at
-// the start of the content or after a space or tab, outside quotes; a
-// '"' preceded by a backslash neither opens nor closes a quote. Ordinary
-// bytes cost one lineClass lookup each, and once a comment opens the
-// rest of the line is only searched for its '\n'.
+// the start of the content or after a space or tab, outside quotes. A
+// quote opens a quoted span only where a scalar starts (scalarStart), so
+// the quote of a plain "it's" is content; the span ends where spanEnd
+// ends a quoted scalar, or at the end of the line. Ordinary bytes cost
+// one lineClass lookup each, and once a comment opens the rest of the
+// line is only searched for its '\n'.
 func LexLine[T string | []byte](data T, pos int) (l Line, end int) {
 	i := pos
 	for i < len(data) && data[i] == ' ' {
 		i++
 	}
 	start, stop, comment := i, -1, -1
-	inSingle, inDouble := false, false
 scan:
 	for ; i < len(data); i++ {
 		c := data[i]
@@ -42,17 +43,15 @@ scan:
 		switch {
 		case c == '\n':
 			break scan
-		case c == '\'' && !inDouble:
-			inSingle = !inSingle
-		case c == '"' && !inSingle:
-			if i == start || data[i-1] != '\\' {
-				inDouble = !inDouble
-			}
-		case c == '#' && !inSingle && !inDouble:
+		case c == '#':
 			if i == start || data[i-1] == ' ' || data[i-1] == '\t' {
 				stop, comment = i, i+1
 				for i = comment; i < len(data) && data[i] != '\n'; i++ {
 				}
+				break scan
+			}
+		case scalarStart(data, start, i):
+			if i = spanEnd(data, i); i == len(data) || data[i] == '\n' {
 				break scan
 			}
 		}
@@ -64,6 +63,28 @@ scan:
 		stop--
 	}
 	return Line{Indent: start - pos, Start: start - pos, End: stop - pos, Comment: comment - pos}, i
+}
+
+// scalarStart reports whether the quote at data[i] opens a quoted
+// scalar: it stands at the content's start, or after an indicator a
+// node follows — "- ", ": " or "? " — or a flow collection's '[', '{'
+// or ',', past any spaces and tabs. Anywhere else, as in "it's" or
+// a"b, a quote is a plain scalar's content.
+func scalarStart[T string | []byte](data T, start, i int) bool {
+	j := i
+	for j > start && (data[j-1] == ' ' || data[j-1] == '\t') {
+		j--
+	}
+	if j == start {
+		return true
+	}
+	switch data[j-1] {
+	case '[', '{', ',':
+		return true
+	case '-', ':', '?':
+		return j < i
+	}
+	return false
 }
 
 // SplitLine lays out one line that holds no '\n', as LexLine does.
@@ -91,7 +112,7 @@ type Entry struct {
 // flow depth 0 followed by a space or the end, a quoted key without one.
 func SplitEntry[T string | []byte](content T) (e Entry, ok bool) {
 	if len(content) > 0 && (content[0] == '"' || content[0] == '\'') {
-		i := quoteEnd(content)
+		i := spanEnd(content, 0)
 		if i+1 >= len(content) || content[i+1] != ':' || i+2 < len(content) && content[i+2] != ' ' {
 			return e, false
 		}
@@ -141,25 +162,38 @@ func SeqItem[T string | []byte](content T) (at int, ok bool) {
 	return at, true
 }
 
-// quoteEnd is the offset of the quote closing the quoted scalar s opens,
-// or len(s) when none does. Inside single quotes a doubled quote is an
+// spanEnd is the offset of the quote closing the quoted scalar that
+// opens at s[i], or of the end of its line — its '\n', or len(s) — when
+// the line does not close it. Inside single quotes a doubled quote is an
 // escaped one; inside double quotes a backslash escapes the byte after
-// it, so the '"' of `\\"` closes the scalar and the one of `\"` does not.
-func quoteEnd[T string | []byte](s T) int {
-	q := s[0]
-	for i := 1; i < len(s); i++ {
+// it, so the '"' of `\\"` closes the scalar and the one of `\"` does
+// not (a backslash escapes no '\n': the line ends there).
+func spanEnd[T string | []byte](s T, i int) int {
+	q := s[i]
+	for i++; i < len(s); i++ {
+		c := s[i]
+		if !spanClass[c] {
+			continue
+		}
 		switch {
-		case q == '"' && s[i] == '\\':
-			i++
-		case s[i] != q:
+		case c == '\n':
+			return i
+		case c == '\\':
+			if q == '"' && i+1 < len(s) && s[i+1] != '\n' {
+				i++
+			}
+		case c != q:
 		case q == '\'' && i+1 < len(s) && s[i+1] == '\'':
 			i++
 		default:
 			return i
 		}
 	}
-	return len(s)
+	return i
 }
+
+// spanClass marks the bytes spanEnd stops at.
+var spanClass = [256]bool{'\'': true, '"': true, '\\': true, '\n': true}
 
 // TrimSpace narrows s[i:j] to what strings.TrimSpace leaves of it: every
 // rune unicode.IsSpace reports is cut from either end.

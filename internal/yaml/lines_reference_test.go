@@ -39,23 +39,56 @@ func splitLine(num int, raw string) srcLine {
 }
 
 // stripTrailingComment finds a ' #' that begins a comment outside quotes.
+// A quote opens a quoted scalar only where one can start (opensScalar);
+// anywhere else it is plain content.
 func stripTrailingComment(s string) (content, comment string) {
-	inSingle, inDouble := false, false
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
-		case c == '\'' && !inDouble:
-			inSingle = !inSingle
-		case c == '"' && !inSingle:
-			if i == 0 || s[i-1] != '\\' {
-				inDouble = !inDouble
-			}
-		case c == '#' && !inSingle && !inDouble:
+		case (c == '\'' || c == '"') && opensScalar(s[:i]):
+			i = closingQuote(s, i)
+		case c == '#':
 			if i == 0 || s[i-1] == ' ' || s[i-1] == '\t' {
 				return s[:i], strings.TrimSpace(s[i+1:])
 			}
 		}
 	}
 	return s, ""
+}
+
+// opensScalar reports whether a quote after before opens a quoted
+// scalar: before is empty, or ends in "-", ":" or "?" and white space,
+// or in '[', '{' or ',' and any white space (spaces and tabs).
+func opensScalar(before string) bool {
+	t := strings.TrimRight(before, " \t")
+	if t == "" {
+		return true
+	}
+	switch t[len(t)-1] {
+	case '[', '{', ',':
+		return true
+	case '-', ':', '?':
+		return len(t) < len(before)
+	}
+	return false
+}
+
+// closingQuote is the index of the quote that closes the quoted scalar
+// s[i] opens, or len(s). Inside double quotes a backslash escapes the
+// next byte; inside single quotes a doubled quote is an escaped one.
+func closingQuote(s string, i int) int {
+	q := s[i]
+	for i++; i < len(s); i++ {
+		switch {
+		case q == '"' && s[i] == '\\':
+			i++
+		case s[i] != q:
+		case q == '\'' && strings.HasPrefix(s[i+1:], "'"):
+			i++
+		default:
+			return i
+		}
+	}
+	return len(s)
 }
 
 // splitKey splits "key: rest" respecting quoted keys and flow contexts.

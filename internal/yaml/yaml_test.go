@@ -563,6 +563,40 @@ func TestTrailingCommentStripped(t *testing.T) {
 	}
 }
 
+// TestCommentAfterQuotes pins where a trailing comment starts after a
+// quote, as YAML 1.2 reads it: a backslash inside double quotes escapes
+// the byte after it, so `"a\\"` closes before its comment; a quote opens
+// a quoted scalar only where a scalar starts, so in a plain scalar such
+// as it's or a"b it is content and the comment after it is a comment.
+func TestCommentAfterQuotes(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want any
+	}{
+		{`k: "a\\" # note`, map[string]any{"k": `a\`}},
+		{`- "a\\" # c`, []any{`a\`}},
+		{`k: "a\\\" # b" # c`, map[string]any{"k": `a\" # b`}},
+		{`k: "q\" # r" # s`, map[string]any{"k": `q" # r`}},
+		{`k: it's # c`, map[string]any{"k": "it's"}},
+		{`k: a"b # c`, map[string]any{"k": `a"b`}},
+		{`- it's # c`, []any{"it's"}},
+		{`k: don't "quote" me # c`, map[string]any{"k": `don't "quote" me`}},
+		{`k: 'x # y' # z`, map[string]any{"k": "x # y"}},
+		{`k: 'it''s # x' # y`, map[string]any{"k": "it's # x"}},
+		{`- 'a # b'`, []any{"a # b"}},
+		{`- - "a # b"`, []any{[]any{"a # b"}}},
+		{`k: [a, 'b # c'] # d`, map[string]any{"k": []any{"a", "b # c"}}},
+		{`k: [a,"b # c"]`, map[string]any{"k": []any{"a", "b # c"}}},
+		{`k: {a: "b # c"} # d`, map[string]any{"k": map[string]any{"a": "b # c"}}},
+		{`"k # 1": v # c`, map[string]any{"k # 1": "v"}},
+	} {
+		got, err := Decode([]byte(tc.in))
+		if err != nil || !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("Decode(%q) = %#v, %v; want %#v", tc.in, got, err, tc.want)
+		}
+	}
+}
+
 func TestDeeplyNestedManifest(t *testing.T) {
 	in := `
 apiVersion: apps/v1

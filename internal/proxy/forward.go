@@ -149,7 +149,39 @@ func (p *Proxy) forward(w http.ResponseWriter, r *http.Request, user string,
 	defer c.finish(resp.Body)
 	copyEndToEnd(w.Header(), resp.Header, false)
 	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	relay(w, resp.Body)
+}
+
+// responseCopy is a pooled buffer a response body is relayed through,
+// and the Writer it is relayed into. It has no ReadFrom: handed the
+// ResponseWriter itself, io.Copy would call the server's ReadFrom, which
+// passes every body past its first 512 bytes to the connection's own
+// ReadFrom, and that makes a fresh 32 KiB buffer for each response whose
+// body is not a file or a connection.
+type responseCopy struct {
+	w   io.Writer
+	buf [32 << 10]byte
+}
+
+func (c *responseCopy) Write(p []byte) (int, error) { return c.w.Write(p) }
+
+// copyPool recycles response copies.
+var copyPool = sync.Pool{New: func() any { return new(responseCopy) }}
+
+// relay copies an upstream response body to the client. A body that
+// writes itself out (http.NoBody, an in-memory reader) does so directly;
+// any other is copied through a pooled buffer, write by write, so a
+// chunked response streams as it arrives.
+func relay(w io.Writer, body io.Reader) {
+	if _, ok := body.(io.WriterTo); ok {
+		_, _ = io.Copy(w, body)
+		return
+	}
+	c := copyPool.Get().(*responseCopy)
+	c.w = w
+	_, _ = io.CopyBuffer(c, body, c.buf[:])
+	c.w = nil
+	copyPool.Put(c)
 }
 
 // copyEndToEnd assigns src's end-to-end headers into dst under their

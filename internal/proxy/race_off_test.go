@@ -2,4 +2,4 @@
 
 package proxy
 
-const raceAllocSlack, raceDenyAllocSlack = 0, 0
+const raceAllocSlack, raceDenyAllocSlack, raceCopySlack = 0, 0, 0

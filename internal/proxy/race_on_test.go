@@ -11,3 +11,8 @@ const raceAllocSlack = 2
 // pooled printer once per violation and encoding/json's pooled encoder
 // besides the body buffer (measured +8).
 const raceDenyAllocSlack = 10
+
+// raceCopySlack is what the race detector adds to the bytes a relayed
+// response allocates: a quarter of the dropped puts of the proxy's and
+// net/http's pooled 32 KiB copy buffers and 4 KiB bufio buffers.
+const raceCopySlack = 16 << 10

@@ -343,6 +343,44 @@ func TestRawFastPathWordFormsMatchClassic(t *testing.T) {
 	}
 }
 
+// TestRawFastPathCommentsAfterQuotesMatchClassic sends YAML bodies
+// whose lines put a quote before a trailing comment — an escaped
+// backslash closing a double-quoted value, a quote inside a plain
+// value, quotes inside the comment itself — into tenant a and b. The
+// raw walk and the decoder read each line with one lexer, so in enforce
+// and in shadow mode the proxy answers, charges and records the same
+// with the fast path on and off, and enforce mode allows exactly the
+// bodies whose values read as the tenant's own.
+func TestRawFastPathCommentsAfterQuotesMatchClassic(t *testing.T) {
+	for _, tc := range []struct {
+		ns, mode string
+		code     int
+		charged  map[string]uint64
+	}{
+		{"a", `lenient # it's`, http.StatusOK, map[string]uint64{"a": 1, "b": 0}},
+		{"a", `'lenient' # a"b`, http.StatusOK, map[string]uint64{"a": 1, "b": 0}},
+		{"a # don't", `"lenient" # "x`, http.StatusOK, map[string]uint64{"a": 1, "b": 0}},
+		{"b", `"strict" # it's`, http.StatusOK, map[string]uint64{"a": 0, "b": 1}},
+		{"a", `"lenient\\" # note`, http.StatusForbidden, map[string]uint64{"a": 1, "b": 0}},
+		{"a", `it's # c`, http.StatusForbidden, map[string]uint64{"a": 1, "b": 0}},
+		{"b", `a"b # c`, http.StatusForbidden, map[string]uint64{"a": 0, "b": 1}},
+		{"a", `"lenient\" # x" # y`, http.StatusForbidden, map[string]uint64{"a": 1, "b": 0}},
+	} {
+		body := []byte("apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: cm\n  namespace: " + tc.ns +
+			"\ndata:\n  mode: " + tc.mode + "\n")
+		for _, m := range []registry.Mode{registry.ModeEnforce, registry.ModeShadow} {
+			raw, classic := serveTenants(t, m, false, true, body), serveTenants(t, m, true, true, body)
+			if !reflect.DeepEqual(raw, classic) {
+				t.Errorf("%s mode: %q:\nraw path:    %+v\ndecode path: %+v", m, body, raw, classic)
+			}
+			if m == registry.ModeEnforce && (classic.Code != tc.code || !reflect.DeepEqual(classic.Charged, tc.charged)) {
+				t.Errorf("%q: the decode path answers %d charged %v, want %d charged %v",
+					body, classic.Code, classic.Charged, tc.code, tc.charged)
+			}
+		}
+	}
+}
+
 // FuzzRawPathMatchesClassic: whatever the body, the wire and the mode
 // (enforce or shadow), the proxy with the raw fast path on answers,
 // charges and records exactly what it does with DisableRawFastPath —

@@ -8,7 +8,7 @@
 #   make mode-race       # the rollout modes' accounting and promotion gate, -race -count=20
 #   make cache-race      # the decision cache's lock-free hit, -race -count=20
 #   make telemetry-race  # the hub's per-processor sampling, stripes and rings, -race -count=20
-#   make bench           # in-package micro-benchmarks (multi-workload enforcement, body tag vs SHA-256, JSON and YAML decode, YAML encode, raw scan/match/judge, decoded validate, proxy hit/cold/deny path serial and on every core, plane reapply, registry decision-cache probe serial and on every core, telemetry record-ring append and trace-sampling probe on every core)
+#   make bench           # in-package micro-benchmarks (multi-workload enforcement, body tag vs SHA-256, JSON and YAML decode, YAML encode, YAML line lexing, raw scan/match/judge, decoded validate, proxy hit/cold/deny path serial and on every core, plane reapply, registry decision-cache probe serial and on every core, telemetry record-ring append and trace-sampling probe on every core)
 #   make fuzz-smoke      # 10s per native fuzz target
 #   make fuzz-nightly    # 2m per native fuzz target
 #   make coverage-gate   # coverage profile; fails below COVERAGE_BASELINE
@@ -97,6 +97,7 @@ telemetry-race:
 bench:
 	$(GO) test -run NONE -bench 'MultiWorkload|RegistryResolve|BodyTag' -benchmem .
 	$(GO) test -run NONE -bench 'ParseJSON|ParseManifest|MarshalYAML' -benchmem ./internal/object
+	$(GO) test -run NONE -bench 'LexLine' -benchmem ./internal/yaml
 	$(GO) test -run NONE -bench 'RawScan|RawMatch|RawJudge|Validate' -benchmem ./internal/compile
 	$(GO) test -run NONE -bench 'ServeReapply|ServeUnique|ServeDeny' -benchmem ./internal/proxy
 	$(GO) test -run NONE -bench 'PlaneServe' -benchmem ./internal/plane

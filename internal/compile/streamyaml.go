@@ -11,11 +11,12 @@ import (
 // line cursor and one recursive skeleton over raw manifest bytes, so a
 // YAML request it judges — an allowed one or an enforce-mode denial —
 // never materializes lines, strings, or a decoded document. Its line
-// grammar is the decoder's own (internal/yaml's SplitLine, SplitEntry,
+// grammar is the decoder's own (internal/yaml's LexLine, SplitEntry,
 // SeqItem, TrimSpace, on byte spans here and on strings there): the wire
-// has one lexer. What a key, a scalar or a collection means against the
-// compiled program — a vouch, a recorded violation, or the zero val that
-// gives up — is match.go's.
+// has one lexer. The line cursor lays out each line and finds its end in
+// one LexLine pass over the body. What a key, a scalar or a collection
+// means against the compiled program — a vouch, a recorded violation, or
+// the zero val that gives up — is match.go's.
 //
 // What the walker owes that contract is "accepted ⇒ object.ParseManifest
 // accepts it too" (exactly one mapping document). Its skeleton follows
@@ -32,7 +33,7 @@ import (
 // and tab bytes, and plain scalars whose decoded type is ambiguous.
 
 // yLine is one logical line: its indentation and its content as
-// yaml.SplitLine delimits it (empty for a blank or comment-only line).
+// yaml.LexLine delimits it (empty for a blank or comment-only line).
 type yLine struct {
 	indent int
 	c      []byte

@@ -10,7 +10,12 @@ import (
 // rest, and where a sequence item's inline content starts — written once,
 // as offsets into a string or a []byte, for the decoder (decode.go) and
 // for the decode-free walker of internal/compile, which must read every
-// line exactly as the decoder does: the wire has one lexer.
+// line exactly as the decoder does: the wire has one lexer. LexLine lays
+// a line out and finds its '\n' in one pass over it, the walker's line
+// cursor over a whole body; the decoder, which splits its input into
+// lines first, calls it on each line as SplitLine. The hot loops —
+// LexLine's, spanEnd's, SplitEntry's plain key — look each ordinary byte
+// up in a class table and branch only on the few bytes that matter.
 
 // Line is one physical line's layout, in offsets into the line: Indent
 // leading spaces (a tab is content), the content [Start, End) before any

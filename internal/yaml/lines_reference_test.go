@@ -7,8 +7,11 @@ import (
 // This file is the decoder's line grammar as it was before lines.go
 // turned it into offset functions shared with the decode-free walker:
 // splitLine, stripTrailingComment and splitKey, moved here verbatim as the
-// differential oracle. FuzzLineGrammar (fuzz_test.go) holds the
-// production functions to them line by line, through these names:
+// differential oracle. Only stripTrailingComment's quote rule has changed
+// since, together with LexLine's: a backslash inside double quotes
+// escapes the next byte, and a quote opens a quoted scalar only where a
+// scalar starts. FuzzLineGrammar (fuzz_test.go) holds the production
+// functions to them line by line, through these names:
 var (
 	ReferenceSplitLine = splitLine
 	ReferenceSplitKey  = splitKey

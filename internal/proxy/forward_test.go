@@ -409,7 +409,8 @@ func TestForwardStripsHopByHopHeaders(t *testing.T) {
 }
 
 // relayBody is the 64 KiB response body TestForwardRelaysResponseBodies
-// has upstream return, a pattern whose every window is its own.
+// has upstream return: no two of its 256-byte blocks are alike, so a
+// block dropped, repeated or moved on the way shows.
 var relayBody = func() []byte {
 	b := make([]byte, 64<<10)
 	for i := range b {
